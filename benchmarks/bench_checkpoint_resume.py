@@ -9,8 +9,8 @@ shared state — resumes from the artifact and must land on an allocation
 byte-identical to an uninterrupted reference run.
 
 The timing section reports the resume cost (re-deriving every RR set
-from the counter-based streams vs loading the legacy member spill);
-like the sharded smokes, wall-clock is *reported*, never asserted.
+from the counter-based streams); like the sharded smokes, wall-clock is
+*reported*, never asserted.
 
 Run standalone with
 ``PYTHONPATH=src python benchmarks/bench_checkpoint_resume.py``.
@@ -45,13 +45,12 @@ import sys
 from repro.algorithms.tirm import TIRMAllocator
 from repro.datasets.synthetic import dblp_like
 
-scale, seed, kill_after, rng, path = (
+scale, seed, kill_after, path = (
     float(sys.argv[1]), int(sys.argv[2]), int(sys.argv[3]), sys.argv[4],
-    sys.argv[5],
 )
 problem = dblp_like(scale=scale, seed=0)
 result = TIRMAllocator(
-    seed=seed, rng=rng, initial_pilot=%d, max_rr_sets_per_ad=%d,
+    seed=seed, initial_pilot=%d, max_rr_sets_per_ad=%d,
     checkpoint_path=path, max_iterations=kill_after,
 ).allocate(problem)
 assert result.stats["truncated"] is True
@@ -69,13 +68,12 @@ def _fingerprint(result) -> dict:
     }
 
 
-def run_kill_and_resume(rng: str, workdir: str) -> tuple[list, dict, dict]:
+def run_kill_and_resume(workdir: str) -> tuple[list, dict, dict]:
     """Reference run, child kill, in-parent resume; returns timing rows
     plus the two fingerprints (asserted equal by the caller)."""
     problem = dblp_like(scale=SCALE, seed=0)
     kwargs = dict(
-        seed=SEED, rng=rng, initial_pilot=INITIAL_PILOT,
-        max_rr_sets_per_ad=MAX_RR_SETS,
+        seed=SEED, initial_pilot=INITIAL_PILOT, max_rr_sets_per_ad=MAX_RR_SETS
     )
     t0 = time.perf_counter()
     reference = TIRMAllocator(**kwargs).allocate(problem)
@@ -84,7 +82,7 @@ def run_kill_and_resume(rng: str, workdir: str) -> tuple[list, dict, dict]:
         "smoke fixture must run past the kill point"
     )
 
-    path = os.path.join(workdir, f"smoke-{rng}.ckpt.npz")
+    path = os.path.join(workdir, "smoke.ckpt.npz")
     env = dict(os.environ)
     src = os.path.join(
         os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
@@ -94,7 +92,7 @@ def run_kill_and_resume(rng: str, workdir: str) -> tuple[list, dict, dict]:
     t0 = time.perf_counter()
     subprocess.run(
         [sys.executable, "-c", _CHILD_SCRIPT, str(SCALE), str(SEED),
-         str(KILL_AFTER), rng, path],
+         str(KILL_AFTER), path],
         check=True, env=env,
     )
     t_child = time.perf_counter() - t0
@@ -106,46 +104,38 @@ def run_kill_and_resume(rng: str, workdir: str) -> tuple[list, dict, dict]:
     assert resumed.stats["resumed_at_iteration"] == KILL_AFTER
 
     artifact_kb = os.path.getsize(path) / 1024
-    spill = [f for f in os.listdir(workdir) if f.startswith(
-        os.path.basename(path) + ".members-")]
-    spill_kb = sum(
-        os.path.getsize(os.path.join(workdir, f)) for f in spill
-    ) / 1024
-    if rng == "philox":
-        assert not spill, "philox artifact must not spill RR members"
+    assert os.listdir(workdir) == [os.path.basename(path)], (
+        "the artifact must be the only file a checkpointed run leaves behind"
+    )
     rows = [
-        [rng, "reference (uninterrupted)", reference.stats["iterations"],
-         t_reference, artifact_kb, spill_kb],
-        [rng, f"killed child (restart at k={KILL_AFTER})",
-         KILL_AFTER, t_child, artifact_kb, spill_kb],
-        [rng, "resume to completion", resumed.stats["iterations"],
-         t_resume, artifact_kb, spill_kb],
+        ["reference (uninterrupted)", reference.stats["iterations"],
+         t_reference, artifact_kb],
+        [f"killed child (restart at k={KILL_AFTER})",
+         KILL_AFTER, t_child, artifact_kb],
+        ["resume to completion", resumed.stats["iterations"],
+         t_resume, artifact_kb],
     ]
     return rows, _fingerprint(reference), _fingerprint(resumed)
 
 
 def _smoke_rows(workdir: str) -> list:
-    rows = []
-    for rng in ("philox", "legacy"):
-        section, reference, resumed = run_kill_and_resume(rng, workdir)
-        assert resumed == reference, (
-            f"resumed allocation diverged from the uninterrupted run ({rng}):\n"
-            f"{json.dumps(resumed, indent=2)[:2000]}"
-        )
-        rows.extend(section)
+    rows, reference, resumed = run_kill_and_resume(workdir)
+    assert resumed == reference, (
+        f"resumed allocation diverged from the uninterrupted run:\n"
+        f"{json.dumps(resumed, indent=2)[:2000]}"
+    )
     return rows
 
 
 def test_kill_and_resume_smoke(run_once, tmp_path):
     """A TIRM run killed in a child process and resumed in this one must
     reproduce the uninterrupted allocation byte-for-byte (asserted in
-    ``_smoke_rows``), for both RNG modes."""
+    ``_smoke_rows``)."""
     rows = run_once(_smoke_rows, str(tmp_path))
     print()
     print(
         format_table(
-            ["rng", "phase", "iterations", "wall (s)", "artifact (KB)",
-             "spill (KB)"],
+            ["phase", "iterations", "wall (s)", "artifact (KB)"],
             rows,
             title=f"Checkpoint kill-and-resume smoke (kill at k={KILL_AFTER})",
         )
@@ -156,8 +146,7 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as workdir:
         print(
             format_table(
-                ["rng", "phase", "iterations", "wall (s)", "artifact (KB)",
-                 "spill (KB)"],
+                ["phase", "iterations", "wall (s)", "artifact (KB)"],
                 _smoke_rows(workdir),
                 title=f"Checkpoint kill-and-resume smoke (kill at k={KILL_AFTER})",
             )

@@ -1,13 +1,9 @@
 """RR-set engine micro-benchmark: sample → index → cover → remove.
 
 Times the four phases that dominate TIRM's runtime (§5, Fig. 6) on the
-flat-CSR :class:`~repro.rrset.pool.RRSetPool`, at several graph scales
-and for both sampler paths:
-
-* ``scalar``  — the bit-compatible Mersenne BFS written straight into
-  the pool (``sample_into``);
-* ``blocked`` — the vectorized batched sampler (``sample_blocked_into``,
-  RNG drawn in blocks).
+flat-CSR :class:`~repro.rrset.pool.RRSetPool`, at several graph scales,
+through the engine's sampler path: the vectorized blocked BFS
+(``sample_chunk_block``, RNG drawn in blocks).
 
 The loop mirrors one TIRM growth cycle: draw θ sets (sample+index),
 greedy-cover s seeds over a pilot CSR window, then remove the sets the
@@ -45,7 +41,7 @@ from repro.datasets.synthetic import dblp_like
 from repro.evaluation.reporting import format_table
 from repro.rrset.backends import NumbaBackend, NumpyBackend, numba_available
 from repro.rrset.pool import RRSetPool
-from repro.rrset.sampler import RRSetSampler
+from repro.rrset.sampler import RRSetSampler, StreamPlan
 from repro.rrset.sharded import ShardedSamplingEngine
 from repro.rrset.tim import greedy_max_coverage
 
@@ -77,19 +73,15 @@ SERVICE_RR_CAP = 6_000
 JSON_REPORT = os.path.join(os.path.dirname(__file__), "BENCH_PR9.json")
 
 
-def run_engine_cycle(
-    graph, probs, *, mode: str, seed: int = 0, theta: int = THETA
-) -> dict:
+def run_engine_cycle(graph, probs, *, seed: int = 0, theta: int = THETA) -> dict:
     """One sample→index→cover→remove cycle; returns phase timings."""
     n = graph.num_nodes
     sampler = RRSetSampler(graph, probs, seed=seed)
     pool = RRSetPool(n)
 
     t0 = time.perf_counter()
-    if mode == "blocked":
-        sampler.sample_blocked_into(pool, theta)
-    else:
-        sampler.sample_into(pool, theta)
+    # θ sets as one chunk: a single blocked-BFS pass, one bulk append.
+    pool.add_flat(*sampler.sample_chunk_block(StreamPlan(seed, 0, theta), 0))
     t1 = time.perf_counter()
 
     pilot = pool.prefix_view(PILOT)
@@ -120,25 +112,24 @@ def _rows(theta: int = THETA):
     for label, scale in SCALES:
         problem = dblp_like(scale=scale, num_ads=1, seed=13)
         probs = problem.ad_edge_probabilities(0)
-        for mode in ("scalar", "blocked"):
-            r = run_engine_cycle(problem.graph, probs, mode=mode, theta=theta)
-            rows.append(
-                [
-                    label,
-                    problem.num_nodes,
-                    mode,
-                    r["sample+index"],
-                    r["cover"],
-                    r["remove"],
-                    r["total"],
-                    r["memory_mb"],
-                ]
-            )
+        r = run_engine_cycle(problem.graph, probs, theta=theta)
+        rows.append(
+            [
+                label,
+                problem.num_nodes,
+                "blocked",
+                r["sample+index"],
+                r["cover"],
+                r["remove"],
+                r["total"],
+                r["memory_mb"],
+            ]
+        )
     return rows
 
 
 def run_sharded_pilot(
-    problem, *, engine: str, mode: str = "blocked", theta: int = SHARDED_THETA,
+    problem, *, engine: str, theta: int = SHARDED_THETA,
     seed: int = 0, transport: str = "auto",
 ) -> tuple[float, list[tuple[int, np.ndarray, np.ndarray]]]:
     """One TIRM-style pilot phase (θ sets for every ad) through the
@@ -146,8 +137,7 @@ def run_sharded_pilot(
     h = problem.num_ads
     probs = [problem.ad_edge_probabilities(ad) for ad in range(h)]
     with ShardedSamplingEngine(
-        problem.graph, probs, seeds=seed, mode=mode, engine=engine,
-        transport=transport,
+        problem.graph, probs, seeds=seed, engine=engine, transport=transport,
     ) as eng:
         # Warm the worker pool so fork/startup cost is not charged to the
         # timed pilot (the executor is created lazily on first sample).
@@ -184,19 +174,17 @@ def _sharded_rows(theta: int = SHARDED_THETA, scale: float = SHARDED_SCALE):
 
 def run_growth_topup(
     problem, *, engine: str, theta: int, chunk_size: int = GROWTH_CHUNK,
-    mode: str = "blocked", seed: int = 0,
+    seed: int = 0,
 ) -> tuple[float, tuple[int, np.ndarray, np.ndarray]]:
     """One Algorithm-4-style growth event: a *single ad's* θ top-up.
 
-    Under the stateful legacy streams this request shape had no
-    parallelism to exploit; the counter-based streams split it into
-    ``(ad, chunk)`` tasks, so process mode fans one ad's top-up across
-    the worker pool.  Returns the wall-clock and the shard fingerprint.
+    The counter-based streams split it into ``(ad, chunk)`` tasks, so
+    process mode fans one ad's top-up across the worker pool.  Returns
+    the wall-clock and the shard fingerprint.
     """
     probs = [problem.ad_edge_probabilities(0)]
     with ShardedSamplingEngine(
-        problem.graph, probs, seeds=seed, mode=mode, engine=engine,
-        chunk_size=chunk_size,
+        problem.graph, probs, seeds=seed, engine=engine, chunk_size=chunk_size,
     ) as eng:
         # Warm the pool (and the pilot prefix) outside the timed region:
         # both engines advance through the same set indices, so the timed
@@ -239,13 +227,13 @@ def run_backend_blocked(problem, backend, *, theta: int, seed: int = 0):
     sampler = RRSetSampler(problem.graph, probs, seed=seed, backend=backend)
     sampler.backend.warmup(problem.graph)
     t0 = time.perf_counter()
-    members, lengths = sampler.sample_flat(theta, mode="blocked")
+    members, lengths = sampler.sample_chunk_block(StreamPlan(seed, 0, theta), 0)
     elapsed = time.perf_counter() - t0
     return elapsed, (members, lengths)
 
 
 def _backend_rows(theta: int = BACKEND_THETA, scale: float = BACKEND_SCALE):
-    """NumPy reference vs numba JIT kernel on the same PCG64 stream: the
+    """NumPy reference vs numba JIT kernel on the same chunk stream: the
     packed blocks must be byte-identical (asserted; the determinism
     contract is backend-invariant), the speedup is reported.
 
@@ -454,13 +442,10 @@ def write_json_report(
     for label, scale in SCALES:
         problem = dblp_like(scale=scale, num_ads=1, seed=13)
         probs = problem.ad_edge_probabilities(0)
-        for mode in ("scalar", "blocked"):
-            r = run_engine_cycle(
-                problem.graph, probs, mode=mode, theta=cycle_theta
-            )
-            cycle.append(
-                {"graph": label, "n": problem.num_nodes, "mode": mode, **r}
-            )
+        r = run_engine_cycle(problem.graph, probs, theta=cycle_theta)
+        cycle.append(
+            {"graph": label, "n": problem.num_nodes, "mode": "blocked", **r}
+        )
     report = {
         "benchmark": "rrset_engine",
         "cpu_count": os.cpu_count() or 1,
@@ -503,10 +488,6 @@ def test_rrset_engine_cycle(run_once):
             title=f"RR-set engine: θ={THETA}, {SEEDS_TO_PICK} seeds per cycle",
         )
     )
-    by_mode = {(r[0], r[2]): r[6] for r in rows}
-    for label, _ in SCALES:
-        # the blocked path must never lose badly to the scalar one
-        assert by_mode[(label, "blocked")] <= by_mode[(label, "scalar")] * 1.5
     # sanity: every phase completed with data flowing through the pool
     assert all(r[7] > 0 for r in rows)
 

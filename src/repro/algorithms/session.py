@@ -55,7 +55,7 @@ from repro.algorithms.base import AllocationResult
 from repro.errors import SessionError
 from repro.rrset.checkpoint import TIRMCheckpoint, build_snapshot, save_checkpoint
 from repro.rrset.pool import RRSetPool
-from repro.rrset.sampler import RRSetSampler
+from repro.rrset.sampler import STREAM_MODE, RRSetSampler
 from repro.rrset.sharded import ShardedSamplingEngine
 
 #: Session states.  ``PILOT``/``ESTIMATE_THETA`` run once (resume skips
@@ -459,9 +459,8 @@ class AllocationSession:
         # plus (for counter-based streams) the derived entropy root is
         # what re-derives the exact RR samples behind these seed sets.
         # A generator-valued seed was consumed while sampling and cannot
-        # be recorded — ``seed`` is None then, and under legacy streams
-        # such a run is not re-derivable (under philox the entropy root
-        # alone still is).
+        # be recorded — ``seed`` is None then; the entropy root alone
+        # still re-derives the run.
         seed = (
             int(config._seed)
             if isinstance(config._seed, (int, np.integer))
@@ -470,8 +469,8 @@ class AllocationSession:
         allocation.set_provenance(
             algorithm=config.name,
             rng=config.rng,
-            chunk_size=config.chunk_size if config.rng == "philox" else None,
-            sampler_mode=config.sampler_mode,
+            chunk_size=config.chunk_size,
+            sampler_mode=STREAM_MODE,
             engine=config.engine,
             backend=engine.backend_name,
             transport=engine.transport,
@@ -502,10 +501,10 @@ class AllocationSession:
             ),
             "epsilon": config.epsilon,
             "select_rule": config.select_rule,
-            "sampler_mode": config.sampler_mode,
+            "sampler_mode": STREAM_MODE,
             "engine": config.engine,
             "rng": config.rng,
-            "chunk_size": config.chunk_size if config.rng == "philox" else None,
+            "chunk_size": config.chunk_size,
             "backend": engine.backend_name,
             "transport": engine.transport,
             "start_method": engine.start_method,
@@ -578,7 +577,7 @@ class AllocationSession:
             "dataset": config.dataset,
             "seed": seed,
             "rng": config.rng,
-            "chunk_size": config.chunk_size if config.rng == "philox" else None,
+            "chunk_size": config.chunk_size,
             "engine": config.engine,
             "backend": engine.backend_name,
             "transport": engine.transport,

@@ -57,16 +57,14 @@ from repro.algorithms.session import (  # noqa: F401
 from repro.errors import ConfigurationError
 from repro.rrset.backends import BACKEND_MODES, SamplingBackend, resolve_backend
 from repro.rrset.checkpoint import TIRMCheckpoint
-from repro.rrset.sampler import DEFAULT_CHUNK_SIZE
+from repro.rrset.sampler import DEFAULT_CHUNK_SIZE, STREAM_MODE, STREAM_RNG
 from repro.rrset.sharded import (
     ENGINE_MODES,
-    RNG_MODES,
     START_METHODS,
     TRANSPORT_MODES,
     ShardedSamplingEngine,
 )
 from repro.rrset.tim import greedy_max_coverage, required_rr_sets
-from repro.utils.rng import spawn_generators
 from repro.utils.timing import Timer
 
 #: Engine substrates the allocator accepts: the sharded engine's
@@ -88,12 +86,6 @@ class TIRMAllocator(Allocator):
     select_rule:
         ``"weighted"`` (CTP-weighted coverage; default) or ``"coverage"``
         (the literal Algorithm 3).
-    sampler_mode:
-        ``"blocked"`` (default) draws RR-sets through the vectorized
-        batched sampler — RNG in blocks, members written straight into
-        the pool; ``"scalar"`` uses the original per-set Mersenne stream,
-        which stays bit-compatible with the pre-pool implementation.
-        Both are deterministic per ``seed``.
     engine:
         ``"serial"`` (default) samples every ad's RR-sets in-process;
         ``"process"`` fans the sharded engine's chunk tasks — the
@@ -101,7 +93,7 @@ class TIRMAllocator(Allocator):
         a fork-based process pool.  The two produce identical
         allocations for the same ``(seed, chunk_size)``: every chunk of
         RR sets is a pure function of its ``(seed, ad, set_index)``
-        address (``rng="philox"``).  ``"dist"`` scatters the same chunk
+        address.  ``"dist"`` scatters the same chunk
         tasks to remote socket workers through a
         :class:`~repro.dist.Coordinator` (pass ``coordinator=``) —
         byte-identical again: topology is provenance, not contract.
@@ -112,15 +104,17 @@ class TIRMAllocator(Allocator):
         from which each engine builds a coordinator it owns.  Rejected
         for in-process engines.
     rng:
-        ``"philox"`` (default): counter-based streams — every RR set is
-        addressed by ``(seed, ad, set_index)``, sampling parallelizes
-        within an ad, and a mid-allocation resume is deterministic.
-        ``"legacy"``: the historical stateful per-ad streams, bit-exact
-        with the pre-pool implementation (and strictly sequential).
+        The recorded name of the stream contract, ``"philox"``:
+        counter-based streams — every RR set is addressed by
+        ``(seed, ad, set_index)``, sampling parallelizes within an ad,
+        and a mid-allocation resume is deterministic.  Not an option:
+        any other value raises
+        :class:`~repro.errors.ConfigurationError`, so a config written
+        for a different stream is refused instead of silently resampled.
     chunk_size:
-        Set-index chunk width of the counter-based streams (ignored for
-        ``rng="legacy"``).  Part of the determinism contract: the same
-        ``(seed, chunk_size)`` reproduces the same allocation.
+        Set-index chunk width of the counter-based streams.  Part of
+        the determinism contract: the same ``(seed, chunk_size)``
+        reproduces the same allocation.
     backend:
         Blocked-BFS sampling backend (:mod:`repro.rrset.backends`):
         ``"numpy"`` (reference, default), ``"numba"`` (JIT kernel,
@@ -153,7 +147,7 @@ class TIRMAllocator(Allocator):
         greedy selection under ``engine="process"``.  Purely a pipeline
         knob: chunks are pure functions of their stream address, so the
         allocation is byte-identical with prefetch on or off (no-op for
-        ``engine="serial"`` and ``rng="legacy"``).
+        ``engine="serial"``).
     initial_pilot:
         RR-sets sampled per ad before the first ``θ_i`` is computed.
     min_rr_sets_per_ad / max_rr_sets_per_ad:
@@ -165,13 +159,12 @@ class TIRMAllocator(Allocator):
         Snapshot the in-flight allocation to ``checkpoint_path`` every
         ``checkpoint_every`` iteration boundaries (default 1 when a path
         is given; atomic overwrite, see :mod:`repro.rrset.checkpoint`).
-        Under ``rng="philox"`` the artifact holds no RR members — the
-        counter-based streams re-derive them on resume; ``rng="legacy"``
-        spills members to an mmap-backed sidecar.
+        The artifact holds no RR members — the counter-based streams
+        re-derive them on resume.
     resume_from:
         Restore a mid-allocation snapshot and continue.  The resumed run
         produces a byte-identical allocation to the uninterrupted one
-        for the same ``(seed, rng, chunk_size)``; mismatched parameters
+        for the same ``(seed, chunk_size)``; mismatched parameters
         raise :class:`~repro.errors.ConfigurationError`.
     max_iterations:
         Stop after this many iterations *of this run* (writing a final
@@ -228,10 +221,9 @@ class TIRMAllocator(Allocator):
         epsilon: float = 0.1,
         ell: float = 1.0,
         select_rule: str = "weighted",
-        sampler_mode: str = "blocked",
         engine: str = "serial",
         coordinator=None,
-        rng: str = "philox",
+        rng: str = STREAM_RNG,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         backend="numpy",
         transport: str = "auto",
@@ -258,26 +250,19 @@ class TIRMAllocator(Allocator):
             raise ConfigurationError(
                 f"select_rule must be 'weighted' or 'coverage', got {select_rule!r}"
             )
-        if sampler_mode not in ("blocked", "scalar"):
-            raise ConfigurationError(
-                f"sampler_mode must be 'blocked' or 'scalar', got {sampler_mode!r}"
-            )
         if engine not in ALLOCATOR_ENGINE_MODES:
             raise ConfigurationError(
                 f"engine must be one of {ALLOCATOR_ENGINE_MODES}, got {engine!r}"
             )
-        if rng not in RNG_MODES:
-            raise ConfigurationError(f"rng must be one of {RNG_MODES}, got {rng!r}")
+        if rng != STREAM_RNG:
+            raise ConfigurationError(
+                f"rng must be {STREAM_RNG!r} (the only stream contract), got {rng!r}"
+            )
         if engine == "dist":
             if coordinator is None:
                 raise ConfigurationError(
                     "engine='dist' needs a coordinator: pass a started "
                     "repro.dist.Coordinator or a spec dict"
-                )
-            if rng != "philox":
-                raise ConfigurationError(
-                    "engine='dist' requires rng='philox': legacy streams "
-                    "cannot be re-derived on remote workers"
                 )
         elif coordinator is not None:
             raise ConfigurationError(
@@ -323,7 +308,6 @@ class TIRMAllocator(Allocator):
         self.epsilon = float(epsilon)
         self.ell = float(ell)
         self.select_rule = select_rule
-        self.sampler_mode = sampler_mode
         self.engine = engine
         self.coordinator = coordinator
         self.rng = rng
@@ -433,17 +417,11 @@ class TIRMAllocator(Allocator):
         engines; the batch facade passes nothing extra.
         """
         h = problem.num_ads
-        # Counter-based streams take the master seed directly (per-ad
-        # separation happens in the spawn key); the legacy streams keep
-        # the historical per-ad child generators for bit-exactness.  On
-        # resume the checkpoint's entropy roots are authoritative: they
-        # rebuild the exact streams the snapshot was sampled from.
-        if self.rng == "legacy":
-            seeds = spawn_generators(self._seed, h)
-        elif checkpoint is not None:
-            seeds = list(checkpoint.entropies)
-        else:
-            seeds = self._seed
+        # The streams take the master seed directly (per-ad separation
+        # happens in the spawn key).  On resume the checkpoint's entropy
+        # roots are authoritative: they rebuild the exact streams the
+        # snapshot was sampled from.
+        seeds = self._seed if checkpoint is None else list(checkpoint.entropies)
         if self.engine == "dist":
             # Imported lazily: the distributed tier is an optional layer
             # over the engine seam, and an in-process allocation never
@@ -455,8 +433,6 @@ class TIRMAllocator(Allocator):
                 [problem.ad_edge_probabilities(ad) for ad in range(h)],
                 coordinator=self.coordinator,
                 seeds=seeds,
-                mode=self.sampler_mode,
-                rng=self.rng,
                 chunk_size=self.chunk_size,
                 backend=self._backend_obj if self._backend_obj is not None
                 else self.backend,
@@ -469,10 +445,8 @@ class TIRMAllocator(Allocator):
             problem.graph,
             [problem.ad_edge_probabilities(ad) for ad in range(h)],
             seeds=seeds,
-            mode=self.sampler_mode,
             engine=self.engine,
             max_workers=self.max_workers,
-            rng=self.rng,
             chunk_size=self.chunk_size,
             backend=self._backend_obj if self._backend_obj is not None
             else self.backend,
@@ -505,10 +479,10 @@ class TIRMAllocator(Allocator):
         return {
             "algorithm": self.name,
             "rng": self.rng,
-            "chunk_size": self.chunk_size if self.rng == "philox" else None,
+            "chunk_size": self.chunk_size,
             "backend": self._backend_obj.name,
             "transport": self._transport_resolved,
-            "sampler_mode": self.sampler_mode,
+            "sampler_mode": STREAM_MODE,
             "select_rule": self.select_rule,
             "epsilon": self.epsilon,
             "ell": self.ell,

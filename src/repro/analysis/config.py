@@ -8,7 +8,8 @@ those locations once, as data, so the rules stay mechanical:
 * **RNG seams** — the only modules allowed to construct or consume
   global RNG state (``np.random.default_rng``, stdlib ``random``):
   ``utils/rng.py`` (the seed-conversion seam), ``rrset/sampler.py``
-  (:class:`~repro.rrset.sampler.StreamPlan` and the legacy streams),
+  (:class:`~repro.rrset.sampler.StreamPlan` and the standalone
+  sequential stream),
   and ``rrset/backends/base.py`` (the RNG-owning blocked-BFS driver).
 * **Seed-source seam** — only ``utils/rng.py`` may touch nondeterministic
   entropy (entropy-less ``SeedSequence()``, ``os.urandom``, wall-clock).

@@ -24,14 +24,13 @@ from repro.evaluation.reporting import format_table
 from repro.graph.stats import graph_stats
 from repro.rrset.backends import BACKEND_MODES
 from repro.rrset.sampler import DEFAULT_CHUNK_SIZE
-from repro.rrset.sharded import RNG_MODES, START_METHODS, TRANSPORT_MODES
+from repro.rrset.sharded import START_METHODS, TRANSPORT_MODES
 
 _ALLOCATORS: dict[str, Callable[..., object]] = {
     "tirm": lambda args: TIRMAllocator(
         seed=args.seed, epsilon=args.epsilon, max_rr_sets_per_ad=args.max_rr_sets,
         engine=getattr(args, "engine", "serial"),
         coordinator=getattr(args, "_coordinator", None),
-        rng=getattr(args, "rng", "philox"),
         chunk_size=getattr(args, "chunk_size", DEFAULT_CHUNK_SIZE),
         backend=getattr(args, "backend", "numpy"),
         transport=getattr(args, "transport", "auto"),
@@ -97,16 +96,14 @@ def build_parser() -> argparse.ArgumentParser:
                                "distributed coordinator over socket workers "
                                "(TIRM only; all give identical allocations "
                                "for a seed)")
-    allocate.add_argument("--rng", choices=RNG_MODES, default="philox",
-                          help="RR-set RNG streams (TIRM only): 'philox' = "
-                               "counter-based, every set addressed by (seed, ad, "
-                               "set index), chunk-parallel under --engine process; "
-                               "'legacy' = the historical sequential streams")
     allocate.add_argument("--chunk-size", type=int, default=DEFAULT_CHUNK_SIZE,
                           dest="chunk_size",
-                          help="set-index chunk width of the philox streams; part "
-                               "of the determinism contract (same seed + same "
-                               "chunk size = same allocation)")
+                          help="set-index chunk width of the RR-set streams "
+                               "(TIRM only): every set is addressed by (seed, "
+                               "ad, set index), chunk-parallel under --engine "
+                               "process; part of the determinism contract "
+                               "(same seed + same chunk size = same "
+                               "allocation)")
     allocate.add_argument("--backend", choices=BACKEND_MODES, default="numpy",
                           help="blocked-BFS sampling backend (TIRM only): "
                                "'numpy' = the pure-numpy reference, 'numba' = "
@@ -145,9 +142,9 @@ def build_parser() -> argparse.ArgumentParser:
                                "REPRO_DSAN=1 does the same without the flag")
     allocate.add_argument("--checkpoint", default=None, metavar="PATH",
                           help="snapshot the TIRM allocation to PATH at "
-                               "iteration boundaries (atomic overwrite; with "
-                               "--rng philox the artifact holds no RR members "
-                               "— they are re-derived on resume)")
+                               "iteration boundaries (atomic overwrite; the "
+                               "artifact holds no RR members — they are "
+                               "re-derived on resume)")
     allocate.add_argument("--checkpoint-every", type=int, default=None,
                           dest="checkpoint_every", metavar="N",
                           help="snapshot every N iteration boundaries "
@@ -155,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     allocate.add_argument("--resume", action="store_true",
                           help="resume from the --checkpoint artifact if it "
                                "exists; the resumed run is byte-identical to "
-                               "an uninterrupted one for the same seed/rng/"
+                               "an uninterrupted one for the same seed/"
                                "chunk size")
     allocate.add_argument("--cache", default=None, metavar="DIR",
                           help="content-addressed RR-set shard cache (TIRM "
@@ -327,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="'dist' needs the service started with "
                              "--dist-port (the job runs on the server's "
                              "worker fleet)")
-    submit.add_argument("--rng", choices=RNG_MODES, default="philox")
     submit.add_argument("--chunk-size", type=int, default=DEFAULT_CHUNK_SIZE,
                         dest="chunk_size")
     submit.add_argument("--dsan", action="store_true")
@@ -643,7 +639,6 @@ def _cmd_submit(args) -> int:
         "epsilon": args.epsilon,
         "max_rr_sets_per_ad": args.max_rr_sets,
         "engine": args.engine,
-        "rng": args.rng,
         "chunk_size": args.chunk_size,
     }
     if args.dsan:

@@ -79,14 +79,12 @@ class TaskFailedError(ReproError):
 
 
 class _Task:
-    __slots__ = ("session_id", "ad", "chunk", "mode", "future",
-                 "attempts", "ready_at")
+    __slots__ = ("session_id", "ad", "chunk", "future", "attempts", "ready_at")
 
-    def __init__(self, session_id: int, ad: int, chunk: int, mode: str) -> None:
+    def __init__(self, session_id: int, ad: int, chunk: int) -> None:
         self.session_id = session_id
         self.ad = ad
         self.chunk = chunk
-        self.mode = mode
         self.future: Future = Future()
         self.attempts = 0
         self.ready_at = 0.0
@@ -238,12 +236,11 @@ class Coordinator:
             if self._sessions.pop(session_id, None) is not None:
                 self._released.add(session_id)
 
-    def submit(self, session_id: int, ad: int, chunk_index: int,
-               mode: str) -> Future:
+    def submit(self, session_id: int, ad: int, chunk_index: int) -> Future:
         """Queue one chunk task; the future resolves to the verified
         ``(members, lengths)`` block (or fails with
         :class:`TaskFailedError` / :class:`WorkersUnavailableError`)."""
-        task = _Task(int(session_id), int(ad), int(chunk_index), str(mode))
+        task = _Task(int(session_id), int(ad), int(chunk_index))
         with self._cond:
             if self._stop.is_set():
                 raise ConfigurationError("coordinator is closed")
@@ -461,8 +458,7 @@ class Coordinator:
             frames.send_frame(conn, frames.PAYLOAD, payload)
             announced.add(task.session_id)
         frames.send_json(conn, frames.TASK, {
-            "session": task.session_id, "ad": task.ad,
-            "chunk": task.chunk, "mode": task.mode,
+            "session": task.session_id, "ad": task.ad, "chunk": task.chunk,
         })
         conn.settimeout(self.task_timeout)
         frame = frames.recv_frame(conn, decoder)

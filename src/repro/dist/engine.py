@@ -70,8 +70,6 @@ class DistributedEngine(ShardedSamplingEngine):
         *,
         coordinator,
         seeds=None,
-        mode: str = "blocked",
-        rng: str = "philox",
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         backend="numpy",
         dsan: bool | None = None,
@@ -80,19 +78,13 @@ class DistributedEngine(ShardedSamplingEngine):
         retain_blocks: bool = False,
         max_workers: int | None = None,
     ) -> None:
-        if rng != "philox":
-            raise ConfigurationError(
-                "DistributedEngine requires rng='philox': legacy streams "
-                "are stateful and strictly sequential, so chunks cannot be "
-                "re-derived independently on remote workers"
-            )
         # max_workers is accepted (the allocator passes its knob through)
         # but meaningless here: fleet size is however many workers dial
         # in — topology is provenance, not contract.
         del max_workers
         super().__init__(
-            graph, list(probs_per_ad), seeds=seeds, mode=mode,
-            engine="serial", rng="philox", chunk_size=chunk_size,
+            graph, list(probs_per_ad), seeds=seeds,
+            engine="serial", chunk_size=chunk_size,
             backend=backend, transport="pickle", start_method="auto",
             dsan=dsan, dsan_expected=dsan_expected, cache=cache,
             retain_blocks=retain_blocks,
@@ -164,7 +156,6 @@ class DistributedEngine(ShardedSamplingEngine):
             "h": self.num_ads,
             "entropies": [int(e) for e in self._entropies],
             "chunk_size": self.chunk_size,
-            "mode": self.mode,
             "graph_digest": graph_digest(self.graph),
             "shard_keys": list(self._shard_keys),
             "layout": layout,
@@ -177,9 +168,7 @@ class DistributedEngine(ShardedSamplingEngine):
         # warm cache keeps this at zero because cached chunks are never
         # submitted.
         self.backend_invocations += 1
-        return self._coordinator.submit(
-            self._session_id, ad, chunk_index, self.mode
-        )
+        return self._coordinator.submit(self._session_id, ad, chunk_index)
 
     def _compute_fallback(self, ad: int, chunk_index: int, exc) -> tuple:
         if not self._warned_fallback:
@@ -193,9 +182,7 @@ class DistributedEngine(ShardedSamplingEngine):
                 stacklevel=4,
             )
         self._fallback_invocations += 1
-        return self._samplers[ad].sample_chunk_block(
-            self._plans[ad], chunk_index, mode=self.mode
-        )
+        return self._samplers[ad].sample_chunk_block(self._plans[ad], chunk_index)
 
     # ------------------------------------------------------------------
     # The execution seam
@@ -244,7 +231,7 @@ class DistributedEngine(ShardedSamplingEngine):
                         if self._splice_from_cache(ad, chunk_index, lo, hi):
                             continue
                         block = self._samplers[ad].sample_chunk_block(
-                            self._plans[ad], chunk_index, mode=self.mode
+                            self._plans[ad], chunk_index
                         )
                         self.backend_invocations += 1
                         self._store_chunk(ad, chunk_index, block)

@@ -46,7 +46,7 @@ MAGIC = b"RPF1"
 
 #: Bumped on any incompatible wire change; HELLO carries it and the
 #: coordinator refuses mismatched workers.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 _HEADER = struct.Struct("<4sB3xq")
 HEADER_SIZE = _HEADER.size
@@ -55,7 +55,7 @@ HEADER_SIZE = _HEADER.size
 HELLO = 1      # worker -> coordinator: {"protocol", "name", ...}
 SETUP = 2      # coordinator -> worker: session meta (dims, entropies, layout)
 PAYLOAD = 3    # coordinator -> worker: the session's raw arena bytes
-TASK = 4       # coordinator -> worker: {"session", "ad", "chunk", "mode"}
+TASK = 4       # coordinator -> worker: {"session", "ad", "chunk"}
 RESULT = 5     # worker -> coordinator: one packed chunk block (see above)
 ERROR = 6      # worker -> coordinator: {"error": ...}
 RELEASE = 7    # coordinator -> worker: {"session"} — drop session state

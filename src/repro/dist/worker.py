@@ -36,7 +36,7 @@ import numpy as np
 from repro.dist import frames
 from repro.errors import ConfigurationError, ProtocolError
 from repro.rrset.backends import resolve_backend
-from repro.rrset.sampler import RRSetSampler, StreamPlan
+from repro.rrset.sampler import STREAM_MODE, STREAM_RNG, RRSetSampler, StreamPlan
 from repro.rrset.sharded import _graph_from_arrays
 
 #: Seconds to wait for the initial TCP connect.
@@ -186,7 +186,6 @@ class WorkerHost:
             session_id = int(info["session"])
             ad = int(info["ad"])
             chunk_index = int(info["chunk"])
-            mode = str(info["mode"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ProtocolError(f"malformed TASK frame: {exc}") from exc
         session = self._sessions.get(session_id)
@@ -195,7 +194,7 @@ class WorkerHost:
                 "error": f"unknown session {session_id}",
             })
             return
-        payload = self._compute_result(session, ad, chunk_index, mode)
+        payload = self._compute_result(session, ad, chunk_index)
         self.chunks_served += 1
         self._before_result(ad, chunk_index)
         self._send_result(sock, ad, chunk_index, payload)
@@ -203,8 +202,8 @@ class WorkerHost:
     # ------------------------------------------------------------------
     # Chunk computation (+ chaos seams)
     # ------------------------------------------------------------------
-    def _compute_result(self, session: _Session, ad: int, chunk_index: int,
-                        mode: str) -> bytes:
+    def _compute_result(self, session: _Session, ad: int,
+                        chunk_index: int) -> bytes:
         """One packed RESULT payload for the addressed chunk — served
         from the local shard cache when possible, else re-derived from
         ``(entropy, ad, chunk)`` and written through."""
@@ -232,13 +231,11 @@ class WorkerHost:
             )
             session.samplers[ad] = sampler
         plan = StreamPlan(session.entropies[ad], ad, session.chunk_size)
-        members, lengths = sampler.sample_chunk_block(
-            plan, chunk_index, mode=mode
-        )
+        members, lengths = sampler.sample_chunk_block(plan, chunk_index)
         if shard_key is not None:
             self._cache.store(
                 shard_key, chunk_index, members, lengths,
-                meta={"ad": ad, "rng": "philox", "mode": mode,
+                meta={"ad": ad, "rng": STREAM_RNG, "mode": STREAM_MODE,
                       "chunk_size": session.chunk_size,
                       "entropy": str(session.entropies[ad]),
                       "graph_hash": session.meta.get("graph_digest")},

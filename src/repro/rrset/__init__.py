@@ -12,8 +12,6 @@
 * :mod:`repro.rrset.pool` — the flat CSR storage engine: contiguous
   int32 member buffers, a bulk-built inverted index, and vectorized
   coverage/removal kernels (see ``docs/rrset_engine.md``);
-* :mod:`repro.rrset.collection` — deprecated alias of the pool (kept for
-  the historical name; importing it warns);
 * :mod:`repro.rrset.sharded` — the per-advertiser sharded sampling
   engine: one pool shard per ad, requests decomposed into counter-based
   ``(ad, chunk)`` stream tasks served serially or over a process pool
@@ -26,8 +24,7 @@
   :class:`~repro.errors.DeterminismError` at the first divergent chunk;
 * :mod:`repro.rrset.checkpoint` — crash-safe checkpoint/resume for
   in-flight TIRM allocations: a small versioned artifact that re-derives
-  RR members from the counter-based streams on load (legacy streams
-  spill members to an mmap-backed sidecar);
+  RR members from the counter-based streams on load;
 * :mod:`repro.rrset.tim` — the TIM ingredients: ``L(s, ε)`` (Eq. 5), OPT
   lower-bound estimation, greedy max-cover, and a standalone TIM
   influence maximizer;
@@ -67,17 +64,6 @@ from repro.rrset.tim import (
     required_rr_sets,
 )
 
-def __getattr__(name: str):
-    # Lazy alias: importing the deprecated collection module eagerly
-    # would warn every ``repro.rrset`` user; resolving it on first
-    # attribute access warns only actual RRSetCollection importers.
-    if name == "RRSetCollection":
-        from repro.rrset.collection import RRSetCollection
-
-        return RRSetCollection
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "sample_rr_set",
     "sample_rr_sets",
@@ -93,7 +79,6 @@ __all__ = [
     "sample_rrc_set",
     "sample_rrc_sets",
     "sample_rrc_sets_into",
-    "RRSetCollection",
     "RRSetPool",
     "CSRSetView",
     "ShardedSamplingEngine",

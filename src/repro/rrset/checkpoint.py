@@ -4,11 +4,11 @@ A long allocation on an LJ-scale graph can run for hours revising each
 ad's sample size ``θ_i`` (Algorithms 2–4); losing all of it to a crash
 or preemption is what this module prevents.  A checkpoint is a *small*,
 versioned artifact snapshotted at iteration boundaries: it records the
-RNG provenance (master ``seed``, ``rng`` mode, ``chunk_size``, per-ad
-stream entropies), the per-ad ``θ_i`` targets, the chosen seeds in
-selection order, the marginal-coverage/revenue state, and the per-shard
-alive masks — and, crucially, **no RR-set members** under the default
-``rng="philox"`` streams.
+RNG provenance (master ``seed``, the stream contract's recorded names,
+``chunk_size``, per-ad stream entropies), the per-ad ``θ_i`` targets,
+the chosen seeds in selection order, the marginal-coverage/revenue
+state, and the per-shard alive masks — and, crucially, **no RR-set
+members**.
 
 Why no members?  Counter-based addressing makes every RR set a pure
 function of ``(seed, ad, set_index)`` (see
@@ -19,15 +19,6 @@ needs to name the targets.  Heaps are likewise *derived* state: the lazy
 selector's answers are pure functions of the coverage counters, so the
 restore path rebuilds them instead of persisting them.
 
-Legacy streams (``rng="legacy"``) are stateful and sequential, so their
-sets cannot be re-derived from an address.  For them the artifact spills
-the raw members to an ``.npy`` sidecar written with
-:func:`numpy.save` and re-loaded with ``mmap_mode="r"`` — the members
-page in lazily during restore, which doubles as the engine's cold-set
-path for samples larger than RAM — and captures both per-ad stream
-states (Mersenne scalar + PCG64 blocked) so post-resume top-ups continue
-bit-identically.
-
 The compatibility config also records the *resolved* sampling
 ``backend`` (``repro.rrset.backends``) and worker ``transport``
 (``repro.rrset.sharded``) as provenance, but deliberately does **not**
@@ -35,8 +26,12 @@ match on either at resume time: backends and transports are
 byte-identical for the same streams, so a checkpoint written under the
 numpy backend over the pickle transport resumes under the numba backend
 over the shm transport (and vice versa) with an unchanged allocation —
-only the RNG contract (``rng``, ``chunk_size``, seed, stream entropies)
-pins the samples.
+only the RNG contract (``rng``, ``sampler_mode``, ``chunk_size``, seed,
+stream entropies) pins the samples.  ``rng`` and ``sampler_mode`` have
+one value each in this build (:data:`~repro.rrset.sampler.STREAM_RNG`,
+:data:`~repro.rrset.sampler.STREAM_MODE`); they stay in the config and
+in the match list so an artifact whose samples came from any other
+stream is refused by name instead of resumed onto different sets.
 
 Artifact layout (``format_version`` 1)
 --------------------------------------
@@ -44,32 +39,23 @@ Artifact layout (``format_version`` 1)
 One uncompressed ``.npz`` written atomically (temp file + ``os.replace``):
 
 * ``meta_json`` — version, the allocator/problem compatibility config,
-  iteration count, resume lineage, per-ad stream entropies (philox) or
-  stream states (legacy), and the spill sidecar name (legacy);
+  iteration count, resume lineage, and the per-ad stream entropies;
 * ``theta`` / ``revenue`` / ``seed_size_estimate`` / ``active`` — per-ad
   vectors;
 * ``seeds_{i}`` — ad ``i``'s chosen seeds in selection order;
 * ``marginal_nodes_{i}`` / ``marginal_counts_{i}`` — the Algorithm-4
   marginal-coverage map in insertion order (the order matters: revenue
   re-estimation sums floats in it);
-* ``alive_{i}`` — the shard's alive mask, bit-packed;
-* ``spill_lengths_{i}`` — per-set member counts (legacy only; the flat
-  members live in the sidecar ``<artifact>.members-<iteration>.npy``).
-
-The sidecar is written *before* the main artifact is swapped in and
-stale sidecars are removed only afterwards, so a crash at any point
-leaves a readable ``(artifact, sidecar)`` pair on disk.
+* ``alive_{i}`` — the shard's alive mask, bit-packed.
 """
 
 from __future__ import annotations
 
-import glob
 import json
 import os
 import zipfile
 
 import numpy as np
-import numpy.lib.format as _npy_format
 
 from repro.errors import CheckpointError, ConfigurationError
 from repro.rrset.sharded import ShardedSamplingEngine
@@ -97,11 +83,8 @@ _MATCH_KEYS = (
     "num_ads",
     "num_nodes",
     "num_edges",
+    "chunk_size",
 )
-
-
-def _spill_name(path: str, iterations: int) -> str:
-    return f"{os.path.basename(path)}.members-{iterations}.npy"
 
 
 def _atomic_write(target: str, writer) -> None:
@@ -116,45 +99,6 @@ def _atomic_write(target: str, writer) -> None:
             os.remove(tmp)
 
 
-def _write_spill(handle, parts: list[np.ndarray], total: int) -> None:
-    """Stream the per-shard member arrays into one flat ``.npy``: header
-    first, then each block — the full sample is never materialized as a
-    single in-RAM copy (the sidecar exists precisely for >RAM θ)."""
-    _npy_format.write_array_header_1_0(
-        handle,
-        {
-            "descr": _npy_format.dtype_to_descr(np.dtype(np.int32)),
-            "fortran_order": False,
-            "shape": (int(total),),
-        },
-    )
-    for part in parts:
-        handle.write(np.ascontiguousarray(part, dtype=np.int32).tobytes())
-
-
-def _reusable_spill(path: str, config: dict, theta: np.ndarray) -> str | None:
-    """Sidecar of the previous snapshot at ``path``, when still valid.
-
-    The spill is a pure function of the shard contents, and legacy
-    shards only change on θ growth — which Algorithm 2 triggers on a
-    small fraction of iteration boundaries.  If the previous artifact
-    was written by the same run (equal config) at the same per-ad θ and
-    its sidecar is intact, reference it instead of rewriting the full
-    member spill every iteration."""
-    if not os.path.exists(path):
-        return None
-    try:
-        previous = TIRMCheckpoint.load(path)
-    except CheckpointError:
-        return None
-    if previous.spill_file is None or previous.config != config:
-        return None
-    if not np.array_equal(np.asarray(previous.theta), np.asarray(theta)):
-        return None
-    sidecar = os.path.join(os.path.dirname(path) or ".", previous.spill_file)
-    return previous.spill_file if os.path.exists(sidecar) else None
-
-
 def build_snapshot(
     *,
     config: dict,
@@ -167,7 +111,7 @@ def build_snapshot(
 
     This is the single serializer behind both snapshot consumers: the
     on-disk artifact (:func:`save_checkpoint` writes exactly these
-    fields, adding only the bulk alive masks / legacy member spill) and
+    fields, adding only the bulk alive masks) and
     the live progress reports of
     :meth:`~repro.algorithms.session.AllocationSession.progress` (the
     service's ``query-progress`` answers are this dict verbatim).  One
@@ -201,14 +145,8 @@ def build_snapshot(
         "marginal_counts": [
             [int(v) for v in p["marginal_counts"]] for p in per_ad
         ],
+        "entropies": [engine.stream_entropy(ad) for ad in range(h)],
     }
-    if engine.rng == "philox":
-        snapshot["entropies"] = [engine.stream_entropy(ad) for ad in range(h)]
-    else:
-        snapshot["entropies"] = None
-        snapshot["legacy_states"] = [
-            engine.sampler(ad).legacy_state() for ad in range(h)
-        ]
     return snapshot
 
 
@@ -230,8 +168,8 @@ def save_checkpoint(
     resume events this run inherited (recorded into
     ``Allocation.provenance`` by the allocator).  The payload fields
     come from :func:`build_snapshot`; this function only adds the bulk
-    state a live progress report omits (bit-packed alive masks and, for
-    legacy streams, the member spill) and the atomic file plumbing.
+    state a live progress report omits (bit-packed alive masks) and the
+    atomic file plumbing.
     """
     path = os.fspath(path)
     h = engine.num_ads
@@ -247,7 +185,10 @@ def save_checkpoint(
         os.makedirs(directory, exist_ok=True)
     meta: dict = {
         key: snapshot[key]
-        for key in ("format", "format_version", "config", "iterations", "lineage")
+        for key in (
+            "format", "format_version", "config", "iterations", "lineage",
+            "entropies",
+        )
     }
     arrays: dict[str, np.ndarray] = {
         "theta": np.asarray(snapshot["theta"], dtype=np.int64),
@@ -266,34 +207,8 @@ def save_checkpoint(
             snapshot["marginal_counts"][ad], dtype=np.int64
         )
         arrays[f"alive_{ad}"] = np.packbits(engine.shard(ad).alive_mask())
-    meta["entropies"] = snapshot["entropies"]
-    if engine.rng != "philox":
-        meta["legacy_states"] = snapshot["legacy_states"]
-        spill_parts: list[np.ndarray] = []
-        for ad in range(h):
-            view = engine.shard(ad).prefix_view()
-            arrays[f"spill_lengths_{ad}"] = np.diff(view.indptr)
-            spill_parts.append(np.asarray(view.members))
-        spill = _reusable_spill(path, config, arrays["theta"])
-        if spill is None:
-            spill = _spill_name(path, iterations)
-            total = sum(int(p.size) for p in spill_parts)
-            _atomic_write(
-                os.path.join(os.path.dirname(path) or ".", spill),
-                lambda f: _write_spill(f, spill_parts, total),
-            )
-        meta["spill_file"] = spill
     arrays["meta_json"] = np.array(json.dumps(meta))
     _atomic_write(path, lambda f: np.savez(f, **arrays))
-    # Only after the new artifact is in place: drop sidecars of older
-    # snapshots (a crash before this point leaves both pairs readable).
-    current = meta.get("spill_file")
-    for stale in glob.glob(f"{path}.members-*.npy"):
-        if os.path.basename(stale) != current:
-            try:
-                os.remove(stale)
-            except OSError:
-                pass
 
 
 class TIRMCheckpoint:
@@ -308,8 +223,6 @@ class TIRMCheckpoint:
         self.iterations: int = int(meta["iterations"])
         self.lineage: list[dict] = list(meta.get("lineage", []))
         self.entropies = meta.get("entropies")
-        self.legacy_states = meta.get("legacy_states")
-        self.spill_file = meta.get("spill_file")
         self.num_ads: int = int(self.config["num_ads"])
         self.theta = arrays["theta"]
         self.revenue = arrays["revenue"]
@@ -391,23 +304,14 @@ class TIRMCheckpoint:
     def validate_config(self, config: dict) -> None:
         """Refuse to resume into an incompatible allocator/problem.
 
-        Every key in ``_MATCH_KEYS`` must match exactly; ``chunk_size``
-        must match under ``rng="philox"`` (it is part of the stream
-        contract); and when both runs name an integer master ``seed``
-        the seeds must agree.
+        Every key in ``_MATCH_KEYS`` must match exactly, and when both
+        runs name an integer master ``seed`` the seeds must agree.
         """
         mismatches = [
             f"{key}: checkpoint={self.config.get(key)!r} vs run={config.get(key)!r}"
             for key in _MATCH_KEYS
             if self.config.get(key) != config.get(key)
         ]
-        if self.config.get("rng") == "philox" and self.config.get(
-            "chunk_size"
-        ) != config.get("chunk_size"):
-            mismatches.append(
-                f"chunk_size: checkpoint={self.config.get('chunk_size')!r} "
-                f"vs run={config.get('chunk_size')!r}"
-            )
         old_seed, new_seed = self.config.get("seed"), config.get("seed")
         if old_seed is not None and new_seed is not None and old_seed != new_seed:
             mismatches.append(f"seed: checkpoint={old_seed!r} vs run={new_seed!r}")
@@ -420,51 +324,29 @@ class TIRMCheckpoint:
     def restore_engine(self, engine: ShardedSamplingEngine) -> None:
         """Rebuild the snapshot's shards inside a *fresh* engine.
 
-        Under ``rng="philox"`` the members are re-derived byte-identically
-        from the counter-based streams (``engine.ensure`` to each ``θ_i``
-        — nothing was persisted); under ``rng="legacy"`` they are loaded
-        from the mmap-backed spill sidecar and the stream states are
-        restored.  The snapshot's alive masks are then re-applied, which
-        also restores the coverage counters exactly.
+        The members are re-derived byte-identically from the
+        counter-based streams (``engine.ensure`` to each ``θ_i`` —
+        nothing was persisted).  The snapshot's alive masks are then
+        re-applied, which also restores the coverage counters exactly.
         """
         if engine.num_ads != self.num_ads:
             raise ConfigurationError(
                 f"engine has {engine.num_ads} shards, checkpoint {self.num_ads}"
-            )
-        if engine.rng != self.config.get("rng"):
-            raise ConfigurationError(
-                f"engine rng={engine.rng!r}, checkpoint "
-                f"rng={self.config.get('rng')!r}"
             )
         if engine.total_sets():
             raise CheckpointError(
                 "restore_engine needs a freshly constructed engine "
                 f"(found {engine.total_sets()} existing sets)"
             )
-        if engine.rng == "philox":
-            for ad in range(self.num_ads):
-                if engine.stream_entropy(ad) != self.entropies[ad]:
-                    raise ConfigurationError(
-                        f"engine stream entropy for ad {ad} does not match "
-                        "the checkpoint; construct the engine from the "
-                        "checkpoint's entropies"
-                    )
-            engine.ensure(
-                {ad: int(self.theta[ad]) for ad in range(self.num_ads)}
+        # An artifact with no (or too few) entropies was not sampled from
+        # these streams; it mismatches like any other foreign root.
+        roots = [engine.stream_entropy(ad) for ad in range(self.num_ads)]
+        if list(self.entropies or ()) != roots:
+            raise ConfigurationError(
+                "engine stream entropies do not match the checkpoint; "
+                "construct the engine from the checkpoint's entropies"
             )
-        else:
-            members = self._load_spill()
-            offset = 0
-            for ad in range(self.num_ads):
-                lengths = np.asarray(
-                    self._arrays[f"spill_lengths_{ad}"], dtype=np.int64
-                )
-                total = int(lengths.sum())
-                if lengths.size:
-                    engine.shard(ad).add_flat(members[offset : offset + total],
-                                              lengths)
-                offset += total
-                engine.sampler(ad).set_legacy_state(self.legacy_states[ad])
+        engine.ensure({ad: int(self.theta[ad]) for ad in range(self.num_ads)})
         for ad in range(self.num_ads):
             shard = engine.shard(ad)
             theta = int(self.theta[ad])
@@ -474,28 +356,6 @@ class TIRMCheckpoint:
                     f"checkpoint recorded {theta}"
                 )
             shard.kill_sets(np.flatnonzero(~self.alive_mask(ad)))
-
-    def _load_spill(self) -> np.ndarray:
-        if self.spill_file is None:
-            raise CheckpointError(
-                f"legacy checkpoint {self.path!r} names no member spill"
-            )
-        spill_path = os.path.join(
-            os.path.dirname(self.path) or ".", self.spill_file
-        )
-        if not os.path.exists(spill_path):
-            raise CheckpointError(
-                f"member spill {spill_path!r} is missing (checkpoint "
-                f"{self.path!r} is incomplete)"
-            )
-        # mmap: members page in lazily as add_flat copies each ad's
-        # slice — the artifact's cold-set path for >RAM samples.
-        try:
-            return np.load(spill_path, mmap_mode="r")
-        except (OSError, ValueError, zipfile.BadZipFile) as exc:
-            raise CheckpointError(
-                f"could not read member spill {spill_path!r}: {exc}"
-            ) from exc
 
     def __repr__(self) -> str:
         return (

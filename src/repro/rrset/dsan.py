@@ -20,12 +20,8 @@ environment variable (consulted when the knob is left at ``None``).
 Recording never draws from any stream, so a sanitized run is
 byte-identical to an unsanitized one — the digests are pure observation.
 
-Chunk keys: under ``rng="philox"`` the key is the stream address
-``(ad, chunk_index)`` and digests are comparable across *any* execution
-plan reaching the same targets.  Under ``rng="legacy"`` streams are
-sequential and requests serve serially, so the key's second component is
-the per-ad request ordinal — digests then only compare across runs with
-the same request sequence (documented in ``docs/rrset_engine.md``).
+Chunk keys are stream addresses ``(ad, chunk_index)``, so digests are
+comparable across *any* execution plan reaching the same targets.
 """
 
 from __future__ import annotations

@@ -177,9 +177,9 @@ def _build_csr_index(
 class RRSetPool:
     """Append-only pool of RR-sets over ``num_nodes`` users.
 
-    Public API is a superset of the old ``RRSetCollection``: TIRM's two
-    mutations (``add_sets`` / ``remove_covered``), eager per-node coverage
-    counts, and the coverage queries — plus the bulk entry point
+    Public API: TIRM's two mutations (``add_sets`` /
+    ``remove_covered``), eager per-node coverage counts, and the
+    coverage queries — plus the bulk entry point
     ``add_flat`` (samplers write straight into the pool) and zero-copy
     ``prefix_view`` / ``first_k_sets`` accessors for O(pilot) OPT
     estimation.

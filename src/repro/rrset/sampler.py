@@ -12,26 +12,25 @@ targets in random worlds — i.e. it has high influence spread.
 Randomness architecture
 -----------------------
 
-Two stream models coexist (see ``docs/rrset_engine.md``):
+The engine stack samples through one stream regime (see
+``docs/rrset_engine.md``): every RR set is addressed by
+``(global_seed, ad, set_index)`` (:class:`StreamPlan`).  Set indices are
+grouped into fixed-size *chunks*; chunk ``c`` of ad ``i`` owns its
+private generator ``Philox(SeedSequence(entropy, spawn_key=(i, c)))``,
+so any chunk is independently computable by any worker, in any order,
+with no stream state to round-trip.
+:meth:`RRSetSampler.sample_chunk_block` is the entry point; it runs the
+*blocked* BFS, whose level-op implementation is pluggable: the
+``backend=`` knob (see :mod:`repro.rrset.backends`) selects ``"numpy"``
+(reference), ``"numba"`` (JIT kernel), or ``"auto"``.  All backends are
+byte-identical for the same generator state, so the backend is **not**
+part of the determinism contract.
 
-* **Counter-based** (:class:`StreamPlan`, the default everywhere): every
-  RR set is addressed by ``(global_seed, ad, set_index)``.  Set indices
-  are grouped into fixed-size *chunks*; chunk ``c`` of ad ``i`` owns its
-  private generator ``Philox(SeedSequence(entropy, spawn_key=(i, c)))``,
-  so any chunk is independently computable by any worker, in any order,
-  with no stream state to round-trip.  :meth:`RRSetSampler.sample_chunk_flat`
-  is the entry point.
-* **Legacy** (``rng="legacy"``): the historical per-sampler stateful
-  streams — a Mersenne scalar stream and a PCG64 blocked stream — kept
-  for bit-exact reproduction of the seed implementation.  They are
-  strictly sequential: set ``k`` cannot be drawn without first drawing
-  sets ``0..k-1``.
-
-Orthogonally to both, the *blocked* BFS itself is pluggable: the
-``backend=`` knob (see :mod:`repro.rrset.backends`) selects the level-op
-implementation — ``"numpy"`` (reference), ``"numba"`` (JIT kernel), or
-``"auto"``.  All backends are byte-identical for the same generator
-state, so the backend is **not** part of the determinism contract.
+Standalone callers that want "``count`` more sets" rather than an index
+range (TIM, KPT estimation, the Theorem-2–4 bounds) use the sampler's
+own sequential stream instead: :meth:`RRSetSampler.sample` /
+:meth:`RRSetSampler.sample_into`, a per-set scalar BFS seeded off the
+constructor's ``seed``.
 """
 
 from __future__ import annotations
@@ -51,6 +50,14 @@ from repro.utils.validation import check_probability_array
 #: yields the same sets, but different chunk sizes are different (equally
 #: valid) sample sequences.
 DEFAULT_CHUNK_SIZE = 1_024
+
+#: Recorded names of the stream contract — the generator family and the
+#: BFS that consumes it.  Checkpoint configs, shard-catalog rows and
+#: allocation provenance carry them, and resume matches on them, so an
+#: artifact sampled under any other contract is refused instead of
+#: silently mixed in.  Names of the contract, not options.
+STREAM_RNG = "philox"
+STREAM_MODE = "blocked"
 
 
 def _empty_flat() -> tuple[np.ndarray, np.ndarray]:
@@ -137,8 +144,7 @@ class StreamPlan:
     carried between chunks, so any ``(ad, chunk)`` is independently
     computable — by any worker, in any order, any number of times — and
     always yields the same sets.  This is what lets the sharded engine
-    split a single ad's θ top-up across a process pool (the stateful
-    legacy streams force sequential draws).
+    split a single ad's θ top-up across a process pool.
 
     The chunk width is part of the contract: the same
     ``(entropy, ad, chunk_size)`` always reproduces the same sets, while
@@ -179,21 +185,8 @@ class StreamPlan:
         )
 
     def generator(self, chunk_index: int) -> np.random.Generator:
-        """The chunk's counter-based generator (blocked BFS path)."""
+        """The chunk's counter-based generator."""
         return np.random.Generator(np.random.Philox(self.seed_sequence(chunk_index)))
-
-    def scalar_random(self, chunk_index: int) -> random.Random:
-        """The chunk's scalar-path generator.
-
-        The scalar BFS draws per-edge coins one at a time, where Python's
-        Mersenne generator is several times faster than numpy scalar
-        draws — so the chunk's *seed root* comes from the counter-based
-        :meth:`seed_sequence` (128 bits of its state) while the in-chunk
-        draws use ``random.Random``.  Purity is preserved: the root is a
-        function of ``(entropy, ad, chunk_index)`` alone.
-        """
-        words = self.seed_sequence(chunk_index).generate_state(2, np.uint64)
-        return random.Random((int(words[0]) << 64) | int(words[1]))
 
     def chunk_tasks(self, start: int, stop: int) -> list[tuple[int, int, int]]:
         """Decompose set-index range ``[start, stop)`` into per-chunk
@@ -220,21 +213,18 @@ class StreamPlan:
 class RRSetSampler:
     """A reusable sampler bound to one (graph, per-ad probabilities) pair.
 
-    TIRM keeps one sampler per advertiser.  The sampler exposes two
-    stream models:
+    TIRM keeps one sampler per advertiser.  The sampler exposes:
 
-    * the **counter-based** path (:meth:`sample_chunk_flat`): stateless —
+    * the **counter-based** path (:meth:`sample_chunk_block`): stateless —
       the caller addresses sets by ``(StreamPlan, chunk_index)`` and any
-      chunk is independently computable;
-    * the **legacy** stateful streams (:meth:`sample`, :meth:`sample_into`,
-      :meth:`sample_blocked_into`): the sampler owns a Mersenne scalar
-      stream and a PCG64 blocked stream seeded off ``seed``, bit-exact
-      with the historical implementation.
-
-    Unlike the general-purpose :func:`sample_rr_set`, the scalar path
-    runs a per-set BFS over a pre-flattened adjacency: realistic
-    influence probabilities give *tiny* RR-sets (a handful of nodes),
-    where the per-level numpy dispatch overhead dwarfs the actual work.
+      chunk is independently computable.  This is what the sharded
+      engine (and every worker substrate under it) samples through;
+    * a **sequential** stream (:meth:`sample`, :meth:`sample_into`) for
+      standalone "``count`` more sets" callers (TIM, KPT, the bounds
+      module): a Mersenne stream seeded off ``seed``, consumed by a
+      per-set BFS over a pre-flattened adjacency — realistic influence
+      probabilities give *tiny* RR-sets (a handful of nodes), where the
+      per-level numpy dispatch overhead dwarfs the actual work.
 
     ``backend`` selects the blocked-BFS implementation
     (:mod:`repro.rrset.backends`): ``"numpy"`` (reference, default),
@@ -245,22 +235,23 @@ class RRSetSampler:
 
     Examples
     --------
-    Draw a packed block of RR-sets from the sampler's legacy blocked
-    stream — ``lengths[i]`` members per set, concatenated in
-    ``members``::
+    Draw one chunk of RR-sets as a packed block — ``lengths[i]`` members
+    per set, concatenated in ``members``; the block is a pure function
+    of its stream address, so no sampler state moves::
 
         >>> from repro.graph.generators import erdos_renyi
         >>> from repro.graph.probabilities import constant_probabilities
-        >>> from repro.rrset import RRSetSampler
+        >>> from repro.rrset import RRSetSampler, StreamPlan
         >>> graph = erdos_renyi(50, 0.08, seed=3)
         >>> sampler = RRSetSampler(
         ...     graph, constant_probabilities(graph, 0.1), seed=7
         ... )
-        >>> members, lengths = sampler.sample_flat(10, mode="blocked")
+        >>> plan = StreamPlan(entropy=7, ad=0, chunk_size=10)
+        >>> members, lengths = sampler.sample_chunk_block(plan, 0)
         >>> lengths.size, int(lengths.sum()) == members.size
         (10, True)
         >>> sampler.num_sampled
-        10
+        0
     """
 
     def __init__(
@@ -283,57 +274,16 @@ class RRSetSampler:
                 f"got {self.edge_probabilities.shape}"
             )
         rng = as_generator(seed)
-        seed_int = int(rng.integers(0, 2**63 - 1))
-        self._random = random.Random(seed_int)
-        # Independent numpy stream for the blocked path, derived from the
-        # same seed draw so neither path perturbs the other's sequence.
-        self._block_rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=seed_int, spawn_key=(1,))
-        )
+        self._random = random.Random(int(rng.integers(0, 2**63 - 1)))
         self.num_sampled = 0
         self._in_probs_array = self.edge_probabilities[graph.in_edge_ids]
         # Scalar-path adjacency (the in-CSR flattened into Python lists:
         # scalar indexing into lists is several times faster than into
-        # numpy arrays).  Built lazily on first use — a blocked-only
+        # numpy arrays).  Built lazily on first use — a chunk-only
         # sampler never pays the O(m) list materialisation.
         self._scalar_adjacency: tuple[list, list, list] | None = None
         self._visit_stamp = np.zeros(graph.num_nodes, dtype=np.int64)
         self._stamp = 0
-
-    # ------------------------------------------------------------------
-    # Legacy stream-state serialization (checkpoint/resume)
-    # ------------------------------------------------------------------
-    def legacy_state(self) -> dict:
-        """Snapshot of the sampler's stateful legacy streams.
-
-        Counter-based chunks are pure functions of their address and
-        need nothing persisted, but the legacy Mersenne/PCG64 streams
-        are sequential: resuming an allocation mid-run requires putting
-        both exactly where they were.  The returned dict is
-        JSON-serializable (plain ints/floats/lists) and round-trips
-        through :meth:`set_legacy_state`.
-        """
-        return {
-            "scalar": self._random.getstate(),
-            "blocked": self._block_rng.bit_generator.state,
-            "num_sampled": self.num_sampled,
-        }
-
-    def set_legacy_state(self, state: dict) -> None:
-        """Restore the streams captured by :meth:`legacy_state`.
-
-        Accepts both the live snapshot and its JSON round-trip (where
-        tuples have become lists); subsequent draws are bit-identical to
-        a sampler that never stopped.
-        """
-        scalar = state["scalar"]
-        self._random.setstate((scalar[0], tuple(scalar[1]), scalar[2]))
-        blocked = dict(state["blocked"])
-        inner = blocked.get("state")
-        if isinstance(inner, dict):
-            blocked["state"] = {k: int(v) for k, v in inner.items()}
-        self._block_rng.bit_generator.state = blocked
-        self.num_sampled = int(state["num_sampled"])
 
     @property
     def backend_name(self) -> str:
@@ -358,9 +308,9 @@ class RRSetSampler:
 
         RNG consumption is *bit-identical* to the original per-set loop
         (one ``randrange`` per root, one ``random()`` per examined
-        in-edge, in the same order), so every caller — list-returning,
-        pool-writing, or chunk-addressed — draws the same sets for the
-        same generator state.
+        in-edge, in the same order), so both callers — list-returning
+        and pool-writing — draw the same sets for the same generator
+        state.
         """
         n = self.graph.num_nodes
         indptr, sources, probs = self._scalar_adj()
@@ -392,14 +342,14 @@ class RRSetSampler:
         return flat, lengths
 
     def _sample_flat(self, count: int) -> tuple[list[int], list[int]]:
-        """Legacy-stream compat shim over the scalar core: draws from the
-        sampler's own Mersenne stream and advances ``num_sampled``."""
+        """The scalar core on the sampler's own Mersenne stream;
+        advances ``num_sampled``."""
         flat, lengths = self._scalar_flat(count, self._random)
         self.num_sampled += count
         return flat, lengths
 
     def sample(self, count: int) -> list[np.ndarray]:
-        """Sample ``count`` RR-sets, advancing the sampler's legacy stream."""
+        """Sample ``count`` RR-sets, advancing the sampler's sequential stream."""
         if count < 0:
             raise ValueError(f"count must be >= 0, got {count}")
         flat, lengths = self._sample_flat(count)
@@ -424,39 +374,15 @@ class RRSetSampler:
     # ------------------------------------------------------------------
     # Packed-block API (the engines' transport format)
     # ------------------------------------------------------------------
-    def sample_flat(
-        self, count: int, *, mode: str = "scalar", batch_size: int | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``count`` RR-sets as a packed ``(members, lengths)`` block,
-        drawn from the sampler's legacy streams.
-
-        ``mode="scalar"`` consumes the Mersenne stream exactly like
-        :meth:`sample` / :meth:`sample_into`; ``mode="blocked"`` consumes
-        the blocked PCG64 stream exactly like :meth:`sample_blocked_into`.
-        """
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
-        if mode == "scalar":
-            flat, lengths = self._sample_flat(count)
-            return (
-                np.asarray(flat, dtype=MEMBER_DTYPE),
-                np.asarray(lengths, dtype=np.int64),
-            )
-        if mode != "blocked":
-            raise ValueError(f"mode must be 'scalar' or 'blocked', got {mode!r}")
-        members, lengths = self._sample_blocked_flat(count, batch_size)
-        self.num_sampled += count
-        return members, lengths
-
     def sample_chunk_block(
-        self, plan: StreamPlan, chunk_index: int, *, mode: str = "blocked"
+        self, plan: StreamPlan, chunk_index: int
     ) -> tuple[np.ndarray, np.ndarray]:
         """Counter-based path: one *entire* chunk as a packed
         ``(members, lengths)`` block.
 
         The result is a pure function of
-        ``(plan.entropy, plan.ad, plan.chunk_size, chunk_index, mode)``
-        — no sampler state is read or written.  Any worker can therefore
+        ``(plan.entropy, plan.ad, plan.chunk_size, chunk_index)`` — no
+        sampler state is read or written.  Any worker can therefore
         compute any chunk, and recomputing a chunk always reproduces the
         same sets, which is what makes sharded sampling invariant to
         worker count and request splitting.
@@ -464,23 +390,14 @@ class RRSetSampler:
         Always drawing the full chunk is what keeps partial-chunk
         requests pure: the blocked BFS interleaves the coin draws of all
         sets in a batch, so a partial batch would consume the stream
-        differently, and (for both modes) a full block is cacheable —
-        the sharded engine holds each ad's partial tail block so a
-        continuation request never recomputes it.
+        differently, and a full block is cacheable — the sharded engine
+        holds each ad's partial tail block so a continuation request
+        never recomputes it.
         """
-        if mode == "blocked":
-            rng = plan.generator(chunk_index)
-            return self.backend.sample_flat(
-                self.graph, self._in_probs_array, rng, plan.chunk_size
-            )
-        if mode == "scalar":
-            rnd = plan.scalar_random(chunk_index)
-            flat, lens = self._scalar_flat(plan.chunk_size, rnd)
-            return (
-                np.asarray(flat, dtype=MEMBER_DTYPE),
-                np.asarray(lens, dtype=np.int64),
-            )
-        raise ValueError(f"mode must be 'scalar' or 'blocked', got {mode!r}")
+        return self.backend.sample_flat(
+            self.graph, self._in_probs_array, plan.generator(chunk_index),
+            plan.chunk_size,
+        )
 
     def sample_chunk_flat(
         self,
@@ -488,8 +405,6 @@ class RRSetSampler:
         chunk_index: int,
         lo: int = 0,
         hi: int | None = None,
-        *,
-        mode: str = "blocked",
     ) -> tuple[np.ndarray, np.ndarray]:
         """Sets ``[lo, hi)`` of one chunk (see :meth:`sample_chunk_block`
         for the purity contract); advances ``num_sampled`` by the slice
@@ -502,44 +417,7 @@ class RRSetSampler:
             )
         if lo == hi:
             return _empty_flat()
-        members, lengths = self.sample_chunk_block(plan, chunk_index, mode=mode)
+        members, lengths = self.sample_chunk_block(plan, chunk_index)
         members, lengths = _slice_flat(members, lengths, lo, hi)
         self.num_sampled += hi - lo
         return members, lengths
-
-    def sample_blocked_into(
-        self, pool: RRSetPool, count: int, *, batch_size: int | None = None
-    ) -> None:
-        """Vectorized batched sampling path: RNG drawn in blocks.
-
-        Members are written straight into ``pool``; the coins come from
-        the sampler's legacy blocked PCG64 stream (see
-        :func:`repro.rrset.backends.base.drive_blocked` for the BFS
-        itself).
-
-        Determinism contract: output is a deterministic function of the
-        sampler's seed and the sequence of ``sample_blocked_into`` calls,
-        and every set follows the exact RR-set distribution (one fresh
-        coin per examined in-edge).  The stream is *separate* from the
-        scalar path's Mersenne stream — blocked and scalar sampling give
-        different (equally valid) samples for the same seed.
-        """
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
-        if count == 0:
-            return
-        members, lengths = self._sample_blocked_flat(count, batch_size)
-        # One bulk append for the whole call: a single coverage bincount
-        # and a single (amortized) index refresh instead of one per batch.
-        pool.add_flat(members, lengths)
-        self.num_sampled += count
-
-    def _sample_blocked_flat(
-        self, count: int, batch_size: int | None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Legacy-stream compat shim over the blocked core: draws from
-        the sampler's own PCG64 stream (through the configured backend —
-        backends are byte-identical, so the stream contract holds)."""
-        return self.backend.sample_flat(
-            self.graph, self._in_probs_array, self._block_rng, count, batch_size
-        )

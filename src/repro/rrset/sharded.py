@@ -8,8 +8,8 @@ initial pilots for all ``h`` ads, and every Algorithm-4 ``θ_i`` top-up —
 either serially in-process or concurrently across a
 ``concurrent.futures`` process pool.
 
-Counter-based streams (``rng="philox"``, the default)
------------------------------------------------------
+Counter-based streams
+---------------------
 
 Every RR set is addressed by ``(global_seed, ad, set_index)``: set
 indices are grouped into fixed-size *chunks*, and chunk ``c`` of ad
@@ -77,29 +77,15 @@ path — :meth:`sample`, :meth:`ensure`, :meth:`prefetch` — consults the
 cache **before** submitting compute, splices verified hits through the
 same single-copy ``add_flat_from_buffer`` path the shm transport uses,
 and stores freshly computed blocks for the next run.  Keys address what
-determines the bytes (graph/probs content, stream entropy, chunk size,
-sampler mode) and exclude the byte-identical substrate knobs (engine,
-workers, backend, transport, start method) — so a warm run performs
+determines the bytes (graph/probs content, stream entropy, chunk size)
+and exclude the byte-identical substrate knobs (engine, workers,
+backend, transport, start method) — so a warm run performs
 **zero** sampling-backend invocations (``backend_invocations`` counts
 them) while remaining byte-identical to a cold one.  Every hit is
 integrity-checked against its stored dsan digest on load; a poisoned
 entry is quarantined with a warning and the block recomputed, never
 spliced.  Like prefetch and the transport, the cache is **not** part of
 the determinism contract.
-
-Legacy streams (``rng="legacy"``)
----------------------------------
-
-The historical per-ad stateful streams (Mersenne scalar / PCG64
-blocked), kept for bit-exact reproduction of the seed implementation.
-They are strictly sequential — set ``k`` cannot be drawn without first
-drawing sets ``0..k-1`` — so legacy requests are always served serially
-in ad order, exactly like the pre-engine ``TIRMAllocator`` loop, even
-under ``engine="process"`` (a warning says so).  Cached legacy entries
-carry the post-request stream state, so a hit both splices the block
-and advances the restored stream exactly as sampling would have; a
-request sequence that diverges from the cached one stops consulting
-the cache for that ad (the stream history no longer matches).
 """
 
 from __future__ import annotations
@@ -122,11 +108,13 @@ from repro.rrset.dsan import DsanRecorder, dsan_enabled
 from repro.rrset.pool import MEMBER_DTYPE, RRSetPool
 from repro.rrset.sampler import (
     DEFAULT_CHUNK_SIZE,
+    STREAM_MODE,
+    STREAM_RNG,
     RRSetSampler,
     StreamPlan,
     _slice_flat,
 )
-from repro.utils.rng import seed_entropy, spawn_generators
+from repro.utils.rng import seed_entropy
 
 try:  # pragma: no cover - present on every supported platform
     from multiprocessing import shared_memory
@@ -134,8 +122,6 @@ except ImportError:  # pragma: no cover
     shared_memory = None
 
 ENGINE_MODES = ("serial", "process")
-SAMPLER_MODES = ("scalar", "blocked")
-RNG_MODES = ("philox", "legacy")
 TRANSPORT_MODES = ("auto", "pickle", "shm")
 START_METHODS = ("auto", "fork", "spawn")
 
@@ -156,7 +142,7 @@ _ENGINE_IDS = itertools.count()
 _FORK_PAYLOADS: dict[int, tuple] = {}
 
 #: Worker-side sampler cache, keyed by (engine id, ad).  Samplers are
-#: rebuilt lazily per worker so the O(m) scalar adjacency flattening is
+#: rebuilt lazily per worker so the O(m) in-CSR probability gather is
 #: paid at most once per (worker, ad); chunk streams come from the
 #: StreamPlan, so the cache seed is irrelevant.
 _WORKER_SAMPLERS: dict[tuple[int, int], RRSetSampler] = {}
@@ -204,8 +190,7 @@ def _unlink_segment(name: str) -> None:
 
 
 def _worker_sample_chunk(
-    engine_id: int, ad: int, mode: str, chunk_index: int,
-    transport: str = "pickle",
+    engine_id: int, ad: int, chunk_index: int, transport: str = "pickle",
 ):
     """Run one chunk task in a worker: rebuild the ad's plan from the
     engine payload and return the chunk's full packed block — inline
@@ -219,7 +204,7 @@ def _worker_sample_chunk(
         sampler = RRSetSampler(graph, probs_per_ad[ad], seed=0, backend=backend)
         _WORKER_SAMPLERS[key] = sampler
     plan = StreamPlan(entropies[ad], ad, chunk_size)
-    members, lengths = sampler.sample_chunk_block(plan, chunk_index, mode=mode)
+    members, lengths = sampler.sample_chunk_block(plan, chunk_index)
     if transport == "shm":
         name, num_sets, num_members = _publish_block(members, lengths)
         return ad, chunk_index, name, num_sets, num_members
@@ -417,26 +402,16 @@ class ShardedSamplingEngine:
     probs_per_ad:
         One per-canonical-edge probability array per advertiser.
     seeds:
-        With ``rng="philox"``: a single seed-like whose
-        :func:`~repro.utils.rng.seed_entropy` becomes the global stream
-        root (per-ad streams are separated by the ``spawn_key``), or a
-        sequence of ``h`` seed-likes for explicit per-ad roots.  With
-        ``rng="legacy"``: a sequence of ``h`` per-ad seeds, or a single
-        seed split into ``h`` child streams — exactly the historical
-        behavior.
-    mode:
-        ``"blocked"`` (vectorized batched BFS) or ``"scalar"`` (the
-        per-set Python BFS) — the same knob as
-        ``TIRMAllocator(sampler_mode=...)``.
+        A single seed-like whose :func:`~repro.utils.rng.seed_entropy`
+        becomes the global stream root (per-ad streams are separated by
+        the ``spawn_key``), or a sequence of ``h`` seed-likes for
+        explicit per-ad roots.
     engine:
         ``"serial"`` samples in-process; ``"process"`` fans chunk tasks
         across a process pool.  Both produce bit-identical shards for
         the same ``(seeds, chunk_size)``.
     max_workers:
         Process-pool width (default: ``os.cpu_count()``).
-    rng:
-        ``"philox"`` (counter-based, chunk-parallel; default) or
-        ``"legacy"`` (the historical stateful streams, always serial).
     chunk_size:
         Set-index chunk width of the counter-based streams.  Part of the
         determinism contract — resampling with a different chunk size
@@ -515,10 +490,8 @@ class ShardedSamplingEngine:
         probs_per_ad: Sequence,
         *,
         seeds=None,
-        mode: str = "blocked",
         engine: str = "serial",
         max_workers: int | None = None,
-        rng: str = "philox",
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         backend="numpy",
         transport: str = "auto",
@@ -528,16 +501,10 @@ class ShardedSamplingEngine:
         cache=None,
         retain_blocks: bool = False,
     ) -> None:
-        if mode not in SAMPLER_MODES:
-            raise ConfigurationError(
-                f"mode must be one of {SAMPLER_MODES}, got {mode!r}"
-            )
         if engine not in ENGINE_MODES:
             raise ConfigurationError(
                 f"engine must be one of {ENGINE_MODES}, got {engine!r}"
             )
-        if rng not in RNG_MODES:
-            raise ConfigurationError(f"rng must be one of {RNG_MODES}, got {rng!r}")
         if chunk_size < 1:
             raise ConfigurationError(f"chunk_size must be >= 1, got {chunk_size}")
         if start_method not in START_METHODS:
@@ -550,9 +517,7 @@ class ShardedSamplingEngine:
         if max_workers is not None and max_workers < 1:
             raise ConfigurationError(f"max_workers must be >= 1, got {max_workers}")
         self.graph = graph
-        self.mode = mode
         self.engine = engine
-        self.rng = rng
         self.chunk_size = int(chunk_size)
         # Resolve once, up front: "auto" picks its substrate here (and
         # warns here if it degrades), workers inherit the *resolved*
@@ -572,45 +537,19 @@ class ShardedSamplingEngine:
             raise ConfigurationError(
                 f"got {len(seeds)} per-ad seeds for {h} advertisers"
             )
-        if rng == "philox":
-            if isinstance(seeds, (list, tuple)):
-                entropies = [seed_entropy(s) for s in seeds]
-            else:
-                root = seed_entropy(seeds)
-                entropies = [root] * h
-            self._entropies: list[int] | None = entropies
-            self._plans = [
-                StreamPlan(entropies[ad], ad, self.chunk_size) for ad in range(h)
-            ]
-            # Chunk streams come from the plans; the sampler seed is inert.
-            self._samplers = [
-                RRSetSampler(graph, probs_per_ad[ad], seed=0, backend=self.backend)
-                for ad in range(h)
-            ]
+        if isinstance(seeds, (list, tuple)):
+            entropies = [seed_entropy(s) for s in seeds]
         else:
-            if isinstance(seeds, (list, tuple)):
-                per_ad_seeds = list(seeds)
-            else:
-                per_ad_seeds = spawn_generators(seeds, h)
-            self._entropies = None
-            self._plans = None
-            self._samplers = [
-                RRSetSampler(
-                    graph, probs_per_ad[ad], seed=per_ad_seeds[ad],
-                    backend=self.backend,
-                )
-                for ad in range(h)
-            ]
-        # Captured before any sampling: reset_for_reuse rewinds the
-        # stateful legacy streams to these states so a reused engine
-        # replays the exact per-ad sequences a fresh engine would.
-        # (Philox streams need no capture — they are stateless functions
-        # of (entropy, ad, chunk); only num_sampled is rewound.)
-        self._legacy_initial_states = (
-            [sampler.legacy_state() for sampler in self._samplers]
-            if rng == "legacy"
-            else None
-        )
+            entropies = [seed_entropy(seeds)] * h
+        self._entropies: list[int] = entropies
+        self._plans = [
+            StreamPlan(entropies[ad], ad, self.chunk_size) for ad in range(h)
+        ]
+        # Chunk streams come from the plans; the sampler seed is inert.
+        self._samplers = [
+            RRSetSampler(graph, probs_per_ad[ad], seed=0, backend=self.backend)
+            for ad in range(h)
+        ]
         self._shards = [RRSetPool(graph.num_nodes) for _ in range(h)]
         # Per-ad cache of the last *partial* tail chunk's full block:
         # chunks are pure, so a θ continuation that re-enters the chunk
@@ -643,12 +582,9 @@ class ShardedSamplingEngine:
             if dsan_enabled(dsan) or dsan_expected is not None
             else None
         )
-        # Legacy streams have no chunk addresses; dsan keys them by the
-        # per-ad request ordinal instead (see repro.rrset.dsan).
-        self._legacy_ordinals: dict[int, int] = {}
         #: Sampling-backend invocations this engine actually performed
-        #: (serial chunk computes, worker submits, legacy draws).  The
-        #: warm-start headline: a fully cached run keeps this at zero.
+        #: (serial chunk computes, worker submits).  The warm-start
+        #: headline: a fully cached run keeps this at zero.
         self.backend_invocations = 0
         # Read-through shard cache.  Imported lazily: repro.store imports
         # repro.rrset for the block format and digests, so a module-level
@@ -658,9 +594,6 @@ class ShardedSamplingEngine:
         self._cache, self._cache_owned = resolve_cache(cache)
         self._shard_keys: list[str] | None = None
         self._cache_meta: list[dict] | None = None
-        # Ads whose legacy request sequence diverged from the cached one
-        # (membership tests only — never iterated).
-        self._legacy_diverged: set[int] = set()
         if self._cache is not None:
             self._init_shard_keys()
         # Speculative prefetch ledger: (ad, chunk) -> in-flight future.
@@ -677,42 +610,25 @@ class ShardedSamplingEngine:
             "cache": self._cache,
             "cache_owned": self._cache_owned,
         }
-        if engine == "process" and rng == "philox" and self._start_method != "spawn":
+        if engine == "process" and self._start_method != "spawn":
             _FORK_PAYLOADS[self._engine_id] = (
                 graph, probs_per_ad, entropies, self.chunk_size, self.backend,
             )
             self._resources["payload_key"] = self._engine_id
-        try:
-            # GC-safe teardown: __del__ runs in arbitrary GC order (flaky
-            # under pytest-xdist), finalize does not.  close() triggers the
-            # same callback, so teardown is idempotent by construction.
-            self._finalizer = weakref.finalize(
-                self, _release_engine_resources, self._resources
-            )
-            if engine == "process" and rng == "legacy":
-                warnings.warn(
-                    f"ShardedSamplingEngine #{self._engine_id}: rng='legacy' streams "
-                    "are stateful and strictly sequential, so engine='process' will "
-                    "sample serially; use rng='philox' for chunk-parallel sampling",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-        except BaseException:
-            # Construction failed after the fork payload was registered
-            # (e.g. an error-filtered warning): a half-built engine has no
-            # finalizer yet, so release its resources here instead of
-            # leaking the payload (and any executor) forever.
-            _release_engine_resources(self._resources)
-            raise
+        # GC-safe teardown: __del__ runs in arbitrary GC order (flaky
+        # under pytest-xdist), finalize does not.  close() triggers the
+        # same callback, so teardown is idempotent by construction.
+        self._finalizer = weakref.finalize(
+            self, _release_engine_resources, self._resources
+        )
 
     def _init_shard_keys(self) -> None:
         """Content addresses for every ad's stream (key schema:
         :mod:`repro.store.keys`).  Keys pin what determines the bytes —
-        graph content, edge probabilities, stream entropy (philox) or
-        initial stream state (legacy), chunk size, sampler mode — and
-        exclude the byte-identical substrate (engine / backend /
+        graph content, edge probabilities, stream entropy, chunk size —
+        and exclude the byte-identical substrate (engine / backend /
         transport / start method / workers)."""
-        from repro.store.keys import legacy_shard_key, philox_shard_key, state_hash
+        from repro.store.keys import philox_shard_key
         from repro.utils.hashing import array_digest, graph_digest
 
         graph_hash = graph_digest(self.graph)
@@ -720,30 +636,16 @@ class ShardedSamplingEngine:
         meta: list[dict] = []
         for ad, sampler in enumerate(self._samplers):
             probs_hash = array_digest(sampler.edge_probabilities, label="probs")
-            if self.rng == "philox":
-                key = philox_shard_key(
-                    graph_hash=graph_hash, probs_hash=probs_hash,
-                    entropy=self._entropies[ad], ad=ad,
-                    chunk_size=self.chunk_size, mode=self.mode,
-                )
-                entropy = str(self._entropies[ad])
-            else:
-                # The legacy key pins the *initial* stream state: entries
-                # are keyed by request ordinal and carry the post-request
-                # state, so hits replay the exact sampling sequence.
-                key = legacy_shard_key(
-                    graph_hash=graph_hash, probs_hash=probs_hash,
-                    state_hash=state_hash(sampler.legacy_state()),
-                    ad=ad, mode=self.mode,
-                )
-                entropy = None
-            keys.append(key)
+            keys.append(philox_shard_key(
+                graph_hash=graph_hash, probs_hash=probs_hash,
+                entropy=self._entropies[ad], ad=ad, chunk_size=self.chunk_size,
+            ))
             meta.append({
                 "ad": ad,
-                "rng": self.rng,
-                "mode": self.mode,
+                "rng": STREAM_RNG,
+                "mode": STREAM_MODE,
                 "chunk_size": self.chunk_size,
-                "entropy": entropy,
+                "entropy": str(self._entropies[ad]),
                 "graph_hash": graph_hash,
             })
         self._shard_keys = keys
@@ -777,10 +679,9 @@ class ShardedSamplingEngine:
     def dsan_digests(self) -> dict[tuple[int, int], str]:
         """Copy of the sanitizer's digest map (``{}`` when dsan is off).
 
-        Keys are ``(ad, chunk_index)`` stream addresses under
-        ``rng="philox"`` and ``(ad, request_ordinal)`` under
-        ``rng="legacy"``; values are blake2 hexdigests of the full
-        packed chunk block.  Two engines asked to reach the same targets
+        Keys are ``(ad, chunk_index)`` stream addresses; values are
+        blake2 hexdigests of the full packed chunk block.  Two engines
+        asked to reach the same targets
         must produce equal maps (:func:`repro.rrset.dsan.compare_digests`
         raises at the first divergent chunk when they do not).
         """
@@ -817,14 +718,9 @@ class ShardedSamplingEngine:
             return []
         refs: list[tuple[str, int]] = []
         for ad, key in enumerate(self._shard_keys):
-            if self.rng == "philox":
-                total = self._shards[ad].num_total
-                if total:
-                    refs.append((key, (total - 1) // self.chunk_size))
-            else:
-                ordinal = self._legacy_ordinals.get(ad, 0)
-                if ordinal:
-                    refs.append((key, ordinal - 1))
+            total = self._shards[ad].num_total
+            if total:
+                refs.append((key, (total - 1) // self.chunk_size))
         return refs
 
     def shard(self, ad: int) -> RRSetPool:
@@ -835,14 +731,13 @@ class ShardedSamplingEngine:
         """The advertiser's sampler (the parent-side BFS core)."""
         return self._samplers[ad]
 
-    def plan(self, ad: int) -> StreamPlan | None:
-        """The advertiser's counter-based stream plan (``None`` under
-        ``rng="legacy"``)."""
-        return None if self._plans is None else self._plans[ad]
+    def plan(self, ad: int) -> StreamPlan:
+        """The advertiser's counter-based stream plan."""
+        return self._plans[ad]
 
-    def stream_entropy(self, ad: int) -> int | None:
-        """The ad's stream entropy root (``None`` under ``rng="legacy"``)."""
-        return None if self._entropies is None else self._entropies[ad]
+    def stream_entropy(self, ad: int) -> int:
+        """The ad's stream entropy root."""
+        return self._entropies[ad]
 
     def total_sets(self) -> int:
         """Σ over shards of sets ever sampled."""
@@ -884,9 +779,7 @@ class ShardedSamplingEngine:
         ``θ = num_total`` must restart at zero), per-ad tail-block
         caches, in-flight prefetch futures (cancelled or drained, their
         unconsumed segments unlinked), dsan digests (a fresh recorder
-        with the original ``expected`` map), legacy request ordinals and
-        divergence marks (the stateful legacy streams are rewound to
-        their captured initial states), sampler positions, and the
+        with the original ``expected`` map), sampler positions, and the
         ``backend_invocations`` counter — while everything *engine-
         scoped* stays warm: the worker pool and its JIT-compiled
         backend state, the spawn payload arena, the shard cache handle
@@ -911,21 +804,13 @@ class ShardedSamplingEngine:
         self._inflight.clear()
         self._shards = [RRSetPool(self.graph.num_nodes) for _ in self._shards]
         self._tail_blocks.clear()
-        self._legacy_ordinals.clear()
-        self._legacy_diverged.clear()
         if self._dsan is not None:
             self._dsan = DsanRecorder(
                 expected=self._dsan_expected, label=f"engine#{self._engine_id}"
             )
         self.backend_invocations = 0
-        if self.rng == "legacy":
-            for sampler, state in zip(
-                self._samplers, self._legacy_initial_states
-            ):
-                sampler.set_legacy_state(state)
-        else:
-            for sampler in self._samplers:
-                sampler.num_sampled = 0
+        for sampler in self._samplers:
+            sampler.num_sampled = 0
 
     # ------------------------------------------------------------------
     # Sampling
@@ -936,10 +821,10 @@ class ShardedSamplingEngine:
 
         This is the engine's single entry point — TIRM routes both the
         initial pilot phase (all ads at once) and every Algorithm-4
-        growth top-up through it.  Under ``rng="philox"`` the request is
-        decomposed into fixed-size ``(ad, chunk)`` tasks — a single ad's
-        θ top-up included — which process mode fans across the worker
-        pool; blocks are spliced back in ascending ``(ad, chunk)`` order
+        growth top-up through it.  The request is decomposed into
+        fixed-size ``(ad, chunk)`` tasks — a single ad's θ top-up
+        included — which process mode fans across the worker pool;
+        blocks are spliced back in ascending ``(ad, chunk)`` order
         regardless of completion order, so results are bit-identical for
         serial, 1-worker, and N-worker execution.
         """
@@ -953,9 +838,6 @@ class ShardedSamplingEngine:
             if count:
                 cleaned[ad] = count
         if not cleaned:
-            return
-        if self.rng == "legacy":
-            self._sample_serial_legacy(cleaned)
             return
         tasks: list[tuple[int, int, int, int]] = []
         for ad in sorted(cleaned):
@@ -1024,14 +906,12 @@ class ShardedSamplingEngine:
         needed — and one never consumed is discarded (its segment
         unlinked) at :meth:`close`.
 
-        No-op (returns 0) for serial engines, legacy streams, degraded
-        or closed engines, and for chunks already pooled, cached, or in
-        flight.
+        No-op (returns 0) for serial engines, degraded or closed
+        engines, and for chunks already pooled, cached, or in flight.
         """
         extras = self._targets_to_extras(targets)
         if (
-            self.rng != "philox"
-            or self.engine != "process"
+            self.engine != "process"
             or self._start_method is None
             or not self._finalizer.alive
             or not extras
@@ -1058,8 +938,8 @@ class ShardedSamplingEngine:
                     # Lazy: a fully cache-warm prefetch spawns no pool.
                     executor = self._ensure_executor()
                 self._inflight[key] = executor.submit(
-                    _worker_sample_chunk, self._engine_id, ad, self.mode,
-                    chunk_index, self.transport,
+                    _worker_sample_chunk, self._engine_id, ad, chunk_index,
+                    self.transport,
                 )
                 self.backend_invocations += 1
                 submitted += 1
@@ -1079,81 +959,6 @@ class ShardedSamplingEngine:
             if target > current:
                 extras[ad] = target - current
         return extras
-
-    def _sample_serial_legacy(self, requests: dict[int, int]) -> None:
-        for ad in sorted(requests):
-            sampler, shard, count = self._samplers[ad], self._shards[ad], requests[ad]
-            if self._cache is not None:
-                self._sample_legacy_cached(ad, sampler, shard, count)
-            elif self._dsan is not None:
-                # Same streams and same pool state as the *_into paths
-                # (sample_flat is the documented bit-exact equivalent),
-                # but routed through a packed block so it can be hashed.
-                # Legacy streams have no chunk addresses, so the digest
-                # key is the per-ad request ordinal.
-                members, lengths = sampler.sample_flat(count, mode=self.mode)
-                ordinal = self._legacy_ordinals.get(ad, 0)
-                self._legacy_ordinals[ad] = ordinal + 1
-                self._dsan.record(ad, ordinal, members, lengths)
-                shard.add_flat(members, lengths)
-                self.backend_invocations += 1
-            elif self.mode == "blocked":
-                sampler.sample_blocked_into(shard, count)
-                self.backend_invocations += 1
-            else:
-                sampler.sample_into(shard, count)
-                self.backend_invocations += 1
-
-    def _sample_legacy_cached(self, ad, sampler, shard, count: int) -> None:
-        """One legacy request through the shard cache.
-
-        Entries are keyed by the per-ad request ordinal under the
-        *initial-state* shard key and carry the post-request stream
-        state, so a hit both splices the block and advances the stream
-        exactly as sampling would have.  A request sequence that
-        diverges from the cached one (an entry exists but its set count
-        differs) permanently stops consulting — and extending — this
-        ad's cached sequence: every later cached entry assumes a stream
-        history this run no longer shares.
-        """
-        ordinal = self._legacy_ordinals.get(ad, 0)
-        self._legacy_ordinals[ad] = ordinal + 1
-        diverged = ad in self._legacy_diverged
-        if not diverged:
-            entry = self._cache.load(self._shard_keys[ad], ordinal)
-            if entry is not None:
-                try:
-                    if entry.num_sets != count or entry.state is None:
-                        self._legacy_diverged.add(ad)
-                        diverged = True
-                    else:
-                        if self._dsan is not None:
-                            self._dsan.record(
-                                ad, ordinal, entry.members, entry.lengths
-                            )
-                        shard.add_flat_from_buffer(
-                            entry.buffer,
-                            num_sets=entry.num_sets,
-                            num_members=entry.num_members,
-                            lengths_offset=entry.lengths_offset,
-                            members_offset=entry.members_offset,
-                        )
-                        sampler.set_legacy_state(entry.state)
-                        return
-                finally:
-                    entry.release()
-        members, lengths = sampler.sample_flat(count, mode=self.mode)
-        self.backend_invocations += 1
-        if self._dsan is not None:
-            self._dsan.record(ad, ordinal, members, lengths)
-        if not diverged:
-            # A plain miss extends the cached sequence: every earlier
-            # ordinal hit (or was stored), so the stream state matches.
-            self._cache.store(
-                self._shard_keys[ad], ordinal, members, lengths,
-                state=sampler.legacy_state(), meta=self._cache_meta[ad],
-            )
-        shard.add_flat(members, lengths)
 
     def _cached_block(self, ad: int, chunk_index: int):
         cached = self._tail_blocks.get(ad)
@@ -1353,7 +1158,7 @@ class ShardedSamplingEngine:
                 ):
                     continue
                 block = self._samplers[ad].sample_chunk_block(
-                    self._plans[ad], chunk_index, mode=self.mode
+                    self._plans[ad], chunk_index
                 )
                 self.backend_invocations += 1
                 self._store_chunk(ad, chunk_index, block)
@@ -1387,8 +1192,8 @@ class ShardedSamplingEngine:
                     # Lazy: a fully cache-warm request spawns no pool.
                     executor = self._ensure_executor()
                 pending[key] = executor.submit(
-                    _worker_sample_chunk, self._engine_id, ad, self.mode,
-                    chunk_index, self.transport,
+                    _worker_sample_chunk, self._engine_id, ad, chunk_index,
+                    self.transport,
                 )
                 self.backend_invocations += 1
             # Deterministic splice order (ascending ad, then chunk — the
@@ -1407,7 +1212,7 @@ class ShardedSamplingEngine:
                         # check: recompute in-process — correctness over
                         # throughput for a should-never-happen path.
                         block = self._samplers[ad].sample_chunk_block(
-                            self._plans[ad], chunk_index, mode=self.mode
+                            self._plans[ad], chunk_index
                         )
                         self.backend_invocations += 1
                         self._store_chunk(ad, chunk_index, block)
@@ -1599,8 +1404,7 @@ class ShardedSamplingEngine:
 
     def __repr__(self) -> str:
         return (
-            f"{type(self).__name__}(h={self.num_ads}, mode={self.mode!r}, "
-            f"engine={self.engine!r}, rng={self.rng!r}, "
+            f"{type(self).__name__}(h={self.num_ads}, engine={self.engine!r}, "
             f"chunk_size={self.chunk_size}, backend={self.backend_name!r}, "
             f"transport={self.transport!r}, total_sets={self.total_sets()})"
         )

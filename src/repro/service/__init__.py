@@ -20,7 +20,7 @@ package keeps those substrates *resident*:
 Everything the service does is substrate, never contract: job
 scheduling, engine leasing, and request interleaving are recorded as
 provenance, but the allocation bytes are pinned by
-``(seed, rng, chunk_size, sampler_mode)`` alone — a warm-pool rerun is
+``(seed, chunk_size)`` alone — a warm-pool rerun is
 byte-identical to a cold batch run (equal ``dsan_root``), just cheaper.
 """
 

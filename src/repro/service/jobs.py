@@ -41,7 +41,7 @@ from repro.service.pool import EnginePool
 #: lifecycle knobs (checkpoint/resume) are deliberately absent — jobs
 #: are resident, not checkpointed; everything else passes through.
 ALLOCATOR_PARAMS = frozenset({
-    "epsilon", "ell", "select_rule", "sampler_mode", "engine", "rng",
+    "epsilon", "ell", "select_rule", "engine", "rng",
     "chunk_size", "backend", "transport", "start_method", "prefetch",
     "initial_pilot", "min_rr_sets_per_ad", "max_rr_sets_per_ad",
     "max_workers", "max_iterations", "dsan", "seed",
@@ -446,7 +446,6 @@ class JobManager:
             "epsilon": allocator.epsilon,
             "ell": allocator.ell,
             "select_rule": allocator.select_rule,
-            "sampler_mode": allocator.sampler_mode,
             "engine": allocator.engine,
             "rng": allocator.rng,
             "chunk_size": allocator.chunk_size,

@@ -72,7 +72,7 @@ class EnginePool:
     The key covers everything the engine constructor consumed that could
     change its samples or its recorded substrate: the problem content
     (graph digest + per-ad probability digests), the stream contract
-    (seed, rng, chunk size, sampler mode) and the substrate knobs
+    (seed, chunk size) and the substrate knobs
     (engine mode, backend, transport, start method, worker count, dsan).
     Two requests with equal keys are guaranteed interchangeable engines.
 
@@ -113,9 +113,7 @@ class EnginePool:
                 for ad in range(problem.num_ads)
             ),
             int(seed) if seed is not None else None,
-            allocator.rng,
             allocator.chunk_size,
-            allocator.sampler_mode,
             allocator.engine,
             str(allocator.backend),
             allocator.transport,

@@ -30,7 +30,7 @@ from repro.store.blocks import BlockEntry, CorruptBlockError, load_block, write_
 from repro.store.cache import ENV_VAR, ShardCache, resolve_cache
 from repro.store.catalog import CATALOG_FILENAME, ExperimentCatalog
 from repro.store.gc import GcReport, cache_usage, collect_garbage
-from repro.store.keys import legacy_shard_key, philox_shard_key, state_hash
+from repro.store.keys import philox_shard_key
 
 __all__ = [
     "BlockEntry",
@@ -45,7 +45,5 @@ __all__ = [
     "GcReport",
     "cache_usage",
     "collect_garbage",
-    "legacy_shard_key",
     "philox_shard_key",
-    "state_hash",
 ]

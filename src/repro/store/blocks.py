@@ -3,17 +3,19 @@
 The payload is byte-for-byte the engine's packed chunk-block layout —
 ``int64`` lengths, then ``int32`` members, exactly the bytes a
 shared-memory transport segment carries and exactly the bytes the dsan
-digest covers — preceded by one fixed 64-byte header and (for legacy
-entries) followed by a JSON post-request stream-state snapshot::
+digest covers — preceded by one fixed 64-byte header::
 
     offset 0    magic        8 bytes  b"RRSBLK01" (format version 1)
     offset 8    num_sets     int64 little-endian
     offset 16   num_members  int64 little-endian
-    offset 24   state_len    int64 little-endian (0 for philox entries)
+    offset 24   state_len    int64 little-endian, must be 0 (reserved)
     offset 32   digest       32 ascii hex chars (blake2b-128 of payload)
     offset 64   lengths      num_sets * int64           (8-byte aligned)
     ...         members      num_members * int32        (4-byte aligned)
-    ...         state        state_len bytes of UTF-8 JSON
+
+Nothing may follow the members: a non-zero ``state_len`` or trailing
+bytes mean the entry was not written by this format and it is rejected
+like any other corruption.
 
 Writes are atomic (unique tmp file in the same directory, then
 ``os.replace``), so concurrent writers race benignly: both write the
@@ -26,7 +28,6 @@ escapes, so a corrupt entry is detected here and never spliced.
 from __future__ import annotations
 
 import itertools
-import json
 import os
 import struct
 
@@ -60,17 +61,16 @@ class BlockEntry:
     read-only file mapping, in the engine's packed block layout."""
 
     __slots__ = (
-        "path", "num_sets", "num_members", "digest", "state",
+        "path", "num_sets", "num_members", "digest",
         "buffer", "lengths", "members", "lengths_offset", "members_offset",
     )
 
-    def __init__(self, path, num_sets, num_members, digest, state,
+    def __init__(self, path, num_sets, num_members, digest,
                  buffer, lengths, members) -> None:
         self.path = path
         self.num_sets = num_sets
         self.num_members = num_members
         self.digest = digest
-        self.state = state
         self.buffer = buffer
         self.lengths = lengths
         self.members = members
@@ -86,9 +86,7 @@ class BlockEntry:
         self.buffer = None
 
 
-def write_block(
-    path: str, members, lengths, *, state: dict | None = None
-) -> tuple[int, str]:
+def write_block(path: str, members, lengths) -> tuple[int, str]:
     """Atomically write one entry file; returns ``(nbytes, digest)``.
 
     ``members``/``lengths`` are coerced to the packed dtypes (the same
@@ -99,13 +97,8 @@ def write_block(
     lengths = np.ascontiguousarray(lengths, dtype=_LENGTH_DTYPE)
     members = np.ascontiguousarray(members, dtype=MEMBER_DTYPE)
     digest = digest_block(members, lengths)
-    state_bytes = (
-        b"" if state is None
-        else json.dumps(state, sort_keys=True, default=int).encode("utf-8")
-    )
     header = _HEADER.pack(
-        MAGIC, lengths.size, members.size, len(state_bytes),
-        digest.encode("ascii"),
+        MAGIC, lengths.size, members.size, 0, digest.encode("ascii")
     )
     tmp = f"{path}.{os.getpid()}.{next(_TMP_IDS)}.tmp"
     try:
@@ -113,12 +106,11 @@ def write_block(
             handle.write(header)
             handle.write(lengths.tobytes())
             handle.write(members.tobytes())
-            handle.write(state_bytes)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
-    return HEADER_SIZE + lengths.nbytes + members.nbytes + len(state_bytes), digest
+    return HEADER_SIZE + lengths.nbytes + members.nbytes, digest
 
 
 def load_block(path: str) -> BlockEntry:
@@ -127,9 +119,10 @@ def load_block(path: str) -> BlockEntry:
     Raises
     ------
     CorruptBlockError
-        Truncated file, bad magic, inconsistent sizes, undecodable
-        state, or a payload whose recomputed digest disagrees with the
-        stored one — the caller quarantines and recomputes.
+        Truncated file, bad magic, inconsistent sizes, a non-zero
+        ``state_len`` or trailing bytes, or a payload whose recomputed
+        digest disagrees with the stored one — the caller quarantines
+        and recomputes.
     FileNotFoundError
         No entry at ``path`` (a plain miss, not corruption).
     """
@@ -147,17 +140,15 @@ def load_block(path: str) -> BlockEntry:
     if magic != MAGIC:
         raise CorruptBlockError(f"bad magic in cache entry {path}: {magic!r}")
     expected_size = (
-        HEADER_SIZE
-        + num_sets * _LENGTH_ITEMSIZE
-        + num_members * _MEMBER_ITEMSIZE
-        + state_len
+        HEADER_SIZE + num_sets * _LENGTH_ITEMSIZE + num_members * _MEMBER_ITEMSIZE
     )
-    if num_sets < 0 or num_members < 0 or state_len < 0 or (
+    if num_sets < 0 or num_members < 0 or state_len != 0 or (
         buffer.size != expected_size
     ):
         raise CorruptBlockError(
             f"inconsistent sizes in cache entry {path}: header says "
-            f"{expected_size} bytes, file has {buffer.size}"
+            f"{expected_size} bytes (state_len={state_len}), file has "
+            f"{buffer.size}"
         )
     lengths = np.frombuffer(
         buffer, dtype=_LENGTH_DTYPE, count=num_sets, offset=HEADER_SIZE
@@ -172,18 +163,6 @@ def load_block(path: str) -> BlockEntry:
             f"digest mismatch in cache entry {path}: stored {digest}, "
             f"payload hashes differently — entry is poisoned"
         )
-    state = None
-    if state_len:
-        state_offset = members_offset + num_members * _MEMBER_ITEMSIZE
-        try:
-            state = json.loads(
-                buffer[state_offset:state_offset + state_len].tobytes().decode("utf-8")
-            )
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CorruptBlockError(
-                f"undecodable stream state in cache entry {path}: {exc}"
-            ) from exc
     return BlockEntry(
-        path, int(num_sets), int(num_members), digest, state,
-        buffer, lengths, members,
+        path, int(num_sets), int(num_members), digest, buffer, lengths, members
     )

@@ -7,12 +7,11 @@ Directory layout (one cache directory, shareable between processes)::
       objects/<shard_key>/<index>.blk   one file per cached block
 
 ``shard_key`` is the content address of one ad's stream
-(:mod:`repro.store.keys`); ``index`` is the chunk index under philox
-and the request ordinal under legacy streams.  Entries are written
-atomically and verified against their stored dsan digest on every load
-— a poisoned entry is quarantined (removed) with a warning and reported
-as a miss, so the engine recomputes the block and the cache can never
-change an allocation.
+(:mod:`repro.store.keys`); ``index`` is the chunk index.  Entries are
+written atomically and verified against their stored dsan digest on
+every load — a poisoned entry is quarantined (removed) with a warning
+and reported as a miss, so the engine recomputes the block and the
+cache can never change an allocation.
 
 The cache is failure-transparent by design: a store that cannot write
 (disk full, read-only directory) warns once and keeps serving, because
@@ -100,7 +99,7 @@ class ShardCache:
 
     def store(
         self, shard_key: str, index: int, members, lengths, *,
-        state: dict | None = None, meta: dict | None = None,
+        meta: dict | None = None,
     ) -> bool:
         """Write one block (idempotent: an existing entry is kept — for
         the same address it holds the same bytes).  Returns whether an
@@ -111,7 +110,7 @@ class ShardCache:
             return True
         try:
             os.makedirs(os.path.dirname(path), exist_ok=True)
-            nbytes, digest = write_block(path, members, lengths, state=state)
+            nbytes, digest = write_block(path, members, lengths)
         except OSError as exc:
             self.stats["store_errors"] += 1
             if not self._warned_store_failure:

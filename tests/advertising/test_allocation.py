@@ -152,7 +152,7 @@ def test_provenance_roundtrip_and_equality_exclusion():
     assert a.provenance == {"rng": "philox", "chunk_size": 64, "stream_entropy": 7}
     clone = a.copy()
     assert clone.provenance == a.provenance
-    clone.set_provenance(rng="legacy")
+    clone.set_provenance(rng="other")
     assert a.provenance["rng"] == "philox"  # copies do not share the dict
     b = Allocation(2, 4)
     assert a == b  # provenance never participates in equality

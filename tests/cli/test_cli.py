@@ -57,27 +57,36 @@ def test_allocate_rejects_unknown_algorithm():
         main(["allocate", "figure1", "--algorithm", "quantum"])
 
 
-def test_allocate_rng_and_chunk_size_flags(capsys):
+def test_allocate_chunk_size_flag(capsys):
     code = main([
         "allocate", "figure1", "--algorithm", "tirm",
         "--eval-runs", "50", "--max-rr-sets", "1000",
-        "--rng", "legacy", "--chunk-size", "64",
+        "--chunk-size", "64",
     ])
     assert code == 0
     assert "TIRM on figure1" in capsys.readouterr().out
 
 
-def test_allocate_rejects_unknown_rng():
-    with pytest.raises(SystemExit):
-        main(["allocate", "figure1", "--rng", "mersenne"])
+def test_allocate_rejects_unknown_rng(capsys):
+    """The stream contract is not a command-line choice: ``--rng`` is
+    an argparse usage error on both commands that build an allocator."""
+    for argv in (
+        ["allocate", "figure1", "--rng", "legacy"],
+        ["allocate", "figure1", "--rng", "philox"],
+        ["submit", "figure1", "--rng", "legacy"],
+    ):
+        with pytest.raises(SystemExit) as usage:
+            main(argv)
+        assert usage.value.code == 2
+        assert "unrecognized arguments: --rng" in capsys.readouterr().err
 
 
 def test_parser_defaults_to_philox_streams():
     args = build_parser().parse_args(["allocate", "figure1"])
-    assert args.rng == "philox"
+    assert not hasattr(args, "rng")
     assert args.chunk_size >= 1
     args = build_parser().parse_args(
-        ["allocate", "figure1", "--rng", "philox", "--chunk-size", "128"]
+        ["allocate", "figure1", "--chunk-size", "128"]
     )
     assert args.chunk_size == 128
 

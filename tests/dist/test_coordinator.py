@@ -58,14 +58,14 @@ class TestLifecycle:
     def test_submit_requires_registered_session(self):
         with Coordinator() as coordinator:
             with pytest.raises(ConfigurationError, match="session"):
-                coordinator.submit(999, 0, 0, "blocked")
+                coordinator.submit(999, 0, 0)
 
     def test_submit_after_close_refused(self):
         coordinator = Coordinator().start()
         session = coordinator.register_session({"k": 1}, b"payload")
         coordinator.close()
         with pytest.raises(ConfigurationError, match="closed"):
-            coordinator.submit(session, 0, 0, "blocked")
+            coordinator.submit(session, 0, 0)
 
     def test_stats_shape(self):
         with Coordinator() as coordinator:
@@ -80,14 +80,14 @@ class TestGrace:
     def test_empty_fleet_fails_queued_futures_after_grace(self):
         with Coordinator(worker_grace=0.3) as coordinator:
             session = coordinator.register_session({"k": 1}, b"")
-            future = coordinator.submit(session, 0, 0, "blocked")
+            future = coordinator.submit(session, 0, 0)
             with pytest.raises(WorkersUnavailableError, match="no workers"):
                 future.result(timeout=10.0)
 
     def test_close_fails_queued_futures_immediately(self):
         coordinator = Coordinator().start()
         session = coordinator.register_session({"k": 1}, b"")
-        future = coordinator.submit(session, 0, 0, "blocked")
+        future = coordinator.submit(session, 0, 0)
         coordinator.close()
         with pytest.raises(WorkersUnavailableError, match="closed"):
             future.result(timeout=5.0)
@@ -97,7 +97,7 @@ class TestGrace:
         # worker picks it up must fail, not hang.
         with Coordinator(worker_grace=0.3) as coordinator:
             session = coordinator.register_session({"k": 1}, b"")
-            future = coordinator.submit(session, 0, 0, "blocked")
+            future = coordinator.submit(session, 0, 0)
             coordinator.release_session(session)
             with pytest.raises(WorkersUnavailableError):
                 future.result(timeout=10.0)

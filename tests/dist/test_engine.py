@@ -6,7 +6,7 @@ shards byte-identical to the serial engine regardless of worker count,
 worker backend, scatter order, prefetching, or a completely empty
 fleet (local fallback).  These tests pin that, plus the engine-side
 plumbing: session registration/release, spec-dict coordinator
-ownership, legacy-rng refusal, and allocator-level validation.
+ownership, and allocator-level validation.
 """
 
 from __future__ import annotations
@@ -165,15 +165,6 @@ class TestWorkerLocalCache:
 
 
 class TestLifecycle:
-    def test_legacy_rng_refused(self):
-        graph = _graph()
-        with Coordinator() as coordinator:
-            with pytest.raises(ConfigurationError, match="philox"):
-                DistributedEngine(
-                    graph, _probs(graph), coordinator=coordinator,
-                    seeds=7, rng="legacy", chunk_size=CHUNK,
-                )
-
     def test_non_coordinator_refused(self):
         graph = _graph()
         with pytest.raises(ConfigurationError, match="coordinator"):
@@ -223,7 +214,7 @@ class TestLifecycle:
             engine.close()
             assert coordinator.started  # borrowed: stays up
             with pytest.raises(ConfigurationError, match="session"):
-                coordinator.submit(session, 0, 0, "blocked")
+                coordinator.submit(session, 0, 0)
 
     def test_engine_reports_socket_substrate(self):
         graph = _graph()
@@ -245,7 +236,3 @@ class TestAllocatorValidation:
         with pytest.raises(ConfigurationError, match="dist"):
             TIRMAllocator(engine="serial", coordinator={"port": 0})
 
-    def test_dist_engine_refuses_legacy_rng(self):
-        with pytest.raises(ConfigurationError, match="philox"):
-            TIRMAllocator(engine="dist", coordinator={"port": 0},
-                          rng="legacy")

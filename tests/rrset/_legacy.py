@@ -8,6 +8,11 @@ them.  The equivalence suite asserts the production engine reproduces
 these bit-for-bit (same seeds, same counts, same picks, same
 allocations).  Do not "fix" or optimise this file — its value is being
 frozen history.
+
+The one part that is not history is where the frozen TIRM loop gets its
+RR sets: :class:`StreamReplay` hands it the production
+``(entropy, ad, set_index)`` stream, so the loop, the collection and the
+greedy are compared against the default allocator on identical samples.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.algorithms.tirm import TIRMAllocator, _AdState
-from repro.rrset.sampler import RRSetSampler
+from repro.rrset.sharded import ShardedSamplingEngine
 from repro.rrset.tim import required_rr_sets
 
 
@@ -152,8 +157,32 @@ def legacy_greedy_max_coverage(
     return chosen, covered
 
 
+class StreamReplay:
+    """Set source for the frozen loop: ``sample(count)`` returns the next
+    ``count`` sets of one ad's ``(entropy, ad, set_index)`` stream — read
+    back from a private serial engine — as the ``list[np.ndarray]`` the
+    seed collection consumes."""
+
+    def __init__(self, problem, ad: int, seed, chunk_size: int) -> None:
+        self._ad = ad
+        self._engine = ShardedSamplingEngine(
+            problem.graph,
+            [problem.ad_edge_probabilities(i) for i in range(problem.num_ads)],
+            seeds=seed,
+            chunk_size=chunk_size,
+        )
+
+    def sample(self, count: int) -> list[np.ndarray]:
+        shard = self._engine.shard(self._ad)
+        start = shard.num_total
+        self._engine.sample({self._ad: count})
+        return [
+            shard.get_set(i).astype(np.int64) for i in range(start, start + count)
+        ]
+
+
 class LegacyTIRMAllocator(TIRMAllocator):
-    """TIRM wired to the seed collection, sampler path, and greedy.
+    """TIRM wired to the seed collection and greedy.
 
     The methods that touched the storage engine are overridden with
     their original (pre-pool) bodies, and ``_allocate`` itself is the
@@ -235,14 +264,11 @@ class LegacyTIRMAllocator(TIRMAllocator):
                 ),
                 "epsilon": self.epsilon,
                 "select_rule": self.select_rule,
-                "sampler_mode": self.sampler_mode,
             },
         )
 
     def _initial_state(self, problem, ad: int, rng) -> _AdState:
-        sampler = RRSetSampler(
-            problem.graph, problem.ad_edge_probabilities(ad), seed=rng
-        )
+        sampler = StreamReplay(problem, ad, self._seed, self.chunk_size)
         collection = LegacyRRSetCollection(problem.num_nodes)
         pilot = max(
             min(self.initial_pilot, self.max_rr_sets_per_ad), self.min_rr_sets_per_ad

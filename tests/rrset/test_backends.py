@@ -202,17 +202,6 @@ class TestByteIdentity:
                 assert expected[0].tobytes() == actual[0].tobytes()
                 assert expected[1].tobytes() == actual[1].tobytes()
 
-    def test_legacy_blocked_stream_identical(self):
-        graph, probs = _graph_and_probs(seed=4)
-        for alternative_backend in _alternative_backends():
-            a = RRSetSampler(graph, probs, seed=6, backend="numpy")
-            b = RRSetSampler(graph, probs, seed=6, backend=alternative_backend)
-            for count in (40, 25):  # across calls: stream position matters
-                expected = a.sample_flat(count, mode="blocked")
-                actual = b.sample_flat(count, mode="blocked")
-                assert expected[0].tobytes() == actual[0].tobytes()
-                assert expected[1].tobytes() == actual[1].tobytes()
-
 
 class TestEngineInvariance:
     """Backend-cross worker-count invariance: numpy-serial is the
@@ -220,11 +209,11 @@ class TestEngineInvariance:
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("chunk_size", [7, 64])
-    @pytest.mark.parametrize("mode", ["scalar", "blocked"])
+    @pytest.mark.parametrize("mode", ["blocked"])
     def test_shards_byte_identical_across_backends(self, mode, chunk_size, workers):
         problem = _problem(4)
         with ShardedSamplingEngine(
-            problem.graph, _probs(problem), seeds=8, mode=mode,
+            problem.graph, _probs(problem), seeds=8,
             chunk_size=chunk_size, backend="numpy",
         ) as reference:
             for requests in ({0: 70, 1: 40}, {0: 33}):
@@ -232,7 +221,7 @@ class TestEngineInvariance:
             expected = _fingerprint(reference)
         for alternative_backend in _alternative_backends():
             with ShardedSamplingEngine(
-                problem.graph, _probs(problem), seeds=8, mode=mode,
+                problem.graph, _probs(problem), seeds=8,
                 chunk_size=chunk_size, engine="process", max_workers=workers,
                 backend=alternative_backend,
             ) as engine:

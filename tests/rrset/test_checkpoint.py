@@ -5,15 +5,15 @@ The contract under test (``docs/rrset_engine.md``): a TIRM run
 interrupted at *any* iteration boundary and resumed from its checkpoint
 produces a byte-identical allocation (seeds, revenues, θ targets,
 provenance) to the uninterrupted run for the same
-``(seed, rng, chunk_size)`` — across serial/process engines and both
-sampler modes — and under ``rng="philox"`` the artifact persists zero
-RR-set members (the counter-based streams re-derive them on load).
+``(seed, chunk_size)`` — across serial/process/distributed engines —
+and the artifact persists zero RR-set members (the counter-based
+streams re-derive them on load).
 """
 
 from __future__ import annotations
 
+import json
 import os
-import warnings
 
 import numpy as np
 import pytest
@@ -90,6 +90,17 @@ def _dummy_per_ad(h: int) -> list[dict]:
     ]
 
 
+def _rewrite_meta(path, mutate) -> None:
+    """Re-save the artifact at ``path`` with ``mutate(meta)`` applied to
+    its decoded ``meta_json``."""
+    with np.load(path, allow_pickle=False) as data:
+        arrays = {name: data[name] for name in data.files}
+    meta = json.loads(str(arrays["meta_json"][()]))
+    mutate(meta)
+    arrays["meta_json"] = np.array(json.dumps(meta))
+    np.savez(path, **arrays)
+
+
 def _results_identical(a, b) -> bool:
     """Byte-identity of everything the resume contract covers."""
     prov_a = dict(a.allocation.provenance or {})
@@ -116,15 +127,14 @@ def _results_identical(a, b) -> bool:
 # Engine-level save/restore fidelity
 # ---------------------------------------------------------------------------
 class TestEngineRestore:
-    @pytest.mark.parametrize("rng", ["philox", "legacy"])
-    @pytest.mark.parametrize("mode", ["blocked", "scalar"])
+    @pytest.mark.parametrize("rng", ["philox"])
+    @pytest.mark.parametrize("mode", ["blocked"])
     def test_restore_rebuilds_shards_and_alive_state(self, tmp_path, rng, mode):
         problem = _problem()
         path = tmp_path / "ck.npz"
         config = {"num_ads": problem.num_ads, "rng": rng, "chunk_size": 64}
         with ShardedSamplingEngine(
-            problem.graph, _probs(problem), seeds=11, mode=mode, rng=rng,
-            chunk_size=64,
+            problem.graph, _probs(problem), seeds=11, chunk_size=64
         ) as engine:
             engine.sample({0: 120, 1: 75, 2: 40})
             # kill a few sets through the normal removal path
@@ -139,35 +149,10 @@ class TestEngineRestore:
         checkpoint = TIRMCheckpoint.load(path)
         assert checkpoint.iterations == 5
         with ShardedSamplingEngine(
-            problem.graph, _probs(problem), seeds=11, mode=mode, rng=rng,
-            chunk_size=64,
+            problem.graph, _probs(problem), seeds=11, chunk_size=64
         ) as restored:
             checkpoint.restore_engine(restored)
             assert _engine_fingerprint(restored) == reference
-
-    def test_legacy_restore_continues_streams_bit_identically(self, tmp_path):
-        """After a legacy restore, further sampling must match an engine
-        that never stopped — the stream states round-trip exactly."""
-        problem = _problem()
-        path = tmp_path / "ck.npz"
-        config = {"num_ads": problem.num_ads, "rng": "legacy", "chunk_size": None}
-        with ShardedSamplingEngine(
-            problem.graph, _probs(problem), seeds=11, rng="legacy"
-        ) as uninterrupted:
-            uninterrupted.sample({0: 80, 1: 80, 2: 80})
-            save_checkpoint(
-                path, config=config, engine=uninterrupted,
-                per_ad=_dummy_per_ad(problem.num_ads), iterations=1, lineage=[],
-            )
-            uninterrupted.sample({0: 50, 1: 20, 2: 35})
-            reference = _engine_fingerprint(uninterrupted)
-
-        with ShardedSamplingEngine(
-            problem.graph, _probs(problem), seeds=11, rng="legacy"
-        ) as resumed:
-            TIRMCheckpoint.load(path).restore_engine(resumed)
-            resumed.sample({0: 50, 1: 20, 2: 35})
-            assert _engine_fingerprint(resumed) == reference
 
     def test_restore_requires_fresh_engine(self, tmp_path):
         problem = _problem()
@@ -183,6 +168,34 @@ class TestEngineRestore:
             )
             with pytest.raises(CheckpointError, match="fresh"):
                 TIRMCheckpoint.load(path).restore_engine(engine)
+
+
+    def test_restore_refuses_foreign_stream_roots(self, tmp_path):
+        """Shards are re-derived, so an engine on other entropy roots —
+        or an artifact that records none — cannot restore."""
+        problem = _problem()
+        path = tmp_path / "ck.npz"
+        config = {"num_ads": problem.num_ads, "rng": "philox", "chunk_size": 64}
+        with ShardedSamplingEngine(
+            problem.graph, _probs(problem), seeds=11, chunk_size=64
+        ) as engine:
+            engine.sample({0: 10})
+            save_checkpoint(
+                path, config=config, engine=engine,
+                per_ad=_dummy_per_ad(problem.num_ads), iterations=1, lineage=[],
+            )
+        checkpoint = TIRMCheckpoint.load(path)
+        with ShardedSamplingEngine(
+            problem.graph, _probs(problem), seeds=12, chunk_size=64
+        ) as other:
+            with pytest.raises(ConfigurationError, match="entropies"):
+                checkpoint.restore_engine(other)
+        checkpoint.entropies = None
+        with ShardedSamplingEngine(
+            problem.graph, _probs(problem), seeds=11, chunk_size=64
+        ) as same:
+            with pytest.raises(ConfigurationError, match="entropies"):
+                checkpoint.restore_engine(same)
 
 
 # ---------------------------------------------------------------------------
@@ -212,65 +225,6 @@ class TestArtifact:
         # and it is small: metadata + masks, not O(total member bytes)
         assert os.path.getsize(path) < 20_000
 
-    def test_legacy_artifact_spills_members_to_mmap_sidecar(self, tmp_path):
-        problem = _problem()
-        path = tmp_path / "ck.npz"
-        with ShardedSamplingEngine(
-            problem.graph, _probs(problem), seeds=11, rng="legacy"
-        ) as engine:
-            engine.sample({ad: 100 for ad in range(problem.num_ads)})
-            expected = np.concatenate(
-                [
-                    np.asarray(engine.shard(ad).prefix_view().members)
-                    for ad in range(problem.num_ads)
-                ]
-            )
-            save_checkpoint(
-                path,
-                config={"num_ads": problem.num_ads, "rng": "legacy",
-                        "chunk_size": None},
-                engine=engine, per_ad=_dummy_per_ad(problem.num_ads),
-                iterations=2, lineage=[],
-            )
-        checkpoint = TIRMCheckpoint.load(path)
-        sidecar = tmp_path / checkpoint.spill_file
-        assert sidecar.exists()
-        spilled = np.load(sidecar, mmap_mode="r")
-        assert isinstance(spilled, np.memmap)
-        assert np.array_equal(np.asarray(spilled), expected)
-
-    def test_unchanged_theta_reuses_sidecar_growth_rewrites_it(self, tmp_path):
-        """Most boundaries don't grow θ, so consecutive snapshots must
-        reference the existing spill instead of rewriting the full
-        member file; a growth event rewrites it and cleans the stale
-        one.  No temp files survive either way."""
-        problem = _problem()
-        path = tmp_path / "ck.npz"
-        config = {"num_ads": problem.num_ads, "rng": "legacy",
-                  "chunk_size": None}
-        with ShardedSamplingEngine(
-            problem.graph, _probs(problem), seeds=11, rng="legacy"
-        ) as engine:
-            engine.sample({0: 30})
-            for iteration in (1, 2):  # same θ: snapshot 2 reuses the spill
-                save_checkpoint(
-                    path, config=config, engine=engine,
-                    per_ad=_dummy_per_ad(problem.num_ads),
-                    iterations=iteration, lineage=[],
-                )
-            sidecars = [f for f in os.listdir(tmp_path) if ".members-" in f]
-            assert sidecars == ["ck.npz.members-1.npy"]
-            assert TIRMCheckpoint.load(path).spill_file == "ck.npz.members-1.npy"
-            engine.sample({0: 10})  # θ grew: snapshot 3 must rewrite
-            save_checkpoint(
-                path, config=config, engine=engine,
-                per_ad=_dummy_per_ad(problem.num_ads),
-                iterations=3, lineage=[],
-            )
-        sidecars = [f for f in os.listdir(tmp_path) if ".members-" in f]
-        assert sidecars == ["ck.npz.members-3.npy"]
-        assert [f for f in os.listdir(tmp_path) if f.endswith(".tmp")] == []
-
     def test_load_rejects_missing_corrupt_and_foreign_files(self, tmp_path):
         with pytest.raises(CheckpointError, match="no checkpoint artifact"):
             TIRMCheckpoint.load(tmp_path / "absent.npz")
@@ -289,28 +243,6 @@ class TestArtifact:
         with pytest.raises(CheckpointError, match="could not read"):
             TIRMCheckpoint.load(truncated)
 
-    def test_corrupt_spill_surfaces_checkpoint_error(self, tmp_path):
-        problem = _problem()
-        path = tmp_path / "ck.npz"
-        with ShardedSamplingEngine(
-            problem.graph, _probs(problem), seeds=11, rng="legacy"
-        ) as engine:
-            engine.sample({0: 20})
-            save_checkpoint(
-                path,
-                config={"num_ads": problem.num_ads, "rng": "legacy",
-                        "chunk_size": None},
-                engine=engine, per_ad=_dummy_per_ad(problem.num_ads),
-                iterations=1, lineage=[],
-            )
-        checkpoint = TIRMCheckpoint.load(path)
-        (tmp_path / checkpoint.spill_file).write_bytes(b"garbage")
-        with ShardedSamplingEngine(
-            problem.graph, _probs(problem), seeds=11, rng="legacy"
-        ) as fresh:
-            with pytest.raises(CheckpointError, match="member spill"):
-                checkpoint.restore_engine(fresh)
-
     def test_load_rejects_unknown_format_version(self, tmp_path):
         problem = _problem()
         path = tmp_path / "ck.npz"
@@ -324,14 +256,11 @@ class TestArtifact:
                 engine=engine, per_ad=_dummy_per_ad(problem.num_ads),
                 iterations=0, lineage=[],
             )
-        import json
-
-        with np.load(path, allow_pickle=False) as data:
-            arrays = {name: data[name] for name in data.files}
-        meta = json.loads(str(arrays["meta_json"][()]))
-        meta["format_version"] = CHECKPOINT_FORMAT_VERSION + 1
-        arrays["meta_json"] = np.array(json.dumps(meta))
-        np.savez(path, **arrays)
+        _rewrite_meta(
+            path, lambda meta: meta.update(
+                format_version=CHECKPOINT_FORMAT_VERSION + 1
+            )
+        )
         with pytest.raises(CheckpointError, match="unsupported checkpoint format"):
             TIRMCheckpoint.load(path)
 
@@ -349,9 +278,7 @@ class TestResumeValidation:
         [
             {"epsilon": 0.2},
             {"seed": 4},
-            {"rng": "legacy"},
             {"chunk_size": 32},
-            {"sampler_mode": "scalar"},
             {"max_rr_sets_per_ad": 2_000},
         ],
     )
@@ -361,6 +288,37 @@ class TestResumeValidation:
         self._write(problem, path)
         with pytest.raises(ConfigurationError, match="incompatible"):
             _allocator(resume_from=path, **mismatch).allocate(problem)
+
+    @pytest.mark.parametrize(
+        "field, value", [("rng", "legacy"), ("sampler_mode", "scalar")]
+    )
+    def test_foreign_stream_artifact_is_refused_by_field(
+        self, tmp_path, field, value
+    ):
+        """An artifact whose stored config names another stream contract
+        (and, like those artifacts, records no entropies) is config
+        drift like any other: refused up front, naming the field —
+        never a failure deeper in the restore."""
+        problem = figure1_problem()
+        path = tmp_path / "ck.npz"
+        self._write(problem, path)
+        def as_foreign(meta):
+            meta["config"][field] = value
+            meta["entropies"] = None
+
+        _rewrite_meta(path, as_foreign)
+        with pytest.raises(
+            ConfigurationError, match=f"incompatible.*{field}: checkpoint='{value}'"
+        ):
+            _allocator(resume_from=path).allocate(problem)
+
+    def test_written_config_names_the_stream_contract(self, tmp_path):
+        """Resume matches on these two recorded names, so dropping or
+        renaming either would orphan every existing checkpoint."""
+        path = tmp_path / "ck.npz"
+        self._write(figure1_problem(), path)
+        config = TIRMCheckpoint.load(path).config
+        assert (config["rng"], config["sampler_mode"]) == ("philox", "blocked")
 
     def test_mismatched_problem_is_refused(self, tmp_path):
         path = tmp_path / "ck.npz"
@@ -380,50 +338,44 @@ class TestResumeValidation:
 
 
 # ---------------------------------------------------------------------------
-# The kill-and-resume determinism property (engine × sampler × rng)
+# The kill-and-resume determinism property
 # ---------------------------------------------------------------------------
 class TestKillAndResumeDeterminism:
     """Interrupt at every iteration boundary k, resume, and demand the
     byte-identical allocation the uninterrupted run produces."""
 
-    @pytest.mark.parametrize("rng", ["philox", "legacy"])
-    @pytest.mark.parametrize("mode", ["blocked", "scalar"])
+    @pytest.mark.parametrize("rng", ["philox"])
+    @pytest.mark.parametrize("mode", ["blocked"])
     def test_every_boundary_serial(self, tmp_path, rng, mode):
         problem = figure1_problem()
         path = tmp_path / "ck.npz"
-        reference = _allocator(rng=rng, sampler_mode=mode).allocate(problem)
+        reference = _allocator(rng=rng).allocate(problem)
         total = reference.stats["iterations"]
         assert total >= 3, "fixture must run several iterations"
         for k in range(1, total):
             killed = _allocator(
-                rng=rng, sampler_mode=mode, checkpoint_path=path,
-                max_iterations=k,
+                rng=rng, checkpoint_path=path, max_iterations=k
             ).allocate(problem)
             assert killed.stats["truncated"] is True
             assert killed.stats["iterations"] == k
-            resumed = _allocator(
-                rng=rng, sampler_mode=mode, resume_from=path
-            ).allocate(problem)
+            resumed = _allocator(rng=rng, resume_from=path).allocate(problem)
             assert resumed.stats["resumed_at_iteration"] == k
-            assert _results_identical(resumed, reference), (rng, mode, k)
+            assert _results_identical(resumed, reference), k
 
-    @pytest.mark.parametrize("rng", ["philox", "legacy"])
+    @pytest.mark.parametrize("rng", ["philox"])
     def test_process_engine_resume(self, tmp_path, rng):
         problem = figure1_problem()
         path = tmp_path / "ck.npz"
         kwargs = dict(rng=rng, chunk_size=64)
-        with warnings.catch_warnings():
-            if rng == "legacy":  # legacy + process warns (serial sampling)
-                warnings.simplefilter("ignore", RuntimeWarning)
-            reference = _allocator(**kwargs).allocate(problem)
-            k = max(1, reference.stats["iterations"] // 2)
-            _allocator(
-                engine="process", max_workers=2, checkpoint_path=path,
-                max_iterations=k, **kwargs,
-            ).allocate(problem)
-            resumed = _allocator(
-                engine="process", max_workers=2, resume_from=path, **kwargs
-            ).allocate(problem)
+        reference = _allocator(**kwargs).allocate(problem)
+        k = max(1, reference.stats["iterations"] // 2)
+        _allocator(
+            engine="process", max_workers=2, checkpoint_path=path,
+            max_iterations=k, **kwargs,
+        ).allocate(problem)
+        resumed = _allocator(
+            engine="process", max_workers=2, resume_from=path, **kwargs
+        ).allocate(problem)
         assert _results_identical(resumed, reference)
 
     def test_cross_engine_resume(self, tmp_path):
@@ -474,17 +426,14 @@ class TestKillAndResumeDeterminism:
         )
 
     def test_larger_problem_mid_kill(self, tmp_path):
-        """One deeper run on a non-toy graph, both rng modes."""
+        """One deeper run on a non-toy graph."""
         problem = _problem()
-        for rng in ("philox", "legacy"):
-            path = tmp_path / f"ck-{rng}.npz"
-            reference = _allocator(rng=rng).allocate(problem)
-            k = max(1, reference.stats["iterations"] // 2)
-            _allocator(
-                rng=rng, checkpoint_path=path, max_iterations=k
-            ).allocate(problem)
-            resumed = _allocator(rng=rng, resume_from=path).allocate(problem)
-            assert _results_identical(resumed, reference), rng
+        path = tmp_path / "ck.npz"
+        reference = _allocator().allocate(problem)
+        k = max(1, reference.stats["iterations"] // 2)
+        _allocator(checkpoint_path=path, max_iterations=k).allocate(problem)
+        resumed = _allocator(resume_from=path).allocate(problem)
+        assert _results_identical(resumed, reference)
 
 
 class TestCrossSubstrateResumeMatrix:

@@ -1,30 +1,13 @@
-"""RRSetCollection coverage bookkeeping (deprecated alias of RRSetPool)."""
-
-import importlib
-import sys
+"""Coverage bookkeeping of :class:`RRSetPool` as TIRM's set collection:
+``add_sets`` / ``remove_covered`` and the coverage queries, on literal
+small cases (``test_pool.py`` covers the flat/bulk storage surface)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-with pytest.warns(DeprecationWarning, match="repro.rrset.collection is deprecated"):
-    sys.modules.pop("repro.rrset.collection", None)
-    from repro.rrset.collection import RRSetCollection
-
-
-def test_alias_module_emits_deprecation_warning():
-    sys.modules.pop("repro.rrset.collection", None)
-    with pytest.warns(DeprecationWarning, match="import the pool directly"):
-        importlib.import_module("repro.rrset.collection")
-
-
-def test_package_resolves_alias_lazily():
-    import repro.rrset
-
-    assert repro.rrset.RRSetCollection.__name__ == "RRSetCollection"
-    with pytest.raises(AttributeError):
-        repro.rrset.no_such_symbol
+from repro.rrset.pool import RRSetPool
 
 
 def _sets(*members):
@@ -32,7 +15,7 @@ def _sets(*members):
 
 
 def test_add_and_coverage():
-    c = RRSetCollection(5)
+    c = RRSetPool(5)
     c.add_sets(_sets([0, 1], [1, 2], [2]))
     assert c.num_total == 3
     assert c.num_alive == 3
@@ -40,7 +23,7 @@ def test_add_and_coverage():
 
 
 def test_remove_covered():
-    c = RRSetCollection(5)
+    c = RRSetPool(5)
     c.add_sets(_sets([0, 1], [1, 2], [2]))
     removed = c.remove_covered(1)
     assert removed == 2
@@ -51,7 +34,7 @@ def test_remove_covered():
 
 
 def test_coverage_of_set():
-    c = RRSetCollection(5)
+    c = RRSetPool(5)
     c.add_sets(_sets([0, 1], [1, 2], [3]))
     assert c.coverage_of_set([0, 3]) == 2
     assert c.coverage_of_set([1]) == 2
@@ -61,7 +44,7 @@ def test_coverage_of_set():
 
 
 def test_sets_containing_alive_filter():
-    c = RRSetCollection(4)
+    c = RRSetPool(4)
     ids = c.add_sets(_sets([0], [0, 1]))
     c.remove_covered(1)
     assert c.sets_containing(0) == [ids[0]]
@@ -69,7 +52,7 @@ def test_sets_containing_alive_filter():
 
 
 def test_get_set_and_is_alive():
-    c = RRSetCollection(3)
+    c = RRSetPool(3)
     (set_id,) = c.add_sets(_sets([1, 2]))
     assert c.get_set(set_id).tolist() == [1, 2]
     assert c.is_alive(set_id)
@@ -78,21 +61,21 @@ def test_get_set_and_is_alive():
 
 
 def test_all_sets_keeps_covered():
-    c = RRSetCollection(3)
+    c = RRSetPool(3)
     c.add_sets(_sets([0], [1]))
     c.remove_covered(0)
     assert len(c.all_sets()) == 2
 
 
 def test_average_set_size():
-    c = RRSetCollection(4)
+    c = RRSetPool(4)
     assert c.average_set_size() == 0.0
     c.add_sets(_sets([0], [0, 1, 2]))
     assert c.average_set_size() == pytest.approx(2.0)
 
 
 def test_memory_bytes_grows():
-    c = RRSetCollection(10)
+    c = RRSetPool(10)
     before = c.memory_bytes()
     c.add_sets(_sets([0, 1, 2], [3, 4]))
     assert c.memory_bytes() > before
@@ -100,7 +83,7 @@ def test_memory_bytes_grows():
 
 def test_negative_num_nodes_rejected():
     with pytest.raises(ValueError):
-        RRSetCollection(-1)
+        RRSetPool(-1)
 
 
 @given(
@@ -113,7 +96,7 @@ def test_negative_num_nodes_rejected():
 @settings(max_examples=60, deadline=None)
 def test_coverage_invariant(sets, removals):
     """coverage[v] always equals the count of alive sets containing v."""
-    c = RRSetCollection(8)
+    c = RRSetPool(8)
     c.add_sets([np.asarray(s, dtype=np.int64) for s in sets])
     for node in removals:
         c.remove_covered(node)

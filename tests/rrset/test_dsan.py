@@ -181,35 +181,6 @@ def test_env_var_enables_engine_dsan(graph, probs, monkeypatch):
         assert engine.dsan and len(engine.dsan_digests()) == 1
 
 
-def test_legacy_streams_key_by_request_ordinal(graph, probs):
-    with _engine(graph, probs, rng="legacy", seeds=[5, 7], dsan=True) as one:
-        one.ensure({0: 10, 1: 10})
-        one.ensure({0: 25})
-        digests = one.dsan_digests()
-    assert sorted(digests) == [(0, 0), (0, 1), (1, 0)]
-    # Same request sequence => same digests; the pool bytes also match a
-    # dsan-off engine's (sample_flat is the documented bit-exact twin).
-    with _engine(graph, probs, rng="legacy", seeds=[5, 7], dsan=True) as two:
-        two.ensure({0: 10, 1: 10})
-        two.ensure({0: 25})
-        assert two.dsan_digests() == digests
-    with _engine(graph, probs, rng="legacy", seeds=[5, 7], dsan=False) as ref:
-        ref.ensure({0: 10, 1: 10})
-        ref.ensure({0: 25})
-        with _engine(
-            graph, probs, rng="legacy", seeds=[5, 7], dsan=True
-        ) as again:
-            again.ensure({0: 10, 1: 10})
-            again.ensure({0: 25})
-            for ad in range(2):
-                assert all(
-                    np.array_equal(a, b)
-                    for a, b in zip(
-                        ref.shard(ad).all_sets(), again.shard(ad).all_sets()
-                    )
-                )
-
-
 # ----------------------------------------------------------------------
 # Divergence detection
 # ----------------------------------------------------------------------

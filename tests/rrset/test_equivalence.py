@@ -1,8 +1,8 @@
 """Equivalence of the flat-CSR engine with the frozen seed implementation.
 
 The pool must be a *drop-in* replacement: identical coverage counts,
-removal results, greedy-cover picks, and — through the scalar sampler
-path — bit-identical TIRM allocations for the same master seed.  The
+removal results, greedy-cover picks, and — fed the same RR-set stream —
+bit-identical TIRM allocations for the same master seed.  The
 reference implementations live in ``tests/rrset/_legacy.py`` (verbatim
 copies of the pre-pool code).
 """
@@ -138,15 +138,14 @@ def _problem(seed: int, num_ads: int = 2, budget: float = 6.0):
 
 @pytest.mark.parametrize("seed", [0, 7])
 def test_tirm_allocation_bit_identical(seed):
-    """Pool-backed TIRM (scalar sampler) reproduces the seed TIRM exactly:
-    same allocation, same revenues, same θ and seed-size trajectories."""
+    """The default TIRM (session state machine, sharded engine, pool)
+    reproduces the seed TIRM loop exactly on the same stream: same
+    allocation, same revenues, same θ and seed-size trajectories."""
     problem = _problem(seed)
     kwargs = dict(
         seed=seed, initial_pilot=400, max_rr_sets_per_ad=4_000, epsilon=0.2
     )
-    # Pinned to the legacy streams: the counter-based default is a
-    # different (equally valid) sample sequence by design.
-    new = TIRMAllocator(sampler_mode="scalar", rng="legacy", **kwargs).allocate(problem)
+    new = TIRMAllocator(**kwargs).allocate(problem)
     old = LegacyTIRMAllocator(**kwargs).allocate(problem)
     assert new.allocation == old.allocation
     assert np.array_equal(new.estimated_revenues, old.estimated_revenues)
@@ -158,8 +157,8 @@ def test_tirm_allocation_bit_identical(seed):
 def test_tirm_blocked_mode_is_deterministic_and_valid():
     problem = _problem(3)
     kwargs = dict(seed=5, initial_pilot=400, max_rr_sets_per_ad=4_000, epsilon=0.2)
-    a = TIRMAllocator(sampler_mode="blocked", **kwargs).allocate(problem)
-    b = TIRMAllocator(sampler_mode="blocked", **kwargs).allocate(problem)
+    a = TIRMAllocator(**kwargs).allocate(problem)
+    b = TIRMAllocator(**kwargs).allocate(problem)
     assert a.allocation == b.allocation
     assert np.array_equal(a.estimated_revenues, b.estimated_revenues)
     assert a.allocation.is_valid(problem.attention)

@@ -9,7 +9,12 @@ from repro.graph.generators import erdos_renyi
 from repro.graph.probabilities import constant_probabilities
 from repro.rrset.estimator import estimate_spread_from_sets
 from repro.rrset.pool import RRSetPool
-from repro.rrset.sampler import RRSetSampler, sample_rr_set, sample_rr_sets
+from repro.rrset.sampler import (
+    RRSetSampler,
+    StreamPlan,
+    sample_rr_set,
+    sample_rr_sets,
+)
 
 
 class TestStructure:
@@ -87,79 +92,32 @@ class TestSamplerObject:
 
 
 class TestBlockedSampler:
-    """Determinism and distribution of the batched (RNG-in-blocks) path."""
-
-    def test_deterministic_per_seed(self, small_random_graph):
-        probs = constant_probabilities(small_random_graph, 0.15)
-        pools = []
-        for _ in range(2):
-            sampler = RRSetSampler(small_random_graph, probs, seed=4)
-            pool = RRSetPool(small_random_graph.num_nodes)
-            sampler.sample_blocked_into(pool, 300)
-            pools.append(pool)
-        a, b = pools
-        assert a.num_total == b.num_total == 300
-        assert np.array_equal(a.coverage(), b.coverage())
-        for i in range(300):
-            assert np.array_equal(a.get_set(i), b.get_set(i))
-
-    def test_deterministic_for_fixed_call_sequence(self):
-        """The blocked stream is deterministic for a fixed sequence of
-        calls, including when the total is split across calls."""
-        g = erdos_renyi(40, 0.1, seed=2)
-        probs = constant_probabilities(g, 0.2)
-        s1 = RRSetSampler(g, probs, seed=9)
-        p1 = RRSetPool(g.num_nodes)
-        s1.sample_blocked_into(p1, 50)
-        s1.sample_blocked_into(p1, 50)
-        s2 = RRSetSampler(g, probs, seed=9)
-        p2 = RRSetPool(g.num_nodes)
-        s2.sample_blocked_into(p2, 50)
-        s2.sample_blocked_into(p2, 50)
-        for i in range(100):
-            assert np.array_equal(p1.get_set(i), p2.get_set(i))
-
-    def test_independent_of_scalar_stream(self, small_random_graph):
-        """Interleaving scalar draws must not perturb the blocked stream
-        (and vice versa): the two paths own separate generators."""
-        probs = constant_probabilities(small_random_graph, 0.15)
-        plain = RRSetSampler(small_random_graph, probs, seed=4)
-        pool_plain = RRSetPool(small_random_graph.num_nodes)
-        plain.sample_blocked_into(pool_plain, 100)
-        mixed = RRSetSampler(small_random_graph, probs, seed=4)
-        mixed.sample(25)  # scalar draws first
-        pool_mixed = RRSetPool(small_random_graph.num_nodes)
-        mixed.sample_blocked_into(pool_mixed, 100)
-        for i in range(100):
-            assert np.array_equal(pool_plain.get_set(i), pool_mixed.get_set(i))
+    """Structure and distribution of the blocked (RNG-in-blocks) BFS,
+    through its one entry point :meth:`RRSetSampler.sample_chunk_block`."""
 
     def test_structure_root_first_and_unique(self, small_random_graph):
         probs = constant_probabilities(small_random_graph, 0.3)
         sampler = RRSetSampler(small_random_graph, probs, seed=1)
         pool = RRSetPool(small_random_graph.num_nodes)
-        sampler.sample_blocked_into(pool, 200)
+        pool.add_flat(*sampler.sample_chunk_block(StreamPlan(1, 0, 200), 0))
         for i in range(200):
             members = pool.get_set(i)
             assert members.size >= 1  # root always present
             assert np.unique(members).size == members.size
 
     def test_matches_exact_spread(self, diamond_graph):
-        """Proposition 1 holds for the blocked path too — its sets follow
-        the same RR distribution as the scalar path."""
+        """Proposition 1 holds for the blocked path — its sets follow
+        the RR distribution, chunk after chunk."""
         probs = np.full(4, 0.5)
         sampler = RRSetSampler(diamond_graph, probs, seed=7)
+        plan = StreamPlan(7, 0, chunk_size=10_000)
         pool = RRSetPool(diamond_graph.num_nodes)
-        sampler.sample_blocked_into(pool, 30_000)
+        for chunk in range(3):
+            pool.add_flat(*sampler.sample_chunk_block(plan, chunk))
         for seeds in ([0], [0, 1], [3]):
             exact = exact_spread(diamond_graph, probs, seeds)
             estimate = estimate_spread_from_sets(pool, diamond_graph.num_nodes, seeds)
             assert estimate == pytest.approx(exact, rel=0.07)
-
-    def test_count_validation(self, small_random_graph):
-        probs = constant_probabilities(small_random_graph, 0.1)
-        sampler = RRSetSampler(small_random_graph, probs, seed=0)
-        with pytest.raises(ValueError):
-            sampler.sample_blocked_into(RRSetPool(small_random_graph.num_nodes), -1)
 
 
 class TestProposition1:

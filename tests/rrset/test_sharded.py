@@ -3,7 +3,7 @@
 The engine's contract is that ``engine="process"`` is a pure wall-clock
 optimisation: for the same seeds it must fill every shard with exactly
 the same sets, in the same order, as ``engine="serial"`` — which in turn
-is bit-identical to the historical per-ad sampler loop.
+holds exactly the chunks the plain sampler draws for each ad's plan.
 """
 
 from __future__ import annotations
@@ -20,9 +20,8 @@ from repro.errors import ConfigurationError
 from repro.graph.generators import erdos_renyi
 from repro.graph.probabilities import constant_probabilities
 from repro.rrset.pool import RRSetPool
-from repro.rrset.sampler import RRSetSampler
+from repro.rrset.sampler import RRSetSampler, StreamPlan
 from repro.rrset.sharded import ShardedSamplingEngine
-from repro.utils.rng import spawn_generators
 
 
 def _problem(seed: int, num_ads: int = 3, budget: float = 6.0):
@@ -61,11 +60,6 @@ class TestConfiguration:
         with pytest.raises(ConfigurationError):
             ShardedSamplingEngine(problem.graph, _probs(problem), engine="threads")
 
-    def test_rejects_bad_mode(self):
-        problem = _problem(0)
-        with pytest.raises(ConfigurationError):
-            ShardedSamplingEngine(problem.graph, _probs(problem), mode="vector")
-
     def test_rejects_empty_catalog(self):
         problem = _problem(0)
         with pytest.raises(ConfigurationError):
@@ -95,29 +89,25 @@ class TestConfiguration:
 
 
 class TestSerialCompatibility:
-    @pytest.mark.parametrize("mode", ["scalar", "blocked"])
+    @pytest.mark.parametrize("mode", ["blocked"])
     def test_serial_engine_matches_plain_samplers(self, mode):
-        """``rng="legacy"`` is the historical per-ad loop, bit-exact."""
+        """A shard is the ad's plan drawn chunk by chunk through a plain
+        sampler, sliced to the requested index range."""
         problem = _problem(1)
         h = problem.num_ads
-        rngs = spawn_generators(5, h)
         pools = []
         for ad in range(h):
             sampler = RRSetSampler(
-                problem.graph, problem.ad_edge_probabilities(ad), seed=rngs[ad]
+                problem.graph, problem.ad_edge_probabilities(ad), seed=0
             )
+            plan = StreamPlan(5, ad, chunk_size=64)
             pool = RRSetPool(problem.num_nodes)
-            if mode == "blocked":
-                sampler.sample_blocked_into(pool, 150)
-                sampler.sample_blocked_into(pool, 70)
-            else:
-                sampler.sample_into(pool, 150)
-                sampler.sample_into(pool, 70)
+            for chunk, lo, hi in plan.chunk_tasks(0, 220):
+                pool.add_flat(*sampler.sample_chunk_flat(plan, chunk, lo, hi))
             pools.append(pool)
 
         with ShardedSamplingEngine(
-            problem.graph, _probs(problem), seeds=5, mode=mode, engine="serial",
-            rng="legacy",
+            problem.graph, _probs(problem), seeds=5, engine="serial", chunk_size=64
         ) as eng:
             eng.sample({ad: 150 for ad in range(h)})
             eng.sample({ad: 70 for ad in range(h)})
@@ -130,20 +120,20 @@ class TestSerialCompatibility:
 
 
 class TestProcessParity:
-    @pytest.mark.parametrize("mode", ["scalar", "blocked"])
+    @pytest.mark.parametrize("mode", ["blocked"])
     def test_process_matches_serial_set_for_set(self, mode):
         problem = _problem(2)
         with ShardedSamplingEngine(
-            problem.graph, _probs(problem), seeds=9, mode=mode, engine="serial"
+            problem.graph, _probs(problem), seeds=9, engine="serial"
         ) as serial, ShardedSamplingEngine(
-            problem.graph, _probs(problem), seeds=9, mode=mode, engine="process"
+            problem.graph, _probs(problem), seeds=9, engine="process"
         ) as process:
             for requests in ({0: 120, 1: 80, 2: 40}, {1: 30}, {0: 5, 2: 200}):
                 serial.sample(requests)
                 process.sample(requests)
             _assert_shards_equal(serial, process)
 
-    @pytest.mark.parametrize("mode", ["scalar", "blocked"])
+    @pytest.mark.parametrize("mode", ["blocked"])
     def test_interleaved_splice_and_removal_parity(self, mode):
         """Property-style schedule: interleaved shard appends and
         ``remove_covered`` must march in lockstep with the serial engine
@@ -151,9 +141,9 @@ class TestProcessParity:
         problem = _problem(3)
         rng = np.random.default_rng(17)
         with ShardedSamplingEngine(
-            problem.graph, _probs(problem), seeds=23, mode=mode, engine="serial"
+            problem.graph, _probs(problem), seeds=23, engine="serial"
         ) as serial, ShardedSamplingEngine(
-            problem.graph, _probs(problem), seeds=23, mode=mode, engine="process"
+            problem.graph, _probs(problem), seeds=23, engine="process"
         ) as process:
             for _ in range(6):
                 ads = rng.choice(3, size=int(rng.integers(1, 4)), replace=False)
@@ -182,14 +172,13 @@ class TestProcessParity:
 
 
 class TestTIRMIntegration:
-    @pytest.mark.parametrize("mode", ["scalar", "blocked"])
+    @pytest.mark.parametrize("mode", ["blocked"])
     def test_tirm_process_engine_identical_to_serial(self, mode):
         """The acceptance contract: ``engine="process"`` yields the same
         allocation, revenues, and θ trajectory as ``engine="serial"``."""
         problem = _problem(6, num_ads=2)
         kwargs = dict(
             seed=6, initial_pilot=400, max_rr_sets_per_ad=3_000, epsilon=0.2,
-            sampler_mode=mode,
         )
         serial = TIRMAllocator(engine="serial", **kwargs).allocate(problem)
         process = TIRMAllocator(engine="process", **kwargs).allocate(problem)
@@ -208,14 +197,14 @@ class TestTIRMIntegration:
             TIRMAllocator(engine="threads")
 
 
-def _exploding_worker(engine_id, ad, mode, chunk_index, transport="pickle"):
+def _exploding_worker(engine_id, ad, chunk_index, transport="pickle"):
     # module-level so the fork pool can pickle it by reference
     raise ValueError("worker exploded")
 
 
 class TestLifecycle:
     """Executor/payload teardown on every exit path — explicit close,
-    context manager, failed construction, and failed task batches."""
+    context manager, and failed task batches."""
 
     def test_context_manager_closes_and_releases_payload(self):
         from repro.rrset.sharded import _FORK_PAYLOADS
@@ -241,24 +230,6 @@ class TestLifecycle:
                 raise RuntimeError("boom")
         assert engine._engine_id not in _FORK_PAYLOADS
         assert not engine._finalizer.alive
-
-    def test_failed_construction_releases_payload(self):
-        """A warning promoted to an error mid-construction must not leak
-        the registered fork payload of a half-built engine."""
-        import warnings
-
-        from repro.rrset.sharded import _FORK_PAYLOADS
-
-        problem = _problem(0)
-        before = set(_FORK_PAYLOADS)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(RuntimeWarning):
-                ShardedSamplingEngine(
-                    problem.graph, _probs(problem), seeds=0,
-                    engine="process", rng="legacy",
-                )
-        assert set(_FORK_PAYLOADS) == before
 
     def test_failed_task_batch_routes_through_close(self, monkeypatch):
         """A worker exception must surface to the caller AND shut the
@@ -288,7 +259,7 @@ class TestResetForReuse:
     """The warm-reuse contract: after ``reset_for_reuse`` a second run
     through the same engine is byte-identical to a fresh-engine run —
     no stale shards, tail blocks, in-flight futures, dsan state, or
-    legacy stream positions may survive into the next session."""
+    sampler positions may survive into the next session."""
 
     def test_back_to_back_sampling_matches_fresh_engine(self):
         problem = _problem(11)
@@ -344,22 +315,6 @@ class TestResetForReuse:
             assert engine.backend_invocations == 0
             for ad in range(3):
                 assert np.array_equal(engine.shard(ad).coverage(), coverage[ad])
-
-    def test_legacy_streams_rewind_to_initial_state(self):
-        problem = _problem(17)
-        seeds = spawn_generators(9, problem.num_ads)
-        with ShardedSamplingEngine(
-            problem.graph, _probs(problem), seeds=seeds, rng="legacy",
-        ) as reused:
-            reused.sample({0: 30, 1: 12, 2: 21})
-            reused.reset_for_reuse()
-            reused.sample({0: 25, 1: 18, 2: 7})
-            with ShardedSamplingEngine(
-                problem.graph, _probs(problem),
-                seeds=spawn_generators(9, problem.num_ads), rng="legacy",
-            ) as fresh:
-                fresh.sample({0: 25, 1: 18, 2: 7})
-                _assert_shards_equal(reused, fresh)
 
     def test_reset_keeps_process_pool_and_arena_warm(self):
         problem = _problem(19)

@@ -1,6 +1,6 @@
 """Counter-based RNG streams: purity, chunk addressing, and invariance.
 
-The contract under test (``rng="philox"``): every RR set is a pure
+The contract under test: every RR set is a pure
 function of ``(global_seed, ad, set_index)`` given a chunk size — so the
 sampled pools must be byte-identical across serial execution, 1-worker
 and N-worker process pools, every transport (pickle vs shared memory),
@@ -107,12 +107,6 @@ class TestStreamPlan:
         other_seed = StreamPlan(10, ad=2, chunk_size=16)
         assert not np.array_equal(a, other_seed.generator(5).random(8))
 
-    def test_scalar_random_is_pure(self):
-        plan = StreamPlan(9, ad=0, chunk_size=16)
-        a = [plan.scalar_random(3).random() for _ in range(2)]
-        assert a[0] == a[1]
-        assert plan.scalar_random(4).random() != a[0]
-
 
 class TestSeedEntropy:
     def test_spawned_seed_sequences_get_distinct_roots(self):
@@ -140,27 +134,27 @@ class TestSeedEntropy:
 class TestChunkSampling:
     """``RRSetSampler.sample_chunk_flat`` is stateless and sliceable."""
 
-    @pytest.mark.parametrize("mode", ["scalar", "blocked"])
+    @pytest.mark.parametrize("mode", ["blocked"])
     def test_recomputing_a_chunk_is_identical(self, mode, small_random_graph):
         probs = constant_probabilities(small_random_graph, 0.1)
         plan = StreamPlan(5, ad=0, chunk_size=32)
         sampler = RRSetSampler(small_random_graph, probs, seed=0)
-        first = sampler.sample_chunk_flat(plan, 2, mode=mode)
-        again = sampler.sample_chunk_flat(plan, 2, mode=mode)
+        first = sampler.sample_chunk_flat(plan, 2)
+        again = sampler.sample_chunk_flat(plan, 2)
         assert first[0].tobytes() == again[0].tobytes()
         assert first[1].tolist() == again[1].tolist()
 
-    @pytest.mark.parametrize("mode", ["scalar", "blocked"])
+    @pytest.mark.parametrize("mode", ["blocked"])
     def test_slices_agree_with_full_chunk(self, mode, small_random_graph):
         """Sets [lo, hi) of a chunk equal the same rows of the full chunk —
         the property that makes partial-chunk resume pure."""
         probs = constant_probabilities(small_random_graph, 0.1)
         plan = StreamPlan(5, ad=1, chunk_size=24)
         sampler = RRSetSampler(small_random_graph, probs, seed=0)
-        members, lengths = sampler.sample_chunk_flat(plan, 0, mode=mode)
+        members, lengths = sampler.sample_chunk_flat(plan, 0)
         bounds = np.concatenate(([0], np.cumsum(lengths)))
         for lo, hi in [(0, 24), (0, 10), (10, 24), (7, 13), (23, 24)]:
-            m, ln = sampler.sample_chunk_flat(plan, 0, lo, hi, mode=mode)
+            m, ln = sampler.sample_chunk_flat(plan, 0, lo, hi)
             assert ln.tolist() == lengths[lo:hi].tolist()
             assert m.tobytes() == members[bounds[lo] : bounds[hi]].tobytes()
 
@@ -173,26 +167,18 @@ class TestChunkSampling:
         with pytest.raises(ValueError):
             sampler.sample_chunk_flat(plan, 0, 0, 9)
 
-    def test_modes_draw_different_streams(self, small_random_graph):
-        probs = constant_probabilities(small_random_graph, 0.2)
-        plan = StreamPlan(5, ad=0, chunk_size=64)
-        sampler = RRSetSampler(small_random_graph, probs, seed=0)
-        scalar = sampler.sample_chunk_flat(plan, 0, mode="scalar")
-        blocked = sampler.sample_chunk_flat(plan, 0, mode="blocked")
-        assert scalar[0].tobytes() != blocked[0].tobytes()
-
 
 class TestRequestSplitInvariance:
     """The same index ranges sampled through any request schedule produce
     byte-identical shards (deterministic mid-allocation resume)."""
 
-    @pytest.mark.parametrize("mode", ["scalar", "blocked"])
+    @pytest.mark.parametrize("mode", ["blocked"])
     def test_one_shot_equals_incremental(self, mode):
         problem = _problem(1)
         with ShardedSamplingEngine(
-            problem.graph, _probs(problem), seeds=11, mode=mode, chunk_size=16
+            problem.graph, _probs(problem), seeds=11, chunk_size=16
         ) as one_shot, ShardedSamplingEngine(
-            problem.graph, _probs(problem), seeds=11, mode=mode, chunk_size=16
+            problem.graph, _probs(problem), seeds=11, chunk_size=16
         ) as incremental:
             one_shot.sample({0: 150, 1: 90, 2: 40})
             incremental.sample({0: 40})
@@ -202,13 +188,13 @@ class TestRequestSplitInvariance:
                 _fingerprint(one_shot), _fingerprint(incremental)
             )
 
-    @pytest.mark.parametrize("mode", ["scalar", "blocked"])
+    @pytest.mark.parametrize("mode", ["blocked"])
     def test_ensure_is_an_index_range_request(self, mode):
         problem = _problem(2)
         with ShardedSamplingEngine(
-            problem.graph, _probs(problem), seeds=3, mode=mode, chunk_size=8
+            problem.graph, _probs(problem), seeds=3, chunk_size=8
         ) as a, ShardedSamplingEngine(
-            problem.graph, _probs(problem), seeds=3, mode=mode, chunk_size=8
+            problem.graph, _probs(problem), seeds=3, chunk_size=8
         ) as b:
             a.sample({0: 60})
             b.ensure({0: 25})
@@ -217,7 +203,7 @@ class TestRequestSplitInvariance:
             _assert_fingerprints_equal(_fingerprint(a), _fingerprint(b))
             assert b.shard(0).num_total == 60
 
-    @pytest.mark.parametrize("mode", ["scalar", "blocked"])
+    @pytest.mark.parametrize("mode", ["blocked"])
     def test_partial_tail_chunks_are_computed_once(self, mode, monkeypatch):
         """Continuation requests re-entering a partially consumed chunk
         must reuse the cached block, not resample it — with the cache,
@@ -232,9 +218,9 @@ class TestRequestSplitInvariance:
 
         monkeypatch.setattr(RRSetSampler, "sample_chunk_block", counting)
         with ShardedSamplingEngine(
-            problem.graph, _probs(problem), seeds=6, mode=mode, chunk_size=16
+            problem.graph, _probs(problem), seeds=6, chunk_size=16
         ) as eng, ShardedSamplingEngine(
-            problem.graph, _probs(problem), seeds=6, mode=mode, chunk_size=16
+            problem.graph, _probs(problem), seeds=6, chunk_size=16
         ) as one_shot:
             for count in (10, 10, 20):  # tails at 10, 20, 40 — chunks 0..2
                 eng.sample({0: count})
@@ -250,11 +236,13 @@ class TestRequestSplitInvariance:
                 eng.ensure({9: 10})
             with pytest.raises(ConfigurationError):
                 eng.ensure({0: -1})
+        with pytest.raises(ConfigurationError):
+            ShardedSamplingEngine(problem.graph, _probs(problem), chunk_size=0)
 
 
 class TestWorkerCountInvariance:
     """The acceptance matrix: byte-identical pools for workers in
-    {1, 2, 4} × chunk_size in {1, 7, 64}, on both sampler modes.
+    {1, 2, 4} × chunk_size in {1, 7, 64}.
 
     The matrix honours ``pytest --backend``: the CI numba leg re-runs it
     with both engines on the JIT backend (backends are byte-identical,
@@ -264,14 +252,14 @@ class TestWorkerCountInvariance:
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     @pytest.mark.parametrize("chunk_size", [1, 7, 64])
-    @pytest.mark.parametrize("mode", ["scalar", "blocked"])
+    @pytest.mark.parametrize("mode", ["blocked"])
     def test_pools_byte_identical(self, mode, chunk_size, workers, rrset_backend):
         problem = _problem(4, num_ads=2)
         with ShardedSamplingEngine(
-            problem.graph, _probs(problem), seeds=8, mode=mode,
+            problem.graph, _probs(problem), seeds=8,
             engine="serial", chunk_size=chunk_size, backend=rrset_backend,
         ) as serial, ShardedSamplingEngine(
-            problem.graph, _probs(problem), seeds=8, mode=mode,
+            problem.graph, _probs(problem), seeds=8,
             engine="process", max_workers=workers, chunk_size=chunk_size,
             backend=rrset_backend,
         ) as process:
@@ -625,29 +613,6 @@ class TestShmHygiene:
         assert "leaked" not in result.stderr, result.stderr
 
 
-class TestLegacyMode:
-    def test_legacy_process_warns_and_samples_serially(self):
-        problem = _problem(8)
-        with pytest.warns(RuntimeWarning, match="strictly sequential"):
-            eng = ShardedSamplingEngine(
-                problem.graph, _probs(problem), seeds=5, rng="legacy",
-                engine="process",
-            )
-        with eng, ShardedSamplingEngine(
-            problem.graph, _probs(problem), seeds=5, rng="legacy", engine="serial"
-        ) as serial:
-            eng.sample({0: 40, 1: 20, 2: 10})
-            serial.sample({0: 40, 1: 20, 2: 10})
-            _assert_fingerprints_equal(_fingerprint(eng), _fingerprint(serial))
-
-    def test_rejects_bad_rng(self):
-        problem = _problem(8)
-        with pytest.raises(ConfigurationError):
-            ShardedSamplingEngine(problem.graph, _probs(problem), rng="mersenne")
-        with pytest.raises(ConfigurationError):
-            ShardedSamplingEngine(problem.graph, _probs(problem), chunk_size=0)
-
-
 class TestTIRMContract:
     def test_chunk_size_is_part_of_the_contract(self):
         problem = _problem(9, num_ads=2)
@@ -660,8 +625,9 @@ class TestTIRMContract:
         assert np.array_equal(a.estimated_revenues, b.estimated_revenues)
 
     def test_rejects_bad_rng_params(self):
-        with pytest.raises(ConfigurationError):
-            TIRMAllocator(rng="mersenne")
+        for other_stream in ("mersenne", "legacy"):
+            with pytest.raises(ConfigurationError, match="rng must be 'philox'"):
+                TIRMAllocator(rng=other_stream)
         with pytest.raises(ConfigurationError):
             TIRMAllocator(chunk_size=0)
 
@@ -711,14 +677,3 @@ class TestTIRMContract:
             TIRMAllocator(transport="carrier-pigeon")
         with pytest.raises(ConfigurationError):
             TIRMAllocator(start_method="forkserver")
-
-    def test_legacy_provenance_records_the_master_seed(self):
-        problem = _problem(9, num_ads=2)
-        result = TIRMAllocator(
-            seed=5, rng="legacy", initial_pilot=300, max_rr_sets_per_ad=2_000,
-            epsilon=0.25,
-        ).allocate(problem)
-        provenance = result.allocation.provenance
-        assert provenance["rng"] == "legacy"
-        assert provenance["seed"] == 5  # enough to re-derive the legacy streams
-        assert provenance["stream_entropy"] is None

@@ -17,11 +17,12 @@ from repro.advertising.attention import AttentionBounds
 from repro.advertising.catalog import AdCatalog
 from repro.advertising.problem import AdAllocationProblem
 from repro.algorithms.tirm import TIRMAllocator
-from repro.errors import ServiceError
+from repro.errors import ReproError, ServiceError
 from repro.graph.generators import erdos_renyi
 from repro.graph.probabilities import constant_probabilities
 from repro.service.jobs import JobManager, build_allocator, modified_problem
 from repro.service.pool import EnginePool
+from repro.service.server import AllocationServer
 
 
 @pytest.fixture(autouse=True)
@@ -89,12 +90,7 @@ class TestEnginePool:
         assert EnginePool.lease_key(problem, base) == EnginePool.lease_key(
             problem, build_allocator(PARAMS, dataset=None)
         )
-        for change in (
-            {"seed": 1},
-            {"chunk_size": 64},
-            {"rng": "legacy"},
-            {"sampler_mode": "scalar"},
-        ):
+        for change in ({"seed": 1}, {"chunk_size": 64}):
             other = build_allocator({**PARAMS, **change}, dataset=None)
             assert EnginePool.lease_key(problem, other) != EnginePool.lease_key(
                 problem, base
@@ -207,6 +203,27 @@ class TestJobManager:
                 manager.result(job.job_id)
             with pytest.raises(ServiceError, match="failed"):
                 manager.reallocate(job.job_id, update_budgets={0: 9.0})
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ({"rng": "legacy"}, "rng must be 'philox'"),
+            ({"sampler_mode": "scalar"}, "unknown allocator parameters"),
+        ],
+    )
+    def test_other_stream_contracts_are_refused_at_submit(self, params, message):
+        """A request naming another stream contract fails synchronously
+        with a one-line :class:`ReproError` — what the server's reply
+        loop answers as ``{"ok": false, "error": ...}`` — and no job."""
+        with JobManager(cache=None) as manager:
+            server = AllocationServer(manager)
+            with pytest.raises(ReproError, match=message) as refusal:
+                server.dispatch({
+                    "op": "submit-allocation", "dataset": "figure1",
+                    "params": {**PARAMS, **params},
+                })
+            assert "\n" not in str(refusal.value)
+            assert manager.list_jobs() == []
 
     def test_restart_over_cache_dir_serves_warm_runs(self, tmp_path):
         """A killed-and-restarted service over the same --cache dir

@@ -8,6 +8,7 @@ and recomputes), never as a silently wrong splice.
 from __future__ import annotations
 
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -38,21 +39,10 @@ def test_roundtrip_preserves_payload(tmp_path):
     assert entry.num_sets == 3
     assert entry.num_members == 6
     assert entry.digest == digest
-    assert entry.state is None
     assert np.array_equal(entry.lengths, lengths)
     assert np.array_equal(entry.members, members)
     entry.release()
     assert entry.buffer is None
-
-
-def test_roundtrip_preserves_stream_state(tmp_path):
-    members, lengths = _sample_block()
-    path = str(tmp_path / "0.blk")
-    state = {"kind": "legacy", "position": 42, "seeds": [1, 2, 3]}
-    write_block(path, members, lengths, state=state)
-    entry = load_block(path)
-    assert entry.state == state
-    entry.release()
 
 
 def test_offsets_match_packed_layout(tmp_path):
@@ -129,13 +119,19 @@ class TestCorruption:
         with pytest.raises(CorruptBlockError, match="digest mismatch"):
             load_block(path)
 
-    def test_undecodable_state(self, tmp_path):
-        members, lengths = _sample_block()
-        path = str(tmp_path / "0.blk")
-        write_block(path, members, lengths, state={"position": 1})
-        size = os.path.getsize(path)
+    @pytest.mark.parametrize("declared", [True, False])
+    def test_bytes_after_the_members_are_rejected(self, tmp_path, declared):
+        """The format ends at the last member: a trailer — whether the
+        reserved ``state_len`` field declares it (a stream-state entry
+        from another format generation) or not — is corruption, even
+        though the payload digest still verifies."""
+        path = self._written(tmp_path)
+        trailer = b'{"position": 1}'
         with open(path, "r+b") as handle:
-            handle.seek(size - 3)
-            handle.write(b"\xff\xff\xff")
-        with pytest.raises(CorruptBlockError, match="stream state"):
+            if declared:
+                handle.seek(24)  # the header's state_len field
+                handle.write(struct.pack("<q", len(trailer)))
+            handle.seek(0, os.SEEK_END)
+            handle.write(trailer)
+        with pytest.raises(CorruptBlockError, match="inconsistent sizes"):
             load_block(path)

@@ -2,10 +2,9 @@
 
 A second run against a populated cache must perform **zero**
 sampling-backend invocations while producing byte-identical shards,
-dsan roots, and allocations — across engines, transports, and rng
-disciplines.  And the cache must be failure-transparent: poisoned
-entries are quarantined and recomputed, diverged legacy sequences fall
-back to sampling, concurrent writers race benignly.
+dsan roots, and allocations — across engines and transports.  And the
+cache must be failure-transparent: poisoned entries are quarantined and
+recomputed, concurrent writers race benignly.
 """
 
 from __future__ import annotations
@@ -60,10 +59,10 @@ def _assert_shards_equal(a: ShardedSamplingEngine, b: ShardedSamplingEngine):
             assert np.array_equal(pa.get_set(i), pb.get_set(i))
 
 
-def _run(cache, *, engine="serial", rng="philox", **kwargs):
+def _run(cache, *, engine="serial", **kwargs):
     graph, probs = _inputs()
     eng = ShardedSamplingEngine(
-        graph, probs, seeds=5, engine=engine, rng=rng, chunk_size=64,
+        graph, probs, seeds=5, engine=engine, chunk_size=64,
         dsan=True, cache=cache, **kwargs,
     )
     with eng:
@@ -74,12 +73,11 @@ def _run(cache, *, engine="serial", rng="philox", **kwargs):
 
 class TestWarmStartMatrix:
     @pytest.mark.parametrize(
-        "engine,rng",
-        [("serial", "philox"), ("process", "philox"), ("serial", "legacy")],
+        "engine,rng", [("serial", "philox"), ("process", "philox")]
     )
     def test_warm_run_performs_zero_backend_invocations(self, tmp_path, engine, rng):
         graph, probs = _inputs()
-        kwargs = dict(seeds=5, engine=engine, rng=rng, chunk_size=64, dsan=True)
+        kwargs = dict(seeds=5, engine=engine, chunk_size=64, dsan=True)
         with ShardedSamplingEngine(
             graph, probs, cache=str(tmp_path), **kwargs
         ) as cold:
@@ -156,25 +154,6 @@ class TestFailureTransparency:
         assert warm_invocations == 1
         assert warm_root == cold_root
         assert stats["corrupt"] == 1
-
-    def test_diverged_legacy_sequence_falls_back_to_sampling(self, tmp_path):
-        graph, probs = _inputs()
-        kwargs = dict(seeds=5, rng="legacy", dsan=True)
-        with ShardedSamplingEngine(graph, probs, cache=str(tmp_path), **kwargs) as cold:
-            cold.sample({0: 100, 1: 50, 2: 50})
-        # Different request counts: the cached sequence no longer
-        # matches, so the engine must sample — and still be bit-exact.
-        with ShardedSamplingEngine(
-            graph, probs, cache=str(tmp_path), **kwargs
-        ) as warm, ShardedSamplingEngine(graph, probs, **kwargs) as plain:
-            for eng in (warm, plain):
-                eng.sample({0: 60, 1: 50, 2: 50})
-                eng.sample({0: 40})
-            # ads 1 and 2 hit (same counts); ad 0 diverged, so both of
-            # its requests resampled.
-            assert warm.backend_invocations == 2
-            assert warm.dsan_root() == plain.dsan_root()
-            _assert_shards_equal(warm, plain)
 
     def test_concurrent_writers_agree(self, tmp_path):
         """Two processes cold-populating one cache directory race
