@@ -61,10 +61,6 @@ GROWTH_CHUNK = 512
 #: Backend-comparison section: blocked sampling, numpy vs numba.
 BACKEND_THETA = 20_000
 BACKEND_SCALE = 0.003
-#: Transport-comparison section: pickle vs shared-memory descriptors.
-TRANSPORT_THETA = 8_000
-#: Prefetch section: TIRM with speculative θ-growth prefetch on vs off.
-PREFETCH_RR_CAP = 6_000
 #: Shard-cache section: TIRM cold (populating) vs warm (zero sampling).
 SHARD_CACHE_RR_CAP = 6_000
 #: Service section: cold submit vs warm resubmit vs incremental realloc.
@@ -130,14 +126,14 @@ def _rows(theta: int = THETA):
 
 def run_sharded_pilot(
     problem, *, engine: str, theta: int = SHARDED_THETA,
-    seed: int = 0, transport: str = "auto",
+    seed: int = 0,
 ) -> tuple[float, list[tuple[int, np.ndarray, np.ndarray]]]:
     """One TIRM-style pilot phase (θ sets for every ad) through the
     sharded engine; returns the wall-clock and per-shard fingerprints."""
     h = problem.num_ads
     probs = [problem.ad_edge_probabilities(ad) for ad in range(h)]
     with ShardedSamplingEngine(
-        problem.graph, probs, seeds=seed, engine=engine, transport=transport,
+        problem.graph, probs, seeds=seed, engine=engine,
     ) as eng:
         # Warm the worker pool so fork/startup cost is not charged to the
         # timed pilot (the executor is created lazily on first sample).
@@ -255,56 +251,6 @@ def _backend_rows(theta: int = BACKEND_THETA, scale: float = BACKEND_SCALE):
     return [
         ["backend-blocked", problem.num_nodes, "numpy", 1, theta, t_ref, 1.0],
         ["backend-blocked", problem.num_nodes, label, 1, theta, t_alt, speedup],
-    ]
-
-
-def _transport_rows(theta: int = TRANSPORT_THETA, scale: float = SHARDED_SCALE):
-    """Pickle vs shared-memory transport on the process engine: the
-    descriptor path must produce byte-identical shards (asserted) — it
-    only changes how the same bytes cross the process boundary."""
-    problem = dblp_like(scale=scale, num_ads=SHARDED_ADS, seed=13)
-    t_pickle, shards_pickle = run_sharded_pilot(
-        problem, engine="process", theta=theta, transport="pickle"
-    )
-    t_shm, shards_shm = run_sharded_pilot(
-        problem, engine="process", theta=theta, transport="shm"
-    )
-    for (ns, ms, ps), (nh, mh, ph) in zip(shards_pickle, shards_shm):
-        assert ns == nh
-        assert np.array_equal(ms, mh)
-        assert np.array_equal(ps, ph)
-    speedup = t_pickle / t_shm if t_shm > 0 else float("inf")
-    return [
-        ["transport", problem.num_nodes, "pickle", SHARDED_ADS, theta,
-         t_pickle, 1.0],
-        ["transport", problem.num_nodes, "shm", SHARDED_ADS, theta,
-         t_shm, speedup],
-    ]
-
-
-def _prefetch_rows(max_rr_sets: int = PREFETCH_RR_CAP, scale: float = SHARDED_SCALE):
-    """TIRM with speculative θ-growth prefetch on vs off: the allocation
-    must be identical (asserted) — prefetch only overlaps next-iteration
-    sampling with the greedy phase, it never changes which sets exist."""
-    problem = dblp_like(scale=scale, num_ads=3, seed=13)
-
-    def run(prefetch: bool) -> tuple[float, object]:
-        allocator = TIRMAllocator(
-            seed=0, epsilon=0.3, max_rr_sets_per_ad=max_rr_sets,
-            engine="process", chunk_size=512, prefetch=prefetch,
-        )
-        t0 = time.perf_counter()
-        result = allocator.allocate(problem)
-        return time.perf_counter() - t0, result
-
-    t_off, off = run(False)
-    t_on, on = run(True)
-    assert on.allocation == off.allocation
-    assert on.stats["theta_per_ad"] == off.stats["theta_per_ad"]
-    speedup = t_off / t_on if t_on > 0 else float("inf")
-    return [
-        ["tirm-prefetch", problem.num_nodes, "off", 3, max_rr_sets, t_off, 1.0],
-        ["tirm-prefetch", problem.num_nodes, "on", 3, max_rr_sets, t_on, speedup],
     ]
 
 
@@ -426,8 +372,6 @@ def write_json_report(
     cycle_theta: int = THETA,
     sharded_theta: int = SHARDED_THETA,
     growth_theta: int = GROWTH_THETA,
-    transport_theta: int = TRANSPORT_THETA,
-    prefetch_rr_cap: int = PREFETCH_RR_CAP,
     shard_cache_rr_cap: int = SHARD_CACHE_RR_CAP,
     service_rr_cap: int = SERVICE_RR_CAP,
 ) -> dict:
@@ -454,8 +398,6 @@ def write_json_report(
             "engine_cycle": cycle_theta,
             "sharded_pilot": sharded_theta,
             "growth_topup": growth_theta,
-            "transport": transport_theta,
-            "prefetch_rr_cap": prefetch_rr_cap,
             "shard_cache_rr_cap": shard_cache_rr_cap,
             "service_rr_cap": service_rr_cap,
         },
@@ -463,8 +405,6 @@ def write_json_report(
             "engine_cycle": cycle,
             "sharded_pilot": _as_records(_sharded_rows(theta=sharded_theta)),
             "growth_topup": _as_records(_growth_rows(theta=growth_theta)),
-            "transport": _as_records(_transport_rows(theta=transport_theta)),
-            "prefetch": _as_records(_prefetch_rows(max_rr_sets=prefetch_rr_cap)),
             "shard_cache": _as_records(
                 _shard_cache_rows(max_rr_sets=shard_cache_rr_cap)
             ),
@@ -561,37 +501,6 @@ def test_backend_comparison_smoke(run_once):
     )
 
 
-def test_transport_comparison_smoke(run_once):
-    """Pickle vs shm transport must agree set-for-set (asserted inside
-    ``_transport_rows``); the speedup is reported, never asserted — at
-    smoke θ on a single-core runner it measures noise."""
-    rows = run_once(_transport_rows, theta=1_000)
-    print()
-    print(
-        format_table(
-            ["phase", "n", "transport", "ads", "theta/ad", "wall (s)", "speedup"],
-            rows,
-            title=f"Worker transport: pickle vs shared-memory descriptors "
-                  f"({os.cpu_count() or 1} cores visible)",
-        )
-    )
-
-
-def test_prefetch_smoke(run_once):
-    """TIRM prefetch on vs off must allocate identically (asserted in
-    ``_prefetch_rows``); the overlap win is reported, never asserted."""
-    rows = run_once(_prefetch_rows, max_rr_sets=1_500)
-    print()
-    print(
-        format_table(
-            ["phase", "n", "prefetch", "ads", "rr cap", "wall (s)", "speedup"],
-            rows,
-            title=f"TIRM speculative θ-growth prefetch "
-                  f"({os.cpu_count() or 1} cores visible)",
-        )
-    )
-
-
 def test_shard_cache_smoke(run_once):
     """Cold vs warm TIRM through the shard cache: the warm run must
     perform zero backend invocations and allocate identically (both
@@ -632,8 +541,6 @@ def test_json_report_smoke(tmp_path):
         cycle_theta=500,
         sharded_theta=300,
         growth_theta=1_000,
-        transport_theta=300,
-        prefetch_rr_cap=1_000,
         shard_cache_rr_cap=1_000,
         service_rr_cap=1_000,
     )
@@ -642,16 +549,14 @@ def test_json_report_smoke(tmp_path):
     assert on_disk == report
     sections = on_disk["sections"]
     assert set(sections) == {
-        "engine_cycle", "sharded_pilot", "growth_topup", "transport",
-        "prefetch", "shard_cache", "service",
+        "engine_cycle", "sharded_pilot", "growth_topup", "shard_cache",
+        "service",
     }
     assert {row["variant"] for row in sections["service"]} == {
         "cold", "warm", "realloc",
     }
-    assert {row["variant"] for row in sections["transport"]} == {"pickle", "shm"}
-    assert {row["variant"] for row in sections["prefetch"]} == {"on", "off"}
     assert {row["variant"] for row in sections["shard_cache"]} == {"cold", "warm"}
-    assert all(row["wall_s"] >= 0 for row in sections["transport"])
+    assert all(row["wall_s"] >= 0 for row in sections["growth_topup"])
     assert all(r["total"] > 0 for r in sections["engine_cycle"])
 
 
@@ -752,18 +657,6 @@ if __name__ == "__main__":
             "backend-blocked: numba not installed — JIT comparison skipped "
             "(pip install numba; byte-equality of the kernel is still "
             "covered by the smoke test and tests/rrset/test_backends.py)"
-        )
-    for row in _transport_rows():
-        label, n, transport, ads, theta, wall, speedup = row
-        print(
-            f"{label:13s} n={n:7d} {transport:8s} h={ads} theta={theta} "
-            f"wall={wall:7.3f}s speedup={speedup:5.2f}x"
-        )
-    for row in _prefetch_rows():
-        label, n, prefetch, ads, cap, wall, speedup = row
-        print(
-            f"{label:13s} n={n:7d} {prefetch:8s} h={ads} rr_cap={cap} "
-            f"wall={wall:7.3f}s speedup={speedup:5.2f}x"
         )
     for row in _shard_cache_rows():
         label, n, variant, ads, cap, wall, speedup = row

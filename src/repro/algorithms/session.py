@@ -174,16 +174,12 @@ class AllocationSession:
         self.checkpoint = checkpoint
         self.job_id = job_id
         # Direct constructions (tests, the service) may not have run the
-        # facade's up-front backend/transport resolution; the checkpoint
-        # config records both, so resolve them here when missing.
+        # facade's up-front backend resolution; the checkpoint config
+        # records it, so resolve it here when missing.
         if getattr(config, "_backend_obj", None) is None:
             from repro.rrset.backends import resolve_backend
 
             config._backend_obj = resolve_backend(config.backend)
-        if getattr(config, "_transport_resolved", None) is None:
-            config._transport_resolved = ShardedSamplingEngine.resolve_transport(
-                config.transport
-            )
         self.allocation = Allocation(problem.num_ads, problem.num_nodes)
         self.budgets = problem.catalog.budgets()
         self.cpes = problem.catalog.cpes()
@@ -508,7 +504,6 @@ class AllocationSession:
             "backend": engine.backend_name,
             "transport": engine.transport,
             "start_method": engine.start_method,
-            "prefetch": config.prefetch,
             "dsan": engine.dsan,
             "checkpoints_written": self.checkpoints_written,
             "resumed_at_iteration": self.resumed_at,
@@ -633,8 +628,8 @@ class AllocationSession:
         2's trigger fires for one ad per iteration — the ad whose seed
         count just reached its estimate.  Under counter-based streams
         the engine splits even that single-ad request into ``(ad,
-        chunk)`` tasks fanned across the process pool, so the growth
-        phase — previously the serial bottleneck — scales with workers.
+        chunk)`` tasks fanned across its substrate, so the growth
+        phase scales with workers.
         The request names the absolute target ``θ_i`` (set indices
         ``[0, θ_i)``), so the sampled sets are independent of how growth
         events interleave."""
@@ -659,23 +654,23 @@ class AllocationSession:
         if not targets:
             return
         self.engine.ensure(targets)
-        if self.config.prefetch:
-            # Speculative pipeline hint: the *next* growth event for this
-            # ad will raise s_i by at least 1, so θ(s_i + 1) lower-bounds
-            # the next θ target.  Submitting those chunks now lets the
-            # worker pool sample them while the parent runs Algorithm 4
-            # and the greedy selection below — legal because chunks are
-            # pure functions of their stream address, so the speculative
-            # sets are byte-identical whether or not they are needed
-            # (never-consumed chunks are discarded at engine close).
-            hints: dict[int, int] = {}
-            for ad in sorted(targets):
-                state = states[ad]
-                hint = self._theta_for(state, state.seed_size_estimate + 1)
-                if hint > state.theta:
-                    hints[ad] = hint
-            if hints:
-                self.engine.prefetch(hints)
+        # Speculative pipeline hint: the *next* growth event for this ad
+        # will raise s_i by at least 1, so θ(s_i + 1) lower-bounds the
+        # next θ target.  Submitting those chunks now lets the substrate
+        # sample them while the parent runs Algorithm 4 and the greedy
+        # selection below — legal because chunks are pure functions of
+        # their stream address, so the speculative sets are
+        # byte-identical whether or not they are needed (never-consumed
+        # chunks are drained at engine close; an in-process engine
+        # submits nothing).
+        hints: dict[int, int] = {}
+        for ad in sorted(targets):
+            state = states[ad]
+            hint = self._theta_for(state, state.seed_size_estimate + 1)
+            if hint > state.theta:
+                hints[ad] = hint
+        if hints:
+            self.engine.prefetch(hints)
         for ad in sorted(targets):
             state = states[ad]
             # Algorithm 4: walk existing seeds in selection order, credit

@@ -29,9 +29,13 @@ checkpoint compatibility record, and engine/cache lifecycle.  The loop
 itself lives in :mod:`repro.algorithms.session` as the resumable
 :class:`~repro.algorithms.session.AllocationSession` state machine —
 ``allocate()`` builds one engine, runs one session to completion, and
-closes the engine, byte-identical to the historical monolithic loop by
-the equivalence suite.  Long-lived callers (the :mod:`repro.service`
-tier) drive sessions directly over pooled engines instead.
+closes the engine.  ``engine=`` names the substrate the engine's one
+chunk path fans out over — in-process, a process pool, or a socket
+fleet (:mod:`repro.rrset.sharded`) — and is the only substrate choice
+there is: every substrate yields the same bytes, so how workers start
+and how blocks travel home are observed and recorded, never configured.
+Long-lived callers (the :mod:`repro.service` tier) drive sessions
+directly over pooled engines instead.
 """
 
 from __future__ import annotations
@@ -58,12 +62,7 @@ from repro.errors import ConfigurationError
 from repro.rrset.backends import BACKEND_MODES, SamplingBackend, resolve_backend
 from repro.rrset.checkpoint import TIRMCheckpoint
 from repro.rrset.sampler import DEFAULT_CHUNK_SIZE, STREAM_MODE, STREAM_RNG
-from repro.rrset.sharded import (
-    ENGINE_MODES,
-    START_METHODS,
-    TRANSPORT_MODES,
-    ShardedSamplingEngine,
-)
+from repro.rrset.sharded import ENGINE_MODES, ShardedSamplingEngine
 from repro.rrset.tim import greedy_max_coverage, required_rr_sets
 from repro.utils.timing import Timer
 
@@ -90,7 +89,7 @@ class TIRMAllocator(Allocator):
         ``"serial"`` (default) samples every ad's RR-sets in-process;
         ``"process"`` fans the sharded engine's chunk tasks — the
         batched pilot phase *and* every single-ad growth top-up — across
-        a fork-based process pool.  The two produce identical
+        a process pool.  The two produce identical
         allocations for the same ``(seed, chunk_size)``: every chunk of
         RR sets is a pure function of its ``(seed, ad, set_index)``
         address.  ``"dist"`` scatters the same chunk
@@ -128,26 +127,12 @@ class TIRMAllocator(Allocator):
         resumes under another.  Stats and provenance record the
         *resolved* name.
     transport:
-        Worker-result transport for ``engine="process"``: ``"shm"``
-        (workers publish packed chunk blocks into shared-memory
-        segments; the parent splices zero-copy), ``"pickle"`` (blocks
-        travel over the result pipe), or ``"auto"`` (default: shm where
-        available).  Like ``backend``, **not** part of the determinism
-        contract — both transports produce byte-identical pools and
-        allocations, and checkpoints resume across transports.  Stats,
-        provenance and checkpoints record the *resolved* name.
-    start_method:
-        Worker start method for ``engine="process"``: ``"fork"``,
-        ``"spawn"``, or ``"auto"`` (default: fork where available, else
-        spawn via a shared-memory payload arena).  Not part of the
-        determinism contract.
-    prefetch:
-        When true (default), issue speculative next-θ prefetch hints to
-        the engine after each growth event, so RR-set sampling overlaps
-        greedy selection under ``engine="process"``.  Purely a pipeline
-        knob: chunks are pure functions of their stream address, so the
-        allocation is byte-identical with prefetch on or off (no-op for
-        ``engine="serial"``).
+        Accepted with the single value ``"auto"``: how chunk blocks
+        travel home is decided by the engine substrate (shared-memory
+        descriptors in-process, RESULT frames over the fleet's sockets),
+        not configured.  Any other value raises
+        :class:`~repro.errors.ConfigurationError`.  Stats, provenance
+        and checkpoints record what ran; resume never matches on it.
     initial_pilot:
         RR-sets sampled per ad before the first ``θ_i`` is computed.
     min_rr_sets_per_ad / max_rr_sets_per_ad:
@@ -227,8 +212,6 @@ class TIRMAllocator(Allocator):
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         backend="numpy",
         transport: str = "auto",
-        start_method: str = "auto",
-        prefetch: bool = True,
         initial_pilot: int = 1_000,
         min_rr_sets_per_ad: int = 500,
         max_rr_sets_per_ad: int = 200_000,
@@ -276,13 +259,10 @@ class TIRMAllocator(Allocator):
                 f"backend must be one of {BACKEND_MODES} or a SamplingBackend "
                 f"instance, got {backend!r}"
             )
-        if transport not in TRANSPORT_MODES:
+        if transport != "auto":
             raise ConfigurationError(
-                f"transport must be one of {TRANSPORT_MODES}, got {transport!r}"
-            )
-        if start_method not in START_METHODS:
-            raise ConfigurationError(
-                f"start_method must be one of {START_METHODS}, got {start_method!r}"
+                f"transport must be 'auto' (the substrate decides how blocks "
+                f"travel), got {transport!r}"
             )
         if min_rr_sets_per_ad < 1 or max_rr_sets_per_ad < min_rr_sets_per_ad:
             raise ConfigurationError(
@@ -313,9 +293,6 @@ class TIRMAllocator(Allocator):
         self.rng = rng
         self.chunk_size = int(chunk_size)
         self.backend = backend
-        self.transport = transport
-        self.start_method = start_method
-        self.prefetch = bool(prefetch)
         self.initial_pilot = int(initial_pilot)
         self.min_rr_sets_per_ad = int(min_rr_sets_per_ad)
         self.max_rr_sets_per_ad = int(max_rr_sets_per_ad)
@@ -342,9 +319,8 @@ class TIRMAllocator(Allocator):
         self._seed = seed
         # Resolved at allocate() (or by the session guard): "auto"
         # commits to a substrate before any sampling so stats/
-        # provenance/checkpoints record the resolved names.
+        # provenance/checkpoints record the resolved name.
         self._backend_obj = None
-        self._transport_resolved = None
 
     # ------------------------------------------------------------------
     def allocate(self, problem: AdAllocationProblem) -> AllocationResult:
@@ -379,15 +355,6 @@ class TIRMAllocator(Allocator):
         # record the *resolved* name.  Backends are byte-identical, so
         # resolution never affects the allocation — only throughput.
         self._backend_obj = resolve_backend(self.backend)
-        # Same story for the transport: resolve "auto" up front so
-        # stats/provenance/checkpoints record the substrate actually
-        # used (and an unavailable explicit 'shm' fails cleanly here).
-        # Like the backend, it is recorded but never matched on resume.
-        # The distributed engine's transport is always the socket wire.
-        self._transport_resolved = (
-            "socket" if self.engine == "dist"
-            else ShardedSamplingEngine.resolve_transport(self.transport)
-        )
         checkpoint = self._load_checkpoint(problem)
         engine = self._build_engine(problem, cache, checkpoint)
         with engine:
@@ -416,44 +383,32 @@ class TIRMAllocator(Allocator):
         service tier uses this to enable ``retain_blocks`` on pooled
         engines; the batch facade passes nothing extra.
         """
-        h = problem.num_ads
         # The streams take the master seed directly (per-ad separation
         # happens in the spawn key).  On resume the checkpoint's entropy
         # roots are authoritative: they rebuild the exact streams the
         # snapshot was sampled from.
-        seeds = self._seed if checkpoint is None else list(checkpoint.entropies)
+        engine_kwargs.update(
+            seeds=self._seed if checkpoint is None else list(checkpoint.entropies),
+            engine=self.engine,
+            max_workers=self.max_workers,
+            chunk_size=self.chunk_size,
+            backend=self._backend_obj if self._backend_obj is not None
+            else self.backend,
+            dsan=self.dsan,
+            cache=cache,
+        )
+        engine_class = ShardedSamplingEngine
         if self.engine == "dist":
             # Imported lazily: the distributed tier is an optional layer
             # over the engine seam, and an in-process allocation never
             # touches repro.dist.
             from repro.dist.engine import DistributedEngine
 
-            return DistributedEngine(
-                problem.graph,
-                [problem.ad_edge_probabilities(ad) for ad in range(h)],
-                coordinator=self.coordinator,
-                seeds=seeds,
-                chunk_size=self.chunk_size,
-                backend=self._backend_obj if self._backend_obj is not None
-                else self.backend,
-                dsan=self.dsan,
-                cache=cache,
-                max_workers=self.max_workers,
-                **engine_kwargs,
-            )
-        return ShardedSamplingEngine(
+            engine_class = DistributedEngine
+            engine_kwargs["coordinator"] = self.coordinator
+        return engine_class(
             problem.graph,
-            [problem.ad_edge_probabilities(ad) for ad in range(h)],
-            seeds=seeds,
-            engine=self.engine,
-            max_workers=self.max_workers,
-            chunk_size=self.chunk_size,
-            backend=self._backend_obj if self._backend_obj is not None
-            else self.backend,
-            transport=self.transport,
-            start_method=self.start_method,
-            dsan=self.dsan,
-            cache=cache,
+            [problem.ad_edge_probabilities(ad) for ad in range(problem.num_ads)],
             **engine_kwargs,
         )
 
@@ -464,24 +419,22 @@ class TIRMAllocator(Allocator):
         different allocation, so mismatches are refused up front.
 
         ``backend`` and ``transport`` are recorded as provenance but
-        deliberately *not* matched on resume — both are byte-identical
-        substrates, so a numpy/pickle checkpoint resumes under
-        numba/shm (and vice versa) unchanged.
+        deliberately *not* matched on resume — substrates are
+        byte-identical, so a checkpoint written on one resumes on any
+        other unchanged.
         """
         seed = int(self._seed) if isinstance(self._seed, (int, np.integer)) else None
         if self._backend_obj is None:
             self._backend_obj = resolve_backend(self.backend)
-        if self._transport_resolved is None:
-            self._transport_resolved = (
-                "socket" if self.engine == "dist"
-                else ShardedSamplingEngine.resolve_transport(self.transport)
-            )
         return {
             "algorithm": self.name,
             "rng": self.rng,
             "chunk_size": self.chunk_size,
             "backend": self._backend_obj.name,
-            "transport": self._transport_resolved,
+            "transport": (
+                "socket" if self.engine == "dist"
+                else ShardedSamplingEngine.transport
+            ),
             "sampler_mode": STREAM_MODE,
             "select_rule": self.select_rule,
             "epsilon": self.epsilon,

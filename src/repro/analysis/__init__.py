@@ -2,7 +2,7 @@
 
 The headline guarantee of this codebase — every RR set is a pure
 function of ``(seed, ad, set_index)``, byte-identical across
-serial/process, fork/spawn, pickle/shm, numpy/numba
+serial/process/fleet, fork/spawn, numpy/numba
 (``docs/architecture.md``) — is enforced here as *machine-checked
 policy*, not convention:
 

@@ -24,7 +24,6 @@ from repro.evaluation.reporting import format_table
 from repro.graph.stats import graph_stats
 from repro.rrset.backends import BACKEND_MODES
 from repro.rrset.sampler import DEFAULT_CHUNK_SIZE
-from repro.rrset.sharded import START_METHODS, TRANSPORT_MODES
 
 _ALLOCATORS: dict[str, Callable[..., object]] = {
     "tirm": lambda args: TIRMAllocator(
@@ -33,9 +32,6 @@ _ALLOCATORS: dict[str, Callable[..., object]] = {
         coordinator=getattr(args, "_coordinator", None),
         chunk_size=getattr(args, "chunk_size", DEFAULT_CHUNK_SIZE),
         backend=getattr(args, "backend", "numpy"),
-        transport=getattr(args, "transport", "auto"),
-        start_method=getattr(args, "start_method", "auto"),
-        prefetch=not getattr(args, "no_prefetch", False),
         max_workers=getattr(args, "workers", None),
         checkpoint_path=getattr(args, "checkpoint", None),
         checkpoint_every=getattr(args, "checkpoint_every", None),
@@ -115,25 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
     allocate.add_argument("--workers", type=int, default=None,
                           help="process-pool width for --engine process "
                                "(default: cpu count)")
-    allocate.add_argument("--transport", choices=TRANSPORT_MODES, default="auto",
-                          help="worker→parent result transport for --engine "
-                               "process: 'shm' = zero-copy shared-memory "
-                               "blocks, 'pickle' = classic pickled arrays, "
-                               "'auto' = shm when the platform supports it.  "
-                               "Byte-identical allocations either way — only "
-                               "throughput differs")
-    allocate.add_argument("--start-method", choices=START_METHODS,
-                          dest="start_method", default="auto",
-                          help="worker start method for --engine process: "
-                               "'auto' prefers fork and falls back to spawn "
-                               "(full parallelism via a shared-memory payload "
-                               "arena) where fork is unavailable")
-    allocate.add_argument("--no-prefetch", action="store_true",
-                          dest="no_prefetch",
-                          help="disable speculative next-iteration chunk "
-                               "prefetch (TIRM only; prefetch never changes "
-                               "the allocation, only overlaps sampling with "
-                               "greedy selection)")
     allocate.add_argument("--dsan", action="store_true",
                           help="enable the runtime determinism sanitizer "
                                "(TIRM only): record a blake2 digest per "

@@ -19,8 +19,8 @@ purity over a socket:
     reassignment; a worker that dies, hangs, or returns a corrupt block
     has its chunk requeued to the survivors, byte-identically.
 :mod:`repro.dist.engine`
-    :class:`DistributedEngine` — the existing engine seam
-    (``ensure`` / ``sample`` / ``prefetch`` / dsan) over remote workers,
+    :class:`DistributedEngine` — the sharded engine with a socket fleet
+    as its chunk substrate (``submit`` / ``collect`` / ``drain``),
     so :class:`~repro.algorithms.tirm.TIRMAllocator`, the allocation
     session, and the service tier run distributed unchanged.
 

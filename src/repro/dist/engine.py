@@ -1,21 +1,23 @@
 """The engine seam over remote workers: :class:`DistributedEngine`.
 
-A :class:`~repro.rrset.sharded.ShardedSamplingEngine` subclass that
-overrides exactly one execution seam (``_dispatch_tasks``) plus
-``prefetch``: chunk tasks are scattered to a
-:class:`~repro.dist.coordinator.Coordinator` instead of a process pool,
-and verified blocks are spliced back through the *same* parent-side
-machinery — splice order, dsan recording, tail-block caching, shard
-cache write-through — so serial, process-pool, and distributed runs are
-byte-identical by construction.  ``TIRMAllocator``, the allocation
-session, checkpointing, and the service tier run on it unchanged.
+A :class:`~repro.rrset.sharded.ShardedSamplingEngine` whose substrate is
+a socket fleet: the engine's one chunk path — scatter, gather in
+ascending ``(ad, chunk)`` order, splice, dsan recording, block memo,
+shard cache write-through — runs unchanged, and only *where a chunk is
+computed* differs.  :class:`_Fleet` implements the substrate seam
+(``submit`` / ``collect`` / ``drain``) over a
+:class:`~repro.dist.coordinator.Coordinator` session, so serial,
+process-pool, and distributed runs are byte-identical by construction.
+``TIRMAllocator``, the allocation session, checkpointing, and the
+service tier run on it unchanged.
 
 Fallback guarantee: a future that fails because the fleet is empty
 (:class:`~repro.dist.coordinator.WorkersUnavailableError`) or a chunk
 exhausted its retries (:class:`~repro.dist.coordinator.TaskFailedError`)
-is computed locally with the engine's own samplers (warning once) —
-the same pure ``(entropy, ad, chunk)`` function the worker would have
-evaluated, so an allocation always completes with identical bytes.
+is computed locally from the engine's own chunk source (warning once
+per run) — the same pure ``(entropy, ad, chunk)`` function the worker
+would have evaluated, so an allocation always completes with identical
+bytes.
 
 Topology — worker count, worker backends, placement, the retry
 schedule — is provenance, not contract: :meth:`dist_stats` feeds the
@@ -27,8 +29,6 @@ from __future__ import annotations
 import warnings
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from repro.dist.coordinator import (
     Coordinator,
     TaskFailedError,
@@ -36,12 +36,7 @@ from repro.dist.coordinator import (
 )
 from repro.errors import ConfigurationError
 from repro.graph.digraph import DirectedGraph
-from repro.rrset.sampler import DEFAULT_CHUNK_SIZE
-from repro.rrset.sharded import (
-    ShardedSamplingEngine,
-    _payload_layout,
-    _payload_parts,
-)
+from repro.rrset.sharded import ChunkSubstrate, ShardedSamplingEngine, _Block
 
 #: Coordinator spec keys accepted when the engine builds (and owns) its
 #: own coordinator from a dict instead of borrowing an instance.
@@ -49,6 +44,55 @@ _COORDINATOR_SPEC_KEYS = frozenset({
     "host", "port", "allow_remote", "task_timeout", "max_retries",
     "worker_grace", "max_frame_bytes",
 })
+
+
+class _Fleet(ChunkSubstrate):
+    """The socket-fleet substrate: chunks are tasks of one coordinator
+    session; a chunk the fleet cannot deliver is computed locally."""
+
+    def __init__(self, coordinator, session_id, owned, source, label) -> None:
+        self.coordinator = coordinator
+        self.session_id = session_id
+        self._owned = owned
+        self._source = source
+        self._label = label
+        #: Run-scoped: chunks computed locally, and whether that warned.
+        self.fallbacks = 0
+        self.warned = False
+
+    def submit(self, ad: int, chunk_index: int):
+        return self.coordinator.submit(self.session_id, ad, chunk_index)
+
+    def collect(self, ad: int, chunk_index: int, future) -> _Block:
+        try:
+            return super().collect(ad, chunk_index, future)
+        except (WorkersUnavailableError, TaskFailedError) as exc:
+            if not self.warned:
+                self.warned = True
+                warnings.warn(
+                    f"{self._label}: remote chunk (ad={ad}, "
+                    f"chunk={chunk_index}) failed ({exc}); computing "
+                    f"locally — results are byte-identical, only the substrate "
+                    f"changed",
+                    RuntimeWarning,
+                    stacklevel=5,
+                )
+            self.fallbacks += 1
+            return _Block(*self._source.block(ad, chunk_index))
+
+    def close(self) -> None:
+        """Release the payload held by the coordinator — and the
+        coordinator itself when the engine built it from a spec (a
+        borrowed coordinator belongs to the caller)."""
+        try:
+            self.coordinator.release_session(self.session_id)
+        except Exception:  # pragma: no cover - teardown must not raise
+            pass
+        if self._owned:
+            try:
+                self.coordinator.close()
+            except Exception:  # pragma: no cover - teardown must not raise
+                pass
 
 
 class DistributedEngine(ShardedSamplingEngine):
@@ -61,7 +105,13 @@ class DistributedEngine(ShardedSamplingEngine):
         instance — *borrowed*: the caller owns its lifetime — or a spec
         dict (``{"host": ..., "port": ..., ...}``) from which the
         engine builds a coordinator it owns and closes.
+
+    ``max_workers`` is accepted like on the base engine but sizes
+    nothing here: the fleet is however many workers dial in.
     """
+
+    _engine_modes = ("dist",)
+    transport = "socket"
 
     def __init__(
         self,
@@ -69,33 +119,10 @@ class DistributedEngine(ShardedSamplingEngine):
         probs_per_ad: Sequence,
         *,
         coordinator,
-        seeds=None,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        backend="numpy",
-        dsan: bool | None = None,
-        dsan_expected: Mapping | None = None,
-        cache=None,
-        retain_blocks: bool = False,
-        max_workers: int | None = None,
+        engine: str = "dist",
+        **engine_kwargs,
     ) -> None:
-        # max_workers is accepted (the allocator passes its knob through)
-        # but meaningless here: fleet size is however many workers dial
-        # in — topology is provenance, not contract.
-        del max_workers
-        super().__init__(
-            graph, list(probs_per_ad), seeds=seeds,
-            engine="serial", chunk_size=chunk_size,
-            backend=backend, transport="pickle", start_method="auto",
-            dsan=dsan, dsan_expected=dsan_expected, cache=cache,
-            retain_blocks=retain_blocks,
-        )
-        # Provenance strings: the base init validated its own knobs; the
-        # distributed engine reports what it actually is.
-        self.engine = "dist"
-        self.transport = "socket"
-        self._resources["transport"] = "socket"
-        self._fallback_invocations = 0
-        self._warned_fallback = False
+        super().__init__(graph, probs_per_ad, engine=engine, **engine_kwargs)
         # Shard keys always exist on a distributed engine (the base only
         # derives them when a cache is configured): workers need them to
         # consult their *local* caches, and they cost one graph digest.
@@ -104,18 +131,28 @@ class DistributedEngine(ShardedSamplingEngine):
         owned = False
         try:
             coordinator, owned = self._resolve_coordinator(coordinator)
-            meta, payload = self._session_payload()
-            self._session_id = coordinator.register_session(meta, payload)
+            session_id = coordinator.register_session(*self._session_payload())
         except BaseException:
             if owned:
                 coordinator.close()
             self.close()
             raise
-        self._coordinator = coordinator
         # The finalizer's resources dict is shared by reference, so the
         # session release rides the same idempotent teardown as every
         # other engine resource (close / GC, whichever comes first).
-        self._resources["dist"] = (coordinator, self._session_id, owned)
+        self._substrate = self._resources["substrate"] = _Fleet(
+            coordinator, session_id, owned, self._source,
+            f"DistributedEngine #{self._engine_id}",
+        )
+
+    # Shared body; kept in this class's own ``__dict__`` because the
+    # benchmark's traced pass (``bench/layers.py``) wraps it there.
+    prefetch = ShardedSamplingEngine.prefetch
+
+    def reset_for_reuse(self) -> None:
+        super().reset_for_reuse()
+        self._substrate.fallbacks = 0
+        self._substrate.warned = False
 
     # ------------------------------------------------------------------
     # Session plumbing
@@ -140,16 +177,12 @@ class DistributedEngine(ShardedSamplingEngine):
     def _session_payload(self) -> tuple[dict, bytes]:
         """The session's SETUP meta + flat PAYLOAD bytes — the same
         arrays, layout, and alignment as the spawn arena, so both worker
-        substrates rebuild identical views."""
+        kinds rebuild identical chunk sources."""
         from repro.utils.hashing import graph_digest
 
-        parts = _payload_parts(self.graph, self._samplers)
-        layout, total = _payload_layout(parts)
+        layout, total = self._source.layout()
         payload = bytearray(total)
-        for (key, dtype, count, offset), (_, array) in zip(layout, parts):
-            np.frombuffer(
-                payload, dtype=np.dtype(dtype), count=count, offset=offset
-            )[:] = array
+        self._source.write_into(payload, layout)
         meta = {
             "num_nodes": int(self.graph.num_nodes),
             "num_edges": int(self.graph.num_edges),
@@ -162,138 +195,22 @@ class DistributedEngine(ShardedSamplingEngine):
         }
         return meta, bytes(payload)
 
-    def _submit_remote(self, ad: int, chunk_index: int):
-        # Remote submits are backend invocations performed on this run's
-        # behalf (the process engine counts submits the same way); a
-        # warm cache keeps this at zero because cached chunks are never
-        # submitted.
-        self.backend_invocations += 1
-        return self._coordinator.submit(self._session_id, ad, chunk_index)
-
-    def _compute_fallback(self, ad: int, chunk_index: int, exc) -> tuple:
-        if not self._warned_fallback:
-            self._warned_fallback = True
-            warnings.warn(
-                f"DistributedEngine #{self._engine_id}: remote chunk "
-                f"(ad={ad}, chunk={chunk_index}) failed ({exc}); computing "
-                f"locally — results are byte-identical, only the substrate "
-                f"changed",
-                RuntimeWarning,
-                stacklevel=4,
-            )
-        self._fallback_invocations += 1
-        return self._samplers[ad].sample_chunk_block(self._plans[ad], chunk_index)
-
-    # ------------------------------------------------------------------
-    # The execution seam
-    # ------------------------------------------------------------------
-    def _dispatch_tasks(self, tasks: list[tuple[int, int, int, int]]) -> None:
-        # A closed engine has no session left — serve in-process, like
-        # the base engine serves a closed process engine serially.
-        if not self._finalizer.alive:
-            self._run_tasks_serial(tasks)
-            return
-        self._run_tasks_remote(tasks)
-
-    def _run_tasks_remote(self, tasks: list[tuple[int, int, int, int]]) -> None:
-        """The distributed analogue of ``_run_tasks_process``: harvest
-        in-flight prefetches, serve memo/cache hits locally, scatter the
-        rest to the fleet, splice in ascending ``(ad, chunk)`` order."""
-        blocks: dict[tuple[int, int], tuple] = {}
-        pending: dict[tuple[int, int], object] = {}
-        cache_hits: set[tuple[int, int]] = set()
-        try:
-            for ad, chunk_index, lo, hi in tasks:
-                key = (ad, chunk_index)
-                inflight = self._inflight.pop(key, None)
-                if inflight is not None:
-                    pending[key] = inflight  # harvest prefetched work
-                    continue
-                block = self._cached_block(ad, chunk_index)
-                if block is not None:
-                    blocks[key] = block
-                    continue
-                if self._cache is not None and self._cache.has(
-                    self._shard_keys[ad], chunk_index
-                ):
-                    cache_hits.add(key)
-                    continue
-                pending[key] = self._submit_remote(ad, chunk_index)
-            # Deterministic splice order (ascending ad, then chunk),
-            # independent of which worker answered first — same
-            # discipline as the process pool.
-            for ad, chunk_index, lo, hi in tasks:
-                key = (ad, chunk_index)
-                future = pending.pop(key, None)
-                if future is None:
-                    block = blocks.get(key)
-                    if block is None and key in cache_hits:
-                        if self._splice_from_cache(ad, chunk_index, lo, hi):
-                            continue
-                        block = self._samplers[ad].sample_chunk_block(
-                            self._plans[ad], chunk_index
-                        )
-                        self.backend_invocations += 1
-                        self._store_chunk(ad, chunk_index, block)
-                    self._splice_block(ad, chunk_index, lo, hi, block)
-                    continue
-                try:
-                    members, lengths = future.result()
-                except (WorkersUnavailableError, TaskFailedError) as exc:
-                    block = self._compute_fallback(ad, chunk_index, exc)
-                else:
-                    block = (members, lengths)
-                self._store_chunk(ad, chunk_index, block)
-                self._splice_block(ad, chunk_index, lo, hi, block)
-        except BaseException:
-            self._drain_futures(pending.values())
-            self.close()
-            raise
-
-    def prefetch(self, targets: Mapping[int, int]) -> int:
-        """Speculatively scatter upcoming chunks to the fleet (the
-        distributed analogue of the process engine's prefetch); returns
-        how many tasks were submitted.  No-op on a closed engine and
-        for chunks already pooled, memoized, cached, or in flight."""
-        extras = self._targets_to_extras(targets)
-        if not self._finalizer.alive or not extras:
-            return 0
-        submitted = 0
-        for ad in sorted(extras):
-            start = self._shards[ad].num_total
-            for chunk_index, _, _ in self._plans[ad].chunk_tasks(
-                start, start + extras[ad]
-            ):
-                key = (ad, chunk_index)
-                if (
-                    key in self._inflight
-                    or self._cached_block(ad, chunk_index) is not None
-                    or (
-                        self._cache is not None
-                        and self._cache.has(self._shard_keys[ad], chunk_index)
-                    )
-                ):
-                    continue
-                self._inflight[key] = self._submit_remote(ad, chunk_index)
-                submitted += 1
-        return submitted
-
     # ------------------------------------------------------------------
     # Provenance
     # ------------------------------------------------------------------
     @property
     def coordinator(self) -> Coordinator:
-        return self._coordinator
+        return self._substrate.coordinator
 
     @property
     def session_id(self) -> int:
-        return self._session_id
+        return self._substrate.session_id
 
     def dist_stats(self) -> dict:
         """Coordinator counters + this engine's local fallbacks — the
         topology provenance recorded in allocation stats.  Nothing in
         here can change a byte of any shard."""
-        stats = self._coordinator.stats()
-        stats["session"] = self._session_id
-        stats["local_fallbacks"] = self._fallback_invocations
+        stats = self.coordinator.stats()
+        stats["session"] = self.session_id
+        stats["local_fallbacks"] = self._substrate.fallbacks
         return stats

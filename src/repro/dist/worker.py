@@ -4,9 +4,10 @@
 dials the coordinator, announces itself (HELLO), and then serves TASK
 frames until the coordinator says SHUTDOWN (or vanishes).  Per session
 it receives the payload once — graph in-CSR, per-ad probability rows,
-stream entropies — in exactly the layout the spawn arena uses
-(:func:`repro.rrset.sharded._payload_parts`), rebuilds zero-copy views,
-and re-derives any requested chunk purely from
+stream entropies — in exactly the layout the spawn arena uses, and
+rebuilds over it the same :class:`~repro.rrset.sharded.ChunkSource`
+every other worker kind holds (zero-copy views, every layout entry
+bounds-checked).  The source re-derives any requested chunk purely from
 ``(entropy, ad, chunk)``: no sampler state ever crosses the wire, which
 is why a chunk can be recomputed by *any* worker after a failure and
 still be byte-identical.
@@ -31,13 +32,11 @@ from __future__ import annotations
 import os
 import socket
 
-import numpy as np
-
 from repro.dist import frames
 from repro.errors import ConfigurationError, ProtocolError
 from repro.rrset.backends import resolve_backend
-from repro.rrset.sampler import STREAM_MODE, STREAM_RNG, RRSetSampler, StreamPlan
-from repro.rrset.sharded import _graph_from_arrays
+from repro.rrset.sampler import STREAM_MODE, STREAM_RNG
+from repro.rrset.sharded import ChunkSource
 
 #: Seconds to wait for the initial TCP connect.
 CONNECT_TIMEOUT = 10.0
@@ -49,39 +48,22 @@ class WorkerExit(Exception):
 
 
 class _Session:
-    """One registered session's rebuilt payload + lazy per-ad samplers."""
+    """One registered session: its chunk source plus what the worker's
+    local shard cache needs (content keys, catalog row fields)."""
 
-    __slots__ = ("meta", "graph", "probs_per_ad", "entropies", "chunk_size",
-                 "shard_keys", "samplers")
+    __slots__ = ("source", "shard_keys", "graph_digest")
 
-    def __init__(self, meta: dict, payload: bytes) -> None:
+    def __init__(self, meta: dict, payload: bytes, backend) -> None:
         layout = meta.get("layout")
         if not isinstance(layout, list):
             raise ProtocolError("SETUP meta is missing the payload layout")
-        arrays = {}
-        for key, dtype, count, offset in layout:
-            end = offset + count * np.dtype(dtype).itemsize
-            if offset < 0 or end > len(payload):
-                raise ProtocolError(
-                    f"payload layout entry {key!r} overruns the "
-                    f"{len(payload)}-byte payload"
-                )
-            arrays[key] = np.frombuffer(
-                payload, dtype=np.dtype(dtype), count=count, offset=offset
-            )
-        self.meta = meta
-        self.graph = _graph_from_arrays(
-            meta["num_nodes"], meta["num_edges"], arrays
+        self.source = ChunkSource.from_buffer(
+            payload, layout, (meta["num_nodes"], meta["num_edges"]),
+            [int(e) for e in meta["entropies"]],
+            int(meta["chunk_size"]), backend,
         )
-        h = int(meta["h"])
-        try:
-            self.probs_per_ad = [arrays[f"probs_{ad}"] for ad in range(h)]
-        except KeyError as exc:
-            raise ProtocolError(f"payload is missing array {exc}") from exc
-        self.entropies = [int(e) for e in meta["entropies"]]
-        self.chunk_size = int(meta["chunk_size"])
         self.shard_keys = meta.get("shard_keys")
-        self.samplers: dict[int, RRSetSampler] = {}
+        self.graph_digest = meta.get("graph_digest")
 
 
 class WorkerHost:
@@ -168,7 +150,9 @@ class WorkerHost:
             meta, self._pending_setup = self._pending_setup, None
             if meta is None:
                 raise ProtocolError("PAYLOAD frame without a preceding SETUP")
-            self._sessions[int(meta["session"])] = _Session(meta, payload)
+            self._sessions[int(meta["session"])] = _Session(
+                meta, payload, self.backend
+            )
             return
         if kind == frames.TASK:
             self._handle_task(sock, frames.parse_json(payload))
@@ -207,38 +191,29 @@ class WorkerHost:
         """One packed RESULT payload for the addressed chunk — served
         from the local shard cache when possible, else re-derived from
         ``(entropy, ad, chunk)`` and written through."""
-        if not 0 <= ad < len(session.probs_per_ad):
+        source = session.source
+        if not 0 <= ad < len(source.entropies):
             raise ProtocolError(f"TASK addresses unknown ad {ad}")
         shard_key = None
         if self._cache is not None and session.shard_keys:
             shard_key = session.shard_keys[ad]
-            entry = self._cache.load(shard_key, chunk_index)
+            entry = self._cache.load(shard_key, chunk_index, source.chunk_size)
             if entry is not None:
                 try:
-                    if entry.num_sets == session.chunk_size:
-                        self.cache_hits += 1
-                        return frames.pack_result(
-                            ad, chunk_index, entry.members, entry.lengths
-                        )
+                    self.cache_hits += 1
+                    return frames.pack_result(
+                        ad, chunk_index, entry.members, entry.lengths
+                    )
                 finally:
                     entry.release()
-        sampler = session.samplers.get(ad)
-        if sampler is None:
-            # Chunk streams come from the plan; the sampler seed is inert.
-            sampler = RRSetSampler(
-                session.graph, session.probs_per_ad[ad], seed=0,
-                backend=self.backend,
-            )
-            session.samplers[ad] = sampler
-        plan = StreamPlan(session.entropies[ad], ad, session.chunk_size)
-        members, lengths = sampler.sample_chunk_block(plan, chunk_index)
+        members, lengths = source.block(ad, chunk_index)
         if shard_key is not None:
             self._cache.store(
                 shard_key, chunk_index, members, lengths,
                 meta={"ad": ad, "rng": STREAM_RNG, "mode": STREAM_MODE,
-                      "chunk_size": session.chunk_size,
-                      "entropy": str(session.entropies[ad]),
-                      "graph_hash": session.meta.get("graph_digest")},
+                      "chunk_size": source.chunk_size,
+                      "entropy": str(source.entropies[ad]),
+                      "graph_hash": session.graph_digest},
             )
         return frames.pack_result(ad, chunk_index, members, lengths)
 

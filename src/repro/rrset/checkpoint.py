@@ -20,12 +20,13 @@ selector's answers are pure functions of the coverage counters, so the
 restore path rebuilds them instead of persisting them.
 
 The compatibility config also records the *resolved* sampling
-``backend`` (``repro.rrset.backends``) and worker ``transport``
-(``repro.rrset.sharded``) as provenance, but deliberately does **not**
-match on either at resume time: backends and transports are
-byte-identical for the same streams, so a checkpoint written under the
-numpy backend over the pickle transport resumes under the numba backend
-over the shm transport (and vice versa) with an unchanged allocation —
+``backend`` (``repro.rrset.backends``) and the engine substrate's
+``transport`` name (``repro.rrset.sharded``) as provenance, but
+deliberately does **not** match on either at resume time: backends and
+substrates are byte-identical for the same streams, so a checkpoint
+written under the numpy backend in-process resumes under the numba
+backend on a socket fleet (and vice versa) with an unchanged allocation
+— whatever ``transport`` value the artifact carries — and
 only the RNG contract (``rng``, ``sampler_mode``, ``chunk_size``, seed,
 stream entropies) pins the samples.  ``rng`` and ``sampler_mode`` have
 one value each in this build (:data:`~repro.rrset.sampler.STREAM_RNG`,
@@ -68,7 +69,7 @@ CHECKPOINT_FORMAT_VERSION = 1
 #: the resuming allocator/problem — any drift would silently change the
 #: allocation the resumed run converges to.  ``backend`` and
 #: ``transport`` are stored but intentionally absent here: both are
-#: byte-identical substrates, so cross-backend and cross-transport
+#: byte-identical substrates, so cross-backend and cross-substrate
 #: resume is sound (and pinned by tests).
 _MATCH_KEYS = (
     "algorithm",

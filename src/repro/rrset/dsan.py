@@ -6,8 +6,8 @@ engine samples, a :class:`DsanRecorder` keeps a blake2 running digest
 per ``(ad, chunk)`` over the bytes each chunk contributes to the pool —
 the packed ``(lengths, members)`` block, which is itself a deterministic
 function of every RNG draw the chunk consumed.  Two runs the contract
-requires to be byte-identical (serial vs process, pickle vs shm,
-numpy vs numba, prefetch on vs off) must therefore produce *equal digest
+requires to be byte-identical (serial vs process vs fleet, fork vs
+spawn, numpy vs numba, prefetched or not) must therefore produce *equal digest
 maps*; when they do not, :func:`compare_digests` (or an ``expected=``
 recorder checking inline) raises
 :class:`~repro.errors.DeterminismError` naming the **first divergent

@@ -42,7 +42,7 @@ from repro.service.pool import EnginePool
 #: are resident, not checkpointed; everything else passes through.
 ALLOCATOR_PARAMS = frozenset({
     "epsilon", "ell", "select_rule", "engine", "rng",
-    "chunk_size", "backend", "transport", "start_method", "prefetch",
+    "chunk_size", "backend",
     "initial_pilot", "min_rr_sets_per_ad", "max_rr_sets_per_ad",
     "max_workers", "max_iterations", "dsan", "seed",
 })
@@ -426,7 +426,7 @@ class JobManager:
             raise ServiceError("job manager is closed")
         # Unlike submit(), reallocation reuses the source config object
         # directly (same-shape case), so the two runs share resolved
-        # backend/transport state and the pool key matches exactly.
+        # backend state and the pool key matches exactly.
         with self._lock:
             new_id = f"job-{next(self._ids):04d}"
             job = Job(new_id, source.dataset, problem, allocator,
@@ -450,9 +450,6 @@ class JobManager:
             "rng": allocator.rng,
             "chunk_size": allocator.chunk_size,
             "backend": allocator.backend,
-            "transport": allocator.transport,
-            "start_method": allocator.start_method,
-            "prefetch": allocator.prefetch,
             "initial_pilot": allocator.initial_pilot,
             "min_rr_sets_per_ad": allocator.min_rr_sets_per_ad,
             "max_rr_sets_per_ad": allocator.max_rr_sets_per_ad,

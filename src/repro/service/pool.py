@@ -1,15 +1,15 @@
 """Warm engine pools: lease, run, reset, repeat.
 
 A :class:`~repro.rrset.sharded.ShardedSamplingEngine` bundles the
-expensive run-independent substrates — the worker process pool, the
-shared-memory payload arena, the resolved sampling backend, the shard
-cache handle, and (on pooled engines) the in-memory block memo of every
-RR chunk already sampled.  :class:`EnginePool` keeps finished engines
-alive keyed by the inputs that pin their sample bytes, so the next
-allocation of the same instance skips both the lifecycle cost *and* —
-through the retained blocks — the sampling itself: a warm resubmit
-performs zero sampling-backend invocations yet stays byte-identical to
-a cold run.
+expensive run-independent state — its chunk substrate (the worker
+process pool and payload arena, or the distributed session), the
+resolved sampling backend, the shard cache handle, and (on pooled
+engines) the in-memory block memo of every RR chunk already sampled.
+:class:`EnginePool` keeps finished engines alive keyed by the inputs
+that pin their sample bytes, so the next allocation of the same
+instance skips both the lifecycle cost *and* — through the retained
+blocks — the sampling itself: a warm resubmit performs zero
+sampling-backend invocations yet stays byte-identical to a cold run.
 
 Leases are exclusive: an engine serves one session at a time, and
 :meth:`EnginePool.lease` calls
@@ -73,7 +73,7 @@ class EnginePool:
     change its samples or its recorded substrate: the problem content
     (graph digest + per-ad probability digests), the stream contract
     (seed, chunk size) and the substrate knobs
-    (engine mode, backend, transport, start method, worker count, dsan).
+    (engine mode, backend, worker count, dsan).
     Two requests with equal keys are guaranteed interchangeable engines.
 
     Runs seeded with a live generator object are not poolable — the
@@ -116,8 +116,6 @@ class EnginePool:
             allocator.chunk_size,
             allocator.engine,
             str(allocator.backend),
-            allocator.transport,
-            allocator.start_method,
             allocator.max_workers,
             allocator.dsan,
         )

@@ -16,7 +16,7 @@ A warm second run of the same allocation performs **zero**
 sampling-backend invocations and is byte-identical to a cold one: every
 hit is verified against its stored dsan digest before it is spliced
 (corruption → warn + recompute), so the cache — like the engine, the
-backend, and the transport — sits outside the determinism contract.
+backend, and the substrate — sits outside the determinism contract.
 
 Modules: :mod:`~repro.store.keys` (the key schema),
 :mod:`~repro.store.blocks` (the entry file format),

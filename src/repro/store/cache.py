@@ -68,7 +68,7 @@ class ShardCache:
 
     def has(self, shard_key: str, index: int) -> bool:
         """Cheap existence probe (no verification) — the submit-or-skip
-        decision for process fan-out and prefetch.  A ``False`` counts
+        decision of the engine's scatter and prefetch.  A ``False`` counts
         as a miss; a ``True`` is only counted when the later
         :meth:`load` verifies the entry."""
         if os.path.exists(self.entry_path(shard_key, index)):
@@ -76,14 +76,25 @@ class ShardCache:
         self.stats["misses"] += 1
         return False
 
-    def load(self, shard_key: str, index: int) -> BlockEntry | None:
+    def load(
+        self, shard_key: str, index: int, num_sets: int | None = None,
+    ) -> BlockEntry | None:
         """Verified read: the entry at ``(shard_key, index)``, or
         ``None`` on miss *or* corruption (the poisoned file is removed,
         its catalog row dropped, and a ``RuntimeWarning`` names it —
-        never a wrong splice)."""
+        never a wrong splice).  ``num_sets`` is the width the address
+        implies (the chunk size is part of the key): a digest-valid
+        entry of any other width is as poisoned as a digest mismatch."""
         path = self.entry_path(shard_key, index)
         try:
             entry = load_block(path)
+            if num_sets is not None and entry.num_sets != num_sets:
+                found = entry.num_sets
+                entry.release()
+                raise CorruptBlockError(
+                    f"cache entry {path} holds {found} sets, its address "
+                    f"says {num_sets}"
+                )
         except FileNotFoundError:
             self.stats["misses"] += 1
             return None

@@ -4,8 +4,8 @@ A cached block must be reusable by *any* run that would compute the
 same bytes, and by no other.  The key therefore digests exactly the
 inputs the block bytes are a pure function of — and deliberately
 excludes everything the determinism contract says is byte-identical
-substrate (engine, worker count, backend, transport, start method,
-prefetch): those are provenance, recorded in the catalog, never part of
+substrate (engine, worker count, backend, how workers start and how
+blocks travel home): those are provenance, recorded in the catalog, never part of
 the address (the provenance-not-contract rule of
 ``docs/architecture.md``).
 

@@ -115,36 +115,38 @@ def test_allocate_rejects_unknown_backend():
         main(["allocate", "figure1", "--backend", "cuda"])
 
 
-def test_allocate_transport_and_prefetch_flags(capsys):
+def test_allocate_process_engine_flags(capsys):
+    """The process engine from the command line: how workers start and
+    how blocks travel is observed from the platform, so ``--engine`` and
+    ``--workers`` are all there is to pass."""
     code = main([
         "allocate", "figure1", "--algorithm", "tirm",
         "--eval-runs", "50", "--max-rr-sets", "1000",
         "--engine", "process", "--workers", "2",
-        "--transport", "shm", "--no-prefetch",
     ])
     assert code == 0
     assert "TIRM on figure1" in capsys.readouterr().out
 
 
-def test_parser_defaults_transport_to_auto():
+def test_parser_has_no_substrate_knobs():
+    """The parser carries no substrate knobs at all; the allocator's
+    defaults (transport ``"auto"``) are what every CLI run gets."""
     args = build_parser().parse_args(["allocate", "figure1"])
-    assert args.transport == "auto"
-    assert args.start_method == "auto"
-    assert args.no_prefetch is False
-    args = build_parser().parse_args(
-        ["allocate", "figure1", "--transport", "pickle",
-         "--start-method", "spawn", "--no-prefetch"]
-    )
-    assert args.transport == "pickle"
-    assert args.start_method == "spawn"
-    assert args.no_prefetch is True
+    for knob in ("transport", "start_method", "no_prefetch"):
+        assert not hasattr(args, knob)
 
 
-def test_allocate_rejects_unknown_transport():
-    with pytest.raises(SystemExit):
-        main(["allocate", "figure1", "--transport", "carrier-pigeon"])
-    with pytest.raises(SystemExit):
-        main(["allocate", "figure1", "--start-method", "forkserver"])
+def test_allocate_rejects_unknown_transport(capsys):
+    for flag in (
+        ["--transport", "shm"],
+        ["--transport", "carrier-pigeon"],
+        ["--start-method", "spawn"],
+        ["--no-prefetch"],
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["allocate", "figure1", *flag])
+        assert exit_info.value.code == 2  # argparse usage error
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_backend_numba_unavailable_fails_cleanly(capsys, monkeypatch):

@@ -12,10 +12,11 @@ ownership, and allocator-level validation.
 from __future__ import annotations
 
 import threading
+import warnings
 
 import pytest
 
-from chaos import join_workers, start_workers
+from chaos import ChaosWorker, join_workers, start_workers
 from repro.algorithms.tirm import TIRMAllocator
 from repro.dist import Coordinator, DistributedEngine, WorkerHost
 from repro.errors import ConfigurationError
@@ -115,6 +116,41 @@ class TestByteIdentity:
                 assert _fingerprint(engine) == reference
                 assert engine.dsan_root() == reference_root
                 assert engine.dist_stats()["local_fallbacks"] > 0
+
+    def test_reset_for_reuse_clears_the_fallback_record(self):
+        """Local fallbacks and their one warning are run-scoped: a warm
+        lease must not report the previous job's fallbacks, and a later
+        fallback run must warn again."""
+        graph = _graph()
+        probs = _probs(graph)
+        with Coordinator(worker_grace=0.2) as coordinator:
+            with DistributedEngine(
+                graph, probs, coordinator=coordinator, seeds=7,
+                chunk_size=CHUNK, dsan=True,
+            ) as engine:
+                with pytest.warns(RuntimeWarning, match="computing\\s+locally"):
+                    engine.ensure(TARGETS)  # empty fleet: every chunk falls back
+                assert engine.dist_stats()["local_fallbacks"] > 0
+                engine.reset_for_reuse()
+                assert engine.dist_stats()["local_fallbacks"] == 0
+
+                # One worker that serves the whole clean run (4 + 6
+                # chunks) and crashes on the first chunk of the run after.
+                worker = ChaosWorker(
+                    "127.0.0.1", coordinator.port, failure="crash", fail_on=11
+                )
+                threads = start_workers(coordinator, [worker])
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    engine.ensure(TARGETS)  # clean run on a live fleet
+                assert engine.dist_stats()["local_fallbacks"] == 0
+
+                engine.reset_for_reuse()
+                with pytest.warns(RuntimeWarning, match="computing\\s+locally"):
+                    engine.ensure(TARGETS)  # the fleet empties mid-run
+                assert engine.dist_stats()["local_fallbacks"] > 0
+                assert engine.dsan_root() == _serial_reference(graph, probs)[1]
+        join_workers(threads)
 
     def test_mixed_backend_fleet_matches_serial(self):
         from repro.rrset.backends import resolve_backend

@@ -21,7 +21,7 @@ from repro.graph.generators import erdos_renyi
 from repro.graph.probabilities import constant_probabilities
 from repro.rrset.pool import RRSetPool
 from repro.rrset.sampler import RRSetSampler, StreamPlan
-from repro.rrset.sharded import ShardedSamplingEngine
+from repro.rrset.sharded import ChunkSubstrate, ShardedSamplingEngine
 
 
 def _problem(seed: int, num_ads: int = 3, budget: float = 6.0):
@@ -197,7 +197,7 @@ class TestTIRMIntegration:
             TIRMAllocator(engine="threads")
 
 
-def _exploding_worker(engine_id, ad, chunk_index, transport="pickle"):
+def _exploding_worker(engine_id, ad, chunk_index):
     # module-level so the fork pool can pickle it by reference
     raise ValueError("worker exploded")
 
@@ -250,8 +250,108 @@ class TestLifecycle:
         with pytest.raises(ValueError, match="worker exploded"):
             engine.sample({0: 40, 1: 40})
         assert not engine._finalizer.alive
-        assert engine._resources["executor"] is None
+        assert engine._substrate.executor is None
         assert engine._engine_id not in sharded_module._FORK_PAYLOADS
+        engine.close()  # still idempotent after the failure path
+
+
+class _FakeSubstrate(ChunkSubstrate):
+    """A substrate under the test's control: ``submit`` hands out
+    unresolved futures and :meth:`resolve` completes them — in *reverse*
+    submission order, the adversarial schedule real pools only produce
+    by timing luck — from a twin serial engine's chunk source.  With
+    ``fail_at=k`` the k-th submitted future raises instead."""
+
+    def __init__(self, source, fail_at=None):
+        self.source = source
+        self.fail_at = fail_at
+        self.submitted = []  # (ad, chunk, future), submission order
+        self.drained = []
+        self.closed = False
+
+    def submit(self, ad, chunk_index):
+        from concurrent.futures import Future
+
+        future = Future()
+        self.submitted.append((ad, chunk_index, future))
+        return future
+
+    def resolve(self):
+        for index, (ad, chunk, future) in reversed(
+            list(enumerate(self.submitted))
+        ):
+            if future.done():
+                continue
+            if index == self.fail_at:
+                future.set_exception(ValueError("fake substrate exploded"))
+            else:
+                future.set_result(self.source.block(ad, chunk))
+
+    def collect(self, ad, chunk_index, future):
+        self.resolve()  # nothing completes until the gather first waits
+        return super().collect(ad, chunk_index, future)
+
+    def drain(self, futures):
+        futures = list(futures)
+        self.drained.extend(futures)
+        super().drain(futures)
+
+    def close(self):
+        self.closed = True
+
+
+def _install(engine, substrate):
+    engine._substrate = engine._resources["substrate"] = substrate
+    return substrate
+
+
+class TestSubstrateSeam:
+    """The dispatch loop knows a substrate only as submit / collect /
+    drain — so a fake one can be substituted, and splice order must not
+    depend on completion order."""
+
+    def test_reverse_completion_order_matches_serial(self):
+        problem = _problem(21)
+        kwargs = dict(seeds=5, chunk_size=16, dsan=True)
+        with ShardedSamplingEngine(
+            problem.graph, _probs(problem), **kwargs
+        ) as serial, ShardedSamplingEngine(
+            problem.graph, _probs(problem), **kwargs
+        ) as faked:
+            fake = _install(faked, _FakeSubstrate(serial._source))
+            for requests in ({0: 70, 1: 40, 2: 20}, {0: 33, 2: 50}):
+                serial.sample(requests)
+                faked.sample(requests)
+            assert len(fake.submitted) > 2  # the work really went through it
+            _assert_shards_equal(serial, faked)
+            assert faked.dsan_digests() == serial.dsan_digests()
+            assert faked.dsan_root() == serial.dsan_root()
+            assert faked.backend_invocations == serial.backend_invocations
+        assert fake.closed
+
+    def test_failing_future_propagates_drains_and_closes(self):
+        import glob
+
+        segments = len(glob.glob("/dev/shm/psm_*"))
+        problem = _problem(21)
+        with ShardedSamplingEngine(
+            problem.graph, _probs(problem), seeds=5, chunk_size=16
+        ) as source_engine:
+            engine = ShardedSamplingEngine(
+                problem.graph, _probs(problem), seeds=5, chunk_size=16
+            )
+            fake = _install(
+                engine, _FakeSubstrate(source_engine._source, fail_at=2)
+            )
+            with pytest.raises(ValueError, match="fake substrate exploded"):
+                engine.sample({0: 64, 1: 64})  # 4 + 4 chunk tasks
+        assert len(fake.submitted) == 8
+        # Tasks 0 and 1 were spliced, task 2 raised; the five futures
+        # behind it were drained, none collected.
+        assert fake.drained == [future for _, _, future in fake.submitted[3:]]
+        assert engine.shard(0).num_total == 32
+        assert fake.closed and not engine._finalizer.alive
+        assert len(glob.glob("/dev/shm/psm_*")) == segments
         engine.close()  # still idempotent after the failure path
 
 
@@ -327,10 +427,10 @@ class TestResetForReuse:
             pytest.skip("fork start method unavailable")
         with engine:
             engine.sample({0: 40, 1: 40, 2: 40})
-            executor = engine._resources["executor"]
+            executor = engine._substrate.executor
             assert executor is not None
             engine.reset_for_reuse()
-            assert engine._resources["executor"] is executor  # still warm
+            assert engine._substrate.executor is executor  # still warm
             engine.sample({0: 20, 1: 20, 2: 20})
             with ShardedSamplingEngine(
                 problem.graph, _probs(problem), seeds=4, chunk_size=16,

@@ -3,9 +3,9 @@
 The contract under test: every RR set is a pure
 function of ``(global_seed, ad, set_index)`` given a chunk size — so the
 sampled pools must be byte-identical across serial execution, 1-worker
-and N-worker process pools, every transport (pickle vs shared memory),
-every start method (fork vs spawn), prefetch on or off, and any way of
-splitting the same index ranges across requests.
+and N-worker process pools, every worker start method the platform may
+offer (fork vs spawn), prefetched or not, and any way of splitting the
+same index ranges across requests.
 """
 
 from __future__ import annotations
@@ -274,44 +274,57 @@ class TestWorkerCountInvariance:
         counter-based streams exist to parallelize."""
         problem = _problem(5, num_ads=1)
         dispatched = []
-        original = ShardedSamplingEngine._run_tasks_process
+        original = ShardedSamplingEngine._run_tasks
 
         def recording(self, tasks):
             dispatched.append(list(tasks))
             return original(self, tasks)
 
-        monkeypatch.setattr(ShardedSamplingEngine, "_run_tasks_process", recording)
+        monkeypatch.setattr(ShardedSamplingEngine, "_run_tasks", recording)
         with ShardedSamplingEngine(
             problem.graph, _probs(problem), seeds=2, engine="process",
             chunk_size=16, max_workers=2,
         ) as eng:
             eng.sample({0: 50})
+            assert eng._substrate.executor is not None  # the pool ran them
         assert len(dispatched) == 1
         tasks = dispatched[0]
         assert len(tasks) == 4  # ceil(50 / 16) chunks, all for ad 0
         assert all(ad == 0 for ad, _, _, _ in tasks)
 
 
+def _force_start_method(monkeypatch, start_method):
+    """The start method is observed from the platform, so a test picks
+    one by changing what the platform appears to offer."""
+    if start_method == "spawn":
+        monkeypatch.setattr(
+            ShardedSamplingEngine, "_fork_available", staticmethod(lambda: False)
+        )
+    elif not ShardedSamplingEngine._fork_available():  # pragma: no cover
+        pytest.skip("fork start method unavailable")
+
+
 class TestTransportMatrix:
-    """Transport × start-method acceptance matrix.
+    """Start-method acceptance matrix of the process-pool substrate.
 
     Every leg must produce pools byte-identical to the serial engine —
-    the shared-memory descriptor path and the spawn payload arena are
-    alternative plumbings for the same pure chunk functions, so they are
-    byte-identical *by construction* and asserted here.
+    fork inheritance and the spawn payload arena are alternative
+    plumbings for the same pure chunk functions (blocks come home as
+    shared-memory descriptors on both), so they are byte-identical *by
+    construction* and asserted here.
     """
 
-    @pytest.mark.parametrize("transport", ["pickle", "shm"])
+    @pytest.mark.parametrize("transport", ["shm"])
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
-    def test_pools_byte_identical(self, start_method, transport):
+    def test_pools_byte_identical(self, start_method, transport, monkeypatch):
+        _force_start_method(monkeypatch, start_method)
         problem = _problem(4, num_ads=2)
         with ShardedSamplingEngine(
             problem.graph, _probs(problem), seeds=8, engine="serial",
             chunk_size=16,
         ) as serial, ShardedSamplingEngine(
             problem.graph, _probs(problem), seeds=8, engine="process",
-            max_workers=2, chunk_size=16, transport=transport,
-            start_method=start_method,
+            max_workers=2, chunk_size=16,
         ) as process:
             assert process.transport == transport
             assert process.start_method == start_method
@@ -320,11 +333,12 @@ class TestTransportMatrix:
                 process.sample(requests)
             _assert_fingerprints_equal(_fingerprint(serial), _fingerprint(process))
 
-    def test_spawn_arena_is_accounted_and_released(self):
+    def test_spawn_arena_is_accounted_and_released(self, monkeypatch):
+        _force_start_method(monkeypatch, "spawn")
         problem = _problem(4, num_ads=2)
         eng = ShardedSamplingEngine(
             problem.graph, _probs(problem), seeds=8, engine="process",
-            max_workers=2, chunk_size=16, start_method="spawn",
+            max_workers=2, chunk_size=16,
         )
         try:
             eng.sample({0: 20})
@@ -337,26 +351,10 @@ class TestTransportMatrix:
             eng.close()
         assert eng.shared_memory_bytes() == 0
 
-    def test_resolve_transport(self):
-        assert ShardedSamplingEngine.resolve_transport("pickle") == "pickle"
-        resolved = ShardedSamplingEngine.resolve_transport("auto")
-        assert resolved in ("pickle", "shm")
-        with pytest.raises(ConfigurationError):
-            ShardedSamplingEngine.resolve_transport("carrier-pigeon")
-
-    def test_rejects_bad_start_method(self):
-        problem = _problem(4, num_ads=1)
-        with pytest.raises(ConfigurationError):
-            ShardedSamplingEngine(
-                problem.graph, _probs(problem), start_method="forkserver"
-            )
-
     def test_repr_names_the_transport(self):
         problem = _problem(4, num_ads=1)
-        with ShardedSamplingEngine(
-            problem.graph, _probs(problem), transport="pickle"
-        ) as eng:
-            assert "transport='pickle'" in repr(eng)
+        with ShardedSamplingEngine(problem.graph, _probs(problem)) as eng:
+            assert "transport='shm'" in repr(eng)
 
 
 class TestPrefetch:
@@ -439,7 +437,7 @@ class TestPrefetch:
 
 
 class TestDegradedFallback:
-    """Resolution ladder: fork → spawn (needs shared memory) → serial."""
+    """What the platform offers: fork → spawn → (no shared memory) serial."""
 
     def test_no_fork_falls_back_to_spawn(self, monkeypatch):
         problem = _problem(6, num_ads=1)
@@ -466,7 +464,6 @@ class TestDegradedFallback:
             problem.graph, _probs(problem), seeds=4, engine="serial", chunk_size=8
         ) as serial:
             assert eng.start_method is None
-            assert eng.transport == "pickle"  # auto falls back without shm
             with pytest.warns(RuntimeWarning, match="no usable process start"):
                 eng.sample({0: 30, 1: 30})
             # the second request must not warn again on the same engine
@@ -493,28 +490,29 @@ class TestDegradedFallback:
                 with pytest.warns(RuntimeWarning, match="will sample serially"):
                     eng.sample({0: 20, 1: 20})
 
-    def test_explicit_fork_without_fork_degrades(self, monkeypatch):
-        problem = _problem(6, num_ads=1)
-        monkeypatch.setattr(
-            ShardedSamplingEngine, "_fork_available", staticmethod(lambda: False)
-        )
-        with ShardedSamplingEngine(
-            problem.graph, _probs(problem), seeds=4, engine="process",
-            chunk_size=8, start_method="fork",
-        ) as eng:
-            assert eng.start_method is None
-            with pytest.warns(RuntimeWarning, match="will sample serially"):
-                eng.sample({0: 10})
-
-    def test_explicit_shm_without_shm_raises(self, monkeypatch):
-        problem = _problem(6, num_ads=1)
+    def test_no_shm_degrades_to_serial(self, monkeypatch):
+        """No shared memory (fork or not) means no pool at all: blocks
+        travel as shm descriptors only.  The engine samples serially,
+        warns once, and holds the serial engine's bytes."""
+        problem = _problem(6, num_ads=2)
         monkeypatch.setattr(
             ShardedSamplingEngine, "_shm_available", staticmethod(lambda: False)
         )
-        with pytest.raises(ConfigurationError):
-            ShardedSamplingEngine(
-                problem.graph, _probs(problem), engine="process", transport="shm"
-            )
+        kwargs = dict(seeds=4, chunk_size=8, dsan=True)
+        with ShardedSamplingEngine(
+            problem.graph, _probs(problem), engine="process", **kwargs
+        ) as eng, ShardedSamplingEngine(
+            problem.graph, _probs(problem), engine="serial", **kwargs
+        ) as serial:
+            assert eng.start_method is None
+            with pytest.warns(RuntimeWarning, match="will sample serially") as seen:
+                eng.sample({0: 30, 1: 30})
+                eng.sample({0: 10})
+            assert len(seen) == 1
+            assert eng._substrate.executor is None
+            serial.sample({0: 30, 1: 30})
+            serial.sample({0: 10})
+            assert eng.dsan_root() == serial.dsan_root()
 
 
 class TestTeardown:
@@ -556,7 +554,7 @@ class TestShmHygiene:
         problem = _problem(7, num_ads=2)
         with ShardedSamplingEngine(
             problem.graph, _probs(problem), seeds=3, engine="process",
-            chunk_size=16, max_workers=2, transport="shm",
+            chunk_size=16, max_workers=2,
         ) as eng:
             eng.sample({0: 40, 1: 20})
             eng.prefetch({0: 100})  # left unconsumed on purpose
@@ -568,7 +566,7 @@ class TestShmHygiene:
         assert not leaked, f"leaked shared-memory segments: {leaked}"
 
     def test_teardown_emits_no_resource_tracker_warnings(self):
-        """Run a full shm life cycle (fork transport + spawn arena +
+        """Run a full shm life cycle (fork pool + spawn arena +
         abandoned prefetch) in a subprocess and assert interpreter
         shutdown prints nothing — the resource tracker only reports
         stale registrations at exit, so the check needs a real exit."""
@@ -582,15 +580,19 @@ class TestShmHygiene:
             probs = [constant_probabilities(graph, 0.08)] * 2
             with ShardedSamplingEngine(
                 graph, probs, seeds=5, engine="process", chunk_size=8,
-                max_workers=2, transport="shm", start_method="fork",
+                max_workers=2,
             ) as eng:
                 eng.sample({0: 30, 1: 10})
                 eng.prefetch({0: 60})  # abandoned in-flight work
+            # Second engine on the spawn start method (what a platform
+            # without fork would observe).
+            ShardedSamplingEngine._fork_available = staticmethod(lambda: False)
             eng2 = ShardedSamplingEngine(
                 graph, probs, seeds=5, engine="process", chunk_size=8,
-                max_workers=1, start_method="spawn",
+                max_workers=1,
             )
-            eng2.sample({0: 8})
+            assert eng2.start_method == "spawn"
+            eng2.sample({0: 16})
             eng2.close()
             print("CYCLE-OK")
             """
@@ -646,34 +648,26 @@ class TestTIRMContract:
         assert provenance["stream_entropy"] == 3
         assert result.allocation.copy().provenance == provenance
 
-    def test_prefetch_does_not_change_the_allocation(self):
-        """Speculative sampling overlaps the greedy phase but must leave
-        the allocation, revenues, and per-ad θ schedule untouched."""
-        problem = _problem(9, num_ads=2)
-        kwargs = dict(
-            seed=3, initial_pilot=300, max_rr_sets_per_ad=2_000, epsilon=0.25,
-            chunk_size=32, engine="process", max_workers=2,
-        )
-        on = TIRMAllocator(prefetch=True, **kwargs).allocate(problem)
-        off = TIRMAllocator(prefetch=False, **kwargs).allocate(problem)
-        assert on.allocation == off.allocation
-        assert np.array_equal(on.estimated_revenues, off.estimated_revenues)
-        assert on.stats["theta_per_ad"] == off.stats["theta_per_ad"]
-        assert on.stats["prefetch"] is True
-        assert off.stats["prefetch"] is False
-
     def test_stats_and_provenance_record_the_transport(self):
         problem = _problem(9, num_ads=2)
         result = TIRMAllocator(
             seed=3, initial_pilot=300, max_rr_sets_per_ad=2_000, epsilon=0.25,
-            chunk_size=64, transport="pickle",
+            chunk_size=64,
         ).allocate(problem)
-        assert result.stats["transport"] == "pickle"
-        assert result.allocation.provenance["transport"] == "pickle"
-        assert "start_method" in result.stats
+        assert result.stats["transport"] == "shm"
+        assert result.allocation.provenance["transport"] == "shm"
+        assert result.stats["start_method"] is None  # serial: nothing started
+        assert "prefetch" not in result.stats
 
     def test_rejects_bad_transport_params(self):
-        with pytest.raises(ConfigurationError):
-            TIRMAllocator(transport="carrier-pigeon")
-        with pytest.raises(ConfigurationError):
-            TIRMAllocator(start_method="forkserver")
+        """The substrate knobs are gone from the allocator's entrance:
+        ``transport`` keeps its one legal value, the other two are not
+        parameters at all."""
+        TIRMAllocator(transport="auto")
+        for transport in ("pickle", "shm", "carrier-pigeon"):
+            with pytest.raises(ConfigurationError, match="transport must be 'auto'"):
+                TIRMAllocator(transport=transport)
+        with pytest.raises(TypeError, match="start_method"):
+            TIRMAllocator(start_method="fork")
+        with pytest.raises(TypeError, match="prefetch"):
+            TIRMAllocator(prefetch=False)

@@ -225,6 +225,26 @@ class TestJobManager:
             assert "\n" not in str(refusal.value)
             assert manager.list_jobs() == []
 
+    @pytest.mark.parametrize(
+        "params",
+        [{"transport": "auto"}, {"start_method": "fork"}, {"prefetch": False}],
+    )
+    def test_substrate_knobs_are_refused_at_submit(self, params):
+        """How workers start and how blocks travel is the engine's
+        business: a request naming any of the three retired knobs gets
+        the same one-line refusal as any unknown parameter, and no job."""
+        with JobManager(cache=None) as manager:
+            server = AllocationServer(manager)
+            with pytest.raises(
+                ServiceError, match="unknown allocator parameters"
+            ) as refusal:
+                server.dispatch({
+                    "op": "submit-allocation", "dataset": "figure1",
+                    "params": {**PARAMS, **params},
+                })
+            assert "\n" not in str(refusal.value)
+            assert manager.list_jobs() == []
+
     def test_restart_over_cache_dir_serves_warm_runs(self, tmp_path):
         """A killed-and-restarted service over the same --cache dir
         serves reruns from the shard store: zero backend invocations in

@@ -2,7 +2,7 @@
 
 A second run against a populated cache must perform **zero**
 sampling-backend invocations while producing byte-identical shards,
-dsan roots, and allocations — across engines and transports.  And the
+dsan roots, and allocations — across engine substrates.  And the
 cache must be failure-transparent: poisoned entries are quarantined and
 recomputed, concurrent writers race benignly.
 """
@@ -100,14 +100,14 @@ class TestWarmStartMatrix:
             _assert_shards_equal(warm, uncached)
 
     def test_warm_run_shm_transport(self, tmp_path):
-        if ShardedSamplingEngine.resolve_transport("auto") != "shm":
-            pytest.skip("shared-memory transport unavailable on this platform")
-        _, cold_invocations, cold_root, _ = _run(
-            str(tmp_path), engine="process", transport="shm"
+        cold, cold_invocations, cold_root, _ = _run(
+            str(tmp_path), engine="process"
         )
+        if cold.start_method is None:  # pragma: no cover - platform guard
+            pytest.skip("shared-memory transport unavailable on this platform")
         assert cold_invocations > 0
         _, warm_invocations, warm_root, stats = _run(
-            str(tmp_path), engine="process", transport="shm"
+            str(tmp_path), engine="process"
         )
         assert warm_invocations == 0
         assert warm_root == cold_root
@@ -125,7 +125,7 @@ class TestWarmStartMatrix:
             warm.ensure(targets)
             assert warm.backend_invocations == 0
             # A fully warm run never pays for process-pool spin-up.
-            assert warm._resources["executor"] is None
+            assert warm._substrate.executor is None
 
     def test_cache_off_by_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_CACHE", raising=False)
@@ -154,6 +154,40 @@ class TestFailureTransparency:
         assert warm_invocations == 1
         assert warm_root == cold_root
         assert stats["corrupt"] == 1
+
+    def test_wrong_width_entry_is_quarantined_once(self, tmp_path):
+        """A digest-valid entry whose set count is not the chunk size
+        can never be spliced.  It must go the way of any poisoned entry
+        — warned about, removed, counted corrupt, recomputed *and
+        replaced* — not be reported as a hit and recomputed forever."""
+        from repro.store.blocks import load_block, write_block
+
+        _, _, clean_root, _ = _run(str(tmp_path / "clean"))
+        cache_dir = tmp_path / "cache"
+        _run(str(cache_dir))
+        blocks = []
+        for root, _, names in os.walk(cache_dir / "objects"):
+            blocks += [os.path.join(root, n) for n in names if n.endswith(".blk")]
+        victim = sorted(blocks)[0]
+        entry = load_block(victim)
+        lengths = np.array(entry.lengths[:-1])  # one set short
+        members = np.array(entry.members[: int(lengths.sum())])
+        entry.release()
+        write_block(victim, members, lengths)  # valid digest, wrong width
+
+        with pytest.warns(RuntimeWarning, match="corrupt entry") as seen:
+            _, invocations, root, stats = _run(str(cache_dir))
+        assert len(seen) == 1
+        assert invocations == 1  # exactly the planted block was recomputed
+        assert root == clean_root
+        assert stats["corrupt"] == 1
+        assert stats["stores"] == 1  # ...and a full-width entry replaced it
+
+        _, invocations, root, stats = _run(str(cache_dir))
+        assert invocations == 0
+        assert root == clean_root
+        assert stats["corrupt"] == 0 and stats["misses"] == 0
+        assert stats["hits"] > 0
 
     def test_concurrent_writers_agree(self, tmp_path):
         """Two processes cold-populating one cache directory race
