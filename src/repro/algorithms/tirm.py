@@ -538,6 +538,11 @@ class TIRMAllocator(Allocator):
         budget (exact argmax, same argument as Algorithm 1's greedy).
         The ``coverage`` rule reproduces the literal Algorithm 3: only
         the single top-coverage node is considered.
+
+        When the top of the heap overshoots and lowers nothing, the scan
+        first asks :meth:`_some_node_lowers_regret`; an ad no node can
+        help is retired instead of having its whole heap popped and
+        pushed back on this and every later iteration.
         """
         remaining = budgets[ad] - state.revenue
         if remaining <= 0:
@@ -567,9 +572,38 @@ class TIRMAllocator(Allocator):
                 best_drop, best_fits = drop, fits
             if self.select_rule == "coverage" or fits:
                 break
+            if (
+                best is None
+                and len(scanned) == 1
+                and not self._some_node_lowers_regret(problem, ad, state, budgets, cpes)
+            ):
+                # The answer stands: this ad's coverage, revenue and θ
+                # change only when it takes a seed, it has none to offer,
+                # and other ads' picks only make users ineligible.
+                state.active = False
+                break
         for entry in scanned:
             heapq.heappush(state.heap, entry)
         return best
+
+    def _some_node_lowers_regret(self, problem, ad: int, state: _AdState,
+                                 budgets, cpes) -> bool:
+        """Whether any node at all passes :meth:`_best_candidate`'s
+        ``drop > 1e-12`` test: its drops over the whole coverage vector
+        at once, the same operations in the same order — O(n) numpy
+        where popping the heap down to the answer is O(n log n) Python.
+        """
+        num_seeds = len(state.seeds_in_order)
+        marginals = (
+            cpes[ad] * problem.num_nodes * problem.ctps[ad]
+            * state.collection.coverage() / state.theta
+        )
+        after = (
+            np.abs(float(budgets[ad]) - (state.revenue + marginals))
+            + float(problem.penalty) * (num_seeds + 1)
+        )
+        before = regret_of(budgets[ad], state.revenue, problem.penalty, num_seeds)
+        return bool(((before - after) > 1e-12).any())
 
     def _marginal_revenue(self, problem, ad: int, state: _AdState, node: int,
                           cov: int, cpes) -> float:

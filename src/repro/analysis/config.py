@@ -104,8 +104,12 @@ class AnalysisConfig:
     service_modules: tuple[str, ...] = ("repro/service/", "repro/dist/")
     #: The one module allowed to touch the pool's private buffers (R105).
     pool_module: str = "repro/rrset/pool.py"
-    #: The private buffer attributes R105 guards.
-    pool_private_attrs: frozenset[str] = frozenset({"_members", "_indptr"})
+    #: The private pool attributes R105 guards: the storage buffers
+    #: (reallocated on growth) and the inverted-index arrays (built at the
+    #: first index read, so they may lag the sets).
+    pool_private_attrs: frozenset[str] = frozenset(
+        {"_members", "_indptr", "_idx_indptr", "_idx_sets", "_pend_nodes", "_pend_sets"}
+    )
     #: Extra per-rule sanctioned modules, e.g. ``{"R104": {...}}`` —
     #: lets a caller widen a seam without subclassing the config.
     extra_allowed: dict = field(default_factory=dict)

@@ -1,29 +1,34 @@
 """Flat CSR-backed storage engine for RR-sets.
 
-This module is the contiguous-layout replacement for the original
-``list[np.ndarray]`` + ``list[list[int]]`` collection: every sampled set
-lives in one growable ``int32`` members buffer addressed by an ``indptr``
-array, and the node→set inverted index is a second CSR pair built in bulk
-with ``np.argsort``/``np.bincount`` instead of per-element Python
-appends.  All hot mutations (``add_flat``, ``remove_covered``) and
-queries (``coverage_of_set``, ``sets_containing``) are numpy kernels over
-those buffers.  See ``docs/rrset_engine.md`` for the layout, the
-amortized index-rebuild policy, and the determinism contract.
+Every sampled set lives in one growable ``int32`` members buffer
+addressed by an ``indptr`` array, with eager per-node coverage counts
+beside it.  The node→set inverted index is derived data — a pure
+function of the member rows — held as a second CSR pair and built in
+bulk by one packed-key sort, never by per-element Python appends.  All
+hot mutations (``add_flat``, ``remove_covered``) and queries
+(``coverage_of_set``, ``sets_containing``) are numpy kernels over those
+buffers.  See ``docs/rrset_engine.md`` for the layout, the index policy,
+and the determinism contract.
 
-Index maintenance policy (amortized rebuilds):
+Index maintenance (amortized, at the first index read after growth):
 
+* appends only validate, copy and bump coverage; the first index read
+  that follows (``remove_covered``, ``coverage_of_set``,
+  ``set_ids_containing`` / ``sets_containing``) indexes everything
+  appended since the last one, so a growth event of many chunks costs
+  one build;
 * the *main* index covers sets ``[0, _indexed_sets)`` and is rebuilt in
-  bulk only when the pending region grows past ``1/4`` of the indexed
-  members (geometric threshold, so total rebuild work is ``O(M log M)``
-  over the pool's lifetime);
-* smaller batches get a *pending mini-index* over sets
-  ``[_indexed_sets, num_total)`` — a (sorted member, set id) pair array
-  over just the pending region, queried with ``searchsorted``, so
-  ``add_*`` costs O(pending log pending) with no O(num_nodes)
-  allocations, and queries never degrade to linear scans.
+  bulk only when the un-indexed region has grown past ``1/4`` of the
+  indexed members (geometric threshold, so total rebuild work is
+  ``O(M log M)`` over the pool's lifetime);
+* smaller growth gets a *pending mini-index* over the remaining sets — a
+  (sorted member, set id) pair array over just the pending region,
+  queried with ``searchsorted``, so a +1 top-up costs O(pending log
+  pending) with no O(num_nodes) allocation, and queries never degrade to
+  linear scans.
 
-Every query concatenates the main slice and the mini slice; neither path
-touches Python-level per-element loops.
+Every query concatenates the main slice and the mini slice — ascending
+set ids under any tiering, so when the index was built never shows.
 """
 
 from __future__ import annotations
@@ -151,6 +156,24 @@ def _gather_slices(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return offsets + np.arange(total, dtype=np.int64)
 
 
+def _sorted_keys(members: np.ndarray, first_set: int, lengths: np.ndarray) -> np.ndarray:
+    """The build kernel of both index tiers: one sorted ``int64`` key
+    ``(member << 32) | set_id`` per member of sets ``first_set ..``.
+
+    Ascending keys are ascending members with ascending set ids inside a
+    member — the order a stable sort on the members alone leaves the
+    owning set ids in, at a fraction of its cost.  Members and set ids
+    are both below 2^31 (``MAX_SETS``), so the two words never mix.
+    """
+    keys = members.astype(np.int64)
+    keys <<= 32
+    keys |= np.repeat(
+        np.arange(first_set, first_set + lengths.size, dtype=SET_ID_DTYPE), lengths
+    )
+    keys.sort()
+    return keys
+
+
 def _build_csr_index(
     members: np.ndarray,
     first_set: int,
@@ -162,16 +185,25 @@ def _build_csr_index(
     ``members`` is the flat member slice of sets ``first_set ..``;
     ``lengths`` their sizes.  Returns ``(indptr, set_ids)`` where
     ``set_ids[indptr[v]:indptr[v+1]]`` lists the sets containing ``v`` in
-    ascending set order (stable sort on node keeps per-node set order).
+    ascending set order.
     """
     counts = np.bincount(members, minlength=num_nodes)
     indptr = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
-    owners = np.repeat(
-        np.arange(first_set, first_set + lengths.size, dtype=SET_ID_DTYPE),
-        lengths,
-    )
-    order = np.argsort(members, kind="stable")
-    return indptr, owners[order]
+    keys = _sorted_keys(members, first_set, lengths)
+    keys &= MAX_SETS
+    return indptr, keys.astype(SET_ID_DTYPE)
+
+
+def _build_pending_index(
+    members: np.ndarray, first_set: int, lengths: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted-pairs index over one member region: ``(nodes, set_ids)`` in
+    lockstep, nodes ascending — O(region log region) work and memory,
+    independent of ``num_nodes``."""
+    keys = _sorted_keys(members, first_set, lengths)
+    nodes = (keys >> 32).astype(MEMBER_DTYPE)
+    keys &= MAX_SETS
+    return nodes, keys.astype(SET_ID_DTYPE)
 
 
 class RRSetPool:
@@ -183,6 +215,14 @@ class RRSetPool:
     ``add_flat`` (samplers write straight into the pool) and zero-copy
     ``prefix_view`` / ``first_k_sets`` accessors for O(pilot) OPT
     estimation.
+
+    The inverted index is built by the first index read after growth
+    (``remove_covered``, ``coverage_of_set``, ``set_ids_containing`` /
+    ``sets_containing``); appends, ``coverage`` / ``coverage_of``, the
+    views, ``kill_sets`` and the byte accounting never build it.  A pool
+    has a single owner at a time (engine leases are exclusive, and the
+    service reports progress from stored snapshots, never the live
+    pool), so a read that builds takes no lock.
 
     Examples
     --------
@@ -220,11 +260,14 @@ class RRSetPool:
         self._idx_sets = np.empty(0, dtype=SET_ID_DTYPE)
         self._indexed_sets = 0
         self._indexed_members = 0
-        # Pending mini-index over sets [_indexed_sets, _num_sets): the
+        # Pending mini-index over sets [_indexed_sets, _synced_sets): the
         # pending members sorted ascending, with their owning set ids in
         # lockstep.  Queried by searchsorted — no O(num_nodes) indptr.
         self._pend_nodes = np.empty(0, dtype=MEMBER_DTYPE)
         self._pend_sets = np.empty(0, dtype=SET_ID_DTYPE)
+        # Appends leave ``_synced_sets`` behind ``_num_sets``; the next
+        # index read catches up (``_sync_index``).
+        self._synced_sets = 0
         # Bumped whenever a growth reallocation retires a storage buffer;
         # outstanding CSRSetViews use it to re-materialize themselves.
         self._generation = 0
@@ -353,7 +396,6 @@ class RRSetPool:
         self._num_sets += count
         self._num_alive += count
         _bump_counts(self._coverage, members, +1)
-        self._refresh_index()
 
     def remove_covered(self, node: int) -> int:
         """Remove every alive set containing ``node``; returns how many.
@@ -515,23 +557,21 @@ class RRSetPool:
 
     def memory_bytes(self) -> int:
         """Bytes of RR data actually held: the exact ``nbytes`` of the
-        used portions of the members/indptr/index/alive/coverage buffers.
-
-        Unlike the old estimate (which priced Python-list index entries
-        at 8 bytes each and ignored their real object overhead), this is
-        the honest Table-4 figure: the engine stores nothing else.
+        used portions of the members/indptr/alive/coverage buffers plus
+        the inverted index as it stands — members appended since the last
+        index read have no index entries yet, and asking never builds
+        them.  This is the honest Table-4 figure: the engine stores
+        nothing else.
         """
-        itemsize = self._members.itemsize
-        idx_item = self._idx_sets.itemsize
-        pending = self._members_used - self._indexed_members
         return int(
-            self._members_used * itemsize
+            self._members_used * self._members.itemsize
             + (self._num_sets + 1) * self._indptr.itemsize
             + self._num_sets * self._alive_mask.itemsize
             + self._coverage.nbytes
             + self._idx_indptr.nbytes
-            + self._indexed_members * idx_item
-            + pending * (self._pend_nodes.itemsize + self._pend_sets.itemsize)
+            + self._idx_sets.nbytes
+            + self._pend_nodes.nbytes
+            + self._pend_sets.nbytes
         )
 
     def allocated_bytes(self) -> int:
@@ -587,45 +627,36 @@ class RRSetPool:
         self._indptr = indptr
         self._generation += 1
 
-    def _refresh_index(self) -> None:
-        """Amortized index maintenance after an append batch."""
-        pending_members = self._members_used - self._indexed_members
-        if pending_members == 0:
+    def _sync_index(self) -> None:
+        """Amortized index maintenance, run by the index readers: one
+        build covers everything appended since the last index read."""
+        if self._synced_sets == self._num_sets:
             return
+        members = self._members[: self._members_used]
+        indptr = self._indptr[: self._num_sets + 1]
+        pending_members = self._members_used - self._indexed_members
         if (
             self._indexed_members < _MIN_INDEXED_MEMBERS
             or pending_members * _REBUILD_FRACTION >= self._indexed_members
         ):
-            self._rebuild_main_index()
+            self._idx_indptr, self._idx_sets = _build_csr_index(
+                members, 0, np.diff(indptr), self.num_nodes
+            )
+            self._indexed_sets = self._num_sets
+            self._indexed_members = self._members_used
+            self._pend_nodes = np.empty(0, dtype=MEMBER_DTYPE)
+            self._pend_sets = np.empty(0, dtype=SET_ID_DTYPE)
         else:
-            self._rebuild_pending_index()
-
-    def _rebuild_main_index(self) -> None:
-        lengths = np.diff(self._indptr[: self._num_sets + 1])
-        self._idx_indptr, self._idx_sets = _build_csr_index(
-            self._members[: self._members_used], 0, lengths, self.num_nodes
-        )
-        self._indexed_sets = self._num_sets
-        self._indexed_members = self._members_used
-        self._pend_nodes = np.empty(0, dtype=MEMBER_DTYPE)
-        self._pend_sets = np.empty(0, dtype=SET_ID_DTYPE)
-
-    def _rebuild_pending_index(self) -> None:
-        """Sorted-pairs index over the pending region: O(pending log
-        pending) work and memory, independent of ``num_nodes``."""
-        lo = self._indexed_sets
-        lengths = np.diff(self._indptr[lo : self._num_sets + 1])
-        region = self._members[self._indexed_members : self._members_used]
-        owners = np.repeat(
-            np.arange(lo, self._num_sets, dtype=SET_ID_DTYPE), lengths
-        )
-        order = np.argsort(region, kind="stable")
-        self._pend_nodes = region[order]
-        self._pend_sets = owners[order]
+            lo = self._indexed_sets
+            self._pend_nodes, self._pend_sets = _build_pending_index(
+                members[self._indexed_members :], lo, np.diff(indptr[lo:])
+            )
+        self._synced_sets = self._num_sets
 
     def _ids_containing(self, node: int) -> np.ndarray:
         if not 0 <= node < self.num_nodes:
             raise IndexError(f"node {node} out of range")
+        self._sync_index()
         main = self._idx_sets[self._idx_indptr[node] : self._idx_indptr[node + 1]]
         if self._indexed_sets == self._num_sets:
             return main
@@ -638,6 +669,7 @@ class RRSetPool:
         return np.concatenate((main, mini))
 
     def _ids_containing_many(self, nodes: np.ndarray) -> np.ndarray:
+        self._sync_index()
         starts = self._idx_indptr[nodes]
         lengths = self._idx_indptr[nodes + 1] - starts
         parts = [self._idx_sets[_gather_slices(starts, lengths)]]

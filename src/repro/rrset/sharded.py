@@ -864,14 +864,16 @@ class ShardedSamplingEngine:
     def memory_bytes(self) -> int:
         """Σ over shards of bytes held (the Table-4 figure), plus any
         shared-memory bytes the engine pins itself
-        (:meth:`shared_memory_bytes`) and the resident block memo of a
-        ``retain_blocks`` engine — honest accounting for the
-        externally-backed payload arena and the warm-pool residency."""
-        memo = self._blocks.values() if self._retain_blocks else ()
+        (:meth:`shared_memory_bytes`) and every block the memo holds —
+        each ad's partially consumed tail chunk, and with
+        ``retain_blocks`` the whole warm-pool residency."""
         return (
             int(sum(s.memory_bytes() for s in self._shards))
             + self.shared_memory_bytes()
-            + sum(int(members.nbytes + lengths.nbytes) for members, lengths in memo)
+            + sum(
+                int(members.nbytes + lengths.nbytes)
+                for members, lengths in self._blocks.values()
+            )
         )
 
     # ------------------------------------------------------------------

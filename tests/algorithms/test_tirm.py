@@ -241,6 +241,145 @@ class TestAttention:
         assert overlap == frozenset()
 
 
+class _FullScan(TIRMAllocator):
+    """The selector without its end-game question: every scan pops the
+    heap down to the answer, as if some node could always help."""
+
+    def _some_node_lowers_regret(self, problem, ad, state, budgets, cpes):
+        return True
+
+
+def _count_scans(monkeypatch, allocator_class):
+    """Per ``_best_candidate`` call: ``(ad, entries popped, found one)``."""
+    calls = []
+    pops = [0]
+    pop_fresh = allocator_class._pop_fresh
+    best_candidate = allocator_class._best_candidate
+
+    def counting_pop(self, *args):
+        pops[0] += 1
+        return pop_fresh(self, *args)
+
+    def counting_best(self, problem, ad, *args):
+        pops[0] = 0
+        best = best_candidate(self, problem, ad, *args)
+        calls.append((ad, pops[0], best is not None))
+        return best
+
+    monkeypatch.setattr(allocator_class, "_pop_fresh", counting_pop)
+    monkeypatch.setattr(allocator_class, "_best_candidate", counting_best)
+    return calls
+
+
+class TestEndGame:
+    """An ad that stopped short of its budget with nothing left to gain
+    is asked once and retired — not re-scanned on every later iteration
+    — and the allocation cannot tell."""
+
+    KWARGS = dict(seed=3, epsilon=0.3, max_rr_sets_per_ad=3_000)
+
+    @staticmethod
+    def _problem(penalty=0.0):
+        from repro.datasets import flixster_like
+
+        return flixster_like(scale=0.02, num_ads=4).with_penalty(penalty)
+
+    @pytest.mark.parametrize("penalty", [0.0, 0.05])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_allocation_is_the_full_scans(self, seed, penalty):
+        problem = self._problem(penalty)
+        kwargs = {**self.KWARGS, "seed": seed}
+        retiring = TIRMAllocator(**kwargs).allocate(problem)
+        scanning = _FullScan(**kwargs).allocate(problem)
+        assert retiring.stats["iterations"] == scanning.stats["iterations"]
+        for ad in range(problem.num_ads):
+            assert retiring.allocation.seeds(ad) == scanning.allocation.seeds(ad)
+        assert retiring.estimated_revenues.tolist() == scanning.estimated_revenues.tolist()
+
+    def test_a_fruitless_scan_stops_at_the_top_of_the_heap(self, monkeypatch):
+        """Counts, not seconds: with the question asked, no scan that
+        finds nothing pops past the first entry, and a retired ad is not
+        scanned again; without it the same run re-pops whole heaps."""
+        problem = self._problem()
+        calls = _count_scans(monkeypatch, TIRMAllocator)
+        TIRMAllocator(**self.KWARGS).allocate(problem)
+        fruitless = [(ad, popped) for ad, popped, found in calls if not found]
+        assert fruitless, "the instance must leave some ad short of its budget"
+        assert max(popped for _, popped in fruitless) <= 1
+        # λ = 0: a top entry that fits always lowers regret, so popping
+        # one entry and finding nothing is the retirement — once per ad,
+        # and the last thing that ad is ever asked.
+        retired = [ad for ad, popped in fruitless if popped == 1]
+        assert retired and len(retired) == len(set(retired))
+        for ad in retired:
+            assert [c for c in calls if c[0] == ad][-1] == (ad, 1, False)
+
+        asked = list(calls)
+        calls.clear()
+        _FullScan(**self.KWARGS).allocate(problem)
+        deep = [popped for _, popped, found in calls if not found and popped > 1]
+        assert deep, "without the question the same run re-scans"
+        assert sum(p for _, p, _ in asked) < sum(p for _, p, _ in calls)
+
+    def test_the_question_is_the_scans_own_arithmetic(self):
+        """``_some_node_lowers_regret`` must agree with the scalar drop
+        the scan computes for every node — including a node sitting
+        exactly on the ``2·remaining`` edge where the drop is 0."""
+        import itertools
+
+        from repro.advertising.regret import regret_of
+        from repro.algorithms.tirm import _AdState
+
+        class _Pool:
+            def __init__(self, coverage, theta):
+                self._coverage, self.num_total = coverage, theta
+
+            def coverage(self):
+                return self._coverage
+
+        rng = np.random.default_rng(0)
+        allocator = TIRMAllocator(seed=0)
+        answers = set()
+        cases = itertools.product((0.0, 0.3), (0, 2), (0.0, 39.45, 39.999999999999))
+        for trial, (penalty, num_seeds, revenue) in enumerate(cases):
+            n = 50
+            graph = erdos_renyi(n, 0.05, seed=trial)
+            problem = AdAllocationProblem(
+                graph,
+                AdCatalog([Advertiser(name="a", budget=40.0, cpe=1.5)]),
+                constant_probabilities(graph, 0.1),
+                rng.uniform(0.01, 1.0, size=(1, n)),
+                AttentionBounds.uniform(n, 1),
+                penalty,
+            )
+            budgets, cpes = problem.catalog.budgets(), problem.catalog.cpes()
+            for coverage in (
+                rng.integers(0, 400, size=n),
+                rng.integers(300, 400, size=n),   # every marginal far too big
+                np.zeros(n, dtype=np.int64),
+            ):
+                state = _AdState(sampler=None, collection=_Pool(coverage, 1_000))
+                state.revenue = revenue
+                state.seeds_in_order = list(range(num_seeds))
+                before = regret_of(budgets[0], revenue, penalty, num_seeds)
+                scalar = [
+                    before - regret_of(
+                        budgets[0],
+                        revenue + allocator._marginal_revenue(
+                            problem, 0, state, node, int(coverage[node]), cpes
+                        ),
+                        penalty, num_seeds + 1,
+                    )
+                    for node in range(n)
+                ]
+                answer = allocator._some_node_lowers_regret(
+                    problem, 0, state, budgets, cpes
+                )
+                assert answer == any(drop > 1e-12 for drop in scalar)
+                answers.add(answer)
+        assert answers == {True, False}
+
+
 class TestCheckpointKnobValidation:
     @pytest.mark.parametrize(
         "kwargs",

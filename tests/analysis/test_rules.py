@@ -505,6 +505,38 @@ def test_r105_flags_both_private_buffers(tmp_path):
     assert len(findings) == 2
 
 
+def test_r105_flags_index_arrays_as_possibly_stale(tmp_path):
+    """The inverted index is built at the first index read, so a raw read
+    outside the pool may see it lag the sets — the message says so,
+    where the buffers' message names reallocation."""
+    path = _write(
+        tmp_path,
+        "repro/algorithms/peek.py",
+        "def sets_of(pool, node):\n"
+        "    lo, hi = pool._idx_indptr[node], pool._idx_indptr[node + 1]\n"
+        "    return pool._idx_sets[lo:hi], pool._pend_nodes, pool._pend_sets\n"
+        "\n"
+        "def raw(pool):\n"
+        "    return pool._members\n",
+    )
+    findings = [f for f in lint_file(path) if f.code == "R105"]
+    assert [f.line for f in findings] == [2, 2, 3, 3, 3, 6]
+    assert all("lag the sets" in f.message for f in findings[:5])
+    assert "reallocate on growth" in findings[5].message
+    assert "lag the sets" not in findings[5].message
+
+
+def test_r105_index_queries_not_flagged(tmp_path):
+    path = _write(
+        tmp_path,
+        "repro/algorithms/indexok.py",
+        "def sets_of(pool, node, idx_sets, pend):\n"
+        "    pool.remove_covered(node)\n"
+        "    return pool.set_ids_containing(node), idx_sets[0], pend._nodes\n",
+    )
+    assert "R105" not in _codes(lint_file(path))
+
+
 def test_r105_public_api_not_flagged(tmp_path):
     path = _write(
         tmp_path,

@@ -15,6 +15,23 @@ from repro.graph.probabilities import constant_probabilities
 
 
 @pytest.fixture
+def build_calls(monkeypatch) -> list[int]:
+    """Spy on the build kernel both tiers of the pool's inverted index
+    share: one entry (the number of members sorted) per build."""
+    from repro.rrset import pool as pool_module
+
+    calls: list[int] = []
+    kernel = pool_module._sorted_keys
+
+    def spy(members, first_set, lengths):
+        calls.append(int(members.size))
+        return kernel(members, first_set, lengths)
+
+    monkeypatch.setattr(pool_module, "_sorted_keys", spy)
+    return calls
+
+
+@pytest.fixture
 def line_graph() -> DirectedGraph:
     """0 → 1 → 2 → 3."""
     return DirectedGraph.from_edges([(0, 1), (1, 2), (2, 3)], num_nodes=4)

@@ -2,8 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.rrset.pool import CSRSetView, RRSetPool
+from repro.rrset import pool as pool_module
+from repro.rrset.pool import (
+    MAX_SETS,
+    CSRSetView,
+    RRSetPool,
+    _build_csr_index,
+    _build_pending_index,
+)
 
 
 def _sets(*members):
@@ -172,11 +181,16 @@ class TestIndexMaintenance:
         rng = np.random.default_rng(1)
         big = [rng.choice(30, size=8, replace=False) for _ in range(700)]
         pool.add_sets(big)
-        assert pool._indexed_sets == 700  # full index covers the batch
+        assert pool._indexed_sets == 0  # appends index nothing ...
+        assert pool.coverage_of_set([4]) == sum(4 in s for s in big)
+        assert pool._indexed_sets == 700  # ... the first read covers the batch
         pool.add_sets(_sets([3, 4], [4, 5]))
-        assert pool._indexed_sets == 700  # mini-index path engaged
+        assert pool._pend_sets.size == 0  # still nothing indexed by the append
         assert pool.num_total == 702
         assert set(pool.sets_containing(4)) >= {700, 701}
+        assert pool._indexed_sets == 700  # mini-index path engaged
+        assert pool._pend_nodes.tolist() == [3, 4, 4, 5]
+        assert pool._pend_sets.tolist() == [700, 700, 701, 701]
         assert pool.coverage_of(4) == int(
             sum(4 in set(map(int, s)) for s in big)
         ) + 2
@@ -188,9 +202,250 @@ class TestIndexMaintenance:
 
     def test_full_rebuild_when_pending_grows(self):
         pool = RRSetPool(10)
-        pool.add_sets(_sets([0], [1]))
-        pool.add_sets(_sets(*[[i % 10] for i in range(100)]))
+        pool.add_sets(_sets(*[[i % 10] for i in range(5_000)]))
+        assert pool.remove_covered(0) == 500
+        assert pool._indexed_sets == 5_000
+        pool.add_sets(_sets(*[[i % 10] for i in range(1_249)]))
+        assert pool.coverage_of_set([0]) == 125
+        assert (pool._indexed_sets, pool._pend_sets.size) == (5_000, 1_249)
+        pool.add_sets(_sets([0]))  # pending reaches 1/4 of the indexed members
+        assert pool.set_ids_containing(0).tolist()[-2:] == [6_240, 6_249]
         assert pool._indexed_sets == pool.num_total  # pending forced rebuild
+        assert pool._pend_sets.size == 0
+
+    def test_builds_once_per_growth_event_at_the_first_index_read(self, build_calls):
+        """The complexity guard, as a count: appends never build, the
+        first index read after growth builds exactly once, and only index
+        reads build at all."""
+        pool = RRSetPool(40)
+        rng = np.random.default_rng(3)
+
+        def chunk(num_sets):
+            lengths = rng.integers(0, 7, size=num_sets)
+            return rng.integers(0, 40, size=int(lengths.sum())), lengths
+
+        appended = 0
+        for _ in range(16):
+            members, lengths = chunk(200)
+            pool.add_flat(members, lengths)
+            appended += members.size
+        assert build_calls == []
+        assert pool.remove_covered(7) > 0
+        assert build_calls == [appended]  # one build for the whole event
+        pool.remove_covered(8)
+        pool.coverage_of_set([1, 2, 3])
+        pool.set_ids_containing(4)
+        assert len(build_calls) == 1
+        members, lengths = chunk(5)  # a +5 top-up: mini-index tier
+        pool.add_flat(members, lengths)
+        assert len(build_calls) == 1
+        pool.coverage_of_set([9], alive_only=False)
+        assert build_calls == [appended, members.size]
+        # The resume path (re-derive the sets, re-apply the alive mask)
+        # and every non-index accessor build nothing.
+        resumed = RRSetPool(40)
+        view = pool.prefix_view()
+        resumed.add_flat(view.members, np.diff(view.indptr))
+        resumed.kill_sets(np.flatnonzero(~pool.alive_mask()))
+        assert np.array_equal(resumed.coverage(), pool.coverage())
+        pool.add_flat(*chunk(300))
+        for p in (pool, resumed):
+            p.prefix_view(50).get_set(3)
+            p.first_k_sets(10)
+            p.coverage()
+            p.coverage_of(7)
+            p.memory_bytes()
+            p.allocated_bytes()
+        assert len(build_calls) == 2
+
+
+def _reference_index(members, first_set, lengths):
+    """The stable-argsort construction the packed-key kernel replaced,
+    kept as the reference: ``(sorted members, owning set ids)``."""
+    owners = np.repeat(
+        np.arange(first_set, first_set + len(lengths), dtype=np.int64), lengths
+    )
+    order = np.argsort(members, kind="stable")
+    return members[order], owners[order]
+
+
+def _assert_builders_match_reference(members, first_set, lengths, num_nodes):
+    members = np.asarray(members, dtype=np.int32)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    nodes, owners = _reference_index(members, first_set, lengths)
+    indptr, set_ids = _build_csr_index(members, first_set, lengths, num_nodes)
+    assert set_ids.dtype == np.int32 and indptr.dtype == np.int64
+    assert np.array_equal(set_ids, owners)
+    assert np.array_equal(
+        indptr, np.searchsorted(nodes, np.arange(num_nodes + 1))
+    )
+    pend_nodes, pend_sets = _build_pending_index(members, first_set, lengths)
+    assert pend_nodes.dtype == np.int32 and pend_sets.dtype == np.int32
+    assert np.array_equal(pend_nodes, nodes)
+    assert np.array_equal(pend_sets, owners)
+
+
+class TestBuildKernel:
+    """Both index tiers are built by one packed-key sort; it must leave
+    exactly the order of the stable argsort it replaced."""
+
+    @given(data=st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_stable_argsort(self, data):
+        num_nodes = data.draw(st.sampled_from([1, 3, 40, 70_000]))
+        node = st.one_of(
+            st.integers(0, num_nodes - 1), st.just(num_nodes - 1), st.just(0)
+        )
+        # Not ``unique``: a node may repeat inside one set (equal keys).
+        sets = data.draw(st.lists(st.lists(node, max_size=6), max_size=30))
+        first_set = data.draw(
+            st.sampled_from([0, 1, 700, 2**16, MAX_SETS - len(sets)])
+        )
+        _assert_builders_match_reference(
+            [v for members in sets for v in members],
+            first_set,
+            [len(members) for members in sets],
+            num_nodes,
+        )
+
+    @pytest.mark.parametrize(
+        "members, first_set, lengths, num_nodes",
+        [
+            ([], 0, [], 4),  # nothing at all
+            ([], 5, [0, 0, 0], 4),  # only empty sets
+            ([2, 2, 2, 0, 2], 0, [3, 2], 3),  # a node repeated inside one set
+            ([1, 0, 1], 9, [0, 2, 0, 0, 1], 2),  # empty sets, first_set > 0
+            ([6, 0, 6, 6], 3, [1, 3], 7),  # node num_nodes - 1
+            ([69_999, 65_536, 0, 65_535, 69_999], 2, [2, 3], 70_000),  # n > 2^16
+            # Set ids up to MAX_SETS - 1 on a tiny array: the low word
+            # uses all 31 bits and must not come back sign-wrapped.
+            ([3, 0, 3, 1, 3], MAX_SETS - 3, [2, 1, 2], 4),
+        ],
+    )
+    def test_explicit_edges(self, members, first_set, lengths, num_nodes):
+        _assert_builders_match_reference(members, first_set, lengths, num_nodes)
+
+    def test_both_words_at_the_int32_limit(self):
+        """The largest node id beside the largest set ids (pending tier:
+        no O(num_nodes) indptr to allocate)."""
+        top = 2**31 - 2
+        nodes, set_ids = _build_pending_index(
+            np.asarray([top, 0, top], dtype=np.int32),
+            MAX_SETS - 2,
+            np.asarray([1, 2], dtype=np.int64),
+        )
+        assert nodes.tolist() == [0, top, top]
+        assert set_ids.tolist() == [MAX_SETS - 1, MAX_SETS - 2, MAX_SETS - 1]
+
+    def test_repeated_node_through_the_public_api(self):
+        """``add_sets`` accepts a set naming a node twice; the index lists
+        that set twice and removal still kills it once."""
+        pool = RRSetPool(4)
+        pool.add_sets(_sets([1, 1, 2], [3], [1, 0, 1]))
+        assert pool.set_ids_containing(1).tolist() == [0, 0, 2, 2]
+        assert pool.coverage_of_set([1]) == 2
+        assert pool.remove_covered(1) == 2
+        assert pool.coverage().tolist() == [0, 0, 0, 1]
+
+
+class _ModelPool:
+    """Brute-force list-of-sets model of :class:`RRSetPool`."""
+
+    def __init__(self, num_nodes):
+        self.num_nodes = num_nodes
+        self.sets: list[list[int]] = []
+        self.alive: list[bool] = []
+
+    def add(self, sets):
+        self.sets.extend(sets)
+        self.alive.extend([True] * len(sets))
+
+    def ids_containing(self, node, alive_only):
+        return [
+            i
+            for i, members in enumerate(self.sets)
+            for v in members
+            if v == node and (self.alive[i] or not alive_only)
+        ]
+
+    def kill(self, ids):
+        killed = {i for i in ids if self.alive[i]}
+        for i in killed:
+            self.alive[i] = False
+        return len(killed)
+
+    def coverage_of_set(self, nodes, alive_only):
+        return len(
+            {i for node in nodes for i in self.ids_containing(node, alive_only)}
+        )
+
+    def coverage(self):
+        counts = [0] * self.num_nodes
+        for members, alive in zip(self.sets, self.alive):
+            for v in members if alive else ():
+                counts[v] += 1
+        return counts
+
+
+class TestAgainstModel:
+    """A forgotten sync is the bug class of an index built on first read:
+    some reader answers from an index that lags the sets.  Random
+    interleavings of every mutation and every reader, each answer checked
+    against the brute-force model."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_interleavings(self, seed, monkeypatch):
+        # A small main-tier floor lets short schedules reach both sides
+        # of the 1/4 rebuild threshold.
+        monkeypatch.setattr(pool_module, "_MIN_INDEXED_MEMBERS", 24)
+        rng = np.random.default_rng(seed)
+        n = 9
+        pool, model = RRSetPool(n), _ModelPool(n)
+        tiers = set()
+        for _ in range(150):
+            op = rng.integers(0, 6)
+            node = int(rng.integers(0, n))
+            nodes = rng.integers(0, n, size=rng.integers(0, 4)).tolist()
+            alive_only = bool(rng.integers(0, 2))
+            if op == 0:  # batches on both sides of the threshold
+                count = int(rng.choice([1, 2, 12, 40]))
+                sets = [
+                    rng.integers(0, n, size=rng.integers(0, 4)).tolist()
+                    for _ in range(count)
+                ]
+                pool.add_flat(
+                    np.asarray([v for s in sets for v in s], dtype=np.int32),
+                    np.asarray([len(s) for s in sets]),
+                )
+                model.add(sets)
+            elif op == 1:
+                assert pool.remove_covered(node) == model.kill(
+                    model.ids_containing(node, True)
+                )
+            elif op == 2 and model.sets:
+                ids = rng.integers(0, len(model.sets), size=3).tolist()
+                assert pool.kill_sets(ids) == model.kill(ids)
+            elif op == 3:
+                assert pool.coverage_of_set(
+                    nodes, alive_only=alive_only
+                ) == model.coverage_of_set(nodes, alive_only)
+            elif op == 4:
+                ids = pool.set_ids_containing(node, alive_only=alive_only)
+                assert ids.tolist() == model.ids_containing(node, alive_only)
+            elif op == 5:
+                assert pool.coverage_of(node) == model.coverage()[node]
+            # After every step — through accessors that never read
+            # (hence never sync) the index, so a reader that forgot
+            # its own sync is not rescued by this check.
+            assert pool.num_total == len(model.sets)
+            assert pool.num_alive == sum(model.alive)
+            assert pool.alive_mask().tolist() == model.alive
+            assert pool.coverage().tolist() == model.coverage()
+            if pool._synced_sets == pool.num_total:
+                tiers.add("pending" if pool._pend_sets.size else "main")
+            else:
+                tiers.add("lagging")
+        assert tiers == {"main", "pending", "lagging"}
 
 
 class TestViews:
@@ -325,10 +580,21 @@ class TestMemoryAccounting:
         pool.add_sets(
             [rng.choice(100, size=5, replace=False) for _ in range(1_000)]
         )
+        unread = pool.memory_bytes()
+        # Never index-read: the int32 members dominate, and asking for
+        # the bytes built no index.
+        assert 1_000 * 5 * 4 <= unread < 1_000 * 5 * (4 + 4)
+        assert pool._idx_sets.size == 0 and pool._indexed_sets == 0
+        assert unread <= pool.allocated_bytes()
+        pool.coverage_of_set([0])
         reported = pool.memory_bytes()
-        # int32 members + int32 index dominate: 5 members/set × 8 bytes.
-        assert reported >= 1_000 * 5 * (4 + 4)
+        # int32 members + int32 index entries: 5 members/set × 8 bytes.
+        assert reported == unread + 1_000 * 5 * 4
         assert reported <= pool.allocated_bytes()
+        pool.add_sets([np.asarray([1, 2])])  # +2 members: 8 B/member mini-index
+        assert pool.memory_bytes() == reported + 2 * 4 + 8 + 1
+        pool.coverage_of_set([0])
+        assert pool.memory_bytes() == reported + 2 * 4 + 8 + 1 + 2 * (4 + 4)
 
     def test_members_are_int32(self):
         pool = RRSetPool(10)

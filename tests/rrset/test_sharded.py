@@ -255,6 +255,48 @@ class TestLifecycle:
         engine.close()  # still idempotent after the failure path
 
 
+class TestMemoryAccounting:
+    def test_memory_bytes_counts_held_tail_blocks(self):
+        """A batch engine (no ``retain_blocks``) still keeps each ad's
+        partially consumed tail chunk in the block memo; what it holds,
+        it reports."""
+        problem = _problem(3, num_ads=2)
+        with ShardedSamplingEngine(
+            problem.graph, _probs(problem), seeds=4, chunk_size=64
+        ) as eng:
+            eng.ensure({0: 96, 1: 96})  # chunk 1 of each ad is half consumed
+
+            def shard_bytes():
+                return sum(eng.shard(ad).memory_bytes() for ad in range(2))
+
+            held = sum(
+                part.nbytes
+                for ad in range(2)
+                for part in eng.sampler(ad).sample_chunk_block(eng.plan(ad), 1)
+            )
+            assert held > 0
+            assert eng.memory_bytes() == shard_bytes() + held
+            eng.ensure({0: 128, 1: 128})  # tails consumed: the memo lets go
+            assert eng.memory_bytes() == shard_bytes()
+
+    def test_resume_path_builds_no_index(self, build_calls):
+        """``ensure`` + ``kill_sets`` (checkpoint resume) and the pilot's
+        accessors never build the inverted index; the first seed does."""
+        problem = _problem(3, num_ads=2)
+        with ShardedSamplingEngine(
+            problem.graph, _probs(problem), seeds=4, chunk_size=16
+        ) as eng:
+            eng.ensure({0: 100, 1: 40})
+            shard = eng.shard(0)
+            shard.kill_sets([0, 5, 9])
+            shard.prefix_view(50).get_set(1)
+            shard.coverage()
+            eng.memory_bytes()
+            assert build_calls == []
+            shard.remove_covered(int(np.argmax(shard.coverage())))
+            assert build_calls == [shard.prefix_view().members.size]
+
+
 class _FakeSubstrate(ChunkSubstrate):
     """A substrate under the test's control: ``submit`` hands out
     unresolved futures and :meth:`resolve` completes them — in *reverse*
