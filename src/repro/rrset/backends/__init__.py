@@ -30,7 +30,12 @@ from __future__ import annotations
 import warnings
 
 from repro.errors import ConfigurationError
-from repro.rrset.backends.base import BLOCK_BATCH, SamplingBackend, drive_blocked
+from repro.rrset.backends.base import (
+    BLOCK_BATCH,
+    SamplingBackend,
+    drive_blocked,
+    node_bounds,
+)
 from repro.rrset.backends.numba_backend import NumbaBackend, numba_available
 from repro.rrset.backends.numpy_backend import NumpyBackend
 
@@ -91,6 +96,7 @@ __all__ = [
     "SamplingBackend",
     "available_backends",
     "drive_blocked",
+    "node_bounds",
     "numba_available",
     "resolve_backend",
 ]

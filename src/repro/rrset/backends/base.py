@@ -24,12 +24,18 @@ the reference semantics pinned by ``tests/rrset/test_backends.py``.
 The level-op contract
 ---------------------
 
-``level_op(owners, starts, degrees, in_sources, in_probs, coins,
+``level_op(owners, starts, degrees, bounds, in_sources, in_probs, coins,
 visited_keys, n) -> (new_owners, new_sources, new_visited_keys)``
 
 * ``owners[i]``/``starts[i]``/``degrees[i]`` — set id owning frontier
   entry ``i`` and its in-CSR slot range ``[starts[i], starts[i] +
   degrees[i])``;
+* ``bounds[i]`` — the largest ``in_probs`` value in that slot range
+  (:func:`node_bounds`).  A coin ``>= bounds[i]`` cannot be live, so a
+  backend may discard it before reading its slot: the *candidates*
+  ``coins < repeat(bounds, degrees)`` are a superset of the live edges.
+  Purely an optimization input — a backend that reads every slot anyway
+  ignores it;
 * ``coins`` — one uniform draw per examined in-edge, in frontier order
   then CSR slot order (``coins.size == degrees.sum()``);
 * ``visited_keys`` — sorted, unique ``owner * n + node`` keys of every
@@ -48,9 +54,11 @@ import numpy as np
 
 from repro.rrset.pool import MEMBER_DTYPE
 
-#: RNG-block width of the level-synchronous batched BFS (one batch of
-#: roots BFS-ed together; part of neither the stream nor the backend
-#: contract — any batch size yields the same sets for the same rng).
+#: RNG-block width of the level-synchronous batched BFS: one batch of
+#: roots is BFS-ed together and each level draws one coin block for all
+#: of them, so the width sets the coin interleaving — another value
+#: draws different (equally valid) sets from the same rng.  Part of the
+#: stream contract for chunks wider than it; not of the backend one.
 BLOCK_BATCH = 4_096
 
 
@@ -72,7 +80,7 @@ class SamplingBackend(ABC):
     name: str = "abstract"
 
     @abstractmethod
-    def level_op(self, owners, starts, degrees, in_sources, in_probs,
+    def level_op(self, owners, starts, degrees, bounds, in_sources, in_probs,
                  coins, visited_keys, n):
         """Advance one BFS level (see the module docstring contract)."""
 
@@ -91,12 +99,13 @@ class SamplingBackend(ABC):
         count: int,
         batch_size: int | None = None,
         roots: np.ndarray | None = None,
+        bounds: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """``count`` RR-sets as a packed ``(members, lengths)`` block,
         drawing from ``rng`` — the backend-facing entry point the
-        sampler calls."""
+        sampler calls (arguments as :func:`drive_blocked`)."""
         return drive_blocked(
-            graph, in_probs, rng, count, self.level_op, batch_size, roots
+            graph, in_probs, rng, count, self.level_op, batch_size, roots, bounds
         )
 
     def __repr__(self) -> str:
@@ -107,6 +116,24 @@ def _empty_flat() -> tuple[np.ndarray, np.ndarray]:
     return np.empty(0, dtype=MEMBER_DTYPE), np.empty(0, dtype=np.int64)
 
 
+def node_bounds(graph, in_probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(in_degree, node_bound)`` for one per-in-slot probability array:
+    ``node_bound[v]`` is the largest probability on an in-edge of ``v``
+    (0 where there is none), so ``coin >= node_bound[v]`` rules out every
+    in-edge of ``v`` without reading it.  O(m); samplers build it once
+    per (process, ad) and pass it to :func:`drive_blocked`."""
+    in_degree = graph.in_degrees()
+    node_bound = np.zeros(graph.num_nodes, dtype=np.float64)
+    # reduceat over the non-empty slot ranges only: an empty range would
+    # read its neighbour's first slot, a trailing one index past the end.
+    nonempty = np.flatnonzero(in_degree)
+    if nonempty.size:
+        node_bound[nonempty] = np.maximum.reduceat(
+            in_probs, graph.in_indptr[nonempty]
+        )
+    return in_degree, node_bound
+
+
 def drive_blocked(
     graph,
     in_probs: np.ndarray,
@@ -115,6 +142,7 @@ def drive_blocked(
     level_op,
     batch_size: int | None = None,
     roots: np.ndarray | None = None,
+    bounds: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Shared blocked-BFS driver: ``count`` RR-sets as a packed
     ``(members, lengths)`` block, drawing from ``rng``.
@@ -125,60 +153,79 @@ def drive_blocked(
     hands frontier + coins to ``level_op`` for the live-edge test and
     the ``(set, node)`` dedup.  ``in_probs`` is the per-in-slot
     probability array (canonical edge probabilities gathered through
-    ``graph.in_edge_ids``).  ``roots`` fixes the roots (tests and the
-    single-set helper); by default they are drawn from ``rng``.
+    ``graph.in_edge_ids``) and ``bounds`` its :func:`node_bounds`
+    (computed here when the caller did not keep them).  ``roots`` fixes
+    the roots (tests and the single-set helper); by default they are
+    drawn from ``rng``.
 
     The RNG call sequence is fixed here, independent of ``level_op``:
     that is what makes every backend byte-identical for the same
-    generator state.
+    generator state.  ``batch_size`` is part of that sequence — a level's
+    coin block interleaves every set of the batch — so two batch sizes
+    give different (equally valid) samples from one generator.
     """
     n = graph.num_nodes
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    if batch_size is None:
+        batch_size = BLOCK_BATCH
+    elif batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    if roots is not None:
+        roots = np.asarray(roots, dtype=np.int64)
+        if roots.shape != (count,):
+            raise ValueError(
+                f"roots must hold one root per set, shape ({count},), "
+                f"got {roots.shape}"
+            )
+        bad = roots[(roots < 0) | (roots >= n)]
+        if bad.size:
+            raise ValueError(f"roots must lie in [0, {n}), got {int(bad[0])}")
     if count == 0:
         return _empty_flat()
     if n == 0:
         raise ValueError("cannot sample RR-sets from an empty graph")
-    if batch_size is None:
-        batch_size = BLOCK_BATCH
     in_indptr = graph.in_indptr
     in_sources = graph.in_sources
+    in_degree, node_bound = node_bounds(graph, in_probs) if bounds is None else bounds
     member_chunks: list[np.ndarray] = []
     length_chunks: list[np.ndarray] = []
-    done = 0
-    while done < count:
+    for done in range(0, count, batch_size):
         batch = min(batch_size, count - done)
         if roots is None:
-            batch_roots = rng.integers(0, n, size=batch)
+            frontier = rng.integers(0, n, size=batch)
         else:
-            batch_roots = np.asarray(roots[done : done + batch], dtype=np.int64)
+            frontier = roots[done : done + batch]
         owners = np.arange(batch, dtype=np.int64)
         # Visited (set, node) pairs as a sorted key array: memory and
         # work scale with the members actually discovered, never with
         # batch × num_nodes.  Owners are distinct here, so the root
         # keys are already unique and sorted.
-        visited_keys = owners * n + batch_roots
-        frontier = batch_roots.astype(np.int64)
-        pair_owner = [owners]
-        pair_node = [frontier]
-        while frontier.size:
-            starts = in_indptr[frontier]
-            degrees = in_indptr[frontier + 1] - starts
+        visited_keys = owners * n + frontier
+        level_owner = [owners]
+        level_node = [frontier]
+        while True:
+            degrees = in_degree[frontier]
             total = int(degrees.sum())
             if total == 0:
                 break
             coins = rng.random(total)
-            own, src, visited_keys = level_op(
-                owners, starts, degrees, in_sources, in_probs, coins,
-                visited_keys, n,
+            owners, frontier, visited_keys = level_op(
+                owners, in_indptr[frontier], degrees, node_bound[frontier],
+                in_sources, in_probs, coins, visited_keys, n,
             )
-            if src.size == 0:
+            if frontier.size == 0:
                 break
-            pair_owner.append(own)
-            pair_node.append(src)
-            owners, frontier = own, src
-        all_owner = np.concatenate(pair_owner)
-        all_node = np.concatenate(pair_node)
-        order = np.argsort(all_owner, kind="stable")
-        member_chunks.append(all_node[order].astype(MEMBER_DTYPE))
+            level_owner.append(owners)
+            level_node.append(frontier)
+        # Regroup by set, levels in order within a set.  Owners are
+        # below the batch size, so they fit the narrowest unsigned type
+        # — uint16 at BLOCK_BATCH, where numpy's stable sort is a radix
+        # sort, O(members) instead of an int64 merge sort.
+        all_owner = np.concatenate(level_owner)
+        order = np.argsort(
+            all_owner.astype(np.min_scalar_type(batch - 1)), kind="stable"
+        )
+        member_chunks.append(np.concatenate(level_node).astype(MEMBER_DTYPE)[order])
         length_chunks.append(np.bincount(all_owner, minlength=batch))
-        done += batch
     return np.concatenate(member_chunks), np.concatenate(length_chunks)

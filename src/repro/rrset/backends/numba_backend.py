@@ -1,12 +1,15 @@
 """The Numba JIT backend: the level op as one fused compiled loop.
 
-The NumPy reference level op materializes several ``O(total-edges)``
-temporaries per BFS level (slot gather, owner repeat, live mask, key
-array) and re-sorts the candidate keys with ``np.unique``.  The kernel
+The NumPy reference level op materializes ``O(total-edges)``
+temporaries per BFS level (the repeated per-node bound, the candidate
+mask — or, where the bounds prune little, every slot and owner) and
+scatters the visited keys into a fresh array to merge.  The kernel
 below fuses all of that into a single pass over the frontier's in-edge
-slots — no temporaries beyond the candidate/fresh buffers — followed by
-one sort of only the *live* candidates and a linear two-pointer merge
-into the visited-key array (both sides already sorted).
+slots — no temporaries beyond the candidate/fresh buffers, and no use
+for the per-node bound, since each probability is read exactly once —
+followed by one sort of only the *live* candidates and a linear
+two-pointer merge into the visited-key array (both sides already
+sorted).
 
 **Byte-identity.**  The kernel consumes the coin block the shared driver
 pre-drew (:func:`repro.rrset.backends.base.drive_blocked` owns every RNG
@@ -185,8 +188,10 @@ class NumbaBackend(SamplingBackend):
             owners.copy(), max(graph.num_nodes, 1),
         )
 
-    def level_op(self, owners, starts, degrees, in_sources, in_probs,
+    def level_op(self, owners, starts, degrees, bounds, in_sources, in_probs,
                  coins, visited_keys, n):
+        # `bounds` is unused: the fused loop already reads each edge's
+        # probability exactly once, so there is no gather to prune.
         return self._resolve_kernel()(
             owners, starts, degrees, in_sources, in_probs, coins,
             visited_keys, n,

@@ -40,7 +40,7 @@ import random
 import numpy as np
 
 from repro.graph.digraph import DirectedGraph
-from repro.rrset.backends import resolve_backend
+from repro.rrset.backends import node_bounds, resolve_backend
 from repro.rrset.pool import MEMBER_DTYPE, RRSetPool
 from repro.utils.rng import as_generator
 from repro.utils.validation import check_probability_array
@@ -277,6 +277,7 @@ class RRSetSampler:
         self._random = random.Random(int(rng.integers(0, 2**63 - 1)))
         self.num_sampled = 0
         self._in_probs_array = self.edge_probabilities[graph.in_edge_ids]
+        self._node_bounds = node_bounds(graph, self._in_probs_array)
         # Scalar-path adjacency (the in-CSR flattened into Python lists:
         # scalar indexing into lists is several times faster than into
         # numpy arrays).  Built lazily on first use — a chunk-only
@@ -396,7 +397,7 @@ class RRSetSampler:
         """
         return self.backend.sample_flat(
             self.graph, self._in_probs_array, plan.generator(chunk_index),
-            plan.chunk_size,
+            plan.chunk_size, bounds=self._node_bounds,
         )
 
     def sample_chunk_flat(
