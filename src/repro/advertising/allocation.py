@@ -161,6 +161,15 @@ class Allocation:
             and self._user_counts[user] < bounds.kappa[user]
         )
 
+    def assignable(self, ad: int, bounds: AttentionBounds) -> np.ndarray:
+        """:meth:`can_assign` for every user at once: a fresh boolean
+        mask of length ``n``."""
+        mask = self._user_counts < bounds.kappa
+        seeds = self._seed_sets[ad]
+        if seeds:
+            mask[np.fromiter(seeds, dtype=np.int64, count=len(seeds))] = False
+        return mask
+
     # ------------------------------------------------------------------
     def copy(self) -> "Allocation":
         """Deep copy (provenance included)."""

@@ -214,8 +214,15 @@ class AllocationSession:
         the state the batch loop did.  Terminal states are absorbing:
         stepping them is a no-op returning the final snapshot.
         """
+        self._advance()
+        return self.progress()
+
+    def _advance(self) -> None:
+        """One transition, no snapshot: what :meth:`run` loops —
+        building the checkpoint-shaped payload per transition is
+        O(seeds) work nobody reads there."""
         if self.state in TERMINAL_STATES:
-            return self.progress()
+            return
         try:
             if self.state == PILOT:
                 self._step_pilot()
@@ -229,13 +236,12 @@ class AllocationSession:
             self.state = FAILED
             self.error = exc
             raise
-        return self.progress()
 
     def run(self) -> AllocationResult:
         """Drive the machine to a terminal state and return the result
         — the batch facade's whole loop."""
         while self.state not in TERMINAL_STATES:
-            self.step()
+            self._advance()
         return self.result()
 
     def request_cancel(self) -> None:
@@ -648,6 +654,10 @@ class AllocationSession:
                 growth = 0
             state.seed_size_estimate += max(growth, 1)
 
+            if state.theta >= self.config.max_rr_sets_per_ad:
+                # θ_i is clamped to the cap, so no target can exceed it:
+                # skip the greedy pilot cover that would compute one.
+                continue
             target = self._theta_for(state, state.seed_size_estimate)
             if target > state.theta:
                 targets[ad] = target

@@ -16,7 +16,7 @@ direct TIM application faces:
   sample the extra RR-sets, and re-estimate existing seeds' coverage
   against them (Algorithm 4) so future marginals stay accurate.
 
-Differences from the pseudocode, both documented in DESIGN.md:
+Two differences from the pseudocode:
 
 * ``s_i`` grows by at least 1 when triggered (the literal ``⌊·⌋`` can
   return 0, freezing ``θ_i`` forever);
@@ -71,6 +71,30 @@ from repro.utils.timing import Timer
 #: (:mod:`repro.dist`).  All byte-identical for the same
 #: ``(seed, chunk_size)``.
 ALLOCATOR_ENGINE_MODES = ENGINE_MODES + ("dist",)
+
+#: How many fresh heap entries a candidate scan walks before it is
+#: computed from the coverage vector instead: ``_WALK_BASE + n //
+#: _WALK_NODES_PER_ENTRY``.  Measured on the 2-core dev box (numpy 2,
+#: ``FLIX``-shaped states, ≈ 400 overshooting entries ahead of the first
+#: fit): one walked entry ≈ 3.3 µs at every ``n``; one pass ≈ 32 / 116 /
+#: 217 / 968 / 3 170 / 11 250 µs at n = 300 / 3 000 / 10 000 / 30 000 /
+#: 100 000 / 300 000, i.e. the walk has paid for a pass after about
+#: ``16 + n // 100`` entries.  Scans are bimodal — settled within a few
+#: entries or hundreds deep — so the walk gives up at half of that:
+#: ``FLIX`` (n = 3 000, seeds 1 / 2 / 5) reads 0.198 / 0.219 / 0.187 s at
+#: 7 entries, 0.217 / 0.219 / 0.227 s at 23, 0.224 / 0.229 / 0.219 s at
+#: 45, 0.255 / 0.248 / 0.237 s at 107 and 1.29 / 0.76 / 0.74 s never
+#: switching.
+_WALK_BASE = 8
+_WALK_NODES_PER_ENTRY = 200
+
+
+def _walk_limit(num_nodes: int) -> int:
+    """Entries :meth:`TIRMAllocator._best_candidate` walks before it
+    switches to :meth:`TIRMAllocator._scan_coverage`: a deep scan costs
+    at most a pass and a half, and a scan settled near the top of a
+    paper-scale heap never pays for a pass."""
+    return _WALK_BASE + num_nodes // _WALK_NODES_PER_ENTRY
 
 
 class TIRMAllocator(Allocator):
@@ -531,68 +555,145 @@ class TIRMAllocator(Allocator):
     def _best_candidate(self, problem, ad: int, state: _AdState, allocation, budgets, cpes):
         """Argmax-drop candidate for one ad: ``(node, cov, marginal, drop)``.
 
-        With the default ``weighted`` rule, candidates come off the heap
-        in decreasing marginal-revenue order, so drops first rise toward
+        With the default ``weighted`` rule, candidates are taken in
+        decreasing marginal-revenue order, so drops first rise toward
         the remaining budget and then only shrink — the scan stops at
         the first candidate whose marginal fits within the remaining
         budget (exact argmax, same argument as Algorithm 1's greedy).
         The ``coverage`` rule reproduces the literal Algorithm 3: only
         the single top-coverage node is considered.
 
-        When the top of the heap overshoots and lowers nothing, the scan
-        first asks :meth:`_some_node_lowers_regret`; an ad no node can
-        help is retired instead of having its whole heap popped and
-        pushed back on this and every later iteration.
+        *What is lazy.*  The heap holds every eligible node of positive
+        score under a key that is its score at some earlier coverage —
+        never below its current one, since coverage only falls between
+        rebuilds — and :meth:`_pop_fresh` refreshes keys as they reach
+        the top.  While the fresh top fits (the common case) a call is
+        one pop and one push, O(log n).
+
+        *When it switches.*  Once an ad's remaining budget is smaller
+        than its top marginal, the first candidate that fits can sit
+        hundreds of entries deep, and a walk would pop down to it and
+        push everything back on this and every later iteration.  So the
+        walk is given :func:`_walk_limit` entries; a scan that is not
+        settled by then is answered by :meth:`_scan_coverage` instead —
+        one numpy pass over the coverage vector, O(n) however deep the
+        answer lies — and pops nothing more.
+
+        *Why the answer is the same.*  Keys are the exact products
+        :meth:`_rebuild_heap` and :meth:`_score` compute, so an entry is
+        fresh iff its key equals its current score, and fresh entries
+        leave the heap in ``(-score, node)`` order over the eligible
+        nodes of positive score: a pure function of coverage, CTPs and
+        eligibility, which the pass evaluates directly with the walk's
+        own arithmetic and folds with the same :func:`_beats` sequence.
+        The heap is left a valid lazy heap either way.
+
+        An ad whose top candidate overshoots while no node at all
+        lowers its regret is retired (``state.active = False``): its
+        coverage, revenue and θ change only when it takes a seed, it has
+        none to take, and other ads' picks only make users ineligible.
         """
         remaining = budgets[ad] - state.revenue
         if remaining <= 0:
             return None
         num_seeds = len(state.seeds_in_order)
+        before = regret_of(budgets[ad], state.revenue, problem.penalty, num_seeds)
+        literal = self.select_rule == "coverage"
+        limit = 1 if literal else _walk_limit(problem.num_nodes)
         scanned: list[tuple[float, int]] = []
         best = None
         best_drop = 0.0
-        best_fits = False
-        while True:
+        answered = False
+        while len(scanned) < limit:
             top = self._pop_fresh(problem, ad, state, allocation)
             if top is None:
-                if not scanned and best is None:
+                if not scanned:
                     state.active = False
+                    return None
                 break
             node, cov, score = top
             scanned.append((-score, node))
             marginal = self._marginal_revenue(problem, ad, state, node, cov, cpes)
-            drop = regret_of(
-                budgets[ad], state.revenue, problem.penalty, num_seeds
-            ) - regret_of(
+            drop = before - regret_of(
                 budgets[ad], state.revenue + marginal, problem.penalty, num_seeds + 1
             )
             fits = marginal <= remaining
-            if drop > 1e-12 and _beats(drop, fits, best_drop, best_fits):
+            # Every entry before this one overshot, or the walk had ended.
+            if drop > 1e-12 and _beats(drop, fits, best_drop, False):
                 best = (node, cov, marginal, drop)
-                best_drop, best_fits = drop, fits
-            if self.select_rule == "coverage" or fits:
-                break
-            if (
-                best is None
-                and len(scanned) == 1
-                and not self._some_node_lowers_regret(problem, ad, state, budgets, cpes)
-            ):
-                # The answer stands: this ad's coverage, revenue and θ
-                # change only when it takes a seed, it has none to offer,
-                # and other ads' picks only make users ineligible.
-                state.active = False
+                best_drop = drop
+            if literal or fits:
+                # The scan ends here — but empty-handed under a top entry
+                # that overshoots, the ad may have to be retired, which
+                # only the pass can tell.
+                answered = best is not None or len(scanned) == 1
                 break
         for entry in scanned:
             heapq.heappush(state.heap, entry)
-        return best
+        if answered:
+            return best
+        return self._scan_coverage(problem, ad, state, allocation, budgets, cpes)
 
-    def _some_node_lowers_regret(self, problem, ad: int, state: _AdState,
-                                 budgets, cpes) -> bool:
-        """Whether any node at all passes :meth:`_best_candidate`'s
-        ``drop > 1e-12`` test: its drops over the whole coverage vector
-        at once, the same operations in the same order — O(n) numpy
-        where popping the heap down to the answer is O(n log n) Python.
+    def _scan_coverage(self, problem, ad: int, state: _AdState, allocation, budgets, cpes):
+        """The ``weighted`` scan of :meth:`_best_candidate` from its
+        first entry, computed instead of walked: marginals, drops and
+        fit flags of all nodes at once — the same operations in the same
+        order as the scalar ones, so the same doubles — then the first
+        eligible node that fits in ``(-score, node)`` order, and the
+        :func:`_beats` fold over the eligible nodes ahead of it that
+        lower regret, in that order.  Retires the ad when there is no
+        eligible node, or the top one overshoots and no node at all
+        lowers regret.
         """
+        coverage = state.collection.coverage()
+        marginals, drops = self._marginals_and_drops(problem, ad, state, budgets, cpes)
+        lowers = drops > 1e-12
+        fits = marginals <= budgets[ad] - state.revenue
+        scores = problem.ctps[ad] * coverage
+        eligible = allocation.assignable(ad, problem.attention) & (scores > 0.0)
+        candidates = np.flatnonzero(eligible)
+        if not candidates.size:
+            state.active = False
+            return None
+        if not lowers.any():
+            # Nothing to return, and nothing ever will be if the top
+            # entry overshoots (one that fits ends the walk unasked).
+            # argmax takes the first of equal scores: the smallest node,
+            # as the heap does.
+            if not fits[candidates[scores[candidates].argmax()]]:
+                state.active = False
+            return None
+        ahead = eligible & lowers & ~fits
+        fitting = candidates[fits[candidates]]
+        first_fit = None
+        if fitting.size:
+            first_fit = int(fitting[scores[fitting].argmax()])
+            # Ahead of it: a larger score, or an equal one at a smaller id.
+            tied = scores == scores[first_fit]
+            tied[first_fit:] = False
+            ahead &= (scores > scores[first_fit]) | tied
+        ahead = np.flatnonzero(ahead)
+        # Ascending node ids, stably sorted by falling score: heap order.
+        ahead = ahead[np.argsort(-scores[ahead], kind="stable")]
+        winner = None
+        best_drop = 0.0
+        for node, drop in zip(ahead.tolist(), drops[ahead].tolist()):
+            if _beats(drop, False, best_drop, False):
+                winner, best_drop = node, drop
+        if first_fit is not None and lowers[first_fit] and _beats(
+            float(drops[first_fit]), True, best_drop, False
+        ):
+            winner = first_fit
+        if winner is None:
+            return None
+        return (
+            winner, int(coverage[winner]), float(marginals[winner]), float(drops[winner])
+        )
+
+    def _marginals_and_drops(self, problem, ad: int, state: _AdState, budgets, cpes):
+        """:meth:`_marginal_revenue` of every node, and the regret drop
+        of taking it, as two float64 vectors: the operations of the
+        scalar forms in their order, hence their doubles."""
         num_seeds = len(state.seeds_in_order)
         marginals = (
             cpes[ad] * problem.num_nodes * problem.ctps[ad]
@@ -603,7 +704,7 @@ class TIRMAllocator(Allocator):
             + float(problem.penalty) * (num_seeds + 1)
         )
         before = regret_of(budgets[ad], state.revenue, problem.penalty, num_seeds)
-        return bool(((before - after) > 1e-12).any())
+        return marginals, before - after
 
     def _marginal_revenue(self, problem, ad: int, state: _AdState, node: int,
                           cov: int, cpes) -> float:

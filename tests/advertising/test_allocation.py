@@ -141,6 +141,31 @@ def test_counts_invariant_under_random_assignments(ops):
     assert alloc.total_seeds() == int(expected.sum())
 
 
+@given(
+    kappa=st.lists(st.integers(0, 3), min_size=6, max_size=6),
+    ops=st.lists(
+        st.tuples(st.booleans(), st.integers(0, 5), st.integers(0, 2)), max_size=40
+    ),
+)
+@settings(max_examples=100, deadline=None)
+def test_assignable_is_can_assign_for_every_user(kappa, ops):
+    """The mask agrees with the scalar test node by node after any
+    sequence of assigns and unassigns, and is the caller's to mutate."""
+    bounds = AttentionBounds(np.asarray(kappa))
+    alloc = Allocation(3, 6)
+    for add, user, ad in ops:
+        if add and user not in alloc.seeds(ad):
+            alloc.assign(user, ad)
+        elif not add and user in alloc.seeds(ad):
+            alloc.unassign(user, ad)
+    for ad in range(3):
+        expected = [bool(alloc.can_assign(user, ad, bounds)) for user in range(6)]
+        mask = alloc.assignable(ad, bounds)
+        assert mask.dtype == bool and mask.tolist() == expected
+        mask[:] = True
+        assert alloc.assignable(ad, bounds).tolist() == expected
+
+
 def test_provenance_roundtrip_and_equality_exclusion():
     """Provenance records the producer's reproducibility contract; it is
     metadata — merged across calls, copied with the allocation, and

@@ -119,6 +119,56 @@ class TestStateMachine:
             stats = final.stats
             assert stats["iterations"] == session.iterations > 0
 
+    def test_run_builds_no_snapshot(self, monkeypatch):
+        """``step()`` returns a checkpoint-shaped snapshot per
+        transition; ``run()`` — the batch facade's loop — has no reader
+        for one and builds none unless a checkpoint path asks."""
+        from repro.algorithms import session as session_module
+
+        built = []
+        build = session_module.build_snapshot
+
+        def spy(**kwargs):
+            built.append(kwargs["iterations"])
+            return build(**kwargs)
+
+        monkeypatch.setattr(session_module, "build_snapshot", spy)
+        problem = _problem()
+        result = _allocator().allocate(problem)
+        assert result.stats["iterations"] > 0 and built == []
+        engine, session = _session(problem, _allocator())
+        steps = 0
+        with engine:
+            while session.state not in TERMINAL_STATES:
+                session.step()
+                steps += 1
+        assert len(built) == steps > session.iterations
+
+    def test_a_capped_ad_is_not_re_estimated(self, monkeypatch):
+        """θ_i is clamped to ``max_rr_sets_per_ad``: once an ad sits at
+        the cap no growth event can raise its target, so the greedy
+        pilot cover that would compute one runs once per ad — from
+        ``ESTIMATE_THETA`` — and never again, while ``s_i`` still
+        advances."""
+        from repro.algorithms import tirm as tirm_module
+
+        covers = []
+        cover = tirm_module.greedy_max_coverage
+
+        def spy(pilot, n, s):
+            covers.append(s)
+            return cover(pilot, n, s)
+
+        monkeypatch.setattr(tirm_module, "greedy_max_coverage", spy)
+        problem = _problem()
+        # min = max: the cap binds at θ(1) whatever the pilot estimates.
+        result = _allocator(
+            min_rr_sets_per_ad=600, max_rr_sets_per_ad=600
+        ).allocate(problem)
+        assert result.stats["theta_per_ad"] == [600] * problem.num_ads
+        assert max(result.stats["seed_size_estimates"]) > 1, "no growth event ran"
+        assert covers == [1] * problem.num_ads
+
 
 class TestCancellation:
     def test_cancel_before_loop_returns_empty_truncated(self):

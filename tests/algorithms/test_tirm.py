@@ -15,6 +15,8 @@ from repro.evaluation.evaluator import RegretEvaluator
 from repro.graph.generators import erdos_renyi, star_graph
 from repro.graph.probabilities import constant_probabilities
 
+from tests.algorithms._reference_selector import ReferenceSelector
+
 
 def tirm(**kwargs):
     defaults = dict(seed=0, initial_pilot=500, max_rr_sets_per_ad=8_000)
@@ -241,9 +243,10 @@ class TestAttention:
         assert overlap == frozenset()
 
 
-class _FullScan(TIRMAllocator):
-    """The selector without its end-game question: every scan pops the
-    heap down to the answer, as if some node could always help."""
+class _FullScan(ReferenceSelector):
+    """The selector as a plain heap walk, without even the end-game
+    question: every scan pops the heap down to the answer, as if some
+    node could always help."""
 
     def _some_node_lowers_regret(self, problem, ad, state, budgets, cpes):
         return True
@@ -297,36 +300,51 @@ class TestEndGame:
         assert retiring.estimated_revenues.tolist() == scanning.estimated_revenues.tolist()
 
     def test_a_fruitless_scan_stops_at_the_top_of_the_heap(self, monkeypatch):
-        """Counts, not seconds: with the question asked, no scan that
-        finds nothing pops past the first entry, and a retired ad is not
-        scanned again; without it the same run re-pops whole heaps."""
+        """Counts, not seconds: no scan walks the heap past the switch
+        count (one more ``_pop_fresh`` call may find it empty), a
+        retired ad is not asked again, and the run pops a fraction of
+        what the parent's heap walk did."""
+        from repro.algorithms import tirm as tirm_module
+        from repro.algorithms.session import AllocationSession
+
         problem = self._problem()
         calls = _count_scans(monkeypatch, TIRMAllocator)
-        TIRMAllocator(**self.KWARGS).allocate(problem)
-        fruitless = [(ad, popped) for ad, popped, found in calls if not found]
-        assert fruitless, "the instance must leave some ad short of its budget"
-        assert max(popped for _, popped in fruitless) <= 1
-        # λ = 0: a top entry that fits always lowers regret, so popping
-        # one entry and finding nothing is the retirement — once per ad,
-        # and the last thing that ad is ever asked.
-        retired = [ad for ad, popped in fruitless if popped == 1]
-        assert retired and len(retired) == len(set(retired))
-        for ad in retired:
-            assert [c for c in calls if c[0] == ad][-1] == (ad, 1, False)
+        active = []
+        select = AllocationSession._step_select
 
-        asked = list(calls)
-        calls.clear()
-        _FullScan(**self.KWARGS).allocate(problem)
-        deep = [popped for _, popped, found in calls if not found and popped > 1]
-        assert deep, "without the question the same run re-scans"
-        assert sum(p for _, p, _ in asked) < sum(p for _, p, _ in calls)
+        def recording_select(session):
+            active.append([state.active for state in session.states])
+            select(session)
+
+        monkeypatch.setattr(AllocationSession, "_step_select", recording_select)
+        TIRMAllocator(**self.KWARGS).allocate(problem)
+        limit = tirm_module._walk_limit(problem.num_nodes)
+        assert max(popped for _, popped, _ in calls) <= limit + 1
+        # The parent (commit c3d1ac2) popped 26 042 entries over the same
+        # 267 scans, 523 in the deepest one.
+        assert len(calls) == 267
+        assert sum(popped for _, popped, _ in calls) < 26_042 // 10
+        # Each SELECT step asks exactly the ads active at its start, and
+        # retirement is for good.
+        asked = iter(calls)
+        for flags in active:
+            for ad in np.flatnonzero(flags):
+                assert next(asked)[0] == ad
+        assert next(asked, None) is None
+        assert any(not all(flags) for flags in active), (
+            "the instance must leave some ad short of its budget"
+        )
+        for before, after in zip(active, active[1:]):
+            assert all(a <= b for a, b in zip(after, before))
 
     def test_the_question_is_the_scans_own_arithmetic(self):
-        """``_some_node_lowers_regret`` must agree with the scalar drop
-        the scan computes for every node — including a node sitting
-        exactly on the ``2·remaining`` edge where the drop is 0."""
+        """The pass must hold, for every node, the marginal and the drop
+        the walk computes one at a time — so it picks with the walk's
+        numbers and decides "no node lowers regret" as the walk's drops
+        do, including on the ``2·remaining`` edge where the drop is 0."""
         import itertools
 
+        from repro.advertising.allocation import Allocation
         from repro.advertising.regret import regret_of
         from repro.algorithms.tirm import _AdState
 
@@ -340,21 +358,30 @@ class TestEndGame:
         rng = np.random.default_rng(0)
         allocator = TIRMAllocator(seed=0)
         answers = set()
-        cases = itertools.product((0.0, 0.3), (0, 2), (0.0, 39.45, 39.999999999999))
+        cases = itertools.product(
+            (0.0, 0.3), (0, 2), (0.0, 38.5, 39.45, 39.999999999999)
+        )
+        on_the_edge = 0
         for trial, (penalty, num_seeds, revenue) in enumerate(cases):
             n = 50
             graph = erdos_renyi(n, 0.05, seed=trial)
+            ctps = rng.uniform(0.01, 1.0, size=(1, n))
+            # Node 0 at coverage 40: marginal 1.5·50·1·40/1000 = 3 exactly,
+            # twice the 1.5 that a revenue of 38.5 leaves.
+            ctps[0, 0] = 1.0
             problem = AdAllocationProblem(
                 graph,
                 AdCatalog([Advertiser(name="a", budget=40.0, cpe=1.5)]),
                 constant_probabilities(graph, 0.1),
-                rng.uniform(0.01, 1.0, size=(1, n)),
+                ctps,
                 AttentionBounds.uniform(n, 1),
                 penalty,
             )
             budgets, cpes = problem.catalog.budgets(), problem.catalog.cpes()
+            edge = rng.integers(0, 400, size=n)
+            edge[0] = 40
             for coverage in (
-                rng.integers(0, 400, size=n),
+                edge,
                 rng.integers(300, 400, size=n),   # every marginal far too big
                 np.zeros(n, dtype=np.int64),
             ):
@@ -362,22 +389,43 @@ class TestEndGame:
                 state.revenue = revenue
                 state.seeds_in_order = list(range(num_seeds))
                 before = regret_of(budgets[0], revenue, penalty, num_seeds)
-                scalar = [
-                    before - regret_of(
-                        budgets[0],
-                        revenue + allocator._marginal_revenue(
-                            problem, 0, state, node, int(coverage[node]), cpes
-                        ),
-                        penalty, num_seeds + 1,
+                marginal = [
+                    allocator._marginal_revenue(
+                        problem, 0, state, node, int(coverage[node]), cpes
                     )
                     for node in range(n)
                 ]
-                answer = allocator._some_node_lowers_regret(
+                scalar = [
+                    before - regret_of(
+                        budgets[0], revenue + marginal[node], penalty, num_seeds + 1
+                    )
+                    for node in range(n)
+                ]
+                marginals, drops = allocator._marginals_and_drops(
                     problem, 0, state, budgets, cpes
                 )
-                assert answer == any(drop > 1e-12 for drop in scalar)
-                answers.add(answer)
-        assert answers == {True, False}
+                assert marginals.tolist() == marginal and drops.tolist() == scalar
+                on_the_edge += coverage is edge and scalar[0] == 0.0
+                answer = allocator._scan_coverage(
+                    problem, 0, state, Allocation(1, n), budgets, cpes
+                )
+                lowers = any(drop > 1e-12 for drop in scalar)
+                if answer is not None:
+                    node = answer[0]
+                    assert answer == (
+                        node, int(coverage[node]), marginal[node], scalar[node]
+                    )
+                    assert lowers and state.active
+                elif not lowers:
+                    # Retired unless the top entry fits (with every user
+                    # eligible, the top is the largest positive score).
+                    scores = problem.ctps[0] * coverage
+                    top = int(np.argmax(scores))
+                    fits = marginal[top] <= budgets[0] - revenue
+                    assert state.active == bool(scores[top] > 0 and fits)
+                answers.add((answer is not None, lowers, state.active))
+        assert {(True, True, True), (False, False, False)} <= answers
+        assert on_the_edge == 2  # revenue 38.5, λ = 0, either seed count
 
 
 class TestCheckpointKnobValidation:
