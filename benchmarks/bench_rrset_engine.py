@@ -74,7 +74,7 @@ JSON_REPORT = os.path.join(os.path.dirname(__file__), "BENCH_PR9.json")
 def run_engine_cycle(graph, probs, *, seed: int = 0, theta: int = THETA) -> dict:
     """One sample→append→cover→index→remove cycle; returns phase timings."""
     n = graph.num_nodes
-    sampler = RRSetSampler(graph, probs, seed=seed)
+    sampler = RRSetSampler(graph, probs)
     pool = RRSetPool(n)
 
     t0 = time.perf_counter()
@@ -224,7 +224,7 @@ def run_backend_blocked(problem, backend, *, theta: int, seed: int = 0):
     carry.  Returns the wall-clock and the packed block fingerprint.
     """
     probs = problem.ad_edge_probabilities(0)
-    sampler = RRSetSampler(problem.graph, probs, seed=seed, backend=backend)
+    sampler = RRSetSampler(problem.graph, probs, backend=backend)
     sampler.backend.warmup(problem.graph)
     t0 = time.perf_counter()
     members, lengths = sampler.sample_chunk_block(StreamPlan(seed, 0, theta), 0)

@@ -22,9 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.advertising.problem import AdAllocationProblem
-from repro.rrset.pool import RRSetPool
-from repro.rrset.sampler import RRSetSampler
-from repro.utils.rng import spawn_generators
+from repro.rrset.sharded import ShardedSamplingEngine
 
 
 def theorem2_bound(budgets, p_values, penalty, s_opt_values) -> float:
@@ -128,13 +126,18 @@ def compute_bounds(
     h, n = problem.num_ads, problem.num_nodes
     budgets = problem.catalog.budgets()
     cpes = problem.catalog.cpes()
-    rngs = spawn_generators(seed, h)
     p_values = np.zeros(h)
     s_opts = np.zeros(h)
-    for ad in range(h):
-        sampler = RRSetSampler(problem.graph, problem.ad_edge_probabilities(ad), seed=rngs[ad])
-        collection = RRSetPool(n)
-        sampler.sample_into(collection, rr_sets_per_ad)
+    # One serial engine over all ads: one seed, per-ad streams separated
+    # by the spawn key.  The greedy below consumes the shards in place.
+    with ShardedSamplingEngine(
+        problem.graph,
+        [problem.ad_edge_probabilities(ad) for ad in range(h)],
+        seeds=seed,
+    ) as engine:
+        engine.ensure({ad: rr_sets_per_ad for ad in range(h)})
+        collections = [engine.shard(ad) for ad in range(h)]
+    for ad, collection in enumerate(collections):
         theta = collection.num_total
         delta = problem.ad_ctps(ad)
         weight = cpes[ad] * n / theta

@@ -460,14 +460,6 @@ class AllocationSession:
         # The RNG contract travels with the allocation: the master seed
         # plus (for counter-based streams) the derived entropy root is
         # what re-derives the exact RR samples behind these seed sets.
-        # A generator-valued seed was consumed while sampling and cannot
-        # be recorded — ``seed`` is None then; the entropy root alone
-        # still re-derives the run.
-        seed = (
-            int(config._seed)
-            if isinstance(config._seed, (int, np.integer))
-            else None
-        )
         allocation.set_provenance(
             algorithm=config.name,
             rng=config.rng,
@@ -476,7 +468,7 @@ class AllocationSession:
             engine=config.engine,
             backend=engine.backend_name,
             transport=engine.transport,
-            seed=seed,
+            seed=config.recorded_seed,
             stream_entropy=engine.stream_entropy(0),
         )
         # Checkpoint lineage travels with the allocation, but only for
@@ -567,16 +559,11 @@ class AllocationSession:
         the full provenance/stats blobs — what ``repro ls / show /
         diff`` read back."""
         config, engine = self.config, self.engine
-        seed = (
-            int(config._seed)
-            if isinstance(config._seed, (int, np.integer))
-            else None
-        )
         self.cache.flush()
         self.cache.catalog.record_allocation({
             "algorithm": config.name,
             "dataset": config.dataset,
-            "seed": seed,
+            "seed": config.recorded_seed,
             "rng": config.rng,
             "chunk_size": config.chunk_size,
             "engine": config.engine,

@@ -63,7 +63,7 @@ from repro.rrset.backends import BACKEND_MODES, SamplingBackend, resolve_backend
 from repro.rrset.checkpoint import TIRMCheckpoint
 from repro.rrset.sampler import DEFAULT_CHUNK_SIZE, STREAM_MODE, STREAM_RNG
 from repro.rrset.sharded import ENGINE_MODES, ShardedSamplingEngine
-from repro.rrset.tim import greedy_max_coverage, required_rr_sets
+from repro.rrset.tim import estimate_opt_lower_bound, required_rr_sets
 from repro.utils.timing import Timer
 
 #: Engine substrates the allocator accepts: the sharded engine's
@@ -436,6 +436,14 @@ class TIRMAllocator(Allocator):
             **engine_kwargs,
         )
 
+    @property
+    def recorded_seed(self) -> int | None:
+        """The master seed as checkpoints, provenance and catalog rows
+        record it.  A generator-valued seed was consumed while sampling
+        and cannot be recorded — ``None`` then; the stream entropy root
+        alone still re-derives the run."""
+        return int(self._seed) if isinstance(self._seed, (int, np.integer)) else None
+
     def _checkpoint_config(self, problem) -> dict:
         """The compatibility record stored in (and validated against)
         every checkpoint artifact: resuming under different allocator
@@ -447,7 +455,6 @@ class TIRMAllocator(Allocator):
         byte-identical, so a checkpoint written on one resumes on any
         other unchanged.
         """
-        seed = int(self._seed) if isinstance(self._seed, (int, np.integer)) else None
         if self._backend_obj is None:
             self._backend_obj = resolve_backend(self.backend)
         return {
@@ -469,7 +476,7 @@ class TIRMAllocator(Allocator):
             "num_ads": problem.num_ads,
             "num_nodes": problem.num_nodes,
             "num_edges": problem.graph.num_edges,
-            "seed": seed,
+            "seed": self.recorded_seed,
         }
 
     # ------------------------------------------------------------------
@@ -495,8 +502,7 @@ class TIRMAllocator(Allocator):
         n = problem.num_nodes
         s = min(max(s, 1), n)
         pilot = state.collection.prefix_view(self._OPT_PILOT_SETS)
-        _, covered = greedy_max_coverage(pilot, n, s)
-        opt_lower = max(n * covered / pilot.num_sets, float(min(s, n)), 1.0)
+        opt_lower = estimate_opt_lower_bound(pilot, n, s)
         theta = required_rr_sets(n, s, self.epsilon, opt_lower, ell=self.ell)
         return int(min(max(theta, self.min_rr_sets_per_ad), self.max_rr_sets_per_ad))
 

@@ -8,8 +8,7 @@ those locations once, as data, so the rules stay mechanical:
 * **RNG seams** — the only modules allowed to construct or consume
   global RNG state (``np.random.default_rng``, stdlib ``random``):
   ``utils/rng.py`` (the seed-conversion seam), ``rrset/sampler.py``
-  (:class:`~repro.rrset.sampler.StreamPlan` and the standalone
-  sequential stream),
+  (:class:`~repro.rrset.sampler.StreamPlan`'s Philox construction),
   and ``rrset/backends/base.py`` (the RNG-owning blocked-BFS driver).
 * **Seed-source seam** — only ``utils/rng.py`` may touch nondeterministic
   entropy (entropy-less ``SeedSequence()``, ``os.urandom``, wall-clock).
@@ -18,7 +17,8 @@ those locations once, as data, so the rules stay mechanical:
   metadata that never feeds sampling, and the store's one wall-clock
   seam by declaration.
 * **Hot-path modules** — where iteration order feeds selection or
-  splicing (``rrset/``, ``algorithms/tirm.py``), so unordered-container
+  splicing (``rrset/``, ``algorithms/tirm.py``, ``algorithms/session.py``
+  — the SELECT/GROW loop), so unordered-container
   iteration is a determinism bug, not a style nit.
 * **Pool module** — the only module allowed to touch ``RRSetPool``'s
   private flat buffers (the PR-2 aliasing bug class).
@@ -87,6 +87,7 @@ class AnalysisConfig:
     hot_path_modules: tuple[str, ...] = (
         "repro/rrset/",
         "repro/algorithms/tirm.py",
+        "repro/algorithms/session.py",
     )
     #: Modules where R104 also enforces file-handle hygiene (bare
     #: ``open()`` outside a ``with``); entries ending in ``/`` match as

@@ -4,8 +4,8 @@ Every RR set must be a pure function of ``(seed, ad, set_index)``
 (docs/architecture.md, contract clause 1).  That only holds while *all*
 generator construction and global-stream consumption goes through the
 sanctioned seams: ``repro.utils.rng``, the sampler module
-(:class:`~repro.rrset.sampler.StreamPlan` + the standalone sequential
-stream), and the RNG-owning backend driver.  A stray
+(:class:`~repro.rrset.sampler.StreamPlan`), and the RNG-owning backend
+driver.  A stray
 ``np.random.default_rng()`` — or a draw from the *global* numpy/stdlib
 streams, whose state depends on everything that ran before — anywhere
 else silently breaks serial/process and cross-backend byte-identity.

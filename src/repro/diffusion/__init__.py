@@ -16,19 +16,8 @@ live edge attempt happens once, with probability ``p^i_{u,v}`` from
 Eq. (1).
 """
 
-from repro.diffusion.continuous import (
-    ContinuousCascade,
-    estimate_continuous_spread,
-    simulate_continuous,
-)
 from repro.diffusion.exact import exact_click_probabilities, exact_spread
 from repro.diffusion.ic import estimate_spread, simulate_clicks, simulate_rounds
-from repro.diffusion.lt import (
-    estimate_lt_spread,
-    sample_lt_live_edges,
-    sample_lt_rr_sets,
-    simulate_lt_clicks,
-)
 from repro.diffusion.montecarlo import SpreadEstimate
 from repro.diffusion.possible_worlds import reachable_from, sample_live_edges
 from repro.diffusion.spread import (
@@ -43,13 +32,6 @@ __all__ = [
     "simulate_clicks",
     "simulate_rounds",
     "estimate_spread",
-    "simulate_lt_clicks",
-    "estimate_lt_spread",
-    "sample_lt_live_edges",
-    "sample_lt_rr_sets",
-    "ContinuousCascade",
-    "simulate_continuous",
-    "estimate_continuous_spread",
     "SpreadEstimate",
     "sample_live_edges",
     "reachable_from",

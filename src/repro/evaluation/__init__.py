@@ -9,7 +9,6 @@ from repro.evaluation.experiments import (
     sweep_attention_bounds,
     sweep_penalties,
 )
-from repro.evaluation.export import records_to_csv, records_to_json
 from repro.evaluation.metrics import relative_regret, targeted_node_counts
 from repro.evaluation.reporting import format_records, format_series, format_table
 from repro.evaluation.statistics import (
@@ -35,6 +34,4 @@ __all__ = [
     "bootstrap_mean",
     "PairedComparison",
     "paired_regret_comparison",
-    "records_to_csv",
-    "records_to_json",
 ]

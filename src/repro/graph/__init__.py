@@ -9,12 +9,6 @@ sampling) directions.
 """
 
 from repro.graph.builder import GraphBuilder
-from repro.graph.components import (
-    bfs_distances,
-    largest_component_fraction,
-    strongly_connected_components,
-    weakly_connected_components,
-)
 from repro.graph.digraph import DirectedGraph
 from repro.graph.generators import (
     bipartite_gadget,
@@ -34,15 +28,10 @@ from repro.graph.probabilities import (
     weighted_cascade_probabilities,
 )
 from repro.graph.stats import GraphStats, graph_stats
-from repro.graph.subgraph import bfs_ball, induced_subgraph
 
 __all__ = [
     "DirectedGraph",
     "GraphBuilder",
-    "bfs_distances",
-    "weakly_connected_components",
-    "strongly_connected_components",
-    "largest_component_fraction",
     "erdos_renyi",
     "power_law_graph",
     "forest_fire_graph",
@@ -59,6 +48,4 @@ __all__ = [
     "exponential_probabilities",
     "GraphStats",
     "graph_stats",
-    "induced_subgraph",
-    "bfs_ball",
 ]

@@ -26,22 +26,19 @@ with no stream state to round-trip.
 byte-identical for the same generator state, so the backend is **not**
 part of the determinism contract.
 
-Standalone callers that want "``count`` more sets" rather than an index
-range (TIM, KPT estimation, the Theorem-2–4 bounds) use the sampler's
-own sequential stream instead: :meth:`RRSetSampler.sample` /
-:meth:`RRSetSampler.sample_into`, a per-set scalar BFS seeded off the
-constructor's ``seed``.
+Streams, tails and pools are owned by
+:class:`~repro.rrset.sharded.ShardedSamplingEngine`; standalone callers
+that want "θ RR sets" (TIM, KPT estimation, the Theorem-2–4 bounds) hold
+a serial engine and read its shards, so their sets are addressable and
+replayable like everyone else's.
 """
 
 from __future__ import annotations
-
-import random
 
 import numpy as np
 
 from repro.graph.digraph import DirectedGraph
 from repro.rrset.backends import node_bounds, resolve_backend
-from repro.rrset.pool import MEMBER_DTYPE, RRSetPool
 from repro.utils.rng import as_generator
 from repro.utils.validation import check_probability_array
 
@@ -58,10 +55,6 @@ DEFAULT_CHUNK_SIZE = 1_024
 #: silently mixed in.  Names of the contract, not options.
 STREAM_RNG = "philox"
 STREAM_MODE = "blocked"
-
-
-def _empty_flat() -> tuple[np.ndarray, np.ndarray]:
-    return np.empty(0, dtype=MEMBER_DTYPE), np.empty(0, dtype=np.int64)
 
 
 def _slice_flat(
@@ -211,20 +204,15 @@ class StreamPlan:
 
 
 class RRSetSampler:
-    """A reusable sampler bound to one (graph, per-ad probabilities) pair.
+    """The chunk kernel of one (graph, per-ad probabilities) pair.
 
-    TIRM keeps one sampler per advertiser.  The sampler exposes:
-
-    * the **counter-based** path (:meth:`sample_chunk_block`): stateless —
-      the caller addresses sets by ``(StreamPlan, chunk_index)`` and any
-      chunk is independently computable.  This is what the sharded
-      engine (and every worker substrate under it) samples through;
-    * a **sequential** stream (:meth:`sample`, :meth:`sample_into`) for
-      standalone "``count`` more sets" callers (TIM, KPT, the bounds
-      module): a Mersenne stream seeded off ``seed``, consumed by a
-      per-set BFS over a pre-flattened adjacency — realistic influence
-      probabilities give *tiny* RR-sets (a handful of nodes), where the
-      per-level numpy dispatch overhead dwarfs the actual work.
+    Immutable after construction: the graph, the in-slot probability
+    gather, the per-node bounds and the resolved backend.  Its one
+    sampling method, :meth:`sample_chunk_block`, is a pure function of
+    the stream address ``(StreamPlan, chunk_index)``, so any worker can
+    compute any chunk and a sampler is safely shared.  TIRM's engine
+    keeps one per advertiser; stream positions, partial tails and pools
+    live in the engine, never here.
 
     ``backend`` selects the blocked-BFS implementation
     (:mod:`repro.rrset.backends`): ``"numpy"`` (reference, default),
@@ -236,22 +224,21 @@ class RRSetSampler:
     Examples
     --------
     Draw one chunk of RR-sets as a packed block — ``lengths[i]`` members
-    per set, concatenated in ``members``; the block is a pure function
-    of its stream address, so no sampler state moves::
+    per set, concatenated in ``members``; recomputing an address
+    reproduces its bytes::
 
         >>> from repro.graph.generators import erdos_renyi
         >>> from repro.graph.probabilities import constant_probabilities
         >>> from repro.rrset import RRSetSampler, StreamPlan
         >>> graph = erdos_renyi(50, 0.08, seed=3)
-        >>> sampler = RRSetSampler(
-        ...     graph, constant_probabilities(graph, 0.1), seed=7
-        ... )
+        >>> sampler = RRSetSampler(graph, constant_probabilities(graph, 0.1))
         >>> plan = StreamPlan(entropy=7, ad=0, chunk_size=10)
         >>> members, lengths = sampler.sample_chunk_block(plan, 0)
         >>> lengths.size, int(lengths.sum()) == members.size
         (10, True)
-        >>> sampler.num_sampled
-        0
+        >>> again, _ = sampler.sample_chunk_block(plan, 0)
+        >>> members.tobytes() == again.tobytes()
+        True
     """
 
     def __init__(
@@ -259,7 +246,6 @@ class RRSetSampler:
         graph: DirectedGraph,
         edge_probabilities,
         *,
-        seed=None,
         backend="numpy",
     ) -> None:
         self.graph = graph
@@ -273,18 +259,8 @@ class RRSetSampler:
                 f"edge_probabilities must have shape ({graph.num_edges},), "
                 f"got {self.edge_probabilities.shape}"
             )
-        rng = as_generator(seed)
-        self._random = random.Random(int(rng.integers(0, 2**63 - 1)))
-        self.num_sampled = 0
         self._in_probs_array = self.edge_probabilities[graph.in_edge_ids]
         self._node_bounds = node_bounds(graph, self._in_probs_array)
-        # Scalar-path adjacency (the in-CSR flattened into Python lists:
-        # scalar indexing into lists is several times faster than into
-        # numpy arrays).  Built lazily on first use — a chunk-only
-        # sampler never pays the O(m) list materialisation.
-        self._scalar_adjacency: tuple[list, list, list] | None = None
-        self._visit_stamp = np.zeros(graph.num_nodes, dtype=np.int64)
-        self._stamp = 0
 
     @property
     def backend_name(self) -> str:
@@ -292,94 +268,11 @@ class RRSetSampler:
         backend *instance* is ``self.backend``)."""
         return self.backend.name
 
-    def _scalar_adj(self) -> tuple[list, list, list]:
-        if self._scalar_adjacency is None:
-            self._scalar_adjacency = (
-                self.graph.in_indptr.tolist(),
-                self.graph.in_sources.tolist(),
-                self._in_probs_array.tolist(),
-            )
-        return self._scalar_adjacency
-
-    def _scalar_flat(
-        self, count: int, rnd: random.Random
-    ) -> tuple[list[int], list[int]]:
-        """Scalar BFS core: ``count`` sets as one flat member list plus
-        per-set lengths, drawing from ``rnd``.
-
-        RNG consumption is *bit-identical* to the original per-set loop
-        (one ``randrange`` per root, one ``random()`` per examined
-        in-edge, in the same order), so both callers — list-returning
-        and pool-writing — draw the same sets for the same generator
-        state.
-        """
-        n = self.graph.num_nodes
-        indptr, sources, probs = self._scalar_adj()
-        stamp_array = self._visit_stamp
-        rand = rnd.random
-        randrange = rnd.randrange
-        flat: list[int] = []
-        lengths: list[int] = []
-        for _ in range(count):
-            self._stamp += 1
-            stamp = self._stamp
-            root = randrange(n)
-            stamp_array[root] = stamp
-            start = len(flat)
-            flat.append(root)
-            head = start
-            # ``flat[start:]`` doubles as the BFS queue: members are
-            # discovered exactly once, in visit order.
-            while head < len(flat):
-                node = flat[head]
-                head += 1
-                for slot in range(indptr[node], indptr[node + 1]):
-                    if rand() < probs[slot]:
-                        source = sources[slot]
-                        if stamp_array[source] != stamp:
-                            stamp_array[source] = stamp
-                            flat.append(source)
-            lengths.append(len(flat) - start)
-        return flat, lengths
-
-    def _sample_flat(self, count: int) -> tuple[list[int], list[int]]:
-        """The scalar core on the sampler's own Mersenne stream;
-        advances ``num_sampled``."""
-        flat, lengths = self._scalar_flat(count, self._random)
-        self.num_sampled += count
-        return flat, lengths
-
-    def sample(self, count: int) -> list[np.ndarray]:
-        """Sample ``count`` RR-sets, advancing the sampler's sequential stream."""
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
-        flat, lengths = self._sample_flat(count)
-        members = np.asarray(flat, dtype=np.int64)
-        bounds = np.cumsum([0] + lengths)
-        return [members[bounds[i] : bounds[i + 1]] for i in range(count)]
-
-    def sample_into(self, pool: RRSetPool, count: int) -> None:
-        """Sample ``count`` RR-sets straight into ``pool``.
-
-        Same stream and same sets as :meth:`sample` (bit-exact), but the
-        members go from the BFS directly into the pool's flat buffers —
-        no per-set ``np.asarray`` allocations or list-of-arrays.
-        """
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
-        flat, lengths = self._sample_flat(count)
-        pool.add_flat(
-            np.asarray(flat, dtype=MEMBER_DTYPE), np.asarray(lengths, dtype=np.int64)
-        )
-
-    # ------------------------------------------------------------------
-    # Packed-block API (the engines' transport format)
-    # ------------------------------------------------------------------
     def sample_chunk_block(
         self, plan: StreamPlan, chunk_index: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Counter-based path: one *entire* chunk as a packed
-        ``(members, lengths)`` block.
+        """One *entire* chunk as a packed ``(members, lengths)`` block
+        — the engines' transport format.
 
         The result is a pure function of
         ``(plan.entropy, plan.ad, plan.chunk_size, chunk_index)`` — no
@@ -399,26 +292,3 @@ class RRSetSampler:
             self.graph, self._in_probs_array, plan.generator(chunk_index),
             plan.chunk_size, bounds=self._node_bounds,
         )
-
-    def sample_chunk_flat(
-        self,
-        plan: StreamPlan,
-        chunk_index: int,
-        lo: int = 0,
-        hi: int | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Sets ``[lo, hi)`` of one chunk (see :meth:`sample_chunk_block`
-        for the purity contract); advances ``num_sampled`` by the slice
-        width."""
-        size = plan.chunk_size
-        hi = size if hi is None else hi
-        if not 0 <= lo <= hi <= size:
-            raise ValueError(
-                f"need 0 <= lo <= hi <= chunk_size, got [{lo}, {hi}) of {size}"
-            )
-        if lo == hi:
-            return _empty_flat()
-        members, lengths = self.sample_chunk_block(plan, chunk_index)
-        members, lengths = _slice_flat(members, lengths, lo, hi)
-        self.num_sampled += hi - lo
-        return members, lengths

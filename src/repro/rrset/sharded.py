@@ -193,9 +193,8 @@ class ChunkSource:
     def sampler(self, ad: int) -> RRSetSampler:
         sampler = self._samplers.get(ad)
         if sampler is None:
-            # Chunk streams come from the plan; the sampler seed is inert.
             sampler = self._samplers[ad] = RRSetSampler(
-                self.graph, self.probs_per_ad[ad], seed=0, backend=self.backend
+                self.graph, self.probs_per_ad[ad], backend=self.backend
             )
         return sampler
 
@@ -887,8 +886,8 @@ class ShardedSamplingEngine:
         everything *run-scoped* is cleared — shards (``θ = num_total``
         must restart at zero), memoized tail blocks, in-flight prefetch
         futures (drained, their unconsumed segments unlinked), dsan
-        digests (a fresh recorder with the original ``expected`` map),
-        sampler positions, and the ``backend_invocations`` counter —
+        digests (a fresh recorder with the original ``expected`` map)
+        and the ``backend_invocations`` counter —
         while everything *engine-scoped* stays warm: the substrate
         (worker pool and its JIT-compiled backend state, the payload
         arena, the distributed session), the shard cache handle and
@@ -916,8 +915,6 @@ class ShardedSamplingEngine:
                 expected=self._dsan_expected, label=f"engine#{self._engine_id}"
             )
         self.backend_invocations = 0
-        for sampler in self._samplers:
-            sampler.num_sampled = 0
 
     # ------------------------------------------------------------------
     # Sampling
@@ -1140,7 +1137,6 @@ class ShardedSamplingEngine:
                         block.members_offset + int(bounds[lo]) * _MEMBER_ITEMSIZE
                     ),
                 )
-            self._samplers[ad].num_sampled += hi - lo
         finally:
             # Views must die before the buffer under them is closed.
             del members, lengths

@@ -3,9 +3,9 @@
 * :func:`required_rr_sets` — Eq. (5): the sample size ``L(s, ε)`` that
   makes ``n · F_R(S)`` an ``(ε/2)·OPT_s``-accurate spread estimator for
   all seed sets of size ≤ s (Proposition 2);
-* :func:`estimate_opt_lower_bound` — a pilot-sample greedy estimate of a
-  lower bound on ``OPT_s`` (the greedy cover's spread is achievable,
-  hence a lower bound on the optimum);
+* :func:`estimate_opt_lower_bound` — the greedy-cover estimate of a
+  lower bound on ``OPT_s`` from a pilot sample (the greedy cover's
+  spread is achievable, hence a lower bound on the optimum);
 * :func:`kpt_estimation` — the original KPT* estimator of TIM's phase 1,
   kept for reference and cross-checking;
 * :func:`greedy_max_coverage` — the Max s-Cover greedy of TIM's phase 2;
@@ -24,8 +24,7 @@ import numpy as np
 from repro.errors import EstimationError
 from repro.graph.digraph import DirectedGraph
 from repro.rrset.pool import CSRSetView, RRSetPool
-from repro.rrset.sampler import RRSetSampler
-from repro.utils.rng import as_generator
+from repro.rrset.sharded import ShardedSamplingEngine
 
 
 def log_binomial(n: int, k: int) -> float:
@@ -126,43 +125,22 @@ def greedy_max_coverage(
     return chosen, covered
 
 
-def estimate_opt_lower_bound(
-    sampler: RRSetSampler,
-    s: int,
-    *,
-    pilot_sets: int = 2_000,
-    existing=None,
-) -> float:
-    """Pilot estimate of a lower bound on ``OPT_s`` under plain IC.
+def estimate_opt_lower_bound(sets, num_nodes: int, s: int) -> float:
+    """Lower bound on ``OPT_s`` under plain IC from a pilot sample.
 
-    Greedily covers ``s`` seeds on a pilot sample; ``n · (covered/θ)`` is
-    an estimate of the greedy set's spread, which lower-bounds the
-    optimum.  The result is floored at ``s`` because any ``s`` distinct
-    seeds have spread at least ``s`` under IC without CTPs.
-
-    ``existing`` may be a list of member arrays (compat) or an
-    :class:`RRSetPool`; a pool short of ``pilot_sets`` sets is topped up
-    in place (its sampler stream advances accordingly).
+    Greedily covers ``s`` seeds on ``sets`` (an :class:`RRSetPool` or a
+    :class:`CSRSetView`, never mutated); ``n · (covered/θ)`` estimates
+    the greedy set's spread, which lower-bounds the optimum.  The result
+    is floored at ``s`` because any ``s`` distinct seeds have spread at
+    least ``s`` under IC without CTPs.
     """
-    n = sampler.graph.num_nodes
-    if isinstance(existing, RRSetPool):
-        pool = existing
-        if pool.num_total < pilot_sets:
-            sampler.sample_into(pool, pilot_sets - pool.num_total)
-        if not pool.num_total:
-            raise EstimationError("cannot estimate OPT from zero RR-sets")
-        view = pool.prefix_view()
-        _, covered = greedy_max_coverage(view, n, s)
-        estimate = n * covered / view.num_sets
-        return float(max(estimate, min(s, n), 1.0))
-    sets = list(existing) if existing else []
-    if len(sets) < pilot_sets:
-        sets.extend(sampler.sample(pilot_sets - len(sets)))
-    if not sets:
+    if isinstance(sets, RRSetPool):
+        sets = sets.prefix_view()
+    if not sets.num_sets:
         raise EstimationError("cannot estimate OPT from zero RR-sets")
-    _, covered = greedy_max_coverage(sets, n, s)
-    estimate = n * covered / len(sets)
-    return float(max(estimate, min(s, n), 1.0))
+    _, covered = greedy_max_coverage(sets, num_nodes, s)
+    estimate = num_nodes * covered / sets.num_sets
+    return float(max(estimate, min(s, num_nodes), 1.0))
 
 
 def kpt_estimation(
@@ -179,28 +157,34 @@ def kpt_estimation(
     Kept for reference/cross-checks; TIRM defaults to the greedy pilot of
     :func:`estimate_opt_lower_bound`, which behaves better at the small
     scales this reproduction runs at.
+
+    Round ``i`` reads its ``c_i`` sets as the prefix ``[0, c_i)`` of one
+    stream: each round still sees ``c_i`` i.i.d. sets, and the guarantee
+    is a union bound over rounds, which needs no independence between
+    them.
     """
     n, m = graph.num_nodes, graph.num_edges
     if n < 2 or m == 0:
         return 1.0
-    rng = as_generator(seed)
-    sampler = RRSetSampler(graph, edge_probabilities, seed=rng)
     in_degrees = graph.in_degrees()
     log2n = max(int(math.floor(math.log2(n))), 1)
     s = min(max(int(s), 1), n)
-    for i in range(1, log2n):
-        c_i = int(math.ceil((6.0 * ell * math.log(n) + 6.0 * math.log(log2n)) * 2.0**i))
-        pool = RRSetPool(n)
-        sampler.sample_into(pool, c_i)
-        view = pool.prefix_view()
-        lengths = np.diff(view.indptr)
-        owners = np.repeat(np.arange(c_i), lengths)
-        widths = np.bincount(
-            owners, weights=in_degrees[view.members].astype(np.float64), minlength=c_i
-        )
-        kappa_sum = float(np.sum(1.0 - (1.0 - widths / m) ** s))
-        if kappa_sum / c_i > 1.0 / (2.0**i):
-            return max(n * kappa_sum / (2.0 * c_i), 1.0)
+    base = 6.0 * ell * math.log(n) + 6.0 * math.log(log2n)
+    with ShardedSamplingEngine(graph, [edge_probabilities], seeds=seed) as engine:
+        for i in range(1, log2n):
+            c_i = int(math.ceil(base * 2.0**i))
+            engine.ensure({0: c_i})
+            view = engine.shard(0).prefix_view(c_i)
+            lengths = np.diff(view.indptr)
+            owners = np.repeat(np.arange(c_i), lengths)
+            widths = np.bincount(
+                owners,
+                weights=in_degrees[view.members].astype(np.float64),
+                minlength=c_i,
+            )
+            kappa_sum = float(np.sum(1.0 - (1.0 - widths / m) ** s))
+            if kappa_sum / c_i > 1.0 / (2.0**i):
+                return max(n * kappa_sum / (2.0 * c_i), 1.0)
     return 1.0
 
 
@@ -240,26 +224,23 @@ class TIMInfluenceMaximizer:
         self.ell = float(ell)
         self.max_rr_sets = int(max_rr_sets)
         self.pilot_sets = int(pilot_sets)
-        self._sampler = RRSetSampler(graph, edge_probabilities, seed=seed)
-        self._pool = RRSetPool(graph.num_nodes)
+        # One ad, in-process: the engine owns the stream and the pool,
+        # so the sets are the replayable ``(seed, 0, set_index)`` ones.
+        self._engine = ShardedSamplingEngine(graph, [edge_probabilities], seeds=seed)
 
     def select(self, k: int) -> TIMResult:
         """Choose ``k`` seeds; returns them with the estimated spread."""
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         n = self.graph.num_nodes
-        pool = self._pool
-        if pool.num_total < self.pilot_sets:
-            self._sampler.sample_into(pool, self.pilot_sets - pool.num_total)
-        opt_lb = estimate_opt_lower_bound(
-            self._sampler, k, pilot_sets=pool.num_total, existing=pool
-        )
+        pool = self._engine.shard(0)
+        self._engine.ensure({0: self.pilot_sets})
+        opt_lb = estimate_opt_lower_bound(pool, n, k)
         theta = min(
             required_rr_sets(n, k, self.epsilon, opt_lb, ell=self.ell), self.max_rr_sets
         )
-        if pool.num_total < theta:
-            self._sampler.sample_into(pool, theta - pool.num_total)
-        seeds, covered = greedy_max_coverage(pool.prefix_view(), n, k)
+        self._engine.ensure({0: theta})
+        seeds, covered = greedy_max_coverage(pool, n, k)
         spread = n * covered / pool.num_total
         return TIMResult(
             seeds=seeds, estimated_spread=spread, num_rr_sets=pool.num_total

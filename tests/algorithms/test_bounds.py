@@ -10,6 +10,7 @@ from repro.algorithms.bounds import (
     theorem4_bound,
 )
 from repro.datasets.toy import figure1_problem
+from repro.rrset.sharded import ShardedSamplingEngine
 
 
 class TestTheorem4:
@@ -93,6 +94,29 @@ class TestComputeBounds:
         problem = figure1_problem()
         bounds = compute_bounds(problem, rr_sets_per_ad=4_000, seed=2)
         assert 1 <= bounds.s_opt_values[0] <= 6
+
+    def test_seeded_run_replays_the_engines_streams(self):
+        """Same seed, same bounds — and ``p_i`` is the best single-node
+        revenue on the sets any engine re-derives from that seed."""
+        problem = figure1_problem()
+        theta, n, h = 1_500, problem.num_nodes, problem.num_ads
+        bounds = compute_bounds(problem, rr_sets_per_ad=theta, seed=3)
+        again = compute_bounds(problem, rr_sets_per_ad=theta, seed=3)
+        assert bounds.p_values.tolist() == again.p_values.tolist()
+        assert bounds.s_opt_values.tolist() == again.s_opt_values.tolist()
+        budgets, cpes = problem.catalog.budgets(), problem.catalog.cpes()
+        with ShardedSamplingEngine(
+            problem.graph,
+            [problem.ad_edge_probabilities(ad) for ad in range(h)],
+            seeds=3,
+        ) as engine:
+            engine.ensure({ad: theta for ad in range(h)})
+            for ad in range(h):
+                revenues = (
+                    cpes[ad] * n / theta * problem.ad_ctps(ad)
+                    * engine.shard(ad).coverage()
+                )
+                assert bounds.p_values[ad] == revenues.max() / budgets[ad]
 
     def test_validates_rr_sets(self):
         with pytest.raises(ValueError):

@@ -153,13 +153,13 @@ class TestStateMachine:
         from repro.algorithms import tirm as tirm_module
 
         covers = []
-        cover = tirm_module.greedy_max_coverage
+        cover = tirm_module.estimate_opt_lower_bound
 
         def spy(pilot, n, s):
             covers.append(s)
             return cover(pilot, n, s)
 
-        monkeypatch.setattr(tirm_module, "greedy_max_coverage", spy)
+        monkeypatch.setattr(tirm_module, "estimate_opt_lower_bound", spy)
         problem = _problem()
         # min = max: the cap binds at θ(1) whatever the pilot estimates.
         result = _allocator(

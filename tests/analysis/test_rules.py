@@ -130,6 +130,7 @@ def test_default_config_matches_contract_seams():
     assert cfg.is_hot_path("repro/rrset/pool.py")
     assert cfg.is_hot_path("repro/rrset/backends/numba_backend.py")
     assert cfg.is_hot_path("repro/algorithms/tirm.py")
+    assert cfg.is_hot_path("repro/algorithms/session.py")
     assert not cfg.is_hot_path("repro/algorithms/greedy.py")
     assert cfg.is_pool_module("repro/rrset/pool.py")
 
@@ -220,6 +221,22 @@ def test_r103_only_fires_in_hot_paths(tmp_path):
     assert "R103" not in _codes(lint_file(cold))
     hot = _write(tmp_path, "repro/algorithms/tirm.py", source)
     assert "R103" in _codes(lint_file(hot))
+
+
+def test_r103_covers_the_session_select_loop(tmp_path):
+    """The SELECT/GROW loop lives in ``algorithms/session.py``: walking
+    the active ads out of a set there is a selection-order bug."""
+    path = _write(
+        tmp_path,
+        "repro/algorithms/session.py",
+        "def select(states, candidate):\n"
+        "    best = None\n"
+        "    for ad in set(states):\n"
+        "        best = candidate(ad) or best\n"
+        "    return best\n",
+    )
+    findings = [f for f in lint_file(path) if f.code == "R103"]
+    assert [f.line for f in findings] == [3]
 
 
 def test_r103_order_insensitive_consumers_are_fine(tmp_path):

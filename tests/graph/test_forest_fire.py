@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import GraphError
-from repro.graph.components import largest_component_fraction
 from repro.graph.generators import forest_fire_graph
 
 
@@ -15,7 +14,16 @@ def test_connected_by_construction():
     """Every new node links to an ambassador, so the graph is one
     weakly connected component."""
     g = forest_fire_graph(120, seed=2)
-    assert largest_component_fraction(g) == pytest.approx(1.0)
+    parent = list(range(g.num_nodes))
+
+    def find(node):
+        while parent[node] != node:
+            parent[node] = node = parent[parent[node]]
+        return node
+
+    for u, v in zip(g.edge_sources.tolist(), g.edge_targets.tolist()):
+        parent[find(u)] = find(v)
+    assert len({find(node) for node in range(g.num_nodes)}) == 1
 
 
 def test_densification_with_forward_probability():

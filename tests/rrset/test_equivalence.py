@@ -22,7 +22,6 @@ from repro.algorithms.tirm import TIRMAllocator
 from repro.graph.generators import erdos_renyi
 from repro.graph.probabilities import constant_probabilities
 from repro.rrset.pool import RRSetPool
-from repro.rrset.sampler import RRSetSampler
 from repro.rrset.tim import greedy_max_coverage
 
 from tests.rrset._legacy import (
@@ -108,18 +107,6 @@ def test_greedy_cover_eligible_equivalence():
     assert greedy_max_coverage(arrays, N_NODES, 4, eligible=eligible) == expected
     # ...while the pool-era greedy leaves the caller's mask untouched
     assert greedy_max_coverage(arrays, N_NODES, 4, eligible=eligible) == expected
-
-
-def test_sample_into_matches_sample():
-    """The pool-writing sampler path is bit-exact with ``sample``."""
-    g = erdos_renyi(80, 0.06, seed=11)
-    probs = constant_probabilities(g, 0.2)
-    sets = RRSetSampler(g, probs, seed=21).sample(400)
-    pool = RRSetPool(g.num_nodes)
-    RRSetSampler(g, probs, seed=21).sample_into(pool, 400)
-    assert pool.num_total == 400
-    for i, members in enumerate(sets):
-        assert pool.get_set(i).tolist() == members.tolist()
 
 
 def _problem(seed: int, num_ads: int = 2, budget: float = 6.0):

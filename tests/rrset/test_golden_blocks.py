@@ -88,7 +88,7 @@ def block_digest(members: np.ndarray, lengths: np.ndarray) -> str:
 def _block(address, backend):
     graph_name, shape, chunk_size, chunk_index = address
     graph = _GRAPHS[graph_name]()
-    sampler = RRSetSampler(graph, _SHAPES[shape](graph), seed=0, backend=backend)
+    sampler = RRSetSampler(graph, _SHAPES[shape](graph), backend=backend)
     return sampler.sample_chunk_block(
         StreamPlan(ENTROPY, ad=2, chunk_size=chunk_size), chunk_index
     )

@@ -1,5 +1,7 @@
 """RR-set sampling: structure and Proposition-1 unbiasedness."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -67,28 +69,39 @@ class TestStructure:
             sample_rr_sets(small_random_graph, np.ones(3), 1)
 
 
+def _frozen(value):
+    """``vars(sampler)`` values in a form ``==`` can compare."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, tuple):
+        return tuple(_frozen(item) for item in value)
+    return value
+
+
 class TestSamplerObject:
-    def test_counts_sampled(self, small_random_graph):
-        probs = constant_probabilities(small_random_graph, 0.1)
-        sampler = RRSetSampler(small_random_graph, probs, seed=0)
-        sampler.sample(10)
-        sampler.sample(5)
-        assert sampler.num_sampled == 15
-
     def test_deterministic(self, small_random_graph):
+        """A block is a function of its stream address, not of which
+        sampler object — or which call — computes it."""
         probs = constant_probabilities(small_random_graph, 0.1)
-        a = RRSetSampler(small_random_graph, probs, seed=4).sample(5)
-        b = RRSetSampler(small_random_graph, probs, seed=4).sample(5)
-        for x, y in zip(a, b):
-            assert np.array_equal(x, y)
+        plan = StreamPlan(4, ad=0, chunk_size=5)
+        a = RRSetSampler(small_random_graph, probs).sample_chunk_block(plan, 1)
+        b = RRSetSampler(small_random_graph, probs).sample_chunk_block(plan, 1)
+        assert a[0].tobytes() == b[0].tobytes()
+        assert a[1].tolist() == b[1].tolist()
+        other = RRSetSampler(small_random_graph, probs).sample_chunk_block(plan, 2)
+        assert (a[0].tobytes(), a[1].tolist()) != (other[0].tobytes(), other[1].tolist())
 
-    def test_sample_into_counts_sampled(self, small_random_graph):
+    def test_is_immutable(self, small_random_graph):
+        """Sampling reads the kernel and writes nothing: no stream
+        position, no counter, no scratch array."""
+        assert "seed" not in inspect.signature(RRSetSampler.__init__).parameters
         probs = constant_probabilities(small_random_graph, 0.1)
-        sampler = RRSetSampler(small_random_graph, probs, seed=0)
-        pool = RRSetPool(small_random_graph.num_nodes)
-        sampler.sample_into(pool, 12)
-        assert sampler.num_sampled == 12
-        assert pool.num_total == 12
+        sampler = RRSetSampler(small_random_graph, probs)
+        before = {name: _frozen(value) for name, value in vars(sampler).items()}
+        for chunk in (0, 3, 0):
+            sampler.sample_chunk_block(StreamPlan(9, ad=1, chunk_size=16), chunk)
+        after = {name: _frozen(value) for name, value in vars(sampler).items()}
+        assert after == before
 
 
 class TestBlockedSampler:
@@ -97,7 +110,7 @@ class TestBlockedSampler:
 
     def test_structure_root_first_and_unique(self, small_random_graph):
         probs = constant_probabilities(small_random_graph, 0.3)
-        sampler = RRSetSampler(small_random_graph, probs, seed=1)
+        sampler = RRSetSampler(small_random_graph, probs)
         pool = RRSetPool(small_random_graph.num_nodes)
         pool.add_flat(*sampler.sample_chunk_block(StreamPlan(1, 0, 200), 0))
         for i in range(200):
@@ -109,7 +122,7 @@ class TestBlockedSampler:
         """Proposition 1 holds for the blocked path — its sets follow
         the RR distribution, chunk after chunk."""
         probs = np.full(4, 0.5)
-        sampler = RRSetSampler(diamond_graph, probs, seed=7)
+        sampler = RRSetSampler(diamond_graph, probs)
         plan = StreamPlan(7, 0, chunk_size=10_000)
         pool = RRSetPool(diamond_graph.num_nodes)
         for chunk in range(3):

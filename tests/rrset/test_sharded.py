@@ -20,7 +20,7 @@ from repro.errors import ConfigurationError
 from repro.graph.generators import erdos_renyi
 from repro.graph.probabilities import constant_probabilities
 from repro.rrset.pool import RRSetPool
-from repro.rrset.sampler import RRSetSampler, StreamPlan
+from repro.rrset.sampler import RRSetSampler, StreamPlan, _slice_flat
 from repro.rrset.sharded import ChunkSubstrate, ShardedSamplingEngine
 
 
@@ -98,12 +98,13 @@ class TestSerialCompatibility:
         pools = []
         for ad in range(h):
             sampler = RRSetSampler(
-                problem.graph, problem.ad_edge_probabilities(ad), seed=0
+                problem.graph, problem.ad_edge_probabilities(ad)
             )
             plan = StreamPlan(5, ad, chunk_size=64)
             pool = RRSetPool(problem.num_nodes)
             for chunk, lo, hi in plan.chunk_tasks(0, 220):
-                pool.add_flat(*sampler.sample_chunk_flat(plan, chunk, lo, hi))
+                block = sampler.sample_chunk_block(plan, chunk)
+                pool.add_flat(*_slice_flat(*block, lo, hi))
             pools.append(pool)
 
         with ShardedSamplingEngine(
@@ -117,6 +118,25 @@ class TestSerialCompatibility:
                     assert np.array_equal(
                         eng.shard(ad).get_set(i), pools[ad].get_set(i)
                     )
+
+    def test_engines_sharing_a_graph_share_no_sampler_state(self):
+        """Requests interleaved across two engines over one graph leave
+        each equal to an engine that ran alone: a sampler carries no
+        stream position for a neighbour to advance."""
+        problem = _problem(3)
+
+        def engine():
+            return ShardedSamplingEngine(
+                problem.graph, _probs(problem), seeds=5, chunk_size=32
+            )
+
+        with engine() as one, engine() as two, engine() as solo:
+            assert one.sampler(0) is not two.sampler(0)
+            for requests in ({0: 40, 1: 7}, {0: 30}, {1: 63}):
+                one.sample(requests)
+                two.sample({ad: count + 5 for ad, count in requests.items()})
+                solo.sample(requests)
+            _assert_shards_equal(one, solo)
 
 
 class TestProcessParity:

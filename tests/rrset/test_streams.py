@@ -28,7 +28,7 @@ from repro.algorithms.tirm import TIRMAllocator
 from repro.errors import ConfigurationError
 from repro.graph.generators import erdos_renyi
 from repro.graph.probabilities import constant_probabilities
-from repro.rrset.sampler import RRSetSampler, StreamPlan
+from repro.rrset.sampler import RRSetSampler, StreamPlan, _slice_flat
 from repro.rrset.sharded import _FORK_PAYLOADS, ShardedSamplingEngine
 
 
@@ -132,15 +132,16 @@ class TestSeedEntropy:
 
 
 class TestChunkSampling:
-    """``RRSetSampler.sample_chunk_flat`` is stateless and sliceable."""
+    """A chunk block is stateless, and ``_slice_flat`` cuts any set
+    range out of it."""
 
     @pytest.mark.parametrize("mode", ["blocked"])
     def test_recomputing_a_chunk_is_identical(self, mode, small_random_graph):
         probs = constant_probabilities(small_random_graph, 0.1)
         plan = StreamPlan(5, ad=0, chunk_size=32)
-        sampler = RRSetSampler(small_random_graph, probs, seed=0)
-        first = sampler.sample_chunk_flat(plan, 2)
-        again = sampler.sample_chunk_flat(plan, 2)
+        sampler = RRSetSampler(small_random_graph, probs)
+        first = sampler.sample_chunk_block(plan, 2)
+        again = sampler.sample_chunk_block(plan, 2)
         assert first[0].tobytes() == again[0].tobytes()
         assert first[1].tolist() == again[1].tolist()
 
@@ -150,22 +151,13 @@ class TestChunkSampling:
         the property that makes partial-chunk resume pure."""
         probs = constant_probabilities(small_random_graph, 0.1)
         plan = StreamPlan(5, ad=1, chunk_size=24)
-        sampler = RRSetSampler(small_random_graph, probs, seed=0)
-        members, lengths = sampler.sample_chunk_flat(plan, 0)
+        sampler = RRSetSampler(small_random_graph, probs)
+        members, lengths = sampler.sample_chunk_block(plan, 0)
         bounds = np.concatenate(([0], np.cumsum(lengths)))
-        for lo, hi in [(0, 24), (0, 10), (10, 24), (7, 13), (23, 24)]:
-            m, ln = sampler.sample_chunk_flat(plan, 0, lo, hi)
+        for lo, hi in [(0, 24), (0, 10), (10, 24), (7, 13), (23, 24), (5, 5)]:
+            m, ln = _slice_flat(members, lengths, lo, hi)
             assert ln.tolist() == lengths[lo:hi].tolist()
             assert m.tobytes() == members[bounds[lo] : bounds[hi]].tobytes()
-
-    def test_rejects_bad_slice(self, small_random_graph):
-        probs = constant_probabilities(small_random_graph, 0.1)
-        plan = StreamPlan(5, ad=0, chunk_size=8)
-        sampler = RRSetSampler(small_random_graph, probs, seed=0)
-        with pytest.raises(ValueError):
-            sampler.sample_chunk_flat(plan, 0, 5, 3)
-        with pytest.raises(ValueError):
-            sampler.sample_chunk_flat(plan, 0, 0, 9)
 
 
 class TestRequestSplitInvariance:

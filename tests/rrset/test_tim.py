@@ -5,9 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from repro.errors import EstimationError
 from repro.graph.generators import erdos_renyi, star_graph
 from repro.graph.probabilities import constant_probabilities
-from repro.rrset.sampler import RRSetSampler
+from repro.rrset.dsan import digest_block
+from repro.rrset.pool import RRSetPool
+from repro.rrset.sharded import ShardedSamplingEngine
 from repro.rrset.tim import (
     TIMInfluenceMaximizer,
     estimate_opt_lower_bound,
@@ -16,6 +19,18 @@ from repro.rrset.tim import (
     log_binomial,
     required_rr_sets,
 )
+
+
+def _pilot(graph, probs, count, seed):
+    """The first ``count`` RR sets of a one-ad stream, as its shard."""
+    with ShardedSamplingEngine(graph, [probs], seeds=seed) as engine:
+        engine.ensure({0: count})
+        return engine.shard(0)
+
+
+def _digest(pool) -> str:
+    view = pool.prefix_view()
+    return digest_block(view.members, np.diff(view.indptr))
 
 
 class TestLogBinomial:
@@ -96,17 +111,22 @@ class TestOptEstimation:
         """On a star with p=1 the true OPT_1 is n; the estimator must
         lower-bound it (within sampling noise) and be ≥ 1."""
         g = star_graph(30)
-        sampler = RRSetSampler(g, constant_probabilities(g, 1.0), seed=0)
-        estimate = estimate_opt_lower_bound(sampler, 1, pilot_sets=2000)
+        pilot = _pilot(g, constant_probabilities(g, 1.0), 2000, seed=0)
+        estimate = estimate_opt_lower_bound(pilot, g.num_nodes, 1)
         assert 1.0 <= estimate <= g.num_nodes * 1.05
         # hub reaches everyone: estimate should be close to n
         assert estimate > 0.8 * g.num_nodes
 
     def test_floor_at_s(self):
         g = erdos_renyi(30, 0.01, seed=1)
-        sampler = RRSetSampler(g, constant_probabilities(g, 0.0), seed=2)
-        estimate = estimate_opt_lower_bound(sampler, 5, pilot_sets=500)
+        pilot = _pilot(g, constant_probabilities(g, 0.0), 500, seed=2)
+        estimate = estimate_opt_lower_bound(pilot.prefix_view(200), g.num_nodes, 5)
         assert estimate >= 5.0
+        assert pilot.num_alive == pilot.num_total == 500  # a pure function
+
+    def test_needs_a_sample(self):
+        with pytest.raises(EstimationError):
+            estimate_opt_lower_bound(RRSetPool(4), 4, 1)
 
 
 class TestKPT:
@@ -118,6 +138,14 @@ class TestKPT:
     def test_degenerate_graph(self):
         g = erdos_renyi(5, 0.0, seed=1)
         assert kpt_estimation(g, np.empty(0), 2, seed=1) == 1.0
+
+    def test_star_graph_lower_bounds_opt(self):
+        """``OPT_1 = n`` on a certain star; KPT must not exceed it."""
+        g = star_graph(30)
+        probs = constant_probabilities(g, 1.0)
+        kpt = kpt_estimation(g, probs, 1, seed=3)
+        assert 1.0 <= kpt <= g.num_nodes
+        assert kpt == kpt_estimation(g, probs, 1, seed=3)
 
 
 class TestTIM:
@@ -138,6 +166,22 @@ class TestTIM:
         result = tim.select(4)
         assert len(result.seeds) <= 4
         assert result.num_rr_sets <= 5_000
+
+    def test_seeded_run_replays_the_engines_stream(self, small_random_graph):
+        """Same seed, same answer — and the sets behind it are the
+        addressable ``(seed, ad 0, set_index)`` ones any engine re-derives."""
+        probs = constant_probabilities(small_random_graph, 0.1)
+
+        def run():
+            tim = TIMInfluenceMaximizer(
+                small_random_graph, probs, epsilon=0.3, max_rr_sets=5_000, seed=5
+            )
+            return tim, tim.select(3)
+
+        (tim, first), (_, second) = run(), run()
+        assert first == second
+        fresh = _pilot(small_random_graph, probs, first.num_rr_sets, seed=5)
+        assert _digest(tim._engine.shard(0)) == _digest(fresh)
 
     def test_k_validation(self, small_random_graph):
         probs = constant_probabilities(small_random_graph, 0.1)
