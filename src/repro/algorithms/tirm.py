@@ -399,19 +399,16 @@ class TIRMAllocator(Allocator):
         return checkpoint
 
     def _build_engine(
-        self, problem, cache, checkpoint=None, **engine_kwargs
+        self, problem, cache, checkpoint=None
     ) -> ShardedSamplingEngine:
-        """Construct the sharded engine for one run of ``problem``.
-
-        ``engine_kwargs`` pass through to the engine constructor — the
-        service tier uses this to enable ``retain_blocks`` on pooled
-        engines; the batch facade passes nothing extra.
-        """
+        """Construct the sharded engine for one run of ``problem`` —
+        the batch facade and the service tier's engine pool build the
+        same engine."""
         # The streams take the master seed directly (per-ad separation
         # happens in the spawn key).  On resume the checkpoint's entropy
         # roots are authoritative: they rebuild the exact streams the
         # snapshot was sampled from.
-        engine_kwargs.update(
+        engine_kwargs = dict(
             seeds=self._seed if checkpoint is None else list(checkpoint.entropies),
             engine=self.engine,
             max_workers=self.max_workers,

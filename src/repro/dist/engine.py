@@ -2,7 +2,7 @@
 
 A :class:`~repro.rrset.sharded.ShardedSamplingEngine` whose substrate is
 a socket fleet: the engine's one chunk path — scatter, gather in
-ascending ``(ad, chunk)`` order, splice, dsan recording, block memo,
+ascending ``(ad, chunk)`` order, splice, dsan recording, tail memo,
 shard cache write-through — runs unchanged, and only *where a chunk is
 computed* differs.  :class:`_Fleet` implements the substrate seam
 (``submit`` / ``collect`` / ``drain``) over a

@@ -216,6 +216,19 @@ class RRSetPool:
     ``prefix_view`` / ``first_k_sets`` accessors for O(pilot) OPT
     estimation.
 
+    A pool is an immutable *sample* plus a cheap *run state*.  The
+    sample is the member rows and ``indptr`` of every set ever appended
+    — the *resident* sets, a pure function of the stream that produced
+    them.  The run state is what one allocation does with them: how
+    many are *visible* (``num_total``), which of those are alive, the
+    coverage counts, and the inverted index derived from the visible
+    rows.  :meth:`rewind` drops the run state and keeps the sample;
+    :meth:`reveal` makes the next resident sets visible again without
+    copying them — so a second run over the same sample replays the
+    first one's ``num_total`` / ``memory_bytes()`` trajectory exactly.
+    Every query and ``memory_bytes()`` see visible sets only; appends
+    are refused while resident sets are still hidden.
+
     The inverted index is built by the first index read after growth
     (``remove_covered``, ``coverage_of_set``, ``set_ids_containing`` /
     ``sets_containing``); appends, ``coverage`` / ``coverage_of``, the
@@ -255,8 +268,19 @@ class RRSetPool:
         self._alive_mask = np.empty(256, dtype=bool)
         self._num_alive = 0
         self._coverage = np.zeros(num_nodes, dtype=np.int64)
+        # Sets whose rows sit in the buffers (>= _num_sets, the visible
+        # ones): equal except between a rewind() and the reveal()s that
+        # catch up with it.
+        self._resident_sets = 0
+        self._drop_index()
+        # Bumped whenever a growth reallocation retires a storage buffer;
+        # outstanding CSRSetViews use it to re-materialize themselves.
+        self._generation = 0
+
+    def _drop_index(self) -> None:
+        """The inverted index of an empty pool (construction, rewind)."""
         # Main inverted index: covers sets [0, _indexed_sets).
-        self._idx_indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+        self._idx_indptr = np.zeros(self.num_nodes + 1, dtype=np.int64)
         self._idx_sets = np.empty(0, dtype=SET_ID_DTYPE)
         self._indexed_sets = 0
         self._indexed_members = 0
@@ -268,9 +292,6 @@ class RRSetPool:
         # Appends leave ``_synced_sets`` behind ``_num_sets``; the next
         # index read catches up (``_sync_index``).
         self._synced_sets = 0
-        # Bumped whenever a growth reallocation retires a storage buffer;
-        # outstanding CSRSetViews use it to re-materialize themselves.
-        self._generation = 0
 
     @property
     def generation(self) -> int:
@@ -369,6 +390,12 @@ class RRSetPool:
     def _append_flat(self, members: np.ndarray, lengths: np.ndarray) -> None:
         """The single-copy append core shared by :meth:`add_flat` and
         :meth:`add_flat_from_buffer` (inputs already validated)."""
+        if self._num_sets < self._resident_sets:
+            raise ValueError(
+                f"cannot append to a pool with hidden resident sets "
+                f"({self._num_sets} of {self._resident_sets} visible): "
+                "reveal() them first"
+            )
         count = lengths.size
         if count == 0:
             return
@@ -394,8 +421,38 @@ class RRSetPool:
         self._alive_mask[self._num_sets : self._num_sets + count] = True
         self._members_used += members.size
         self._num_sets += count
+        self._resident_sets = self._num_sets
         self._num_alive += count
         _bump_counts(self._coverage, members, +1)
+
+    def rewind(self) -> None:
+        """Make nothing visible: drop the run state (visible marks,
+        coverage, the derived index), keep the sample — member rows and
+        ``indptr`` stay resident for :meth:`reveal`."""
+        self._members_used = 0
+        self._num_sets = 0
+        self._num_alive = 0
+        self._coverage[:] = 0
+        self._drop_index()
+
+    def reveal(self, count: int) -> None:
+        """Make the next ``count`` resident sets visible — an append
+        without the copy: the marks advance over rows already in the
+        buffers, the sets come alive and coverage is bumped, so the
+        index is rebuilt by the same first-read rule an append obeys."""
+        count = int(count)
+        lo, hi = self._num_sets, self._num_sets + count
+        if count < 0 or hi > self._resident_sets:
+            raise ValueError(
+                f"cannot reveal {count} sets: {self._resident_sets - lo} "
+                "resident sets are hidden"
+            )
+        start, end = self._members_used, int(self._indptr[hi])
+        self._alive_mask[lo:hi] = True
+        self._members_used = end
+        self._num_sets = hi
+        self._num_alive += count
+        _bump_counts(self._coverage, self._members[start:end], +1)
 
     def remove_covered(self, node: int) -> int:
         """Remove every alive set containing ``node``; returns how many.
@@ -452,6 +509,21 @@ class RRSetPool:
     def num_alive(self) -> int:
         """Sets not yet covered by a chosen seed."""
         return self._num_alive
+
+    @property
+    def num_resident(self) -> int:
+        """Sets held in the buffers, visible or not (``>= num_total``)."""
+        return self._resident_sets
+
+    def resident_rows(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """Packed ``(members, lengths)`` of resident sets ``[lo, hi)``,
+        hidden ones included (members: a zero-copy view)."""
+        if not 0 <= lo <= hi <= self._resident_sets:
+            raise IndexError(
+                f"sets [{lo}, {hi}) not within the {self._resident_sets} resident"
+            )
+        indptr = self._indptr[lo : hi + 1]
+        return self._members[indptr[0] : indptr[-1]], np.diff(indptr)
 
     def coverage(self) -> np.ndarray:
         """Read-only view of per-node alive-set coverage counts."""

@@ -27,14 +27,18 @@ One chunk path
 Parent side, :meth:`ShardedSamplingEngine._run_tasks` is the only
 dispatch loop.  It *scatters* — every chunk of the request not already
 held (in flight from a :meth:`~ShardedSamplingEngine.prefetch`, in the
-block memo, or in the shard cache) is offered to the engine's
+tail memo, or in the shard cache) is offered to the engine's
 :class:`ChunkSubstrate` — and then *gathers* in ascending
 ``(ad, chunk)`` order, whatever the completion order: each block is
 collected from its future, opened from the memo or the cache, or
 computed inline, and handed to :meth:`ShardedSamplingEngine._splice`,
 the single place a block enters a shard (dsan digest of the full block,
 cache write-through of a freshly computed one, memo bookkeeping,
-exactly one copy into the pool, release of the block's buffer).
+exactly one copy into the pool, release of the block's buffer).  Sets
+a rewound shard still holds (:meth:`ShardedSamplingEngine.reset_for_reuse`)
+are never tasks of that path: every request is split at the shard's
+resident mark, and the resident part is *revealed* in place — nothing
+computed, nothing copied.
 
 Worker side, :class:`ChunkSource` is the only thing that turns an
 ``(ad, chunk)`` address into a block: the payload (graph in-CSR, per-ad
@@ -591,10 +595,6 @@ class ShardedSamplingEngine:
         determinism contract — hits are verified against their stored
         digests, so cached and uncached runs are byte-identical (see
         the module notes above).
-    retain_blocks:
-        Keep every full chunk block ever spliced in an in-memory memo
-        (see :meth:`reset_for_reuse`).  On for pooled, resident engines;
-        off (default) for batch engines, which die after one run.
 
     Examples
     --------
@@ -631,7 +631,6 @@ class ShardedSamplingEngine:
         dsan: bool | None = None,
         dsan_expected: Mapping | None = None,
         cache=None,
-        retain_blocks: bool = False,
     ) -> None:
         if engine not in self._engine_modes:
             raise ConfigurationError(
@@ -672,16 +671,13 @@ class ShardedSamplingEngine:
         self._samplers = [self._source.sampler(ad) for ad in range(h)]
         self._plans = [self._source.plan(ad) for ad in range(h)]
         self._shards = [RRSetPool(graph.num_nodes) for _ in range(h)]
-        # Block memo, keyed by the pure ``(ad, chunk)`` stream address
+        # Tail memo, keyed by the pure ``(ad, chunk)`` stream address
         # and consulted before the shard cache and the substrate.  It
-        # holds each ad's *partially consumed* tail chunk — a θ
-        # continuation re-enters the chunk instead of resampling it, so
-        # every chunk is computed at most once per engine lifetime — and,
-        # with ``retain_blocks``, every block ever spliced: what makes a
-        # warm-pool resubmit perform *zero* backend invocations even
-        # without a disk cache (:meth:`reset_for_reuse` keeps the memo:
-        # chunk addresses, unlike shards, are independent of run history).
-        self._retain_blocks = bool(retain_blocks)
+        # holds each ad's *partially consumed* tail chunk — at most one
+        # block per ad — so a θ continuation re-enters the chunk instead
+        # of resampling it and every chunk is computed at most once per
+        # engine lifetime.  Fully consumed chunks are held once, by the
+        # shard.
         self._blocks: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         self._engine_id = next(_ENGINE_IDS)
         # Determinism sanitizer: an explicit expected map implies dsan
@@ -863,9 +859,8 @@ class ShardedSamplingEngine:
     def memory_bytes(self) -> int:
         """Σ over shards of bytes held (the Table-4 figure), plus any
         shared-memory bytes the engine pins itself
-        (:meth:`shared_memory_bytes`) and every block the memo holds —
-        each ad's partially consumed tail chunk, and with
-        ``retain_blocks`` the whole warm-pool residency."""
+        (:meth:`shared_memory_bytes`) and every block the tail memo
+        holds — each ad's partially consumed tail chunk."""
         return (
             int(sum(s.memory_bytes() for s in self._shards))
             + self.shared_memory_bytes()
@@ -883,19 +878,26 @@ class ShardedSamplingEngine:
         run over it is byte-identical to a fresh-engine run.
 
         This is the leasing contract of the service tier's engine pool:
-        everything *run-scoped* is cleared — shards (``θ = num_total``
-        must restart at zero), memoized tail blocks, in-flight prefetch
-        futures (drained, their unconsumed segments unlinked), dsan
-        digests (a fresh recorder with the original ``expected`` map)
-        and the ``backend_invocations`` counter —
-        while everything *engine-scoped* stays warm: the substrate
-        (worker pool and its JIT-compiled backend state, the payload
-        arena, the distributed session), the shard cache handle and
-        content keys, and the ``retain_blocks`` memo (chunks are pure
-        functions of ``(entropy, ad, chunk)``, which reuse does not
-        change).  Without it a second run inherits stale θ accounting
-        and reports false divergences.  Raises
-        :class:`~repro.errors.ConfigurationError` on a closed engine.
+        everything *run-scoped* is cleared — each shard's run state
+        (:meth:`~repro.rrset.pool.RRSetPool.rewind`: ``θ = num_total``
+        restarts at zero, coverage and the derived index go), in-flight
+        prefetch futures (drained, their unconsumed segments unlinked),
+        dsan digests (a fresh recorder with the original ``expected``
+        map) and the ``backend_invocations`` counter — while everything
+        *engine-scoped* stays warm: the substrate (worker pool and its
+        JIT-compiled backend state, the payload arena, the distributed
+        session), the shard cache handle and content keys, and the
+        *sample* — the shards' resident member rows plus the tail memo
+        (chunks are pure functions of ``(entropy, ad, chunk)``, which
+        reuse does not change).  The next run reveals resident sets
+        instead of sampling them, so it performs no backend invocation
+        and no copy up to the resident mark, and every set is held
+        once.  The shards are the *same objects* before and after: a
+        reader of the previous run must be gone (leases are exclusive;
+        the service drops a finished job's session).  Without the reset
+        a second run inherits stale θ accounting and reports false
+        divergences.  Raises :class:`~repro.errors.ConfigurationError`
+        on a closed engine.
         """
         if not self._finalizer.alive:
             raise ConfigurationError(
@@ -907,9 +909,8 @@ class ShardedSamplingEngine:
         # replaced.
         self._substrate.drain(self._inflight.values())
         self._inflight.clear()
-        self._shards = [RRSetPool(self.graph.num_nodes) for _ in self._shards]
-        if not self._retain_blocks:
-            self._blocks.clear()
+        for shard in self._shards:
+            shard.rewind()
         if self._dsan is not None:
             self._dsan = DsanRecorder(
                 expected=self._dsan_expected, label=f"engine#{self._engine_id}"
@@ -968,14 +969,18 @@ class ShardedSamplingEngine:
         unlinked) at :meth:`close`.
 
         No-op (returns 0) on an in-process or closed engine, and for
-        chunks already pooled, memoized, cached, or in flight.
+        chunks already pooled, resident, memoized, cached, or in flight.
         """
         extras = self._targets_to_extras(targets)
         if self.engine == "serial" or not self._finalizer.alive:
             return 0
         submitted = 0
-        for ad, chunk_index, _, _ in self._tasks(extras):
-            if (ad, chunk_index) in self._inflight or self._held(ad, chunk_index):
+        for ad, chunk_index, _, _, resident in self._tasks(extras):
+            if (
+                resident
+                or (ad, chunk_index) in self._inflight
+                or self._held(ad, chunk_index)
+            ):
                 continue
             future = self._substrate.submit(ad, chunk_index)
             if future is None:
@@ -1002,16 +1007,22 @@ class ShardedSamplingEngine:
             if target > self._shards[ad].num_total
         }
 
-    def _tasks(self, extras: Mapping[int, int]) -> list[tuple[int, int, int, int]]:
-        """``extras[ad]`` more sets per ad as ``(ad, chunk, lo, hi)``
-        tasks, ascending — the order blocks are spliced in."""
-        tasks: list[tuple[int, int, int, int]] = []
+    def _tasks(
+        self, extras: Mapping[int, int]
+    ) -> list[tuple[int, int, int, int, bool]]:
+        """``extras[ad]`` more sets per ad as ``(ad, chunk, lo, hi,
+        resident)`` tasks, ascending — the order they enter the shard.
+        Every request is split at the shard's resident mark, so a task
+        is wholly resident (revealed in place) or wholly not (spliced
+        from a block)."""
+        tasks: list[tuple[int, int, int, int, bool]] = []
         for ad in sorted(extras):
-            start = self._shards[ad].num_total
-            tasks += [
-                (ad, *task)
-                for task in self._plans[ad].chunk_tasks(start, start + extras[ad])
-            ]
+            shard, plan = self._shards[ad], self._plans[ad]
+            start = shard.num_total
+            stop = start + extras[ad]
+            mark = min(shard.num_resident, stop)
+            tasks += [(ad, *task, True) for task in plan.chunk_tasks(start, mark)]
+            tasks += [(ad, *task, False) for task in plan.chunk_tasks(mark, stop)]
         return tasks
 
     # ------------------------------------------------------------------
@@ -1042,21 +1053,26 @@ class ShardedSamplingEngine:
         self.backend_invocations += 1
         return _Block(*self._source.block(ad, chunk_index)), True
 
-    def _run_tasks(self, tasks: list[tuple[int, int, int, int]]) -> None:
-        """The one dispatch loop: scatter ``(ad, chunk, lo, hi)`` tasks
-        over the substrate, gather and splice in task order."""
-        # A one-task request with nothing in flight is computed in the
+    def _run_tasks(self, tasks: list[tuple[int, int, int, int, bool]]) -> None:
+        """The one dispatch loop: scatter the non-resident ``(ad, chunk,
+        lo, hi, resident)`` tasks over the substrate, then gather in
+        task order — reveal the resident ones, splice the others."""
+        # A one-block request with nothing in flight is computed in the
         # parent — a round trip buys nothing — and a closed engine has
         # no substrate left (close also drained the prefetch ledger).
         substrate = self._substrate
+        blocks = [
+            (ad, chunk_index)
+            for ad, chunk_index, _, _, resident in tasks if not resident
+        ]
         fan_out = self._finalizer.alive and (
-            len(tasks) > 1 or bool(self._inflight)
+            len(blocks) > 1 or bool(self._inflight)
         )
         # (ad, chunk) -> future, or None for "compute inline", for every
         # chunk that has to be computed; held chunks are absent.
         pending: dict[tuple[int, int], Future | None] = {}
         try:
-            for ad, chunk_index, _, _ in tasks:
+            for ad, chunk_index in blocks:
                 future = self._inflight.pop((ad, chunk_index), None)
                 if future is None:  # else: harvest prefetched work
                     if self._held(ad, chunk_index):
@@ -1069,7 +1085,10 @@ class ShardedSamplingEngine:
             # order the task list was built in), independent of which
             # worker finished first.  Each result is consumed as soon as
             # *its* future resolves — no barrier on the whole batch.
-            for ad, chunk_index, lo, hi in tasks:
+            for ad, chunk_index, lo, hi, resident in tasks:
+                if resident:
+                    self._reveal(ad, chunk_index, hi - lo)
+                    continue
                 if (ad, chunk_index) not in pending:
                     block, fresh = self._open_held(ad, chunk_index)
                 else:
@@ -1089,6 +1108,20 @@ class ShardedSamplingEngine:
             substrate.drain(f for f in pending.values() if f is not None)
             self.close()
             raise
+
+    def _reveal(self, ad: int, chunk_index: int, count: int) -> None:
+        """A wholly resident task: make ``count`` more of the chunk's
+        sets visible in place.  dsan records what a splice would — the
+        digest of the *full* chunk: the tail memo's block when the
+        chunk is only partly resident, else the shard's own rows."""
+        shard = self._shards[ad]
+        if self._dsan is not None:
+            block = self._blocks.get((ad, chunk_index))
+            if block is None:
+                first = chunk_index * self.chunk_size
+                block = shard.resident_rows(first, first + self.chunk_size)
+            self._dsan.record(ad, chunk_index, *block)
+        shard.reveal(count)
 
     def _splice(
         self, ad: int, chunk_index: int, lo: int, hi: int, block, fresh: bool,
@@ -1113,7 +1146,7 @@ class ShardedSamplingEngine:
                     self._shard_keys[ad], chunk_index, members, lengths,
                     meta=self._cache_meta[ad],
                 )
-            if self._retain_blocks or hi < self.chunk_size:
+            if hi < self.chunk_size:
                 # A buffer-backed block dies with its buffer at the
                 # release below, so the memo must own a copy.
                 self._blocks[ad, chunk_index] = (

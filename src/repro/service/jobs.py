@@ -9,11 +9,20 @@ boundary-state picture without ever touching the live session from
 another thread; cancellation goes the other way through the session's
 thread-safe :meth:`~repro.algorithms.session.AllocationSession.request_cancel`.
 
+Residency is single-copy.  *Run state belongs to the lease, not the
+job*: the session — per-ad states, heaps, and through them the engine's
+shards — is dropped when the lease is released, because the next lease
+rewinds those very shards; a finished job keeps only what its readers
+need (result, last snapshot, terminal state, and the problem/allocator
+``reallocate`` starts from).  The job table is bounded
+(:data:`MAX_JOBS`), and submits by dataset name share one problem per
+``(dataset, dataset_kwargs)`` (:data:`MAX_PROBLEMS`).
+
 Incremental re-allocation (:meth:`JobManager.reallocate`) rebuilds the
 source job's problem with budgets updated and/or ads added/removed and
 submits it as a new job.  A pure budget change leaves the graph and the
 per-ad probability rows — hence the pool key — untouched, so the new
-job re-leases the *same warm engine*: its retained blocks serve every
+job re-leases the *same warm engine*: its resident sets serve every
 previously sampled θ range and the backend is invoked only for ranges
 the new instance grows beyond the old one, while the allocation stays
 byte-identical to a cold batch run of the modified instance.
@@ -25,10 +34,12 @@ job timestamps are provenance about the service, never sampling inputs.
 
 from __future__ import annotations
 
-import itertools
 import threading
 import time
+import traceback
 from dataclasses import replace
+
+import numpy as np
 
 from repro.advertising.catalog import AdCatalog
 from repro.advertising.problem import AdAllocationProblem
@@ -38,8 +49,10 @@ from repro.errors import ServiceError
 from repro.service.pool import EnginePool
 
 #: TIRMAllocator keyword arguments a service request may set.  The
-#: lifecycle knobs (checkpoint/resume) are deliberately absent — jobs
-#: are resident, not checkpointed; everything else passes through.
+#: lifecycle knobs (checkpoint/resume) are deliberately absent — a
+#: running job lives in this process only (nothing journals it, so a
+#: killed server loses it), and a finished one is its result plus the
+#: catalog row it wrote; everything else passes through.
 ALLOCATOR_PARAMS = frozenset({
     "epsilon", "ell", "select_rule", "engine", "rng",
     "chunk_size", "backend",
@@ -49,6 +62,24 @@ ALLOCATOR_PARAMS = frozenset({
 
 #: ``load_dataset`` keyword arguments a service request may set.
 DATASET_PARAMS = frozenset({"scale", "num_ads", "attention_bound", "penalty"})
+
+#: Jobs the table holds before the oldest *finished* ones are evicted.
+#: A finished job is its result, last snapshot and config; the
+#: allocation's per-user count vector (``8n`` bytes) dominates — 24 KB
+#: pickled on the benchmark's ``LJ`` instance, where filling the table
+#: costs ≈ 6 MiB of RSS and the server is flat from then on — while a
+#: client that polls or re-allocates gets dozens of later submissions'
+#: worth of time to come back for an id.  Running jobs are never
+#: evicted, so more than this many *concurrent* jobs overshoot it (the
+#: queue bound is a separate, open item).
+MAX_JOBS = 64
+
+#: Problems the manager memoizes, least recently used evicted first.
+#: An entry pins a whole instance (graph + ``h·m`` probabilities +
+#: ``h·n`` CTPs: 3 MB on ``LJ``, gigabytes at paper scale), so the
+#: bound covers the handful of datasets one deployment serves and no
+#: more; a miss costs one ``load_dataset`` call, nothing else.
+MAX_PROBLEMS = 4
 
 
 def build_allocator(params: dict | None, *, dataset: str | None,
@@ -86,7 +117,9 @@ def modified_problem(
     remove_ads: list | None = None,
 ) -> AdAllocationProblem:
     """A copy of ``problem`` with budgets updated and/or ads added or
-    removed (sharing the graph and all unchanged rows).
+    removed.  The graph is always shared; with the catalog's shape
+    unchanged (budget updates only) so are both ``(h, ·)`` matrices —
+    an add or remove stacks fresh ones.
 
     ``update_budgets`` maps ad index → new budget (JSON clients send
     string keys; both are accepted).  ``add_ads`` entries are dicts with
@@ -94,8 +127,6 @@ def modified_problem(
     probability and CTP rows the new ad copies (the service never ships
     per-edge arrays over the wire).  ``remove_ads`` lists ad indices.
     """
-    import numpy as np
-
     advertisers = list(problem.catalog)
     probs = [problem.ad_edge_probabilities(ad) for ad in range(problem.num_ads)]
     ctps = [problem.ad_ctps(ad) for ad in range(problem.num_ads)]
@@ -133,18 +164,27 @@ def modified_problem(
         probs = [p for i, p in enumerate(probs) if i not in drop]
         ctps = [c for i, c in enumerate(ctps) if i not in drop]
 
+    if add_ads or remove_ads:
+        edge_probabilities, ctps = np.stack(probs, axis=0), np.stack(ctps, axis=0)
+    else:
+        edge_probabilities, ctps = problem.edge_probabilities, problem.ctps
     return AdAllocationProblem(
         problem.graph,
         AdCatalog(advertisers),
-        np.stack(probs, axis=0),
-        np.stack(ctps, axis=0),
+        edge_probabilities,
+        ctps,
         problem.attention,
         problem.penalty,
     )
 
 
 class Job:
-    """One allocation run and its published progress."""
+    """One allocation run and its published progress.
+
+    ``session`` is set only while the run holds its engine lease; once
+    the job is terminal it is ``None`` and the job answers from what the
+    worker published (``state``, ``snapshot``, ``result``, ``error``).
+    """
 
     def __init__(self, job_id: str, dataset: str | None, problem, allocator,
                  *, source_job_id: str | None = None) -> None:
@@ -157,8 +197,8 @@ class Job:
         self.finished_at: float | None = None
         self.lock = threading.Lock()
         self.done = threading.Event()
-        self.thread: threading.Thread | None = None
         self.session: AllocationSession | None = None
+        self._state = "pending"
         self.snapshot: dict | None = None
         self.result = None
         self.error: BaseException | None = None
@@ -168,11 +208,7 @@ class Job:
     @property
     def state(self) -> str:
         with self.lock:
-            if self.error is not None:
-                return "failed"
-            if self.session is None:
-                return "pending"
-            return self.session.state
+            return "failed" if self.error is not None else self._state
 
     def summary(self) -> dict:
         with self.lock:
@@ -186,14 +222,11 @@ class Job:
                 "engine_warm": self.engine_warm,
                 "iterations": snapshot.get("iterations", 0),
                 "total_seeds": snapshot.get("total_seeds", 0),
+                "state": self._state,
             }
             if self.error is not None:
                 record["state"] = "failed"
                 record["error"] = str(self.error)
-            elif self.session is None:
-                record["state"] = "pending"
-            else:
-                record["state"] = self.session.state
         return record
 
 
@@ -228,7 +261,8 @@ class JobManager:
             )
         self.pool = EnginePool(cache=self.cache, max_idle_per_key=max_idle_per_key)
         self._jobs: dict[str, Job] = {}
-        self._ids = itertools.count(1)
+        self._issued = 0  # ids are job-0001 … job-<_issued>
+        self._problems: dict[tuple, AdAllocationProblem] = {}
         self._lock = threading.Lock()
         self._closed = False
 
@@ -249,64 +283,104 @@ class JobManager:
         Either ``dataset`` (a registry name, loaded with
         ``dataset_kwargs``) or a ready ``problem`` must be given.
         """
-        if self._closed:
-            raise ServiceError("job manager is closed")
         if problem is None:
             if dataset is None:
                 raise ServiceError("submit needs a dataset name or a problem")
-            from repro.datasets.registry import load_dataset
-
-            kwargs = dict(dataset_kwargs or {})
-            unknown = sorted(set(kwargs) - DATASET_PARAMS)
-            if unknown:
-                raise ServiceError(
-                    f"unknown dataset parameters {unknown}; allowed: "
-                    f"{sorted(DATASET_PARAMS)}"
-                )
-            problem = load_dataset(dataset, **kwargs)
+            problem = self._problem_for(dataset, dataset_kwargs)
         allocator = build_allocator(
             params, dataset=dataset, coordinator=self.coordinator
         )
+        return self._start(dataset, problem, allocator, source_job_id)
+
+    def _problem_for(self, dataset: str, dataset_kwargs: dict | None):
+        """The one resident problem of ``(dataset, dataset_kwargs)``:
+        equal requests share a graph and both matrices."""
+        kwargs = dict(dataset_kwargs or {})
+        unknown = sorted(set(kwargs) - DATASET_PARAMS)
+        if unknown:
+            raise ServiceError(
+                f"unknown dataset parameters {unknown}; allowed: "
+                f"{sorted(DATASET_PARAMS)}"
+            )
+        key = (dataset, tuple(sorted(kwargs.items())))
         with self._lock:
-            job_id = f"job-{next(self._ids):04d}"
-            job = Job(job_id, dataset, problem, allocator,
+            problem = self._problems.pop(key, None)
+            if problem is not None:
+                self._problems[key] = problem  # most recently used last
+        if problem is None:
+            from repro.datasets.registry import load_dataset
+
+            built = load_dataset(dataset, **kwargs)  # not under the lock
+            with self._lock:
+                problem = self._problems.setdefault(key, built)
+                while len(self._problems) > MAX_PROBLEMS:
+                    del self._problems[next(iter(self._problems))]
+        return problem
+
+    def _start(self, dataset, problem, allocator, source_job_id) -> Job:
+        """Register a job under a fresh id — evicting the oldest
+        finished jobs past :data:`MAX_JOBS`, never a running one — and
+        start its worker thread."""
+        if self._closed:
+            raise ServiceError("job manager is closed")
+        with self._lock:
+            self._issued += 1
+            job = Job(f"job-{self._issued:04d}", dataset, problem, allocator,
                       source_job_id=source_job_id)
-            self._jobs[job_id] = job
-        job.thread = threading.Thread(
+            self._jobs[job.job_id] = job
+            excess = len(self._jobs) - MAX_JOBS
+            if excess > 0:
+                finished = [
+                    old.job_id for old in self._jobs.values() if old.done.is_set()
+                ]
+                for job_id in finished[:excess]:
+                    del self._jobs[job_id]
+        threading.Thread(
             target=self._run_job, args=(job,),
-            name=f"repro-{job_id}", daemon=True,
-        )
-        job.thread.start()
+            name=f"repro-{job.job_id}", daemon=True,
+        ).start()
         return job
 
     def _run_job(self, job: Job) -> None:
         try:
-            lease = self.pool.lease(job.problem, job.allocator)
-            try:
-                session = AllocationSession(
-                    job.problem, job.allocator,
-                    engine=lease.engine, cache=self.cache, job_id=job.job_id,
-                )
-                with job.lock:
-                    job.session = session
-                    job.engine_warm = lease.warm
-                    if job.cancel_requested:
-                        session.request_cancel()
-                while session.state not in TERMINAL_STATES:
-                    snapshot = session.step()
-                    with job.lock:
-                        job.snapshot = snapshot
-                result = session.result()
-                with job.lock:
-                    job.result = result
-            finally:
-                lease.release()
+            with self.pool.lease(job.problem, job.allocator) as lease:
+                self._drive(job, lease)
         except BaseException as exc:  # published, never swallowed silently
+            # The traceback's frames hold the session; the job must not.
+            traceback.clear_frames(exc.__traceback__)
             with job.lock:
                 job.error = exc
         finally:
             job.finished_at = time.time()
             job.done.set()
+
+    def _drive(self, job: Job, lease) -> None:
+        """Step one session to a terminal state over the leased engine,
+        publishing state, snapshot and result as it goes.  The session
+        is dropped before the lease is released: the next lease rewinds
+        the shards it reads."""
+        session = AllocationSession(
+            job.problem, job.allocator,
+            engine=lease.engine, cache=self.cache, job_id=job.job_id,
+        )
+        with job.lock:
+            job.session = session
+            job._state = session.state
+            job.engine_warm = lease.warm
+            if job.cancel_requested:
+                session.request_cancel()
+        try:
+            while session.state not in TERMINAL_STATES:
+                snapshot = session.step()
+                with job.lock:
+                    job.snapshot = snapshot
+                    job._state = session.state
+            result = session.result()
+            with job.lock:
+                job.result = result
+        finally:
+            with job.lock:
+                job.session = None
 
     # ------------------------------------------------------------------
     # Observation / control
@@ -315,7 +389,22 @@ class JobManager:
         try:
             return self._jobs[job_id]
         except KeyError:
-            raise ServiceError(f"unknown job id {job_id!r}") from None
+            pass
+        try:
+            number = int(str(job_id)[4:])
+        except ValueError:
+            number = 0
+        if 1 <= number <= self._issued and job_id == f"job-{number:04d}":
+            raise ServiceError(
+                f"job {job_id} was evicted from the job table (it keeps the "
+                f"{MAX_JOBS} most recent jobs); its catalog row, if a cache "
+                "is configured, is all that remains"
+            )
+        raise ServiceError(f"unknown job id {job_id!r}")
+
+    def job_count(self) -> int:
+        """Jobs in the table, running and finished."""
+        return len(self._jobs)
 
     def progress(self, job_id: str) -> dict:
         """The job summary plus the latest boundary snapshot."""
@@ -360,7 +449,7 @@ class JobManager:
         """Every job's summary, submission-ordered, with the experiment
         catalog's allocation row id attached where one was recorded."""
         with self._lock:
-            jobs = sorted(self._jobs.values(), key=lambda j: j.job_id)
+            jobs = list(self._jobs.values())  # inserted in id order
         catalog_ids: dict[str, int] = {}
         if self.cache is not None:
             for row in self.cache.catalog.list_allocations():
@@ -389,7 +478,7 @@ class JobManager:
 
         A pure budget update keeps the graph/probability content — hence
         the engine-pool key — unchanged, so the new job re-leases the
-        source job's warm engine: retained blocks serve every θ range
+        source job's warm engine: its resident sets serve every θ range
         the old run sampled and the backend runs only for ranges the new
         instance grows past them.  Ad additions/removals change the
         shard layout and lease cold.  Either way the result is
@@ -422,22 +511,10 @@ class JobManager:
                 dataset=source.dataset,
                 coordinator=self.coordinator,
             )
-        if self._closed:
-            raise ServiceError("job manager is closed")
         # Unlike submit(), reallocation reuses the source config object
         # directly (same-shape case), so the two runs share resolved
         # backend state and the pool key matches exactly.
-        with self._lock:
-            new_id = f"job-{next(self._ids):04d}"
-            job = Job(new_id, source.dataset, problem, allocator,
-                      source_job_id=job_id)
-            self._jobs[new_id] = job
-        job.thread = threading.Thread(
-            target=self._run_job, args=(job,),
-            name=f"repro-{new_id}", daemon=True,
-        )
-        job.thread.start()
-        return job
+        return self._start(source.dataset, problem, allocator, job_id)
 
     @staticmethod
     def _allocator_params(allocator: TIRMAllocator) -> dict:
@@ -481,9 +558,7 @@ class JobManager:
                 raise ServiceError(
                     "estimate_spread needs a dataset name or a problem"
                 )
-            from repro.datasets.registry import load_dataset
-
-            problem = load_dataset(dataset, **(dataset_kwargs or {}))
+            problem = self._problem_for(dataset, dataset_kwargs)
         if not 0 <= int(ad) < problem.num_ads:
             raise ServiceError(f"no ad with index {ad}")
         from repro.rrset.estimator import estimate_spread_from_sets
@@ -519,8 +594,9 @@ class JobManager:
                 if job.session is not None:
                     job.session.request_cancel()
         for job in jobs:
-            if job.thread is not None:
-                job.thread.join(timeout)
+            # Set after the lease is back in the pool: nothing is out on
+            # lease once every job is done.
+            job.done.wait(timeout)
         self.pool.close()
         if self._coordinator_owned and self.coordinator is not None:
             self.coordinator.close()

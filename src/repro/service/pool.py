@@ -3,21 +3,26 @@
 A :class:`~repro.rrset.sharded.ShardedSamplingEngine` bundles the
 expensive run-independent state — its chunk substrate (the worker
 process pool and payload arena, or the distributed session), the
-resolved sampling backend, the shard cache handle, and (on pooled
-engines) the in-memory block memo of every RR chunk already sampled.
+resolved sampling backend, the shard cache handle, and the *sample*:
+every RR set its shards hold, a pure function of the stream contract.
 :class:`EnginePool` keeps finished engines alive keyed by the inputs
 that pin their sample bytes, so the next allocation of the same
-instance skips both the lifecycle cost *and* — through the retained
-blocks — the sampling itself: a warm resubmit performs zero
-sampling-backend invocations yet stays byte-identical to a cold run.
+instance skips both the lifecycle cost *and* the sampling itself: the
+shards are rewound, not replaced, and the new run reveals their
+resident sets in place — a warm resubmit performs zero
+sampling-backend invocations and zero copies, holds every set once,
+yet stays byte-identical to a cold run.
 
 Leases are exclusive: an engine serves one session at a time, and
 :meth:`EnginePool.lease` calls
 :meth:`~repro.rrset.sharded.ShardedSamplingEngine.reset_for_reuse`
 before handing a warm engine out, so every session starts from the
-empty-shards state the determinism contract assumes.  Pooling is
-substrate, never contract — which engine a job happens to lease is
-provenance, not an input to the allocation bytes.
+empty-shards state the determinism contract assumes.  The rewind
+happens *in* the shard objects the previous lease's session read, so
+whoever held that session must have dropped it by then
+(:class:`~repro.service.jobs.JobManager` does when a job finishes).
+Pooling is substrate, never contract — which engine a job happens to
+lease is provenance, not an input to the allocation bytes.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ class EngineLease:
     """One exclusive hold on a pooled engine.
 
     ``warm`` records whether the engine was reused from the pool (its
-    process pool, arena and retained blocks intact) or built cold for
+    process pool, arena and resident sets intact) or built cold for
     this lease.  Return it with :meth:`EnginePool.release` — or use the
     lease as a context manager, which releases on exit.
     """
@@ -74,7 +79,9 @@ class EnginePool:
     (graph digest + per-ad probability digests), the stream contract
     (seed, chunk size) and the substrate knobs
     (engine mode, backend, worker count, dsan).
-    Two requests with equal keys are guaranteed interchangeable engines.
+    Two requests with equal keys are guaranteed interchangeable engines
+    — which is what lets an idle engine keep its sample: the resident
+    sets of one run are the sets any equal-keyed run would draw.
 
     Runs seeded with a live generator object are not poolable — the
     generator was consumed while sampling and cannot be rewound — so
@@ -146,9 +153,7 @@ class EnginePool:
                 with self._lock:
                     self.warm_leases += 1
                 return EngineLease(engine, key, True, self)
-        engine = allocator._build_engine(
-            problem, self.cache, None, retain_blocks=True
-        )
+        engine = allocator._build_engine(problem, self.cache)
         with self._lock:
             self.cold_builds += 1
         return EngineLease(engine, key, False, self)

@@ -91,7 +91,7 @@ class AllocationServer:
         if op == "ping":
             return {
                 "pong": True,
-                "jobs": len(self.manager.list_jobs()),
+                "jobs": self.manager.job_count(),
                 "pool": self.manager.pool.stats(),
             }
         if op == "submit-allocation":
@@ -149,11 +149,23 @@ class AllocationServer:
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
         loop = asyncio.get_running_loop()
+
+        async def send(response: dict) -> None:
+            writer.write(json.dumps(response).encode() + b"\n")
+            await writer.drain()
+
         try:
             while True:
                 try:
                     line = await reader.readline()
-                except (ConnectionError, asyncio.LimitOverrunError):
+                except ValueError:
+                    # readline() re-raises a line past the stream limit
+                    # as ValueError; the rest of the line is still on
+                    # the wire, so answer once and hang up.
+                    await send({
+                        "ok": False,
+                        "error": f"request exceeds {MAX_REQUEST_BYTES} bytes",
+                    })
                     break
                 if not line.strip():
                     break
@@ -169,11 +181,12 @@ class AllocationServer:
                     response = {"ok": True, **payload}
                 except (ReproError, ValueError, KeyError, TypeError) as exc:
                     response = {"ok": False, "error": str(exc) or repr(exc)}
-                writer.write(json.dumps(response).encode() + b"\n")
-                await writer.drain()
+                await send(response)
                 if request.get("op") == "shutdown" and response.get("ok"):
                     self._stop.set()
                     break
+        except ConnectionError:
+            pass  # the peer went away mid-exchange
         finally:
             writer.close()
             # wait_closed() pairs every accepted connection's transport

@@ -50,11 +50,11 @@ def _fingerprint(engine) -> list[tuple]:
     return out
 
 
-def _serial_reference(graph, probs):
+def _serial_reference(graph, probs, targets=TARGETS):
     with ShardedSamplingEngine(
         graph, probs, seeds=7, chunk_size=CHUNK, dsan=True
     ) as engine:
-        engine.ensure(TARGETS)
+        engine.ensure(targets)
         return _fingerprint(engine), engine.dsan_root()
 
 
@@ -120,9 +120,13 @@ class TestByteIdentity:
     def test_reset_for_reuse_clears_the_fallback_record(self):
         """Local fallbacks and their one warning are run-scoped: a warm
         lease must not report the previous job's fallbacks, and a later
-        fallback run must warn again."""
+        fallback run must warn again.  (A rerun reveals what is
+        resident, so each run here reaches further than the last: only
+        the sets past the mark are fleet work.)"""
         graph = _graph()
         probs = _probs(graph)
+        twice = {ad: 2 * target for ad, target in TARGETS.items()}
+        thrice = {ad: 3 * target for ad, target in TARGETS.items()}
         with Coordinator(worker_grace=0.2) as coordinator:
             with DistributedEngine(
                 graph, probs, coordinator=coordinator, seeds=7,
@@ -134,22 +138,61 @@ class TestByteIdentity:
                 engine.reset_for_reuse()
                 assert engine.dist_stats()["local_fallbacks"] == 0
 
-                # One worker that serves the whole clean run (4 + 6
+                # One worker that serves the whole clean run (4 + 5 new
                 # chunks) and crashes on the first chunk of the run after.
                 worker = ChaosWorker(
-                    "127.0.0.1", coordinator.port, failure="crash", fail_on=11
+                    "127.0.0.1", coordinator.port, failure="crash", fail_on=10
                 )
                 threads = start_workers(coordinator, [worker])
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
-                    engine.ensure(TARGETS)  # clean run on a live fleet
+                    engine.ensure(twice)  # clean run on a live fleet
                 assert engine.dist_stats()["local_fallbacks"] == 0
+                assert worker.chunks_served == 9
 
                 engine.reset_for_reuse()
                 with pytest.warns(RuntimeWarning, match="computing\\s+locally"):
-                    engine.ensure(TARGETS)  # the fleet empties mid-run
+                    engine.ensure(thrice)  # the fleet empties mid-run
                 assert engine.dist_stats()["local_fallbacks"] > 0
-                assert engine.dsan_root() == _serial_reference(graph, probs)[1]
+                assert engine.dsan_root() == _serial_reference(
+                    graph, probs, thrice
+                )[1]
+        join_workers(threads)
+
+    def test_rerun_reveals_resident_sets_and_samples_past_them(self):
+        """The distributed engine's ``reset_for_reuse`` override keeps
+        the base contract: a rerun to the same targets is no fleet work
+        at all, one past them sends only the chunks the first run never
+        saw — bytes and digests those of a serial run either way."""
+        graph = _graph()
+        probs = _probs(graph)
+        further = {0: 900, 1: 700}  # ad 0 straddles its mark, ad 1 sits on it
+        with Coordinator() as coordinator:
+            worker = WorkerHost("127.0.0.1", coordinator.port)
+            threads = start_workers(coordinator, [worker])
+            with DistributedEngine(
+                graph, probs, coordinator=coordinator, seeds=7,
+                chunk_size=CHUNK, dsan=True,
+            ) as engine:
+                engine.ensure(TARGETS)
+                served = worker.chunks_served
+                assert served == 4 + 6
+                engine.reset_for_reuse()
+                assert engine.prefetch(TARGETS) == 0
+                engine.ensure(TARGETS)
+                assert engine.backend_invocations == 0
+                assert worker.chunks_served == served
+                assert (_fingerprint(engine), engine.dsan_root()) == (
+                    _serial_reference(graph, probs)
+                )
+                engine.reset_for_reuse()
+                engine.ensure(further)
+                # Ad 0: chunk 3 comes from the tail memo, chunks 4-7 new.
+                assert engine.backend_invocations == 4
+                assert worker.chunks_served == served + 4
+                assert (_fingerprint(engine), engine.dsan_root()) == (
+                    _serial_reference(graph, probs, further)
+                )
         join_workers(threads)
 
     def test_mixed_backend_fleet_matches_serial(self):

@@ -448,6 +448,139 @@ class TestAgainstModel:
         assert tiers == {"main", "pending", "lagging"}
 
 
+_N = 9
+_NODES = st.integers(0, _N - 1)
+_SET_LISTS = st.lists(st.lists(_NODES, max_size=3), min_size=1, max_size=14)
+_POOL_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), _SET_LISTS),
+        st.tuples(st.just("rewind")),
+        st.tuples(st.just("reveal"), st.integers(0, 16)),
+        st.tuples(st.just("remove"), _NODES),
+        st.tuples(st.just("cover"), st.lists(_NODES, max_size=3), st.booleans()),
+        st.tuples(st.just("ids"), _NODES, st.booleans()),
+    ),
+    max_size=40,
+)
+
+
+def _flat(sets):
+    return (
+        np.asarray([v for s in sets for v in s], dtype=np.int32),
+        np.asarray([len(s) for s in sets], dtype=np.int64),
+    )
+
+
+class TestRewindReveal:
+    """A pool is an immutable sample plus a run state: ``rewind`` drops
+    the run state, ``reveal`` replays appends without the copy."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(ops=_POOL_OPS)
+    def test_equals_a_fresh_pool_fed_the_visible_sets(self, ops):
+        """Model: a *fresh* pool — rebuilt at every rewind — fed by
+        ``add_flat`` exactly the sets the pool under test was asked to
+        show, in the same steps.  Everything observable must agree,
+        ``memory_bytes()`` (the index as held) included."""
+        with pytest.MonkeyPatch.context() as patch:
+            # Short schedules reach both sides of the rebuild threshold.
+            patch.setattr(pool_module, "_MIN_INDEXED_MEMBERS", 24)
+            pool, twin = RRSetPool(_N), RRSetPool(_N)
+            resident: list[list[int]] = []
+            for op, *args in ops:
+                hidden = len(resident) - pool.num_total
+                if op == "add":
+                    if hidden:
+                        with pytest.raises(ValueError, match="hidden"):
+                            pool.add_flat(*_flat(args[0]))
+                    else:
+                        pool.add_flat(*_flat(args[0]))
+                        twin.add_flat(*_flat(args[0]))
+                        resident.extend(args[0])
+                elif op == "rewind":
+                    pool.rewind()
+                    twin = RRSetPool(_N)
+                elif op == "reveal":
+                    count = args[0]
+                    if count > hidden:
+                        with pytest.raises(ValueError, match="hidden"):
+                            pool.reveal(count)
+                        count %= hidden + 1  # then one that fits
+                    shown = resident[pool.num_total : pool.num_total + count]
+                    pool.reveal(count)
+                    twin.add_flat(*_flat(shown))
+                elif op == "remove":
+                    assert pool.remove_covered(args[0]) == twin.remove_covered(
+                        args[0]
+                    )
+                elif op == "cover":
+                    assert pool.coverage_of_set(
+                        args[0], alive_only=args[1]
+                    ) == twin.coverage_of_set(args[0], alive_only=args[1])
+                elif op == "ids":
+                    assert np.array_equal(
+                        pool.set_ids_containing(args[0], alive_only=args[1]),
+                        twin.set_ids_containing(args[0], alive_only=args[1]),
+                    )
+                # Through accessors that never sync the index, so the
+                # as-held index bytes are compared as the ops left them.
+                assert pool.num_total == twin.num_total
+                assert pool.num_alive == twin.num_alive
+                assert pool.num_resident == len(resident)
+                assert np.array_equal(pool.alive_mask(), twin.alive_mask())
+                assert np.array_equal(pool.coverage(), twin.coverage())
+                assert pool.memory_bytes() == twin.memory_bytes()
+                assert [s.tolist() for s in pool.all_sets()] == [
+                    s.tolist() for s in twin.all_sets()
+                ]
+
+    def test_reveal_copies_nothing_and_rewind_keeps_the_rows(self):
+        pool = RRSetPool(6)
+        pool.add_sets(_sets([0, 1], [2], [], [3, 4, 5]))
+        first = pool.get_set(3)
+        allocated = pool.allocated_bytes()
+        pool.remove_covered(2)
+        pool.rewind()
+        assert (pool.num_total, pool.num_alive, pool.num_resident) == (0, 0, 4)
+        assert not pool.coverage().any()
+        assert pool.memory_bytes() == RRSetPool(6).memory_bytes()
+        assert pool.allocated_bytes() == allocated  # the sample stays
+        with pytest.raises(IndexError):
+            pool.get_set(0)  # hidden sets are not visible to queries
+        pool.reveal(4)
+        assert np.shares_memory(pool.get_set(3), first)
+        assert pool.alive_mask().tolist() == [True] * 4  # alive again
+        assert pool.coverage().tolist() == [1, 1, 1, 1, 1, 1]
+        assert pool.set_ids_containing(2).tolist() == [1]
+
+    def test_resident_rows_reach_hidden_sets(self):
+        pool = RRSetPool(6)
+        pool.add_sets(_sets([0, 1], [2], [], [3, 4, 5]))
+        pool.rewind()
+        members, lengths = pool.resident_rows(1, 4)
+        assert members.tolist() == [2, 3, 4, 5]
+        assert lengths.tolist() == [1, 0, 3] and lengths.dtype == np.int64
+        assert members.dtype == np.int32
+        with pytest.raises(IndexError):
+            pool.resident_rows(2, 5)
+
+    def test_append_is_refused_while_sets_are_hidden(self):
+        pool = RRSetPool(4)
+        pool.add_sets(_sets([0], [1, 2]))
+        pool.rewind()
+        pool.reveal(1)
+        with pytest.raises(ValueError, match="hidden"):
+            pool.add_sets(_sets([3]))
+        with pytest.raises(ValueError, match="hidden"):
+            pool.reveal(2)
+        with pytest.raises(ValueError, match="hidden"):
+            pool.reveal(-1)
+        assert pool.num_total == 1 and pool.coverage().tolist() == [1, 0, 0, 0]
+        pool.reveal(1)
+        assert pool.add_sets(_sets([3])) == [2]
+        assert pool.num_resident == 3
+
+
 class TestViews:
     def test_prefix_view_is_zero_copy(self):
         pool = RRSetPool(5)

@@ -277,9 +277,9 @@ class TestLifecycle:
 
 class TestMemoryAccounting:
     def test_memory_bytes_counts_held_tail_blocks(self):
-        """A batch engine (no ``retain_blocks``) still keeps each ad's
-        partially consumed tail chunk in the block memo; what it holds,
-        it reports."""
+        """An engine keeps each ad's partially consumed tail chunk in
+        the tail memo — at most one block per ad, and nothing else
+        beside the shards; what it holds, it reports."""
         problem = _problem(3, num_ads=2)
         with ShardedSamplingEngine(
             problem.graph, _probs(problem), seeds=4, chunk_size=64
@@ -296,8 +296,16 @@ class TestMemoryAccounting:
             )
             assert held > 0
             assert eng.memory_bytes() == shard_bytes() + held
+            # Idle between two leases the engine holds exactly that; a
+            # rerun to the same targets adds nothing to it.
+            idle = eng.memory_bytes()
+            eng.reset_for_reuse()
+            eng.ensure({0: 96, 1: 96})
+            assert eng.memory_bytes() == idle
+            assert sorted(eng._blocks) == [(0, 1), (1, 1)]
             eng.ensure({0: 128, 1: 128})  # tails consumed: the memo lets go
             assert eng.memory_bytes() == shard_bytes()
+            assert not eng._blocks
 
     def test_resume_path_builds_no_index(self, build_calls):
         """``ensure`` + ``kill_sets`` (checkpoint resume) and the pilot's
@@ -315,6 +323,20 @@ class TestMemoryAccounting:
             assert build_calls == []
             shard.remove_covered(int(np.argmax(shard.coverage())))
             assert build_calls == [shard.prefix_view().members.size]
+
+
+@pytest.fixture
+def append_calls(monkeypatch) -> list[str]:
+    """Spy on the two copying entry points of the pool: one entry per
+    call, whichever shard it lands in."""
+    calls: list[str] = []
+    for name in ("add_flat", "add_flat_from_buffer"):
+        def spy(self, *args, _name=name, _original=getattr(RRSetPool, name), **kwargs):
+            calls.append(_name)
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(RRSetPool, name, spy)
+    return calls
 
 
 class _FakeSubstrate(ChunkSubstrate):
@@ -459,22 +481,28 @@ class TestResetForReuse:
             assert result.stats["dsan_root"] == fresh.stats["dsan_root"]
             assert result.stats["theta_per_ad"] == fresh.stats["theta_per_ad"]
 
-    def test_retained_blocks_serve_the_second_run(self):
-        """``retain_blocks=True``: after a reset the block memo answers
-        every previously sampled chunk, so a warm rerun performs zero
-        sampling-backend invocations yet fills identical shards."""
+    def test_resident_sets_serve_the_second_run(self, append_calls):
+        """After a reset the shards' own resident rows answer every
+        previously sampled set: a warm rerun performs zero
+        sampling-backend invocations and zero copies into the pools,
+        yet shows identical shards — the same pool objects."""
         problem = _problem(13)
         with ShardedSamplingEngine(
             problem.graph, _probs(problem), seeds=2, chunk_size=16,
-            retain_blocks=True,
         ) as engine:
             engine.sample({0: 64, 1: 48, 2: 32})
             cold_invocations = engine.backend_invocations
             assert cold_invocations > 0
-            coverage = [engine.shard(ad).coverage().copy() for ad in range(3)]
+            shards = [engine.shard(ad) for ad in range(3)]
+            coverage = [shard.coverage().copy() for shard in shards]
+            del append_calls[:]
             engine.reset_for_reuse()
+            assert [engine.shard(ad) for ad in range(3)] == shards
+            assert all(shard.num_total == 0 for shard in shards)
+            assert all(not shard.coverage().any() for shard in shards)
             engine.sample({0: 64, 1: 48, 2: 32})
             assert engine.backend_invocations == 0
+            assert append_calls == []
             for ad in range(3):
                 assert np.array_equal(engine.shard(ad).coverage(), coverage[ad])
 
@@ -499,6 +527,65 @@ class TestResetForReuse:
             ) as fresh:
                 fresh.sample({0: 20, 1: 20, 2: 20})
                 _assert_shards_equal(engine, fresh)
+
+    #: First run, chunk_size 16: ad 0 ends mid-chunk (tail memo), ad 1
+    #: on a chunk boundary, ad 2 mid-chunk in its third chunk.
+    FIRST = {0: 72, 1: 48, 2: 33}
+    BELOW = {0: 40, 1: 16, 2: 33}
+    ABOVE = {0: 100, 1: 64, 2: 50}
+
+    @pytest.mark.parametrize("mode", ["serial", "process"])
+    @pytest.mark.parametrize(
+        "steps",
+        [
+            pytest.param([FIRST], id="same"),
+            pytest.param([BELOW], id="below"),
+            pytest.param([FIRST, ABOVE], id="above-from-the-mark"),
+            pytest.param([BELOW, ABOVE], id="straddling-request"),
+            pytest.param([ABOVE], id="straddling-from-zero"),
+        ],
+    )
+    def test_rerun_around_the_resident_mark(self, mode, steps, append_calls):
+        """Targets below the resident mark, at it, above it (continuing
+        from the tail block) and one request straddling it: the rerun
+        equals a fresh engine fed the same steps — shards, digests,
+        bytes — and computes only the chunks the first run never saw."""
+        problem = _problem(17)
+        kwargs = dict(seeds=9, chunk_size=16, dsan=True)
+        reused = ShardedSamplingEngine(
+            problem.graph, _probs(problem), engine=mode, max_workers=2, **kwargs
+        )
+        if mode == "process" and not reused._fork_available():  # pragma: no cover
+            reused.close()
+            pytest.skip("fork start method unavailable")
+        with reused, ShardedSamplingEngine(
+            problem.graph, _probs(problem), **kwargs
+        ) as fresh:
+            reused.ensure(self.FIRST)
+            first_invocations = reused.backend_invocations
+            reused.reset_for_reuse()
+            del append_calls[:]
+            for targets in steps:
+                reused.ensure(targets)
+            warm_appends = len(append_calls)
+            for targets in steps:
+                fresh.ensure(targets)
+            _assert_shards_equal(reused, fresh)
+            assert reused.dsan_digests() == fresh.dsan_digests()
+            assert reused.dsan_root() == fresh.dsan_root()
+            for ad in range(3):
+                assert (
+                    reused.shard(ad).memory_bytes() == fresh.shard(ad).memory_bytes()
+                )
+            # At most one tail block per ad beside the shards — the
+            # first run's where the rerun stopped short of it.
+            assert len(reused._blocks) <= reused.num_ads
+            if steps != [self.BELOW]:
+                assert reused.memory_bytes() == fresh.memory_bytes()
+            new_chunks = max(fresh.backend_invocations - first_invocations, 0)
+            assert reused.backend_invocations == new_chunks
+            if steps[-1] is not self.ABOVE:
+                assert new_chunks == 0 and warm_appends == 0
 
     def test_reset_of_closed_engine_is_refused(self):
         problem = _problem(0)

@@ -282,7 +282,7 @@ class TestWorkerCountInvariance:
         assert len(dispatched) == 1
         tasks = dispatched[0]
         assert len(tasks) == 4  # ceil(50 / 16) chunks, all for ad 0
-        assert all(ad == 0 for ad, _, _, _ in tasks)
+        assert all(ad == 0 and not resident for ad, _, _, _, resident in tasks)
 
 
 def _force_start_method(monkeypatch, start_method):

@@ -9,6 +9,10 @@ the warm paths merely skipping sampling-backend invocations.
 
 from __future__ import annotations
 
+import gc
+import threading
+import weakref
+
 import numpy as np
 import pytest
 
@@ -20,6 +24,7 @@ from repro.algorithms.tirm import TIRMAllocator
 from repro.errors import ReproError, ServiceError
 from repro.graph.generators import erdos_renyi
 from repro.graph.probabilities import constant_probabilities
+from repro.service import jobs as jobs_module
 from repro.service.jobs import JobManager, build_allocator, modified_problem
 from repro.service.pool import EnginePool
 from repro.service.server import AllocationServer
@@ -268,6 +273,193 @@ class TestJobManager:
         assert all(row["dsan_root"] == batch.stats["dsan_root"] for row in rows)
 
 
+class _HeldLease:
+    """Patches ``manager.pool.lease`` so every job blocks before leasing
+    until :meth:`release` — a job that is reliably *running*."""
+
+    def __init__(self, manager, monkeypatch):
+        self._gate = threading.Event()
+        lease = manager.pool.lease
+
+        def held(problem, allocator):
+            assert self._gate.wait(60)
+            return lease(problem, allocator)
+
+        monkeypatch.setattr(manager.pool, "lease", held)
+
+    def release(self):
+        self._gate.set()
+
+
+def _join_worker(job):
+    """``done`` is set inside the worker's last frame; let it unwind."""
+    for thread in threading.enumerate():
+        if thread.name == f"repro-{job.job_id}":
+            thread.join(60)
+            assert not thread.is_alive()
+
+
+class TestRunStateDiesWithTheLease:
+    def test_finished_job_holds_no_session_and_no_pool(self, monkeypatch):
+        """With nothing pooled (``max_idle_per_key=0``: the engine is
+        closed on release) the job would be the last holder of its
+        session and shards — and it lets go of both."""
+        problem = _problem()
+        refs = []
+
+        class Spied(jobs_module.AllocationSession):
+            def __init__(self, *args, engine, **kwargs):
+                super().__init__(*args, engine=engine, **kwargs)
+                refs.append(weakref.ref(self))
+                refs.extend(
+                    weakref.ref(engine.shard(ad)) for ad in range(engine.num_ads)
+                )
+
+        monkeypatch.setattr(jobs_module, "AllocationSession", Spied)
+        with JobManager(cache=None, max_idle_per_key=0) as manager:
+            job = manager.submit(problem=problem, params=PARAMS)
+            manager.wait(job.job_id, timeout=60)
+            _join_worker(job)
+            gc.collect()
+            assert len(refs) == 1 + problem.num_ads
+            assert [ref() for ref in refs] == [None] * len(refs)
+            assert job.session is None
+            self._assert_still_answers(manager, job)
+
+    def test_warm_engine_holds_the_only_copy(self):
+        """Pooled, the shards live on — in the idle engine, rewound and
+        revealed by the next lease, never in a finished job."""
+        problem = _problem()
+        with JobManager(cache=None) as manager:
+            first = manager.submit(problem=problem, params=PARAMS)
+            manager.wait(first.job_id, timeout=60)
+            (engine,) = (e for idle in manager.pool._free.values() for e in idle)
+            shards = [engine.shard(ad) for ad in range(engine.num_ads)]
+            second = manager.submit(problem=problem, params=PARAMS)
+            manager.wait(second.job_id, timeout=60)
+            assert second.engine_warm is True
+            assert [engine.shard(ad) for ad in range(engine.num_ads)] == shards
+            assert first.session is None and second.session is None
+            self._assert_still_answers(manager, first)
+
+    def test_failed_job_holds_no_session(self, monkeypatch):
+        problem = _problem()
+        refs = []
+
+        def boom(session):
+            refs.append(weakref.ref(session))
+            raise ValueError("step exploded")
+
+        monkeypatch.setattr(jobs_module.AllocationSession, "step", boom)
+        with JobManager(cache=None, max_idle_per_key=0) as manager:
+            job = manager.submit(problem=problem, params=PARAMS)
+            assert job.done.wait(60)
+            _join_worker(job)
+            gc.collect()
+            assert job.state == "failed" and job.session is None
+            assert "step exploded" in job.summary()["error"]
+            assert [ref() for ref in refs] == [None]
+
+    @staticmethod
+    def _assert_still_answers(manager, job):
+        assert job.state == "done"
+        assert job.summary()["state"] == "done"
+        record = manager.progress(job.job_id)
+        assert record["snapshot"]["theta"] == job.result.stats["theta_per_ad"]
+        assert manager.result(job.job_id) is job.result
+        assert manager.cancel(job.job_id, wait=True, timeout=60) is job
+        assert job.state == "done"  # cancelling a finished job is a no-op
+        retry = manager.reallocate(job.job_id, update_budgets={0: 9.0})
+        assert manager.result(retry.job_id).stats["iterations"] > 0
+
+
+class TestBoundedJobTable:
+    def test_oldest_finished_jobs_are_evicted_past_the_bound(self, monkeypatch):
+        monkeypatch.setattr(jobs_module, "MAX_JOBS", 3)
+        problem = _problem()
+        with JobManager(cache=None) as manager:
+            ids = []
+            for _ in range(3 + 2):
+                job = manager.submit(problem=problem, params=PARAMS)
+                manager.wait(job.job_id, timeout=60)
+                ids.append(job.job_id)
+                assert manager.job_count() == len(manager._jobs) <= 3
+            assert list(manager._jobs) == ids[-3:]
+            assert [row["job_id"] for row in manager.list_jobs()] == ids[-3:]
+            for evicted in ids[:2]:
+                for call in (
+                    lambda: manager.wait(evicted, timeout=1),
+                    lambda: manager.progress(evicted),
+                    lambda: manager.reallocate(evicted, update_budgets={0: 9.0}),
+                ):
+                    with pytest.raises(ServiceError, match="evicted"):
+                        call()
+            # Ids never issued — or merely shaped like one — stay unknown.
+            for stranger in ("job-0006", "job-0000", "job-1", "job-", "nope", 1):
+                with pytest.raises(ServiceError, match="unknown job id"):
+                    manager.progress(stranger)
+
+    def test_a_running_job_is_never_evicted(self, monkeypatch):
+        monkeypatch.setattr(jobs_module, "MAX_JOBS", 2)
+        problem = _problem()
+        with JobManager(cache=None) as manager:
+            gate = _HeldLease(manager, monkeypatch)
+            running = [
+                manager.submit(problem=problem, params=PARAMS) for _ in range(4)
+            ]
+            # Nothing is finished, so nothing can go: the table overshoots.
+            assert list(manager._jobs) == [job.job_id for job in running]
+            gate.release()
+            for job in running:
+                manager.wait(job.job_id, timeout=60)
+            last = manager.submit(problem=problem, params=PARAMS)
+            manager.wait(last.job_id, timeout=60)
+            assert list(manager._jobs) == [running[-1].job_id, last.job_id]
+
+
+class TestProblemMemo:
+    KWARGS = {"scale": 0.002}
+
+    def test_equal_submits_share_one_problem(self):
+        with JobManager(cache=None) as manager:
+            jobs = [
+                manager.submit(
+                    "flixster", params=PARAMS, dataset_kwargs=dict(self.KWARGS)
+                )
+                for _ in range(2)
+            ]
+            other = manager.submit(
+                "flixster", params=PARAMS, dataset_kwargs={"scale": 0.003}
+            )
+            for job in (*jobs, other):
+                manager.wait(job.job_id, timeout=120)
+            assert jobs[0].problem is jobs[1].problem
+            assert other.problem is not jobs[0].problem
+            assert other.problem.graph is not jobs[0].problem.graph
+            estimate = manager.estimate_spread(
+                "flixster", ad=0, seeds=[0], num_sets=64, params=PARAMS,
+                dataset_kwargs=dict(self.KWARGS),
+            )
+            assert estimate["engine_warm"] is True  # same problem, same key
+            assert len(manager._problems) == 2
+
+    def test_memo_is_bounded_and_evicts_least_recently_used(self, monkeypatch):
+        monkeypatch.setattr(jobs_module, "MAX_PROBLEMS", 2)
+        with JobManager(cache=None) as manager:
+            def load(scale):
+                return manager._problem_for("flixster", {"scale": scale})
+
+            first = load(0.002)
+            load(0.003)
+            assert load(0.002) is first  # a hit: now the most recent
+            load(0.004)                  # evicts 0.003, not 0.002
+            assert len(manager._problems) == 2
+            assert load(0.002) is first
+            assert [dict(key[1])["scale"] for key in manager._problems] == [
+                0.004, 0.002,
+            ]
+
+
 class TestReallocate:
     def test_budget_update_releases_warm_engine_and_matches_cold(self):
         problem = _problem()
@@ -285,7 +477,7 @@ class TestReallocate:
         cold = TIRMAllocator(**PARAMS).allocate(modified)
         _assert_same_result(result, cold)
         # Backend runs only for θ ranges grown past the source job's —
-        # the retained blocks serve everything sampled before.
+        # the resident sets serve everything sampled before.
         assert result.stats["backend_invocations"] <= cold.stats[
             "backend_invocations"
         ]
@@ -308,6 +500,33 @@ class TestReallocate:
         cold_shrunk = TIRMAllocator(**PARAMS).allocate(shrunk.problem)
         _assert_same_result(grown_result, cold_grown)
         _assert_same_result(shrunk_result, cold_shrunk)
+
+    def test_budget_update_shares_both_matrices(self):
+        """A pure budget change copies no row; an add or a remove
+        builds fresh stacks."""
+        problem = _problem()
+        rebudgeted = modified_problem(problem, update_budgets={"0": 9.0})
+        assert rebudgeted.graph is problem.graph
+        assert rebudgeted.edge_probabilities is problem.edge_probabilities
+        assert rebudgeted.ctps is problem.ctps
+        assert rebudgeted.catalog[0].budget == 9.0
+        assert problem.catalog[0].budget == 6.0
+        spec = {"name": "a9", "budget": 4.0, "cpe": 1.0, "like": 0}
+        for changed in (
+            modified_problem(problem, add_ads=[spec]),
+            modified_problem(problem, remove_ads=[1]),
+            modified_problem(problem, add_ads=[spec], remove_ads=[3]),
+        ):
+            assert changed.graph is problem.graph
+            for mine, theirs in (
+                (changed.edge_probabilities, problem.edge_probabilities),
+                (changed.ctps, problem.ctps),
+            ):
+                assert not np.shares_memory(mine, theirs)
+        same_shape = modified_problem(problem, add_ads=[spec], remove_ads=[3])
+        assert np.array_equal(
+            same_shape.edge_probabilities, problem.edge_probabilities
+        )
 
     def test_reallocate_validation(self):
         problem = _problem()
@@ -347,3 +566,28 @@ class TestEstimateSpread:
                 engine.shard(0), problem.num_nodes, seeds
             )
         assert estimate["spread"] == pytest.approx(expected)
+
+    def test_unknown_dataset_kwargs_are_refused_like_submit(self):
+        bogus = {"bogus": 1}
+        with JobManager(cache=None) as manager:
+            with pytest.raises(ServiceError, match="unknown dataset parameters"):
+                manager.submit("figure1", dataset_kwargs=bogus)
+            with pytest.raises(ServiceError, match="unknown dataset parameters"):
+                manager.estimate_spread("figure1", seeds=[0], dataset_kwargs=bogus)
+
+
+class TestPing:
+    def test_ping_counts_jobs_without_listing_them(self, monkeypatch):
+        problem = _problem()
+        with JobManager(cache=None) as manager:
+            server = AllocationServer(manager)
+            assert server.dispatch({"op": "ping"})["jobs"] == 0
+            job = manager.submit(problem=problem, params=PARAMS)
+            manager.wait(job.job_id, timeout=60)
+
+            def listed():
+                raise AssertionError("ping must not list the job table")
+
+            monkeypatch.setattr(manager, "list_jobs", listed)
+            reply = server.dispatch({"op": "ping"})
+            assert reply["pong"] is True and reply["jobs"] == 1
