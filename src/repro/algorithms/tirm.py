@@ -527,7 +527,7 @@ class TIRMAllocator(Allocator):
             scores = problem.ctps[ad, nodes] * coverage[nodes]
         else:
             scores = coverage[nodes].astype(np.float64)
-        state.heap = [(-float(s), int(v)) for s, v in zip(scores, nodes)]
+        state.heap = list(zip((-scores).tolist(), nodes.tolist()))
         heapq.heapify(state.heap)
 
     def _pop_fresh(self, problem, ad: int, state: _AdState, allocation):

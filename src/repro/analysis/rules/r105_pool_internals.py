@@ -6,8 +6,9 @@ after the next append — the PR-2 bug class, fixed then by the
 self-healing ``CSRSetView``.  Its inverted-index arrays (``_idx_indptr``,
 ``_idx_sets``, ``_pend_nodes``, ``_pend_sets``) are built at the first
 index read after growth, so between an append and that read they lag the
-sets — a raw read elsewhere is a silent stale-index bug of the same
-shape.  Every external consumer must go through the pool's stable API
+sets, and a rewound pool keeps them, so they list sets not visible yet —
+a raw read elsewhere is a silent stale-index bug of the same shape.
+Every external consumer must go through the pool's stable API
 (``prefix_view``, ``first_k_sets``, ``add_flat`` /
 ``add_flat_from_buffer`` — generation-checked; ``remove_covered``,
 ``coverage_of_set``, ``set_ids_containing`` — synced).  This rule fences

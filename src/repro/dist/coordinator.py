@@ -238,7 +238,7 @@ class Coordinator:
 
     def submit(self, session_id: int, ad: int, chunk_index: int) -> Future:
         """Queue one chunk task; the future resolves to the verified
-        ``(members, lengths)`` block (or fails with
+        ``(members, lengths, digest)`` block (or fails with
         :class:`TaskFailedError` / :class:`WorkersUnavailableError`)."""
         task = _Task(int(session_id), int(ad), int(chunk_index))
         with self._cond:
@@ -472,7 +472,7 @@ class Coordinator:
             raise ProtocolError(
                 f"{worker}: expected RESULT, got kind {kind}"
             )
-        ad, chunk, members, lengths = frames.unpack_result(payload)
+        ad, chunk, members, lengths, digest = frames.unpack_result(payload)
         if (ad, chunk) != (task.ad, task.chunk):
             raise FrameIntegrityError(
                 f"{worker}: RESULT addresses (ad={ad}, chunk={chunk}), "
@@ -483,7 +483,7 @@ class Coordinator:
             info = self._workers.get(worker)
             if info is not None:
                 info["tasks"] += 1
-        task.resolve((members, lengths))
+        task.resolve((members, lengths, digest))
 
     def _flush_released(self, conn: socket.socket,
                         announced: set[int]) -> None:

@@ -208,13 +208,18 @@ def pack_result(ad: int, chunk_index: int, members, lengths) -> bytes:
     return header + lengths.tobytes() + members.tobytes()
 
 
-def unpack_result(payload: bytes) -> tuple[int, int, np.ndarray, np.ndarray]:
-    """Parse and *verify* a RESULT payload.
+def unpack_result(
+    payload: bytes,
+) -> tuple[int, int, np.ndarray, np.ndarray, str]:
+    """Parse and *verify* a RESULT payload: ``(ad, chunk, members,
+    lengths, digest)``.
 
     Structural violations (short header, inconsistent sizes) raise
     :class:`~repro.errors.ProtocolError`; a payload whose recomputed
     digest differs from its stamp raises :class:`FrameIntegrityError`.
-    The returned arrays are fresh copies owned by the caller."""
+    The returned arrays are fresh copies owned by the caller, and the
+    stamp was verified over exactly those arrays — so the caller
+    records it as the block's digest instead of hashing it again."""
     if len(payload) < RESULT_HEADER_SIZE:
         raise ProtocolError(
             f"RESULT payload truncated: {len(payload)} bytes is shorter "
@@ -256,4 +261,4 @@ def unpack_result(payload: bytes) -> tuple[int, int, np.ndarray, np.ndarray]:
             f"digest: stamped {digest.decode('ascii', 'replace')}, "
             f"recomputed {actual.decode('ascii')}"
         )
-    return int(ad), int(chunk_index), members, lengths
+    return int(ad), int(chunk_index), members, lengths, actual.decode("ascii")

@@ -17,7 +17,7 @@ Index maintenance (amortized, at the first index read after growth):
   ``set_ids_containing`` / ``sets_containing``) indexes everything
   appended since the last one, so a growth event of many chunks costs
   one build;
-* the *main* index covers sets ``[0, _indexed_sets)`` and is rebuilt in
+* the *main* index covers sets ``[0, _main_sets)`` and is rebuilt in
   bulk only when the un-indexed region has grown past ``1/4`` of the
   indexed members (geometric threshold, so total rebuild work is
   ``O(M log M)`` over the pool's lifetime);
@@ -29,6 +29,11 @@ Index maintenance (amortized, at the first index read after growth):
 
 Every query concatenates the main slice and the mini slice — ascending
 set ids under any tiering, so when the index was built never shows.
+
+The index is part of the *sample*: :meth:`RRSetPool.rewind` keeps it,
+so after a rewind it may list sets that are not visible yet.  Readers
+clip every answer to the visible ids — a prefix of each ascending
+slice — and the index is built only where the visible sets outrun it.
 """
 
 from __future__ import annotations
@@ -58,6 +63,16 @@ MAX_MEMBERS = int(np.iinfo(np.int32).max)
 _REBUILD_FRACTION = 4
 #: Below this many indexed members, just rebuild the full index.
 _MIN_INDEXED_MEMBERS = 4_096
+
+
+def _rebuilds(indexed_members: int, members: int) -> bool:
+    """The tiering rule: whether indexing ``members`` visible members,
+    of which the main index covers ``indexed_members``, rebuilds the main
+    index (else the remainder gets a pending mini-index)."""
+    return (
+        indexed_members < _MIN_INDEXED_MEMBERS
+        or (members - indexed_members) * _REBUILD_FRACTION >= indexed_members
+    )
 
 
 class CSRSetView:
@@ -219,21 +234,26 @@ class RRSetPool:
     A pool is an immutable *sample* plus a cheap *run state*.  The
     sample is the member rows and ``indptr`` of every set ever appended
     — the *resident* sets, a pure function of the stream that produced
-    them.  The run state is what one allocation does with them: how
-    many are *visible* (``num_total``), which of those are alive, the
-    coverage counts, and the inverted index derived from the visible
-    rows.  :meth:`rewind` drops the run state and keeps the sample;
-    :meth:`reveal` makes the next resident sets visible again without
-    copying them — so a second run over the same sample replays the
-    first one's ``num_total`` / ``memory_bytes()`` trajectory exactly.
-    Every query and ``memory_bytes()`` see visible sets only; appends
-    are refused while resident sets are still hidden.
+    them — and the inverted index derived from those rows.  The run
+    state is what one allocation does with them: how many are *visible*
+    (``num_total``), which of those are alive, and the coverage counts.
+    :meth:`rewind` drops the run state and keeps the sample, index
+    included; :meth:`reveal` makes the next resident sets visible again
+    without copying them, and an index read clips the kept index to the
+    visible ids instead of re-sorting them — so a second run over the
+    same sample builds no index up to where the first one built it.
+    Every query and ``memory_bytes()`` see visible sets only:
+    ``memory_bytes()`` replays what a cold pool fed the same visible
+    sets and the same reads would hold, so the hidden part of a kept
+    index stays uncounted like the hidden rows.  Appends are refused
+    while resident sets are still hidden.
 
     The inverted index is built by the first index read after growth
     (``remove_covered``, ``coverage_of_set``, ``set_ids_containing`` /
-    ``sets_containing``); appends, ``coverage`` / ``coverage_of``, the
-    views, ``kill_sets`` and the byte accounting never build it.  A pool
-    has a single owner at a time (engine leases are exclusive, and the
+    ``sets_containing``) that finds the visible sets past what it
+    covers; appends, ``coverage`` / ``coverage_of``, the views,
+    ``kill_sets`` and the byte accounting never build it.  A pool has a
+    single owner at a time (engine leases are exclusive, and the
     service reports progress from stored snapshots, never the live
     pool), so a read that builds takes no lock.
 
@@ -272,25 +292,35 @@ class RRSetPool:
         # ones): equal except between a rewind() and the reveal()s that
         # catch up with it.
         self._resident_sets = 0
-        self._drop_index()
-        # Bumped whenever a growth reallocation retires a storage buffer;
-        # outstanding CSRSetViews use it to re-materialize themselves.
-        self._generation = 0
-
-    def _drop_index(self) -> None:
-        """The inverted index of an empty pool (construction, rewind)."""
-        # Main inverted index: covers sets [0, _indexed_sets).
+        # Main inverted index: covers sets [0, _main_sets), which are
+        # the first _idx_sets.size members.
         self._idx_indptr = np.zeros(self.num_nodes + 1, dtype=np.int64)
         self._idx_sets = np.empty(0, dtype=SET_ID_DTYPE)
-        self._indexed_sets = 0
-        self._indexed_members = 0
-        # Pending mini-index over sets [_indexed_sets, _synced_sets): the
+        self._main_sets = 0
+        # Pending mini-index over sets [_main_sets, _index_sets): the
         # pending members sorted ascending, with their owning set ids in
         # lockstep.  Queried by searchsorted — no O(num_nodes) indptr.
         self._pend_nodes = np.empty(0, dtype=MEMBER_DTYPE)
         self._pend_sets = np.empty(0, dtype=SET_ID_DTYPE)
-        # Appends leave ``_synced_sets`` behind ``_num_sets``; the next
-        # index read catches up (``_sync_index``).
+        self._index_sets = 0
+        self._reset_cold_marks()
+        # Bumped whenever a growth reallocation retires a storage buffer;
+        # outstanding CSRSetViews use it to re-materialize themselves.
+        self._generation = 0
+
+    def _reset_cold_marks(self) -> None:
+        """The index marks of a cold pool with nothing visible.
+
+        The marks replay, as integers, the index a cold pool fed the
+        visible sets would hold: its main tier over sets
+        ``[0, _indexed_sets)`` (``_indexed_members`` members) and its
+        pending tier up to ``_synced_sets``.  Appends leave
+        ``_synced_sets`` behind ``_num_sets``; the next index read
+        catches up (``_sync_index``).  They price ``memory_bytes()``;
+        the readers use the index arrays (``_idx_*``, ``_pend_*``),
+        which a rewind keeps."""
+        self._indexed_sets = 0
+        self._indexed_members = 0
         self._synced_sets = 0
 
     @property
@@ -427,19 +457,20 @@ class RRSetPool:
 
     def rewind(self) -> None:
         """Make nothing visible: drop the run state (visible marks,
-        coverage, the derived index), keep the sample — member rows and
-        ``indptr`` stay resident for :meth:`reveal`."""
+        alive sets, coverage), keep the sample — member rows, ``indptr``
+        and the inverted index stay resident for :meth:`reveal`."""
         self._members_used = 0
         self._num_sets = 0
         self._num_alive = 0
         self._coverage[:] = 0
-        self._drop_index()
+        self._reset_cold_marks()
 
     def reveal(self, count: int) -> None:
         """Make the next ``count`` resident sets visible — an append
         without the copy: the marks advance over rows already in the
-        buffers, the sets come alive and coverage is bumped, so the
-        index is rebuilt by the same first-read rule an append obeys."""
+        buffers, the sets come alive and coverage is bumped.  Index
+        reads answer from the kept index, clipped to the visible ids,
+        and build only past what it covers."""
         count = int(count)
         lo, hi = self._num_sets, self._num_sets + count
         if count < 0 or hi > self._resident_sets:
@@ -628,22 +659,26 @@ class RRSetPool:
         return float(self._members_used / self._num_sets)
 
     def memory_bytes(self) -> int:
-        """Bytes of RR data actually held: the exact ``nbytes`` of the
-        used portions of the members/indptr/alive/coverage buffers plus
-        the inverted index as it stands — members appended since the last
-        index read have no index entries yet, and asking never builds
-        them.  This is the honest Table-4 figure: the engine stores
-        nothing else.
+        """Bytes of RR data a cold pool holding the visible sets would
+        hold: the exact ``nbytes`` of the used portions of the
+        members/indptr/alive/coverage buffers plus the inverted index as
+        the same reads would have left it — members appended since the
+        last index read have no index entries yet, and asking never
+        builds them.  Hidden resident rows, and the part of a kept index
+        that lists them, are the sample a rewound pool keeps for its next
+        run, not this run's data (:meth:`allocated_bytes` counts them).
+        This is the honest Table-4 figure: the engine stores nothing
+        else.
         """
+        pending = int(self._indptr[self._synced_sets]) - self._indexed_members
         return int(
             self._members_used * self._members.itemsize
             + (self._num_sets + 1) * self._indptr.itemsize
             + self._num_sets * self._alive_mask.itemsize
             + self._coverage.nbytes
             + self._idx_indptr.nbytes
-            + self._idx_sets.nbytes
-            + self._pend_nodes.nbytes
-            + self._pend_sets.nbytes
+            + self._indexed_members * self._idx_sets.itemsize
+            + pending * (self._pend_nodes.itemsize + self._pend_sets.itemsize)
         )
 
     def allocated_bytes(self) -> int:
@@ -700,56 +735,67 @@ class RRSetPool:
         self._generation += 1
 
     def _sync_index(self) -> None:
-        """Amortized index maintenance, run by the index readers: one
-        build covers everything appended since the last index read."""
+        """Amortized index maintenance, run by the index readers: the
+        cold marks advance as a cold pool's index would, and one build
+        covers every visible set the kept index does not."""
         if self._synced_sets == self._num_sets:
+            return
+        if _rebuilds(self._indexed_members, self._members_used):
+            self._indexed_sets = self._num_sets
+            self._indexed_members = self._members_used
+        self._synced_sets = self._num_sets
+        if self._index_sets >= self._num_sets:
             return
         members = self._members[: self._members_used]
         indptr = self._indptr[: self._num_sets + 1]
-        pending_members = self._members_used - self._indexed_members
-        if (
-            self._indexed_members < _MIN_INDEXED_MEMBERS
-            or pending_members * _REBUILD_FRACTION >= self._indexed_members
-        ):
+        if _rebuilds(self._idx_sets.size, self._members_used):
             self._idx_indptr, self._idx_sets = _build_csr_index(
                 members, 0, np.diff(indptr), self.num_nodes
             )
-            self._indexed_sets = self._num_sets
-            self._indexed_members = self._members_used
+            self._main_sets = self._num_sets
             self._pend_nodes = np.empty(0, dtype=MEMBER_DTYPE)
             self._pend_sets = np.empty(0, dtype=SET_ID_DTYPE)
         else:
-            lo = self._indexed_sets
+            lo = self._main_sets
             self._pend_nodes, self._pend_sets = _build_pending_index(
-                members[self._indexed_members :], lo, np.diff(indptr[lo:])
+                members[self._idx_sets.size :], lo, np.diff(indptr[lo:])
             )
-        self._synced_sets = self._num_sets
+        self._index_sets = self._num_sets
 
     def _ids_containing(self, node: int) -> np.ndarray:
         if not 0 <= node < self.num_nodes:
             raise IndexError(f"node {node} out of range")
         self._sync_index()
-        main = self._idx_sets[self._idx_indptr[node] : self._idx_indptr[node + 1]]
-        if self._indexed_sets == self._num_sets:
-            return main
-        lo, hi = np.searchsorted(self._pend_nodes, [node, node + 1])
-        mini = self._pend_sets[lo:hi]
-        if main.size == 0:
-            return mini
-        if mini.size == 0:
-            return main
-        return np.concatenate((main, mini))
+        visible = self._num_sets
+        ids = self._idx_sets[self._idx_indptr[node] : self._idx_indptr[node + 1]]
+        if self._main_sets < visible:
+            lo, hi = np.searchsorted(self._pend_nodes, [node, node + 1])
+            mini = self._pend_sets[lo:hi]
+            if ids.size == 0:
+                ids = mini
+            elif mini.size:
+                ids = np.concatenate((ids, mini))
+        if self._index_sets > visible:
+            # A kept index lists hidden sets too; ids ascend, so the
+            # visible ones are a prefix.
+            ids = ids[: np.searchsorted(ids, visible)]
+        return ids
 
     def _ids_containing_many(self, nodes: np.ndarray) -> np.ndarray:
         self._sync_index()
+        visible = self._num_sets
         starts = self._idx_indptr[nodes]
         lengths = self._idx_indptr[nodes + 1] - starts
-        parts = [self._idx_sets[_gather_slices(starts, lengths)]]
-        if self._indexed_sets != self._num_sets:
+        ids = self._idx_sets[_gather_slices(starts, lengths)]
+        if self._main_sets < visible:
             plos = np.searchsorted(self._pend_nodes, nodes)
             phis = np.searchsorted(self._pend_nodes, nodes + 1)
-            parts.append(self._pend_sets[_gather_slices(plos, phis - plos)])
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+            ids = np.concatenate(
+                (ids, self._pend_sets[_gather_slices(plos, phis - plos)])
+            )
+        if self._index_sets > visible:
+            ids = ids[ids < visible]  # a kept index lists hidden sets too
+        return ids
 
     def _gather_members(self, set_ids: np.ndarray) -> np.ndarray:
         starts = self._indptr[set_ids]

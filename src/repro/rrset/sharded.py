@@ -334,18 +334,22 @@ def _retire_segment(segment) -> None:
 
 class _Block:
     """One full chunk block on its way into a shard: ``(members,
-    lengths)`` views plus — when they sit on a worker-published shm
-    segment — the buffer, both arrays' byte offsets in it, and a
+    lengths)`` views, the block's ``digest`` when its arrival already
+    verified one over them (a RESULT frame's stamp; ``None``: not
+    hashed yet), plus — when they sit on a worker-published shm segment
+    — the buffer, both arrays' byte offsets in it, and a
     :meth:`release` that retires the segment.  A verified cache entry
     (:class:`repro.store.blocks.BlockEntry`, views over a ``.blk``
-    mapping) has the same shape and takes the same splice."""
+    mapping, its stored digest checked) has the same shape and takes
+    the same splice."""
 
-    __slots__ = ("members", "lengths", "buffer", "lengths_offset",
+    __slots__ = ("members", "lengths", "digest", "buffer", "lengths_offset",
                  "members_offset", "_segment")
 
-    def __init__(self, members, lengths, segment=None) -> None:
+    def __init__(self, members, lengths, digest=None, segment=None) -> None:
         self.members = members
         self.lengths = lengths
+        self.digest = digest
         self.buffer = None if segment is None else segment.buf
         self.lengths_offset = 0
         self.members_offset = len(lengths) * _LENGTH_ITEMSIZE
@@ -364,7 +368,7 @@ class _Block:
         except BaseException:
             _retire_segment(segment)
             raise
-        return cls(members, lengths, segment)
+        return cls(members, lengths, segment=segment)
 
     def release(self) -> None:
         """Drop the views and retire the segment (no-op for array
@@ -880,24 +884,27 @@ class ShardedSamplingEngine:
         This is the leasing contract of the service tier's engine pool:
         everything *run-scoped* is cleared — each shard's run state
         (:meth:`~repro.rrset.pool.RRSetPool.rewind`: ``θ = num_total``
-        restarts at zero, coverage and the derived index go), in-flight
+        restarts at zero, alive marks and coverage go), in-flight
         prefetch futures (drained, their unconsumed segments unlinked),
         dsan digests (a fresh recorder with the original ``expected``
         map) and the ``backend_invocations`` counter — while everything
         *engine-scoped* stays warm: the substrate (worker pool and its
         JIT-compiled backend state, the payload arena, the distributed
         session), the shard cache handle and content keys, and the
-        *sample* — the shards' resident member rows plus the tail memo
-        (chunks are pure functions of ``(entropy, ad, chunk)``, which
-        reuse does not change).  The next run reveals resident sets
-        instead of sampling them, so it performs no backend invocation
-        and no copy up to the resident mark, and every set is held
-        once.  The shards are the *same objects* before and after: a
-        reader of the previous run must be gone (leases are exclusive;
-        the service drops a finished job's session).  Without the reset
-        a second run inherits stale θ accounting and reports false
-        divergences.  Raises :class:`~repro.errors.ConfigurationError`
-        on a closed engine.
+        *sample* — the shards' resident member rows and the inverted
+        index built over them, plus the tail memo (chunks are pure
+        functions of ``(entropy, ad, chunk)``, which reuse does not
+        change).  The next run reveals resident sets instead of
+        sampling them, so up to the resident mark it performs no
+        backend invocation, no copy and no index build, and every set
+        is held once.  dsan still re-hashes every revealed chunk from
+        the resident rows: that is the check that the sample did not
+        change between leases.  The shards are the *same objects*
+        before and after: a reader of the previous run must be gone
+        (leases are exclusive; the service drops a finished job's
+        session).  Without the reset a second run inherits stale θ
+        accounting and reports false divergences.  Raises
+        :class:`~repro.errors.ConfigurationError` on a closed engine.
         """
         if not self._finalizer.alive:
             raise ConfigurationError(
@@ -1128,15 +1135,19 @@ class ShardedSamplingEngine:
     ) -> None:
         """The one place a block enters a shard: append sets ``[lo, hi)``
         of the chunk and release the block — whatever it arrived as."""
-        members, lengths = block.members, block.lengths
+        members, lengths, digest = block.members, block.lengths, block.digest
         try:
             if self._dsan is not None:
                 # Digest the *full* chunk block (chunks are always
                 # computed whole), so inline, segment, frame, cache and
                 # memo arrivals of the same chunk hash the same bytes by
-                # construction.  A divergence raises here and the
-                # finally below still retires the block's buffer.
-                self._dsan.record(ad, chunk_index, members, lengths)
+                # construction — once per arrival: a frame or cache
+                # entry brings the digest it was verified against.  A
+                # divergence raises here and the finally below still
+                # retires the block's buffer.
+                digest = self._dsan.record(
+                    ad, chunk_index, members, lengths, digest=digest
+                )
             if fresh and self._cache is not None:
                 # Write-through, for freshly computed blocks only (write
                 # failures warn once inside the cache, never fail the
@@ -1144,7 +1155,7 @@ class ShardedSamplingEngine:
                 # without keeping references.
                 self._cache.store(
                     self._shard_keys[ad], chunk_index, members, lengths,
-                    meta=self._cache_meta[ad],
+                    meta=self._cache_meta[ad], digest=digest,
                 )
             if hi < self.chunk_size:
                 # A buffer-backed block dies with its buffer at the

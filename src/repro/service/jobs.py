@@ -15,7 +15,8 @@ shards — is dropped when the lease is released, because the next lease
 rewinds those very shards; a finished job keeps only what its readers
 need (result, last snapshot, terminal state, and the problem/allocator
 ``reallocate`` starts from).  The job table is bounded
-(:data:`MAX_JOBS`), and submits by dataset name share one problem per
+(:data:`MAX_JOBS`; a submit that finds it full of running jobs is
+refused), and submits by dataset name share one problem per
 ``(dataset, dataset_kwargs)`` (:data:`MAX_PROBLEMS`).
 
 Incremental re-allocation (:meth:`JobManager.reallocate`) rebuilds the
@@ -70,8 +71,8 @@ DATASET_PARAMS = frozenset({"scale", "num_ads", "attention_bound", "penalty"})
 #: costs ≈ 6 MiB of RSS and the server is flat from then on — while a
 #: client that polls or re-allocates gets dozens of later submissions'
 #: worth of time to come back for an id.  Running jobs are never
-#: evicted, so more than this many *concurrent* jobs overshoot it (the
-#: queue bound is a separate, open item).
+#: evicted, so the bound is also the queue bound: a submit that finds
+#: this many jobs running is refused rather than overshooting it.
 MAX_JOBS = 64
 
 #: Problems the manager memoizes, least recently used evicted first.
@@ -319,22 +320,28 @@ class JobManager:
 
     def _start(self, dataset, problem, allocator, source_job_id) -> Job:
         """Register a job under a fresh id — evicting the oldest
-        finished jobs past :data:`MAX_JOBS`, never a running one — and
-        start its worker thread."""
+        finished jobs to make room within :data:`MAX_JOBS`, never a
+        running one — and start its worker thread.  With the table full
+        of running jobs the submit is refused, and no id is issued."""
         if self._closed:
             raise ServiceError("job manager is closed")
         with self._lock:
-            self._issued += 1
-            job = Job(f"job-{self._issued:04d}", dataset, problem, allocator,
-                      source_job_id=source_job_id)
-            self._jobs[job.job_id] = job
-            excess = len(self._jobs) - MAX_JOBS
+            excess = len(self._jobs) + 1 - MAX_JOBS
             if excess > 0:
                 finished = [
                     old.job_id for old in self._jobs.values() if old.done.is_set()
                 ]
                 for job_id in finished[:excess]:
                     del self._jobs[job_id]
+            if len(self._jobs) >= MAX_JOBS:
+                raise ServiceError(
+                    f"job table is full: {len(self._jobs)} jobs are running "
+                    f"(the bound is {MAX_JOBS}); retry when one finishes"
+                )
+            self._issued += 1
+            job = Job(f"job-{self._issued:04d}", dataset, problem, allocator,
+                      source_job_id=source_job_id)
+            self._jobs[job.job_id] = job
         threading.Thread(
             target=self._run_job, args=(job,),
             name=f"repro-{job.job_id}", daemon=True,

@@ -4,14 +4,14 @@ A :class:`~repro.rrset.sharded.ShardedSamplingEngine` bundles the
 expensive run-independent state — its chunk substrate (the worker
 process pool and payload arena, or the distributed session), the
 resolved sampling backend, the shard cache handle, and the *sample*:
-every RR set its shards hold, a pure function of the stream contract.
-:class:`EnginePool` keeps finished engines alive keyed by the inputs
-that pin their sample bytes, so the next allocation of the same
-instance skips both the lifecycle cost *and* the sampling itself: the
-shards are rewound, not replaced, and the new run reveals their
-resident sets in place — a warm resubmit performs zero
-sampling-backend invocations and zero copies, holds every set once,
-yet stays byte-identical to a cold run.
+every RR set its shards hold and the inverted index over them, a pure
+function of the stream contract.  :class:`EnginePool` keeps finished
+engines alive keyed by the inputs that pin their sample bytes, so the
+next allocation of the same instance skips both the lifecycle cost
+*and* the sampling itself: the shards are rewound, not replaced, and
+the new run reveals their resident sets in place — a warm resubmit
+performs zero sampling-backend invocations, zero copies and zero index
+builds, holds every set once, yet stays byte-identical to a cold run.
 
 Leases are exclusive: an engine serves one session at a time, and
 :meth:`EnginePool.lease` calls

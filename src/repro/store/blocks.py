@@ -58,7 +58,9 @@ class CorruptBlockError(StoreError):
 
 class BlockEntry:
     """A loaded, digest-verified cache entry: zero-copy views over a
-    read-only file mapping, in the engine's packed block layout."""
+    read-only file mapping, in the engine's packed block layout.
+    ``digest`` was recomputed over exactly these views, so a consumer
+    records it instead of hashing the block again."""
 
     __slots__ = (
         "path", "num_sets", "num_members", "digest",
@@ -86,17 +88,20 @@ class BlockEntry:
         self.buffer = None
 
 
-def write_block(path: str, members, lengths) -> tuple[int, str]:
+def write_block(path: str, members, lengths,
+                digest: str | None = None) -> tuple[int, str]:
     """Atomically write one entry file; returns ``(nbytes, digest)``.
 
     ``members``/``lengths`` are coerced to the packed dtypes (the same
     coercion the shm transport applies), the digest is computed over the
-    packed bytes, and the file lands via tmp + ``os.replace`` so readers
-    only ever observe complete entries.
+    packed bytes — unless the caller already holds it (the dsan digest
+    of the same block) — and the file lands via tmp + ``os.replace`` so
+    readers only ever observe complete entries.
     """
     lengths = np.ascontiguousarray(lengths, dtype=_LENGTH_DTYPE)
     members = np.ascontiguousarray(members, dtype=MEMBER_DTYPE)
-    digest = digest_block(members, lengths)
+    if digest is None:
+        digest = digest_block(members, lengths)
     header = _HEADER.pack(
         MAGIC, lengths.size, members.size, 0, digest.encode("ascii")
     )

@@ -110,18 +110,20 @@ class ShardCache:
 
     def store(
         self, shard_key: str, index: int, members, lengths, *,
-        meta: dict | None = None,
+        meta: dict | None = None, digest: str | None = None,
     ) -> bool:
         """Write one block (idempotent: an existing entry is kept — for
-        the same address it holds the same bytes).  Returns whether an
-        entry file now backs the address; write failures warn once and
-        report ``False``."""
+        the same address it holds the same bytes).  ``digest`` is the
+        block's digest when the caller already computed it (the engine's
+        dsan record), so the block is not hashed twice.  Returns whether
+        an entry file now backs the address; write failures warn once
+        and report ``False``."""
         path = self.entry_path(shard_key, index)
         if os.path.exists(path):
             return True
         try:
             os.makedirs(os.path.dirname(path), exist_ok=True)
-            nbytes, digest = write_block(path, members, lengths)
+            nbytes, digest = write_block(path, members, lengths, digest)
         except OSError as exc:
             self.stats["store_errors"] += 1
             if not self._warned_store_failure:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,27 @@ def build_calls(monkeypatch) -> list[int]:
         return kernel(members, first_set, lengths)
 
     monkeypatch.setattr(pool_module, "_sorted_keys", spy)
+    return calls
+
+
+@pytest.fixture
+def digest_calls(monkeypatch) -> list[str]:
+    """Spy on ``digest_block`` in every module that hashes a block: one
+    entry per call, naming the calling function (``record``,
+    ``load_block``, ``write_block``, ``pack_result``, ``unpack_result``)."""
+    from repro.dist import frames
+    from repro.rrset import dsan
+    from repro.store import blocks
+
+    calls: list[str] = []
+    original = dsan.digest_block
+
+    def spy(members, lengths):
+        calls.append(sys._getframe(1).f_code.co_name)
+        return original(members, lengths)
+
+    for module in (dsan, blocks, frames):
+        monkeypatch.setattr(module, "digest_block", spy)
     return calls
 
 

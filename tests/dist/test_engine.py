@@ -83,6 +83,31 @@ class TestByteIdentity:
         join_workers(threads)
         assert sum(w.chunks_served for w in workers) == stats["tasks_completed"]
 
+    def test_each_result_is_hashed_once_on_the_parent_side(self, digest_calls):
+        """The parent verifies a RESULT's stamp over the arrays it
+        splices and dsan records that digest: one hash per block on
+        each side of the wire."""
+        graph = _graph()
+        probs = _probs(graph)
+        _, reference_root = _serial_reference(graph, probs)
+        del digest_calls[:]
+        with Coordinator() as coordinator:
+            threads = start_workers(
+                coordinator, [WorkerHost("127.0.0.1", coordinator.port)]
+            )
+            with DistributedEngine(
+                graph, probs, coordinator=coordinator, seeds=7,
+                chunk_size=CHUNK, dsan=True,
+            ) as engine:
+                engine.ensure(TARGETS)
+                assert engine.dsan_root() == reference_root
+                chunks = len(engine.dsan_digests())
+                assert engine.dist_stats()["tasks_completed"] == chunks
+        join_workers(threads)
+        parent = [caller for caller in digest_calls if caller != "pack_result"]
+        assert parent == ["unpack_result"] * chunks
+        assert digest_calls.count("pack_result") == chunks  # the worker's stamp
+
     def test_prefetch_overlaps_without_changing_bytes(self):
         graph = _graph()
         probs = _probs(graph)

@@ -21,6 +21,7 @@ import pytest
 
 from repro.dist import FrameIntegrityError, FrameDecoder, frames
 from repro.errors import ProtocolError
+from repro.rrset.dsan import digest_block
 
 
 def _result_payload(ad: int = 0, chunk: int = 3) -> bytes:
@@ -129,11 +130,15 @@ class TestJsonPayloads:
 # ---------------------------------------------------------------------------
 class TestResultCodec:
     def test_roundtrip(self):
-        ad, chunk, members, lengths = frames.unpack_result(_result_payload())
+        ad, chunk, members, lengths, digest = frames.unpack_result(
+            _result_payload()
+        )
         assert (ad, chunk) == (0, 3)
         assert members.tolist() == [1, 2, 3, 4, 5, 6]
         assert lengths.tolist() == [2, 1, 3]
         assert members.dtype == np.int32 and lengths.dtype == np.int64
+        # The stamp it verified, over exactly the arrays it returns.
+        assert digest == digest_block(members, lengths)
 
     def test_truncated_header_rejected(self):
         with pytest.raises(ProtocolError, match="short"):

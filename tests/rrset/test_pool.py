@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.rrset import pool as pool_module
@@ -471,12 +471,47 @@ def _flat(sets):
     )
 
 
+#: Fourteen sets, 29 members: past the test's 24-member main-tier floor.
+_FIRST = [
+    [0, 1, 2], [3, 4], [5], [6, 7, 8], [0, 3], [1, 4, 7], [2],
+    [8, 0], [4, 5, 6], [1], [7, 2], [3, 3], [0, 8, 4], [6],
+]
+_MORE = [[0, 4], [8], [1, 2, 0]]
+
+#: The schedules a kept index exists for: rewind, reveal part of the
+#: sample, read (the kept index lists hidden sets), append once all is
+#: visible, read again (the kept index covers less than is visible).
+_KEPT_INDEX_SCHEDULES = [
+    [
+        ("add", _FIRST), ("ids", 0, False),
+        ("rewind",), ("reveal", 5), ("ids", 0, False),
+        ("cover", [0, 4, 8], False), ("remove", 4), ("ids", 4, False),
+        ("add", _MORE), ("reveal", 9), ("add", _MORE),
+        ("ids", 0, False), ("cover", [0, 8], True), ("remove", 0),
+    ],
+    [
+        ("add", _FIRST), ("add", _MORE), ("cover", [1], True),
+        ("rewind",), ("reveal", 3), ("ids", 1, True), ("remove", 2),
+        ("reveal", 14), ("add", _MORE), ("ids", 1, True),
+        ("rewind",), ("reveal", 20), ("ids", 1, False), ("cover", [0, 2], False),
+    ],
+    [
+        ("add", _FIRST), ("remove", 3), ("add", _MORE),
+        ("rewind",), ("reveal", 10), ("cover", [8], True),
+        ("reveal", 7), ("ids", 0, True), ("remove", 0), ("cover", [1, 2], True),
+    ],
+]
+
+
 class TestRewindReveal:
     """A pool is an immutable sample plus a run state: ``rewind`` drops
     the run state, ``reveal`` replays appends without the copy."""
 
     @settings(max_examples=300, deadline=None)
     @given(ops=_POOL_OPS)
+    @example(ops=_KEPT_INDEX_SCHEDULES[0])
+    @example(ops=_KEPT_INDEX_SCHEDULES[1])
+    @example(ops=_KEPT_INDEX_SCHEDULES[2])
     def test_equals_a_fresh_pool_fed_the_visible_sets(self, ops):
         """Model: a *fresh* pool — rebuilt at every rewind — fed by
         ``add_flat`` exactly the sets the pool under test was asked to
@@ -538,8 +573,8 @@ class TestRewindReveal:
         pool = RRSetPool(6)
         pool.add_sets(_sets([0, 1], [2], [], [3, 4, 5]))
         first = pool.get_set(3)
-        allocated = pool.allocated_bytes()
         pool.remove_covered(2)
+        allocated = pool.allocated_bytes()
         pool.rewind()
         assert (pool.num_total, pool.num_alive, pool.num_resident) == (0, 0, 4)
         assert not pool.coverage().any()

@@ -9,8 +9,12 @@ the warm paths merely skipping sampling-backend invocations.
 
 from __future__ import annotations
 
+import asyncio
+import contextlib
 import gc
+import sys
 import threading
+import time
 import weakref
 
 import numpy as np
@@ -24,7 +28,9 @@ from repro.algorithms.tirm import TIRMAllocator
 from repro.errors import ReproError, ServiceError
 from repro.graph.generators import erdos_renyi
 from repro.graph.probabilities import constant_probabilities
+from repro.rrset import pool as pool_module
 from repro.service import jobs as jobs_module
+from repro.service.client import ServiceClient
 from repro.service.jobs import JobManager, build_allocator, modified_problem
 from repro.service.pool import EnginePool
 from repro.service.server import AllocationServer
@@ -275,20 +281,48 @@ class TestJobManager:
 
 class _HeldLease:
     """Patches ``manager.pool.lease`` so every job blocks before leasing
-    until :meth:`release` — a job that is reliably *running*."""
+    until :meth:`release` lets it through — a job that is reliably
+    *running*."""
 
     def __init__(self, manager, monkeypatch):
-        self._gate = threading.Event()
+        self._gate = threading.Semaphore(0)
         lease = manager.pool.lease
 
         def held(problem, allocator):
-            assert self._gate.wait(60)
+            assert self._gate.acquire(timeout=60)
             return lease(problem, allocator)
 
         monkeypatch.setattr(manager.pool, "lease", held)
 
-    def release(self):
-        self._gate.set()
+    def release(self, jobs: int):
+        """Let the next ``jobs`` held jobs lease."""
+        self._gate.release(jobs)
+
+
+@contextlib.contextmanager
+def _serving(manager):
+    """A client of an :class:`AllocationServer` over ``manager``, served
+    on its own event loop in a thread until the block exits."""
+    server = AllocationServer(manager)
+    listening = threading.Event()
+
+    async def main():
+        ready = asyncio.Event()
+        serving = asyncio.ensure_future(server.serve_async(ready=ready))
+        await ready.wait()
+        listening.set()
+        await serving
+
+    thread = threading.Thread(target=asyncio.run, args=(main(),), daemon=True)
+    thread.start()
+    assert listening.wait(60)
+    client = ServiceClient(server.bound_port, timeout=60.0)
+    try:
+        yield client
+    finally:
+        client.shutdown()
+        thread.join(60)
+        assert not thread.is_alive()
 
 
 def _join_worker(job):
@@ -373,6 +407,50 @@ class TestRunStateDiesWithTheLease:
         assert manager.result(retry.job_id).stats["iterations"] > 0
 
 
+@pytest.fixture
+def index_builds(monkeypatch) -> list:
+    """Spy on both index-tier builders: one entry per build, the pool
+    whose index read built it."""
+    builds = []
+    for name in ("_build_csr_index", "_build_pending_index"):
+        def spy(*args, _original=getattr(pool_module, name)):
+            builds.append(sys._getframe(1).f_locals["self"])
+            return _original(*args)
+
+        monkeypatch.setattr(pool_module, name, spy)
+    return builds
+
+
+class TestWarmLeaseBuildsNoIndex:
+    def test_index_is_built_by_the_cold_job_only(self, index_builds):
+        """The inverted index belongs to the sample: a warm resubmit and
+        a budget re-allocation reveal shards whose index the cold job
+        built, and build none.  (The throwaway pools of the pilot's OPT
+        estimate build theirs on every job.)"""
+        problem = _problem()
+        with JobManager(cache=None) as manager:
+            cold = manager.submit(problem=problem, params=PARAMS)
+            manager.wait(cold.job_id, timeout=60)
+            (engine,) = (e for idle in manager.pool._free.values() for e in idle)
+            shards = [engine.shard(ad) for ad in range(engine.num_ads)]
+
+            def shard_builds():
+                builds = [p for p in index_builds if any(p is s for s in shards)]
+                del index_builds[:]
+                return len(builds)
+
+            assert shard_builds() >= problem.num_ads  # one per shard, at least
+            warm = manager.submit(problem=problem, params=PARAMS)
+            manager.wait(warm.job_id, timeout=60)
+            assert warm.engine_warm is True
+            assert shard_builds() == 0
+            retry = manager.reallocate(warm.job_id, update_budgets={0: 9.0})
+            result = manager.result(retry.job_id)
+            assert retry.engine_warm is True
+            assert result.stats["backend_invocations"] == 0
+            assert shard_builds() == 0
+
+
 class TestBoundedJobTable:
     def test_oldest_finished_jobs_are_evicted_past_the_bound(self, monkeypatch):
         monkeypatch.setattr(jobs_module, "MAX_JOBS", 3)
@@ -400,21 +478,41 @@ class TestBoundedJobTable:
                     manager.progress(stranger)
 
     def test_a_running_job_is_never_evicted(self, monkeypatch):
+        """A table full of running jobs is also the queue bound: the next
+        submit is refused — over the wire, one ``{"ok": false, ...}``
+        line — instead of overshooting it, takes no id, and is accepted
+        again as soon as one job finishes."""
         monkeypatch.setattr(jobs_module, "MAX_JOBS", 2)
         problem = _problem()
-        with JobManager(cache=None) as manager:
+        with JobManager(cache=None) as manager, _serving(manager) as client:
             gate = _HeldLease(manager, monkeypatch)
             running = [
-                manager.submit(problem=problem, params=PARAMS) for _ in range(4)
+                manager.submit(problem=problem, params=PARAMS) for _ in range(2)
             ]
-            # Nothing is finished, so nothing can go: the table overshoots.
+            # Nothing is finished, so nothing can go: job 3 is refused.
+            with pytest.raises(ServiceError, match="full.*bound is 2"):
+                client.submit("figure1", params=PARAMS)
+            with pytest.raises(ServiceError, match="full.*bound is 2"):
+                manager.submit(problem=problem, params=PARAMS)
             assert list(manager._jobs) == [job.job_id for job in running]
-            gate.release()
-            for job in running:
-                manager.wait(job.job_id, timeout=60)
+            assert client.ping()["jobs"] == manager.job_count() == 2
+            gate.release(1)
+            deadline = time.monotonic() + 60
+            while not any(job.done.is_set() for job in running):
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            (still_running,) = (job for job in running if not job.done.is_set())
+            accepted = client.submit("figure1", params=PARAMS)
+            assert accepted == "job-0003"  # the refusals issued no id
+            assert list(manager._jobs) == [still_running.job_id, accepted]
+            assert manager.job_count() == 2
+            gate.release(3)  # both held jobs, and the last one below
+            for job_id in (still_running.job_id, accepted):
+                manager.wait(job_id, timeout=60)
             last = manager.submit(problem=problem, params=PARAMS)
+            assert manager.job_count() == 2
             manager.wait(last.job_id, timeout=60)
-            assert list(manager._jobs) == [running[-1].job_id, last.job_id]
+            assert list(manager._jobs) == [accepted, last.job_id]
 
 
 class TestProblemMemo:

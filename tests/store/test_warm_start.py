@@ -127,6 +127,39 @@ class TestWarmStartMatrix:
             # A fully warm run never pays for process-pool spin-up.
             assert warm._substrate.executor is None
 
+    def test_each_arrival_is_hashed_once(self, tmp_path, digest_calls):
+        """A fresh block is hashed by dsan and written under that digest;
+        a cache hit is hashed by the load's verification and recorded
+        under it; a revealed resident chunk is re-hashed by dsan — the
+        check that the sample did not change between leases."""
+        graph, probs = _inputs()
+        targets = {0: 128, 1: 64, 2: 192}  # whole 64-set chunks: no tail memo
+        chunks = 2 + 1 + 3
+
+        def engine():
+            return ShardedSamplingEngine(
+                graph, probs, seeds=5, chunk_size=64, dsan=True,
+                cache=str(tmp_path),
+            )
+
+        with engine() as cold:
+            cold.ensure(targets)
+            assert cold.backend_invocations == chunks
+            root = cold.dsan_root()
+        assert digest_calls == ["record"] * chunks
+        del digest_calls[:]
+        with engine() as warm:
+            warm.ensure(targets)
+            assert warm.backend_invocations == 0
+            assert warm.dsan_root() == root
+            assert warm.cache_stats()["hits"] == chunks  # stored digests held
+            assert digest_calls == ["load_block"] * chunks
+            del digest_calls[:]
+            warm.reset_for_reuse()
+            warm.ensure(targets)
+            assert warm.dsan_root() == root
+        assert digest_calls == ["record"] * chunks
+
     def test_cache_off_by_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_CACHE", raising=False)
         graph, probs = _inputs()
