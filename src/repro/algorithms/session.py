@@ -1,8 +1,37 @@
-"""Resumable allocation sessions — TIRM's loop as an explicit state machine.
+"""Resumable allocation sessions — TIRM (Algorithms 2–4) as a state machine.
 
-:class:`AllocationSession` is the engine-room of TIRM (Algorithms 2–4)
-factored out of the historical monolithic ``TIRMAllocator.allocate()``
-loop into discrete, externally steppable states:
+:class:`AllocationSession` is the algorithm's one home: the loop, the
+``θ_i`` policy, the Algorithm-3 lazy selector and the Algorithm-4
+revenue recount are all methods over the run state it owns (problem,
+allocation, budgets, CPEs, per-ad states), with the
+:class:`~repro.algorithms.tirm.TIRMAllocator` it is handed serving only
+as the parameter record.
+
+TIRM follows Algorithm 1's greedy logic but replaces Monte-Carlo spread
+estimation with RR-set coverage (§5.1), resolving the two obstacles a
+direct TIM application faces:
+
+* **CTPs** — sampling RRC-sets directly would need ~100× more samples at
+  realistic 1–3% CTPs, so plain RR-sets are sampled and marginal
+  coverages are multiplied by ``δ(v, i)`` (Theorem 5 guarantees the same
+  expectation);
+* **unknown seed counts** — the budget, not a seed count, drives how many
+  seeds each ad needs, so the per-ad seed-size estimate ``s_i`` (hence
+  the sample size ``θ_i = L(s_i, ε)``) is revised iteratively: whenever
+  ``|S_i|`` reaches ``s_i``, grow it by ``⌊R_i(S_i) / marginal-revenue⌋``
+  (a submodularity-justified lower bound on the seeds still needed),
+  sample the extra RR-sets, and re-estimate existing seeds' coverage
+  against them (Algorithm 4) so future marginals stay accurate.
+
+Two differences from the pseudocode:
+
+* ``s_i`` grows by at least 1 when triggered (the literal ``⌊·⌋`` can
+  return 0, freezing ``θ_i`` forever);
+* ``select_rule="weighted"`` (default) ranks candidates by
+  ``δ(v, i) · coverage`` — the true marginal-revenue order Algorithm 1
+  maximises; ``"coverage"`` gives the literal Algorithm-3 ranking.
+
+The loop runs as discrete, externally steppable states:
 
 .. code-block:: text
 
@@ -38,11 +67,12 @@ closed here.  That inversion is what the service tier
 :class:`~repro.service.EnginePool` runs many sessions back to back
 (``reset_for_reuse`` between runs), and the batch ``TIRMAllocator``
 facade is just "build an engine, run one session, close the engine" —
-byte-identical to the pre-refactor loop by the equivalence suite.
+byte-identical to the frozen pre-pool loop by the equivalence suite.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import threading
 from dataclasses import dataclass, field
@@ -52,11 +82,13 @@ import numpy as np
 from repro.advertising.allocation import Allocation
 from repro.advertising.regret import regret_of
 from repro.algorithms.base import AllocationResult
+from repro.algorithms.greedy import _beats
 from repro.errors import SessionError
 from repro.rrset.checkpoint import TIRMCheckpoint, build_snapshot, save_checkpoint
 from repro.rrset.pool import RRSetPool
-from repro.rrset.sampler import STREAM_MODE, RRSetSampler
+from repro.rrset.sampler import STREAM_MODE
 from repro.rrset.sharded import ShardedSamplingEngine
+from repro.rrset.tim import estimate_opt_lower_bound, required_rr_sets
 
 #: Session states.  ``PILOT``/``ESTIMATE_THETA`` run once (resume skips
 #: ``ESTIMATE_THETA``: the checkpoint already holds the grown θ
@@ -72,6 +104,30 @@ FAILED = "failed"
 
 #: States with a result (``FAILED`` carries the error instead).
 TERMINAL_STATES = frozenset({DONE, CANCELLED, FAILED})
+
+#: How many fresh heap entries a candidate scan walks before it is
+#: computed from the coverage vector instead: ``_WALK_BASE + n //
+#: _WALK_NODES_PER_ENTRY``.  Measured on the 2-core dev box (numpy 2,
+#: ``FLIX``-shaped states, ≈ 400 overshooting entries ahead of the first
+#: fit): one walked entry ≈ 3.3 µs at every ``n``; one pass ≈ 32 / 116 /
+#: 217 / 968 / 3 170 / 11 250 µs at n = 300 / 3 000 / 10 000 / 30 000 /
+#: 100 000 / 300 000, i.e. the walk has paid for a pass after about
+#: ``16 + n // 100`` entries.  Scans are bimodal — settled within a few
+#: entries or hundreds deep — so the walk gives up at half of that:
+#: ``FLIX`` (n = 3 000, seeds 1 / 2 / 5) reads 0.198 / 0.219 / 0.187 s at
+#: 7 entries, 0.217 / 0.219 / 0.227 s at 23, 0.224 / 0.229 / 0.219 s at
+#: 45, 0.255 / 0.248 / 0.237 s at 107 and 1.29 / 0.76 / 0.74 s never
+#: switching.
+_WALK_BASE = 8
+_WALK_NODES_PER_ENTRY = 200
+
+
+def _walk_limit(num_nodes: int) -> int:
+    """Entries :meth:`AllocationSession._best_candidate` walks before it
+    switches to :meth:`AllocationSession._scan_coverage`: a deep scan
+    costs at most a pass and a half, and a scan settled near the top of
+    a paper-scale heap never pays for a pass."""
+    return _WALK_BASE + num_nodes // _WALK_NODES_PER_ENTRY
 
 
 def _select_candidate(candidates):
@@ -100,7 +156,6 @@ def _select_candidate(candidates):
 class _AdState:
     """Mutable per-advertiser bookkeeping for one TIRM run."""
 
-    sampler: RRSetSampler
     collection: RRSetPool
     seed_size_estimate: int = 1
     revenue: float = 0.0
@@ -144,6 +199,24 @@ class AllocationSession:
         Optional service job identifier recorded with the catalog row
         (:mod:`repro.service`); pure provenance, never part of the
         determinism contract or of the allocation object itself.
+
+    Examples
+    --------
+    Step the Figure-1 gadget by hand, then finish it: the same
+    allocation as the batch facade's::
+
+        >>> from repro.algorithms.tirm import TIRMAllocator
+        >>> from repro.datasets.toy import figure1_problem
+        >>> problem = figure1_problem()
+        >>> config = TIRMAllocator(seed=0, max_rr_sets_per_ad=1_000)
+        >>> with config._build_engine(problem, None) as engine:
+        ...     session = AllocationSession(problem, config, engine=engine)
+        ...     states = [session.step()["state"] for _ in range(2)]
+        ...     result = session.run()
+        >>> states
+        ['estimate-theta', 'select']
+        >>> result.allocation == config.allocate(problem).allocation
+        True
     """
 
     def __init__(
@@ -173,13 +246,6 @@ class AllocationSession:
         self.cache = cache
         self.checkpoint = checkpoint
         self.job_id = job_id
-        # Direct constructions (tests, the service) may not have run the
-        # facade's up-front backend resolution; the checkpoint config
-        # records it, so resolve it here when missing.
-        if getattr(config, "_backend_obj", None) is None:
-            from repro.rrset.backends import resolve_backend
-
-            config._backend_obj = resolve_backend(config.backend)
         self.allocation = Allocation(problem.num_ads, problem.num_nodes)
         self.budgets = problem.catalog.budgets()
         self.cpes = problem.catalog.cpes()
@@ -321,13 +387,7 @@ class AllocationSession:
             return
         h = self.problem.num_ads
         config = self.config
-        self.states = [
-            _AdState(
-                sampler=self.engine.sampler(ad),
-                collection=self.engine.shard(ad),
-            )
-            for ad in range(h)
-        ]
+        self.states = [self._new_state(ad) for ad in range(h)]
         pilot = max(
             min(config.initial_pilot, config.max_rr_sets_per_ad),
             config.min_rr_sets_per_ad,
@@ -583,6 +643,9 @@ class AllocationSession:
             },
         })
 
+    def _new_state(self, ad: int) -> _AdState:
+        return _AdState(collection=self.engine.shard(ad))
+
     def _restored_states(self, checkpoint: TIRMCheckpoint) -> list[_AdState]:
         """Rebuild the per-ad allocator state (and the allocation's seed
         assignments) from a restored snapshot.  The marginal-coverage
@@ -590,10 +653,7 @@ class AllocationSession:
         re-estimation sums floats in it."""
         states = []
         for ad in range(self.engine.num_ads):
-            state = _AdState(
-                sampler=self.engine.sampler(ad),
-                collection=self.engine.shard(ad),
-            )
+            state = self._new_state(ad)
             state.seed_size_estimate = int(checkpoint.seed_size_estimate[ad])
             state.revenue = float(checkpoint.revenue[ad])
             state.seeds_in_order = checkpoint.seeds_in_order(ad)
@@ -605,12 +665,29 @@ class AllocationSession:
         return states
 
     # ------------------------------------------------------------------
-    # Sampling
+    # Sampling (Algorithm 2's θ policy, Algorithm 4)
     # ------------------------------------------------------------------
+
+    #: Greedy-cover pilot size for OPT_s estimation: the cover runs on an
+    #: i.i.d. prefix of the sample, so a fixed-size pilot estimates the
+    #: same coverage fraction at O(1) cost per growth event.
+    _OPT_PILOT_SETS = 2_000
+
     def _theta_for(self, state: _AdState, s: int) -> int:
-        """``θ_i = L(s, ε)`` — the config's policy method (subclassable,
-        and shared with the frozen legacy harness)."""
-        return self.config._theta_for(self.problem, state, s)
+        """``θ_i = L(s, ε)`` with a greedy-pilot OPT_s lower bound.
+
+        The pilot is a zero-copy CSR window over the first sets of the
+        pool, so each growth event costs O(pilot), not O(θ).
+        """
+        config = self.config
+        n = self.problem.num_nodes
+        s = min(max(s, 1), n)
+        pilot = state.collection.prefix_view(self._OPT_PILOT_SETS)
+        opt_lower = estimate_opt_lower_bound(pilot, n, s)
+        theta = required_rr_sets(n, s, config.epsilon, opt_lower, ell=config.ell)
+        return int(
+            min(max(theta, config.min_rr_sets_per_ad), config.max_rr_sets_per_ad)
+        )
 
     def _grow_samples(self, ads, last_marginals) -> None:
         """Algorithm 2 lines 14–19: revise each listed ad's ``s_i``, top
@@ -682,23 +759,225 @@ class AllocationSession:
             self._rebuild_heap(ad, state)
 
     def _recompute_revenue(self, ad: int, state: _AdState) -> None:
-        self.config._recompute_revenue(self.problem, ad, state, self.cpes)
+        """``Π_i(S_i) = Σ_v cpe·n·δ(v,i)·cov(v)/θ_i`` over chosen seeds."""
+        problem, cpes = self.problem, self.cpes
+        n = problem.num_nodes
+        delta = problem.ad_ctps(ad)
+        theta = state.theta
+        state.revenue = float(
+            sum(
+                cpes[ad] * n * delta[node] * count / theta
+                for node, count in state.marginal_coverage.items()
+            )
+        )
 
     # ------------------------------------------------------------------
-    # Candidate selection (Algorithm 3 — the config's policy methods)
+    # Candidate selection (Algorithm 3, lazily)
     # ------------------------------------------------------------------
+    def _score(self, ad: int, node: int, cov: int) -> float:
+        if self.config.select_rule == "weighted":
+            return float(self.problem.ctps[ad, node]) * cov
+        return float(cov)
+
     def _rebuild_heap(self, ad: int, state: _AdState) -> None:
-        self.config._rebuild_heap(self.problem, ad, state)
+        coverage = state.collection.coverage()
+        nodes = np.flatnonzero(coverage > 0)
+        if self.config.select_rule == "weighted":
+            scores = self.problem.ctps[ad, nodes] * coverage[nodes]
+        else:
+            scores = coverage[nodes].astype(np.float64)
+        state.heap = list(zip((-scores).tolist(), nodes.tolist()))
+        heapq.heapify(state.heap)
+
+    def _pop_fresh(self, ad: int, state: _AdState):
+        """Pop the eligible node with the largest *fresh* score.
+
+        Scores only decrease between heap rebuilds (covered sets are
+        removed), so re-pushing stale entries with their current score is
+        sound.  Returns ``(node, coverage, score)`` or ``None`` when no
+        eligible node with positive score remains.
+        """
+        problem, allocation = self.problem, self.allocation
+        heap = state.heap
+        while heap:
+            neg_score, node = heap[0]
+            if not allocation.can_assign(node, ad, problem.attention):
+                heapq.heappop(heap)
+                continue
+            cov = state.collection.coverage_of(node)
+            current = self._score(ad, node, cov)
+            if current <= 0.0:
+                heapq.heappop(heap)
+                continue
+            if math.isclose(current, -neg_score, rel_tol=1e-12, abs_tol=1e-12):
+                heapq.heappop(heap)
+                return node, cov, current
+            heapq.heapreplace(heap, (-current, node))
+        return None
 
     def _best_candidate(self, ad: int, state: _AdState):
-        return self.config._best_candidate(
-            self.problem, ad, state, self.allocation, self.budgets, self.cpes
+        """Argmax-drop candidate for one ad: ``(node, cov, marginal, drop)``.
+
+        With the default ``weighted`` rule, candidates are taken in
+        decreasing marginal-revenue order, so drops first rise toward
+        the remaining budget and then only shrink — the scan stops at
+        the first candidate whose marginal fits within the remaining
+        budget (exact argmax, same argument as Algorithm 1's greedy).
+        The ``coverage`` rule reproduces the literal Algorithm 3: only
+        the single top-coverage node is considered.
+
+        *What is lazy.*  The heap holds every eligible node of positive
+        score under a key that is its score at some earlier coverage —
+        never below its current one, since coverage only falls between
+        rebuilds — and :meth:`_pop_fresh` refreshes keys as they reach
+        the top.  While the fresh top fits (the common case) a call is
+        one pop and one push, O(log n).
+
+        *When it switches.*  Once an ad's remaining budget is smaller
+        than its top marginal, the first candidate that fits can sit
+        hundreds of entries deep, and a walk would pop down to it and
+        push everything back on this and every later iteration.  So the
+        walk is given :func:`_walk_limit` entries; a scan that is not
+        settled by then is answered by :meth:`_scan_coverage` instead —
+        one numpy pass over the coverage vector, O(n) however deep the
+        answer lies — and pops nothing more.
+
+        *Why the answer is the same.*  Keys are the exact products
+        :meth:`_rebuild_heap` and :meth:`_score` compute, so an entry is
+        fresh iff its key equals its current score, and fresh entries
+        leave the heap in ``(-score, node)`` order over the eligible
+        nodes of positive score: a pure function of coverage, CTPs and
+        eligibility, which the pass evaluates directly with the walk's
+        own arithmetic and folds with the same :func:`_beats` sequence.
+        The heap is left a valid lazy heap either way.
+
+        An ad whose top candidate overshoots while no node at all
+        lowers its regret is retired (``state.active = False``): its
+        coverage, revenue and θ change only when it takes a seed, it has
+        none to take, and other ads' picks only make users ineligible.
+        """
+        problem, budgets = self.problem, self.budgets
+        remaining = budgets[ad] - state.revenue
+        if remaining <= 0:
+            return None
+        num_seeds = len(state.seeds_in_order)
+        before = regret_of(budgets[ad], state.revenue, problem.penalty, num_seeds)
+        literal = self.config.select_rule == "coverage"
+        limit = 1 if literal else _walk_limit(problem.num_nodes)
+        scanned: list[tuple[float, int]] = []
+        best = None
+        best_drop = 0.0
+        answered = False
+        while len(scanned) < limit:
+            top = self._pop_fresh(ad, state)
+            if top is None:
+                if not scanned:
+                    state.active = False
+                    return None
+                break
+            node, cov, score = top
+            scanned.append((-score, node))
+            marginal = self._marginal_revenue(ad, state, node, cov)
+            drop = before - regret_of(
+                budgets[ad], state.revenue + marginal, problem.penalty, num_seeds + 1
+            )
+            fits = marginal <= remaining
+            # Every entry before this one overshot, or the walk had ended.
+            if drop > 1e-12 and _beats(drop, fits, best_drop, False):
+                best = (node, cov, marginal, drop)
+                best_drop = drop
+            if literal or fits:
+                # The scan ends here — but empty-handed under a top entry
+                # that overshoots, the ad may have to be retired, which
+                # only the pass can tell.
+                answered = best is not None or len(scanned) == 1
+                break
+        for entry in scanned:
+            heapq.heappush(state.heap, entry)
+        if answered:
+            return best
+        return self._scan_coverage(ad, state)
+
+    def _scan_coverage(self, ad: int, state: _AdState):
+        """The ``weighted`` scan of :meth:`_best_candidate` from its
+        first entry, computed instead of walked: marginals, drops and
+        fit flags of all nodes at once — the same operations in the same
+        order as the scalar ones, so the same doubles — then the first
+        eligible node that fits in ``(-score, node)`` order, and the
+        :func:`_beats` fold over the eligible nodes ahead of it that
+        lower regret, in that order.  Retires the ad when there is no
+        eligible node, or the top one overshoots and no node at all
+        lowers regret.
+        """
+        problem = self.problem
+        coverage = state.collection.coverage()
+        marginals, drops = self._marginals_and_drops(ad, state)
+        lowers = drops > 1e-12
+        fits = marginals <= self.budgets[ad] - state.revenue
+        scores = problem.ctps[ad] * coverage
+        eligible = self.allocation.assignable(ad, problem.attention) & (scores > 0.0)
+        candidates = np.flatnonzero(eligible)
+        if not candidates.size:
+            state.active = False
+            return None
+        if not lowers.any():
+            # Nothing to return, and nothing ever will be if the top
+            # entry overshoots (one that fits ends the walk unasked).
+            # argmax takes the first of equal scores: the smallest node,
+            # as the heap does.
+            if not fits[candidates[scores[candidates].argmax()]]:
+                state.active = False
+            return None
+        ahead = eligible & lowers & ~fits
+        fitting = candidates[fits[candidates]]
+        first_fit = None
+        if fitting.size:
+            first_fit = int(fitting[scores[fitting].argmax()])
+            # Ahead of it: a larger score, or an equal one at a smaller id.
+            tied = scores == scores[first_fit]
+            tied[first_fit:] = False
+            ahead &= (scores > scores[first_fit]) | tied
+        ahead = np.flatnonzero(ahead)
+        # Ascending node ids, stably sorted by falling score: heap order.
+        ahead = ahead[np.argsort(-scores[ahead], kind="stable")]
+        winner = None
+        best_drop = 0.0
+        for node, drop in zip(ahead.tolist(), drops[ahead].tolist()):
+            if _beats(drop, False, best_drop, False):
+                winner, best_drop = node, drop
+        if first_fit is not None and lowers[first_fit] and _beats(
+            float(drops[first_fit]), True, best_drop, False
+        ):
+            winner = first_fit
+        if winner is None:
+            return None
+        return (
+            winner, int(coverage[winner]), float(marginals[winner]), float(drops[winner])
         )
+
+    def _marginals_and_drops(self, ad: int, state: _AdState):
+        """:meth:`_marginal_revenue` of every node, and the regret drop
+        of taking it, as two float64 vectors: the operations of the
+        scalar forms in their order, hence their doubles."""
+        problem, budgets, cpes = self.problem, self.budgets, self.cpes
+        num_seeds = len(state.seeds_in_order)
+        marginals = (
+            cpes[ad] * problem.num_nodes * problem.ctps[ad]
+            * state.collection.coverage() / state.theta
+        )
+        after = (
+            np.abs(float(budgets[ad]) - (state.revenue + marginals))
+            + float(problem.penalty) * (num_seeds + 1)
+        )
+        before = regret_of(budgets[ad], state.revenue, problem.penalty, num_seeds)
+        return marginals, before - after
 
     def _marginal_revenue(self, ad: int, state: _AdState, node: int,
                           cov: int) -> float:
-        return self.config._marginal_revenue(
-            self.problem, ad, state, node, cov, self.cpes
+        """Theorem 5: ``cpe(i) · n · δ(v, i) · cov(v)/θ_i``."""
+        problem = self.problem
+        return float(
+            self.cpes[ad] * problem.num_nodes * problem.ctps[ad, node] * cov / state.theta
         )
 
     def __repr__(self) -> str:

@@ -1,33 +1,13 @@
-"""TIRM — Two-phase Iterative Regret Minimization (Algorithms 2–4, §5.2).
+"""TIRM — Two-phase Iterative Regret Minimization (Algorithms 2–4, §5.2):
+the batch facade.
 
-TIRM follows Algorithm 1's greedy logic but replaces Monte-Carlo spread
-estimation with RR-set coverage (§5.1), resolving the two obstacles a
-direct TIM application faces:
-
-* **CTPs** — sampling RRC-sets directly would need ~100× more samples at
-  realistic 1–3% CTPs, so plain RR-sets are sampled and marginal
-  coverages are multiplied by ``δ(v, i)`` (Theorem 5 guarantees the same
-  expectation);
-* **unknown seed counts** — the budget, not a seed count, drives how many
-  seeds each ad needs, so the per-ad seed-size estimate ``s_i`` (hence
-  the sample size ``θ_i = L(s_i, ε)``) is revised iteratively: whenever
-  ``|S_i|`` reaches ``s_i``, grow it by ``⌊R_i(S_i) / marginal-revenue⌋``
-  (a submodularity-justified lower bound on the seeds still needed),
-  sample the extra RR-sets, and re-estimate existing seeds' coverage
-  against them (Algorithm 4) so future marginals stay accurate.
-
-Two differences from the pseudocode:
-
-* ``s_i`` grows by at least 1 when triggered (the literal ``⌊·⌋`` can
-  return 0, freezing ``θ_i`` forever);
-* ``select_rule="weighted"`` (default) ranks candidates by
-  ``δ(v, i) · coverage`` — the true marginal-revenue order Algorithm 1
-  maximises; ``"coverage"`` gives the literal Algorithm-3 ranking.
-
-This module is the **batch facade**: parameter validation, the
-checkpoint compatibility record, and engine/cache lifecycle.  The loop
-itself lives in :mod:`repro.algorithms.session` as the resumable
-:class:`~repro.algorithms.session.AllocationSession` state machine —
+:class:`TIRMAllocator` is a validated parameter record plus the engine
+and cache lifecycle around one run: parameter validation, the
+checkpoint compatibility record, and engine construction.  The
+algorithm itself — the loop, the ``θ_i`` policy, the Algorithm-3
+selector and the Algorithm-4 updates — lives in
+:mod:`repro.algorithms.session` as the resumable
+:class:`~repro.algorithms.session.AllocationSession` state machine;
 ``allocate()`` builds one engine, runs one session to completion, and
 closes the engine.  ``engine=`` names the substrate the engine's one
 chunk path fans out over — in-process, a process pool, or a socket
@@ -40,30 +20,18 @@ directly over pooled engines instead.
 
 from __future__ import annotations
 
-import heapq
-import math
 import os
 
 import numpy as np
 
 from repro.advertising.problem import AdAllocationProblem
-from repro.advertising.regret import regret_of
 from repro.algorithms.base import AllocationResult, Allocator
-from repro.algorithms.greedy import _beats
-
-# Re-exported for compatibility: the per-ad state record and the
-# cross-ad tie-break moved to the session module with the loop.
-from repro.algorithms.session import (  # noqa: F401
-    AllocationSession,
-    _AdState,
-    _select_candidate,
-)
+from repro.algorithms.session import AllocationSession
 from repro.errors import ConfigurationError
 from repro.rrset.backends import BACKEND_MODES, SamplingBackend, resolve_backend
 from repro.rrset.checkpoint import TIRMCheckpoint
 from repro.rrset.sampler import DEFAULT_CHUNK_SIZE, STREAM_MODE, STREAM_RNG
 from repro.rrset.sharded import ENGINE_MODES, ShardedSamplingEngine
-from repro.rrset.tim import estimate_opt_lower_bound, required_rr_sets
 from repro.utils.timing import Timer
 
 #: Engine substrates the allocator accepts: the sharded engine's
@@ -72,33 +40,12 @@ from repro.utils.timing import Timer
 #: ``(seed, chunk_size)``.
 ALLOCATOR_ENGINE_MODES = ENGINE_MODES + ("dist",)
 
-#: How many fresh heap entries a candidate scan walks before it is
-#: computed from the coverage vector instead: ``_WALK_BASE + n //
-#: _WALK_NODES_PER_ENTRY``.  Measured on the 2-core dev box (numpy 2,
-#: ``FLIX``-shaped states, ≈ 400 overshooting entries ahead of the first
-#: fit): one walked entry ≈ 3.3 µs at every ``n``; one pass ≈ 32 / 116 /
-#: 217 / 968 / 3 170 / 11 250 µs at n = 300 / 3 000 / 10 000 / 30 000 /
-#: 100 000 / 300 000, i.e. the walk has paid for a pass after about
-#: ``16 + n // 100`` entries.  Scans are bimodal — settled within a few
-#: entries or hundreds deep — so the walk gives up at half of that:
-#: ``FLIX`` (n = 3 000, seeds 1 / 2 / 5) reads 0.198 / 0.219 / 0.187 s at
-#: 7 entries, 0.217 / 0.219 / 0.227 s at 23, 0.224 / 0.229 / 0.219 s at
-#: 45, 0.255 / 0.248 / 0.237 s at 107 and 1.29 / 0.76 / 0.74 s never
-#: switching.
-_WALK_BASE = 8
-_WALK_NODES_PER_ENTRY = 200
-
-
-def _walk_limit(num_nodes: int) -> int:
-    """Entries :meth:`TIRMAllocator._best_candidate` walks before it
-    switches to :meth:`TIRMAllocator._scan_coverage`: a deep scan costs
-    at most a pass and a half, and a scan settled near the top of a
-    paper-scale heap never pays for a pass."""
-    return _WALK_BASE + num_nodes // _WALK_NODES_PER_ENTRY
-
 
 class TIRMAllocator(Allocator):
-    """Algorithm 2 with the Algorithm-3 selector and Algorithm-4 updates.
+    """TIRM's validated parameter record and batch entry point: each
+    :meth:`allocate` runs one
+    :class:`~repro.algorithms.session.AllocationSession` (Algorithm 2
+    with the Algorithm-3 selector and Algorithm-4 updates) to completion.
 
     Parameters
     ----------
@@ -251,8 +198,21 @@ class TIRMAllocator(Allocator):
     ) -> None:
         if not 0 < epsilon < 1:
             raise ConfigurationError(f"epsilon must be in (0, 1), got {epsilon}")
-        if ell <= 0:
-            raise ConfigurationError(f"ell must be > 0, got {ell}")
+        if not 0 < ell < float("inf"):
+            raise ConfigurationError(f"ell must be finite and > 0, got {ell}")
+        for name, count in (
+            ("chunk_size", chunk_size),
+            ("initial_pilot", initial_pilot),
+            ("min_rr_sets_per_ad", min_rr_sets_per_ad),
+            ("max_rr_sets_per_ad", max_rr_sets_per_ad),
+            ("max_workers", max_workers),
+            ("checkpoint_every", checkpoint_every),
+            ("max_iterations", max_iterations),
+        ):
+            # NaN passes every bound check below, ±inf the lower ones, and
+            # neither converts to an int: refuse them here, not mid-run.
+            if count is not None and not abs(count) < float("inf"):
+                raise ConfigurationError(f"{name} must be a finite count, got {count}")
         if select_rule not in ("weighted", "coverage"):
             raise ConfigurationError(
                 f"select_rule must be 'weighted' or 'coverage', got {select_rule!r}"
@@ -341,8 +301,8 @@ class TIRMAllocator(Allocator):
         # in `repro ls`, never part of any contract.
         self.dataset = dataset
         self._seed = seed
-        # Resolved at allocate() (or by the session guard): "auto"
-        # commits to a substrate before any sampling so stats/
+        # Resolved at allocate() (or lazily by _checkpoint_config):
+        # "auto" commits to a substrate before any sampling so stats/
         # provenance/checkpoints record the resolved name.
         self._backend_obj = None
 
@@ -475,243 +435,3 @@ class TIRMAllocator(Allocator):
             "num_edges": problem.graph.num_edges,
             "seed": self.recorded_seed,
         }
-
-    # ------------------------------------------------------------------
-    # Selection / θ policy (Algorithm 3, lazily)
-    # ------------------------------------------------------------------
-    # These are the *policy* half of the refactor: pure functions of the
-    # run state with no engine or lifecycle coupling, kept on the config
-    # object (old signatures, ``problem`` passed in) so the session
-    # delegates to them and subclasses — including the frozen legacy
-    # harness in the equivalence suite — can override them.
-
-    #: Greedy-cover pilot size for OPT_s estimation: the cover runs on an
-    #: i.i.d. prefix of the sample, so a fixed-size pilot estimates the
-    #: same coverage fraction at O(1) cost per growth event.
-    _OPT_PILOT_SETS = 2_000
-
-    def _theta_for(self, problem, state: _AdState, s: int) -> int:
-        """``θ_i = L(s, ε)`` with a greedy-pilot OPT_s lower bound.
-
-        The pilot is a zero-copy CSR window over the first sets of the
-        pool, so each growth event costs O(pilot), not O(θ).
-        """
-        n = problem.num_nodes
-        s = min(max(s, 1), n)
-        pilot = state.collection.prefix_view(self._OPT_PILOT_SETS)
-        opt_lower = estimate_opt_lower_bound(pilot, n, s)
-        theta = required_rr_sets(n, s, self.epsilon, opt_lower, ell=self.ell)
-        return int(min(max(theta, self.min_rr_sets_per_ad), self.max_rr_sets_per_ad))
-
-    def _recompute_revenue(self, problem, ad: int, state: _AdState, cpes) -> None:
-        """``Π_i(S_i) = Σ_v cpe·n·δ(v,i)·cov(v)/θ_i`` over chosen seeds."""
-        n = problem.num_nodes
-        delta = problem.ad_ctps(ad)
-        theta = state.theta
-        state.revenue = float(
-            sum(
-                cpes[ad] * n * delta[node] * count / theta
-                for node, count in state.marginal_coverage.items()
-            )
-        )
-
-    def _score(self, problem, ad: int, node: int, cov: int) -> float:
-        if self.select_rule == "weighted":
-            return float(problem.ctps[ad, node]) * cov
-        return float(cov)
-
-    def _rebuild_heap(self, problem, ad: int, state: _AdState) -> None:
-        coverage = state.collection.coverage()
-        nodes = np.flatnonzero(coverage > 0)
-        if self.select_rule == "weighted":
-            scores = problem.ctps[ad, nodes] * coverage[nodes]
-        else:
-            scores = coverage[nodes].astype(np.float64)
-        state.heap = list(zip((-scores).tolist(), nodes.tolist()))
-        heapq.heapify(state.heap)
-
-    def _pop_fresh(self, problem, ad: int, state: _AdState, allocation):
-        """Pop the eligible node with the largest *fresh* score.
-
-        Scores only decrease between heap rebuilds (covered sets are
-        removed), so re-pushing stale entries with their current score is
-        sound.  Returns ``(node, coverage, score)`` or ``None`` when no
-        eligible node with positive score remains.
-        """
-        heap = state.heap
-        while heap:
-            neg_score, node = heap[0]
-            if not allocation.can_assign(node, ad, problem.attention):
-                heapq.heappop(heap)
-                continue
-            cov = state.collection.coverage_of(node)
-            current = self._score(problem, ad, node, cov)
-            if current <= 0.0:
-                heapq.heappop(heap)
-                continue
-            if math.isclose(current, -neg_score, rel_tol=1e-12, abs_tol=1e-12):
-                heapq.heappop(heap)
-                return node, cov, current
-            heapq.heapreplace(heap, (-current, node))
-        return None
-
-    def _best_candidate(self, problem, ad: int, state: _AdState, allocation, budgets, cpes):
-        """Argmax-drop candidate for one ad: ``(node, cov, marginal, drop)``.
-
-        With the default ``weighted`` rule, candidates are taken in
-        decreasing marginal-revenue order, so drops first rise toward
-        the remaining budget and then only shrink — the scan stops at
-        the first candidate whose marginal fits within the remaining
-        budget (exact argmax, same argument as Algorithm 1's greedy).
-        The ``coverage`` rule reproduces the literal Algorithm 3: only
-        the single top-coverage node is considered.
-
-        *What is lazy.*  The heap holds every eligible node of positive
-        score under a key that is its score at some earlier coverage —
-        never below its current one, since coverage only falls between
-        rebuilds — and :meth:`_pop_fresh` refreshes keys as they reach
-        the top.  While the fresh top fits (the common case) a call is
-        one pop and one push, O(log n).
-
-        *When it switches.*  Once an ad's remaining budget is smaller
-        than its top marginal, the first candidate that fits can sit
-        hundreds of entries deep, and a walk would pop down to it and
-        push everything back on this and every later iteration.  So the
-        walk is given :func:`_walk_limit` entries; a scan that is not
-        settled by then is answered by :meth:`_scan_coverage` instead —
-        one numpy pass over the coverage vector, O(n) however deep the
-        answer lies — and pops nothing more.
-
-        *Why the answer is the same.*  Keys are the exact products
-        :meth:`_rebuild_heap` and :meth:`_score` compute, so an entry is
-        fresh iff its key equals its current score, and fresh entries
-        leave the heap in ``(-score, node)`` order over the eligible
-        nodes of positive score: a pure function of coverage, CTPs and
-        eligibility, which the pass evaluates directly with the walk's
-        own arithmetic and folds with the same :func:`_beats` sequence.
-        The heap is left a valid lazy heap either way.
-
-        An ad whose top candidate overshoots while no node at all
-        lowers its regret is retired (``state.active = False``): its
-        coverage, revenue and θ change only when it takes a seed, it has
-        none to take, and other ads' picks only make users ineligible.
-        """
-        remaining = budgets[ad] - state.revenue
-        if remaining <= 0:
-            return None
-        num_seeds = len(state.seeds_in_order)
-        before = regret_of(budgets[ad], state.revenue, problem.penalty, num_seeds)
-        literal = self.select_rule == "coverage"
-        limit = 1 if literal else _walk_limit(problem.num_nodes)
-        scanned: list[tuple[float, int]] = []
-        best = None
-        best_drop = 0.0
-        answered = False
-        while len(scanned) < limit:
-            top = self._pop_fresh(problem, ad, state, allocation)
-            if top is None:
-                if not scanned:
-                    state.active = False
-                    return None
-                break
-            node, cov, score = top
-            scanned.append((-score, node))
-            marginal = self._marginal_revenue(problem, ad, state, node, cov, cpes)
-            drop = before - regret_of(
-                budgets[ad], state.revenue + marginal, problem.penalty, num_seeds + 1
-            )
-            fits = marginal <= remaining
-            # Every entry before this one overshot, or the walk had ended.
-            if drop > 1e-12 and _beats(drop, fits, best_drop, False):
-                best = (node, cov, marginal, drop)
-                best_drop = drop
-            if literal or fits:
-                # The scan ends here — but empty-handed under a top entry
-                # that overshoots, the ad may have to be retired, which
-                # only the pass can tell.
-                answered = best is not None or len(scanned) == 1
-                break
-        for entry in scanned:
-            heapq.heappush(state.heap, entry)
-        if answered:
-            return best
-        return self._scan_coverage(problem, ad, state, allocation, budgets, cpes)
-
-    def _scan_coverage(self, problem, ad: int, state: _AdState, allocation, budgets, cpes):
-        """The ``weighted`` scan of :meth:`_best_candidate` from its
-        first entry, computed instead of walked: marginals, drops and
-        fit flags of all nodes at once — the same operations in the same
-        order as the scalar ones, so the same doubles — then the first
-        eligible node that fits in ``(-score, node)`` order, and the
-        :func:`_beats` fold over the eligible nodes ahead of it that
-        lower regret, in that order.  Retires the ad when there is no
-        eligible node, or the top one overshoots and no node at all
-        lowers regret.
-        """
-        coverage = state.collection.coverage()
-        marginals, drops = self._marginals_and_drops(problem, ad, state, budgets, cpes)
-        lowers = drops > 1e-12
-        fits = marginals <= budgets[ad] - state.revenue
-        scores = problem.ctps[ad] * coverage
-        eligible = allocation.assignable(ad, problem.attention) & (scores > 0.0)
-        candidates = np.flatnonzero(eligible)
-        if not candidates.size:
-            state.active = False
-            return None
-        if not lowers.any():
-            # Nothing to return, and nothing ever will be if the top
-            # entry overshoots (one that fits ends the walk unasked).
-            # argmax takes the first of equal scores: the smallest node,
-            # as the heap does.
-            if not fits[candidates[scores[candidates].argmax()]]:
-                state.active = False
-            return None
-        ahead = eligible & lowers & ~fits
-        fitting = candidates[fits[candidates]]
-        first_fit = None
-        if fitting.size:
-            first_fit = int(fitting[scores[fitting].argmax()])
-            # Ahead of it: a larger score, or an equal one at a smaller id.
-            tied = scores == scores[first_fit]
-            tied[first_fit:] = False
-            ahead &= (scores > scores[first_fit]) | tied
-        ahead = np.flatnonzero(ahead)
-        # Ascending node ids, stably sorted by falling score: heap order.
-        ahead = ahead[np.argsort(-scores[ahead], kind="stable")]
-        winner = None
-        best_drop = 0.0
-        for node, drop in zip(ahead.tolist(), drops[ahead].tolist()):
-            if _beats(drop, False, best_drop, False):
-                winner, best_drop = node, drop
-        if first_fit is not None and lowers[first_fit] and _beats(
-            float(drops[first_fit]), True, best_drop, False
-        ):
-            winner = first_fit
-        if winner is None:
-            return None
-        return (
-            winner, int(coverage[winner]), float(marginals[winner]), float(drops[winner])
-        )
-
-    def _marginals_and_drops(self, problem, ad: int, state: _AdState, budgets, cpes):
-        """:meth:`_marginal_revenue` of every node, and the regret drop
-        of taking it, as two float64 vectors: the operations of the
-        scalar forms in their order, hence their doubles."""
-        num_seeds = len(state.seeds_in_order)
-        marginals = (
-            cpes[ad] * problem.num_nodes * problem.ctps[ad]
-            * state.collection.coverage() / state.theta
-        )
-        after = (
-            np.abs(float(budgets[ad]) - (state.revenue + marginals))
-            + float(problem.penalty) * (num_seeds + 1)
-        )
-        before = regret_of(budgets[ad], state.revenue, problem.penalty, num_seeds)
-        return marginals, before - after
-
-    def _marginal_revenue(self, problem, ad: int, state: _AdState, node: int,
-                          cov: int, cpes) -> float:
-        """Theorem 5: ``cpe(i) · n · δ(v, i) · cov(v)/θ_i``."""
-        return float(
-            cpes[ad] * problem.num_nodes * problem.ctps[ad, node] * cov / state.theta
-        )

@@ -507,41 +507,11 @@ class JobManager:
             add_ads=add_ads,
             remove_ads=remove_ads,
         )
-        if problem.num_ads == source.problem.num_ads:
-            allocator = source.allocator
-        else:
-            # The pool key covers per-ad content, so a changed catalog
-            # leases cold anyway; a fresh config keeps the source job's
-            # record pristine.
-            allocator = build_allocator(
-                self._allocator_params(source.allocator),
-                dataset=source.dataset,
-                coordinator=self.coordinator,
-            )
-        # Unlike submit(), reallocation reuses the source config object
-        # directly (same-shape case), so the two runs share resolved
-        # backend state and the pool key matches exactly.
-        return self._start(source.dataset, problem, allocator, job_id)
-
-    @staticmethod
-    def _allocator_params(allocator: TIRMAllocator) -> dict:
-        """The wire-shaped params dict reproducing ``allocator``."""
-        return {
-            "epsilon": allocator.epsilon,
-            "ell": allocator.ell,
-            "select_rule": allocator.select_rule,
-            "engine": allocator.engine,
-            "rng": allocator.rng,
-            "chunk_size": allocator.chunk_size,
-            "backend": allocator.backend,
-            "initial_pilot": allocator.initial_pilot,
-            "min_rr_sets_per_ad": allocator.min_rr_sets_per_ad,
-            "max_rr_sets_per_ad": allocator.max_rr_sets_per_ad,
-            "max_workers": allocator.max_workers,
-            "max_iterations": allocator.max_iterations,
-            "dsan": allocator.dsan,
-            "seed": allocator._seed,
-        }
+        # The allocator is a pure parameter record — run state lives on
+        # the session — so every shape of re-allocation runs under the
+        # source's own config.  The pool key covers per-ad content: a
+        # changed catalog still leases cold.
+        return self._start(source.dataset, problem, source.allocator, job_id)
 
     # ------------------------------------------------------------------
     # Spread estimation

@@ -1,32 +1,53 @@
-"""The Algorithm-3 selector as it stood before PR 22 (commit c3d1ac2),
-kept verbatim as the in-test reference.
+"""The Algorithm-3 selector as it stood at commit c3d1ac2, kept verbatim
+as the in-test reference.
 
-PR 22 stopped ``TIRMAllocator._best_candidate`` from walking the lazy
-heap down to the first candidate that fits: past a few entries the
-scan's answer is computed from the coverage vector in one numpy pass.
-The answer — ``(node, cov, marginal, drop)`` and every ``state.active``
-transition — may not move, so the walk lives on here, unoptimized and
-obviously Algorithm 3, and ``test_selector_equivalence.py`` holds the
-shipped selector equal to it call by call.  The three method bodies are
-untouched; only the class around them is new.
+The next commit stopped ``AllocationSession._best_candidate`` from
+walking the lazy heap down to the first candidate that fits: past a few
+entries the scan's answer is computed from the coverage vector in one
+numpy pass.  The answer — ``(node, cov, marginal, drop)`` and every
+``state.active`` transition — may not move, so the walk lives on here,
+unoptimized and obviously Algorithm 3, and
+``test_selector_equivalence.py`` holds the shipped selector equal to it
+call by call.  The three method bodies are untouched but for their
+argument plumbing: the run state they took as arguments is the
+session's own.
+
+:func:`make_session` is how the tests build sessions — this subclass,
+the shipped class, or a test's own override — over a real engine or,
+for selector questions about hand-built per-ad states, over none.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
 from repro.advertising.regret import regret_of
 from repro.algorithms.greedy import _beats
-from repro.algorithms.tirm import TIRMAllocator, _AdState
+from repro.algorithms.session import AllocationSession, _AdState
 
 
-class ReferenceSelector(TIRMAllocator):
-    """TIRM with the pre-PR-22 heap-walking candidate scan."""
+def make_session(problem, config, session_class=AllocationSession, engine=None):
+    """``session_class(problem, config)`` over ``engine``.
 
-    def _pop_fresh(self, problem, ad: int, state: _AdState, allocation):
+    Without an engine the session gets a stand-in that holds no sets:
+    enough for the selector and θ methods on states a test builds by
+    hand, which never sample.  ``problem`` then needs only what those
+    methods read, plus ``num_ads``, ``num_nodes`` and a ``catalog`` with
+    ``budgets()`` and ``cpes()``.
+    """
+    if engine is None:
+        engine = SimpleNamespace(num_ads=problem.num_ads, total_sets=lambda: 0)
+    return session_class(problem, config, engine=engine)
+
+
+class ReferenceSelector(AllocationSession):
+    """TIRM with the heap-walking candidate scan of commit c3d1ac2."""
+
+    def _pop_fresh(self, ad: int, state: _AdState):
         """Pop the eligible node with the largest *fresh* score.
 
         Scores only decrease between heap rebuilds (covered sets are
@@ -34,6 +55,7 @@ class ReferenceSelector(TIRMAllocator):
         sound.  Returns ``(node, coverage, score)`` or ``None`` when no
         eligible node with positive score remains.
         """
+        problem, allocation = self.problem, self.allocation
         heap = state.heap
         while heap:
             neg_score, node = heap[0]
@@ -41,7 +63,7 @@ class ReferenceSelector(TIRMAllocator):
                 heapq.heappop(heap)
                 continue
             cov = state.collection.coverage_of(node)
-            current = self._score(problem, ad, node, cov)
+            current = self._score(ad, node, cov)
             if current <= 0.0:
                 heapq.heappop(heap)
                 continue
@@ -51,7 +73,7 @@ class ReferenceSelector(TIRMAllocator):
             heapq.heapreplace(heap, (-current, node))
         return None
 
-    def _best_candidate(self, problem, ad: int, state: _AdState, allocation, budgets, cpes):
+    def _best_candidate(self, ad: int, state: _AdState):
         """Argmax-drop candidate for one ad: ``(node, cov, marginal, drop)``.
 
         With the default ``weighted`` rule, candidates come off the heap
@@ -67,6 +89,7 @@ class ReferenceSelector(TIRMAllocator):
         help is retired instead of having its whole heap popped and
         pushed back on this and every later iteration.
         """
+        problem, budgets = self.problem, self.budgets
         remaining = budgets[ad] - state.revenue
         if remaining <= 0:
             return None
@@ -76,14 +99,14 @@ class ReferenceSelector(TIRMAllocator):
         best_drop = 0.0
         best_fits = False
         while True:
-            top = self._pop_fresh(problem, ad, state, allocation)
+            top = self._pop_fresh(ad, state)
             if top is None:
                 if not scanned and best is None:
                     state.active = False
                 break
             node, cov, score = top
             scanned.append((-score, node))
-            marginal = self._marginal_revenue(problem, ad, state, node, cov, cpes)
+            marginal = self._marginal_revenue(ad, state, node, cov)
             drop = regret_of(
                 budgets[ad], state.revenue, problem.penalty, num_seeds
             ) - regret_of(
@@ -93,12 +116,12 @@ class ReferenceSelector(TIRMAllocator):
             if drop > 1e-12 and _beats(drop, fits, best_drop, best_fits):
                 best = (node, cov, marginal, drop)
                 best_drop, best_fits = drop, fits
-            if self.select_rule == "coverage" or fits:
+            if self.config.select_rule == "coverage" or fits:
                 break
             if (
                 best is None
                 and len(scanned) == 1
-                and not self._some_node_lowers_regret(problem, ad, state, budgets, cpes)
+                and not self._some_node_lowers_regret(ad, state)
             ):
                 # The answer stands: this ad's coverage, revenue and θ
                 # change only when it takes a seed, it has none to offer,
@@ -109,13 +132,13 @@ class ReferenceSelector(TIRMAllocator):
             heapq.heappush(state.heap, entry)
         return best
 
-    def _some_node_lowers_regret(self, problem, ad: int, state: _AdState,
-                                 budgets, cpes) -> bool:
+    def _some_node_lowers_regret(self, ad: int, state: _AdState) -> bool:
         """Whether any node at all passes :meth:`_best_candidate`'s
         ``drop > 1e-12`` test: its drops over the whole coverage vector
         at once, the same operations in the same order — O(n) numpy
         where popping the heap down to the answer is O(n log n) Python.
         """
+        problem, budgets, cpes = self.problem, self.budgets, self.cpes
         num_seeds = len(state.seeds_in_order)
         marginals = (
             cpes[ad] * problem.num_nodes * problem.ctps[ad]

@@ -1,8 +1,8 @@
 """The shipped candidate scan equals the heap walk it replaced.
 
-``TIRMAllocator._best_candidate`` walks a few heap entries and then
+``AllocationSession._best_candidate`` walks a few heap entries and then
 computes the scan from the coverage vector;
-``tests/algorithms/_reference_selector.py`` is the pre-PR-22 scan that
+``tests/algorithms/_reference_selector.py`` is the earlier scan that
 pops the heap down to the answer.  Both are driven from the same
 synthetic per-ad state and must return the same ``(node, cov, marginal,
 drop)``, leave the same ``state.active``, and — the heap left behind
@@ -24,12 +24,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.advertising.allocation import Allocation
 from repro.advertising.attention import AttentionBounds
-from repro.algorithms import tirm as tirm_module
-from repro.algorithms.tirm import TIRMAllocator, _AdState
+from repro.algorithms import session as session_module
+from repro.algorithms.session import AllocationSession, _AdState
+from repro.algorithms.tirm import TIRMAllocator
 
-from tests.algorithms._reference_selector import ReferenceSelector
+from tests.algorithms._reference_selector import ReferenceSelector, make_session
 
 BUDGET = 24.0
 #: ``cpe · n / θ`` is 1 (θ = CPE · n below), so a marginal is ``ctp · cov``
@@ -96,47 +96,50 @@ def cases(draw):
     return n, ctps, coverage, stale, penalty, budget, revenue, taken, own, rule
 
 
-def _build(selector, case):
-    n, ctps, coverage, stale, penalty, budget, revenue, taken, own, _ = case
+def _build(session_class, case):
+    n, ctps, coverage, stale, penalty, budget, revenue, taken, own, rule = case
     problem = SimpleNamespace(
+        num_ads=2,
         num_nodes=n,
         ctps=ctps[None, :],
         penalty=penalty,
         attention=AttentionBounds.uniform(n, 1),
+        catalog=SimpleNamespace(
+            budgets=lambda: np.asarray([budget, 1.0]),
+            cpes=lambda: np.asarray([CPE, 1.0]),
+        ),
     )
+    session = make_session(problem, TIRMAllocator(select_rule=rule), session_class)
     # Ad 0 is the one asked; a user taken by ad 1 has κ_u = 1 exhausted.
-    allocation = Allocation(2, n)
-    state = _AdState(sampler=None, collection=_Pool(stale, int(CPE) * n))
-    selector._rebuild_heap(problem, 0, state)
+    state = _AdState(collection=_Pool(stale, int(CPE) * n))
+    session._rebuild_heap(0, state)
     state.collection = _Pool(coverage, int(CPE) * n)
     for node in taken:
-        allocation.assign(node, 0 if node in own else 1)
+        session.allocation.assign(node, 0 if node in own else 1)
     state.seeds_in_order = list(own)
     state.revenue = revenue
-    budgets, cpes = np.asarray([budget, 1.0]), np.asarray([CPE, 1.0])
-    return problem, 0, state, allocation, budgets, cpes
+    return session, state
 
 
 def _assert_same_as_reference(case):
-    rule = case[-1]
-    shipped_args = _build(TIRMAllocator(select_rule=rule), case)
-    reference_args = _build(ReferenceSelector(select_rule=rule), case)
-    assert shipped_args[2].heap == reference_args[2].heap
-    shipped = TIRMAllocator(select_rule=rule)._best_candidate(*shipped_args)
-    expected = ReferenceSelector(select_rule=rule)._best_candidate(*reference_args)
-    assert shipped == expected
-    if shipped is not None:
-        assert [type(field) for field in shipped] == [int, int, float, float]
-    assert shipped_args[2].active == reference_args[2].active
+    shipped, state = _build(AllocationSession, case)
+    reference, reference_state = _build(ReferenceSelector, case)
+    assert state.heap == reference_state.heap
+    answer = shipped._best_candidate(0, state)
+    expected = reference._best_candidate(0, reference_state)
+    assert answer == expected
+    if answer is not None:
+        assert [type(field) for field in answer] == [int, int, float, float]
+    assert state.active == reference_state.active
     # What the scan left behind still answers the same question.
-    again = copy.deepcopy(shipped_args)
-    assert TIRMAllocator(select_rule=rule)._best_candidate(*again) == expected
-    assert again[2].active == reference_args[2].active
-    return shipped, shipped_args[2].active
+    again = copy.deepcopy(state)
+    assert shipped._best_candidate(0, again) == expected
+    assert again.active == reference_state.active
+    return answer, state.active
 
 
 @pytest.mark.parametrize(
-    "walk_base", [0, tirm_module._WALK_BASE, 10**9],
+    "walk_base", [0, session_module._WALK_BASE, 10**9],
     ids=["pass-only", "natural", "walk-only"],
 )
 @given(case=cases())
@@ -144,12 +147,12 @@ def _assert_same_as_reference(case):
 def test_scan_equals_the_reference(walk_base, case):
     """The switch is a cost decision only: never walking, walking
     ``_walk_limit`` entries and never computing give the same answer."""
-    original = tirm_module._WALK_BASE
-    tirm_module._WALK_BASE = walk_base
+    original = session_module._WALK_BASE
+    session_module._WALK_BASE = walk_base
     try:
         _assert_same_as_reference(case)
     finally:
-        tirm_module._WALK_BASE = original
+        session_module._WALK_BASE = original
 
 
 def _case(coverage, remaining, *, ctp=1.0, penalty=0.0, taken=()):
@@ -192,14 +195,14 @@ def test_each_outcome_of_a_scan(monkeypatch, walk_base, case, walked, node, acti
     """The outcomes the property above must be landing in, one each;
     ``walked`` says a two-entry walk settles the scan without a pass."""
     scans = []
-    scan = TIRMAllocator._scan_coverage
+    scan = AllocationSession._scan_coverage
 
     def counting_scan(self, *args):
         scans.append(1)
         return scan(self, *args)
 
-    monkeypatch.setattr(TIRMAllocator, "_scan_coverage", counting_scan)
-    monkeypatch.setattr(tirm_module, "_WALK_BASE", walk_base)
+    monkeypatch.setattr(AllocationSession, "_scan_coverage", counting_scan)
+    monkeypatch.setattr(session_module, "_WALK_BASE", walk_base)
     answer, still_active = _assert_same_as_reference(case)
     assert (None if answer is None else answer[0]) == node
     assert still_active == active

@@ -1,7 +1,7 @@
 """Literal fingerprints of whole allocations — the selector, pinned.
 
 The property test in ``test_selector_equivalence.py`` holds
-``TIRMAllocator._best_candidate`` equal to the heap walk it replaced
+``AllocationSession._best_candidate`` equal to the heap walk it replaced
 call by call on synthetic states; this panel holds the *runs* equal:
 33 allocations (the benchmark's ``LJ`` instance at two budgets × six
 seeds, its ``FLIX`` instance at three seeds, the small ``FLIX`` of
@@ -107,10 +107,12 @@ GOLDEN = {
 }
 
 
-def fingerprint(key) -> tuple[int, str]:
+def fingerprint(key, backend: str = "numpy") -> tuple[int, str]:
     name, rule, seed = key
     problem = _problem(name)
-    allocator = TIRMAllocator(seed=seed, select_rule=rule, dsan=True, **PANEL[key])
+    allocator = TIRMAllocator(
+        seed=seed, select_rule=rule, dsan=True, backend=backend, **PANEL[key]
+    )
     # The facade's loop with the session in hand: the per-ad ``active``
     # flags are part of what the selector decides and of no result.
     with allocator._build_engine(problem, None) as engine:
@@ -139,8 +141,10 @@ def test_the_panel_is_the_recorded_one():
 
 
 @pytest.mark.parametrize("key", list(PANEL), ids=lambda k: "-".join(map(str, k)))
-def test_allocation_is_the_parents(key):
-    assert fingerprint(key) == GOLDEN[key]
+def test_allocation_is_the_parents(key, rrset_backend):
+    """On every backend: ``pytest --backend numba`` replays the panel on
+    the compiled kernel."""
+    assert fingerprint(key, rrset_backend) == GOLDEN[key]
 
 
 if __name__ == "__main__":

@@ -31,6 +31,8 @@ from repro.errors import SessionError
 from repro.graph.generators import erdos_renyi
 from repro.graph.probabilities import constant_probabilities
 
+from tests.algorithms._reference_selector import make_session
+
 
 def _problem(seed: int = 0, num_ads: int = 3, budget: float = 6.0):
     graph = erdos_renyi(60, 0.05, seed=seed)
@@ -52,9 +54,9 @@ def _allocator(**kwargs):
     return TIRMAllocator(**kwargs)
 
 
-def _session(problem, allocator, **kwargs):
+def _session(problem, allocator, session_class=AllocationSession):
     engine = allocator._build_engine(problem, None, None)
-    return engine, AllocationSession(problem, allocator, engine=engine, **kwargs)
+    return engine, make_session(problem, allocator, session_class, engine)
 
 
 class TestStateMachine:
@@ -150,16 +152,16 @@ class TestStateMachine:
         pilot cover that would compute one runs once per ad — from
         ``ESTIMATE_THETA`` — and never again, while ``s_i`` still
         advances."""
-        from repro.algorithms import tirm as tirm_module
+        from repro.algorithms import session as session_module
 
         covers = []
-        cover = tirm_module.estimate_opt_lower_bound
+        cover = session_module.estimate_opt_lower_bound
 
         def spy(pilot, n, s):
             covers.append(s)
             return cover(pilot, n, s)
 
-        monkeypatch.setattr(tirm_module, "estimate_opt_lower_bound", spy)
+        monkeypatch.setattr(session_module, "estimate_opt_lower_bound", spy)
         problem = _problem()
         # min = max: the cap binds at θ(1) whatever the pilot estimates.
         result = _allocator(
@@ -243,13 +245,12 @@ class TestErrors:
                 session.result()
 
     def test_step_failure_lands_in_failed_state(self):
-        class Exploding(TIRMAllocator):
-            def _rebuild_heap(self, problem, ad, state):
+        class Exploding(AllocationSession):
+            def _rebuild_heap(self, ad, state):
                 raise ValueError("boom")
 
         problem = _problem()
-        allocator = Exploding(seed=0, max_rr_sets_per_ad=1_000)
-        engine, session = _session(problem, allocator)
+        engine, session = _session(problem, _allocator(), Exploding)
         with engine:
             with pytest.raises(ValueError, match="boom"):
                 session.run()

@@ -7,6 +7,7 @@ from repro.advertising.advertiser import Advertiser
 from repro.advertising.attention import AttentionBounds
 from repro.advertising.catalog import AdCatalog
 from repro.advertising.problem import AdAllocationProblem
+from repro.algorithms.session import AllocationSession
 from repro.algorithms.tirm import TIRMAllocator
 from repro.datasets.toy import figure1_problem
 from repro.errors import ConfigurationError
@@ -15,7 +16,7 @@ from repro.evaluation.evaluator import RegretEvaluator
 from repro.graph.generators import erdos_renyi, star_graph
 from repro.graph.probabilities import constant_probabilities
 
-from tests.algorithms._reference_selector import ReferenceSelector
+from tests.algorithms._reference_selector import ReferenceSelector, make_session
 
 
 def tirm(**kwargs):
@@ -34,6 +35,9 @@ class TestConfiguration:
             {"select_rule": "banana"},
             {"min_rr_sets_per_ad": 0},
             {"min_rr_sets_per_ad": 10, "max_rr_sets_per_ad": 5},
+            {"ell": float("nan")},
+            {"ell": float("inf")},
+            {"min_rr_sets_per_ad": float("nan")},
         ],
     )
     def test_rejects_bad_params(self, kwargs):
@@ -178,7 +182,7 @@ class TestTieBreaking:
         must pick the same candidate under every scan permutation."""
         import itertools
 
-        from repro.algorithms.tirm import _select_candidate
+        from repro.algorithms.session import _select_candidate
 
         chain = [
             (1.0, 0, 10, 0),
@@ -248,29 +252,29 @@ class _FullScan(ReferenceSelector):
     question: every scan pops the heap down to the answer, as if some
     node could always help."""
 
-    def _some_node_lowers_regret(self, problem, ad, state, budgets, cpes):
+    def _some_node_lowers_regret(self, ad, state):
         return True
 
 
-def _count_scans(monkeypatch, allocator_class):
+def _count_scans(monkeypatch, session_class):
     """Per ``_best_candidate`` call: ``(ad, entries popped, found one)``."""
     calls = []
     pops = [0]
-    pop_fresh = allocator_class._pop_fresh
-    best_candidate = allocator_class._best_candidate
+    pop_fresh = session_class._pop_fresh
+    best_candidate = session_class._best_candidate
 
     def counting_pop(self, *args):
         pops[0] += 1
         return pop_fresh(self, *args)
 
-    def counting_best(self, problem, ad, *args):
+    def counting_best(self, ad, *args):
         pops[0] = 0
-        best = best_candidate(self, problem, ad, *args)
+        best = best_candidate(self, ad, *args)
         calls.append((ad, pops[0], best is not None))
         return best
 
-    monkeypatch.setattr(allocator_class, "_pop_fresh", counting_pop)
-    monkeypatch.setattr(allocator_class, "_best_candidate", counting_best)
+    monkeypatch.setattr(session_class, "_pop_fresh", counting_pop)
+    monkeypatch.setattr(session_class, "_best_candidate", counting_best)
     return calls
 
 
@@ -293,7 +297,9 @@ class TestEndGame:
         problem = self._problem(penalty)
         kwargs = {**self.KWARGS, "seed": seed}
         retiring = TIRMAllocator(**kwargs).allocate(problem)
-        scanning = _FullScan(**kwargs).allocate(problem)
+        allocator = TIRMAllocator(**kwargs)
+        with allocator._build_engine(problem, None) as engine:
+            scanning = make_session(problem, allocator, _FullScan, engine).run()
         assert retiring.stats["iterations"] == scanning.stats["iterations"]
         for ad in range(problem.num_ads):
             assert retiring.allocation.seeds(ad) == scanning.allocation.seeds(ad)
@@ -304,11 +310,10 @@ class TestEndGame:
         count (one more ``_pop_fresh`` call may find it empty), a
         retired ad is not asked again, and the run pops a fraction of
         what the parent's heap walk did."""
-        from repro.algorithms import tirm as tirm_module
-        from repro.algorithms.session import AllocationSession
+        from repro.algorithms import session as session_module
 
         problem = self._problem()
-        calls = _count_scans(monkeypatch, TIRMAllocator)
+        calls = _count_scans(monkeypatch, AllocationSession)
         active = []
         select = AllocationSession._step_select
 
@@ -318,7 +323,7 @@ class TestEndGame:
 
         monkeypatch.setattr(AllocationSession, "_step_select", recording_select)
         TIRMAllocator(**self.KWARGS).allocate(problem)
-        limit = tirm_module._walk_limit(problem.num_nodes)
+        limit = session_module._walk_limit(problem.num_nodes)
         assert max(popped for _, popped, _ in calls) <= limit + 1
         # The parent (commit c3d1ac2) popped 26 042 entries over the same
         # 267 scans, 523 in the deepest one.
@@ -344,9 +349,8 @@ class TestEndGame:
         do, including on the ``2·remaining`` edge where the drop is 0."""
         import itertools
 
-        from repro.advertising.allocation import Allocation
         from repro.advertising.regret import regret_of
-        from repro.algorithms.tirm import _AdState
+        from repro.algorithms.session import _AdState
 
         class _Pool:
             def __init__(self, coverage, theta):
@@ -356,7 +360,6 @@ class TestEndGame:
                 return self._coverage
 
         rng = np.random.default_rng(0)
-        allocator = TIRMAllocator(seed=0)
         answers = set()
         cases = itertools.product(
             (0.0, 0.3), (0, 2), (0.0, 38.5, 39.45, 39.999999999999)
@@ -377,7 +380,8 @@ class TestEndGame:
                 AttentionBounds.uniform(n, 1),
                 penalty,
             )
-            budgets, cpes = problem.catalog.budgets(), problem.catalog.cpes()
+            session = make_session(problem, TIRMAllocator(seed=0))
+            budgets = session.budgets
             edge = rng.integers(0, 400, size=n)
             edge[0] = 40
             for coverage in (
@@ -385,14 +389,12 @@ class TestEndGame:
                 rng.integers(300, 400, size=n),   # every marginal far too big
                 np.zeros(n, dtype=np.int64),
             ):
-                state = _AdState(sampler=None, collection=_Pool(coverage, 1_000))
+                state = _AdState(collection=_Pool(coverage, 1_000))
                 state.revenue = revenue
                 state.seeds_in_order = list(range(num_seeds))
                 before = regret_of(budgets[0], revenue, penalty, num_seeds)
                 marginal = [
-                    allocator._marginal_revenue(
-                        problem, 0, state, node, int(coverage[node]), cpes
-                    )
+                    session._marginal_revenue(0, state, node, int(coverage[node]))
                     for node in range(n)
                 ]
                 scalar = [
@@ -401,14 +403,10 @@ class TestEndGame:
                     )
                     for node in range(n)
                 ]
-                marginals, drops = allocator._marginals_and_drops(
-                    problem, 0, state, budgets, cpes
-                )
+                marginals, drops = session._marginals_and_drops(0, state)
                 assert marginals.tolist() == marginal and drops.tolist() == scalar
                 on_the_edge += coverage is edge and scalar[0] == 0.0
-                answer = allocator._scan_coverage(
-                    problem, 0, state, Allocation(1, n), budgets, cpes
-                )
+                answer = session._scan_coverage(0, state)
                 lowers = any(drop > 1e-12 for drop in scalar)
                 if answer is not None:
                     node = answer[0]

@@ -9,10 +9,14 @@ these bit-for-bit (same seeds, same counts, same picks, same
 allocations).  Do not "fix" or optimise this file — its value is being
 frozen history.
 
-The one part that is not history is where the frozen TIRM loop gets its
-RR sets: :class:`StreamReplay` hands it the production
+Two parts are not history.  Where the frozen TIRM loop gets its RR
+sets: :class:`StreamReplay` hands it the production
 ``(entropy, ad, set_index)`` stream, so the loop, the collection and the
 greedy are compared against the default allocator on identical samples.
+And what it asks of each ad: the candidate scan, the heap and the
+revenue recount are the shipped
+:class:`~repro.algorithms.session.AllocationSession` methods, asked of a
+session that holds the loop's allocation.
 """
 
 from __future__ import annotations
@@ -21,9 +25,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.algorithms.tirm import TIRMAllocator, _AdState
+from repro.algorithms.session import AllocationSession, _AdState
+from repro.algorithms.tirm import TIRMAllocator
 from repro.rrset.sharded import ShardedSamplingEngine
 from repro.rrset.tim import required_rr_sets
+
+from tests.algorithms._reference_selector import make_session
 
 
 class LegacyRRSetCollection:
@@ -109,16 +116,6 @@ class LegacyRRSetCollection:
     def is_alive(self, set_id: int) -> bool:
         return self._alive[set_id]
 
-    def average_set_size(self) -> float:
-        if not self._sets:
-            return 0.0
-        return float(sum(len(s) for s in self._sets) / len(self._sets))
-
-    def memory_bytes(self) -> int:
-        sets_bytes = sum(s.nbytes for s in self._sets)
-        index_entries = sum(len(lst) for lst in self._member_of)
-        return int(sets_bytes + 8 * index_entries + self._coverage.nbytes)
-
 
 def legacy_greedy_max_coverage(
     sets: list[np.ndarray],
@@ -195,21 +192,19 @@ class LegacyTIRMAllocator(TIRMAllocator):
     name = "TIRM-legacy"
 
     def _allocate(self, problem):
-        import math
-
-        from repro.advertising.allocation import Allocation
         from repro.algorithms.base import AllocationResult
-        from repro.utils.rng import spawn_generators
 
-        h, n = problem.num_ads, problem.num_nodes
-        budgets = problem.catalog.budgets()
-        cpes = problem.catalog.cpes()
-        allocation = Allocation(h, n)
-        rngs = spawn_generators(self._seed, h)
+        h = problem.num_ads
+        selector = make_session(problem, self)
+        budgets = selector.budgets
+        allocation = selector.allocation
+        samplers = [
+            StreamReplay(problem, ad, self._seed, self.chunk_size) for ad in range(h)
+        ]
 
-        states = [self._initial_state(problem, ad, rngs[ad]) for ad in range(h)]
+        states = [self._initial_state(problem, samplers[ad]) for ad in range(h)]
         for ad in range(h):
-            self._rebuild_heap(problem, ad, states[ad])
+            selector._rebuild_heap(ad, states[ad])
 
         iterations = 0
         while True:
@@ -221,9 +216,7 @@ class LegacyTIRMAllocator(TIRMAllocator):
                 state = states[ad]
                 if not state.active:
                     continue
-                candidate = self._best_candidate(
-                    problem, ad, state, allocation, budgets, cpes
-                )
+                candidate = selector._best_candidate(ad, state)
                 if candidate is None:
                     continue
                 node, cov, _, drop = candidate
@@ -234,9 +227,7 @@ class LegacyTIRMAllocator(TIRMAllocator):
                 break
 
             state = states[best_ad]
-            marginal = self._marginal_revenue(
-                problem, best_ad, state, best_node, best_cov, cpes
-            )
+            marginal = selector._marginal_revenue(best_ad, state, best_node, best_cov)
             allocation.assign(best_node, best_ad)
             state.seeds_in_order.append(best_node)
             state.marginal_coverage[best_node] = best_cov
@@ -245,7 +236,9 @@ class LegacyTIRMAllocator(TIRMAllocator):
             iterations += 1
 
             if len(state.seeds_in_order) == state.seed_size_estimate:
-                self._grow_sample(problem, best_ad, state, budgets, cpes, marginal)
+                self._grow_sample(
+                    selector, best_ad, state, samplers[best_ad], marginal
+                )
 
         revenues = np.asarray([s.revenue for s in states])
         return AllocationResult(
@@ -258,23 +251,16 @@ class LegacyTIRMAllocator(TIRMAllocator):
                 "iterations": iterations,
                 "theta_per_ad": [s.theta for s in states],
                 "seed_size_estimates": [s.seed_size_estimate for s in states],
-                "total_rr_sets": int(sum(s.theta for s in states)),
-                "rr_memory_bytes": int(
-                    sum(s.collection.memory_bytes() for s in states)
-                ),
-                "epsilon": self.epsilon,
-                "select_rule": self.select_rule,
             },
         )
 
-    def _initial_state(self, problem, ad: int, rng) -> _AdState:
-        sampler = StreamReplay(problem, ad, self._seed, self.chunk_size)
+    def _initial_state(self, problem, sampler: StreamReplay) -> _AdState:
         collection = LegacyRRSetCollection(problem.num_nodes)
         pilot = max(
             min(self.initial_pilot, self.max_rr_sets_per_ad), self.min_rr_sets_per_ad
         )
         collection.add_sets(sampler.sample(pilot))
-        state = _AdState(sampler=sampler, collection=collection)
+        state = _AdState(collection=collection)
         target = self._theta_for(problem, state, s=1)
         if target > state.theta:
             collection.add_sets(sampler.sample(target - state.theta))
@@ -283,18 +269,19 @@ class LegacyTIRMAllocator(TIRMAllocator):
     def _theta_for(self, problem, state: _AdState, s: int) -> int:
         n = problem.num_nodes
         s = min(max(s, 1), n)
-        pilot = state.collection.all_sets()[: self._OPT_PILOT_SETS]
+        pilot = state.collection.all_sets()[: AllocationSession._OPT_PILOT_SETS]
         _, covered = legacy_greedy_max_coverage(pilot, n, s)
         opt_lower = max(n * covered / len(pilot), float(min(s, n)), 1.0)
         theta = required_rr_sets(n, s, self.epsilon, opt_lower, ell=self.ell)
         return int(min(max(theta, self.min_rr_sets_per_ad), self.max_rr_sets_per_ad))
 
-    def _grow_sample(self, problem, ad: int, state: _AdState, budgets, cpes,
-                     last_marginal: float) -> None:
+    def _grow_sample(self, selector, ad: int, state: _AdState,
+                     sampler: StreamReplay, last_marginal: float) -> None:
         import math
 
         from repro.advertising.regret import regret_of
 
+        problem, budgets = selector.problem, selector.budgets
         regret = regret_of(
             budgets[ad], state.revenue, problem.penalty, len(state.seeds_in_order)
         )
@@ -310,10 +297,10 @@ class LegacyTIRMAllocator(TIRMAllocator):
         extra = target - state.theta
         if extra <= 0:
             return
-        state.collection.add_sets(state.sampler.sample(extra))
+        state.collection.add_sets(sampler.sample(extra))
         for node in state.seeds_in_order:
             fresh = len(state.collection.sets_containing(node, alive_only=True))
             state.marginal_coverage[node] += fresh
             state.collection.remove_covered(node)
-        self._recompute_revenue(problem, ad, state, cpes)
-        self._rebuild_heap(problem, ad, state)
+        selector._recompute_revenue(ad, state)
+        selector._rebuild_heap(ad, state)

@@ -141,6 +141,20 @@ def test_malformed_request_gets_one_error_line(served, line, message):
     _assert_still_serving(port)
 
 
+def test_non_finite_param_is_refused_before_a_job_exists(served):
+    """``json.loads`` reads ``NaN``: the submit must be refused with one
+    error line, not accepted and left to fail in the background."""
+    port, _ = served
+    (reply,) = _exchange(
+        port,
+        b'{"op": "submit-allocation", "dataset": "figure1", '
+        b'"params": {"ell": NaN}}\n',
+    )
+    assert "ell must be finite" in _error_of(reply)
+    (line,) = _exchange(port, b'{"op": "ping"}\n')
+    assert json.loads(line)["jobs"] == 0
+
+
 def test_connection_survives_a_bad_line(served):
     """An error reply does not cost the connection: the next line on
     the same socket is served."""

@@ -581,9 +581,13 @@ class TestReallocate:
         ]
 
     def test_add_and_remove_ads_rebuild_the_instance(self):
+        """A changed catalog leases cold but runs under the source job's
+        own config, non-default knobs included."""
         problem = _problem()
+        params = {**PARAMS, "ell": 0.5, "select_rule": "coverage",
+                  "max_iterations": 4}
         with JobManager(cache=None) as manager:
-            job = manager.submit(problem=problem, params=PARAMS)
+            job = manager.submit(problem=problem, params=params)
             manager.wait(job.job_id, timeout=60)
             grown = manager.reallocate(
                 job.job_id,
@@ -594,8 +598,12 @@ class TestReallocate:
             shrunk_result = manager.result(shrunk.job_id)
         assert grown.problem.num_ads == problem.num_ads + 1
         assert shrunk.problem.num_ads == problem.num_ads - 1
-        cold_grown = TIRMAllocator(**PARAMS).allocate(grown.problem)
-        cold_shrunk = TIRMAllocator(**PARAMS).allocate(shrunk.problem)
+        assert grown.allocator is job.allocator is shrunk.allocator
+        for result in (grown_result, shrunk_result):
+            assert result.stats["select_rule"] == "coverage"
+            assert result.stats["truncated"] and result.stats["iterations"] == 4
+        cold_grown = TIRMAllocator(**params).allocate(grown.problem)
+        cold_shrunk = TIRMAllocator(**params).allocate(shrunk.problem)
         _assert_same_result(grown_result, cold_grown)
         _assert_same_result(shrunk_result, cold_shrunk)
 
