@@ -10,10 +10,11 @@ selector and the Algorithm-4 updates — lives in
 :class:`~repro.algorithms.session.AllocationSession` state machine;
 ``allocate()`` builds one engine, runs one session to completion, and
 closes the engine.  ``engine=`` names the substrate the engine's one
-chunk path fans out over — in-process, a process pool, or a socket
-fleet (:mod:`repro.rrset.sharded`) — and is the only substrate choice
-there is: every substrate yields the same bytes, so how workers start
-and how blocks travel home are observed and recorded, never configured.
+chunk path fans out over — in-process, a fleet of forked workers, or
+a fleet of dialled socket workers (:mod:`repro.rrset.sharded`) — and is
+the only substrate choice there is: every substrate yields the same
+bytes, so how workers start and how blocks travel home are recorded,
+never configured.
 Long-lived callers (the :mod:`repro.service` tier) drive sessions
 directly over pooled engines instead.
 """
@@ -60,7 +61,7 @@ class TIRMAllocator(Allocator):
         ``"serial"`` (default) samples every ad's RR-sets in-process;
         ``"process"`` fans the sharded engine's chunk tasks — the
         batched pilot phase *and* every single-ad growth top-up — across
-        a process pool.  The two produce identical
+        forked worker processes.  The two produce identical
         allocations for the same ``(seed, chunk_size)``: every chunk of
         RR sets is a pure function of its ``(seed, ad, set_index)``
         address.  ``"dist"`` scatters the same chunk
@@ -99,9 +100,9 @@ class TIRMAllocator(Allocator):
         *resolved* name.
     transport:
         Accepted with the single value ``"auto"``: how chunk blocks
-        travel home is decided by the engine substrate (shared-memory
-        descriptors in-process, RESULT frames over the fleet's sockets),
-        not configured.  Any other value raises
+        travel home is decided by the engine substrate (computed inline
+        on ``engine="serial"``, RESULT frames over the fleet's sockets
+        otherwise), not configured.  Any other value raises
         :class:`~repro.errors.ConfigurationError`.  Stats, provenance
         and checkpoints record what ran; resume never matches on it.
     initial_pilot:
@@ -110,7 +111,7 @@ class TIRMAllocator(Allocator):
         Clamp on each ``θ_i`` — the max keeps laptop-scale runs bounded
         (the paper ran on a 65 GB server).
     max_workers:
-        Process-pool width for ``engine="process"`` (default: cpu count).
+        Forked workers for ``engine="process"`` (default: cpu count).
     checkpoint_path / checkpoint_every:
         Snapshot the in-flight allocation to ``checkpoint_path`` every
         ``checkpoint_every`` iteration boundaries (default 1 when a path
@@ -419,10 +420,7 @@ class TIRMAllocator(Allocator):
             "rng": self.rng,
             "chunk_size": self.chunk_size,
             "backend": self._backend_obj.name,
-            "transport": (
-                "socket" if self.engine == "dist"
-                else ShardedSamplingEngine.transport
-            ),
+            "transport": "inline" if self.engine == "serial" else "socket",
             "sampler_mode": STREAM_MODE,
             "select_rule": self.select_rule,
             "epsilon": self.epsilon,

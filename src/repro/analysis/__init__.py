@@ -2,7 +2,7 @@
 
 The headline guarantee of this codebase — every RR set is a pure
 function of ``(seed, ad, set_index)``, byte-identical across
-serial/process/fleet, fork/spawn, numpy/numba
+serial/process/dist, any worker count, numpy/numba
 (``docs/architecture.md``) — is enforced here as *machine-checked
 policy*, not convention:
 
@@ -12,8 +12,8 @@ policy*, not convention:
   declaring the sanctioned RNG seams and hot-path modules
   (:mod:`repro.analysis.config`);
 * the shipped rule set: R101 RNG discipline, R102 nondeterministic seed
-  sources, R103 unordered hot-path iteration, R104 shared-memory unlink
-  hygiene, R105 pool-buffer encapsulation — see the "Enforced
+  sources, R103 unordered hot-path iteration, R104 file-handle and
+  socket hygiene, R105 pool-buffer encapsulation — see the "Enforced
   invariants" table in ``docs/architecture.md``;
 * entry points: ``repro lint [paths]`` and ``python -m repro.analysis``
   (exit 0 clean / 1 findings / 2 usage errors).

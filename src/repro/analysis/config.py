@@ -96,7 +96,8 @@ class AnalysisConfig:
     #: Modules where R104 additionally enforces network-resource
     #: hygiene: a scope that creates an asyncio server
     #: (``asyncio.start_server``) or a raw socket (``socket.socket`` /
-    #: ``socket.create_server`` / ``socket.create_connection``) must
+    #: ``socket.create_server`` / ``socket.create_connection`` /
+    #: ``socket.socketpair``) must
     #: reach a ``close()`` / ``wait_closed()`` on its success *and*
     #: error flows, unless the object is managed by a ``with`` block.
     #: The resident service and the distributed tier hold these

@@ -107,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Determinism-contract linter: checks the REPRO1xx invariants "
             "(RNG discipline, seed sources, hot-path iteration order, "
-            "shared-memory hygiene, pool-buffer encapsulation)"
+            "resource hygiene, pool-buffer encapsulation)"
         ),
     )
     parser.add_argument(

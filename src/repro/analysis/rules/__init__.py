@@ -12,7 +12,7 @@ from repro.analysis.rules.base import LintContext, Rule, dotted_name, run_rules
 from repro.analysis.rules.r101_rng import RngDisciplineRule
 from repro.analysis.rules.r102_seed_sources import SeedSourceRule
 from repro.analysis.rules.r103_unordered_iteration import UnorderedIterationRule
-from repro.analysis.rules.r104_shared_memory import SharedMemoryUnlinkRule
+from repro.analysis.rules.r104_resource_hygiene import ResourceHygieneRule
 from repro.analysis.rules.r105_pool_internals import PoolInternalsRule
 
 #: Every shipped rule class, in code order.
@@ -20,7 +20,7 @@ ALL_RULES: tuple[type[Rule], ...] = (
     RngDisciplineRule,
     SeedSourceRule,
     UnorderedIterationRule,
-    SharedMemoryUnlinkRule,
+    ResourceHygieneRule,
     PoolInternalsRule,
 )
 
@@ -39,10 +39,10 @@ __all__ = [
     "ALL_RULES",
     "LintContext",
     "PoolInternalsRule",
+    "ResourceHygieneRule",
     "RngDisciplineRule",
     "Rule",
     "SeedSourceRule",
-    "SharedMemoryUnlinkRule",
     "UnorderedIterationRule",
     "default_rules",
     "dotted_name",

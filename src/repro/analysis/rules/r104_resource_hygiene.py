@@ -1,37 +1,29 @@
-"""R104 — resource hygiene: shm segments unlinked, file handles scoped.
-
-``SharedMemory(create=True)`` allocates a kernel object that outlives
-the process; a path that exits without ``unlink()`` leaks ``/dev/shm``
-until reboot.  The engine's transport code unlinks exactly once on every
-path (PR 6), and this rule keeps it that way: a scope that creates a
-segment must contain an ``unlink()`` on its *success* flow (plain
-statements, ``try`` body, or ``finally``) **and** one on an *error*
-flow (``except`` handler or ``finally``).
-
-The rule is scope-local by design — it cannot see ownership handoffs,
-where the creator returns the segment name and a different scope
-unlinks (the descriptor transport does exactly this).  Those sites are
-correct by a cross-scope argument the linter cannot check, and carry a
-``# reprolint: disable=R104`` with the justification in the comment.
+"""R104 — resource hygiene: file handles scoped, sockets closed.
 
 In the storage tier (``resource_hygiene_modules``, i.e. ``store/``)
-the rule additionally flags a bare ``open()`` whose result is not
-managed by a ``with`` block: the shard cache writes block files on hot
-sampling paths, and a handle that escapes its statement stays open
-across error paths — on the same leak axis as an unlinked segment, so
-it lives under the same code.
+the rule flags a bare ``open()`` whose result is not managed by a
+``with`` block: the shard cache writes block files on hot sampling
+paths, and a handle that escapes its statement stays open across error
+paths.
 
 In the service tier (``service_modules``, i.e. ``service/`` and the
 distributed tier ``dist/``) the rule enforces the same discipline for
 network resources: a scope that creates an asyncio server
 (``asyncio.start_server``) or a socket (``socket.socket`` /
-``socket.create_server`` / ``socket.create_connection``) must reach a
-``close()`` or ``wait_closed()`` call on both its success and error
-flows — unless the object is managed by a ``with`` / ``async with``
-block, which closes on every path by construction.  The resident
-service and the coordinator hold these objects across whole client and
-worker lifetimes, so one missed close on an error path accumulates
-forever.
+``socket.create_server`` / ``socket.create_connection`` /
+``socket.socketpair``) must reach a ``close()`` or ``wait_closed()``
+call on both its success and error flows — unless the object is
+managed by a ``with`` / ``async with`` block, which closes on every
+path by construction.  The resident service, the coordinator and the
+forked ``engine="process"`` fleet hold these objects across whole
+client and worker lifetimes, so one missed close on an error path
+accumulates forever.
+
+The rule is scope-local by design — it cannot see ownership handoffs,
+where the creator hands a socket to another scope that closes it (a
+listener closed by ``Coordinator.close``).  Those sites are correct by
+a cross-scope argument the linter cannot check, and carry a
+``# reprolint: disable=R104`` with the justification in the comment.
 """
 
 from __future__ import annotations
@@ -51,6 +43,7 @@ NETWORK_CREATORS = {
     "socket.socket": "socket",
     "socket.create_server": "listening socket",
     "socket.create_connection": "socket",
+    "socket.socketpair": "socket pair",
 }
 
 
@@ -64,74 +57,10 @@ def _creates_network_resource(call: ast.Call) -> str | None:
     return None
 
 
-def _creates_segment(call: ast.Call) -> bool:
-    name = dotted_name(call.func)
-    if name is None or name.split(".")[-1] != "SharedMemory":
-        return False
-    for keyword in call.keywords:
-        if keyword.arg == "create":
-            return (
-                isinstance(keyword.value, ast.Constant)
-                and keyword.value.value is True
-            )
-    return False
-
-
-class _ScopeScan(ast.NodeVisitor):
-    """Collect, within one function scope, the segment-create calls and
-    where unlink calls sit relative to error handling."""
-
-    def __init__(self) -> None:
-        self.creates: list[ast.Call] = []
-        self.success_unlink = False
-        self.error_unlink = False
-        self._in_error_flow = 0
-
-    # Nested scopes are scanned separately — don't descend.
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        pass
-
-    visit_AsyncFunctionDef = visit_FunctionDef
-
-    def visit_Lambda(self, node: ast.Lambda) -> None:
-        pass
-
-    def visit_Try(self, node: ast.Try) -> None:
-        for child in node.body + node.orelse:
-            self.visit(child)
-        self._in_error_flow += 1
-        for handler in node.handlers:
-            self.visit(handler)
-        self._in_error_flow -= 1
-        # ``finally`` runs on both flows.
-        for child in node.finalbody:
-            self.visit(child)
-            for sub in ast.walk(child):
-                if self._is_unlink(sub):
-                    self.error_unlink = True
-
-    def _is_unlink(self, node: ast.AST) -> bool:
-        return (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "unlink"
-        )
-
-    def visit_Call(self, node: ast.Call) -> None:
-        if _creates_segment(node):
-            self.creates.append(node)
-        if self._is_unlink(node):
-            if self._in_error_flow:
-                self.error_unlink = True
-            else:
-                self.success_unlink = True
-        self.generic_visit(node)
-
-
 class _ServiceScopeScan(ast.NodeVisitor):
     """Collect, within one function scope, the network-resource creates
     (not managed by ``with``) and where close calls sit relative to
-    error handling — the socket analogue of :class:`_ScopeScan`."""
+    error handling."""
 
     #: Call attributes that count as closing a network resource.
     CLOSERS = frozenset({"close", "wait_closed"})
@@ -185,12 +114,12 @@ class _ServiceScopeScan(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-class SharedMemoryUnlinkRule(Rule):
+class ResourceHygieneRule(Rule):
     code = "R104"
     description = (
-        "SharedMemory(create=True) needs a reachable unlink() on every "
-        "path of its scope (success and error); in storage-tier modules "
-        "open() must be managed by a with block"
+        "in storage-tier modules open() must be managed by a with block; "
+        "in service-tier modules a server, socket or socket pair needs a "
+        "reachable close() on every path of its scope (success and error)"
     )
 
     def _scopes(self, tree: ast.Module):
@@ -200,9 +129,9 @@ class SharedMemoryUnlinkRule(Rule):
                 yield node
 
     def _check_file_handles(self, context: LintContext) -> Iterator[Finding]:
-        """Storage-tier extension: every bare ``open()`` call must be a
-        ``with`` item's context expression, so the handle cannot outlive
-        its statement on any path."""
+        """Every bare ``open()`` call must be a ``with`` item's context
+        expression, so the handle cannot outlive its statement on any
+        path."""
         managed: set[int] = set()
         for node in ast.walk(context.tree):
             if isinstance(node, (ast.With, ast.AsyncWith)):
@@ -224,9 +153,9 @@ class SharedMemoryUnlinkRule(Rule):
                 )
 
     def _check_network_resources(self, context: LintContext) -> Iterator[Finding]:
-        """Service-tier extension: servers and sockets created in a
-        scope need a reachable close on its success and error flows,
-        unless a ``with`` block manages them."""
+        """Servers and sockets created in a scope need a reachable close
+        on its success and error flows, unless a ``with`` block manages
+        them."""
         managed: set[int] = set()
         for node in ast.walk(context.tree):
             if isinstance(node, (ast.With, ast.AsyncWith)):
@@ -266,26 +195,3 @@ class SharedMemoryUnlinkRule(Rule):
             yield from self._check_file_handles(context)
         if context.config.is_service(context.module):
             yield from self._check_network_resources(context)
-        for scope in self._scopes(context.tree):
-            scan = _ScopeScan()
-            body = scope.body if not isinstance(scope, ast.Module) else scope.body
-            for statement in body:
-                scan.visit(statement)
-            if not scan.creates:
-                continue
-            missing = []
-            if not scan.success_unlink:
-                missing.append("success path")
-            if not scan.error_unlink:
-                missing.append("error path (except/finally)")
-            if not missing:
-                continue
-            for call in scan.creates:
-                yield context.finding(
-                    call,
-                    self.code,
-                    f"SharedMemory(create=True) without a reachable unlink() "
-                    f"on the {' or '.join(missing)} of this scope — leak on "
-                    f"/dev/shm; if ownership transfers to another scope, "
-                    f"suppress with the justification in the comment",
-                )

@@ -87,8 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
     allocate.add_argument("--max-rr-sets", type=int, default=20_000, dest="max_rr_sets")
     allocate.add_argument("--engine", choices=("serial", "process", "dist"),
                           default="serial",
-                          help="RR-set sampling engine: in-process serial, the "
-                               "per-advertiser sharded process pool, or the "
+                          help="RR-set sampling engine: in-process serial, a "
+                               "fleet of forked worker processes, or the "
                                "distributed coordinator over socket workers "
                                "(TIRM only; all give identical allocations "
                                "for a seed)")
@@ -109,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "backends give byte-identical allocations for "
                                "a seed — only throughput differs")
     allocate.add_argument("--workers", type=int, default=None,
-                          help="process-pool width for --engine process "
+                          help="forked workers for --engine process "
                                "(default: cpu count)")
     allocate.add_argument("--dsan", action="store_true",
                           help="enable the runtime determinism sanitizer "

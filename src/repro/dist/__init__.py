@@ -19,10 +19,10 @@ purity over a socket:
     reassignment; a worker that dies, hangs, or returns a corrupt block
     has its chunk requeued to the survivors, byte-identically.
 :mod:`repro.dist.engine`
-    :class:`DistributedEngine` — the sharded engine with a socket fleet
-    as its chunk substrate (``submit`` / ``collect`` / ``drain``),
-    so :class:`~repro.algorithms.tirm.TIRMAllocator`, the allocation
-    session, and the service tier run distributed unchanged.
+    The fleet substrate (``submit`` / ``collect`` / ``drain``) — over
+    forked socketpair workers for ``engine="process"``, and over dialled
+    socket workers for :class:`DistributedEngine` — so TIRM, the
+    session, and the service tier run on either unchanged.
 
 **Topology is provenance, not contract**: worker count, worker
 placement, per-worker backends, and the coordinator's retry schedule

@@ -1,11 +1,12 @@
 """The stateful half of the distributed tier: task queue + worker fleet.
 
-One :class:`Coordinator` owns a listening socket, a deque of chunk
-tasks, and one serving thread per connected worker.  Engines register
-*sessions* (the payload a worker needs to re-derive any chunk: graph
-CSR + probability rows + entropies) and submit ``(session, ad, chunk)``
-tasks; workers receive each session's payload once per connection and
-then stream RESULT blocks back.
+One :class:`Coordinator` owns a deque of chunk tasks and one serving
+thread per worker — dialled in (:meth:`Coordinator.start`) or adopted
+(:meth:`Coordinator.adopt`: a forked child's socketpair end).  Engines
+register *sessions* (the payload a worker needs to re-derive any chunk:
+graph CSR + probability rows + entropies) and submit ``(session, ad,
+chunk)`` tasks; workers receive each session's payload once per
+connection, unless they hold it already, and stream RESULT blocks back.
 
 Fault model — the coordinator owns retry/timeout/backoff, the workers
 own nothing:
@@ -107,8 +108,9 @@ class _Task:
 class Coordinator:
     """Accepts workers, scatters chunk tasks, reassigns on failure.
 
-    Thread layout: one accept loop, one monitor (zero-worker grace),
-    and one serving thread per worker connection.  All shared state —
+    Thread layout: one accept loop (only once :meth:`start` bound a
+    listener), one monitor (zero-worker grace), and one serving thread
+    per worker connection.  All shared state —
     the task deque, the session registry, the worker table, the stats —
     lives under one condition variable.
     """
@@ -138,6 +140,7 @@ class Coordinator:
         self._session_ids = itertools.count()
         self._worker_ids = itertools.count()
         self._listener: socket.socket | None = None
+        self._monitoring = False
         self._threads: list[threading.Thread] = []
         self._stop = threading.Event()
         self._stats = {
@@ -170,22 +173,37 @@ class Coordinator:
             return self
         listener = socket.create_server((self.host, self.port))  # reprolint: disable=R104 -- ownership transfers: close() owns the single close after the accept loop exits; the error path below closes locally
         try:
-            listener.settimeout(0.2)
             self.port = listener.getsockname()[1]
             self._listener = listener
-            for name, target in (
-                ("accept", self._accept_loop), ("monitor", self._monitor_loop),
-            ):
-                thread = threading.Thread(
-                    target=target, name=f"repro-dist-{name}", daemon=True
-                )
-                thread.start()
-                self._threads.append(thread)
+            self._thread("accept", self._accept_loop)
+            self._ensure_monitor()
         except BaseException:
             self._listener = None
             listener.close()
             raise
         return self
+
+    def adopt(self, conn: socket.socket, *, announced=()) -> None:
+        """Serve (and own) an already connected worker socket like an
+        accepted one.  ``announced`` names sessions the worker already
+        holds, whose SETUP and PAYLOAD never cross this connection."""
+        with self._cond:
+            if self._stop.is_set():
+                raise ConfigurationError("coordinator is closed")
+        self._ensure_monitor()
+        self._thread("worker", self._serve_worker, conn, "adopted", set(announced))
+
+    def _ensure_monitor(self) -> None:
+        if not self._monitoring:
+            self._monitoring = True
+            self._thread("monitor", self._monitor_loop)
+
+    def _thread(self, name: str, target, *args) -> None:
+        thread = threading.Thread(
+            target=target, args=args, name=f"repro-dist-{name}", daemon=True
+        )
+        thread.start()
+        self._threads.append(thread)
 
     def close(self) -> None:
         """Stop accepting, fail every queued future, disconnect every
@@ -205,9 +223,17 @@ class Coordinator:
             ))
         listener, self._listener = self._listener, None
         if listener is not None:
+            # Wakes the accept loop at once (a bare close() does not
+            # interrupt a blocked accept()).
+            try:
+                listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             listener.close()
+        current = threading.current_thread()  # a GC-driven close may run on one
         for thread in self._threads:
-            thread.join(timeout=5.0)
+            if thread is not current:
+                thread.join(timeout=5.0)
         self._threads.clear()
 
     def __enter__(self) -> "Coordinator":
@@ -219,14 +245,15 @@ class Coordinator:
     # ------------------------------------------------------------------
     # Engine-facing API
     # ------------------------------------------------------------------
-    def register_session(self, meta: dict, payload: bytes) -> int:
-        """Register one engine's worker payload; returns the session id
-        every subsequent :meth:`submit` must carry."""
+    def register_session(self, meta: dict, payload) -> int:
+        """Register one engine's worker payload (any bytes-like object,
+        held as is); returns the session id every subsequent
+        :meth:`submit` must carry."""
         with self._cond:
             if self._stop.is_set():
                 raise ConfigurationError("coordinator is closed")
             session_id = next(self._session_ids)
-            self._sessions[session_id] = (dict(meta), bytes(payload))
+            self._sessions[session_id] = (dict(meta), payload)
         return session_id
 
     def release_session(self, session_id: int) -> None:
@@ -285,16 +312,14 @@ class Coordinator:
                 return
             try:
                 conn, addr = listener.accept()
-            except TimeoutError:
-                continue
             except OSError:
-                return  # close() closed the listener under us
-            thread = threading.Thread(
-                target=self._serve_worker, args=(conn, addr),
-                name="repro-dist-worker", daemon=True,
+                return  # close() shut the listener down under us
+            # Header and payload go out as two writes: without this a
+            # small payload waits on the peer's delayed ACK (Nagle).
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self._thread(
+                "worker", self._serve_worker, conn, f"{addr[0]}:{addr[1]}", set()
             )
-            thread.start()
-            self._threads.append(thread)
 
     def _monitor_loop(self) -> None:
         """Fail queued tasks once the fleet has been empty too long —
@@ -369,10 +394,10 @@ class Coordinator:
         self._queue.append(task)
         self._cond.notify()
 
-    def _serve_worker(self, conn: socket.socket, addr) -> None:
+    def _serve_worker(self, conn: socket.socket, addr: str,
+                      announced: set[int]) -> None:
         worker = f"worker-{next(self._worker_ids)}"
         decoder = frames.FrameDecoder(self.max_frame_bytes)
-        announced: set[int] = set()
         registered = False
         task: _Task | None = None
         failure: str | None = None
@@ -394,9 +419,7 @@ class Coordinator:
             if name:
                 worker = f"{name}#{worker.split('-')[-1]}"
             with self._cond:
-                self._workers[worker] = {
-                    "addr": f"{addr[0]}:{addr[1]}", "tasks": 0,
-                }
+                self._workers[worker] = {"addr": addr, "tasks": 0}
                 self._stats["workers_connected"] += 1
                 registered = True
                 self._cond.notify_all()

@@ -1,15 +1,16 @@
-"""The engine seam over remote workers: :class:`DistributedEngine`.
+"""The fleet: the one fan-out substrate of the sharded engine.
 
-A :class:`~repro.rrset.sharded.ShardedSamplingEngine` whose substrate is
-a socket fleet: the engine's one chunk path — scatter, gather in
-ascending ``(ad, chunk)`` order, splice, dsan recording, tail memo,
-shard cache write-through — runs unchanged, and only *where a chunk is
-computed* differs.  :class:`_Fleet` implements the substrate seam
-(``submit`` / ``collect`` / ``drain``) over a
-:class:`~repro.dist.coordinator.Coordinator` session, so serial,
-process-pool, and distributed runs are byte-identical by construction.
-``TIRMAllocator``, the allocation session, checkpointing, and the
-service tier run on it unchanged.
+:class:`_Fleet` implements the engine's substrate seam (``submit`` /
+``collect`` / ``drain``) over a
+:class:`~repro.dist.coordinator.Coordinator` session; the engine's one
+chunk path (scatter, ordered gather, splice, dsan, tail memo, cache
+write-through) runs unchanged, so serial, process and distributed runs
+are byte-identical by construction.  Its workers come two ways and
+speak the same frames, digests and retries: ``max_workers`` children
+forked at the first submit, each on a ``socketpair`` a private
+coordinator adopts (:class:`_LocalFleet`, ``engine="process"``), or
+``repro worker`` processes dialling a coordinator's TCP listener
+(:class:`DistributedEngine`, ``engine="dist"``).
 
 Fallback guarantee: a future that fails because the fleet is empty
 (:class:`~repro.dist.coordinator.WorkersUnavailableError`) or a chunk
@@ -20,20 +21,28 @@ would have evaluated, so an allocation always completes with identical
 bytes.
 
 Topology — worker count, worker backends, placement, the retry
-schedule — is provenance, not contract: :meth:`dist_stats` feeds the
-run's stats/provenance, and nothing in it can change a shard byte.
+schedule — is provenance, not contract: :meth:`DistributedEngine.dist_stats`
+feeds the run's stats/provenance, and nothing in it can change a shard
+byte.
 """
 
 from __future__ import annotations
 
+import os
+import signal
+import socket
+import time
 import warnings
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from repro.dist.coordinator import (
     Coordinator,
     TaskFailedError,
     WorkersUnavailableError,
 )
+from repro.dist.worker import serve_forked
 from repro.errors import ConfigurationError
 from repro.graph.digraph import DirectedGraph
 from repro.rrset.sharded import ChunkSubstrate, ShardedSamplingEngine, _Block
@@ -45,10 +54,20 @@ _COORDINATOR_SPEC_KEYS = frozenset({
     "worker_grace", "max_frame_bytes",
 })
 
+#: Seconds a forked fleet may sit without a live child before its queued
+#: chunks fall back to the parent: it has no listener, so nobody can join.
+_LOCAL_GRACE = 1.0
+
+#: Seconds ``close()`` gives forked children to exit after SHUTDOWN
+#: before they are killed.
+_REAP_GRACE = 5.0
+
 
 class _Fleet(ChunkSubstrate):
-    """The socket-fleet substrate: chunks are tasks of one coordinator
-    session; a chunk the fleet cannot deliver is computed locally."""
+    """The fleet substrate: chunks are tasks of one coordinator session;
+    a chunk the fleet cannot deliver is computed locally."""
+
+    transport = "socket"
 
     def __init__(self, coordinator, session_id, owned, source, label) -> None:
         self.coordinator = coordinator
@@ -70,7 +89,7 @@ class _Fleet(ChunkSubstrate):
             if not self.warned:
                 self.warned = True
                 warnings.warn(
-                    f"{self._label}: remote chunk (ad={ad}, "
+                    f"{self._label}: fleet chunk (ad={ad}, "
                     f"chunk={chunk_index}) failed ({exc}); computing "
                     f"locally — results are byte-identical, only the substrate "
                     f"changed",
@@ -80,10 +99,16 @@ class _Fleet(ChunkSubstrate):
             self.fallbacks += 1
             return _Block(*self._source.block(ad, chunk_index))
 
+    def reset(self) -> None:
+        self.fallbacks = 0
+        self.warned = False
+
     def close(self) -> None:
         """Release the payload held by the coordinator — and the
-        coordinator itself when the engine built it from a spec (a
-        borrowed coordinator belongs to the caller)."""
+        coordinator itself when the fleet owns it (a borrowed
+        coordinator belongs to the caller)."""
+        if self.coordinator is None:
+            return
         try:
             self.coordinator.release_session(self.session_id)
         except Exception:  # pragma: no cover - teardown must not raise
@@ -95,8 +120,95 @@ class _Fleet(ChunkSubstrate):
                 pass
 
 
+class _LocalFleet(_Fleet):
+    """``engine="process"``: ``max_workers`` forked children behind a
+    private coordinator that never binds.
+
+    The first submit forks every child — before any coordinator thread
+    exists — and only then adopts the parent ends.  A child serves the
+    chunk source it inherited (:func:`~repro.dist.worker.serve_forked`),
+    so no SETUP or PAYLOAD ever crosses a pair.  :meth:`close` has the
+    coordinator send SHUTDOWN, then reaps every child.  Without
+    ``os.fork`` the parent computes every chunk and warns once.
+    """
+
+    def __init__(self, source, max_workers, label) -> None:
+        super().__init__(None, None, True, source, label)
+        self.start_method = "fork" if hasattr(os, "fork") else None
+        self.transport = "socket" if self.start_method else "inline"
+        self.max_workers = max_workers or os.cpu_count() or 1
+        #: The forked children, in fork order (empty until the first
+        #: submit, and again once reaped).
+        self.pids: list[int] = []
+        self._warned_inline = False
+
+    @property
+    def executor(self) -> Coordinator | None:
+        """The private coordinator; ``None`` until the first submit."""
+        return self.coordinator
+
+    def submit(self, ad: int, chunk_index: int):
+        if self.start_method is None:
+            if not self._warned_inline:
+                self._warned_inline = True
+                # The label makes the message unique per engine, so the
+                # warnings registry cannot swallow it after the first.
+                warnings.warn(
+                    f"no usable process start method (os.fork is unavailable); "
+                    f"{self._label} (engine='process') will sample serially",
+                    RuntimeWarning,
+                    stacklevel=4,
+                )
+            return None
+        if self.coordinator is None:
+            self._fork()
+        return super().submit(ad, chunk_index)
+
+    def _fork(self) -> None:
+        coordinator = Coordinator(worker_grace=_LOCAL_GRACE)
+        session_id = coordinator.register_session({}, b"")
+        pairs = [socket.socketpair() for _ in range(self.max_workers)]
+        ends = [end for pair in pairs for end in pair]
+        try:
+            for _, child_end in pairs:
+                pid = os.fork()
+                if pid == 0:
+                    serve_forked(child_end, ends, session_id, self._source)
+                self.pids.append(pid)
+            for parent_end, child_end in pairs:
+                child_end.close()
+                coordinator.adopt(parent_end, announced=(session_id,))
+        except BaseException:
+            for end in ends:
+                end.close()
+            coordinator.close()
+            self._reap()
+            raise
+        self.coordinator, self.session_id = coordinator, session_id
+
+    def close(self) -> None:
+        super().close()
+        self._reap()
+
+    def _reap(self) -> None:
+        """Wait for every child; one still running ``_REAP_GRACE``
+        seconds after SHUTDOWN (or its pair closing) is killed."""
+        deadline = time.monotonic() + _REAP_GRACE
+        for pid in self.pids:
+            try:
+                while not os.waitpid(pid, os.WNOHANG)[0]:
+                    if time.monotonic() > deadline:
+                        os.kill(pid, signal.SIGKILL)
+                        os.waitpid(pid, 0)
+                        break
+                    time.sleep(0.005)
+            except ChildProcessError:  # pragma: no cover - reaped elsewhere
+                pass
+        self.pids.clear()
+
+
 class DistributedEngine(ShardedSamplingEngine):
-    """Chunk-parallel sampling over socket workers.
+    """Chunk-parallel sampling over socket workers that dial in.
 
     Parameters (beyond the base engine's)
     -------------------------------------
@@ -111,7 +223,6 @@ class DistributedEngine(ShardedSamplingEngine):
     """
 
     _engine_modes = ("dist",)
-    transport = "socket"
 
     def __init__(
         self,
@@ -149,11 +260,6 @@ class DistributedEngine(ShardedSamplingEngine):
     # benchmark's traced pass (``bench/layers.py``) wraps it there.
     prefetch = ShardedSamplingEngine.prefetch
 
-    def reset_for_reuse(self) -> None:
-        super().reset_for_reuse()
-        self._substrate.fallbacks = 0
-        self._substrate.warned = False
-
     # ------------------------------------------------------------------
     # Session plumbing
     # ------------------------------------------------------------------
@@ -174,15 +280,27 @@ class DistributedEngine(ShardedSamplingEngine):
             f"got {type(coordinator).__name__}"
         )
 
-    def _session_payload(self) -> tuple[dict, bytes]:
-        """The session's SETUP meta + flat PAYLOAD bytes — the same
-        arrays, layout, and alignment as the spawn arena, so both worker
-        kinds rebuild identical chunk sources."""
+    def _session_payload(self) -> tuple[dict, bytearray]:
+        """The session's SETUP meta + flat PAYLOAD bytes — the graph
+        in-CSR and one probability row per ad, each 8-byte aligned at the
+        ``(key, dtype, count, offset)`` its ``layout`` entry names — from
+        which a dialled worker rebuilds the engine's chunk source."""
         from repro.utils.hashing import graph_digest
 
-        layout, total = self._source.layout()
-        payload = bytearray(total)
-        self._source.write_into(payload, layout)
+        arrays = {
+            key: getattr(self.graph, key)
+            for key in ("in_indptr", "in_sources", "in_edge_ids")
+        }
+        for ad in range(self.num_ads):
+            arrays[f"probs_{ad}"] = self.sampler(ad).edge_probabilities
+        layout, offset = [], 0
+        for key, array in arrays.items():
+            offset = (offset + 7) & ~7
+            layout.append((key, array.dtype.str, int(array.size), offset))
+            offset += array.nbytes
+        payload = bytearray(max(offset, 1))
+        for (_, dtype, count, start), array in zip(layout, arrays.values()):
+            np.frombuffer(payload, dtype=dtype, count=count, offset=start)[:] = array
         meta = {
             "num_nodes": int(self.graph.num_nodes),
             "num_edges": int(self.graph.num_edges),
@@ -193,7 +311,7 @@ class DistributedEngine(ShardedSamplingEngine):
             "shard_keys": list(self._shard_keys),
             "layout": layout,
         }
-        return meta, bytes(payload)
+        return meta, payload
 
     # ------------------------------------------------------------------
     # Provenance

@@ -5,8 +5,9 @@ One frame is a fixed 16-byte header followed by a payload::
     <4s magic "RPF1"> <B kind> <3x pad> <q payload length>  payload...
 
 Control frames (HELLO / SETUP / TASK / ERROR / RELEASE / SHUTDOWN)
-carry a JSON object; PAYLOAD carries the raw session arena bytes; and
-RESULT carries one full chunk block in the shard store's layout
+carry a JSON object; PAYLOAD carries a session's flat chunk-source
+payload (laid out by its SETUP meta); and RESULT carries one full
+chunk block in the shard store's layout
 (:mod:`repro.store.blocks`) — a 64-byte header followed by
 ``[int64 lengths | int32 members]``, stamped with the same blake2
 digest the dsan and the shard cache use::
@@ -54,7 +55,7 @@ HEADER_SIZE = _HEADER.size
 # Frame kinds.
 HELLO = 1      # worker -> coordinator: {"protocol", "name", ...}
 SETUP = 2      # coordinator -> worker: session meta (dims, entropies, layout)
-PAYLOAD = 3    # coordinator -> worker: the session's raw arena bytes
+PAYLOAD = 3    # coordinator -> worker: the session's flat payload bytes
 TASK = 4       # coordinator -> worker: {"session", "ad", "chunk"}
 RESULT = 5     # worker -> coordinator: one packed chunk block (see above)
 ERROR = 6      # worker -> coordinator: {"error": ...}
@@ -67,7 +68,7 @@ FRAME_KINDS = frozenset(
 
 #: Default ceiling on one frame's payload.  A chunk block is
 #: ``chunk_size`` sets of bounded length; 256 MiB accommodates any
-#: realistic session arena while keeping a hostile length prefix from
+#: realistic session payload while keeping a hostile length prefix from
 #: allocating unbounded memory.
 MAX_FRAME_BYTES = 256 * 1024 * 1024
 
@@ -85,11 +86,15 @@ class FrameIntegrityError(ProtocolError):
     drop the worker, requeue the chunk."""
 
 
-def pack_frame(kind: int, payload: bytes = b"") -> bytes:
-    """One wire frame: header + payload."""
+def _header(kind: int, length: int) -> bytes:
     if kind not in FRAME_KINDS:
         raise ProtocolError(f"unknown frame kind {kind!r}")
-    return _HEADER.pack(MAGIC, kind, len(payload)) + payload
+    return _HEADER.pack(MAGIC, kind, length)
+
+
+def pack_frame(kind: int, payload: bytes = b"") -> bytes:
+    """One wire frame: header + payload."""
+    return _header(kind, len(payload)) + payload
 
 
 def pack_json(kind: int, obj: dict) -> bytes:
@@ -151,10 +156,14 @@ class FrameDecoder:
                 f"frame length {length} exceeds the {self.max_frame_bytes}-"
                 f"byte limit"
             )
-        if len(self._buffer) < HEADER_SIZE + length:
+        end = HEADER_SIZE + length
+        if len(self._buffer) < end:
             return None
-        payload = bytes(self._buffer[HEADER_SIZE:HEADER_SIZE + length])
-        del self._buffer[:HEADER_SIZE + length]
+        # One copy out of the buffer (a bytearray slice would copy
+        # twice); the view must be gone before the buffer shrinks.
+        with memoryview(self._buffer)[HEADER_SIZE:end] as view:
+            payload = bytes(view)
+        del self._buffer[:end]
         return kind, payload
 
     def close(self) -> None:
@@ -168,8 +177,12 @@ class FrameDecoder:
 
 
 def send_frame(sock, kind: int, payload: bytes = b"") -> None:
-    """Write one frame to a connected socket."""
-    sock.sendall(pack_frame(kind, payload))
+    """Write one frame to a connected socket: the header, then the
+    payload (any bytes-like object) as is — never joined into a copy."""
+    payload = memoryview(payload).cast("B")
+    sock.sendall(_header(kind, payload.nbytes))
+    if payload.nbytes:
+        sock.sendall(payload)
 
 
 def send_json(sock, kind: int, obj: dict) -> None:
@@ -205,7 +218,7 @@ def pack_result(ad: int, chunk_index: int, members, lengths) -> bytes:
     header = _RESULT_HEADER.pack(
         int(ad), int(chunk_index), lengths.size, members.size, digest
     )
-    return header + lengths.tobytes() + members.tobytes()
+    return b"".join((header, lengths, members))
 
 
 def unpack_result(
@@ -217,9 +230,10 @@ def unpack_result(
     Structural violations (short header, inconsistent sizes) raise
     :class:`~repro.errors.ProtocolError`; a payload whose recomputed
     digest differs from its stamp raises :class:`FrameIntegrityError`.
-    The returned arrays are fresh copies owned by the caller, and the
-    stamp was verified over exactly those arrays — so the caller
-    records it as the block's digest instead of hashing it again."""
+    The returned arrays are views over ``payload`` (read-only for a
+    ``bytes`` payload), and the stamp was verified over exactly those
+    views — so the caller records it as the block's digest instead of
+    hashing it again."""
     if len(payload) < RESULT_HEADER_SIZE:
         raise ProtocolError(
             f"RESULT payload truncated: {len(payload)} bytes is shorter "
@@ -244,11 +258,11 @@ def unpack_result(
         )
     lengths = np.frombuffer(
         payload, dtype=_LENGTH_DTYPE, count=num_sets, offset=RESULT_HEADER_SIZE
-    ).copy()
+    )
     members = np.frombuffer(
         payload, dtype=_MEMBER_DTYPE, count=num_members,
         offset=RESULT_HEADER_SIZE + num_sets * _LENGTH_DTYPE.itemsize,
-    ).copy()
+    )
     if int(lengths.sum()) != num_members:
         raise ProtocolError(
             f"RESULT lengths sum to {int(lengths.sum())}, header promises "

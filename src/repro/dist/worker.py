@@ -1,16 +1,18 @@
 """The stateless half of the distributed tier: one socket worker.
 
 ``repro worker --connect HOST:PORT`` runs one :class:`WorkerHost`: it
-dials the coordinator, announces itself (HELLO), and then serves TASK
-frames until the coordinator says SHUTDOWN (or vanishes).  Per session
-it receives the payload once — graph in-CSR, per-ad probability rows,
-stream entropies — in exactly the layout the spawn arena uses, and
-rebuilds over it the same :class:`~repro.rrset.sharded.ChunkSource`
-every other worker kind holds (zero-copy views, every layout entry
-bounds-checked).  The source re-derives any requested chunk purely from
-``(entropy, ad, chunk)``: no sampler state ever crosses the wire, which
-is why a chunk can be recomputed by *any* worker after a failure and
-still be byte-identical.
+dials the coordinator (:meth:`WorkerHost.run`), announces itself
+(HELLO), and then serves TASK frames until the coordinator says
+SHUTDOWN (or vanishes) — :meth:`WorkerHost.serve`, which is all a
+forked ``engine="process"`` child runs, on its end of a ``socketpair``
+(:func:`serve_forked`).  Per session a dialled worker receives the
+payload once — graph in-CSR, per-ad probability rows, stream entropies
+— and rebuilds over it the same :class:`~repro.rrset.sharded.ChunkSource`
+the engine holds (zero-copy views, every layout entry bounds-checked);
+a forked child keeps the one it inherited.  The source re-derives any
+requested chunk purely from ``(entropy, ad, chunk)``: no sampler state
+ever crosses the wire, which is why a chunk can be recomputed by *any*
+worker after a failure and still be byte-identical.
 
 With ``--cache DIR`` the worker consults (and feeds) a local
 content-addressed shard store before sampling — the shard keys arrive
@@ -29,11 +31,18 @@ chunk boundaries without touching the protocol code it is testing.
 
 from __future__ import annotations
 
+import gc
 import os
 import socket
+import sys
+import traceback
+from typing import NoReturn
+
+import numpy as np
 
 from repro.dist import frames
 from repro.errors import ConfigurationError, ProtocolError
+from repro.graph.digraph import DirectedGraph
 from repro.rrset.backends import resolve_backend
 from repro.rrset.sampler import STREAM_MODE, STREAM_RNG
 from repro.rrset.sharded import ChunkSource
@@ -53,17 +62,51 @@ class _Session:
 
     __slots__ = ("source", "shard_keys", "graph_digest")
 
-    def __init__(self, meta: dict, payload: bytes, backend) -> None:
+    def __init__(self, source, shard_keys=None, graph_digest=None) -> None:
+        self.source = source
+        self.shard_keys = shard_keys
+        self.graph_digest = graph_digest
+
+    @classmethod
+    def from_setup(cls, meta: dict, payload: bytes, backend) -> "_Session":
+        """Rebuild the session's chunk source from zero-copy views over
+        the PAYLOAD bytes.  The SETUP ``layout`` lists ``(key, dtype,
+        count, offset)`` per array; an entry that overruns the payload,
+        or a missing array, is a :class:`~repro.errors.ProtocolError` —
+        the layout crossed a process boundary, so it is never trusted."""
         layout = meta.get("layout")
         if not isinstance(layout, list):
             raise ProtocolError("SETUP meta is missing the payload layout")
-        self.source = ChunkSource.from_buffer(
-            payload, layout, (meta["num_nodes"], meta["num_edges"]),
-            [int(e) for e in meta["entropies"]],
-            int(meta["chunk_size"]), backend,
+        size = memoryview(payload).nbytes
+        arrays = {}
+        for key, dtype, count, offset in layout:
+            end = offset + count * np.dtype(dtype).itemsize
+            if offset < 0 or count < 0 or end > size:
+                raise ProtocolError(
+                    f"payload layout entry {key!r} overruns the "
+                    f"{size}-byte payload"
+                )
+            arrays[key] = np.frombuffer(
+                payload, dtype=np.dtype(dtype), count=count, offset=offset
+            )
+        entropies = [int(e) for e in meta["entropies"]]
+        try:
+            # The sampling paths only touch the in-CSR (plus the two
+            # dims), so the payload ships exactly that; bypass the
+            # sorting/validating constructor and bind the views.
+            graph = object.__new__(DirectedGraph)
+            graph.num_nodes = int(meta["num_nodes"])
+            graph.num_edges = int(meta["num_edges"])
+            graph.in_indptr = arrays["in_indptr"]
+            graph.in_sources = arrays["in_sources"]
+            graph.in_edge_ids = arrays["in_edge_ids"]
+            probs_per_ad = [arrays[f"probs_{ad}"] for ad in range(len(entropies))]
+        except KeyError as exc:
+            raise ProtocolError(f"payload is missing array {exc}") from exc
+        source = ChunkSource(
+            graph, probs_per_ad, entropies, int(meta["chunk_size"]), backend
         )
-        self.shard_keys = meta.get("shard_keys")
-        self.graph_digest = meta.get("graph_digest")
+        return cls(source, meta.get("shard_keys"), meta.get("graph_digest"))
 
 
 class WorkerHost:
@@ -77,6 +120,7 @@ class WorkerHost:
         Optional local shard-store directory (or ready
         :class:`~repro.store.ShardCache`); consulted before sampling,
         fed after.  ``None`` defers to ``REPRO_CACHE`` like the engine.
+        Resolved by :meth:`run`: :meth:`serve` alone uses no cache.
     backend:
         This worker's blocked-BFS backend.  Provenance, not contract.
     name:
@@ -92,9 +136,8 @@ class WorkerHost:
         self.name = name or f"pid-{os.getpid()}"
         self.backend = resolve_backend(backend)
         self.max_frame_bytes = int(max_frame_bytes)
-        from repro.store.cache import resolve_cache
-
-        self._cache, self._cache_owned = resolve_cache(cache)
+        self._cache_knob = cache
+        self._cache = None
         self._sessions: dict[int, _Session] = {}
         self._pending_setup: dict | None = None
         #: Chunks served over this host's lifetime (chaos hooks key off
@@ -107,7 +150,10 @@ class WorkerHost:
     # Main loop
     # ------------------------------------------------------------------
     def run(self) -> None:
-        """Connect, serve until SHUTDOWN / EOF / a chaos hook exit."""
+        """Connect, open the local cache, serve until SHUTDOWN / EOF / a
+        chaos hook exit."""
+        from repro.store.cache import resolve_cache
+
         try:
             sock = socket.create_connection(
                 (self.host, self.port), timeout=CONNECT_TIMEOUT
@@ -119,25 +165,36 @@ class WorkerHost:
             ) from exc
         try:
             sock.settimeout(None)
-            frames.send_json(sock, frames.HELLO, {
-                "protocol": frames.PROTOCOL_VERSION,
-                "name": self.name,
-                "backend": self.backend.name,
-                "cache": self._cache is not None,
-            })
-            decoder = frames.FrameDecoder(self.max_frame_bytes)
-            while True:
-                frame = frames.recv_frame(sock, decoder)
-                if frame is None:
-                    break  # coordinator is gone; a clean exit
-                try:
-                    self._handle_frame(sock, *frame)
-                except WorkerExit:
-                    break
+            # RESULT goes out as two writes (see frames.send_frame).
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self._cache, owned = resolve_cache(self._cache_knob)
+            try:
+                self.serve(sock)
+            finally:
+                if owned:
+                    self._cache.close()
         finally:
             sock.close()
-            if self._cache is not None and self._cache_owned:
-                self._cache.close()
+
+    def serve(self, sock) -> None:
+        """Announce (HELLO) on a connected socket, then serve its frames
+        until SHUTDOWN / EOF / a chaos hook exit.  The caller owns
+        ``sock``."""
+        frames.send_json(sock, frames.HELLO, {
+            "protocol": frames.PROTOCOL_VERSION,
+            "name": self.name,
+            "backend": self.backend.name,
+            "cache": self._cache is not None,
+        })
+        decoder = frames.FrameDecoder(self.max_frame_bytes)
+        while True:
+            frame = frames.recv_frame(sock, decoder)
+            if frame is None:
+                break  # coordinator is gone; a clean exit
+            try:
+                self._handle_frame(sock, *frame)
+            except WorkerExit:
+                break
 
     # ------------------------------------------------------------------
     # Frame handling
@@ -150,7 +207,7 @@ class WorkerHost:
             meta, self._pending_setup = self._pending_setup, None
             if meta is None:
                 raise ProtocolError("PAYLOAD frame without a preceding SETUP")
-            self._sessions[int(meta["session"])] = _Session(
+            self._sessions[int(meta["session"])] = _Session.from_setup(
                 meta, payload, self.backend
             )
             return
@@ -229,3 +286,30 @@ class WorkerHost:
         this to bit-flip the payload or send a truncated frame.  The
         default sends it faithfully."""
         frames.send_frame(sock, frames.RESULT, payload)
+
+
+def serve_forked(sock, inherited, session_id: int, source) -> NoReturn:
+    """The whole life of a forked ``engine="process"`` child; never
+    returns.  Closes every ``inherited`` socket end but ``sock`` (so the
+    parent's death reaches it as EOF), then serves ``sock`` with the
+    inherited ``source`` as ``session_id`` and no shard cache.  It
+    leaves with ``os._exit`` — no inherited stack, engine, catalog or
+    finalizer is unwound here — and ``gc.freeze`` keeps the collector
+    off inherited garbage meanwhile."""
+    code = 1
+    try:
+        gc.freeze()
+        for end in inherited:
+            if end is not sock:
+                end.close()
+        host = WorkerHost("", 0, backend=source.backend, name=f"fork-{os.getpid()}")
+        host._sessions[session_id] = _Session(source)
+        host.serve(sock)
+        code = 0
+    except ConnectionError:
+        pass  # the parent is gone: nobody is left to tell
+    except Exception:
+        traceback.print_exc()  # the parent computes the chunk; say why
+        sys.stderr.flush()
+    finally:
+        os._exit(code)

@@ -14,7 +14,7 @@
   coverage/removal kernels (see ``docs/rrset_engine.md``);
 * :mod:`repro.rrset.sharded` — the per-advertiser sharded sampling
   engine: one pool shard per ad, requests decomposed into counter-based
-  ``(ad, chunk)`` stream tasks served serially or over a process pool
+  ``(ad, chunk)`` stream tasks served serially or by a worker fleet
   (byte-identical for the same ``(seed, chunk_size)``, any worker
   count);
 * :mod:`repro.rrset.dsan` — the runtime determinism sanitizer: blake2

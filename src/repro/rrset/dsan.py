@@ -6,9 +6,9 @@ engine samples, a :class:`DsanRecorder` keeps a blake2 running digest
 per ``(ad, chunk)`` over the bytes each chunk contributes to the pool —
 the packed ``(lengths, members)`` block, which is itself a deterministic
 function of every RNG draw the chunk consumed.  Two runs the contract
-requires to be byte-identical (serial vs process vs fleet, fork vs
-spawn, numpy vs numba, prefetched or not) must therefore produce *equal digest
-maps*; when they do not, :func:`compare_digests` (or an ``expected=``
+requires to be byte-identical (serial vs process vs dist, any worker
+count, numpy vs numba, prefetched or not) must therefore produce *equal
+digest maps*; when they do not, :func:`compare_digests` (or an ``expected=``
 recorder checking inline) raises
 :class:`~repro.errors.DeterminismError` naming the **first divergent
 chunk** — turning a whole-pool equality failure into a pinpoint
@@ -54,10 +54,10 @@ def dsan_enabled(flag: bool | None = None) -> bool:
 def digest_block(members: np.ndarray, lengths: np.ndarray) -> str:
     """The chunk digest: blake2b over the packed block's bytes.
 
-    The layout mirrors the shm transport segment — ``int64`` lengths,
-    then ``int32`` members — so the digest is transport-independent by
-    construction (both transports carry exactly these bytes).  The
-    contiguous arrays' buffers are hashed in place, never copied.
+    The layout is the packed block's — ``int64`` lengths, then
+    ``int32`` members, exactly what a RESULT frame and a cache entry
+    carry — so the digest is substrate-independent by construction.
+    The contiguous arrays' buffers are hashed in place, never copied.
     """
     digest = hashlib.blake2b(digest_size=DIGEST_SIZE)
     digest.update(np.ascontiguousarray(lengths, dtype=np.int64))

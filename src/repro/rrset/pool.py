@@ -375,8 +375,7 @@ class RRSetPool:
         members_offset: int | None = None,
     ) -> None:
         """Append ``num_sets`` sets straight out of an external buffer —
-        e.g. a ``multiprocessing.shared_memory`` segment — with exactly
-        one copy.
+        e.g. a shard-cache entry's file mapping — with exactly one copy.
 
         The region follows the engine's packed-block layout: ``num_sets``
         ``int64`` lengths starting at byte ``lengths_offset``, and

@@ -137,7 +137,7 @@ class StreamPlan:
     carried between chunks, so any ``(ad, chunk)`` is independently
     computable — by any worker, in any order, any number of times — and
     always yields the same sets.  This is what lets the sharded engine
-    split a single ad's θ top-up across a process pool.
+    split a single ad's θ top-up across a worker fleet.
 
     The chunk width is part of the contract: the same
     ``(entropy, ad, chunk_size)`` always reproduces the same sets, while

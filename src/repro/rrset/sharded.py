@@ -34,7 +34,7 @@ collected from its future, opened from the memo or the cache, or
 computed inline, and handed to :meth:`ShardedSamplingEngine._splice`,
 the single place a block enters a shard (dsan digest of the full block,
 cache write-through of a freshly computed one, memo bookkeeping,
-exactly one copy into the pool, release of the block's buffer).  Sets
+exactly one copy into the pool, release of the block).  Sets
 a rewound shard still holds (:meth:`ShardedSamplingEngine.reset_for_reuse`)
 are never tasks of that path: every request is split at the shard's
 resident mark, and the resident part is *revealed* in place — nothing
@@ -43,35 +43,23 @@ computed, nothing copied.
 Worker side, :class:`ChunkSource` is the only thing that turns an
 ``(ad, chunk)`` address into a block: the payload (graph in-CSR, per-ad
 probability rows, stream entropies) plus lazily built per-ad samplers.
-Fork workers inherit the parent's source; spawn and socket workers
-rebuild one from a flat, bounds-checked buffer
-(:meth:`ChunkSource.from_buffer` — the payload arena, the PAYLOAD frame).
+Forked workers inherit the parent's source; workers that dial in
+rebuild one from the flat, bounds-checked PAYLOAD frame
+(:mod:`repro.dist.worker`).
 
 Substrates
 ----------
 
 A substrate is ``submit(ad, chunk) → future | None`` (``None``: compute
-inline), ``collect(ad, chunk, future) → block`` and ``drain(futures)``:
-
-* **in-process** (:class:`ChunkSubstrate` itself, ``engine="serial"``)
-  takes no work — the parent computes every chunk at its turn in the
-  gather;
-* **process pool** (``engine="process"``): a worker publishes its block
-  into a ``multiprocessing.shared_memory`` segment — ``int64`` lengths,
-  then ``int32`` members — and returns its ``(name, num_sets,
-  num_members)`` descriptor; the parent attaches the segment, splices
-  straight out of it and retires it: exactly one ``unlink`` per segment,
-  on success, error, drain and GC paths alike;
-* **fleet** (:mod:`repro.dist`, ``engine="dist"``): chunk tasks go to a
-  coordinator's socket workers and come home as verified RESULT frames.
-
-How pool workers start is observed from the platform, never configured:
-``fork`` where available (workers inherit the source copy-on-write),
-else ``spawn`` over a shared-memory payload *arena* published once and
-attached by the executor initializer, else — no shared memory — the
-engine samples in-process with one warning per engine.  Which substrate
-ran is provenance (``transport``, ``start_method`` in stats), never part
-of the determinism contract.
+inline), ``collect(ad, chunk, future) → block`` and ``drain(futures)``.
+The base :class:`ChunkSubstrate` takes no work (``engine="serial"``);
+the fleet (:mod:`repro.dist.engine`) hands chunk tasks to a
+coordinator's workers — children forked at the first submit, on
+socketpairs (``engine="process"``; inline with one warning where
+``os.fork`` is missing), or ``repro worker`` processes over TCP
+(``engine="dist"``) — and takes digest-verified RESULT frames back.
+Which substrate ran is provenance (``transport``, ``start_method``),
+never part of the determinism contract.
 
 Shard cache (``cache=...`` / ``REPRO_CACHE``)
 ---------------------------------------------
@@ -79,7 +67,7 @@ Shard cache (``cache=...`` / ``REPRO_CACHE``)
 With a cache directory configured the chunk path is *read-through* over
 the content-addressed shard store (:mod:`repro.store`): a cached chunk
 is never submitted, its verified entry takes the same single-copy
-splice a segment does, and freshly computed blocks are stored for the
+splice out of its mapping, and freshly computed blocks are stored for the
 next run.  Keys address what determines the bytes and exclude the
 substrate — so a warm run performs **zero** sampling-backend
 invocations (``backend_invocations`` counts them) yet stays
@@ -89,18 +77,14 @@ warning and the block recomputed, never spliced.
 
 from __future__ import annotations
 
-import gc
 import itertools
-import multiprocessing
-import os
-import warnings
 import weakref
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import Future
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.errors import ConfigurationError, ProtocolError
+from repro.errors import ConfigurationError
 from repro.graph.digraph import DirectedGraph
 from repro.rrset.backends import resolve_backend
 from repro.rrset.dsan import DsanRecorder, dsan_enabled
@@ -115,27 +99,14 @@ from repro.rrset.sampler import (
 )
 from repro.utils.rng import seed_entropy
 
-try:  # pragma: no cover - present on every supported platform
-    from multiprocessing import shared_memory
-except ImportError:  # pragma: no cover
-    shared_memory = None
-
 ENGINE_MODES = ("serial", "process")
 
 _LENGTH_DTYPE = np.int64
 _LENGTH_ITEMSIZE = np.dtype(_LENGTH_DTYPE).itemsize
 _MEMBER_ITEMSIZE = np.dtype(MEMBER_DTYPE).itemsize
 
-#: Engine-id allocator: sources of concurrently live engines must not
-#: collide in the worker-side registry.
+#: Engine-id allocator: names engines in warnings and dsan labels.
 _ENGINE_IDS = itertools.count()
-
-#: Worker-visible registry, engine id -> :class:`ChunkSource`.  Under
-#: fork the parent registers before creating the executor and children
-#: inherit the entry copy-on-write; under spawn the executor initializer
-#: fills the (fresh) worker-side registry from the payload arena
-#: (:func:`_spawn_worker_init`).
-_FORK_PAYLOADS: dict[int, "ChunkSource"] = {}
 
 
 # ----------------------------------------------------------------------
@@ -145,10 +116,9 @@ class ChunkSource:
     """Everything needed to re-derive any chunk of any ad — graph,
     per-ad probability rows and stream entropies, chunk size, resolved
     backend — plus lazily built per-ad samplers, so the O(m) in-CSR
-    probability gather is paid at most once per (process, ad).  Fork
-    workers inherit the parent's; spawn and socket workers rebuild
-    theirs with :meth:`from_buffer` from the flat payload the parent
-    packed (:meth:`layout` / :meth:`write_into`).
+    probability gather is paid at most once per (process, ad).  Forked
+    workers inherit the parent's; workers that dial in rebuild theirs
+    over the flat payload the parent packed.
     """
 
     def __init__(self, graph, probs_per_ad, entropies, chunk_size, backend) -> None:
@@ -158,41 +128,6 @@ class ChunkSource:
         self.chunk_size = chunk_size
         self.backend = backend
         self._samplers: dict[int, RRSetSampler] = {}
-
-    @classmethod
-    def from_buffer(
-        cls, buffer, layout, graph_dims, entropies, chunk_size, backend,
-    ) -> "ChunkSource":
-        """Rebuild a source from zero-copy views over a flat payload
-        ``buffer``.  ``layout`` lists ``(key, dtype, count, offset)`` per
-        array; an entry that overruns the buffer, or a missing array, is
-        a :class:`~repro.errors.ProtocolError` — the layout crossed a
-        process boundary, so it is never trusted."""
-        size = memoryview(buffer).nbytes
-        arrays = {}
-        for key, dtype, count, offset in layout:
-            end = offset + count * np.dtype(dtype).itemsize
-            if offset < 0 or count < 0 or end > size:
-                raise ProtocolError(
-                    f"payload layout entry {key!r} overruns the "
-                    f"{size}-byte payload"
-                )
-            arrays[key] = np.frombuffer(
-                buffer, dtype=np.dtype(dtype), count=count, offset=offset
-            )
-        try:
-            # The sampling paths only touch the in-CSR (plus the two
-            # dims), so the payload ships exactly that; bypass the
-            # sorting/validating constructor and bind the views.
-            graph = object.__new__(DirectedGraph)
-            graph.num_nodes, graph.num_edges = (int(dim) for dim in graph_dims)
-            graph.in_indptr = arrays["in_indptr"]
-            graph.in_sources = arrays["in_sources"]
-            graph.in_edge_ids = arrays["in_edge_ids"]
-            probs_per_ad = [arrays[f"probs_{ad}"] for ad in range(len(entropies))]
-        except KeyError as exc:
-            raise ProtocolError(f"payload is missing array {exc}") from exc
-        return cls(graph, probs_per_ad, entropies, chunk_size, backend)
 
     def sampler(self, ad: int) -> RRSetSampler:
         sampler = self._samplers.get(ad)
@@ -211,172 +146,31 @@ class ChunkSource:
         memoizes partial tails."""
         return self.sampler(ad).sample_chunk_block(self.plan(ad), chunk_index)
 
-    # -- parent side: packing the payload ------------------------------
-    def _parts(self) -> list[tuple[str, np.ndarray]]:
-        """The payload as named contiguous arrays — the graph in-CSR
-        plus one canonical probability row per advertiser."""
-        graph = self.graph
-        parts = [
-            ("in_indptr", np.ascontiguousarray(graph.in_indptr)),
-            ("in_sources", np.ascontiguousarray(graph.in_sources)),
-            ("in_edge_ids", np.ascontiguousarray(graph.in_edge_ids)),
-        ]
-        for ad in range(len(self.entropies)):
-            parts.append((
-                f"probs_{ad}",
-                np.ascontiguousarray(self.sampler(ad).edge_probabilities),
-            ))
-        return parts
-
-    def layout(self) -> tuple[list[tuple[str, str, int, int]], int]:
-        """8-byte-aligned ``(key, dtype, count, offset)`` layout of the
-        flat payload, plus its total size — the one format of the spawn
-        arena and the distributed tier's PAYLOAD frame."""
-        layout: list[tuple[str, str, int, int]] = []
-        offset = 0
-        for key, array in self._parts():
-            offset = (offset + 7) & ~7  # 8-byte align every block
-            layout.append((key, array.dtype.str, int(array.size), offset))
-            offset += array.nbytes
-        return layout, max(offset, 1)
-
-    def write_into(self, buffer, layout) -> None:
-        """Fill a flat ``buffer`` (arena, bytearray) following ``layout``."""
-        for (_, dtype, count, offset), (_, array) in zip(layout, self._parts()):
-            np.frombuffer(
-                buffer, dtype=np.dtype(dtype), count=count, offset=offset
-            )[:] = array
-
-
-def _publish_block(members: np.ndarray, lengths: np.ndarray) -> tuple[str, int, int]:
-    """Worker side of the descriptor transport: pack one chunk block
-    into a fresh shared-memory segment (lengths, then members) and
-    return its ``(name, num_sets, num_members)`` descriptor.  The worker
-    closes its mapping immediately; the parent owns the segment's single
-    unlink."""
-    lengths = np.ascontiguousarray(lengths, dtype=_LENGTH_DTYPE)
-    members = np.ascontiguousarray(members, dtype=MEMBER_DTYPE)
-    segment = shared_memory.SharedMemory(  # reprolint: disable=R104 -- ownership transfers: the parent unlinks when it releases the collected block (_Block.release, end of _splice) or drains the future (ChunkSubstrate.drain, which opens and releases it unspliced); the error path below unlinks locally
-        create=True, size=max(lengths.nbytes + members.nbytes, 1)
-    )
-    try:
-        np.frombuffer(segment.buf, dtype=_LENGTH_DTYPE, count=lengths.size)[:] = lengths
-        np.frombuffer(
-            segment.buf, dtype=MEMBER_DTYPE, count=members.size,
-            offset=lengths.nbytes,
-        )[:] = members
-    except BaseException:
-        segment.close()
-        segment.unlink()
-        raise
-    name = segment.name
-    segment.close()
-    return name, int(lengths.size), int(members.size)
-
-
-def _worker_sample_chunk(engine_id: int, ad: int, chunk_index: int):
-    """One chunk task in a pool worker: the registered source computes
-    the block, which goes home as a shared-memory descriptor."""
-    return _publish_block(*_FORK_PAYLOADS[engine_id].block(ad, chunk_index))
-
-
-def _spawn_worker_init(engine_id: int, arena_name: str, backend_spec, *described) -> None:
-    """Executor initializer under spawn: attach the parent's payload
-    arena and register a source over it (``described``: the layout,
-    graph dims, entropies and chunk size :meth:`ChunkSource.from_buffer`
-    takes) — spawned workers never pickle the graph.  ``backend_spec``
-    is a backend name (re-resolved here: resolved backends may hold
-    unpicklable compiled kernels) or, for custom backends, a picklable
-    instance."""
-    import atexit
-
-    arena = shared_memory.SharedMemory(name=arena_name)
-    backend = (
-        resolve_backend(backend_spec) if isinstance(backend_spec, str) else backend_spec
-    )
-    _FORK_PAYLOADS[engine_id] = ChunkSource.from_buffer(arena.buf, *described, backend)
-    atexit.register(_spawn_worker_cleanup, engine_id, arena)
-
-
-def _spawn_worker_cleanup(engine_id: int, arena) -> None:
-    """Worker atexit: drop every payload view, then close the arena
-    mapping so the worker exits without buffer-export noise.  The parent
-    owns the arena's unlink."""
-    _FORK_PAYLOADS.pop(engine_id, None)
-    gc.collect()
-    try:
-        arena.close()
-    except BufferError:  # pragma: no cover - a view outlived the source
-        # Detach forcibly: the OS reclaims the mapping at process exit
-        # either way, and silencing here keeps interpreter shutdown
-        # free of "exception ignored in __del__" noise.
-        arena._buf = None
-        arena._mmap = None
-
 
 # ----------------------------------------------------------------------
 # Parent side: blocks and substrates
 # ----------------------------------------------------------------------
-def _retire_segment(segment) -> None:
-    """Close and unlink a segment the parent owns.  Safe while an
-    exception still pins a view of it, and when it is already gone."""
-    try:
-        segment.close()
-    except BufferError:
-        # A traceback still holds a view; the mapping is reclaimed at
-        # GC — the unlink below still removes the segment itself.
-        pass
-    try:
-        segment.unlink()
-    except OSError:
-        pass
-
-
 class _Block:
     """One full chunk block on its way into a shard: ``(members,
-    lengths)`` views, the block's ``digest`` when its arrival already
-    verified one over them (a RESULT frame's stamp; ``None``: not
-    hashed yet), plus — when they sit on a worker-published shm segment
-    — the buffer, both arrays' byte offsets in it, and a
-    :meth:`release` that retires the segment.  A verified cache entry
-    (:class:`repro.store.blocks.BlockEntry`, views over a ``.blk``
-    mapping, its stored digest checked) has the same shape and takes
-    the same splice."""
+    lengths)`` and the block's ``digest`` when its arrival already
+    verified one over them (a RESULT frame's stamp; ``None``: not hashed
+    yet).  A verified cache entry (:class:`repro.store.blocks.BlockEntry`,
+    views over a ``.blk`` mapping, its stored digest checked) has the
+    same shape plus the mapped ``buffer`` and both arrays' byte offsets
+    in it, and takes the same splice."""
 
-    __slots__ = ("members", "lengths", "digest", "buffer", "lengths_offset",
-                 "members_offset", "_segment")
+    __slots__ = ("members", "lengths", "digest")
 
-    def __init__(self, members, lengths, digest=None, segment=None) -> None:
+    #: Array blocks own no external buffer (cf. ``BlockEntry.buffer``).
+    buffer = None
+
+    def __init__(self, members, lengths, digest=None) -> None:
         self.members = members
         self.lengths = lengths
         self.digest = digest
-        self.buffer = None if segment is None else segment.buf
-        self.lengths_offset = 0
-        self.members_offset = len(lengths) * _LENGTH_ITEMSIZE
-        self._segment = segment
-
-    @classmethod
-    def attach(cls, name: str, num_sets: int, num_members: int) -> "_Block":
-        """Zero-copy views over the segment a worker published."""
-        segment = shared_memory.SharedMemory(name=name)
-        try:
-            lengths = np.frombuffer(segment.buf, dtype=_LENGTH_DTYPE, count=num_sets)
-            members = np.frombuffer(
-                segment.buf, dtype=MEMBER_DTYPE, count=num_members,
-                offset=lengths.nbytes,
-            )
-        except BaseException:
-            _retire_segment(segment)
-            raise
-        return cls(members, lengths, segment=segment)
 
     def release(self) -> None:
-        """Drop the views and retire the segment (no-op for array
-        blocks): the one unlink of a collected segment."""
-        self.members = self.lengths = self.buffer = None
-        segment, self._segment = self._segment, None
-        if segment is not None:
-            _retire_segment(segment)
+        self.members = self.lengths = None
 
 
 class ChunkSubstrate:
@@ -384,15 +178,14 @@ class ChunkSubstrate:
     travel home.  The dispatch loop knows a substrate only through
     :meth:`submit`, :meth:`collect` and :meth:`drain`.
 
-    The base class is the in-process substrate: it takes no work, so
-    every chunk is computed by the parent inline.
+    The base class is the inline substrate: it takes no work, so every
+    chunk is computed by the parent.
     """
 
-    #: Provenance: how pool workers start (``"fork"`` / ``"spawn"``);
-    #: ``None`` when no chunk ever leaves the parent process.
+    #: Provenance: how blocks travel home, and how workers start
+    #: (``None``: no chunk ever leaves the parent process).
+    transport = "inline"
     start_method: str | None = None
-    #: The shared-memory payload arena, while a spawn pool holds one.
-    arena = None
 
     def submit(self, ad: int, chunk_index: int) -> Future | None:
         """Start computing one chunk; ``None`` means "not taken" and the
@@ -401,131 +194,26 @@ class ChunkSubstrate:
 
     def collect(self, ad: int, chunk_index: int, future: Future) -> _Block:
         """The submitted chunk's block (blocks until it is ready)."""
-        return self._open(future.result())
-
-    def _open(self, result) -> _Block:
-        return _Block(*result)
+        return _Block(*future.result())
 
     def drain(self, futures) -> None:
-        """Cancel-or-consume futures nobody will collect: whatever
-        cannot be cancelled is waited for and its block released
-        unspliced."""
-        futures = list(futures)
+        """Cancel futures nobody will collect.  A block that arrives
+        anyway holds nothing but memory and is dropped with its future."""
         for future in futures:
             future.cancel()
-        for future in futures:
-            if not future.cancelled():
-                try:
-                    self._open(future.result()).release()
-                except Exception:
-                    pass  # the task failed: it published nothing
+
+    def reset(self) -> None:
+        """Clear run-scoped state between leases (warm reuse)."""
 
     def close(self) -> None:
         """Release everything the substrate holds (idempotent)."""
 
 
-class _ProcessPool(ChunkSubstrate):
-    """``engine="process"``: chunk tasks on a ``ProcessPoolExecutor``,
-    blocks home as shared-memory descriptors.  ``start_method`` is what
-    the platform offers; with ``None`` (no shared memory) the pool takes
-    nothing and warns once."""
-
-    def __init__(self, engine_id, source, start_method, max_workers) -> None:
-        self.start_method = start_method
-        self.executor: ProcessPoolExecutor | None = None
-        self._engine_id = engine_id
-        self._source = source
-        self._max_workers = max_workers
-        self._warned = False
-        if start_method == "fork":
-            _FORK_PAYLOADS[engine_id] = source
-
-    def submit(self, ad: int, chunk_index: int) -> Future | None:
-        if self.start_method is None:
-            if not self._warned:
-                self._warned = True
-                # The engine id makes the message unique per instance,
-                # so the warnings registry's once-per-location dedup
-                # cannot swallow it for every engine after the first.
-                warnings.warn(
-                    f"no usable process start method (fork unavailable, spawn "
-                    f"needs shared memory); ShardedSamplingEngine "
-                    f"#{self._engine_id} (engine='process') will sample serially",
-                    RuntimeWarning,
-                    stacklevel=4,
-                )
-            return None
-        return self._ensure_executor().submit(
-            _worker_sample_chunk, self._engine_id, ad, chunk_index
-        )
-
-    def _open(self, result) -> _Block:
-        return _Block.attach(*result)
-
-    def _spawn_initargs(self) -> tuple:
-        """Publish the payload arena and return the executor initializer
-        arguments describing it."""
-        source = self._source
-        layout, total = source.layout()
-        arena = shared_memory.SharedMemory(create=True, size=total)  # reprolint: disable=R104 -- the arena outlives this call by design; close() owns its single unlink (engine close / GC finalizer), the error path below unlinks locally
-        try:
-            source.write_into(arena.buf, layout)
-        except BaseException:
-            arena.close()
-            arena.unlink()
-            raise
-        self.arena = arena
-        backend = source.backend
-        return (
-            self._engine_id,
-            arena.name,
-            backend.name if backend.name in ("numpy", "numba") else backend,
-            layout,
-            (source.graph.num_nodes, source.graph.num_edges),
-            tuple(source.entropies),
-            source.chunk_size,
-        )
-
-    def _ensure_executor(self) -> ProcessPoolExecutor:
-        if self.executor is None:
-            # Start the parent's resource tracker *before* the pool exists
-            # so every worker (fork children inherit it; spawn children
-            # receive its fd) reports segment register/unregister events to
-            # the same tracker process.  Without this, each fork child
-            # lazily launches a private tracker on its first segment
-            # create, and that tracker warns about "leaked" segments at
-            # shutdown because the parent's unlink was reported elsewhere.
-            from multiprocessing import resource_tracker
-
-            resource_tracker.ensure_running()
-            spawn = (
-                {"initializer": _spawn_worker_init, "initargs": self._spawn_initargs()}
-                if self.start_method == "spawn" else {}
-            )
-            self.executor = ProcessPoolExecutor(
-                max_workers=self._max_workers or max(1, os.cpu_count() or 1),
-                mp_context=multiprocessing.get_context(self.start_method),
-                **spawn,
-            )
-        return self.executor
-
-    def close(self) -> None:
-        executor, self.executor = self.executor, None
-        if executor is not None:
-            executor.shutdown(wait=True)
-        arena, self.arena = self.arena, None
-        if arena is not None:
-            _retire_segment(arena)
-        _FORK_PAYLOADS.pop(self._engine_id, None)
-
-
 def _release_engine_resources(resources: dict) -> None:
     """Teardown shared by ``close()`` and the GC finalizer: drain the
-    prefetch ledger, close the substrate — worker pool, payload arena
-    and registry entry, or the distributed session — and flush or close
-    the shard cache.  Runs at most once per engine (``weakref.finalize``
-    guarantees it), at explicit close, context-manager exit, or garbage
-    collection, whichever comes first."""
+    prefetch ledger, close the substrate (fleet session, forked
+    workers), flush or close the shard cache.  Runs at most once per
+    engine (``weakref.finalize``): at close, context exit, or GC."""
     inflight, substrate = resources["inflight"], resources["substrate"]
     substrate.drain(inflight.values())
     inflight.clear()
@@ -560,10 +248,10 @@ class ShardedSamplingEngine:
         explicit per-ad roots.
     engine:
         ``"serial"`` samples in-process; ``"process"`` fans chunk tasks
-        across a process pool.  Both produce bit-identical shards for
-        the same ``(seeds, chunk_size)``.
+        across a fleet of forked worker processes.  Both produce
+        bit-identical shards for the same ``(seeds, chunk_size)``.
     max_workers:
-        Process-pool width (default: ``os.cpu_count()``).
+        Number of forked workers (default: ``os.cpu_count()``).
     chunk_size:
         Set-index chunk width of the counter-based streams.  Part of the
         determinism contract — resampling with a different chunk size
@@ -572,8 +260,8 @@ class ShardedSamplingEngine:
         Blocked-BFS backend (:mod:`repro.rrset.backends`): ``"numpy"``
         (reference, default), ``"numba"`` (JIT kernel), ``"auto"``, or
         a :class:`~repro.rrset.backends.SamplingBackend` instance.
-        Resolved once here; workers inherit (fork) or rebuild (spawn)
-        the resolved backend with the chunk source.  **Not** part of the
+        Resolved once here; forked workers inherit the resolved backend
+        with the chunk source.  **Not** part of the
         determinism contract — every backend yields byte-identical
         shards.
     dsan:
@@ -618,9 +306,8 @@ class ShardedSamplingEngine:
     """
 
     #: Engine modes this class serves (the distributed engine serves
-    #: ``"dist"``), and the provenance name of how its blocks travel.
+    #: ``"dist"``).
     _engine_modes = ENGINE_MODES
-    transport = "shm"
 
     def __init__(
         self,
@@ -665,10 +352,10 @@ class ShardedSamplingEngine:
         else:
             entropies = [seed_entropy(seeds)] * h
         self._entropies: list[int] = entropies
-        # The parent's chunk source: inline computes go through it, fork
-        # workers inherit it, the spawn arena and the PAYLOAD frame are
-        # packed from it.  Samplers are built eagerly so a bad
-        # probability row fails here, not at the first request.
+        # The parent's chunk source: inline computes go through it, forked
+        # workers inherit it, the PAYLOAD frame is packed from it.
+        # Samplers are built eagerly so a bad probability row fails here,
+        # not at the first request.
         self._source = ChunkSource(
             graph, probs_per_ad, entropies, self.chunk_size, self.backend
         )
@@ -708,13 +395,15 @@ class ShardedSamplingEngine:
         self._cache_meta: list[dict] | None = None
         if self._cache is not None:
             self._init_shard_keys()
-        self._substrate: ChunkSubstrate = (
-            _ProcessPool(
-                self._engine_id, self._source, self._resolve_start_method(),
-                max_workers,
+        self._substrate = ChunkSubstrate()
+        if engine == "process":
+            # Imported lazily: repro.dist builds on this module.
+            from repro.dist.engine import _LocalFleet
+
+            self._substrate = _LocalFleet(
+                self._source, max_workers,
+                f"ShardedSamplingEngine #{self._engine_id}",
             )
-            if engine == "process" else ChunkSubstrate()
-        )
         # Speculative prefetch ledger: (ad, chunk) -> in-flight future.
         # Shared with the teardown resources so close() can drain it
         # even from the GC finalizer (which cannot see self).
@@ -776,9 +465,15 @@ class ShardedSamplingEngine:
         return self.backend.name
 
     @property
+    def transport(self) -> str:
+        """How blocks travel home (``"socket"`` on a fleet, ``"inline"``
+        when every chunk is computed in this process) — provenance."""
+        return self._substrate.transport
+
+    @property
     def start_method(self) -> str | None:
-        """How pool workers start (``"fork"`` or ``"spawn"``), or
-        ``None`` when every chunk is computed in this process."""
+        """How fleet workers start (``"fork"``), or ``None`` when none
+        is started by this engine."""
         return self._substrate.start_method
 
     @property
@@ -853,21 +548,12 @@ class ShardedSamplingEngine:
         """Σ over shards of sets ever sampled."""
         return int(sum(s.num_total for s in self._shards))
 
-    def shared_memory_bytes(self) -> int:
-        """Bytes the engine itself pins in shared memory: the spawn
-        payload arena, while one is live (result segments are transient
-        — retired at splice — and not counted)."""
-        arena = self._substrate.arena
-        return int(arena.size) if arena is not None else 0
-
     def memory_bytes(self) -> int:
-        """Σ over shards of bytes held (the Table-4 figure), plus any
-        shared-memory bytes the engine pins itself
-        (:meth:`shared_memory_bytes`) and every block the tail memo
-        holds — each ad's partially consumed tail chunk."""
+        """Σ over shards of bytes held (the Table-4 figure), plus every
+        block the tail memo holds — each ad's partially consumed tail
+        chunk."""
         return (
             int(sum(s.memory_bytes() for s in self._shards))
-            + self.shared_memory_bytes()
             + sum(
                 int(members.nbytes + lengths.nbytes)
                 for members, lengths in self._blocks.values()
@@ -881,29 +567,22 @@ class ShardedSamplingEngine:
         """Rewind the engine to its just-constructed state so a second
         run over it is byte-identical to a fresh-engine run.
 
-        This is the leasing contract of the service tier's engine pool:
-        everything *run-scoped* is cleared — each shard's run state
-        (:meth:`~repro.rrset.pool.RRSetPool.rewind`: ``θ = num_total``
-        restarts at zero, alive marks and coverage go), in-flight
-        prefetch futures (drained, their unconsumed segments unlinked),
-        dsan digests (a fresh recorder with the original ``expected``
-        map) and the ``backend_invocations`` counter — while everything
-        *engine-scoped* stays warm: the substrate (worker pool and its
-        JIT-compiled backend state, the payload arena, the distributed
-        session), the shard cache handle and content keys, and the
-        *sample* — the shards' resident member rows and the inverted
-        index built over them, plus the tail memo (chunks are pure
-        functions of ``(entropy, ad, chunk)``, which reuse does not
-        change).  The next run reveals resident sets instead of
-        sampling them, so up to the resident mark it performs no
-        backend invocation, no copy and no index build, and every set
-        is held once.  dsan still re-hashes every revealed chunk from
-        the resident rows: that is the check that the sample did not
-        change between leases.  The shards are the *same objects*
-        before and after: a reader of the previous run must be gone
-        (leases are exclusive; the service drops a finished job's
-        session).  Without the reset a second run inherits stale θ
-        accounting and reports false divergences.  Raises
+        The leasing contract of the service tier's engine pool: the
+        *run-scoped* state is cleared — each shard's run state
+        (:meth:`~repro.rrset.pool.RRSetPool.rewind`), in-flight prefetch
+        futures, dsan digests (a fresh recorder with the original
+        ``expected`` map), ``backend_invocations`` and the substrate's
+        fallback count — while the *engine-scoped* state stays warm: the
+        substrate (forked workers, the fleet session), the shard cache
+        and its keys, and the *sample* — the shards' resident rows, the
+        inverted index over them and the tail memo (chunks are pure
+        functions of ``(entropy, ad, chunk)``).  The next run reveals
+        resident sets instead of sampling them: up to the resident mark
+        no backend invocation, no copy, no index build.  dsan still
+        re-hashes every revealed chunk — the check that the sample did
+        not change between leases.  The shards are the *same objects*
+        before and after, so a reader of the previous run must be gone
+        (leases are exclusive).  Raises
         :class:`~repro.errors.ConfigurationError` on a closed engine.
         """
         if not self._finalizer.alive:
@@ -916,11 +595,12 @@ class ShardedSamplingEngine:
         # replaced.
         self._substrate.drain(self._inflight.values())
         self._inflight.clear()
+        self._substrate.reset()
         for shard in self._shards:
             shard.rewind()
         if self._dsan is not None:
             self._dsan = DsanRecorder(
-                expected=self._dsan_expected, label=f"engine#{self._engine_id}"
+                expected=self._dsan_expected, label=self._dsan.label
             )
         self.backend_invocations = 0
 
@@ -972,8 +652,7 @@ class ShardedSamplingEngine:
         greedy selection).  Speculation cannot change results: chunks
         are pure functions of their ``(entropy, ad, chunk)`` address, so
         a speculative chunk is byte-identical whether or not it ends up
-        needed — and one never consumed is drained (its segment
-        unlinked) at :meth:`close`.
+        needed — and one never consumed is drained at :meth:`close`.
 
         No-op (returns 0) on an in-process or closed engine, and for
         chunks already pooled, resident, memoized, cached, or in flight.
@@ -1107,11 +786,11 @@ class ShardedSamplingEngine:
                     fresh = True
                 self._splice(ad, chunk_index, lo, hi, block, fresh)
         except BaseException:
-            # A failed batch (worker crash, submit error, splice error)
-            # leaves the request partially applied; don't also leak the
-            # substrate or any published segments — drain what's still
-            # pending here, then route through the idempotent close()
-            # (which drains the prefetch ledger the same way).
+            # A failed batch (submit error, splice error, a chunk that
+            # fails inline too) leaves the request partially applied;
+            # don't also leak the substrate — drain what's still pending
+            # here, then route through the idempotent close() (which
+            # drains the prefetch ledger the same way).
             substrate.drain(f for f in pending.values() if f is not None)
             self.close()
             raise
@@ -1139,12 +818,12 @@ class ShardedSamplingEngine:
         try:
             if self._dsan is not None:
                 # Digest the *full* chunk block (chunks are always
-                # computed whole), so inline, segment, frame, cache and
-                # memo arrivals of the same chunk hash the same bytes by
+                # computed whole), so inline, frame, cache and memo
+                # arrivals of the same chunk hash the same bytes by
                 # construction — once per arrival: a frame or cache
                 # entry brings the digest it was verified against.  A
                 # divergence raises here and the finally below still
-                # retires the block's buffer.
+                # releases the block.
                 digest = self._dsan.record(
                     ad, chunk_index, members, lengths, digest=digest
                 )
@@ -1158,8 +837,8 @@ class ShardedSamplingEngine:
                     meta=self._cache_meta[ad], digest=digest,
                 )
             if hi < self.chunk_size:
-                # A buffer-backed block dies with its buffer at the
-                # release below, so the memo must own a copy.
+                # A cache entry's mapping goes at the release below, so
+                # the memo must own a copy.
                 self._blocks[ad, chunk_index] = (
                     (members, lengths) if block.buffer is None
                     else (members.copy(), lengths.copy())
@@ -1182,42 +861,19 @@ class ShardedSamplingEngine:
                     ),
                 )
         finally:
-            # Views must die before the buffer under them is closed.
-            del members, lengths
             block.release()
 
     # ------------------------------------------------------------------
-    # Platform probes and lifecycle
+    # Lifecycle
     # ------------------------------------------------------------------
-    @staticmethod
-    def _fork_available() -> bool:
-        return "fork" in multiprocessing.get_all_start_methods()
-
-    @staticmethod
-    def _shm_available() -> bool:
-        return shared_memory is not None
-
-    @classmethod
-    def _resolve_start_method(cls) -> str | None:
-        """What the platform offers a process pool: ``"fork"``, else
-        ``"spawn"``, else ``None`` (sample in-process).  Blocks travel
-        as shared-memory descriptors and spawn ships its payload through
-        a shared-memory arena, so without shared memory there is no pool
-        on either start method."""
-        if not cls._shm_available():
-            return None
-        if cls._fork_available():
-            return "fork"
-        return "spawn" if "spawn" in multiprocessing.get_all_start_methods() else None
-
     def close(self) -> None:
-        """Drain in-flight prefetch futures, close the substrate (worker
-        pool, every engine-owned shared-memory segment, the distributed
-        session), and flush the shard cache.
+        """Drain in-flight prefetch futures, close the substrate (the
+        fleet session; forked workers get SHUTDOWN and are reaped), and
+        flush the shard cache.
 
         Idempotent and exception-safe: the teardown callback is shared
         with the GC finalizer and runs at most once however many times
-        it is triggered, and every segment is unlinked exactly once.
+        it is triggered.
         """
         if self._finalizer.alive:
             self._finalizer()

@@ -1,9 +1,9 @@
 """Allocation-as-a-service: a resident server over warm engine pools.
 
-The batch CLI pays the full engine lifecycle on every run — process
-pool spin-up, shared-memory arena setup, backend resolution — costs
-that dwarf the sampling itself once the shard cache is warm.  This
-package keeps those substrates *resident*:
+The batch CLI pays the full engine lifecycle on every run — forking the
+worker fleet, backend resolution — costs that dwarf the sampling itself
+once the shard cache is warm.  This package keeps those substrates
+*resident*:
 
 * :class:`~repro.service.pool.EnginePool` — warm
   :class:`~repro.rrset.sharded.ShardedSamplingEngine` instances, leased

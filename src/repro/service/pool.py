@@ -1,8 +1,8 @@
 """Warm engine pools: lease, run, reset, repeat.
 
 A :class:`~repro.rrset.sharded.ShardedSamplingEngine` bundles the
-expensive run-independent state — its chunk substrate (the worker
-process pool and payload arena, or the distributed session), the
+expensive run-independent state — its chunk substrate (the forked
+worker fleet, or the distributed session), the
 resolved sampling backend, the shard cache handle, and the *sample*:
 every RR set its shards hold and the inverted index over them, a pure
 function of the stream contract.  :class:`EnginePool` keeps finished
@@ -39,7 +39,7 @@ class EngineLease:
     """One exclusive hold on a pooled engine.
 
     ``warm`` records whether the engine was reused from the pool (its
-    process pool, arena and resident sets intact) or built cold for
+    worker fleet and resident sets intact) or built cold for
     this lease.  Return it with :meth:`EnginePool.release` — or use the
     lease as a context manager, which releases on exit.
     """
@@ -146,7 +146,7 @@ class EnginePool:
                 try:
                     engine.reset_for_reuse()
                 except Exception:
-                    # A dead engine (closed pool, torn-down arena) is
+                    # A dead engine (closed after a failed run) is
                     # dropped, not served; keep looking, else build cold.
                     engine.close()
                     continue

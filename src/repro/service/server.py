@@ -222,7 +222,7 @@ class AllocationServer:
     def serve(self, *, port_file: str | None = None) -> None:
         """Blocking entry point (``repro serve``): run the loop, then
         tear the manager down — pooled engines close here, so a clean
-        shutdown leaves no worker processes or /dev/shm segments."""
+        shutdown leaves no worker processes behind."""
         try:
             asyncio.run(self.serve_async(port_file=port_file))
         except KeyboardInterrupt:

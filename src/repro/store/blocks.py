@@ -1,9 +1,9 @@
 """On-disk format of one cached RR-set block (a ``.blk`` entry file).
 
 The payload is byte-for-byte the engine's packed chunk-block layout —
-``int64`` lengths, then ``int32`` members, exactly the bytes a
-shared-memory transport segment carries and exactly the bytes the dsan
-digest covers — preceded by one fixed 64-byte header::
+``int64`` lengths, then ``int32`` members, exactly the bytes a RESULT
+frame carries and exactly the bytes the dsan digest covers — preceded
+by one fixed 64-byte header::
 
     offset 0    magic        8 bytes  b"RRSBLK01" (format version 1)
     offset 8    num_sets     int64 little-endian
@@ -93,7 +93,7 @@ def write_block(path: str, members, lengths,
     """Atomically write one entry file; returns ``(nbytes, digest)``.
 
     ``members``/``lengths`` are coerced to the packed dtypes (the same
-    coercion the shm transport applies), the digest is computed over the
+    coercion a RESULT frame applies), the digest is computed over the
     packed bytes — unless the caller already holds it (the dsan digest
     of the same block) — and the file lands via tmp + ``os.replace`` so
     readers only ever observe complete entries.

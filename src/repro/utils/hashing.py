@@ -47,8 +47,9 @@ def graph_digest(graph) -> str:
     identity per-ad probability rows index into, so together with
     :func:`array_digest` of a probability row it pins every input of an
     RR-set chunk besides the stream address.  Falls back to the in-CSR
-    arrays for graphs built without the canonical edge list (e.g. the
-    spawn-arena reconstruction, which ships only the in-CSR).
+    arrays for graphs built without the canonical edge list (e.g. a
+    dialled worker's PAYLOAD reconstruction, which ships only the
+    in-CSR).
     """
     digest = hashlib.blake2b(digest_size=DIGEST_SIZE)
     digest.update(f"graph:{graph.num_nodes}:{graph.num_edges};".encode())
@@ -57,7 +58,7 @@ def graph_digest(graph) -> str:
     if sources is not None and targets is not None:
         digest.update(np.ascontiguousarray(sources).tobytes())
         digest.update(np.ascontiguousarray(targets).tobytes())
-    else:  # pragma: no cover - arena-rebuilt graphs never reach the cache
+    else:  # pragma: no cover - payload-rebuilt graphs never reach the cache
         digest.update(np.ascontiguousarray(graph.in_indptr).tobytes())
         digest.update(np.ascontiguousarray(graph.in_sources).tobytes())
         digest.update(np.ascontiguousarray(graph.in_edge_ids).tobytes())

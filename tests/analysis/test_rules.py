@@ -54,13 +54,13 @@ FIXTURES = {
         2,
     ),
     "R104": (
-        "repro/rrset/leaky.py",
-        "from multiprocessing import shared_memory\n"
+        "repro/dist/leaky.py",
+        "import socket\n"
         "\n"
-        "def publish(data):\n"
-        "    segment = shared_memory.SharedMemory(create=True, size=len(data))\n"
-        "    segment.buf[: len(data)] = data\n"
-        "    return segment.name\n",
+        "def pair(data):\n"
+        "    left, right = socket.socketpair()\n"
+        "    left.sendall(data)\n"
+        "    return right.recv(len(data))\n",
         4,
     ),
     "R105": (
@@ -285,68 +285,8 @@ def test_r103_dict_iteration_not_flagged(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# R104 — shared-memory unlink hygiene
+# R104 — storage-tier file-handle hygiene
 # ----------------------------------------------------------------------
-def test_r104_try_finally_unlink_is_clean(tmp_path):
-    path = _write(
-        tmp_path,
-        "repro/rrset/tidy.py",
-        "from multiprocessing import shared_memory\n"
-        "\n"
-        "def use(data):\n"
-        "    segment = shared_memory.SharedMemory(create=True, size=8)\n"
-        "    try:\n"
-        "        segment.buf[:8] = data\n"
-        "    finally:\n"
-        "        segment.close()\n"
-        "        segment.unlink()\n",
-    )
-    assert "R104" not in _codes(lint_file(path))
-
-
-def test_r104_success_only_unlink_flags_missing_error_path(tmp_path):
-    path = _write(
-        tmp_path,
-        "repro/rrset/halfway.py",
-        "from multiprocessing import shared_memory\n"
-        "\n"
-        "def use(data):\n"
-        "    segment = shared_memory.SharedMemory(create=True, size=8)\n"
-        "    segment.buf[:8] = data\n"
-        "    segment.unlink()\n",
-    )
-    findings = [f for f in lint_file(path) if f.code == "R104"]
-    assert len(findings) == 1
-    assert "error path" in findings[0].message
-
-
-def test_r104_attach_without_create_not_flagged(tmp_path):
-    path = _write(
-        tmp_path,
-        "repro/rrset/attach.py",
-        "from multiprocessing import shared_memory\n"
-        "\n"
-        "def read(name):\n"
-        "    segment = shared_memory.SharedMemory(name=name)\n"
-        "    return bytes(segment.buf)\n",
-    )
-    assert "R104" not in _codes(lint_file(path))
-
-
-def test_r104_ownership_handoff_suppression(tmp_path):
-    path = _write(
-        tmp_path,
-        "repro/rrset/handoff.py",
-        "from multiprocessing import shared_memory\n"
-        "\n"
-        "def publish(data):\n"
-        "    segment = shared_memory.SharedMemory(create=True, size=8)"
-        "  # reprolint: disable=R104 -- parent owns the unlink\n"
-        "    return segment.name\n",
-    )
-    assert lint_file(path) == []
-
-
 def test_r104_bare_open_in_storage_tier_flagged(tmp_path):
     path = _write(
         tmp_path,
@@ -470,6 +410,58 @@ def test_r104_unclosed_asyncio_server_flagged(tmp_path):
     findings = [f for f in lint_file(path) if f.code == "R104"]
     assert len(findings) == 1
     assert "asyncio server" in findings[0].message
+
+
+def test_r104_socketpair_needs_a_close_on_both_paths(tmp_path):
+    """Both ends of a pair are one resource: a scope that closes them
+    only on success is flagged, a try/except that also closes them on
+    failure (the forked fleet's shape) is clean."""
+    halfway = _write(
+        tmp_path,
+        "repro/dist/halfway_pair.py",
+        "import socket\n"
+        "\n"
+        "def pair(data):\n"
+        "    left, right = socket.socketpair()\n"
+        "    left.sendall(data)\n"
+        "    left.close()\n"
+        "    return right\n",
+    )
+    findings = [f for f in lint_file(halfway) if f.code == "R104"]
+    assert len(findings) == 1
+    assert "socket pair" in findings[0].message
+    assert "error path" in findings[0].message
+    tidy = _write(
+        tmp_path,
+        "repro/dist/tidy_pair.py",
+        "import socket\n"
+        "\n"
+        "def pair(data):\n"
+        "    left, right = socket.socketpair()\n"
+        "    try:\n"
+        "        left.sendall(data)\n"
+        "        left.close()\n"
+        "    except BaseException:\n"
+        "        left.close()\n"
+        "        right.close()\n"
+        "        raise\n"
+        "    return right\n",
+    )
+    assert "R104" not in _codes(lint_file(tidy))
+
+
+def test_r104_ownership_handoff_suppression(tmp_path):
+    path = _write(
+        tmp_path,
+        "repro/service/handoff.py",
+        "import socket\n"
+        "\n"
+        "def dial(port):\n"
+        "    sock = socket.create_connection(('127.0.0.1', port))"
+        "  # reprolint: disable=R104 -- the caller owns the close\n"
+        "    return sock\n",
+    )
+    assert lint_file(path) == []
 
 
 def test_r104_wait_closed_counts_as_close(tmp_path):

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import os
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -52,6 +54,51 @@ def digest_calls(monkeypatch) -> list[str]:
     for module in (dsan, blocks, frames):
         monkeypatch.setattr(module, "digest_block", spy)
     return calls
+
+
+def _exited(pid: int) -> bool:
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            # "pid (comm) state ..."; comm may itself hold ")".
+            return handle.read().rpartition(")")[2].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+@pytest.fixture
+def all_exited():
+    """``all_exited(pids, timeout=5.0)``: whether every process in
+    ``pids`` has exited within ``timeout`` seconds.  A zombie nobody has
+    reaped yet counts as exited — an orphan's reaper is not ours."""
+    if not os.path.isdir("/proc"):
+        pytest.skip("process checks read /proc")
+
+    def wait(pids, timeout: float = 5.0) -> bool:
+        deadline = time.monotonic() + timeout
+        while not all(_exited(pid) for pid in pids):
+            if time.monotonic() > deadline:
+                return False
+            time.sleep(0.02)
+        return True
+
+    return wait
+
+
+@pytest.fixture
+def all_reaped():
+    """``all_reaped(pids)``: whether every process in ``pids`` — children
+    of this process — has exited *and* been waited for."""
+
+    def check(pids) -> bool:
+        for pid in pids:
+            try:
+                os.waitpid(pid, os.WNOHANG)
+            except ChildProcessError:
+                continue
+            return False
+        return True
+
+    return check
 
 
 @pytest.fixture

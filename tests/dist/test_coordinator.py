@@ -50,6 +50,19 @@ class TestLifecycle:
         with pytest.raises(ConfigurationError, match="closed"):
             coordinator.start()
 
+    def test_close_stops_every_thread_promptly(self):
+        """close() shuts the listener down, which wakes a blocked
+        accept() at once: no repro-dist-* thread outlives it (the join
+        bound is generous — a listener that is only closed would leave
+        the accept thread blocked past it)."""
+        coordinator = Coordinator().start()
+        threads = list(coordinator._threads)
+        assert sorted(t.name for t in threads) == [
+            "repro-dist-accept", "repro-dist-monitor",
+        ]
+        coordinator.close()
+        assert not [t.name for t in threads if t.is_alive()]
+
     def test_wait_for_workers_times_out_cleanly(self):
         with Coordinator() as coordinator:
             with pytest.raises(ConfigurationError, match="timed out"):
@@ -112,6 +125,46 @@ def _await_stat(coordinator, key, minimum, timeout=5.0) -> dict:
         if time.monotonic() > deadline:
             raise AssertionError(f"{key} never reached {minimum}: {stats}")
         time.sleep(0.02)
+
+
+class TestAdoption:
+    def test_adopted_pair_serves_an_announced_session_without_a_listener(self):
+        """``engine="process"``'s shape: a coordinator that never binds
+        serves a worker on one end of a socketpair.  The worker already
+        holds the session, so no SETUP/PAYLOAD crosses — an empty
+        registered payload would fail the worker if one did."""
+        import threading
+
+        from repro.dist.worker import WorkerHost, _Session
+        from repro.graph.generators import erdos_renyi
+        from repro.graph.probabilities import constant_probabilities
+        from repro.rrset.backends import resolve_backend
+        from repro.rrset.sharded import ChunkSource
+
+        graph = erdos_renyi(30, 0.1, seed=1)
+        source = ChunkSource(
+            graph, [constant_probabilities(graph, 0.2)], [7], 8,
+            resolve_backend("numpy"),
+        )
+        coordinator = Coordinator()
+        session = coordinator.register_session({}, b"")
+        parent_end, child_end = socket.socketpair()
+        worker = WorkerHost("", 0)
+        worker._sessions[session] = _Session(source)
+        thread = threading.Thread(target=worker.serve, args=(child_end,), daemon=True)
+        thread.start()
+        try:
+            coordinator.adopt(parent_end, announced=(session,))
+            members, lengths, _ = coordinator.submit(session, 0, 2).result(timeout=10)
+        finally:
+            coordinator.close()  # SHUTDOWN ends the worker's serve()
+            thread.join(timeout=10)
+            child_end.close()
+        expected_members, expected_lengths = source.block(0, 2)
+        assert members.tobytes() == expected_members.tobytes()
+        assert lengths.tolist() == expected_lengths.tolist()
+        assert not coordinator.started and not thread.is_alive()
+        assert worker.chunks_served == 1
 
 
 class TestHostileClients:

@@ -140,6 +140,16 @@ class TestResultCodec:
         # The stamp it verified, over exactly the arrays it returns.
         assert digest == digest_block(members, lengths)
 
+    def test_unpacked_arrays_are_views_over_the_payload(self):
+        """One copy per direction: the verified arrays are read-only
+        views over the received bytes, not copies of them."""
+        payload = _result_payload()
+        _, _, members, lengths, _ = frames.unpack_result(payload)
+        raw = np.frombuffer(payload, dtype=np.uint8)
+        assert np.shares_memory(members, raw)
+        assert np.shares_memory(lengths, raw)
+        assert not members.flags.writeable
+
     def test_truncated_header_rejected(self):
         with pytest.raises(ProtocolError, match="short"):
             frames.unpack_result(_result_payload()[:20])

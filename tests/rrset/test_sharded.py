@@ -217,61 +217,64 @@ class TestTIRMIntegration:
             TIRMAllocator(engine="threads")
 
 
-def _exploding_worker(engine_id, ad, chunk_index):
-    # module-level so the fork pool can pickle it by reference
-    raise ValueError("worker exploded")
-
-
 class TestLifecycle:
-    """Executor/payload teardown on every exit path — explicit close,
-    context manager, and failed task batches."""
+    """Fleet teardown on every exit path — explicit close, context
+    manager, and failed task batches: no forked worker outlives its
+    engine."""
 
-    def test_context_manager_closes_and_releases_payload(self):
-        from repro.rrset.sharded import _FORK_PAYLOADS
-
+    def test_context_manager_closes_and_releases_payload(self, all_reaped):
         problem = _problem(0)
         with ShardedSamplingEngine(
             problem.graph, _probs(problem), seeds=0, engine="process"
         ) as engine:
             engine.sample({0: 20, 1: 20})
-            assert engine._engine_id in _FORK_PAYLOADS
-        assert engine._engine_id not in _FORK_PAYLOADS
+            pids = list(engine._substrate.pids)
+            assert pids and not all_reaped(pids)
+        assert all_reaped(pids)  # reaped by close()
         assert not engine._finalizer.alive
 
-    def test_context_manager_releases_on_exception(self):
-        from repro.rrset.sharded import _FORK_PAYLOADS
-
+    def test_context_manager_releases_on_exception(self, all_reaped):
         problem = _problem(0)
         with pytest.raises(RuntimeError, match="boom"):
             with ShardedSamplingEngine(
                 problem.graph, _probs(problem), seeds=0, engine="process"
             ) as engine:
-                engine.sample({0: 10})
+                engine.sample({0: 10, 1: 10})
+                pids = list(engine._substrate.pids)
                 raise RuntimeError("boom")
-        assert engine._engine_id not in _FORK_PAYLOADS
+        assert pids and all_reaped(pids)
         assert not engine._finalizer.alive
 
-    def test_failed_task_batch_routes_through_close(self, monkeypatch):
-        """A worker exception must surface to the caller AND shut the
-        pool down (idempotent close), not leak the executor."""
-        import repro.rrset.sharded as sharded_module
+    def test_failed_task_batch_routes_through_close(self, monkeypatch, all_reaped):
+        """A chunk that fails in the workers *and* in the parent's local
+        fallback must surface to the caller AND shut the fleet down
+        (idempotent close), not leak a worker."""
+        from repro.dist.engine import _LocalFleet
+        from repro.rrset.sharded import ChunkSource
 
-        monkeypatch.setattr(
-            sharded_module, "_worker_sample_chunk", _exploding_worker
-        )
+        def explode(self, ad, chunk_index):
+            raise ValueError("worker exploded")
+
+        pids = []
+        fork = _LocalFleet._fork
+
+        def recording_fork(self):
+            fork(self)
+            pids.extend(self.pids)
+
+        # Set before the first submit, so the forked workers inherit it.
+        monkeypatch.setattr(ChunkSource, "block", explode)
+        monkeypatch.setattr(_LocalFleet, "_fork", recording_fork)
         problem = _problem(0)
         engine = ShardedSamplingEngine(
             problem.graph, _probs(problem), seeds=0, engine="process",
             chunk_size=8, max_workers=2,
         )
-        if not engine._fork_available():  # pragma: no cover - platform guard
-            engine.close()
-            pytest.skip("fork start method unavailable")
-        with pytest.raises(ValueError, match="worker exploded"):
-            engine.sample({0: 40, 1: 40})
+        with pytest.warns(RuntimeWarning, match="computing locally"):
+            with pytest.raises(ValueError, match="worker exploded"):
+                engine.sample({0: 40, 1: 40})
         assert not engine._finalizer.alive
-        assert engine._substrate.executor is None
-        assert engine._engine_id not in sharded_module._FORK_PAYLOADS
+        assert len(pids) == 2 and all_reaped(pids)
         engine.close()  # still idempotent after the failure path
 
 
@@ -414,9 +417,6 @@ class TestSubstrateSeam:
         assert fake.closed
 
     def test_failing_future_propagates_drains_and_closes(self):
-        import glob
-
-        segments = len(glob.glob("/dev/shm/psm_*"))
         problem = _problem(21)
         with ShardedSamplingEngine(
             problem.graph, _probs(problem), seeds=5, chunk_size=16
@@ -435,7 +435,6 @@ class TestSubstrateSeam:
         assert fake.drained == [future for _, _, future in fake.submitted[3:]]
         assert engine.shard(0).num_total == 32
         assert fake.closed and not engine._finalizer.alive
-        assert len(glob.glob("/dev/shm/psm_*")) == segments
         engine.close()  # still idempotent after the failure path
 
 
@@ -507,21 +506,22 @@ class TestResetForReuse:
                 assert np.array_equal(engine.shard(ad).coverage(), coverage[ad])
 
     def test_reset_keeps_process_pool_and_arena_warm(self):
+        """The forked fleet is engine-scoped: a reset keeps the same
+        coordinator and the same worker processes."""
         problem = _problem(19)
         engine = ShardedSamplingEngine(
             problem.graph, _probs(problem), seeds=4, engine="process",
             chunk_size=16, max_workers=2,
         )
-        if not engine._fork_available():  # pragma: no cover - platform guard
-            engine.close()
-            pytest.skip("fork start method unavailable")
         with engine:
             engine.sample({0: 40, 1: 40, 2: 40})
             executor = engine._substrate.executor
-            assert executor is not None
+            pids = list(engine._substrate.pids)
+            assert executor is not None and len(pids) == 2
             engine.reset_for_reuse()
             assert engine._substrate.executor is executor  # still warm
             engine.sample({0: 20, 1: 20, 2: 20})
+            assert engine._substrate.pids == pids
             with ShardedSamplingEngine(
                 problem.graph, _probs(problem), seeds=4, chunk_size=16,
             ) as fresh:
@@ -555,9 +555,6 @@ class TestResetForReuse:
         reused = ShardedSamplingEngine(
             problem.graph, _probs(problem), engine=mode, max_workers=2, **kwargs
         )
-        if mode == "process" and not reused._fork_available():  # pragma: no cover
-            reused.close()
-            pytest.skip("fork start method unavailable")
         with reused, ShardedSamplingEngine(
             problem.graph, _probs(problem), **kwargs
         ) as fresh:

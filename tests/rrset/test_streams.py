@@ -3,18 +3,19 @@
 The contract under test: every RR set is a pure
 function of ``(global_seed, ad, set_index)`` given a chunk size — so the
 sampled pools must be byte-identical across serial execution, 1-worker
-and N-worker process pools, every worker start method the platform may
-offer (fork vs spawn), prefetched or not, and any way of splitting the
-same index ranges across requests.
+and N-worker process fleets, a platform without ``os.fork``, prefetched
+or not, and any way of splitting the same index ranges across requests.
 """
 
 from __future__ import annotations
 
 import gc
 import os
+import signal
 import subprocess
 import sys
 import textwrap
+import time
 import warnings
 
 import numpy as np
@@ -29,7 +30,18 @@ from repro.errors import ConfigurationError
 from repro.graph.generators import erdos_renyi
 from repro.graph.probabilities import constant_probabilities
 from repro.rrset.sampler import RRSetSampler, StreamPlan, _slice_flat
-from repro.rrset.sharded import _FORK_PAYLOADS, ShardedSamplingEngine
+from repro.rrset.sharded import ShardedSamplingEngine
+
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "..", "src"))
+
+
+def _python(code: str) -> subprocess.Popen:
+    """``python -c code`` with ``src`` importable, output piped."""
+    return subprocess.Popen(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
 
 
 def _problem(seed: int, num_ads: int = 3, budget: float = 6.0):
@@ -285,75 +297,29 @@ class TestWorkerCountInvariance:
         assert all(ad == 0 and not resident for ad, _, _, _, resident in tasks)
 
 
-def _force_start_method(monkeypatch, start_method):
-    """The start method is observed from the platform, so a test picks
-    one by changing what the platform appears to offer."""
-    if start_method == "spawn":
-        monkeypatch.setattr(
-            ShardedSamplingEngine, "_fork_available", staticmethod(lambda: False)
-        )
-    elif not ShardedSamplingEngine._fork_available():  # pragma: no cover
-        pytest.skip("fork start method unavailable")
-
-
 class TestTransportMatrix:
-    """Start-method acceptance matrix of the process-pool substrate.
+    """What each substrate records about itself — provenance only: the
+    pools are byte-identical on all of them (TestWorkerCountInvariance,
+    ``tests/dist``)."""
 
-    Every leg must produce pools byte-identical to the serial engine —
-    fork inheritance and the spawn payload arena are alternative
-    plumbings for the same pure chunk functions (blocks come home as
-    shared-memory descriptors on both), so they are byte-identical *by
-    construction* and asserted here.
-    """
-
-    @pytest.mark.parametrize("transport", ["shm"])
-    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
-    def test_pools_byte_identical(self, start_method, transport, monkeypatch):
-        _force_start_method(monkeypatch, start_method)
-        problem = _problem(4, num_ads=2)
+    @pytest.mark.parametrize(
+        "engine,transport,start_method",
+        [("serial", "inline", None), ("process", "socket", "fork")],
+    )
+    def test_substrate_provenance(self, engine, transport, start_method):
+        if engine == "process" and not hasattr(os, "fork"):  # pragma: no cover
+            pytest.skip("os.fork unavailable")
+        problem = _problem(4, num_ads=1)
         with ShardedSamplingEngine(
-            problem.graph, _probs(problem), seeds=8, engine="serial",
-            chunk_size=16,
-        ) as serial, ShardedSamplingEngine(
-            problem.graph, _probs(problem), seeds=8, engine="process",
-            max_workers=2, chunk_size=16,
-        ) as process:
-            assert process.transport == transport
-            assert process.start_method == start_method
-            for requests in ({0: 70, 1: 40}, {0: 33}, {1: 5}):
-                serial.sample(requests)
-                process.sample(requests)
-            _assert_fingerprints_equal(_fingerprint(serial), _fingerprint(process))
-
-    def test_spawn_arena_is_accounted_and_released(self, monkeypatch):
-        _force_start_method(monkeypatch, "spawn")
-        problem = _problem(4, num_ads=2)
-        eng = ShardedSamplingEngine(
-            problem.graph, _probs(problem), seeds=8, engine="process",
-            max_workers=2, chunk_size=16,
-        )
-        try:
-            eng.sample({0: 20})
-            assert eng.shared_memory_bytes() > 0
-            shard_bytes = sum(
-                eng.shard(ad).memory_bytes() for ad in range(eng.num_ads)
-            )
-            # 20 sets at chunk_size=16: chunk 1 is held as a partial tail.
-            held_bytes = sum(
-                part.nbytes
-                for part in eng.sampler(0).sample_chunk_block(eng.plan(0), 1)
-            )
-            assert eng.memory_bytes() == (
-                shard_bytes + eng.shared_memory_bytes() + held_bytes
-            )
-        finally:
-            eng.close()
-        assert eng.shared_memory_bytes() == 0
+            problem.graph, _probs(problem), engine=engine, max_workers=1
+        ) as eng:
+            assert eng.transport == transport
+            assert eng.start_method == start_method
 
     def test_repr_names_the_transport(self):
         problem = _problem(4, num_ads=1)
         with ShardedSamplingEngine(problem.graph, _probs(problem)) as eng:
-            assert "transport='shm'" in repr(eng)
+            assert "transport='inline'" in repr(eng)
 
 
 class TestPrefetch:
@@ -436,51 +402,35 @@ class TestPrefetch:
 
 
 class TestDegradedFallback:
-    """What the platform offers: fork → spawn → (no shared memory) serial."""
-
-    def test_no_fork_falls_back_to_spawn(self, monkeypatch):
-        problem = _problem(6, num_ads=1)
-        monkeypatch.setattr(
-            ShardedSamplingEngine, "_fork_available", staticmethod(lambda: False)
-        )
-        with ShardedSamplingEngine(
-            problem.graph, _probs(problem), seeds=4, engine="process",
-            chunk_size=8,
-        ) as eng:
-            assert eng.start_method == "spawn"
+    """A platform without ``os.fork`` gets no fleet: ``engine="process"``
+    computes every chunk in the parent, warns once per engine, and holds
+    the serial engine's bytes."""
 
     def test_warns_once_per_engine_and_matches_serial(self, monkeypatch):
         problem = _problem(6, num_ads=2)
-        monkeypatch.setattr(
-            ShardedSamplingEngine, "_fork_available", staticmethod(lambda: False)
-        )
-        monkeypatch.setattr(
-            ShardedSamplingEngine, "_shm_available", staticmethod(lambda: False)
-        )
+        monkeypatch.delattr(os, "fork", raising=False)
+        kwargs = dict(seeds=4, chunk_size=8, dsan=True)
         with ShardedSamplingEngine(
-            problem.graph, _probs(problem), seeds=4, engine="process", chunk_size=8
+            problem.graph, _probs(problem), engine="process", **kwargs
         ) as eng, ShardedSamplingEngine(
-            problem.graph, _probs(problem), seeds=4, engine="serial", chunk_size=8
+            problem.graph, _probs(problem), engine="serial", **kwargs
         ) as serial:
-            assert eng.start_method is None
+            assert eng.start_method is None and eng.transport == "inline"
             with pytest.warns(RuntimeWarning, match="no usable process start"):
                 eng.sample({0: 30, 1: 30})
             # the second request must not warn again on the same engine
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 eng.sample({0: 10})
+            assert eng._substrate.executor is None
             serial.sample({0: 30, 1: 30})
             serial.sample({0: 10})
             _assert_fingerprints_equal(_fingerprint(eng), _fingerprint(serial))
+            assert eng.dsan_root() == serial.dsan_root()
 
     def test_each_engine_instance_warns(self, monkeypatch):
         problem = _problem(6, num_ads=2)
-        monkeypatch.setattr(
-            ShardedSamplingEngine, "_fork_available", staticmethod(lambda: False)
-        )
-        monkeypatch.setattr(
-            ShardedSamplingEngine, "_shm_available", staticmethod(lambda: False)
-        )
+        monkeypatch.delattr(os, "fork", raising=False)
         for _ in range(2):  # a fresh engine warns even after another already did
             with ShardedSamplingEngine(
                 problem.graph, _probs(problem), seeds=4, engine="process",
@@ -489,62 +439,91 @@ class TestDegradedFallback:
                 with pytest.warns(RuntimeWarning, match="will sample serially"):
                     eng.sample({0: 20, 1: 20})
 
-    def test_no_shm_degrades_to_serial(self, monkeypatch):
-        """No shared memory (fork or not) means no pool at all: blocks
-        travel as shm descriptors only.  The engine samples serially,
-        warns once, and holds the serial engine's bytes."""
-        problem = _problem(6, num_ads=2)
-        monkeypatch.setattr(
-            ShardedSamplingEngine, "_shm_available", staticmethod(lambda: False)
-        )
-        kwargs = dict(seeds=4, chunk_size=8, dsan=True)
-        with ShardedSamplingEngine(
-            problem.graph, _probs(problem), engine="process", **kwargs
-        ) as eng, ShardedSamplingEngine(
-            problem.graph, _probs(problem), engine="serial", **kwargs
-        ) as serial:
-            assert eng.start_method is None
-            with pytest.warns(RuntimeWarning, match="will sample serially") as seen:
-                eng.sample({0: 30, 1: 30})
-                eng.sample({0: 10})
-            assert len(seen) == 1
-            assert eng._substrate.executor is None
-            serial.sample({0: 30, 1: 30})
-            serial.sample({0: 10})
-            assert eng.dsan_root() == serial.dsan_root()
-
 
 class TestTeardown:
-    def test_close_releases_payload_and_is_idempotent(self):
+    """No forked worker outlives its engine — after close(), GC, or a
+    SIGKILL of the parent (interpreter exit: TestShmHygiene)."""
+
+    def test_close_releases_payload_and_is_idempotent(self, all_reaped):
         problem = _problem(7)
         eng = ShardedSamplingEngine(
             problem.graph, _probs(problem), seeds=0, engine="process", chunk_size=8
         )
-        engine_id = eng._engine_id
-        assert engine_id in _FORK_PAYLOADS
+        assert not eng._substrate.pids  # nothing forked before a request
         eng.sample({0: 20, 1: 20})
+        pids = list(eng._substrate.pids)
+        assert pids
         eng.close()
-        assert engine_id not in _FORK_PAYLOADS
+        assert all_reaped(pids)  # SHUTDOWN, then reaped
         eng.close()  # idempotent
         # a closed engine still samples, in-process
         eng.sample({0: 10})
         assert eng.shard(0).num_total == 30
 
-    def test_gc_without_close_releases_payload(self):
+    def test_gc_without_close_releases_payload(self, all_reaped):
         problem = _problem(7)
         eng = ShardedSamplingEngine(
             problem.graph, _probs(problem), seeds=0, engine="process", chunk_size=8
         )
-        engine_id = eng._engine_id
         eng.sample({0: 10, 1: 10})
+        pids = list(eng._substrate.pids)
         del eng
         gc.collect()
-        assert engine_id not in _FORK_PAYLOADS
+        assert pids and all_reaped(pids)
+
+    def test_sigkill_of_the_parent_takes_the_fleet_down(self, all_exited):
+        """Each worker holds only its own end of its pair, so the
+        parent's death reaches it as EOF (or a broken pipe mid-chunk)."""
+        proc = _python(
+            """
+            import time
+            from repro.graph.generators import erdos_renyi
+            from repro.graph.probabilities import constant_probabilities
+            from repro.rrset.sharded import ChunkSource, ShardedSamplingEngine
+
+            block = ChunkSource.block
+
+            def slow_block(self, ad, chunk_index):
+                time.sleep(0.05)
+                return block(self, ad, chunk_index)
+
+            ChunkSource.block = slow_block  # inherited by the workers
+            graph = erdos_renyi(40, 0.06, seed=2)
+            probs = [constant_probabilities(graph, 0.08)] * 2
+            eng = ShardedSamplingEngine(
+                graph, probs, seeds=5, engine="process", chunk_size=8,
+                max_workers=2,
+            )
+            eng.prefetch({0: 16})  # forks the fleet
+            print(*eng._substrate.pids, flush=True)
+            eng.ensure({0: 80_000, 1: 80_000})  # minutes of chunks
+            """
+        )
+        try:
+            pids = [int(pid) for pid in proc.stdout.readline().split()]
+            assert len(pids) == 2, proc.stderr.read()
+            time.sleep(0.3)  # mid-request
+            assert proc.poll() is None
+            proc.send_signal(signal.SIGKILL)
+            proc.wait(timeout=10)
+        finally:
+            if proc.poll() is None:  # pragma: no cover - failure path
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+            proc.stderr.close()
+        gone = all_exited(pids, timeout=5.0)
+        for pid in [] if gone else pids:  # pragma: no cover - failure path
+            try:
+                os.kill(pid, signal.SIGKILL)  # do not leak the failure
+            except ProcessLookupError:
+                pass
+        assert gone
 
 
 class TestShmHygiene:
-    """No shared-memory segment may outlive the engine, and teardown must
-    be silent — no resource_tracker leaked-segment warnings."""
+    """The fleet needs no shared memory: nothing appears in ``/dev/shm``
+    and teardown is silent on every path."""
 
     def test_no_segments_left_in_dev_shm(self):
         if not os.path.isdir("/dev/shm"):
@@ -558,18 +537,12 @@ class TestShmHygiene:
             eng.sample({0: 40, 1: 20})
             eng.prefetch({0: 100})  # left unconsumed on purpose
         gc.collect()
-        leaked = {
-            name for name in set(os.listdir("/dev/shm")) - before
-            if name.startswith("psm_")
-        }
-        assert not leaked, f"leaked shared-memory segments: {leaked}"
+        assert set(os.listdir("/dev/shm")) - before == set()
 
-    def test_teardown_emits_no_resource_tracker_warnings(self):
-        """Run a full shm life cycle (fork pool + spawn arena +
-        abandoned prefetch) in a subprocess and assert interpreter
-        shutdown prints nothing — the resource tracker only reports
-        stale registrations at exit, so the check needs a real exit."""
-        code = textwrap.dedent(
+    def test_teardown_emits_no_resource_tracker_warnings(self, all_exited):
+        """An engine never closed, with prefetched work nobody collects:
+        interpreter exit reaps the fleet and prints nothing at all."""
+        proc = _python(
             """
             from repro.graph.generators import erdos_renyi
             from repro.graph.probabilities import constant_probabilities
@@ -577,41 +550,20 @@ class TestShmHygiene:
 
             graph = erdos_renyi(40, 0.06, seed=2)
             probs = [constant_probabilities(graph, 0.08)] * 2
-            with ShardedSamplingEngine(
+            eng = ShardedSamplingEngine(
                 graph, probs, seeds=5, engine="process", chunk_size=8,
                 max_workers=2,
-            ) as eng:
-                eng.sample({0: 30, 1: 10})
-                eng.prefetch({0: 60})  # abandoned in-flight work
-            # Second engine on the spawn start method (what a platform
-            # without fork would observe).
-            ShardedSamplingEngine._fork_available = staticmethod(lambda: False)
-            eng2 = ShardedSamplingEngine(
-                graph, probs, seeds=5, engine="process", chunk_size=8,
-                max_workers=1,
             )
-            assert eng2.start_method == "spawn"
-            eng2.sample({0: 16})
-            eng2.close()
-            print("CYCLE-OK")
+            eng.sample({0: 30, 1: 10})
+            eng.prefetch({0: 200})  # abandoned in-flight work
+            print(*eng._substrate.pids)
             """
         )
-        result = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env={
-                **os.environ,
-                "PYTHONPATH": os.path.abspath(
-                    os.path.join(os.path.dirname(__file__), "..", "..", "src")
-                ),
-            },
-            timeout=240,
-        )
-        assert result.returncode == 0, result.stderr
-        assert "CYCLE-OK" in result.stdout
-        assert "resource_tracker" not in result.stderr, result.stderr
-        assert "leaked" not in result.stderr, result.stderr
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        assert err == ""
+        pids = [int(pid) for pid in out.split()]
+        assert len(pids) == 2 and all_exited(pids)
 
 
 class TestTIRMContract:
@@ -653,8 +605,8 @@ class TestTIRMContract:
             seed=3, initial_pilot=300, max_rr_sets_per_ad=2_000, epsilon=0.25,
             chunk_size=64,
         ).allocate(problem)
-        assert result.stats["transport"] == "shm"
-        assert result.allocation.provenance["transport"] == "shm"
+        assert result.stats["transport"] == "inline"
+        assert result.allocation.provenance["transport"] == "inline"
         assert result.stats["start_method"] is None  # serial: nothing started
         assert "prefetch" not in result.stats
 
