@@ -9,9 +9,9 @@ index read after growth, so between an append and that read they lag the
 sets, and a rewound pool keeps them, so they list sets not visible yet —
 a raw read elsewhere is a silent stale-index bug of the same shape.
 Every external consumer must go through the pool's stable API
-(``prefix_view``, ``first_k_sets``, ``add_flat`` /
-``add_flat_from_buffer`` — generation-checked; ``remove_covered``,
-``coverage_of_set``, ``set_ids_containing`` — synced).  This rule fences
+(``prefix_view``, ``first_k_sets``, ``add_flat`` — generation-checked;
+``remove_covered``, ``coverage_of_set``, ``set_ids_containing`` —
+synced).  This rule fences
 the arrays off syntactically: any such attribute access outside
 ``pool.py`` is flagged, whatever object it syntactically hangs on — a
 private name that specific appearing outside its owner is wrong even

@@ -16,10 +16,10 @@ own nothing:
 * **stall** — no RESULT within ``task_timeout``: the socket read times
   out, the worker is dropped (a late result from a zombie must never
   race a requeued one), and the chunk is requeued.
-* **corrupt** — a RESULT whose payload fails its blake2 digest (or
-  addresses the wrong chunk): the worker is dropped and the chunk
-  requeued.  The digest is the same one dsan records, so a corrupt
-  block can never reach a shard.
+* **corrupt** — a RESULT whose block fails the entry parse (sizes,
+  lengths, blake2 digest) or addresses the wrong chunk: the worker is
+  dropped and the chunk requeued.  The digest is the same one dsan
+  records, so a corrupt block can never reach a shard.
 
 Requeues carry a deterministic exponential backoff (no jitter — random
 delays are banned by the determinism lint, and delay only schedules
@@ -265,7 +265,7 @@ class Coordinator:
 
     def submit(self, session_id: int, ad: int, chunk_index: int) -> Future:
         """Queue one chunk task; the future resolves to the verified
-        ``(members, lengths, digest)`` block (or fails with
+        :class:`~repro.rrset.block.Block` (or fails with
         :class:`TaskFailedError` / :class:`WorkersUnavailableError`)."""
         task = _Task(int(session_id), int(ad), int(chunk_index))
         with self._cond:
@@ -495,7 +495,7 @@ class Coordinator:
             raise ProtocolError(
                 f"{worker}: expected RESULT, got kind {kind}"
             )
-        ad, chunk, members, lengths, digest = frames.unpack_result(payload)
+        ad, chunk, block = frames.unpack_result(payload)
         if (ad, chunk) != (task.ad, task.chunk):
             raise FrameIntegrityError(
                 f"{worker}: RESULT addresses (ad={ad}, chunk={chunk}), "
@@ -506,7 +506,7 @@ class Coordinator:
             info = self._workers.get(worker)
             if info is not None:
                 info["tasks"] += 1
-        task.resolve((members, lengths, digest))
+        task.resolve(block)
 
     def _flush_released(self, conn: socket.socket,
                         announced: set[int]) -> None:

@@ -45,7 +45,8 @@ from repro.dist.coordinator import (
 from repro.dist.worker import serve_forked
 from repro.errors import ConfigurationError
 from repro.graph.digraph import DirectedGraph
-from repro.rrset.sharded import ChunkSubstrate, ShardedSamplingEngine, _Block
+from repro.rrset.block import Block
+from repro.rrset.sharded import ChunkSubstrate, ShardedSamplingEngine
 
 #: Coordinator spec keys accepted when the engine builds (and owns) its
 #: own coordinator from a dict instead of borrowing an instance.
@@ -82,7 +83,7 @@ class _Fleet(ChunkSubstrate):
     def submit(self, ad: int, chunk_index: int):
         return self.coordinator.submit(self.session_id, ad, chunk_index)
 
-    def collect(self, ad: int, chunk_index: int, future) -> _Block:
+    def collect(self, ad: int, chunk_index: int, future) -> Block:
         try:
             return super().collect(ad, chunk_index, future)
         except (WorkersUnavailableError, TaskFailedError) as exc:
@@ -97,7 +98,7 @@ class _Fleet(ChunkSubstrate):
                     stacklevel=5,
                 )
             self.fallbacks += 1
-            return _Block(*self._source.block(ad, chunk_index))
+            return self._source.block(ad, chunk_index)
 
     def reset(self) -> None:
         self.fallbacks = 0

@@ -7,19 +7,17 @@ One frame is a fixed 16-byte header followed by a payload::
 Control frames (HELLO / SETUP / TASK / ERROR / RELEASE / SHUTDOWN)
 carry a JSON object; PAYLOAD carries a session's flat chunk-source
 payload (laid out by its SETUP meta); and RESULT carries one full
-chunk block in the shard store's layout
-(:mod:`repro.store.blocks`) — a 64-byte header followed by
-``[int64 lengths | int32 members]``, stamped with the same blake2
-digest the dsan and the shard cache use::
+chunk block as the chunk's address followed by exactly the bytes of
+its shard-cache entry (:mod:`repro.rrset.block`)::
 
-    <q ad> <q chunk> <q num_sets> <q num_members> <32s digest-hex>
-    lengths[int64] members[int32]
+    <q ad> <q chunk> <.blk entry: 64-byte header | int64 lengths | int32 members>
 
-The digest is computed by the worker over the arrays it sampled and
-re-verified by the coordinator over the bytes it received
-(:func:`unpack_result`), so a bit-flipped payload surfaces as
-:class:`FrameIntegrityError` — the coordinator requeues the chunk
-instead of splicing garbage.
+The entry's digest is the blake2 digest the dsan and the shard cache
+use, stamped by the worker (or carried over from the cache entry it
+loaded) and re-verified by the coordinator over the bytes it received
+(:func:`unpack_result`, the same parse a cache load runs), so a
+bit-flipped or forged block surfaces as :class:`FrameIntegrityError` —
+the coordinator requeues the chunk instead of splicing garbage.
 
 Every malformed input — bad magic, unknown kind, negative or oversize
 length prefix, truncated header, a connection dropped mid-frame —
@@ -34,11 +32,8 @@ from __future__ import annotations
 import json
 import struct
 
-import numpy as np
-
 from repro.errors import ProtocolError
-from repro.rrset.dsan import digest_block
-from repro.rrset.pool import MEMBER_DTYPE
+from repro.rrset.block import Block, CorruptBlockError, pack, parse
 
 #: Wire magic: first bytes of every frame.  Distinct from the shard
 #: store's ``RRSBLK01`` on purpose — a block file fed to a socket (or
@@ -47,7 +42,7 @@ MAGIC = b"RPF1"
 
 #: Bumped on any incompatible wire change; HELLO carries it and the
 #: coordinator refuses mismatched workers.
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 _HEADER = struct.Struct("<4sB3xq")
 HEADER_SIZE = _HEADER.size
@@ -72,18 +67,16 @@ FRAME_KINDS = frozenset(
 #: allocating unbounded memory.
 MAX_FRAME_BYTES = 256 * 1024 * 1024
 
-_RESULT_HEADER = struct.Struct("<qqqq32s")
-RESULT_HEADER_SIZE = _RESULT_HEADER.size
-
-_LENGTH_DTYPE = np.dtype(np.int64)
-_MEMBER_DTYPE = np.dtype(MEMBER_DTYPE)
+#: A RESULT payload's ``(ad, chunk)`` address, ahead of the entry.
+_ADDRESS = struct.Struct("<qq")
+ADDRESS_SIZE = _ADDRESS.size
 
 
 class FrameIntegrityError(ProtocolError):
-    """A structurally valid RESULT frame whose payload fails its digest
-    (or addresses the wrong chunk) — the transport corrupted the block,
-    or the worker lied.  The coordinator treats either the same way:
-    drop the worker, requeue the chunk."""
+    """A RESULT frame whose block fails any check of the entry parse —
+    sizes, lengths, digest — or that addresses the wrong chunk: the
+    transport corrupted the block, or the worker lied.  The coordinator
+    treats either the same way: drop the worker, requeue the chunk."""
 
 
 def _header(kind: int, length: int) -> bytes:
@@ -209,70 +202,33 @@ def recv_frame(sock, decoder: FrameDecoder, *,
         decoder.feed(data)
 
 
-def pack_result(ad: int, chunk_index: int, members, lengths) -> bytes:
-    """Pack one full chunk block into a RESULT payload, stamped with
-    the same blake2 digest the dsan records for this block."""
-    lengths = np.ascontiguousarray(lengths, dtype=_LENGTH_DTYPE)
-    members = np.ascontiguousarray(members, dtype=_MEMBER_DTYPE)
-    digest = digest_block(members, lengths).encode("ascii")
-    header = _RESULT_HEADER.pack(
-        int(ad), int(chunk_index), lengths.size, members.size, digest
-    )
-    return b"".join((header, lengths, members))
+def pack_result(ad: int, chunk_index: int, members, lengths,
+                digest: str | None = None) -> bytes:
+    """One RESULT payload: the chunk's address, then its entry bytes,
+    stamped with ``digest`` when the caller already verified one over
+    these arrays (a cache hit), else hashed once here."""
+    pieces, _ = pack(members, lengths, digest)
+    return b"".join([_ADDRESS.pack(int(ad), int(chunk_index)), *pieces])
 
 
-def unpack_result(
-    payload: bytes,
-) -> tuple[int, int, np.ndarray, np.ndarray, str]:
-    """Parse and *verify* a RESULT payload: ``(ad, chunk, members,
-    lengths, digest)``.
+def unpack_result(payload: bytes) -> tuple[int, int, Block]:
+    """Parse and *verify* a RESULT payload: ``(ad, chunk, block)``.
 
-    Structural violations (short header, inconsistent sizes) raise
-    :class:`~repro.errors.ProtocolError`; a payload whose recomputed
-    digest differs from its stamp raises :class:`FrameIntegrityError`.
-    The returned arrays are views over ``payload`` (read-only for a
-    ``bytes`` payload), and the stamp was verified over exactly those
-    views — so the caller records it as the block's digest instead of
-    hashing it again."""
-    if len(payload) < RESULT_HEADER_SIZE:
+    A payload too short for the address raises
+    :class:`~repro.errors.ProtocolError`; an entry that fails any check
+    of :func:`repro.rrset.block.parse` raises :class:`FrameIntegrityError`.
+    The block's arrays are views over ``payload`` (read-only for a
+    ``bytes`` payload) and its digest was verified over exactly those
+    views — so the caller records it instead of hashing again."""
+    if len(payload) < ADDRESS_SIZE:
         raise ProtocolError(
             f"RESULT payload truncated: {len(payload)} bytes is shorter "
-            f"than the {RESULT_HEADER_SIZE}-byte header"
+            f"than the {ADDRESS_SIZE}-byte address"
         )
-    ad, chunk_index, num_sets, num_members, digest = _RESULT_HEADER.unpack_from(
-        payload
-    )
-    if num_sets < 0 or num_members < 0:
-        raise ProtocolError(
-            f"RESULT header has negative sizes ({num_sets}, {num_members})"
-        )
-    expected = (
-        RESULT_HEADER_SIZE
-        + num_sets * _LENGTH_DTYPE.itemsize
-        + num_members * _MEMBER_DTYPE.itemsize
-    )
-    if len(payload) != expected:
-        raise ProtocolError(
-            f"RESULT payload is {len(payload)} bytes; header promises "
-            f"{expected}"
-        )
-    lengths = np.frombuffer(
-        payload, dtype=_LENGTH_DTYPE, count=num_sets, offset=RESULT_HEADER_SIZE
-    )
-    members = np.frombuffer(
-        payload, dtype=_MEMBER_DTYPE, count=num_members,
-        offset=RESULT_HEADER_SIZE + num_sets * _LENGTH_DTYPE.itemsize,
-    )
-    if int(lengths.sum()) != num_members:
-        raise ProtocolError(
-            f"RESULT lengths sum to {int(lengths.sum())}, header promises "
-            f"{num_members} members"
-        )
-    actual = digest_block(members, lengths).encode("ascii")
-    if actual != digest:
+    ad, chunk_index = _ADDRESS.unpack_from(payload)
+    try:
+        return ad, chunk_index, parse(payload, ADDRESS_SIZE)
+    except CorruptBlockError as exc:
         raise FrameIntegrityError(
-            f"RESULT block for (ad={ad}, chunk={chunk_index}) fails its "
-            f"digest: stamped {digest.decode('ascii', 'replace')}, "
-            f"recomputed {actual.decode('ascii')}"
-        )
-    return int(ad), int(chunk_index), members, lengths, actual.decode("ascii")
+            f"RESULT block for (ad={ad}, chunk={chunk_index}): {exc}"
+        ) from exc

@@ -246,8 +246,9 @@ class WorkerHost:
     def _compute_result(self, session: _Session, ad: int,
                         chunk_index: int) -> bytes:
         """One packed RESULT payload for the addressed chunk — served
-        from the local shard cache when possible, else re-derived from
-        ``(entropy, ad, chunk)`` and written through."""
+        from the local shard cache when possible (stamped with the
+        digest the load verified, so a hit is hashed once), else
+        re-derived from ``(entropy, ad, chunk)`` and written through."""
         source = session.source
         if not 0 <= ad < len(source.entropies):
             raise ProtocolError(f"TASK addresses unknown ad {ad}")
@@ -259,20 +260,21 @@ class WorkerHost:
                 try:
                     self.cache_hits += 1
                     return frames.pack_result(
-                        ad, chunk_index, entry.members, entry.lengths
+                        ad, chunk_index, entry.members, entry.lengths,
+                        entry.digest,
                     )
                 finally:
                     entry.release()
-        members, lengths = source.block(ad, chunk_index)
+        block = source.block(ad, chunk_index)
         if shard_key is not None:
             self._cache.store(
-                shard_key, chunk_index, members, lengths,
+                shard_key, chunk_index, block.members, block.lengths,
                 meta={"ad": ad, "rng": STREAM_RNG, "mode": STREAM_MODE,
                       "chunk_size": source.chunk_size,
                       "entropy": str(source.entropies[ad]),
                       "graph_hash": session.graph_digest},
             )
-        return frames.pack_result(ad, chunk_index, members, lengths)
+        return frames.pack_result(ad, chunk_index, block.members, block.lengths)
 
     def _before_result(self, ad: int, chunk_index: int) -> None:
         """Chaos seam: called between computing a result and sending it.

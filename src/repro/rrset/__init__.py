@@ -12,6 +12,10 @@
 * :mod:`repro.rrset.pool` — the flat CSR storage engine: contiguous
   int32 member buffers, a bulk-built inverted index, and vectorized
   coverage/removal kernels (see ``docs/rrset_engine.md``);
+* :mod:`repro.rrset.block` — the one encoding of a chunk block, the
+  ``.blk`` entry a cache file holds and a RESULT frame carries:
+  ``pack``, ``parse`` (every check) and the ``Block`` every arrival
+  becomes;
 * :mod:`repro.rrset.sharded` — the per-advertiser sharded sampling
   engine: one pool shard per ad, requests decomposed into counter-based
   ``(ad, chunk)`` stream tasks served serially or by a worker fleet

@@ -374,8 +374,9 @@ class RRSetPool:
         lengths_offset: int = 0,
         members_offset: int | None = None,
     ) -> None:
-        """Append ``num_sets`` sets straight out of an external buffer —
-        e.g. a shard-cache entry's file mapping — with exactly one copy.
+        """Append ``num_sets`` sets straight out of an external buffer
+        with exactly one copy (the engine splices a cache entry through
+        :meth:`add_flat` over its views instead).
 
         The region follows the engine's packed-block layout: ``num_sets``
         ``int64`` lengths starting at byte ``lengths_offset``, and

@@ -66,9 +66,11 @@ Shard cache (``cache=...`` / ``REPRO_CACHE``)
 
 With a cache directory configured the chunk path is *read-through* over
 the content-addressed shard store (:mod:`repro.store`): a cached chunk
-is never submitted, its verified entry takes the same single-copy
-splice out of its mapping, and freshly computed blocks are stored for the
-next run.  Keys address what determines the bytes and exclude the
+is never submitted, its verified entry — a
+:class:`~repro.rrset.block.Block` of views over the file mapping,
+parsed by the same codec as a RESULT frame — takes the same single-copy
+splice, and freshly computed blocks are stored for the next run.  Keys
+address what determines the bytes and exclude the
 substrate — so a warm run performs **zero** sampling-backend
 invocations (``backend_invocations`` counts them) yet stays
 byte-identical to a cold one.  A poisoned entry is quarantined with a
@@ -82,13 +84,12 @@ import weakref
 from concurrent.futures import Future
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from repro.errors import ConfigurationError
 from repro.graph.digraph import DirectedGraph
 from repro.rrset.backends import resolve_backend
+from repro.rrset.block import Block
 from repro.rrset.dsan import DsanRecorder, dsan_enabled
-from repro.rrset.pool import MEMBER_DTYPE, RRSetPool
+from repro.rrset.pool import RRSetPool
 from repro.rrset.sampler import (
     DEFAULT_CHUNK_SIZE,
     STREAM_MODE,
@@ -100,10 +101,6 @@ from repro.rrset.sampler import (
 from repro.utils.rng import seed_entropy
 
 ENGINE_MODES = ("serial", "process")
-
-_LENGTH_DTYPE = np.int64
-_LENGTH_ITEMSIZE = np.dtype(_LENGTH_DTYPE).itemsize
-_MEMBER_ITEMSIZE = np.dtype(MEMBER_DTYPE).itemsize
 
 #: Engine-id allocator: names engines in warnings and dsan labels.
 _ENGINE_IDS = itertools.count()
@@ -140,39 +137,17 @@ class ChunkSource:
     def plan(self, ad: int) -> StreamPlan:
         return StreamPlan(self.entropies[ad], ad, self.chunk_size)
 
-    def block(self, ad: int, chunk_index: int) -> tuple[np.ndarray, np.ndarray]:
-        """The chunk's full packed ``(members, lengths)`` block — always
-        the whole chunk: the parent slices out the range it needs and
-        memoizes partial tails."""
-        return self.sampler(ad).sample_chunk_block(self.plan(ad), chunk_index)
+    def block(self, ad: int, chunk_index: int) -> Block:
+        """The chunk's full packed block — always the whole chunk: the
+        parent slices out the range it needs and memoizes partial
+        tails."""
+        sampler = self.sampler(ad)
+        return Block(*sampler.sample_chunk_block(self.plan(ad), chunk_index))
 
 
 # ----------------------------------------------------------------------
-# Parent side: blocks and substrates
+# Parent side: substrates
 # ----------------------------------------------------------------------
-class _Block:
-    """One full chunk block on its way into a shard: ``(members,
-    lengths)`` and the block's ``digest`` when its arrival already
-    verified one over them (a RESULT frame's stamp; ``None``: not hashed
-    yet).  A verified cache entry (:class:`repro.store.blocks.BlockEntry`,
-    views over a ``.blk`` mapping, its stored digest checked) has the
-    same shape plus the mapped ``buffer`` and both arrays' byte offsets
-    in it, and takes the same splice."""
-
-    __slots__ = ("members", "lengths", "digest")
-
-    #: Array blocks own no external buffer (cf. ``BlockEntry.buffer``).
-    buffer = None
-
-    def __init__(self, members, lengths, digest=None) -> None:
-        self.members = members
-        self.lengths = lengths
-        self.digest = digest
-
-    def release(self) -> None:
-        self.members = self.lengths = None
-
-
 class ChunkSubstrate:
     """The fan-out seam: where chunks are computed and how their blocks
     travel home.  The dispatch loop knows a substrate only through
@@ -192,9 +167,9 @@ class ChunkSubstrate:
         caller computes it inline."""
         return None
 
-    def collect(self, ad: int, chunk_index: int, future: Future) -> _Block:
+    def collect(self, ad: int, chunk_index: int, future: Future) -> Block:
         """The submitted chunk's block (blocks until it is ready)."""
-        return _Block(*future.result())
+        return future.result()
 
     def drain(self, futures) -> None:
         """Cancel futures nobody will collect.  A block that arrives
@@ -369,7 +344,7 @@ class ShardedSamplingEngine:
         # of resampling it and every chunk is computed at most once per
         # engine lifetime.  Fully consumed chunks are held once, by the
         # shard.
-        self._blocks: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        self._blocks: dict[tuple[int, int], Block] = {}
         self._engine_id = next(_ENGINE_IDS)
         # Determinism sanitizer: an explicit expected map implies dsan
         # (there is nothing to check the map against otherwise).
@@ -555,8 +530,8 @@ class ShardedSamplingEngine:
         return (
             int(sum(s.memory_bytes() for s in self._shards))
             + sum(
-                int(members.nbytes + lengths.nbytes)
-                for members, lengths in self._blocks.values()
+                int(block.members.nbytes + block.lengths.nbytes)
+                for block in self._blocks.values()
             )
         )
 
@@ -728,16 +703,16 @@ class ShardedSamplingEngine:
         memoized arrays, else the verified cache entry — else (the
         probed entry vanished or was quarantined) an inline compute:
         the cache can only ever save work, never change bytes."""
-        arrays = self._blocks.get((ad, chunk_index))
-        if arrays is not None:
-            return _Block(*arrays), False
+        memo = self._blocks.get((ad, chunk_index))
+        if memo is not None:
+            return Block(memo.members, memo.lengths), False
         entry = self._cache.load(
             self._shard_keys[ad], chunk_index, self.chunk_size
         )
         if entry is not None:
             return entry, False
         self.backend_invocations += 1
-        return _Block(*self._source.block(ad, chunk_index)), True
+        return self._source.block(ad, chunk_index), True
 
     def _run_tasks(self, tasks: list[tuple[int, int, int, int, bool]]) -> None:
         """The one dispatch loop: scatter the non-resident ``(ad, chunk,
@@ -780,7 +755,7 @@ class ShardedSamplingEngine:
                 else:
                     future = pending.pop((ad, chunk_index))
                     if future is None:
-                        block = _Block(*self._source.block(ad, chunk_index))
+                        block = self._source.block(ad, chunk_index)
                     else:
                         block = substrate.collect(ad, chunk_index, future)
                     fresh = True
@@ -802,11 +777,13 @@ class ShardedSamplingEngine:
         chunk is only partly resident, else the shard's own rows."""
         shard = self._shards[ad]
         if self._dsan is not None:
-            block = self._blocks.get((ad, chunk_index))
-            if block is None:
+            memo = self._blocks.get((ad, chunk_index))
+            if memo is not None:
+                arrays = memo.members, memo.lengths
+            else:
                 first = chunk_index * self.chunk_size
-                block = shard.resident_rows(first, first + self.chunk_size)
-            self._dsan.record(ad, chunk_index, *block)
+                arrays = shard.resident_rows(first, first + self.chunk_size)
+            self._dsan.record(ad, chunk_index, *arrays)
         shard.reveal(count)
 
     def _splice(
@@ -830,8 +807,7 @@ class ShardedSamplingEngine:
             if fresh and self._cache is not None:
                 # Write-through, for freshly computed blocks only (write
                 # failures warn once inside the cache, never fail the
-                # run).  Straight off the buffer: write_block serializes
-                # without keeping references.
+                # run); write_block serializes without keeping references.
                 self._cache.store(
                     self._shard_keys[ad], chunk_index, members, lengths,
                     meta=self._cache_meta[ad], digest=digest,
@@ -840,26 +816,14 @@ class ShardedSamplingEngine:
                 # A cache entry's mapping goes at the release below, so
                 # the memo must own a copy.
                 self._blocks[ad, chunk_index] = (
-                    (members, lengths) if block.buffer is None
-                    else (members.copy(), lengths.copy())
+                    Block(members, lengths) if block.buffer is None
+                    else Block(members.copy(), lengths.copy())
                 )
             else:
                 self._blocks.pop((ad, chunk_index), None)
-            # Exactly one copy into the pool on either path.
-            if block.buffer is None:
-                self._shards[ad].add_flat(*_slice_flat(members, lengths, lo, hi))
-            else:
-                bounds = np.zeros(len(lengths) + 1, dtype=np.int64)
-                np.cumsum(lengths, out=bounds[1:])
-                self._shards[ad].add_flat_from_buffer(
-                    block.buffer,
-                    num_sets=hi - lo,
-                    num_members=int(bounds[hi] - bounds[lo]),
-                    lengths_offset=block.lengths_offset + lo * _LENGTH_ITEMSIZE,
-                    members_offset=(
-                        block.members_offset + int(bounds[lo]) * _MEMBER_ITEMSIZE
-                    ),
-                )
+            # Exactly one copy into the pool, whatever the block arrived
+            # as: a cache entry's arrays are views over its mapping.
+            self._shards[ad].add_flat(*_slice_flat(members, lengths, lo, hi))
         finally:
             block.release()
 

@@ -19,21 +19,21 @@ hit is verified against its stored dsan digest before it is spliced
 backend, and the substrate — sits outside the determinism contract.
 
 Modules: :mod:`~repro.store.keys` (the key schema),
-:mod:`~repro.store.blocks` (the entry file format),
+:mod:`~repro.store.blocks` (entry file I/O over the block codec),
 :mod:`~repro.store.cache` (the read-through cache),
 :mod:`~repro.store.catalog` (the SQLite catalog),
 :mod:`~repro.store.gc` (LRU eviction under a byte budget),
 :mod:`~repro.store.commands` (``repro ls / show / diff / gc``).
 """
 
-from repro.store.blocks import BlockEntry, CorruptBlockError, load_block, write_block
+from repro.store.blocks import Block, CorruptBlockError, load_block, write_block
 from repro.store.cache import ENV_VAR, ShardCache, resolve_cache
 from repro.store.catalog import CATALOG_FILENAME, ExperimentCatalog
 from repro.store.gc import GcReport, cache_usage, collect_garbage
 from repro.store.keys import philox_shard_key
 
 __all__ = [
-    "BlockEntry",
+    "Block",
     "CorruptBlockError",
     "load_block",
     "write_block",

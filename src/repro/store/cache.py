@@ -24,7 +24,7 @@ import os
 import warnings
 
 from repro.errors import StoreError
-from repro.store.blocks import BlockEntry, CorruptBlockError, load_block, write_block
+from repro.store.blocks import Block, CorruptBlockError, load_block, write_block
 from repro.store.catalog import ExperimentCatalog
 
 #: Environment variable consulted when the ``cache`` knob is ``None``
@@ -78,7 +78,7 @@ class ShardCache:
 
     def load(
         self, shard_key: str, index: int, num_sets: int | None = None,
-    ) -> BlockEntry | None:
+    ) -> Block | None:
         """Verified read: the entry at ``(shard_key, index)``, or
         ``None`` on miss *or* corruption (the poisoned file is removed,
         its catalog row dropped, and a ``RuntimeWarning`` names it —

@@ -38,11 +38,10 @@ def build_calls(monkeypatch) -> list[int]:
 @pytest.fixture
 def digest_calls(monkeypatch) -> list[str]:
     """Spy on ``digest_block`` in every module that hashes a block: one
-    entry per call, naming the calling function (``record``,
-    ``load_block``, ``write_block``, ``pack_result``, ``unpack_result``)."""
-    from repro.dist import frames
-    from repro.rrset import dsan
-    from repro.store import blocks
+    entry per call, naming the calling function — ``record`` (dsan),
+    ``pack`` (a RESULT stamp or cache write without a digest in hand) or
+    ``parse`` (a cache load or a RESULT check)."""
+    from repro.rrset import block, dsan
 
     calls: list[str] = []
     original = dsan.digest_block
@@ -51,7 +50,7 @@ def digest_calls(monkeypatch) -> list[str]:
         calls.append(sys._getframe(1).f_code.co_name)
         return original(members, lengths)
 
-    for module in (dsan, blocks, frames):
+    for module in (dsan, block):
         monkeypatch.setattr(module, "digest_block", spy)
     return calls
 

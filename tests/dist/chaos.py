@@ -17,6 +17,9 @@ sampling code under test is never touched:
 ``truncate``
     Send only half of the Nth RESULT frame, then close mid-frame (the
     decoder refuses the torn frame).
+``negative``
+    Re-stamp the Nth RESULT with one set length negative and the sum
+    preserved (the digest is valid; the entry parse refutes the sign).
 
 Every mode must end the same way: the chunk is requeued to a surviving
 worker (or computed locally), and the allocation is byte-identical to a
@@ -31,10 +34,13 @@ from __future__ import annotations
 import threading
 import time
 
-from repro.dist import WorkerHost
-from repro.dist.worker import WorkerExit
+import numpy as np
 
-FAILURE_MODES = ("crash", "stall", "corrupt", "truncate")
+from repro.dist import WorkerHost, frames
+from repro.dist.worker import WorkerExit
+from repro.rrset.block import HEADER_SIZE
+
+FAILURE_MODES = ("crash", "stall", "corrupt", "truncate", "negative")
 
 
 class ChaosWorker(WorkerHost):
@@ -75,27 +81,29 @@ class ChaosWorker(WorkerHost):
                      payload: bytes) -> None:
         if self._armed() and self.failure == "corrupt":
             self.failures_injected += 1
-            import struct
-
-            from repro.dist import frames
-
+            _, _, block = frames.unpack_result(payload)
             corrupted = bytearray(payload)
             # Flip a bit of the member data (falling back to the digest
             # stamp for an empty block): the frame still parses
             # structurally, so only the digest check can catch it.
-            _, _, num_sets, num_members, _ = struct.unpack_from(
-                "<qqqq32s", payload
-            )
-            if num_members > 0:
-                corrupted[frames.RESULT_HEADER_SIZE + 8 * num_sets] ^= 0x40
+            entry = frames.ADDRESS_SIZE
+            if block.num_members > 0:
+                corrupted[entry + HEADER_SIZE + 8 * block.num_sets] ^= 0x40
             else:
-                corrupted[40] ^= 0x01
+                corrupted[entry + 32] ^= 0x01
             frames.send_frame(sock, frames.RESULT, bytes(corrupted))
+            return
+        if self._armed() and self.failure == "negative":
+            self.failures_injected += 1
+            _, _, block = frames.unpack_result(payload)
+            lengths = np.array(block.lengths)
+            lengths[:2] = [lengths[0] + lengths[1] + 1, -1]  # sum preserved
+            frames.send_frame(sock, frames.RESULT, frames.pack_result(
+                ad, chunk_index, block.members, lengths
+            ))
             return
         if self._armed() and self.failure == "truncate":
             self.failures_injected += 1
-            from repro.dist import frames
-
             wire = frames.pack_frame(frames.RESULT, payload)
             sock.sendall(wire[: len(wire) // 2])
             raise WorkerExit  # run() closes the socket mid-frame

@@ -3,7 +3,8 @@
 The PR's acceptance criterion, verbatim: killing any single worker at
 any point mid-allocation must still yield a byte-identical allocation
 (equal dsan root) to the serial run — demonstrated across crash, stall,
-and corrupt-payload failure modes (plus torn mid-frame writes), with
+and corrupt-payload failure modes (plus torn mid-frame writes and a
+re-stamped block with a negative set length), with
 the failure visible only as retry provenance.
 """
 
@@ -29,6 +30,7 @@ EXPECTED_COUNTER = {
     "stall": "timeouts",
     "corrupt": "corrupt_blocks",
     "truncate": "disconnects",
+    "negative": "corrupt_blocks",
 }
 
 

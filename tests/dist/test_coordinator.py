@@ -155,14 +155,14 @@ class TestAdoption:
         thread.start()
         try:
             coordinator.adopt(parent_end, announced=(session,))
-            members, lengths, _ = coordinator.submit(session, 0, 2).result(timeout=10)
+            block = coordinator.submit(session, 0, 2).result(timeout=10)
         finally:
             coordinator.close()  # SHUTDOWN ends the worker's serve()
             thread.join(timeout=10)
             child_end.close()
-        expected_members, expected_lengths = source.block(0, 2)
-        assert members.tobytes() == expected_members.tobytes()
-        assert lengths.tolist() == expected_lengths.tolist()
+        expected = source.block(0, 2)
+        assert block.members.tobytes() == expected.members.tobytes()
+        assert block.lengths.tolist() == expected.lengths.tolist()
         assert not coordinator.started and not thread.is_alive()
         assert worker.chunks_served == 1
 
@@ -182,16 +182,19 @@ class TestHostileClients:
             assert stats["workers_connected"] == 0  # never handshaken
 
     def test_wrong_protocol_version_is_refused(self):
+        # 2: the last version whose RESULT frames had their own header.
+        assert frames.PROTOCOL_VERSION == 3
         with Coordinator() as coordinator:
-            with socket.create_connection(
-                ("127.0.0.1", coordinator.port), timeout=5.0
-            ) as conn:
-                frames.send_json(conn, frames.HELLO, {"protocol": 999})
-                conn.settimeout(5.0)
-                while conn.recv(4096):
-                    pass
-            stats = _await_stat(coordinator, "disconnects", 1)
-            assert stats["workers_connected"] == 0
+            for count, version in enumerate((999, 2), start=1):
+                with socket.create_connection(
+                    ("127.0.0.1", coordinator.port), timeout=5.0
+                ) as conn:
+                    frames.send_json(conn, frames.HELLO, {"protocol": version})
+                    conn.settimeout(5.0)
+                    while conn.recv(4096):
+                        pass
+                stats = _await_stat(coordinator, "disconnects", count)
+                assert stats["workers_connected"] == 0
 
     def test_hostile_client_does_not_wedge_real_traffic(self):
         """A garbage connection before *and during* real work must not

@@ -104,9 +104,9 @@ class TestByteIdentity:
                 chunks = len(engine.dsan_digests())
                 assert engine.dist_stats()["tasks_completed"] == chunks
         join_workers(threads)
-        parent = [caller for caller in digest_calls if caller != "pack_result"]
-        assert parent == ["unpack_result"] * chunks
-        assert digest_calls.count("pack_result") == chunks  # the worker's stamp
+        parent = [caller for caller in digest_calls if caller != "pack"]
+        assert parent == ["parse"] * chunks
+        assert digest_calls.count("pack") == chunks  # the worker's stamp
 
     def test_prefetch_overlaps_without_changing_bytes(self):
         graph = _graph()
@@ -247,7 +247,9 @@ class TestByteIdentity:
 
 
 class TestWorkerLocalCache:
-    def test_second_session_is_served_from_the_worker_cache(self, tmp_path):
+    def test_second_session_is_served_from_the_worker_cache(
+        self, tmp_path, digest_calls
+    ):
         graph = _graph()
         probs = _probs(graph)
         with Coordinator() as coordinator:
@@ -257,6 +259,7 @@ class TestWorkerLocalCache:
             threads = start_workers(coordinator, [worker])
             reference, reference_root = _serial_reference(graph, probs)
             for _ in range(2):
+                del digest_calls[:]
                 with DistributedEngine(
                     graph, probs, coordinator=coordinator, seeds=7,
                     chunk_size=CHUNK, dsan=True,
@@ -264,8 +267,13 @@ class TestWorkerLocalCache:
                     engine.ensure(TARGETS)
                     assert _fingerprint(engine) == reference
                     assert engine.dsan_root() == reference_root
-            assert worker.cache_hits > 0
+                    chunks = len(engine.dsan_digests())
+            assert worker.cache_hits == chunks
         join_workers(threads)
+        # Every chunk of the second session is a worker-cache hit: the
+        # worker's load and the parent's RESULT check hash it once each,
+        # and the RESULT is stamped with the digest the load verified.
+        assert digest_calls == ["parse"] * (2 * chunks)
 
 
 class TestLifecycle:

@@ -130,25 +130,24 @@ class TestJsonPayloads:
 # ---------------------------------------------------------------------------
 class TestResultCodec:
     def test_roundtrip(self):
-        ad, chunk, members, lengths, digest = frames.unpack_result(
-            _result_payload()
-        )
+        ad, chunk, block = frames.unpack_result(_result_payload())
+        members, lengths = block.members, block.lengths
         assert (ad, chunk) == (0, 3)
         assert members.tolist() == [1, 2, 3, 4, 5, 6]
         assert lengths.tolist() == [2, 1, 3]
         assert members.dtype == np.int32 and lengths.dtype == np.int64
         # The stamp it verified, over exactly the arrays it returns.
-        assert digest == digest_block(members, lengths)
+        assert block.digest == digest_block(members, lengths)
 
     def test_unpacked_arrays_are_views_over_the_payload(self):
         """One copy per direction: the verified arrays are read-only
         views over the received bytes, not copies of them."""
         payload = _result_payload()
-        _, _, members, lengths, _ = frames.unpack_result(payload)
+        _, _, block = frames.unpack_result(payload)
         raw = np.frombuffer(payload, dtype=np.uint8)
-        assert np.shares_memory(members, raw)
-        assert np.shares_memory(lengths, raw)
-        assert not members.flags.writeable
+        assert np.shares_memory(block.members, raw)
+        assert np.shares_memory(block.lengths, raw)
+        assert not block.members.flags.writeable
 
     def test_truncated_header_rejected(self):
         with pytest.raises(ProtocolError, match="short"):
@@ -159,21 +158,30 @@ class TestResultCodec:
             frames.unpack_result(_result_payload() + b"\x00" * 8)
 
     def test_every_single_bit_flip_is_caught(self):
-        """Flip each byte of the data section in turn: the digest (or a
-        structural check) must refute every one — this is the property
-        the chaos suite's 'corrupt' mode rides on."""
+        """Flip each byte of the block — header and data — in turn: the
+        digest (or a structural check) must refute every one — this is
+        the property the chaos suite's 'corrupt' mode rides on."""
         payload = _result_payload()
-        for offset in range(frames.RESULT_HEADER_SIZE, len(payload)):
+        for offset in range(frames.ADDRESS_SIZE, len(payload)):
             corrupted = bytearray(payload)
             corrupted[offset] ^= 0x01
-            with pytest.raises(ProtocolError):
+            with pytest.raises(FrameIntegrityError):
                 frames.unpack_result(bytes(corrupted))
 
     def test_digest_stamp_flip_is_caught(self):
         payload = bytearray(_result_payload())
-        payload[40] ^= 0x01  # inside the stamped digest itself
-        with pytest.raises(FrameIntegrityError):
+        payload[frames.ADDRESS_SIZE + 40] ^= 0x01  # inside the stamp itself
+        with pytest.raises(FrameIntegrityError, match="digest mismatch"):
             frames.unpack_result(bytes(payload))
+
+    def test_restamped_negative_length_is_caught(self):
+        """A worker that forges a block and stamps it honestly: a
+        negative length with the sum preserved passes the digest and
+        the sum, and must still be refuted by the parse."""
+        members = np.array([1, 2, 3, 4, 5, 6], dtype=np.int32)
+        payload = frames.pack_result(0, 3, members, [4, -1, 3])
+        with pytest.raises(FrameIntegrityError, match="negative"):
+            frames.unpack_result(payload)
 
 
 # ---------------------------------------------------------------------------

@@ -2,21 +2,24 @@
 
 The block file is the store's trust boundary — every failure mode here
 must surface as :class:`CorruptBlockError` (so the cache quarantines
-and recomputes), never as a silently wrong splice.
+and recomputes), never as a silently wrong splice.  The entry is also
+the RESULT frame's block, byte for byte.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import struct
 
 import numpy as np
 import pytest
 
+from repro.dist import frames
 from repro.store.blocks import (
     HEADER_SIZE,
     MAGIC,
-    BlockEntry,
+    Block,
     CorruptBlockError,
     load_block,
     write_block,
@@ -35,7 +38,7 @@ def test_roundtrip_preserves_payload(tmp_path):
     nbytes, digest = write_block(path, members, lengths)
     assert nbytes == os.path.getsize(path)
     entry = load_block(path)
-    assert isinstance(entry, BlockEntry)
+    assert isinstance(entry, Block)
     assert entry.num_sets == 3
     assert entry.num_members == 6
     assert entry.digest == digest
@@ -46,18 +49,45 @@ def test_roundtrip_preserves_payload(tmp_path):
 
 
 def test_offsets_match_packed_layout(tmp_path):
+    """The entry's arrays are views over the mapping at the packed
+    layout's offsets — the splice copies straight out of the file."""
     members, lengths = _sample_block()
     path = str(tmp_path / "0.blk")
     write_block(path, members, lengths)
     entry = load_block(path)
-    assert entry.lengths_offset == HEADER_SIZE
-    assert entry.members_offset == HEADER_SIZE + lengths.size * 8
     raw = np.frombuffer(
         entry.buffer, dtype=np.int32, count=members.size,
-        offset=entry.members_offset,
+        offset=HEADER_SIZE + lengths.size * 8,
     )
     assert np.array_equal(raw, members)
+    assert np.shares_memory(entry.members, raw)
+    assert np.shares_memory(entry.lengths, entry.buffer[HEADER_SIZE:])
     entry.release()
+
+
+def test_file_bytes_are_pinned(tmp_path):
+    """The on-disk format is frozen: a fixed 2-set block's file hashes to
+    the same literal as when the format was introduced, so existing
+    cache directories stay valid."""
+    path = str(tmp_path / "0.blk")
+    nbytes, _ = write_block(
+        path, np.array([4, 9, 2], dtype=np.int32), np.array([2, 1], dtype=np.int64)
+    )
+    data = (tmp_path / "0.blk").read_bytes()
+    assert nbytes == len(data) == HEADER_SIZE + 2 * 8 + 3 * 4
+    assert data.startswith(MAGIC)
+    digest = hashlib.blake2b(data, digest_size=16).hexdigest()
+    assert digest == "90cb766f554094fa8957c12ee25b52c6"
+
+
+def test_result_frame_carries_the_entry_bytes(tmp_path):
+    """Wire and disk are one format: a RESULT payload minus its 16-byte
+    ``(ad, chunk)`` address is exactly the chunk's entry file."""
+    members, lengths = _sample_block()
+    path = str(tmp_path / "0.blk")
+    write_block(path, members, lengths)
+    payload = frames.pack_result(2, 5, members, lengths)
+    assert payload[frames.ADDRESS_SIZE:] == (tmp_path / "0.blk").read_bytes()
 
 
 def test_missing_entry_is_a_plain_miss(tmp_path):
@@ -117,6 +147,25 @@ class TestCorruption:
             handle.seek(HEADER_SIZE + 8)
             handle.write(bytes([byte[0] ^ 0xFF]))
         with pytest.raises(CorruptBlockError, match="digest mismatch"):
+            load_block(path)
+
+    @pytest.mark.parametrize("delta", [-1, 1], ids=["short", "long"])
+    def test_lengths_that_disagree_with_num_members(self, tmp_path, delta):
+        """A digest-valid entry whose lengths do not sum to its member
+        count: short would splice the wrong sets, long would overrun."""
+        members, lengths = _sample_block()
+        lengths[0] += delta
+        path = str(tmp_path / "0.blk")
+        write_block(path, members, lengths)
+        with pytest.raises(CorruptBlockError, match="lengths sum to"):
+            load_block(path)
+
+    def test_negative_length(self, tmp_path):
+        members, lengths = _sample_block()
+        lengths[:2] = [lengths[0] + lengths[1] + 1, -1]  # sum preserved
+        path = str(tmp_path / "0.blk")
+        write_block(path, members, lengths)
+        with pytest.raises(CorruptBlockError, match="negative"):
             load_block(path)
 
     @pytest.mark.parametrize("declared", [True, False])

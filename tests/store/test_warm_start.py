@@ -59,6 +59,13 @@ def _assert_shards_equal(a: ShardedSamplingEngine, b: ShardedSamplingEngine):
             assert np.array_equal(pa.get_set(i), pb.get_set(i))
 
 
+def _entry_files(cache_dir) -> list[str]:
+    files = []
+    for root, _, names in os.walk(os.path.join(cache_dir, "objects")):
+        files += [os.path.join(root, n) for n in names if n.endswith(".blk")]
+    return sorted(files)
+
+
 def _run(cache, *, engine="serial", **kwargs):
     graph, probs = _inputs()
     eng = ShardedSamplingEngine(
@@ -153,7 +160,7 @@ class TestWarmStartMatrix:
             assert warm.backend_invocations == 0
             assert warm.dsan_root() == root
             assert warm.cache_stats()["hits"] == chunks  # stored digests held
-            assert digest_calls == ["load_block"] * chunks
+            assert digest_calls == ["parse"] * chunks
             del digest_calls[:]
             warm.reset_for_reuse()
             warm.ensure(targets)
@@ -171,11 +178,9 @@ class TestWarmStartMatrix:
 class TestFailureTransparency:
     def test_poisoned_entry_quarantined_and_recomputed(self, tmp_path):
         _, cold_invocations, cold_root, _ = _run(str(tmp_path))
-        blocks = []
-        for root, _, names in os.walk(tmp_path / "objects"):
-            blocks += [os.path.join(root, n) for n in names if n.endswith(".blk")]
+        blocks = _entry_files(tmp_path)
         assert blocks
-        with open(sorted(blocks)[0], "r+b") as handle:
+        with open(blocks[0], "r+b") as handle:
             handle.seek(HEADER_SIZE + 4)
             byte = handle.read(1)
             handle.seek(HEADER_SIZE + 4)
@@ -198,10 +203,7 @@ class TestFailureTransparency:
         _, _, clean_root, _ = _run(str(tmp_path / "clean"))
         cache_dir = tmp_path / "cache"
         _run(str(cache_dir))
-        blocks = []
-        for root, _, names in os.walk(cache_dir / "objects"):
-            blocks += [os.path.join(root, n) for n in names if n.endswith(".blk")]
-        victim = sorted(blocks)[0]
+        victim = _entry_files(cache_dir)[0]
         entry = load_block(victim)
         lengths = np.array(entry.lengths[:-1])  # one set short
         members = np.array(entry.members[: int(lengths.sum())])
@@ -221,6 +223,32 @@ class TestFailureTransparency:
         assert root == clean_root
         assert stats["corrupt"] == 0 and stats["misses"] == 0
         assert stats["hits"] > 0
+
+    @pytest.mark.parametrize("delta", [-1, 1], ids=["short", "long"])
+    def test_entry_whose_lengths_miss_its_members_is_quarantined(
+        self, tmp_path, delta
+    ):
+        """A digest-valid entry whose lengths sum to one member fewer (or
+        more) than it holds must not be spliced (wrong sets, silently) or
+        crash the splice (overrun): it is quarantined and recomputed."""
+        from repro.store.blocks import load_block, write_block
+
+        _, _, clean_root, _ = _run(str(tmp_path / "clean"))
+        cache_dir = tmp_path / "cache"
+        _run(str(cache_dir))
+        victim = _entry_files(cache_dir)[0]
+        entry = load_block(victim)
+        members, lengths = np.array(entry.members), np.array(entry.lengths)
+        entry.release()
+        lengths[0] += delta
+        write_block(victim, members, lengths)  # valid digest, bad lengths
+
+        with pytest.warns(RuntimeWarning, match="corrupt entry") as seen:
+            _, invocations, root, stats = _run(str(cache_dir))
+        assert len(seen) == 1
+        assert invocations == 1  # exactly the planted block was recomputed
+        assert root == clean_root
+        assert stats["corrupt"] == 1
 
     def test_concurrent_writers_agree(self, tmp_path):
         """Two processes cold-populating one cache directory race
