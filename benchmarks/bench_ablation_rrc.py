@@ -6,6 +6,9 @@ inversely proportional to OPT and OPT shrinks by the CTP factor; TIRM
 therefore samples plain RR-sets and multiplies marginals by δ (Theorem
 5).  We measure exactly that: at an equal sample count, the RRC
 estimate of a seed set's spread is far noisier than the RR+δ estimate.
+Both sides come out of the engine: the RR-sets of a serial
+``ShardedSamplingEngine`` and the RRC-sets of ``sample_rrc_sets`` (the
+same engine's RR-sets, thinned by one CTP coin per member).
 """
 
 from __future__ import annotations
@@ -15,8 +18,9 @@ import pytest
 
 from repro.datasets.synthetic import flixster_like
 from repro.evaluation.reporting import format_table
+from repro.rrset.estimator import estimate_spread_from_sets
 from repro.rrset.rrc import sample_rrc_sets
-from repro.rrset.sampler import sample_rr_sets
+from repro.rrset.sharded import ShardedSamplingEngine
 
 SAMPLES = 3_000
 TRIALS = 12
@@ -29,27 +33,29 @@ def test_rrc_vs_weighted_rr_variance(run_once):
     delta = problem.ad_ctps(0)
     rng = np.random.default_rng(5)
     seeds = rng.choice(graph.num_nodes, size=10, replace=False)
-    seed_set = set(int(s) for s in seeds)
+    # log(1 - δ) per node, zero off the seed set: a set's miss probability
+    # is exp of the sum over its members.
+    log_miss = np.zeros(graph.num_nodes)
+    log_miss[seeds] = np.log1p(-delta[seeds])
+
+    def weighted_rr_estimate(trial):
+        """Theorem-5 estimator: each RR-set credits 1 - Π(1 - δ) over the
+        seeds it holds (≈ Σδ at small δ)."""
+        with ShardedSamplingEngine(graph, [probs], seeds=1000 + trial) as engine:
+            engine.ensure({0: SAMPLES})
+            view = engine.shard(0).prefix_view()
+        owners = np.repeat(np.arange(SAMPLES), np.diff(view.indptr))
+        miss = np.exp(np.bincount(owners, log_miss[view.members], minlength=SAMPLES))
+        return graph.num_nodes * float((1.0 - miss).sum()) / SAMPLES
 
     def experiment():
         rr_estimates, rrc_estimates = [], []
         for trial in range(TRIALS):
-            rr = sample_rr_sets(graph, probs, SAMPLES, rng=1000 + trial)
-            # Theorem-5 estimator: per-seed delta-weighted marginal
-            # coverage (sets credited to the first seed that hits them).
-            total = 0.0
-            for batch in rr:
-                members = set(batch.tolist()) & seed_set
-                if members:
-                    # expected contribution: 1 - prod(1-δ) ≈ Σδ at small δ
-                    miss = 1.0
-                    for node in members:
-                        miss *= 1.0 - delta[node]
-                    total += 1.0 - miss
-            rr_estimates.append(graph.num_nodes * total / SAMPLES)
-            rrc = sample_rrc_sets(graph, probs, delta, SAMPLES, rng=2000 + trial)
-            hits = sum(1 for batch in rrc if seed_set & set(batch.tolist()))
-            rrc_estimates.append(graph.num_nodes * hits / SAMPLES)
+            rr_estimates.append(weighted_rr_estimate(trial))
+            rrc = sample_rrc_sets(graph, probs, delta, SAMPLES, seed=2000 + trial)
+            rrc_estimates.append(
+                estimate_spread_from_sets(rrc, graph.num_nodes, seeds)
+            )
         return np.asarray(rr_estimates), np.asarray(rrc_estimates)
 
     rr_est, rrc_est = run_once(experiment)

@@ -20,6 +20,7 @@ import numpy as np
 from repro.advertising.allocation import Allocation
 from repro.advertising.problem import AdAllocationProblem
 from repro.advertising.regret import RegretBreakdown, allocation_regret
+from repro.utils.timing import Timer
 
 
 @dataclass
@@ -76,14 +77,22 @@ class AllocationResult:
 
 
 class Allocator(ABC):
-    """Base class for all allocation algorithms."""
+    """Base class for all allocation algorithms: :meth:`allocate` times
+    the subclass's :meth:`_allocate` and records ``runtime_seconds``."""
 
     #: Display name used in reports and figures.
     name: str = "allocator"
 
-    @abstractmethod
     def allocate(self, problem: AdAllocationProblem) -> AllocationResult:
         """Compute a valid allocation for ``problem``."""
+        with Timer() as timer:
+            result = self._allocate(problem)
+        result.runtime_seconds = timer.elapsed
+        return result
+
+    @abstractmethod
+    def _allocate(self, problem: AdAllocationProblem) -> AllocationResult:
+        """The algorithm body (untimed)."""
 
     def _empty_allocation(self, problem: AdAllocationProblem) -> Allocation:
         return Allocation(problem.num_ads, problem.num_nodes)

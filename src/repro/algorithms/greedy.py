@@ -25,7 +25,6 @@ from repro.advertising.regret import regret_of
 from repro.algorithms.base import AllocationResult, Allocator
 from repro.diffusion.spread import MonteCarloSpreadOracle, SpreadOracle
 from repro.errors import ConfigurationError
-from repro.utils.timing import Timer
 
 
 class GreedyAllocator(Allocator):
@@ -67,12 +66,6 @@ class GreedyAllocator(Allocator):
         if self._oracle_factory is not None:
             return self._oracle_factory(problem)
         return MonteCarloSpreadOracle(problem, num_runs=self._num_runs, seed=self._seed)
-
-    def allocate(self, problem: AdAllocationProblem) -> AllocationResult:
-        with Timer() as timer:
-            result = self._allocate(problem)
-        result.runtime_seconds = timer.elapsed
-        return result
 
     # ------------------------------------------------------------------
     def _allocate(self, problem: AdAllocationProblem) -> AllocationResult:

@@ -27,7 +27,6 @@ from repro.advertising.regret import regret_of
 from repro.algorithms.base import AllocationResult, Allocator
 from repro.errors import ConfigurationError
 from repro.graph.digraph import DirectedGraph
-from repro.utils.timing import Timer
 from repro.utils.validation import check_probability_array
 
 
@@ -136,12 +135,6 @@ class GreedyIRIEAllocator(Allocator):
         self.alpha = float(alpha)
         self.ir_iterations = int(ir_iterations)
         self.ie_iterations = int(ie_iterations)
-
-    def allocate(self, problem: AdAllocationProblem) -> AllocationResult:
-        with Timer() as timer:
-            result = self._allocate(problem)
-        result.runtime_seconds = timer.elapsed
-        return result
 
     def _allocate(self, problem: AdAllocationProblem) -> AllocationResult:
         h, n = problem.num_ads, problem.num_nodes

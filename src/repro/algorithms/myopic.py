@@ -20,7 +20,6 @@ import numpy as np
 
 from repro.advertising.problem import AdAllocationProblem
 from repro.algorithms.base import AllocationResult, Allocator
-from repro.utils.timing import Timer
 
 
 class MyopicAllocator(Allocator):
@@ -28,27 +27,25 @@ class MyopicAllocator(Allocator):
 
     name = "Myopic"
 
-    def allocate(self, problem: AdAllocationProblem) -> AllocationResult:
-        with Timer() as timer:
-            allocation = self._empty_allocation(problem)
-            # scores[i, u] = expected no-network revenue of seeding u with ad i
-            scores = problem.ctps * problem.catalog.cpes()[:, None]
-            order = np.argsort(-scores, axis=0, kind="stable")
-            revenues = np.zeros(problem.num_ads)
-            kappa = problem.attention.kappa
-            for user in range(problem.num_nodes):
-                take = min(int(kappa[user]), problem.num_ads)
-                for rank in range(take):
-                    ad = int(order[rank, user])
-                    allocation.assign(user, ad)
-                    revenues[ad] += scores[ad, user]
+    def _allocate(self, problem: AdAllocationProblem) -> AllocationResult:
+        allocation = self._empty_allocation(problem)
+        # scores[i, u] = expected no-network revenue of seeding u with ad i
+        scores = problem.ctps * problem.catalog.cpes()[:, None]
+        order = np.argsort(-scores, axis=0, kind="stable")
+        revenues = np.zeros(problem.num_ads)
+        kappa = problem.attention.kappa
+        for user in range(problem.num_nodes):
+            take = min(int(kappa[user]), problem.num_ads)
+            for rank in range(take):
+                ad = int(order[rank, user])
+                allocation.assign(user, ad)
+                revenues[ad] += scores[ad, user]
         return AllocationResult(
             algorithm=self.name,
             allocation=allocation,
             estimated_revenues=revenues,
             budgets=problem.catalog.budgets(),
             penalty=problem.penalty,
-            runtime_seconds=timer.elapsed,
             stats={"model": "no-network CTP ranking"},
         )
 
@@ -59,41 +56,39 @@ class MyopicPlusAllocator(Allocator):
 
     name = "Myopic+"
 
-    def allocate(self, problem: AdAllocationProblem) -> AllocationResult:
-        with Timer() as timer:
-            allocation = self._empty_allocation(problem)
-            h = problem.num_ads
-            budgets = problem.catalog.budgets()
-            cpes = problem.catalog.cpes()
-            # Per-ad user ranking by CTP (descending, stable for determinism).
-            rankings = [np.argsort(-problem.ctps[ad], kind="stable") for ad in range(h)]
-            pointers = [0] * h
-            revenues = np.zeros(h)
-            done = [False] * h
-            while not all(done):
-                progressed = False
-                for ad in range(h):
-                    if done[ad]:
-                        continue
-                    if revenues[ad] >= budgets[ad]:
-                        done[ad] = True
-                        continue
-                    user = self._next_eligible(problem, allocation, rankings[ad], pointers, ad)
-                    if user is None:
-                        done[ad] = True
-                        continue
-                    allocation.assign(user, ad)
-                    revenues[ad] += problem.ctps[ad, user] * cpes[ad]
-                    progressed = True
-                if not progressed:
-                    break
+    def _allocate(self, problem: AdAllocationProblem) -> AllocationResult:
+        allocation = self._empty_allocation(problem)
+        h = problem.num_ads
+        budgets = problem.catalog.budgets()
+        cpes = problem.catalog.cpes()
+        # Per-ad user ranking by CTP (descending, stable for determinism).
+        rankings = [np.argsort(-problem.ctps[ad], kind="stable") for ad in range(h)]
+        pointers = [0] * h
+        revenues = np.zeros(h)
+        done = [False] * h
+        while not all(done):
+            progressed = False
+            for ad in range(h):
+                if done[ad]:
+                    continue
+                if revenues[ad] >= budgets[ad]:
+                    done[ad] = True
+                    continue
+                user = self._next_eligible(problem, allocation, rankings[ad], pointers, ad)
+                if user is None:
+                    done[ad] = True
+                    continue
+                allocation.assign(user, ad)
+                revenues[ad] += problem.ctps[ad, user] * cpes[ad]
+                progressed = True
+            if not progressed:
+                break
         return AllocationResult(
             algorithm=self.name,
             allocation=allocation,
             estimated_revenues=revenues,
             budgets=budgets,
             penalty=problem.penalty,
-            runtime_seconds=timer.elapsed,
             stats={"model": "no-network CTP ranking, budget-stopped"},
         )
 

@@ -442,7 +442,7 @@ class AllocationSession:
     def _step_grow(self) -> None:
         ad, marginal = self._pending_growth
         self._pending_growth = None
-        self._grow_samples([ad], {ad: marginal})
+        self._grow_samples(ad, marginal)
         self.state = SELECT
         self._boundary()
 
@@ -689,45 +689,36 @@ class AllocationSession:
             min(max(theta, config.min_rr_sets_per_ad), config.max_rr_sets_per_ad)
         )
 
-    def _grow_samples(self, ads, last_marginals) -> None:
-        """Algorithm 2 lines 14–19: revise each listed ad's ``s_i``, top
-        up the grown ``θ_i`` through the engine in one request, then
-        re-estimate existing seeds' coverage (Algorithm 4) per ad.
+    def _grow_samples(self, ad: int, last_marginal: float) -> None:
+        """Algorithm 2 lines 14–19 for the ad whose seed count just
+        reached its estimate: revise ``s_i``, top up the grown ``θ_i``
+        through the engine, then re-estimate existing seeds' coverage
+        (Algorithm 4).
 
-        The entry point is batch-shaped (a list of ads) but Algorithm
-        2's trigger fires for one ad per iteration — the ad whose seed
-        count just reached its estimate.  Under counter-based streams
-        the engine splits even that single-ad request into ``(ad,
-        chunk)`` tasks fanned across its substrate, so the growth
-        phase scales with workers.
-        The request names the absolute target ``θ_i`` (set indices
-        ``[0, θ_i)``), so the sampled sets are independent of how growth
-        events interleave."""
-        problem, states = self.problem, self.states
-        targets: dict[int, int] = {}
-        for ad in ads:
-            state = states[ad]
-            regret = regret_of(
-                self.budgets[ad], state.revenue, problem.penalty,
-                len(state.seeds_in_order),
-            )
-            last_marginal = last_marginals[ad]
-            if last_marginal > 0:
-                growth = int(math.floor(regret / last_marginal))
-            else:
-                growth = 0
-            state.seed_size_estimate += max(growth, 1)
+        Under counter-based streams the engine splits even this single-ad
+        request into ``(ad, chunk)`` tasks fanned across its substrate,
+        so the growth phase scales with workers.  The request names the
+        absolute target ``θ_i`` (set indices ``[0, θ_i)``), so the
+        sampled sets are independent of how growth events interleave."""
+        state = self.states[ad]
+        regret = regret_of(
+            self.budgets[ad], state.revenue, self.problem.penalty,
+            len(state.seeds_in_order),
+        )
+        if last_marginal > 0:
+            growth = int(math.floor(regret / last_marginal))
+        else:
+            growth = 0
+        state.seed_size_estimate += max(growth, 1)
 
-            if state.theta >= self.config.max_rr_sets_per_ad:
-                # θ_i is clamped to the cap, so no target can exceed it:
-                # skip the greedy pilot cover that would compute one.
-                continue
-            target = self._theta_for(state, state.seed_size_estimate)
-            if target > state.theta:
-                targets[ad] = target
-        if not targets:
+        if state.theta >= self.config.max_rr_sets_per_ad:
+            # θ_i is clamped to the cap, so no target can exceed it:
+            # skip the greedy pilot cover that would compute one.
             return
-        self.engine.ensure(targets)
+        target = self._theta_for(state, state.seed_size_estimate)
+        if target <= state.theta:
+            return
+        self.engine.ensure({ad: target})
         # Speculative pipeline hint: the *next* growth event for this ad
         # will raise s_i by at least 1, so θ(s_i + 1) lower-bounds the
         # next θ target.  Submitting those chunks now lets the substrate
@@ -737,26 +728,17 @@ class AllocationSession:
         # byte-identical whether or not they are needed (never-consumed
         # chunks are drained at engine close; an in-process engine
         # submits nothing).
-        hints: dict[int, int] = {}
-        for ad in sorted(targets):
-            state = states[ad]
-            hint = self._theta_for(state, state.seed_size_estimate + 1)
-            if hint > state.theta:
-                hints[ad] = hint
-        if hints:
-            self.engine.prefetch(hints)
-        for ad in sorted(targets):
-            state = states[ad]
-            # Algorithm 4: walk existing seeds in selection order, credit
-            # each with its coverage among the new (still-alive) sets, and
-            # remove what it covers so later seeds are not double-credited.
-            # ``remove_covered`` returns exactly the alive-set count the
-            # old code recomputed via ``sets_containing`` — one index
-            # walk, not two.
-            for node in state.seeds_in_order:
-                state.marginal_coverage[node] += state.collection.remove_covered(node)
-            self._recompute_revenue(ad, state)
-            self._rebuild_heap(ad, state)
+        hint = self._theta_for(state, state.seed_size_estimate + 1)
+        if hint > state.theta:
+            self.engine.prefetch({ad: hint})
+        # Algorithm 4: walk existing seeds in selection order, credit
+        # each with its coverage among the new (still-alive) sets, and
+        # remove what it covers so later seeds are not double-credited —
+        # ``remove_covered`` returns that alive-set count, one index walk.
+        for node in state.seeds_in_order:
+            state.marginal_coverage[node] += state.collection.remove_covered(node)
+        self._recompute_revenue(ad, state)
+        self._rebuild_heap(ad, state)
 
     def _recompute_revenue(self, ad: int, state: _AdState) -> None:
         """``Π_i(S_i) = Σ_v cpe·n·δ(v,i)·cov(v)/θ_i`` over chosen seeds."""

@@ -33,7 +33,6 @@ from repro.rrset.backends import BACKEND_MODES, SamplingBackend, resolve_backend
 from repro.rrset.checkpoint import TIRMCheckpoint
 from repro.rrset.sampler import DEFAULT_CHUNK_SIZE, STREAM_MODE, STREAM_RNG
 from repro.rrset.sharded import ENGINE_MODES, ShardedSamplingEngine
-from repro.utils.timing import Timer
 
 #: Engine substrates the allocator accepts: the sharded engine's
 #: in-process modes plus the distributed coordinator/worker tier
@@ -306,13 +305,6 @@ class TIRMAllocator(Allocator):
         # "auto" commits to a substrate before any sampling so stats/
         # provenance/checkpoints record the resolved name.
         self._backend_obj = None
-
-    # ------------------------------------------------------------------
-    def allocate(self, problem: AdAllocationProblem) -> AllocationResult:
-        with Timer() as timer:
-            result = self._allocate(problem)
-        result.runtime_seconds = timer.elapsed
-        return result
 
     # ------------------------------------------------------------------
     def _allocate(self, problem: AdAllocationProblem) -> AllocationResult:

@@ -25,7 +25,8 @@ def simulate_clicks(
     ctps=None,
     rng=None,
 ) -> np.ndarray:
-    """One TIC-CTP run; returns the boolean click/activation vector.
+    """One TIC-CTP run; returns the boolean click/activation vector —
+    :func:`simulate_rounds` ``>= 0``, with the same coin draws.
 
     Parameters
     ----------
@@ -42,34 +43,7 @@ def simulate_clicks(
     rng:
         Seed or generator.
     """
-    probs = check_probability_array("edge_probabilities", edge_probabilities)
-    if probs.shape != (graph.num_edges,):
-        raise ValueError(f"edge_probabilities must have shape ({graph.num_edges},)")
-    rng = as_generator(rng)
-    seeds = np.unique(np.asarray(seeds, dtype=np.int64))
-    active = np.zeros(graph.num_nodes, dtype=bool)
-    if seeds.size == 0:
-        return active
-    if ctps is None:
-        accepted = seeds
-    else:
-        ctps = np.asarray(ctps, dtype=np.float64)
-        accepted = seeds[rng.random(seeds.size) < ctps[seeds]]
-    if accepted.size == 0:
-        return active
-    active[accepted] = True
-    frontier = accepted
-    while frontier.size:
-        slots = gather_edge_slots(graph.out_indptr, frontier)
-        if slots.size == 0:
-            break
-        # Out-CSR slots are canonical edge ids, so probs index directly.
-        success = rng.random(slots.size) < probs[slots]
-        targets = graph.out_targets[slots[success]]
-        fresh = np.unique(targets[~active[targets]])
-        active[fresh] = True
-        frontier = fresh
-    return active
+    return simulate_rounds(graph, edge_probabilities, seeds, ctps=ctps, rng=rng) >= 0
 
 
 def simulate_rounds(
@@ -111,6 +85,7 @@ def simulate_rounds(
         slots = gather_edge_slots(graph.out_indptr, frontier)
         if slots.size == 0:
             break
+        # Out-CSR slots are canonical edge ids, so probs index directly.
         success = rng.random(slots.size) < probs[slots]
         targets = graph.out_targets[slots[success]]
         fresh = np.unique(targets[rounds[targets] < 0])

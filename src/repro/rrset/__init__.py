@@ -1,14 +1,16 @@
 """Reverse-reachable-set machinery (§5.1–5.2).
 
 * :mod:`repro.rrset.sampler` — random RR-sets (reverse BFS with lazy edge
-  coins) for a fixed ad's Eq.-(1) probabilities;
+  coins) for a fixed ad's Eq.-(1) probabilities, addressed by
+  ``(seed, ad, set_index)``: the chunk kernel every sample in this
+  package comes out of, always through a sharded engine;
 * :mod:`repro.rrset.backends` — pluggable blocked-BFS backends behind
   one shared RNG-owning driver: ``numpy`` (reference), ``numba`` (JIT
   kernel, optional extra), ``auto`` — byte-identical by construction,
   selected via ``backend=`` on the sampler/engine/allocator or the CLI
   ``--backend``;
-* :mod:`repro.rrset.rrc` — RRC-sets: RR-sets with the extra per-node CTP
-  coin flips of §5.2;
+* :mod:`repro.rrset.rrc` — RRC-sets (§5.2): the engine's RR-sets thinned
+  by one CTP coin per member, drawn from a child of each chunk's stream;
 * :mod:`repro.rrset.pool` — the flat CSR storage engine: contiguous
   int32 member buffers, a bulk-built inverted index, and vectorized
   coverage/removal kernels (see ``docs/rrset_engine.md``);
@@ -53,13 +55,8 @@ from repro.rrset.checkpoint import (
 from repro.rrset.dsan import DsanRecorder, compare_digests, dsan_enabled
 from repro.rrset.estimator import RRSetSpreadOracle, estimate_spread_from_sets
 from repro.rrset.pool import CSRSetView, RRSetPool
-from repro.rrset.rrc import sample_rrc_set, sample_rrc_sets, sample_rrc_sets_into
-from repro.rrset.sampler import (
-    RRSetSampler,
-    StreamPlan,
-    sample_rr_set,
-    sample_rr_sets,
-)
+from repro.rrset.rrc import sample_rrc_sets, thin
+from repro.rrset.sampler import RRSetSampler, StreamPlan
 from repro.rrset.sharded import ShardedSamplingEngine
 from repro.rrset.tim import (
     TIMInfluenceMaximizer,
@@ -69,8 +66,6 @@ from repro.rrset.tim import (
 )
 
 __all__ = [
-    "sample_rr_set",
-    "sample_rr_sets",
     "RRSetSampler",
     "StreamPlan",
     "SamplingBackend",
@@ -80,9 +75,8 @@ __all__ = [
     "available_backends",
     "numba_available",
     "resolve_backend",
-    "sample_rrc_set",
     "sample_rrc_sets",
-    "sample_rrc_sets_into",
+    "thin",
     "RRSetPool",
     "CSRSetView",
     "ShardedSamplingEngine",

@@ -1,11 +1,12 @@
 """Spread estimation from sampled sets (Proposition 1 / Lemma 2).
 
-For a collection ``R`` of random RR-sets, ``n · F_R(S)`` — where
-``F_R(S)`` is the fraction of sets intersecting ``S`` — is an unbiased
-estimator of the IC spread ``σ_ic(S)``; with RRC-sets it estimates the
-IC-CTP spread ``σ_icctp(S)`` instead (Lemma 2).  The
-:class:`RRSetSpreadOracle` wraps the latter as a drop-in oracle for the
-Greedy allocator.
+For a pool ``R`` of random RR-sets, ``n · F_R(S)`` — where ``F_R(S)``
+is the fraction of sets intersecting ``S`` — is an unbiased estimator of
+the IC spread ``σ_ic(S)``; with RRC-sets it estimates the IC-CTP spread
+``σ_icctp(S)`` instead (Lemma 2).  The :class:`RRSetSpreadOracle` wraps
+the latter as a drop-in oracle for the Greedy allocator; its sets come
+out of one serial sharded engine, like every other sample in
+:mod:`repro.rrset`.
 """
 
 from __future__ import annotations
@@ -16,33 +17,21 @@ from repro.advertising.problem import AdAllocationProblem
 from repro.diffusion.spread import CachingSpreadOracle
 from repro.errors import EstimationError
 from repro.rrset.pool import RRSetPool
-from repro.rrset.rrc import sample_rrc_sets_into
-from repro.rrset.sampler import sample_rr_sets
-from repro.utils.rng import as_generator, spawn_generators
+from repro.rrset.rrc import thin_shard
+from repro.rrset.sharded import ShardedSamplingEngine
 
 
-def coverage_fraction(sets, seeds) -> float:
-    """``F_R(S)``: the fraction of ``sets`` that intersect ``seeds``.
-
-    ``sets`` may be a list of member arrays or an :class:`RRSetPool`; the
-    pool path counts intersections over *all* sampled sets (alive or
-    removed) with one vectorized index query, matching the list
-    semantics even for pools that have been through ``remove_covered``.
-    """
-    if isinstance(sets, RRSetPool):
-        if not sets.num_total:
-            raise EstimationError("cannot estimate coverage from zero sets")
-        return sets.coverage_of_set(seeds, alive_only=False) / sets.num_total
-    if not sets:
+def coverage_fraction(sets: RRSetPool, seeds) -> float:
+    """``F_R(S)``: the fraction of the pool's sets that intersect
+    ``seeds``, counted over *all* sampled sets (alive or removed) with
+    one vectorized index query — so a pool that has been through
+    ``remove_covered`` still estimates over its whole sample."""
+    if not sets.num_total:
         raise EstimationError("cannot estimate coverage from zero sets")
-    seed_set = set(int(v) for v in np.asarray(seeds, dtype=np.int64).ravel())
-    if not seed_set:
-        return 0.0
-    hits = sum(1 for members in sets if any(int(v) in seed_set for v in members))
-    return hits / len(sets)
+    return sets.coverage_of_set(seeds, alive_only=False) / sets.num_total
 
 
-def estimate_spread_from_sets(sets, num_nodes: int, seeds) -> float:
+def estimate_spread_from_sets(sets: RRSetPool, num_nodes: int, seeds) -> float:
     """``n · F_R(S)`` — the Proposition-1 / Lemma-2 estimator."""
     return num_nodes * coverage_fraction(sets, seeds)
 
@@ -56,6 +45,10 @@ class RRSetSpreadOracle(CachingSpreadOracle):
     RRC-sets than RR-sets are needed for the same accuracy — this oracle
     is intended for the AB1 ablation and moderate-scale Greedy runs, not
     as a TIRM replacement.
+
+    Every ad's RR-sets are drawn by one serial engine under ``seed``
+    (per-ad streams separated by the spawn key) and, with ``use_ctps``,
+    thinned into RRC-sets (:func:`~repro.rrset.rrc.thin_shard`).
     """
 
     def __init__(
@@ -71,21 +64,18 @@ class RRSetSpreadOracle(CachingSpreadOracle):
             raise ValueError("sets_per_ad must be >= 1")
         self.sets_per_ad = int(sets_per_ad)
         self.use_ctps = bool(use_ctps)
-        rngs = spawn_generators(as_generator(seed), problem.num_ads)
-        self._sets: list[RRSetPool] = []
-        for ad in range(problem.num_ads):
-            probs = problem.ad_edge_probabilities(ad)
-            pool = RRSetPool(problem.num_nodes)
-            if use_ctps:
-                sample_rrc_sets_into(
-                    problem.graph, probs, problem.ad_ctps(ad), self.sets_per_ad,
-                    pool, rng=rngs[ad],
-                )
-            else:
-                pool.add_sets(
-                    sample_rr_sets(problem.graph, probs, self.sets_per_ad, rng=rngs[ad])
-                )
-            self._sets.append(pool)
+        ads = range(problem.num_ads)
+        with ShardedSamplingEngine(
+            problem.graph,
+            [problem.ad_edge_probabilities(ad) for ad in ads],
+            seeds=seed,
+        ) as engine:
+            engine.ensure({ad: self.sets_per_ad for ad in ads})
+            self._sets: list[RRSetPool] = [
+                thin_shard(engine, ad, problem.ad_ctps(ad)) if use_ctps
+                else engine.shard(ad)
+                for ad in ads
+            ]
 
     def _compute(self, ad: int, seeds: frozenset[int]) -> float:
         if not seeds:

@@ -27,9 +27,10 @@ byte-identical for the same generator state, so the backend is **not**
 part of the determinism contract.
 
 Streams, tails and pools are owned by
-:class:`~repro.rrset.sharded.ShardedSamplingEngine`; standalone callers
-that want "θ RR sets" (TIM, KPT estimation, the Theorem-2–4 bounds) hold
-a serial engine and read its shards, so their sets are addressable and
+:class:`~repro.rrset.sharded.ShardedSamplingEngine`, the only way to
+sample: standalone callers that want "θ RR sets" (TIM, KPT estimation,
+the Theorem-2–4 bounds, the RRC-sets of :mod:`repro.rrset.rrc`) hold a
+serial engine and read its shards, so their sets are addressable and
 replayable like everyone else's.
 """
 
@@ -39,7 +40,6 @@ import numpy as np
 
 from repro.graph.digraph import DirectedGraph
 from repro.rrset.backends import node_bounds, resolve_backend
-from repro.utils.rng import as_generator
 from repro.utils.validation import check_probability_array
 
 #: Default set-index chunk width of the counter-based streams.  Part of
@@ -69,63 +69,6 @@ def _slice_flat(
         members[bounds[lo] : bounds[hi]],
         np.asarray(lengths[lo:hi], dtype=np.int64),
     )
-
-
-def sample_rr_set(
-    graph: DirectedGraph,
-    edge_probabilities,
-    *,
-    rng=None,
-    root: int | None = None,
-    backend="numpy",
-) -> np.ndarray:
-    """One random RR-set, as an int64 array of node ids (root included).
-
-    Parameters
-    ----------
-    graph:
-        The social graph.
-    edge_probabilities:
-        Per-canonical-edge probabilities for the ad under consideration.
-    rng:
-        Seed or generator.
-    root:
-        Fix the root (tests); default draws uniformly from ``V``.
-    backend:
-        Blocked-BFS backend (:mod:`repro.rrset.backends`); backends are
-        byte-identical for the same ``rng``.
-    """
-    probs = np.asarray(edge_probabilities, dtype=np.float64)
-    rng = as_generator(rng)
-    roots = None if root is None else np.asarray([root], dtype=np.int64)
-    members, _ = resolve_backend(backend).sample_flat(
-        graph, probs[graph.in_edge_ids], rng, 1, roots=roots
-    )
-    return members.astype(np.int64)
-
-
-def sample_rr_sets(
-    graph: DirectedGraph,
-    edge_probabilities,
-    count: int,
-    *,
-    rng=None,
-    backend="numpy",
-) -> list[np.ndarray]:
-    """``count`` independent random RR-sets."""
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
-    probs = check_probability_array("edge_probabilities", edge_probabilities)
-    if probs.shape != (graph.num_edges,):
-        raise ValueError(f"edge_probabilities must have shape ({graph.num_edges},)")
-    rng = as_generator(rng)
-    members, lengths = resolve_backend(backend).sample_flat(
-        graph, probs[graph.in_edge_ids], rng, count
-    )
-    bounds = np.zeros(count + 1, dtype=np.int64)
-    np.cumsum(lengths, out=bounds[1:])
-    flat = members.astype(np.int64)
-    return [flat[bounds[i] : bounds[i + 1]] for i in range(count)]
 
 
 class StreamPlan:

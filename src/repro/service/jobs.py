@@ -538,6 +538,12 @@ class JobManager:
             problem = self._problem_for(dataset, dataset_kwargs)
         if not 0 <= int(ad) < problem.num_ads:
             raise ServiceError(f"no ad with index {ad}")
+        seeds = [int(v) for v in seeds]
+        bad = sorted({v for v in seeds if not 0 <= v < problem.num_nodes})
+        if bad:
+            raise ServiceError(
+                f"seed ids {bad} out of range [0, {problem.num_nodes})"
+            )
         from repro.rrset.estimator import estimate_spread_from_sets
 
         allocator = build_allocator(
@@ -546,7 +552,7 @@ class JobManager:
         with self.pool.lease(problem, allocator) as lease:
             lease.engine.ensure({int(ad): int(num_sets)})
             spread = estimate_spread_from_sets(
-                lease.engine.shard(int(ad)), problem.num_nodes, list(seeds)
+                lease.engine.shard(int(ad)), problem.num_nodes, seeds
             )
             warm = lease.warm
         return {

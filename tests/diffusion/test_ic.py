@@ -3,11 +3,40 @@
 import numpy as np
 import pytest
 
+from repro.diffusion._frontier import gather_edge_slots
 from repro.diffusion.exact import exact_spread
 from repro.diffusion.ic import estimate_spread, simulate_clicks
 from repro.graph.digraph import DirectedGraph
 from repro.graph.generators import erdos_renyi
 from repro.graph.probabilities import constant_probabilities
+
+
+def _reference_simulate_clicks(graph, probs, seeds, ctps, rng):
+    """The boolean cascade loop ``simulate_clicks`` ran before it became
+    ``simulate_rounds(...) >= 0``, verbatim."""
+    seeds = np.unique(np.asarray(seeds, dtype=np.int64))
+    active = np.zeros(graph.num_nodes, dtype=bool)
+    if seeds.size == 0:
+        return active
+    if ctps is None:
+        accepted = seeds
+    else:
+        ctps = np.asarray(ctps, dtype=np.float64)
+        accepted = seeds[rng.random(seeds.size) < ctps[seeds]]
+    if accepted.size == 0:
+        return active
+    active[accepted] = True
+    frontier = accepted
+    while frontier.size:
+        slots = gather_edge_slots(graph.out_indptr, frontier)
+        if slots.size == 0:
+            break
+        success = rng.random(slots.size) < probs[slots]
+        targets = graph.out_targets[slots[success]]
+        fresh = np.unique(targets[~active[targets]])
+        active[fresh] = True
+        frontier = fresh
+    return active
 
 
 class TestSimulateClicks:
@@ -42,6 +71,24 @@ class TestSimulateClicks:
     def test_shape_validation(self, line_graph):
         with pytest.raises(ValueError):
             simulate_clicks(line_graph, np.ones(2), [0])
+
+    @pytest.mark.parametrize("p", [0.0, 0.15, 0.5, 1.0])
+    @pytest.mark.parametrize("seeds", [[], [0], [3, 3, 17], list(range(0, 40, 7))])
+    @pytest.mark.parametrize("ctp", [None, 0.0, 0.3, 1.0])
+    def test_equals_the_boolean_loop(self, p, seeds, ctp):
+        """Same vector, same generator state after the call: the
+        Monte-Carlo referee's numbers do not depend on which loop ran."""
+        graph = erdos_renyi(40, 0.08, seed=11)
+        probs = constant_probabilities(graph, p)
+        ctps = None if ctp is None else np.full(graph.num_nodes, ctp)
+        for run in range(5):
+            expected_rng = np.random.default_rng(run)
+            actual_rng = np.random.default_rng(run)
+            expected = _reference_simulate_clicks(graph, probs, seeds, ctps, expected_rng)
+            actual = simulate_clicks(graph, probs, seeds, ctps=ctps, rng=actual_rng)
+            assert actual.dtype == np.bool_
+            assert np.array_equal(actual, expected)
+            assert actual_rng.bit_generator.state == expected_rng.bit_generator.state
 
 
 class TestEstimateSpread:

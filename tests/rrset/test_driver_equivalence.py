@@ -25,7 +25,6 @@ from repro.rrset.backends import (
     numpy_backend,
     resolve_backend,
 )
-from repro.rrset.sampler import sample_rr_set
 from repro.rrset.sharded import ShardedSamplingEngine
 
 from tests.rrset._reference_driver import reference_drive_blocked
@@ -210,7 +209,7 @@ class TestInputValidation:
     @pytest.mark.parametrize("root", [-1, 3])
     def test_root_out_of_range(self, root):
         with pytest.raises(ValueError, match=r"roots must lie in \[0, 3\)"):
-            sample_rr_set(self.graph, self.probs, rng=0, root=root)
+            self._sample(1, roots=np.array([root]))
 
     def test_roots_shorter_than_count(self):
         with pytest.raises(ValueError, match="roots must hold one root per set"):

@@ -10,10 +10,13 @@ from repro.rrset.estimator import (
     coverage_fraction,
     estimate_spread_from_sets,
 )
+from repro.rrset.pool import RRSetPool
 
 
 def _sets(*members):
-    return [np.asarray(m, dtype=np.int64) for m in members]
+    pool = RRSetPool(5)
+    pool.add_sets([np.asarray(m, dtype=np.int64) for m in members])
+    return pool
 
 
 class TestCoverageFraction:
@@ -28,7 +31,7 @@ class TestCoverageFraction:
 
     def test_no_sets_raises(self):
         with pytest.raises(EstimationError):
-            coverage_fraction([], [0])
+            coverage_fraction(RRSetPool(5), [0])
 
     def test_estimate_scales_by_n(self):
         sets = _sets([0], [1])
@@ -64,3 +67,18 @@ class TestRRSetSpreadOracle:
     def test_validates_sets_per_ad(self, two_ad_problem):
         with pytest.raises(ValueError):
             RRSetSpreadOracle(two_ad_problem, sets_per_ad=0)
+
+    def test_counts_removed_sets_too(self):
+        """``F_R(S)`` is over the whole sample, not the alive sets."""
+        pool = _sets([0, 1], [2], [1, 3])
+        pool.remove_covered(1)
+        assert coverage_fraction(pool, [3]) == pytest.approx(1 / 3)
+
+    def test_same_seed_same_oracle(self, two_ad_problem):
+        """The oracle's sets are addressed by ``(seed, ad, set_index)``."""
+        seeds = frozenset({0, 2})
+        a = RRSetSpreadOracle(two_ad_problem, sets_per_ad=500, seed=4)
+        b = RRSetSpreadOracle(two_ad_problem, sets_per_ad=500, seed=4)
+        assert [a.spread(ad, seeds) for ad in range(2)] == [
+            b.spread(ad, seeds) for ad in range(2)
+        ]

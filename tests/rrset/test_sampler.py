@@ -6,31 +6,40 @@ import numpy as np
 import pytest
 
 from repro.diffusion.exact import exact_spread
-from repro.graph.digraph import DirectedGraph
+from repro.errors import ConfigurationError
 from repro.graph.generators import erdos_renyi
 from repro.graph.probabilities import constant_probabilities
+from repro.rrset.backends import NumpyBackend
 from repro.rrset.estimator import estimate_spread_from_sets
 from repro.rrset.pool import RRSetPool
-from repro.rrset.sampler import (
-    RRSetSampler,
-    StreamPlan,
-    sample_rr_set,
-    sample_rr_sets,
-)
+from repro.rrset.sampler import RRSetSampler, StreamPlan
+from repro.rrset.sharded import ShardedSamplingEngine
+
+
+def _rooted(graph, probs, root, seed=0):
+    """One RR-set from a fixed root, straight from the driver."""
+    members, _ = NumpyBackend().sample_flat(
+        graph, np.asarray(probs, dtype=np.float64)[graph.in_edge_ids],
+        np.random.default_rng(seed), 1, roots=[root],
+    )
+    return members
+
+
+def _engine_pool(graph, probs, count, seed):
+    with ShardedSamplingEngine(graph, [probs], seeds=seed) as engine:
+        engine.ensure({0: count})
+        return engine.shard(0)
 
 
 class TestStructure:
     def test_contains_root(self, line_graph):
-        rr = sample_rr_set(line_graph, np.zeros(3), rng=0, root=2)
-        assert rr.tolist() == [2]
+        assert _rooted(line_graph, np.zeros(3), 2).tolist() == [2]
 
     def test_full_probability_collects_ancestors(self, line_graph):
-        rr = sample_rr_set(line_graph, np.ones(3), rng=0, root=3)
-        assert sorted(rr.tolist()) == [0, 1, 2, 3]
+        assert sorted(_rooted(line_graph, np.ones(3), 3).tolist()) == [0, 1, 2, 3]
 
     def test_source_has_no_ancestors(self, line_graph):
-        rr = sample_rr_set(line_graph, np.ones(3), rng=0, root=0)
-        assert rr.tolist() == [0]
+        assert _rooted(line_graph, np.ones(3), 0).tolist() == [0]
 
     def test_members_reach_root(self, small_random_graph):
         """Every member of an RR-set must have a directed path to the root
@@ -46,27 +55,28 @@ class TestStructure:
             ]
         )
         nxg.add_nodes_from(range(small_random_graph.num_nodes))
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            rr = sample_rr_set(small_random_graph, probs, rng=rng)
+        pool = _engine_pool(small_random_graph, probs, 20, seed=3)
+        for i in range(20):
+            rr = pool.get_set(i)
             root = rr[0]
             ancestors = networkx.ancestors(nxg, int(root)) | {int(root)}
             assert set(rr.tolist()) <= ancestors
 
     def test_sample_many(self, small_random_graph):
         probs = constant_probabilities(small_random_graph, 0.2)
-        sets = sample_rr_sets(small_random_graph, probs, 25, rng=1)
-        assert len(sets) == 25
-        assert all(isinstance(s, np.ndarray) for s in sets)
+        pool = _engine_pool(small_random_graph, probs, 25, seed=1)
+        assert pool.num_total == 25
+        assert all(pool.get_set(i).size >= 1 for i in range(25))
 
     def test_count_validation(self, small_random_graph):
         probs = constant_probabilities(small_random_graph, 0.2)
-        with pytest.raises(ValueError):
-            sample_rr_sets(small_random_graph, probs, -1)
+        with ShardedSamplingEngine(small_random_graph, [probs], seeds=1) as engine:
+            with pytest.raises(ConfigurationError, match="must be >= 0"):
+                engine.ensure({0: -1})
 
     def test_shape_validation(self, small_random_graph):
         with pytest.raises(ValueError):
-            sample_rr_sets(small_random_graph, np.ones(3), 1)
+            RRSetSampler(small_random_graph, np.ones(3))
 
 
 def _frozen(value):
@@ -140,7 +150,7 @@ class TestProposition1:
     def test_matches_exact_spread(self, diamond_graph, seeds):
         probs = np.full(4, 0.5)
         exact = exact_spread(diamond_graph, probs, seeds)
-        sets = sample_rr_sets(diamond_graph, probs, 30_000, rng=7)
+        sets = _engine_pool(diamond_graph, probs, 30_000, seed=7)
         estimate = estimate_spread_from_sets(sets, diamond_graph.num_nodes, seeds)
         assert estimate == pytest.approx(exact, rel=0.07)
 
@@ -152,6 +162,6 @@ class TestProposition1:
             pytest.skip("random draw too dense for exact enumeration")
         seeds = [0, 5]
         exact = exact_spread(g, probs, seeds)
-        sets = sample_rr_sets(g, probs, 20_000, rng=10)
+        sets = _engine_pool(g, probs, 20_000, seed=10)
         estimate = estimate_spread_from_sets(sets, g.num_nodes, seeds)
         assert estimate == pytest.approx(exact, rel=0.1, abs=0.1)

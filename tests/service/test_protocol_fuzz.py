@@ -132,6 +132,16 @@ def test_eof_before_any_byte_is_a_clean_close(served):
         (b'{"op": "cancel", "job_id": "job-0001"}\n', "unknown job id"),
         (b'{"op": "query-progress", "job_id": ["job-0001"]}\n', "unhashable"),
         (b'{"op": "reallocate", "job_id": 7, "remove_ads": [0]}\n', "unknown job id 7"),
+        (
+            b'{"op": "estimate-spread", "dataset": "figure1", "seeds": [99], '
+            b'"num_sets": 16}\n',
+            "seed ids [99] out of range",
+        ),
+        (
+            b'{"op": "estimate-spread", "dataset": "figure1", "seeds": [-1], '
+            b'"num_sets": 16}\n',
+            "seed ids [-1] out of range",
+        ),
     ],
 )
 def test_malformed_request_gets_one_error_line(served, line, message):

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from repro.diffusion.exact import exact_click_probabilities, exact_spread
 from repro.graph.digraph import DirectedGraph
+from repro.rrset.backends import NumpyBackend
 from repro.rrset.pool import RRSetPool
-from repro.rrset.sampler import sample_rr_set
 
 
 def tiny_graphs():
@@ -105,8 +105,10 @@ class TestRRSetStructure:
     )
     @settings(max_examples=40, deadline=None)
     def test_rr_set_no_duplicates_and_contains_root(self, graph, p, root, _pyrandom):
-        probs = np.full(graph.num_edges, p)
-        rr = sample_rr_set(graph, probs, rng=int(p * 1e6) + root, root=root)
+        rr, _ = NumpyBackend().sample_flat(
+            graph, np.full(graph.num_edges, p),
+            np.random.default_rng(int(p * 1e6) + root), 1, roots=[root],
+        )
         assert root in rr
         assert len(set(rr.tolist())) == len(rr)
 
