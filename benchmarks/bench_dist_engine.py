@@ -2,7 +2,7 @@
 
 Times one sharded ``ensure`` (the TIRM growth workload) on the serial
 :class:`~repro.rrset.sharded.ShardedSamplingEngine` against the same
-targets scattered over a :class:`~repro.dist.DistributedEngine` fleet of
+targets scattered over an ``engine="dist"`` fleet of
 1/2/4 in-process socket workers, and one TIRM allocation end-to-end
 under chaos (a worker crashing mid-run).  Byte-equality is asserted
 inside every section while it runs — shard fingerprints and dsan roots
@@ -28,7 +28,7 @@ import time
 
 from repro.algorithms.tirm import TIRMAllocator
 from repro.datasets.synthetic import dblp_like
-from repro.dist import Coordinator, DistributedEngine, WorkerHost
+from repro.dist import Coordinator, WorkerHost
 from repro.dist.worker import WorkerExit
 from repro.evaluation.reporting import format_table
 from repro.rrset.sharded import ShardedSamplingEngine
@@ -109,8 +109,9 @@ def _dist_rows(theta: int = DIST_THETA, scale: float = DIST_SCALE):
             ]
             threads = _spawn_fleet(coordinator, workers)
             t0 = time.perf_counter()
-            with DistributedEngine(
-                problem.graph, probs, coordinator=coordinator, seeds=7,
+            with ShardedSamplingEngine(
+                problem.graph, probs, engine="dist", coordinator=coordinator,
+                seeds=7,
                 chunk_size=CHUNK, dsan=True,
             ) as engine:
                 engine.ensure(targets)

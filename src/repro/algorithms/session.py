@@ -578,8 +578,8 @@ class AllocationSession:
         # Topology is provenance, not contract: nothing in this record
         # can change a byte of the allocation, which is exactly why it
         # is recorded instead of matched.
-        if hasattr(engine, "dist_stats"):
-            dist = engine.dist_stats()
+        dist = engine.dist_stats()
+        if dist is not None:
             stats["dist"] = dist
             allocation.set_provenance(dist={
                 key: dist.get(key)

@@ -32,13 +32,7 @@ from repro.errors import ConfigurationError
 from repro.rrset.backends import BACKEND_MODES, SamplingBackend, resolve_backend
 from repro.rrset.checkpoint import TIRMCheckpoint
 from repro.rrset.sampler import DEFAULT_CHUNK_SIZE, STREAM_MODE, STREAM_RNG
-from repro.rrset.sharded import ENGINE_MODES, ShardedSamplingEngine
-
-#: Engine substrates the allocator accepts: the sharded engine's
-#: in-process modes plus the distributed coordinator/worker tier
-#: (:mod:`repro.dist`).  All byte-identical for the same
-#: ``(seed, chunk_size)``.
-ALLOCATOR_ENGINE_MODES = ENGINE_MODES + ("dist",)
+from repro.rrset.sharded import ShardedSamplingEngine, check_engine
 
 
 class TIRMAllocator(Allocator):
@@ -68,11 +62,10 @@ class TIRMAllocator(Allocator):
         :class:`~repro.dist.Coordinator` (pass ``coordinator=``) —
         byte-identical again: topology is provenance, not contract.
     coordinator:
-        Required with ``engine="dist"``: a started
-        :class:`~repro.dist.Coordinator` (borrowed — the caller owns
-        its lifetime) or a spec dict (``{"host": ..., "port": ...}``)
-        from which each engine builds a coordinator it owns.  Rejected
-        for in-process engines.
+        Required with ``engine="dist"``: a started (or startable)
+        :class:`~repro.dist.Coordinator` the caller owns; each engine
+        registers one session on it.  Rejected for every other
+        engine.
     rng:
         The recorded name of the stream contract, ``"philox"``:
         counter-based streams — every RR set is addressed by
@@ -217,24 +210,10 @@ class TIRMAllocator(Allocator):
             raise ConfigurationError(
                 f"select_rule must be 'weighted' or 'coverage', got {select_rule!r}"
             )
-        if engine not in ALLOCATOR_ENGINE_MODES:
-            raise ConfigurationError(
-                f"engine must be one of {ALLOCATOR_ENGINE_MODES}, got {engine!r}"
-            )
+        check_engine(engine, coordinator)
         if rng != STREAM_RNG:
             raise ConfigurationError(
                 f"rng must be {STREAM_RNG!r} (the only stream contract), got {rng!r}"
-            )
-        if engine == "dist":
-            if coordinator is None:
-                raise ConfigurationError(
-                    "engine='dist' needs a coordinator: pass a started "
-                    "repro.dist.Coordinator or a spec dict"
-                )
-        elif coordinator is not None:
-            raise ConfigurationError(
-                f"coordinator is only meaningful with engine='dist', "
-                f"got engine={engine!r}"
             )
         if chunk_size < 1:
             raise ConfigurationError(f"chunk_size must be >= 1, got {chunk_size}")
@@ -361,29 +340,18 @@ class TIRMAllocator(Allocator):
         # happens in the spawn key).  On resume the checkpoint's entropy
         # roots are authoritative: they rebuild the exact streams the
         # snapshot was sampled from.
-        engine_kwargs = dict(
+        return ShardedSamplingEngine(
+            problem.graph,
+            [problem.ad_edge_probabilities(ad) for ad in range(problem.num_ads)],
             seeds=self._seed if checkpoint is None else list(checkpoint.entropies),
             engine=self.engine,
+            coordinator=self.coordinator,
             max_workers=self.max_workers,
             chunk_size=self.chunk_size,
             backend=self._backend_obj if self._backend_obj is not None
             else self.backend,
             dsan=self.dsan,
             cache=cache,
-        )
-        engine_class = ShardedSamplingEngine
-        if self.engine == "dist":
-            # Imported lazily: the distributed tier is an optional layer
-            # over the engine seam, and an in-process allocation never
-            # touches repro.dist.
-            from repro.dist.engine import DistributedEngine
-
-            engine_class = DistributedEngine
-            engine_kwargs["coordinator"] = self.coordinator
-        return engine_class(
-            problem.graph,
-            [problem.ad_edge_probabilities(ad) for ad in range(problem.num_ads)],
-            **engine_kwargs,
         )
 
     @property

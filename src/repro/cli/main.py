@@ -25,11 +25,13 @@ from repro.graph.stats import graph_stats
 from repro.rrset.backends import BACKEND_MODES
 from repro.rrset.sampler import DEFAULT_CHUNK_SIZE
 
+#: Allocator builders, called with the parsed args and the coordinator
+#: of an ``--engine dist`` run (``None`` otherwise).
 _ALLOCATORS: dict[str, Callable[..., object]] = {
-    "tirm": lambda args: TIRMAllocator(
+    "tirm": lambda args, coordinator: TIRMAllocator(
         seed=args.seed, epsilon=args.epsilon, max_rr_sets_per_ad=args.max_rr_sets,
         engine=getattr(args, "engine", "serial"),
-        coordinator=getattr(args, "_coordinator", None),
+        coordinator=coordinator,
         chunk_size=getattr(args, "chunk_size", DEFAULT_CHUNK_SIZE),
         backend=getattr(args, "backend", "numpy"),
         max_workers=getattr(args, "workers", None),
@@ -40,10 +42,10 @@ _ALLOCATORS: dict[str, Callable[..., object]] = {
         cache=getattr(args, "cache", None),
         dataset=getattr(args, "dataset", None),
     ),
-    "greedy": lambda args: GreedyAllocator(num_runs=args.mc_runs, seed=args.seed),
-    "myopic": lambda args: MyopicAllocator(),
-    "myopic+": lambda args: MyopicPlusAllocator(),
-    "irie": lambda args: GreedyIRIEAllocator(alpha=args.alpha),
+    "greedy": lambda args, _: GreedyAllocator(num_runs=args.mc_runs, seed=args.seed),
+    "myopic": lambda args, _: MyopicAllocator(),
+    "myopic+": lambda args, _: MyopicPlusAllocator(),
+    "irie": lambda args, _: GreedyIRIEAllocator(alpha=args.alpha),
 }
 
 _DATASET_KWARG_NAMES = ("scale", "num_ads", "attention_bound", "penalty")
@@ -357,28 +359,32 @@ def _cmd_datasets(args) -> int:
     return 0
 
 
+def _start_coordinator(args):
+    """The ``--dist-port`` coordinator, started, with its address
+    printed for ``repro worker --connect``.  The command that starts it
+    owns it: workers can keep dialling that port for the whole run, and
+    the command closes it."""
+    from repro.dist import Coordinator
+
+    coordinator = Coordinator(
+        host=args.dist_host, port=args.dist_port,
+        allow_remote=args.allow_remote,
+    ).start()
+    host, port = coordinator.address
+    print(f"coordinator listening on {host}:{port} — connect workers with "
+          f"`repro worker --connect {host}:{port}`", flush=True)
+    return coordinator
+
+
 def _cmd_allocate(args) -> int:
     problem = load_dataset(args.dataset, **_dataset_kwargs(args))
     coordinator = None
-    if getattr(args, "engine", "serial") == "dist" and args.algorithm == "tirm":
-        # The CLI owns the coordinator's lifetime (the allocator only
-        # borrows it), so workers can keep dialing the printed port
-        # across the whole run and teardown is one close() below.
-        from repro.dist import Coordinator
-
-        coordinator = Coordinator(
-            host=args.dist_host, port=args.dist_port,
-            allow_remote=args.allow_remote,
-        ).start()
-        print(f"coordinator listening on {coordinator.host}:"
-              f"{coordinator.port} — connect workers with "
-              f"`repro worker --connect {coordinator.host}:{coordinator.port}`",
-              flush=True)
-        if args.wait_workers > 0:
-            coordinator.wait_for_workers(args.wait_workers)
-        args._coordinator = coordinator
+    if args.engine == "dist" and args.algorithm == "tirm":
+        coordinator = _start_coordinator(args)
     try:
-        allocator = _ALLOCATORS[args.algorithm](args)
+        if coordinator is not None and args.wait_workers > 0:
+            coordinator.wait_for_workers(args.wait_workers)
+        allocator = _ALLOCATORS[args.algorithm](args, coordinator)
         result = allocator.allocate(problem)
     finally:
         if coordinator is not None:
@@ -547,33 +553,24 @@ def _cmd_serve(args) -> int:
     # machinery the batch commands never need.
     from repro.service import AllocationServer, JobManager
 
-    coordinator_spec = None
-    if args.dist_port is not None:
-        # A spec dict makes the manager build *and own* the coordinator,
-        # so one close() tears down jobs, pool, coordinator and cache.
-        coordinator_spec = {
-            "host": args.dist_host,
-            "port": args.dist_port,
-            "allow_remote": args.allow_remote,
-        }
-    manager = JobManager(cache=args.cache, coordinator=coordinator_spec)
-    if manager.coordinator is not None:
-        print(f"coordinator listening on {manager.coordinator.host}:"
-              f"{manager.coordinator.port} — connect workers with "
-              f"`repro worker --connect "
-              f"{manager.coordinator.host}:{manager.coordinator.port}`",
-              flush=True)
+    coordinator = None if args.dist_port is None else _start_coordinator(args)
     try:
-        server = AllocationServer(
-            manager, host=args.host, port=args.port,
-            allow_remote=args.allow_remote,
-        )
-    except BaseException:
-        # Bind rejection (non-loopback host without --allow-remote) must
-        # not leak the manager's pool/coordinator/cache.
-        manager.close()
-        raise
-    server.serve(port_file=args.port_file)
+        manager = JobManager(cache=args.cache, coordinator=coordinator)
+        try:
+            server = AllocationServer(
+                manager, host=args.host, port=args.port,
+                allow_remote=args.allow_remote,
+            )
+        except BaseException:
+            # Bind rejection (non-loopback host without --allow-remote)
+            # must not leak the manager's pool or cache.
+            manager.close()
+            raise
+        server.serve(port_file=args.port_file)  # closes the manager
+    finally:
+        # After the manager: its jobs are done with the fleet.
+        if coordinator is not None:
+            coordinator.close()
     return 0
 
 

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.diffusion._frontier import gather_edge_slots
 from repro.diffusion.montecarlo import SpreadEstimate, combine_mean_variance
+from repro.graph._traversal import gather_edge_slots
 from repro.graph.digraph import DirectedGraph
 from repro.utils.rng import as_generator
 from repro.utils.validation import check_probability_array

@@ -19,10 +19,12 @@ purity over a socket:
     reassignment; a worker that dies, hangs, or returns a corrupt block
     has its chunk requeued to the survivors, byte-identically.
 :mod:`repro.dist.engine`
-    The fleet substrate (``submit`` / ``collect`` / ``drain``) — over
-    forked socketpair workers for ``engine="process"``, and over dialled
-    socket workers for :class:`DistributedEngine` — so TIRM, the
-    session, and the service tier run on either unchanged.
+    The fleet substrate (``submit`` / ``collect`` / ``drain``) that
+    :class:`~repro.rrset.sharded.ShardedSamplingEngine` builds — over
+    forked socketpair workers for ``engine="process"``, and over socket
+    workers dialled in to a caller-owned :class:`Coordinator` for
+    ``engine="dist"`` — so TIRM, the session, and the service tier run
+    on either unchanged.
 
 **Topology is provenance, not contract**: worker count, worker
 placement, per-worker backends, and the coordinator's retry schedule
@@ -35,13 +37,11 @@ from repro.dist.coordinator import (
     TaskFailedError,
     WorkersUnavailableError,
 )
-from repro.dist.engine import DistributedEngine
 from repro.dist.frames import FrameDecoder, FrameIntegrityError
 from repro.dist.worker import WorkerHost
 
 __all__ = [
     "Coordinator",
-    "DistributedEngine",
     "FrameDecoder",
     "FrameIntegrityError",
     "TaskFailedError",

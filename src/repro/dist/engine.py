@@ -9,8 +9,9 @@ are byte-identical by construction.  Its workers come two ways and
 speak the same frames, digests and retries: ``max_workers`` children
 forked at the first submit, each on a ``socketpair`` a private
 coordinator adopts (:class:`_LocalFleet`, ``engine="process"``), or
-``repro worker`` processes dialling a coordinator's TCP listener
-(:class:`DistributedEngine`, ``engine="dist"``).
+``repro worker`` processes dialling the TCP listener of a caller-owned
+coordinator the fleet registers one session on (:meth:`_Fleet.register`,
+``engine="dist"``).  The engine builds either on the same line.
 
 Fallback guarantee: a future that fails because the fleet is empty
 (:class:`~repro.dist.coordinator.WorkersUnavailableError`) or a chunk
@@ -21,9 +22,10 @@ would have evaluated, so an allocation always completes with identical
 bytes.
 
 Topology — worker count, worker backends, placement, the retry
-schedule — is provenance, not contract: :meth:`DistributedEngine.dist_stats`
-feeds the run's stats/provenance, and nothing in it can change a shard
-byte.
+schedule — is provenance, not contract: :meth:`_Fleet.stats` feeds the
+run's stats/provenance
+(:meth:`~repro.rrset.sharded.ShardedSamplingEngine.dist_stats`), and
+nothing in it can change a shard byte.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ import signal
 import socket
 import time
 import warnings
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -44,16 +45,8 @@ from repro.dist.coordinator import (
 )
 from repro.dist.worker import serve_forked
 from repro.errors import ConfigurationError
-from repro.graph.digraph import DirectedGraph
 from repro.rrset.block import Block
 from repro.rrset.sharded import ChunkSubstrate, ShardedSamplingEngine
-
-#: Coordinator spec keys accepted when the engine builds (and owns) its
-#: own coordinator from a dict instead of borrowing an instance.
-_COORDINATOR_SPEC_KEYS = frozenset({
-    "host", "port", "allow_remote", "task_timeout", "max_retries",
-    "worker_grace", "max_frame_bytes",
-})
 
 #: Seconds a forked fleet may sit without a live child before its queued
 #: chunks fall back to the parent: it has no listener, so nobody can join.
@@ -70,15 +63,30 @@ class _Fleet(ChunkSubstrate):
 
     transport = "socket"
 
-    def __init__(self, coordinator, session_id, owned, source, label) -> None:
+    def __init__(self, coordinator, session_id, source, label) -> None:
         self.coordinator = coordinator
         self.session_id = session_id
-        self._owned = owned
         self._source = source
         self._label = label
         #: Run-scoped: chunks computed locally, and whether that warned.
         self.fallbacks = 0
         self.warned = False
+
+    @classmethod
+    def register(cls, coordinator, source, shard_keys, graph_hash, label) -> "_Fleet":
+        """``engine="dist"``: start the caller's coordinator if need be and
+        register one session on it — the SETUP meta and flat PAYLOAD a
+        dialled worker rebuilds ``source`` from, plus the ``shard_keys``
+        its local cache is addressed by."""
+        if not isinstance(coordinator, Coordinator):
+            raise ConfigurationError(
+                f"coordinator must be a repro.dist.Coordinator, got "
+                f"{type(coordinator).__name__}"
+            )
+        session_id = coordinator.start().register_session(
+            *_session_payload(source, shard_keys, graph_hash)
+        )
+        return cls(coordinator, session_id, source, label)
 
     def submit(self, ad: int, chunk_index: int):
         return self.coordinator.submit(self.session_id, ad, chunk_index)
@@ -104,21 +112,22 @@ class _Fleet(ChunkSubstrate):
         self.fallbacks = 0
         self.warned = False
 
+    def stats(self) -> dict:
+        """Coordinator counters + this session and its local fallbacks —
+        the topology provenance recorded in allocation stats.  Nothing in
+        here can change a byte of any shard."""
+        stats = self.coordinator.stats()
+        stats["session"] = self.session_id
+        stats["local_fallbacks"] = self.fallbacks
+        return stats
+
     def close(self) -> None:
-        """Release the payload held by the coordinator — and the
-        coordinator itself when the fleet owns it (a borrowed
-        coordinator belongs to the caller)."""
-        if self.coordinator is None:
-            return
+        """Release the payload the coordinator holds for this session;
+        the coordinator itself belongs to the caller."""
         try:
             self.coordinator.release_session(self.session_id)
         except Exception:  # pragma: no cover - teardown must not raise
             pass
-        if self._owned:
-            try:
-                self.coordinator.close()
-            except Exception:  # pragma: no cover - teardown must not raise
-                pass
 
 
 class _LocalFleet(_Fleet):
@@ -134,7 +143,7 @@ class _LocalFleet(_Fleet):
     """
 
     def __init__(self, source, max_workers, label) -> None:
-        super().__init__(None, None, True, source, label)
+        super().__init__(None, None, source, label)
         self.start_method = "fork" if hasattr(os, "fork") else None
         self.transport = "socket" if self.start_method else "inline"
         self.max_workers = max_workers or os.cpu_count() or 1
@@ -188,7 +197,13 @@ class _LocalFleet(_Fleet):
         self.coordinator, self.session_id = coordinator, session_id
 
     def close(self) -> None:
-        super().close()
+        """Close the private coordinator (SHUTDOWN to every child), then
+        reap the children."""
+        if self.coordinator is not None:
+            try:
+                self.coordinator.close()
+            except Exception:  # pragma: no cover - teardown must not raise
+                pass
         self._reap()
 
     def _reap(self) -> None:
@@ -208,128 +223,44 @@ class _LocalFleet(_Fleet):
         self.pids.clear()
 
 
+def _session_payload(source, shard_keys, graph_hash) -> tuple[dict, bytearray]:
+    """A session's SETUP meta + flat PAYLOAD bytes — the graph in-CSR and
+    one probability row per ad, each 8-byte aligned at the ``(key,
+    dtype, count, offset)`` its ``layout`` entry names — from which a
+    dialled worker rebuilds ``source``.  ``graph_hash`` is the digest
+    the shard keys were derived from, so the graph is hashed once."""
+    arrays = {
+        key: getattr(source.graph, key)
+        for key in ("in_indptr", "in_sources", "in_edge_ids")
+    }
+    num_ads = len(source.entropies)
+    for ad in range(num_ads):
+        arrays[f"probs_{ad}"] = source.sampler(ad).edge_probabilities
+    layout, offset = [], 0
+    for key, array in arrays.items():
+        offset = (offset + 7) & ~7
+        layout.append((key, array.dtype.str, int(array.size), offset))
+        offset += array.nbytes
+    payload = bytearray(max(offset, 1))
+    for (_, dtype, count, start), array in zip(layout, arrays.values()):
+        np.frombuffer(payload, dtype=dtype, count=count, offset=start)[:] = array
+    meta = {
+        "num_nodes": int(source.graph.num_nodes),
+        "num_edges": int(source.graph.num_edges),
+        "h": num_ads,
+        "entropies": [int(e) for e in source.entropies],
+        "chunk_size": source.chunk_size,
+        "graph_digest": graph_hash,
+        "shard_keys": list(shard_keys),
+        "layout": layout,
+    }
+    return meta, payload
+
+
 class DistributedEngine(ShardedSamplingEngine):
-    """Chunk-parallel sampling over socket workers that dial in.
+    """No engine of its own: ``engine="dist"`` is
+    ``ShardedSamplingEngine(..., engine="dist", coordinator=c)``.  Kept
+    only for the benchmark harness, whose traced pass wraps ``prefetch``
+    in this class's own ``__dict__``, until the harness is re-cut."""
 
-    Parameters (beyond the base engine's)
-    -------------------------------------
-    coordinator:
-        A started (or startable) :class:`~repro.dist.Coordinator`
-        instance — *borrowed*: the caller owns its lifetime — or a spec
-        dict (``{"host": ..., "port": ..., ...}``) from which the
-        engine builds a coordinator it owns and closes.
-
-    ``max_workers`` is accepted like on the base engine but sizes
-    nothing here: the fleet is however many workers dial in.
-    """
-
-    _engine_modes = ("dist",)
-
-    def __init__(
-        self,
-        graph: DirectedGraph,
-        probs_per_ad: Sequence,
-        *,
-        coordinator,
-        engine: str = "dist",
-        **engine_kwargs,
-    ) -> None:
-        super().__init__(graph, probs_per_ad, engine=engine, **engine_kwargs)
-        # Shard keys always exist on a distributed engine (the base only
-        # derives them when a cache is configured): workers need them to
-        # consult their *local* caches, and they cost one graph digest.
-        if self._shard_keys is None:
-            self._init_shard_keys()
-        owned = False
-        try:
-            coordinator, owned = self._resolve_coordinator(coordinator)
-            session_id = coordinator.register_session(*self._session_payload())
-        except BaseException:
-            if owned:
-                coordinator.close()
-            self.close()
-            raise
-        # The finalizer's resources dict is shared by reference, so the
-        # session release rides the same idempotent teardown as every
-        # other engine resource (close / GC, whichever comes first).
-        self._substrate = self._resources["substrate"] = _Fleet(
-            coordinator, session_id, owned, self._source,
-            f"DistributedEngine #{self._engine_id}",
-        )
-
-    # Shared body; kept in this class's own ``__dict__`` because the
-    # benchmark's traced pass (``bench/layers.py``) wraps it there.
     prefetch = ShardedSamplingEngine.prefetch
-
-    # ------------------------------------------------------------------
-    # Session plumbing
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _resolve_coordinator(coordinator) -> tuple[Coordinator, bool]:
-        if isinstance(coordinator, Coordinator):
-            return coordinator.start(), False
-        if isinstance(coordinator, Mapping):
-            unknown = set(coordinator) - _COORDINATOR_SPEC_KEYS
-            if unknown:
-                raise ConfigurationError(
-                    f"unknown coordinator spec keys {sorted(unknown)}; "
-                    f"expected a subset of {sorted(_COORDINATOR_SPEC_KEYS)}"
-                )
-            return Coordinator(**coordinator).start(), True
-        raise ConfigurationError(
-            f"coordinator must be a repro.dist.Coordinator or a spec dict, "
-            f"got {type(coordinator).__name__}"
-        )
-
-    def _session_payload(self) -> tuple[dict, bytearray]:
-        """The session's SETUP meta + flat PAYLOAD bytes — the graph
-        in-CSR and one probability row per ad, each 8-byte aligned at the
-        ``(key, dtype, count, offset)`` its ``layout`` entry names — from
-        which a dialled worker rebuilds the engine's chunk source."""
-        from repro.utils.hashing import graph_digest
-
-        arrays = {
-            key: getattr(self.graph, key)
-            for key in ("in_indptr", "in_sources", "in_edge_ids")
-        }
-        for ad in range(self.num_ads):
-            arrays[f"probs_{ad}"] = self.sampler(ad).edge_probabilities
-        layout, offset = [], 0
-        for key, array in arrays.items():
-            offset = (offset + 7) & ~7
-            layout.append((key, array.dtype.str, int(array.size), offset))
-            offset += array.nbytes
-        payload = bytearray(max(offset, 1))
-        for (_, dtype, count, start), array in zip(layout, arrays.values()):
-            np.frombuffer(payload, dtype=dtype, count=count, offset=start)[:] = array
-        meta = {
-            "num_nodes": int(self.graph.num_nodes),
-            "num_edges": int(self.graph.num_edges),
-            "h": self.num_ads,
-            "entropies": [int(e) for e in self._entropies],
-            "chunk_size": self.chunk_size,
-            "graph_digest": graph_digest(self.graph),
-            "shard_keys": list(self._shard_keys),
-            "layout": layout,
-        }
-        return meta, payload
-
-    # ------------------------------------------------------------------
-    # Provenance
-    # ------------------------------------------------------------------
-    @property
-    def coordinator(self) -> Coordinator:
-        return self._substrate.coordinator
-
-    @property
-    def session_id(self) -> int:
-        return self._substrate.session_id
-
-    def dist_stats(self) -> dict:
-        """Coordinator counters + this engine's local fallbacks — the
-        topology provenance recorded in allocation stats.  Nothing in
-        here can change a byte of any shard."""
-        stats = self.coordinator.stats()
-        stats["session"] = self.session_id
-        stats["local_fallbacks"] = self._substrate.fallbacks
-        return stats

@@ -44,6 +44,7 @@ from repro.dist import frames
 from repro.errors import ConfigurationError, ProtocolError
 from repro.graph.digraph import DirectedGraph
 from repro.rrset.backends import resolve_backend
+from repro.rrset.dsan import digest_block
 from repro.rrset.sampler import STREAM_MODE, STREAM_RNG
 from repro.rrset.sharded import ChunkSource
 
@@ -247,8 +248,9 @@ class WorkerHost:
                         chunk_index: int) -> bytes:
         """One packed RESULT payload for the addressed chunk — served
         from the local shard cache when possible (stamped with the
-        digest the load verified, so a hit is hashed once), else
-        re-derived from ``(entropy, ad, chunk)`` and written through."""
+        digest the load verified), else re-derived from ``(entropy, ad,
+        chunk)`` and written through.  Either way the block is hashed
+        once on this side of the wire."""
         source = session.source
         if not 0 <= ad < len(source.entropies):
             raise ProtocolError(f"TASK addresses unknown ad {ad}")
@@ -266,6 +268,7 @@ class WorkerHost:
                 finally:
                     entry.release()
         block = source.block(ad, chunk_index)
+        digest = digest_block(block.members, block.lengths)
         if shard_key is not None:
             self._cache.store(
                 shard_key, chunk_index, block.members, block.lengths,
@@ -273,8 +276,11 @@ class WorkerHost:
                       "chunk_size": source.chunk_size,
                       "entropy": str(source.entropies[ad]),
                       "graph_hash": session.graph_digest},
+                digest=digest,
             )
-        return frames.pack_result(ad, chunk_index, block.members, block.lengths)
+        return frames.pack_result(
+            ad, chunk_index, block.members, block.lengths, digest
+        )
 
     def _before_result(self, ad: int, chunk_index: int) -> None:
         """Chaos seam: called between computing a result and sending it.

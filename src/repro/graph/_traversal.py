@@ -4,7 +4,8 @@ Given a CSR ``indptr`` and a frontier of node ids, :func:`gather_edge_slots`
 returns the flat positions (into the CSR's adjacency arrays) of every edge
 incident to the frontier — without any per-node Python loop.  This is the
 primitive that keeps Monte-Carlo simulation, reverse BFS and connectivity
-algorithms fast in pure numpy (see DESIGN.md §6).
+algorithms fast in pure numpy (see DESIGN.md §6).  Both it and the RR-set
+pool's row reads are one kernel, :func:`gather_slices`.
 """
 
 from __future__ import annotations
@@ -12,6 +13,19 @@ from __future__ import annotations
 import numpy as np
 
 _EMPTY = np.empty(0, dtype=np.int64)
+
+
+def gather_slices(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Flat positions covering ``[starts[i], starts[i]+lengths[i])`` for
+    every ``i``, concatenated — the repeat/cumsum multi-slice gather, no
+    Python loop."""
+    lengths = lengths.astype(np.int64, copy=False)
+    total = int(lengths.sum())
+    if total == 0:
+        return _EMPTY
+    ends = np.cumsum(lengths)
+    offsets = np.repeat(starts.astype(np.int64, copy=False) - (ends - lengths), lengths)
+    return offsets + np.arange(total, dtype=np.int64)
 
 
 def gather_edge_slots(indptr: np.ndarray, frontier: np.ndarray) -> np.ndarray:
@@ -23,11 +37,4 @@ def gather_edge_slots(indptr: np.ndarray, frontier: np.ndarray) -> np.ndarray:
     if frontier.size == 0:
         return _EMPTY
     starts = indptr[frontier]
-    counts = indptr[frontier + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        return _EMPTY
-    # position of each output element within its node's slice
-    cumulative = np.cumsum(counts)
-    within = np.arange(total, dtype=np.int64) - np.repeat(cumulative - counts, counts)
-    return np.repeat(starts, counts) + within
+    return gather_slices(starts, indptr[frontier + 1] - starts)

@@ -43,6 +43,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.errors import CapacityError
+from repro.graph._traversal import gather_slices
 
 #: Members are node ids; int32 halves RR memory vs the old int64 arrays
 #: and comfortably addresses graphs up to 2^31 nodes.
@@ -156,19 +157,6 @@ def _bump_counts(counts: np.ndarray, members: np.ndarray, sign: int) -> None:
         counts += np.bincount(members, minlength=n)
     else:
         counts -= np.bincount(members, minlength=n)
-
-
-def _gather_slices(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Flat positions covering ``[starts[i], starts[i]+lengths[i])`` for
-    every ``i``, concatenated — the standard repeat/cumsum multi-slice
-    gather, no Python loop."""
-    lengths = lengths.astype(np.int64, copy=False)
-    total = int(lengths.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    ends = np.cumsum(lengths)
-    offsets = np.repeat(starts.astype(np.int64, copy=False) - (ends - lengths), lengths)
-    return offsets + np.arange(total, dtype=np.int64)
 
 
 def _sorted_keys(members: np.ndarray, first_set: int, lengths: np.ndarray) -> np.ndarray:
@@ -786,12 +774,12 @@ class RRSetPool:
         visible = self._num_sets
         starts = self._idx_indptr[nodes]
         lengths = self._idx_indptr[nodes + 1] - starts
-        ids = self._idx_sets[_gather_slices(starts, lengths)]
+        ids = self._idx_sets[gather_slices(starts, lengths)]
         if self._main_sets < visible:
             plos = np.searchsorted(self._pend_nodes, nodes)
             phis = np.searchsorted(self._pend_nodes, nodes + 1)
             ids = np.concatenate(
-                (ids, self._pend_sets[_gather_slices(plos, phis - plos)])
+                (ids, self._pend_sets[gather_slices(plos, phis - plos)])
             )
         if self._index_sets > visible:
             ids = ids[ids < visible]  # a kept index lists hidden sets too
@@ -800,4 +788,4 @@ class RRSetPool:
     def _gather_members(self, set_ids: np.ndarray) -> np.ndarray:
         starts = self._indptr[set_ids]
         lengths = self._indptr[np.asarray(set_ids, dtype=np.int64) + 1] - starts
-        return self._members[_gather_slices(starts, lengths)]
+        return self._members[gather_slices(starts, lengths)]

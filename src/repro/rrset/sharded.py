@@ -100,10 +100,29 @@ from repro.rrset.sampler import (
 )
 from repro.utils.rng import seed_entropy
 
-ENGINE_MODES = ("serial", "process")
+ENGINE_MODES = ("serial", "process", "dist")
 
 #: Engine-id allocator: names engines in warnings and dsan labels.
 _ENGINE_IDS = itertools.count()
+
+
+def check_engine(engine: str, coordinator) -> None:
+    """Refuse an unknown engine mode, ``"dist"`` without a coordinator,
+    and a coordinator on any other mode."""
+    if engine not in ENGINE_MODES:
+        raise ConfigurationError(
+            f"engine must be one of {ENGINE_MODES}, got {engine!r}"
+        )
+    if engine == "dist" and coordinator is None:
+        raise ConfigurationError(
+            "engine='dist' needs a coordinator: pass a started "
+            "repro.dist.Coordinator"
+        )
+    if engine != "dist" and coordinator is not None:
+        raise ConfigurationError(
+            f"coordinator is only meaningful with engine='dist', "
+            f"got engine={engine!r}"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -223,10 +242,19 @@ class ShardedSamplingEngine:
         explicit per-ad roots.
     engine:
         ``"serial"`` samples in-process; ``"process"`` fans chunk tasks
-        across a fleet of forked worker processes.  Both produce
-        bit-identical shards for the same ``(seeds, chunk_size)``.
+        across a fleet of forked worker processes; ``"dist"`` across the
+        ``repro worker`` processes dialled in to ``coordinator``.  All
+        produce bit-identical shards for the same ``(seeds,
+        chunk_size)``.
+    coordinator:
+        Required with ``engine="dist"`` and refused otherwise: a started
+        (or startable) :class:`~repro.dist.Coordinator`.  The caller owns
+        it; the engine registers one session on it and releases that
+        session at :meth:`close`.
     max_workers:
-        Number of forked workers (default: ``os.cpu_count()``).
+        Number of forked workers for ``engine="process"`` (default:
+        ``os.cpu_count()``); a dialled fleet is however many workers
+        dial in.
     chunk_size:
         Set-index chunk width of the counter-based streams.  Part of the
         determinism contract — resampling with a different chunk size
@@ -280,10 +308,6 @@ class ShardedSamplingEngine:
         20
     """
 
-    #: Engine modes this class serves (the distributed engine serves
-    #: ``"dist"``).
-    _engine_modes = ENGINE_MODES
-
     def __init__(
         self,
         graph: DirectedGraph,
@@ -291,6 +315,7 @@ class ShardedSamplingEngine:
         *,
         seeds=None,
         engine: str = "serial",
+        coordinator=None,
         max_workers: int | None = None,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         backend="numpy",
@@ -298,10 +323,7 @@ class ShardedSamplingEngine:
         dsan_expected: Mapping | None = None,
         cache=None,
     ) -> None:
-        if engine not in self._engine_modes:
-            raise ConfigurationError(
-                f"engine must be one of {self._engine_modes}, got {engine!r}"
-            )
+        check_engine(engine, coordinator)
         if chunk_size < 1:
             raise ConfigurationError(f"chunk_size must be >= 1, got {chunk_size}")
         probs_per_ad = list(probs_per_ad)
@@ -328,7 +350,7 @@ class ShardedSamplingEngine:
             entropies = [seed_entropy(seeds)] * h
         self._entropies: list[int] = entropies
         # The parent's chunk source: inline computes go through it, forked
-        # workers inherit it, the PAYLOAD frame is packed from it.
+        # workers inherit it, a dialled fleet's PAYLOAD is packed from it.
         # Samplers are built eagerly so a bad probability row fails here,
         # not at the first request.
         self._source = ChunkSource(
@@ -368,17 +390,30 @@ class ShardedSamplingEngine:
         self._cache, self._cache_owned = resolve_cache(cache)
         self._shard_keys: list[str] | None = None
         self._cache_meta: list[dict] | None = None
-        if self._cache is not None:
-            self._init_shard_keys()
         self._substrate = ChunkSubstrate()
-        if engine == "process":
-            # Imported lazily: repro.dist builds on this module.
-            from repro.dist.engine import _LocalFleet
-
-            self._substrate = _LocalFleet(
-                self._source, max_workers,
-                f"ShardedSamplingEngine #{self._engine_id}",
+        try:
+            # A dialled fleet's workers address their local caches by
+            # the shard keys too.
+            graph_hash = (
+                self._init_shard_keys()
+                if self._cache is not None or engine == "dist" else None
             )
+            if engine != "serial":
+                # Imported lazily: repro.dist builds on this module.
+                from repro.dist.engine import _Fleet, _LocalFleet
+
+                label = f"ShardedSamplingEngine #{self._engine_id}"
+                self._substrate = (
+                    _LocalFleet(self._source, max_workers, label)
+                    if engine == "process" else _Fleet.register(
+                        coordinator, self._source, self._shard_keys,
+                        graph_hash, label,
+                    )
+                )
+        except BaseException:
+            if self._cache_owned:
+                self._cache.close()
+            raise
         # Speculative prefetch ledger: (ad, chunk) -> in-flight future.
         # Shared with the teardown resources so close() can drain it
         # even from the GC finalizer (which cannot see self).
@@ -396,11 +431,12 @@ class ShardedSamplingEngine:
             self, _release_engine_resources, self._resources
         )
 
-    def _init_shard_keys(self) -> None:
+    def _init_shard_keys(self) -> str:
         """Content addresses for every ad's stream (key schema:
-        :mod:`repro.store.keys`).  Keys pin what determines the bytes —
-        graph content, edge probabilities, stream entropy, chunk size —
-        and exclude the byte-identical substrate (engine / backend /
+        :mod:`repro.store.keys`); returns the graph digest they were
+        derived from.  Keys pin what determines the bytes — graph
+        content, edge probabilities, stream entropy, chunk size — and
+        exclude the byte-identical substrate (engine / backend /
         workers)."""
         from repro.store.keys import philox_shard_key
         from repro.utils.hashing import array_digest, graph_digest
@@ -424,6 +460,7 @@ class ShardedSamplingEngine:
             })
         self._shard_keys = keys
         self._cache_meta = meta
+        return graph_hash
 
     # ------------------------------------------------------------------
     # Accessors
@@ -450,6 +487,13 @@ class ShardedSamplingEngine:
         """How fleet workers start (``"fork"``), or ``None`` when none
         is started by this engine."""
         return self._substrate.start_method
+
+    def dist_stats(self) -> dict | None:
+        """On ``engine="dist"``: the coordinator's counters plus this
+        engine's session and local fallbacks — topology provenance that
+        cannot change a byte of any shard.  ``None`` on every other
+        engine."""
+        return self._substrate.stats() if self.engine == "dist" else None
 
     @property
     def dsan(self) -> bool:

@@ -241,10 +241,9 @@ class JobManager:
     their ``job_id`` when a cache is configured.
 
     ``coordinator`` enables ``engine="dist"`` jobs: a started (or
-    startable) :class:`~repro.dist.Coordinator` is *borrowed* — the
-    caller owns its lifetime — while a spec dict builds one the manager
-    owns and closes.  Every distributed job shares it (and hence the
-    worker fleet); ``None`` means dist jobs are refused.
+    startable) :class:`~repro.dist.Coordinator` the caller owns and
+    closes.  Every distributed job shares it (and hence the worker
+    fleet); ``None`` means dist jobs are refused.
     """
 
     def __init__(self, *, cache=None, max_idle_per_key: int = 4,
@@ -252,14 +251,7 @@ class JobManager:
         from repro.store.cache import resolve_cache
 
         self.cache, self._cache_owned = resolve_cache(cache)
-        self.coordinator = None
-        self._coordinator_owned = False
-        if coordinator is not None:
-            from repro.dist.engine import DistributedEngine
-
-            self.coordinator, self._coordinator_owned = (
-                DistributedEngine._resolve_coordinator(coordinator)
-            )
+        self.coordinator = coordinator
         self.pool = EnginePool(cache=self.cache, max_idle_per_key=max_idle_per_key)
         self._jobs: dict[str, Job] = {}
         self._issued = 0  # ids are job-0001 … job-<_issued>
@@ -567,7 +559,8 @@ class JobManager:
     # ------------------------------------------------------------------
     def close(self, *, timeout: float | None = 30.0) -> None:
         """Cancel running jobs, join their threads, close pooled engines
-        and (when owned) the shard cache."""
+        and (when owned) the shard cache.  The coordinator stays up: it
+        belongs to the caller."""
         with self._lock:
             self._closed = True
             jobs = list(self._jobs.values())
@@ -581,8 +574,6 @@ class JobManager:
             # lease once every job is done.
             job.done.wait(timeout)
         self.pool.close()
-        if self._coordinator_owned and self.coordinator is not None:
-            self.coordinator.close()
         if self._cache_owned and self.cache is not None:
             self.cache.close()
 

@@ -573,6 +573,21 @@ def test_serve_rejects_non_loopback_without_allow_remote(capsys):
     assert "non-loopback" in err
 
 
+def test_serve_bind_refusal_closes_the_dist_coordinator(capsys):
+    """The coordinator `repro serve --dist-port` started is closed when
+    the server then refuses to bind: its port stops accepting."""
+    import re
+    import socket
+
+    code = main(["serve", "--host", "0.0.0.0", "--dist-port", "0"])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert "non-loopback" in err
+    port = int(re.search(r"coordinator listening on 127\.0\.0\.1:(\d+)", out)[1])
+    with pytest.raises(OSError):
+        socket.create_connection(("127.0.0.1", port), timeout=2.0).close()
+
+
 def test_allocate_dist_end_to_end_matches_serial(capsys):
     """`repro allocate --engine dist` against one in-process worker is
     byte-identical to the plain serial CLI run and prints the dist

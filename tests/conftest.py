@@ -39,8 +39,10 @@ def build_calls(monkeypatch) -> list[int]:
 def digest_calls(monkeypatch) -> list[str]:
     """Spy on ``digest_block`` in every module that hashes a block: one
     entry per call, naming the calling function — ``record`` (dsan),
-    ``pack`` (a RESULT stamp or cache write without a digest in hand) or
+    ``pack`` (a RESULT stamp or cache write without a digest in hand),
+    ``_compute_result`` (a socket worker's freshly computed block) or
     ``parse`` (a cache load or a RESULT check)."""
+    from repro.dist import worker
     from repro.rrset import block, dsan
 
     calls: list[str] = []
@@ -50,7 +52,7 @@ def digest_calls(monkeypatch) -> list[str]:
         calls.append(sys._getframe(1).f_code.co_name)
         return original(members, lengths)
 
-    for module in (dsan, block):
+    for module in (dsan, block, worker):
         monkeypatch.setattr(module, "digest_block", spy)
     return calls
 

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.diffusion._frontier import gather_edge_slots
+from repro.graph._traversal import gather_edge_slots
 from repro.graph.digraph import DirectedGraph
 
 

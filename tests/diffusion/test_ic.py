@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.diffusion._frontier import gather_edge_slots
 from repro.diffusion.exact import exact_spread
 from repro.diffusion.ic import estimate_spread, simulate_clicks
+from repro.graph._traversal import gather_edge_slots
 from repro.graph.digraph import DirectedGraph
 from repro.graph.generators import erdos_renyi
 from repro.graph.probabilities import constant_probabilities

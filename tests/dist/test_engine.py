@@ -1,12 +1,12 @@
-"""DistributedEngine: byte-identity with serial, fallback, lifecycle.
+"""``engine="dist"``: byte-identity with serial, fallback, lifecycle.
 
 The tentpole invariant — every chunk is a pure function of
-``(seed, ad, chunk)`` — means the distributed engine must produce
-shards byte-identical to the serial engine regardless of worker count,
-worker backend, scatter order, prefetching, or a completely empty
-fleet (local fallback).  These tests pin that, plus the engine-side
-plumbing: session registration/release, spec-dict coordinator
-ownership, and allocator-level validation.
+``(seed, ad, chunk)`` — means a dialled fleet must produce shards
+byte-identical to the serial engine regardless of worker count, worker
+backend, scatter order, prefetching, or a completely empty fleet (local
+fallback).  These tests pin that, plus the engine-side plumbing:
+session registration/release on a caller-owned coordinator, the
+engine/coordinator pairing, and allocator-level validation.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import pytest
 
 from chaos import ChaosWorker, join_workers, start_workers
 from repro.algorithms.tirm import TIRMAllocator
-from repro.dist import Coordinator, DistributedEngine, WorkerHost
+from repro.dist import Coordinator, WorkerHost
 from repro.errors import ConfigurationError
 from repro.graph.generators import erdos_renyi
 from repro.graph.probabilities import constant_probabilities
@@ -70,8 +70,8 @@ class TestByteIdentity:
                 for i in range(num_workers)
             ]
             threads = start_workers(coordinator, workers)
-            with DistributedEngine(
-                graph, probs, coordinator=coordinator, seeds=7,
+            with ShardedSamplingEngine(
+                graph, probs, engine="dist", coordinator=coordinator, seeds=7,
                 chunk_size=CHUNK, dsan=True,
             ) as engine:
                 engine.ensure(TARGETS)
@@ -95,8 +95,8 @@ class TestByteIdentity:
             threads = start_workers(
                 coordinator, [WorkerHost("127.0.0.1", coordinator.port)]
             )
-            with DistributedEngine(
-                graph, probs, coordinator=coordinator, seeds=7,
+            with ShardedSamplingEngine(
+                graph, probs, engine="dist", coordinator=coordinator, seeds=7,
                 chunk_size=CHUNK, dsan=True,
             ) as engine:
                 engine.ensure(TARGETS)
@@ -104,9 +104,9 @@ class TestByteIdentity:
                 chunks = len(engine.dsan_digests())
                 assert engine.dist_stats()["tasks_completed"] == chunks
         join_workers(threads)
-        parent = [caller for caller in digest_calls if caller != "pack"]
+        parent = [c for c in digest_calls if c != "_compute_result"]
         assert parent == ["parse"] * chunks
-        assert digest_calls.count("pack") == chunks  # the worker's stamp
+        assert digest_calls.count("_compute_result") == chunks  # the stamp
 
     def test_prefetch_overlaps_without_changing_bytes(self):
         graph = _graph()
@@ -116,8 +116,8 @@ class TestByteIdentity:
             workers = [WorkerHost("127.0.0.1", coordinator.port)
                        for _ in range(2)]
             threads = start_workers(coordinator, workers)
-            with DistributedEngine(
-                graph, probs, coordinator=coordinator, seeds=7,
+            with ShardedSamplingEngine(
+                graph, probs, engine="dist", coordinator=coordinator, seeds=7,
                 chunk_size=CHUNK, dsan=True,
             ) as engine:
                 submitted = engine.prefetch(TARGETS)
@@ -132,8 +132,8 @@ class TestByteIdentity:
         probs = _probs(graph)
         reference, reference_root = _serial_reference(graph, probs)
         with Coordinator(worker_grace=0.2) as coordinator:
-            with DistributedEngine(
-                graph, probs, coordinator=coordinator, seeds=7,
+            with ShardedSamplingEngine(
+                graph, probs, engine="dist", coordinator=coordinator, seeds=7,
                 chunk_size=CHUNK, dsan=True,
             ) as engine:
                 with pytest.warns(RuntimeWarning, match="computing\\s+locally"):
@@ -153,8 +153,8 @@ class TestByteIdentity:
         twice = {ad: 2 * target for ad, target in TARGETS.items()}
         thrice = {ad: 3 * target for ad, target in TARGETS.items()}
         with Coordinator(worker_grace=0.2) as coordinator:
-            with DistributedEngine(
-                graph, probs, coordinator=coordinator, seeds=7,
+            with ShardedSamplingEngine(
+                graph, probs, engine="dist", coordinator=coordinator, seeds=7,
                 chunk_size=CHUNK, dsan=True,
             ) as engine:
                 with pytest.warns(RuntimeWarning, match="computing\\s+locally"):
@@ -185,8 +185,8 @@ class TestByteIdentity:
         join_workers(threads)
 
     def test_rerun_reveals_resident_sets_and_samples_past_them(self):
-        """The distributed engine's ``reset_for_reuse`` override keeps
-        the base contract: a rerun to the same targets is no fleet work
+        """On a dialled fleet ``reset_for_reuse`` keeps the base
+        contract: a rerun to the same targets is no fleet work
         at all, one past them sends only the chunks the first run never
         saw — bytes and digests those of a serial run either way."""
         graph = _graph()
@@ -195,8 +195,8 @@ class TestByteIdentity:
         with Coordinator() as coordinator:
             worker = WorkerHost("127.0.0.1", coordinator.port)
             threads = start_workers(coordinator, [worker])
-            with DistributedEngine(
-                graph, probs, coordinator=coordinator, seeds=7,
+            with ShardedSamplingEngine(
+                graph, probs, engine="dist", coordinator=coordinator, seeds=7,
                 chunk_size=CHUNK, dsan=True,
             ) as engine:
                 engine.ensure(TARGETS)
@@ -236,8 +236,8 @@ class TestByteIdentity:
                 WorkerHost("127.0.0.1", coordinator.port, backend="numba"),
             ]
             threads = start_workers(coordinator, workers)
-            with DistributedEngine(
-                graph, probs, coordinator=coordinator, seeds=7,
+            with ShardedSamplingEngine(
+                graph, probs, engine="dist", coordinator=coordinator, seeds=7,
                 chunk_size=CHUNK, dsan=True,
             ) as engine:
                 engine.ensure(TARGETS)
@@ -258,85 +258,106 @@ class TestWorkerLocalCache:
             )
             threads = start_workers(coordinator, [worker])
             reference, reference_root = _serial_reference(graph, probs)
+            calls = []
             for _ in range(2):
                 del digest_calls[:]
-                with DistributedEngine(
-                    graph, probs, coordinator=coordinator, seeds=7,
+                with ShardedSamplingEngine(
+                    graph, probs, engine="dist", coordinator=coordinator, seeds=7,
                     chunk_size=CHUNK, dsan=True,
                 ) as engine:
                     engine.ensure(TARGETS)
                     assert _fingerprint(engine) == reference
                     assert engine.dsan_root() == reference_root
                     chunks = len(engine.dsan_digests())
+                calls.append(sorted(digest_calls))
             assert worker.cache_hits == chunks
         join_workers(threads)
+        cold, warm = calls
+        # A first-session chunk is hashed once by the worker, and that
+        # digest both stamps the RESULT and goes into the cache entry;
+        # the parent's RESULT check is the only other hash.
+        assert cold == ["_compute_result"] * chunks + ["parse"] * chunks
         # Every chunk of the second session is a worker-cache hit: the
         # worker's load and the parent's RESULT check hash it once each,
         # and the RESULT is stamped with the digest the load verified.
-        assert digest_calls == ["parse"] * (2 * chunks)
+        assert warm == ["parse"] * (2 * chunks)
 
 
 class TestLifecycle:
     def test_non_coordinator_refused(self):
         graph = _graph()
         with pytest.raises(ConfigurationError, match="coordinator"):
-            DistributedEngine(
-                graph, _probs(graph), coordinator=object(), seeds=7,
-                chunk_size=CHUNK,
+            ShardedSamplingEngine(
+                graph, _probs(graph), engine="dist", coordinator=object(),
+                seeds=7, chunk_size=CHUNK,
             )
 
-    def test_spec_dict_builds_an_owned_coordinator(self):
+    def test_dist_engine_needs_a_coordinator(self):
         graph = _graph()
-        probs = _probs(graph)
-        engine = DistributedEngine(
-            graph, probs, coordinator={"port": 0, "worker_grace": 5.0},
-            seeds=7, chunk_size=CHUNK,
-        )
-        try:
-            coordinator = engine.coordinator
-            assert coordinator.started
-            worker = WorkerHost("127.0.0.1", coordinator.port)
-            thread = threading.Thread(target=worker.run, daemon=True)
-            thread.start()
-            coordinator.wait_for_workers(1, timeout=10.0)
-            engine.ensure({0: 300})
-            assert engine.shard(0).num_total >= 300
-        finally:
-            engine.close()
-        assert not coordinator.started  # owned: closed with the engine
-        thread.join(timeout=10.0)
-        assert not thread.is_alive()
+        with pytest.raises(ConfigurationError, match="coordinator"):
+            ShardedSamplingEngine(graph, _probs(graph), engine="dist")
 
-    def test_unknown_spec_keys_refused(self):
+    @pytest.mark.parametrize("engine", ["serial", "process"])
+    def test_coordinator_refused_off_the_dist_engine(self, engine):
         graph = _graph()
-        with pytest.raises(ConfigurationError, match="spec"):
-            DistributedEngine(
-                graph, _probs(graph), coordinator={"bogus": 1}, seeds=7,
-                chunk_size=CHUNK,
+        with pytest.raises(ConfigurationError, match="dist"):
+            ShardedSamplingEngine(
+                graph, _probs(graph), engine=engine, coordinator=Coordinator()
             )
+
+    def test_refused_registration_leaves_no_cache_handle_open(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.store.cache import ShardCache
+
+        closed = []
+        original = ShardCache.close
+
+        def close(cache):
+            closed.append(cache)
+            original(cache)
+
+        monkeypatch.setattr(ShardCache, "close", close)
+        graph = _graph()
+        coordinator = Coordinator()
+        coordinator.close()
+        with pytest.raises(ConfigurationError, match="closed"):
+            ShardedSamplingEngine(
+                graph, _probs(graph), engine="dist", coordinator=coordinator,
+                cache=str(tmp_path),
+            )
+        assert len(closed) == 1
 
     def test_close_releases_the_session(self):
         graph = _graph()
         with Coordinator() as coordinator:
-            engine = DistributedEngine(
-                graph, _probs(graph), coordinator=coordinator, seeds=7,
-                chunk_size=CHUNK,
+            engine = ShardedSamplingEngine(
+                graph, _probs(graph), engine="dist", coordinator=coordinator,
+                seeds=7, chunk_size=CHUNK,
             )
-            session = engine.session_id
+            session = engine.dist_stats()["session"]
             engine.close()
-            assert coordinator.started  # borrowed: stays up
+            assert coordinator.started  # the caller's: stays up
             with pytest.raises(ConfigurationError, match="session"):
                 coordinator.submit(session, 0, 0)
 
     def test_engine_reports_socket_substrate(self):
         graph = _graph()
         with Coordinator() as coordinator:
-            with DistributedEngine(
-                graph, _probs(graph), coordinator=coordinator, seeds=7,
-                chunk_size=CHUNK,
+            with ShardedSamplingEngine(
+                graph, _probs(graph), engine="dist", coordinator=coordinator,
+                seeds=7, chunk_size=CHUNK,
             ) as engine:
                 assert engine.engine == "dist"
                 assert engine.transport == "socket"
+
+    @pytest.mark.parametrize("engine", ["serial", "process"])
+    def test_only_the_dist_engine_reports_dist_stats(self, engine):
+        graph = _graph()
+        with ShardedSamplingEngine(
+            graph, _probs(graph), engine=engine, max_workers=1
+        ) as sharded:
+            assert sharded.dist_stats() is None
 
 
 class TestAllocatorValidation:
@@ -346,5 +367,12 @@ class TestAllocatorValidation:
 
     def test_coordinator_needs_the_dist_engine(self):
         with pytest.raises(ConfigurationError, match="dist"):
-            TIRMAllocator(engine="serial", coordinator={"port": 0})
+            TIRMAllocator(engine="serial", coordinator=Coordinator())
 
+    def test_dist_allocator_builds_the_one_engine_class(self):
+        from repro.datasets.toy import figure1_problem
+
+        with Coordinator() as coordinator:
+            allocator = TIRMAllocator(engine="dist", coordinator=coordinator)
+            with allocator._build_engine(figure1_problem(), None) as engine:
+                assert type(engine) is ShardedSamplingEngine

@@ -1,7 +1,7 @@
 """Service tier over the distributed engine: dist jobs, warm reuse.
 
 ``engine="dist"`` is just another allocator knob to the service — the
-job manager injects its shared coordinator, the engine pool leases and
+job manager injects the shared coordinator its caller owns, the engine pool leases and
 warm-reuses distributed engines like any other, and the result is
 byte-identical to a serial batch run.  Requests for dist jobs on a
 manager without a coordinator are refused with a clean ServiceError.
@@ -96,9 +96,8 @@ def test_dist_job_without_a_coordinator_is_refused():
             manager.submit(problem=_problem(), params={"engine": "dist"})
 
 
-def test_manager_owns_a_spec_built_coordinator():
-    manager = JobManager(coordinator={"port": 0})
-    coordinator = manager.coordinator
-    assert coordinator is not None and coordinator.started
-    manager.close()
-    assert not coordinator.started
+def test_manager_leaves_the_callers_coordinator_up():
+    with Coordinator() as coordinator:
+        with JobManager(coordinator=coordinator) as manager:
+            assert manager.coordinator is coordinator
+        assert coordinator.started
