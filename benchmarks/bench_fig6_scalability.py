@@ -9,11 +9,6 @@ iterations of seed selections") and falls behind TIRM as h grows.
 Bench-scale budgets are raised above the proportional default so that
 allocations need hundreds of seeds — the regime the paper's timing
 claims are about.
-
-``pytest benchmarks/bench_fig6_scalability.py --backend numba`` re-runs
-the TIRM columns on the JIT sampling backend (allocations are
-byte-identical across backends, so only the timings move); the default
-is the numpy reference backend.
 """
 
 from __future__ import annotations
@@ -30,13 +25,11 @@ from repro.evaluation.reporting import format_table
 DBLP_BUDGET = 60.0
 
 
-def _tirm(backend: str = "numpy"):
-    return TIRMAllocator(
-        seed=0, epsilon=0.2, max_rr_sets_per_ad=MAX_RR_SETS, backend=backend
-    )
+def _tirm():
+    return TIRMAllocator(seed=0, epsilon=0.2, max_rr_sets_per_ad=MAX_RR_SETS)
 
 
-def test_fig6a_dblp_time_vs_num_ads(run_once, rrset_backend):
+def test_fig6a_dblp_time_vs_num_ads(run_once):
     counts = (1, 5, 10)
 
     def experiment():
@@ -45,7 +38,7 @@ def test_fig6a_dblp_time_vs_num_ads(run_once, rrset_backend):
             problem = dblp_like(
                 scale=DBLP_SCALE, num_ads=h, budget_per_ad=DBLP_BUDGET, seed=13
             )
-            tirm_result = _tirm(rrset_backend).allocate(problem)
+            tirm_result = _tirm().allocate(problem)
             irie_time = GreedyIRIEAllocator(alpha=0.7).allocate(problem).runtime_seconds
             rows.append([h, tirm_result.runtime_seconds, irie_time,
                          tirm_result.allocation.total_seeds()])
@@ -71,7 +64,7 @@ def test_fig6a_dblp_time_vs_num_ads(run_once, rrset_backend):
     assert irie_times[10] > irie_times[1] * 2
 
 
-def test_fig6b_dblp_time_vs_budget(run_once, rrset_backend):
+def test_fig6b_dblp_time_vs_budget(run_once):
     budgets = (30.0, 60.0, 120.0)
 
     def experiment():
@@ -80,7 +73,7 @@ def test_fig6b_dblp_time_vs_budget(run_once, rrset_backend):
             problem = dblp_like(
                 scale=DBLP_SCALE, num_ads=5, budget_per_ad=budget, seed=13
             )
-            result = _tirm(rrset_backend).allocate(problem)
+            result = _tirm().allocate(problem)
             irie_time = GreedyIRIEAllocator(alpha=0.7).allocate(problem).runtime_seconds
             rows.append([budget, result.runtime_seconds, irie_time,
                          result.allocation.total_seeds()])
@@ -103,14 +96,14 @@ def test_fig6b_dblp_time_vs_budget(run_once, rrset_backend):
     assert irie_times[-1] > irie_times[0]
 
 
-def test_fig6cd_livejournal(run_once, rrset_backend):
+def test_fig6cd_livejournal(run_once):
     def experiment():
         rows = []
         for h in (1, 5):
             problem = livejournal_like(
                 scale=LIVEJOURNAL_SCALE, num_ads=h, budget_per_ad=120.0, seed=17
             )
-            result = _tirm(rrset_backend).allocate(problem)
+            result = _tirm().allocate(problem)
             rows.append([h, problem.num_nodes, result.runtime_seconds,
                          result.allocation.total_seeds()])
         return rows

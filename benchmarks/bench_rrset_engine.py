@@ -14,10 +14,8 @@ implementation are recorded in CHANGES.md; run standalone with
 ``PYTHONPATH=src python benchmarks/bench_rrset_engine.py``.
 
 Additional sections: the sharded pilot phase and single-ad growth
-top-up (serial vs process, byte-equality asserted), the sampling
-*backend* comparison (numpy reference vs numba JIT kernel on the same
-stream — byte-equality asserted, speedup reported; see
-``docs/rrset_engine.md`` §backends), the shard-cache section (TIRM
+top-up (serial vs process, byte-equality asserted), the shard-cache
+section (TIRM
 cold populate vs warm zero-sampling rerun — identical allocation and
 zero backend invocations asserted, speedup reported), and the service
 section (cold submit vs warm resubmit vs incremental re-allocation
@@ -41,7 +39,6 @@ import numpy as np
 from repro.algorithms.tirm import TIRMAllocator
 from repro.datasets.synthetic import dblp_like
 from repro.evaluation.reporting import format_table
-from repro.rrset.backends import NumbaBackend, NumpyBackend, numba_available
 from repro.rrset.pool import RRSetPool
 from repro.rrset.sampler import RRSetSampler, StreamPlan
 from repro.rrset.sharded import ShardedSamplingEngine
@@ -60,9 +57,6 @@ SHARDED_SCALE = 0.003
 #: shape that was strictly serial before counter-based streams.
 GROWTH_THETA = 12_000
 GROWTH_CHUNK = 512
-#: Backend-comparison section: blocked sampling, numpy vs numba.
-BACKEND_THETA = 20_000
-BACKEND_SCALE = 0.003
 #: Shard-cache section: TIRM cold (populating) vs warm (zero sampling).
 SHARD_CACHE_RR_CAP = 6_000
 #: Service section: cold submit vs warm resubmit vs incremental realloc.
@@ -216,48 +210,6 @@ def _growth_rows(theta: int = GROWTH_THETA, scale: float = SHARDED_SCALE):
     ]
 
 
-def run_backend_blocked(problem, backend, *, theta: int, seed: int = 0):
-    """Time one blocked-sampling pass (θ sets, single ad) on ``backend``.
-
-    JIT warmup runs *outside* the timed region — first-call compilation
-    is a one-time cost the steady-state throughput figure must not
-    carry.  Returns the wall-clock and the packed block fingerprint.
-    """
-    probs = problem.ad_edge_probabilities(0)
-    sampler = RRSetSampler(problem.graph, probs, backend=backend)
-    sampler.backend.warmup(problem.graph)
-    t0 = time.perf_counter()
-    members, lengths = sampler.sample_chunk_block(StreamPlan(seed, 0, theta), 0)
-    elapsed = time.perf_counter() - t0
-    return elapsed, (members, lengths)
-
-
-def _backend_rows(theta: int = BACKEND_THETA, scale: float = BACKEND_SCALE):
-    """NumPy reference vs numba JIT kernel on the same chunk stream: the
-    packed blocks must be byte-identical (asserted; the determinism
-    contract is backend-invariant), the speedup is reported.
-
-    Without numba installed the comparison falls back to the uncompiled
-    kernel (labelled ``numba(py)``) so the byte-equality assertion still
-    runs everywhere; the throughput column is then meaningless and the
-    ≥2× JIT figure belongs to a bench box with the extra installed.
-    """
-    problem = dblp_like(scale=scale, num_ads=1, seed=13)
-    t_ref, block_ref = run_backend_blocked(problem, NumpyBackend(), theta=theta)
-    if numba_available():
-        label, alternative = "numba", NumbaBackend()
-    else:
-        label, alternative = "numba(py)", NumbaBackend(jit=False)
-    t_alt, block_alt = run_backend_blocked(problem, alternative, theta=theta)
-    assert block_ref[0].tobytes() == block_alt[0].tobytes()
-    assert block_ref[1].tobytes() == block_alt[1].tobytes()
-    speedup = t_ref / t_alt if t_alt > 0 else float("inf")
-    return [
-        ["backend-blocked", problem.num_nodes, "numpy", 1, theta, t_ref, 1.0],
-        ["backend-blocked", problem.num_nodes, label, 1, theta, t_alt, speedup],
-    ]
-
-
 def _shard_cache_rows(
     max_rr_sets: int = SHARD_CACHE_RR_CAP, scale: float = SHARDED_SCALE
 ):
@@ -397,7 +349,6 @@ def write_json_report(
     report = {
         "benchmark": "rrset_engine",
         "cpu_count": os.cpu_count() or 1,
-        "numba": numba_available(),
         "thetas": {
             "engine_cycle": cycle_theta,
             "sharded_pilot": sharded_theta,
@@ -478,29 +429,6 @@ def test_growth_topup_smoke(run_once):
             rows,
             title=f"Single-ad growth top-up, chunk={GROWTH_CHUNK} "
                   f"({os.cpu_count() or 1} cores visible)",
-        )
-    )
-
-
-def test_backend_comparison_smoke(run_once):
-    """NumPy vs numba backend on the same stream: byte-equality is
-    asserted inside ``_backend_rows`` at reduced θ.
-
-    The speedup is *reported*, never asserted, here: the smoke runs at
-    tiny θ (and falls back to the uncompiled kernel without numba, where
-    the column measures interpreter overhead, not the JIT).  The ≥2×
-    figure belongs to the full-θ standalone run with the numba extra
-    installed.
-    """
-    theta = 2_000 if numba_available() else 400
-    rows = run_once(_backend_rows, theta=theta)
-    print()
-    print(
-        format_table(
-            ["phase", "n", "backend", "ads", "theta", "wall (s)", "speedup"],
-            rows,
-            title="Blocked-sampling backends (byte-equality asserted; "
-                  f"numba installed: {numba_available()})",
         )
     )
 
@@ -648,19 +576,6 @@ if __name__ == "__main__":
         print(
             f"{label:13s} n={n:7d} {engine:8s} h={ads} theta={theta} "
             f"wall={wall:7.3f}s speedup={speedup:5.2f}x"
-        )
-    if numba_available():
-        for row in _backend_rows():
-            label, n, backend, ads, theta, wall, speedup = row
-            print(
-                f"{label:15s} n={n:7d} {backend:9s} theta={theta} "
-                f"wall={wall:7.3f}s speedup={speedup:5.2f}x"
-            )
-    else:
-        print(
-            "backend-blocked: numba not installed — JIT comparison skipped "
-            "(pip install numba; byte-equality of the kernel is still "
-            "covered by the smoke test and tests/rrset/test_backends.py)"
         )
     for row in _shard_cache_rows():
         label, n, variant, ads, cap, wall, speedup = row

@@ -2,13 +2,7 @@
 
 Kept as a plain ``setup.py`` so the legacy
 ``pip install -e . --no-use-pep517`` editable path works offline.
-Optional extras:
-
-* ``numba`` — the JIT sampling backend
-  (``repro.rrset.backends.NumbaBackend``, CLI ``--backend numba``).
-  The core package stays pure numpy; without the extra, ``--backend
-  auto`` falls back to the numpy reference backend with a one-time
-  warning, and ``--backend numba`` errors cleanly.
+The package is pure numpy.
 """
 
 from setuptools import find_packages, setup
@@ -23,7 +17,4 @@ setup(
     packages=find_packages("src"),
     python_requires=">=3.10",
     install_requires=["numpy"],
-    extras_require={
-        "numba": ["numba>=0.57"],
-    },
 )

@@ -526,7 +526,7 @@ class AllocationSession:
             chunk_size=config.chunk_size,
             sampler_mode=STREAM_MODE,
             engine=config.engine,
-            backend=engine.backend_name,
+            backend=config.backend,
             transport=engine.transport,
             seed=config.recorded_seed,
             stream_entropy=engine.stream_entropy(0),
@@ -559,7 +559,7 @@ class AllocationSession:
             "engine": config.engine,
             "rng": config.rng,
             "chunk_size": config.chunk_size,
-            "backend": engine.backend_name,
+            "backend": config.backend,
             "transport": engine.transport,
             "start_method": engine.start_method,
             "dsan": engine.dsan,
@@ -627,7 +627,7 @@ class AllocationSession:
             "rng": config.rng,
             "chunk_size": config.chunk_size,
             "engine": config.engine,
-            "backend": engine.backend_name,
+            "backend": config.backend,
             "transport": engine.transport,
             "dsan_root": stats.get("dsan_root"),
             "iterations": stats["iterations"],

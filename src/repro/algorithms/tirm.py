@@ -29,7 +29,7 @@ from repro.advertising.problem import AdAllocationProblem
 from repro.algorithms.base import AllocationResult, Allocator
 from repro.algorithms.session import AllocationSession
 from repro.errors import ConfigurationError
-from repro.rrset.backends import BACKEND_MODES, SamplingBackend, resolve_backend
+from repro.rrset.backends import NumpyBackend, resolve_backend
 from repro.rrset.checkpoint import TIRMCheckpoint
 from repro.rrset.sampler import DEFAULT_CHUNK_SIZE, STREAM_MODE, STREAM_RNG
 from repro.rrset.sharded import ShardedSamplingEngine, check_engine
@@ -79,17 +79,10 @@ class TIRMAllocator(Allocator):
         the determinism contract: the same ``(seed, chunk_size)``
         reproduces the same allocation.
     backend:
-        Blocked-BFS sampling backend (:mod:`repro.rrset.backends`):
-        ``"numpy"`` (reference, default), ``"numba"`` (JIT kernel,
-        optional extra — raises
-        :class:`~repro.errors.ConfigurationError` when not installed),
-        ``"auto"`` (numba if importable, else numpy with a one-time
-        warning), or a ready backend instance.  Backends produce
-        byte-identical samples, so the backend is **not** part of the
-        determinism contract — the same seed yields the same allocation
-        on every backend, and a checkpoint written under one backend
-        resumes under another.  Stats and provenance record the
-        *resolved* name.
+        Kept for ``bench/`` until ROADMAP item 2: the recorded name of
+        the one blocked-BFS level op, ``"numpy"``
+        (:mod:`repro.rrset.backends`).  Not an option: any other value
+        raises :class:`~repro.errors.ConfigurationError`.
     transport:
         Accepted with the single value ``"auto"``: how chunk blocks
         travel home is decided by the engine substrate (computed inline
@@ -149,7 +142,7 @@ class TIRMAllocator(Allocator):
 
     Examples
     --------
-    Allocate the paper's Figure-1 gadget; stats record the resolved
+    Allocate the paper's Figure-1 gadget; stats record the
     RNG/backend contract that makes the run reproducible::
 
         >>> from repro.algorithms.tirm import TIRMAllocator
@@ -174,7 +167,7 @@ class TIRMAllocator(Allocator):
         coordinator=None,
         rng: str = STREAM_RNG,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
-        backend="numpy",
+        backend: str = NumpyBackend.name,
         transport: str = "auto",
         initial_pilot: int = 1_000,
         min_rr_sets_per_ad: int = 500,
@@ -217,11 +210,7 @@ class TIRMAllocator(Allocator):
             )
         if chunk_size < 1:
             raise ConfigurationError(f"chunk_size must be >= 1, got {chunk_size}")
-        if not isinstance(backend, SamplingBackend) and backend not in BACKEND_MODES:
-            raise ConfigurationError(
-                f"backend must be one of {BACKEND_MODES} or a SamplingBackend "
-                f"instance, got {backend!r}"
-            )
+        resolve_backend(backend)  # refuses anything but "numpy"
         if transport != "auto":
             raise ConfigurationError(
                 f"transport must be 'auto' (the substrate decides how blocks "
@@ -280,10 +269,6 @@ class TIRMAllocator(Allocator):
         # in `repro ls`, never part of any contract.
         self.dataset = dataset
         self._seed = seed
-        # Resolved at allocate() (or lazily by _checkpoint_config):
-        # "auto" commits to a substrate before any sampling so stats/
-        # provenance/checkpoints record the resolved name.
-        self._backend_obj = None
 
     # ------------------------------------------------------------------
     def _allocate(self, problem: AdAllocationProblem) -> AllocationResult:
@@ -304,13 +289,6 @@ class TIRMAllocator(Allocator):
     def _allocate_with_cache(
         self, problem: AdAllocationProblem, cache
     ) -> AllocationResult:
-        # Resolve the sampling backend up front: "auto" commits to a
-        # substrate (and warns if it degrades) before any sampling, an
-        # unavailable explicit "numba" fails here with a clean
-        # ConfigurationError, and stats/provenance/checkpoints all
-        # record the *resolved* name.  Backends are byte-identical, so
-        # resolution never affects the allocation — only throughput.
-        self._backend_obj = resolve_backend(self.backend)
         checkpoint = self._load_checkpoint(problem)
         engine = self._build_engine(problem, cache, checkpoint)
         with engine:
@@ -348,8 +326,6 @@ class TIRMAllocator(Allocator):
             coordinator=self.coordinator,
             max_workers=self.max_workers,
             chunk_size=self.chunk_size,
-            backend=self._backend_obj if self._backend_obj is not None
-            else self.backend,
             dsan=self.dsan,
             cache=cache,
         )
@@ -373,13 +349,11 @@ class TIRMAllocator(Allocator):
         byte-identical, so a checkpoint written on one resumes on any
         other unchanged.
         """
-        if self._backend_obj is None:
-            self._backend_obj = resolve_backend(self.backend)
         return {
             "algorithm": self.name,
             "rng": self.rng,
             "chunk_size": self.chunk_size,
-            "backend": self._backend_obj.name,
+            "backend": self.backend,
             "transport": "inline" if self.engine == "serial" else "socket",
             "sampler_mode": STREAM_MODE,
             "select_rule": self.select_rule,

@@ -2,7 +2,7 @@
 
 The headline guarantee of this codebase — every RR set is a pure
 function of ``(seed, ad, set_index)``, byte-identical across
-serial/process/dist, any worker count, numpy/numba
+serial/process/dist, any worker count, cold or cached
 (``docs/architecture.md``) — is enforced here as *machine-checked
 policy*, not convention:
 

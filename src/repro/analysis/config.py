@@ -7,9 +7,10 @@ those locations once, as data, so the rules stay mechanical:
 
 * **RNG seams** — the only modules allowed to construct or consume
   global RNG state (``np.random.default_rng``, stdlib ``random``):
-  ``utils/rng.py`` (the seed-conversion seam), ``rrset/sampler.py``
-  (:class:`~repro.rrset.sampler.StreamPlan`'s Philox construction),
-  and ``rrset/backends/base.py`` (the RNG-owning blocked-BFS driver).
+  ``utils/rng.py`` (the seed-conversion seam) and ``rrset/sampler.py``
+  (:class:`~repro.rrset.sampler.StreamPlan`'s Philox construction).
+  The blocked-BFS driver (``rrset/backends.py``) needs no exemption:
+  it only draws from the generators it is passed.
 * **Seed-source seam** — only ``utils/rng.py`` may touch nondeterministic
   entropy (entropy-less ``SeedSequence()``, ``os.urandom``, wall-clock).
   ``store/catalog.py`` is additionally sanctioned: the experiment
@@ -67,7 +68,6 @@ class AnalysisConfig:
         {
             "repro/utils/rng.py",
             "repro/rrset/sampler.py",
-            "repro/rrset/backends/base.py",
         }
     )
     #: Modules allowed to touch nondeterministic seed sources (rule

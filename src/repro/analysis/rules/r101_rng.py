@@ -3,12 +3,11 @@
 Every RR set must be a pure function of ``(seed, ad, set_index)``
 (docs/architecture.md, contract clause 1).  That only holds while *all*
 generator construction and global-stream consumption goes through the
-sanctioned seams: ``repro.utils.rng``, the sampler module
-(:class:`~repro.rrset.sampler.StreamPlan`), and the RNG-owning backend
-driver.  A stray
+sanctioned seams: ``repro.utils.rng`` and the sampler module
+(:class:`~repro.rrset.sampler.StreamPlan`).  A stray
 ``np.random.default_rng()`` — or a draw from the *global* numpy/stdlib
 streams, whose state depends on everything that ran before — anywhere
-else silently breaks serial/process and cross-backend byte-identity.
+else silently breaks serial/process byte-identity.
 """
 
 from __future__ import annotations
@@ -90,7 +89,7 @@ class RngDisciplineRule(Rule):
     description = (
         "np.random.default_rng / global np.random.* / stdlib random calls "
         "only inside the sanctioned RNG seams (utils/rng.py, "
-        "rrset/sampler.py, rrset/backends/base.py)"
+        "rrset/sampler.py)"
     )
 
     def check(self, context: LintContext) -> Iterator[Finding]:

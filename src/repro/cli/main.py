@@ -22,7 +22,6 @@ from repro.errors import ConfigurationError, ReproError
 from repro.evaluation.evaluator import RegretEvaluator
 from repro.evaluation.reporting import format_table
 from repro.graph.stats import graph_stats
-from repro.rrset.backends import BACKEND_MODES
 from repro.rrset.sampler import DEFAULT_CHUNK_SIZE
 
 #: Allocator builders, called with the parsed args and the coordinator
@@ -33,7 +32,6 @@ _ALLOCATORS: dict[str, Callable[..., object]] = {
         engine=getattr(args, "engine", "serial"),
         coordinator=coordinator,
         chunk_size=getattr(args, "chunk_size", DEFAULT_CHUNK_SIZE),
-        backend=getattr(args, "backend", "numpy"),
         max_workers=getattr(args, "workers", None),
         checkpoint_path=getattr(args, "checkpoint", None),
         checkpoint_every=getattr(args, "checkpoint_every", None),
@@ -102,14 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "process; part of the determinism contract "
                                "(same seed + same chunk size = same "
                                "allocation)")
-    allocate.add_argument("--backend", choices=BACKEND_MODES, default="numpy",
-                          help="blocked-BFS sampling backend (TIRM only): "
-                               "'numpy' = the pure-numpy reference, 'numba' = "
-                               "the JIT kernel (optional extra; errors if not "
-                               "installed), 'auto' = numba when importable "
-                               "with a one-time-warned numpy fallback.  All "
-                               "backends give byte-identical allocations for "
-                               "a seed — only throughput differs")
     allocate.add_argument("--workers", type=int, default=None,
                           help="forked workers for --engine process "
                                "(default: cpu count)")
@@ -267,10 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="local content-addressed shard store consulted "
                              "before sampling and fed after (default: the "
                              "REPRO_CACHE environment variable)")
-    worker.add_argument("--backend", choices=BACKEND_MODES, default="numpy",
-                        help="this worker's blocked-BFS backend; byte-"
-                             "identical across backends, so a fleet may mix "
-                             "them freely")
     worker.add_argument("--name", default=None,
                         help="name reported to the coordinator's worker "
                              "table (default: pid-<pid>)")
@@ -583,12 +569,8 @@ def _cmd_worker(args) -> int:
         raise ConfigurationError(
             f"--connect wants HOST:PORT, got {args.connect!r}"
         )
-    worker = WorkerHost(
-        host, int(port), cache=args.cache, backend=args.backend,
-        name=args.name,
-    )
-    print(f"worker {worker.name} ({worker.backend.name}) connecting to "
-          f"{host}:{port}", flush=True)
+    worker = WorkerHost(host, int(port), cache=args.cache, name=args.name)
+    print(f"worker {worker.name} connecting to {host}:{port}", flush=True)
     try:
         worker.run()
     except KeyboardInterrupt:

@@ -27,9 +27,8 @@ purity over a socket:
     on either unchanged.
 
 **Topology is provenance, not contract**: worker count, worker
-placement, per-worker backends, and the coordinator's retry schedule
-never change a single byte of any shard — only ``stats``/``provenance``
-record them.
+placement and the coordinator's retry schedule never change a single
+byte of any shard — only ``stats``/``provenance`` record them.
 """
 
 from repro.dist.coordinator import (

@@ -21,9 +21,9 @@ per run) — the same pure ``(entropy, ad, chunk)`` function the worker
 would have evaluated, so an allocation always completes with identical
 bytes.
 
-Topology — worker count, worker backends, placement, the retry
-schedule — is provenance, not contract: :meth:`_Fleet.stats` feeds the
-run's stats/provenance
+Topology — worker count, placement, the retry schedule — is
+provenance, not contract: :meth:`_Fleet.stats` feeds the run's
+stats/provenance
 (:meth:`~repro.rrset.sharded.ShardedSamplingEngine.dist_stats`), and
 nothing in it can change a shard byte.
 """

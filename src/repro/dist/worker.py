@@ -17,11 +17,7 @@ worker after a failure and still be byte-identical.
 With ``--cache DIR`` the worker consults (and feeds) a local
 content-addressed shard store before sampling — the shard keys arrive
 in the session meta, so a worker parked next to a warm cache serves
-chunks without invoking its backend at all.
-
-The worker's backend (``--backend numpy|numba|auto``) is provenance,
-not contract: every backend produces byte-identical blocks, so a fleet
-may mix them freely.
+chunks without sampling at all.
 
 Chaos hooks: the three ``_compute_result`` / ``_before_result`` /
 ``_send_result`` seams exist so the fault-injection harness
@@ -43,7 +39,6 @@ import numpy as np
 from repro.dist import frames
 from repro.errors import ConfigurationError, ProtocolError
 from repro.graph.digraph import DirectedGraph
-from repro.rrset.backends import resolve_backend
 from repro.rrset.dsan import digest_block
 from repro.rrset.sampler import STREAM_MODE, STREAM_RNG
 from repro.rrset.sharded import ChunkSource
@@ -69,7 +64,7 @@ class _Session:
         self.graph_digest = graph_digest
 
     @classmethod
-    def from_setup(cls, meta: dict, payload: bytes, backend) -> "_Session":
+    def from_setup(cls, meta: dict, payload: bytes) -> "_Session":
         """Rebuild the session's chunk source from zero-copy views over
         the PAYLOAD bytes.  The SETUP ``layout`` lists ``(key, dtype,
         count, offset)`` per array; an entry that overruns the payload,
@@ -105,7 +100,7 @@ class _Session:
         except KeyError as exc:
             raise ProtocolError(f"payload is missing array {exc}") from exc
         source = ChunkSource(
-            graph, probs_per_ad, entropies, int(meta["chunk_size"]), backend
+            graph, probs_per_ad, entropies, int(meta["chunk_size"])
         )
         return cls(source, meta.get("shard_keys"), meta.get("graph_digest"))
 
@@ -122,20 +117,17 @@ class WorkerHost:
         :class:`~repro.store.ShardCache`); consulted before sampling,
         fed after.  ``None`` defers to ``REPRO_CACHE`` like the engine.
         Resolved by :meth:`run`: :meth:`serve` alone uses no cache.
-    backend:
-        This worker's blocked-BFS backend.  Provenance, not contract.
     name:
         Reported in HELLO and in the coordinator's worker table
         (default: ``pid-<pid>``).
     """
 
     def __init__(self, host: str, port: int, *, cache=None,
-                 backend="numpy", name: str | None = None,
+                 name: str | None = None,
                  max_frame_bytes: int = frames.MAX_FRAME_BYTES) -> None:
         self.host = str(host)
         self.port = int(port)
         self.name = name or f"pid-{os.getpid()}"
-        self.backend = resolve_backend(backend)
         self.max_frame_bytes = int(max_frame_bytes)
         self._cache_knob = cache
         self._cache = None
@@ -184,7 +176,6 @@ class WorkerHost:
         frames.send_json(sock, frames.HELLO, {
             "protocol": frames.PROTOCOL_VERSION,
             "name": self.name,
-            "backend": self.backend.name,
             "cache": self._cache is not None,
         })
         decoder = frames.FrameDecoder(self.max_frame_bytes)
@@ -208,9 +199,7 @@ class WorkerHost:
             meta, self._pending_setup = self._pending_setup, None
             if meta is None:
                 raise ProtocolError("PAYLOAD frame without a preceding SETUP")
-            self._sessions[int(meta["session"])] = _Session.from_setup(
-                meta, payload, self.backend
-            )
+            self._sessions[int(meta["session"])] = _Session.from_setup(meta, payload)
             return
         if kind == frames.TASK:
             self._handle_task(sock, frames.parse_json(payload))
@@ -310,7 +299,7 @@ def serve_forked(sock, inherited, session_id: int, source) -> NoReturn:
         for end in inherited:
             if end is not sock:
                 end.close()
-        host = WorkerHost("", 0, backend=source.backend, name=f"fork-{os.getpid()}")
+        host = WorkerHost("", 0, name=f"fork-{os.getpid()}")
         host._sessions[session_id] = _Session(source)
         host.serve(sock)
         code = 0

@@ -4,11 +4,8 @@
   coins) for a fixed ad's Eq.-(1) probabilities, addressed by
   ``(seed, ad, set_index)``: the chunk kernel every sample in this
   package comes out of, always through a sharded engine;
-* :mod:`repro.rrset.backends` — pluggable blocked-BFS backends behind
-  one shared RNG-owning driver: ``numpy`` (reference), ``numba`` (JIT
-  kernel, optional extra), ``auto`` — byte-identical by construction,
-  selected via ``backend=`` on the sampler/engine/allocator or the CLI
-  ``--backend``;
+* :mod:`repro.rrset.backends` — the blocked BFS the sampler runs: one
+  RNG-owning driver over one vectorized level op;
 * :mod:`repro.rrset.rrc` — RRC-sets (§5.2): the engine's RR-sets thinned
   by one CTP coin per member, drawn from a child of each chunk's stream;
 * :mod:`repro.rrset.pool` — the flat CSR storage engine: contiguous
@@ -38,15 +35,6 @@
   (Proposition 1 / Lemma 2).
 """
 
-from repro.rrset.backends import (
-    BACKEND_MODES,
-    NumbaBackend,
-    NumpyBackend,
-    SamplingBackend,
-    available_backends,
-    numba_available,
-    resolve_backend,
-)
 from repro.rrset.checkpoint import (
     CHECKPOINT_FORMAT_VERSION,
     TIRMCheckpoint,
@@ -68,13 +56,6 @@ from repro.rrset.tim import (
 __all__ = [
     "RRSetSampler",
     "StreamPlan",
-    "SamplingBackend",
-    "NumpyBackend",
-    "NumbaBackend",
-    "BACKEND_MODES",
-    "available_backends",
-    "numba_available",
-    "resolve_backend",
     "sample_rrc_sets",
     "thin",
     "RRSetPool",

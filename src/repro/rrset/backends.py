@@ -1,25 +1,17 @@
-"""The sampling-backend seam of the blocked RR-set sampler.
+"""The blocked BFS of the RR-set sampler: one driver, one level op.
 
-The level-synchronous blocked BFS has two separable halves:
+The level-synchronous blocked BFS (``docs/rrset_engine.md``) has two
+halves:
 
 * the **driver** (:func:`drive_blocked`) — batching, root draws, the
   per-level coin draws, and the final pack into a ``(members, lengths)``
   block.  The driver owns *every* RNG call, in a fixed order: one
   ``Generator.integers`` per batch for the roots, then exactly one
-  ``Generator.random(total)`` per BFS level.  It is shared by all
-  backends;
-* the **level op** — given one level's frontier and its pre-drawn coin
-  block, decide which edges are live, dedup the newly reached
-  ``(set, node)`` pairs, and merge them into the sorted visited-key
-  array.  This is the hot loop, and the only part a backend implements.
-
-Because the driver is shared and draws all randomness itself, two
-backends given the same generator state consume the identical coin
-sequence and therefore produce **byte-identical** output — the
-determinism contract (``docs/rrset_engine.md``) is backend-invariant by
-construction, not by careful reimplementation.  A backend's level op
-must be a pure function of its inputs (no RNG, no state) that preserves
-the reference semantics pinned by ``tests/rrset/test_backends.py``.
+  ``Generator.random(total)`` per BFS level;
+* the **level op** (:meth:`NumpyBackend.level_op`) — given one level's
+  frontier and its pre-drawn coin block, decide which edges are live,
+  dedup the newly reached ``(set, node)`` pairs, and merge them into
+  the sorted visited-key array.  A pure function: no RNG, no state.
 
 The level-op contract
 ---------------------
@@ -31,11 +23,9 @@ visited_keys, n) -> (new_owners, new_sources, new_visited_keys)``
   entry ``i`` and its in-CSR slot range ``[starts[i], starts[i] +
   degrees[i])``;
 * ``bounds[i]`` — the largest ``in_probs`` value in that slot range
-  (:func:`node_bounds`).  A coin ``>= bounds[i]`` cannot be live, so a
-  backend may discard it before reading its slot: the *candidates*
-  ``coins < repeat(bounds, degrees)`` are a superset of the live edges.
-  Purely an optimization input — a backend that reads every slot anyway
-  ignores it;
+  (:func:`node_bounds`).  A coin ``>= bounds[i]`` cannot be live, so it
+  is discarded before its slot is read: the *candidates*
+  ``coins < repeat(bounds, degrees)`` are a superset of the live edges;
 * ``coins`` — one uniform draw per examined in-edge, in frontier order
   then CSR slot order (``coins.size == degrees.sum()``);
 * ``visited_keys`` — sorted, unique ``owner * n + node`` keys of every
@@ -44,76 +34,105 @@ visited_keys, n) -> (new_owners, new_sources, new_visited_keys)``
   (still sorted, unique) visited keys.  An edge is live iff
   ``coins[k] < in_probs[slot]``; a pair is fresh iff its key is not in
   ``visited_keys``.
+
+Its reference is the pre-prefilter level op kept verbatim in
+``tests/rrset/_reference_driver.py``.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-
 import numpy as np
 
+from repro.errors import ConfigurationError
 from repro.rrset.pool import MEMBER_DTYPE
 
 #: RNG-block width of the level-synchronous batched BFS: one batch of
 #: roots is BFS-ed together and each level draws one coin block for all
 #: of them, so the width sets the coin interleaving — another value
 #: draws different (equally valid) sets from the same rng.  Part of the
-#: stream contract for chunks wider than it; not of the backend one.
+#: stream contract for chunks wider than it.
 BLOCK_BATCH = 4_096
 
+_EMPTY = np.empty(0, dtype=np.int64)
 
-class SamplingBackend(ABC):
-    """One implementation of the blocked-BFS level op.
+#: Expected candidate share of a level's coin block — ``Σ bound·degree /
+#: Σ degree`` over the frontier, known before a coin is looked at — at
+#: or above which the prefilter is skipped: its repeat/compare/nonzero
+#: passes then cost more than the gathers they save.
+_PREFILTER_MAX_SHARE = 0.1
 
-    Backends are interchangeable plug-ins behind
-    :class:`~repro.rrset.sampler.RRSetSampler`,
-    :class:`~repro.rrset.sharded.ShardedSamplingEngine` and
-    ``TIRMAllocator(backend=...)``: all of them produce byte-identical
-    samples for the same generator state (see the module docstring), so
-    switching backend never changes results — only throughput.
-    """
 
-    #: Stable identifier recorded in stats, provenance, and checkpoint
-    #: configs.  Because output is backend-invariant, the name is *not*
-    #: part of the determinism contract — a checkpoint written under one
-    #: backend resumes byte-identically under another.
-    name: str = "abstract"
+class NumpyBackend:
+    """The vectorized level op: a per-node bound prefilter of the
+    pre-drawn coin block, fancy-indexed slot and probability gathers for
+    the surviving candidates only, one exact comparison, and a
+    sort-based ``(set, node)`` dedup (in-place key sort,
+    adjacent-difference and ``searchsorted`` freshness mask,
+    masked-scatter sorted merge).
 
-    @abstractmethod
-    def level_op(self, owners, starts, degrees, bounds, in_sources, in_probs,
+    Kept as a class for ``bench/`` until ROADMAP item 2: its traced pass
+    wraps ``level_op`` in this class's ``__dict__``, and the driver calls
+    it through the class attribute so the wrapper sees every level."""
+
+    #: The recorded ``backend`` provenance value (stats, checkpoint
+    #: configs, catalog rows).
+    name = "numpy"
+
+    @staticmethod
+    def level_op(owners, starts, degrees, bounds, in_sources, in_probs,
                  coins, visited_keys, n):
         """Advance one BFS level (see the module docstring contract)."""
+        total = coins.size
+        ends = degrees.cumsum()
+        if float(np.dot(bounds, degrees)) < _PREFILTER_MAX_SHARE * total:
+            # Candidates: coins under their node's largest in-edge
+            # probability — a superset of the live edges, found without
+            # touching a slot.  `counts[i]` of them belong to entry `i`.
+            cand = (coins < bounds.repeat(degrees)).nonzero()[0]
+            if cand.size == 0:
+                return _EMPTY, _EMPTY, visited_keys
+            counts = cand.searchsorted(ends)
+            counts[1:] -= counts[:-1]
+            coins = coins[cand]
+        else:
+            cand = np.arange(total, dtype=np.int64)
+            counts = degrees
+        slots = cand + (starts - (ends - degrees)).repeat(counts)
+        live = (coins < in_probs[slots]).nonzero()[0]
+        if live.size == 0:
+            return _EMPTY, _EMPTY, visited_keys
+        key = (owners * n).repeat(counts)[live] + in_sources[slots[live]]
+        # Keep a key once (sorted: drop equal neighbours) and only if its
+        # pair is not already visited in its set.
+        key.sort()
+        pos = visited_keys.searchsorted(key)
+        fresh = visited_keys[np.minimum(pos, visited_keys.size - 1)] != key
+        fresh[1:] &= key[1:] != key[:-1]
+        key = key[fresh]
+        if key.size == 0:
+            return _EMPTY, _EMPTY, visited_keys
+        # Sorted merge: both sides are sorted and disjoint and `pos`
+        # holds the insertion points, so this is O(V), no re-sort.
+        at = pos[fresh] + np.arange(key.size)
+        merged = np.empty(visited_keys.size + key.size, dtype=np.int64)
+        old = np.ones(merged.size, dtype=bool)
+        old[at] = False
+        merged[at] = key
+        merged[old] = visited_keys
+        own = key // n
+        return own, key - own * n, merged
 
-    def warmup(self, graph) -> None:
-        """Pay any one-time setup cost (e.g. JIT compilation) up front.
 
-        Called with the target graph so compiled backends can specialize
-        on the real array dtypes.  The base implementation is a no-op.
-        """
-
-    def sample_flat(
-        self,
-        graph,
-        in_probs: np.ndarray,
-        rng: np.random.Generator,
-        count: int,
-        batch_size: int | None = None,
-        roots: np.ndarray | None = None,
-        bounds: tuple[np.ndarray, np.ndarray] | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``count`` RR-sets as a packed ``(members, lengths)`` block,
-        drawing from ``rng`` — the backend-facing entry point the
-        sampler calls (arguments as :func:`drive_blocked`)."""
-        return drive_blocked(
-            graph, in_probs, rng, count, self.level_op, batch_size, roots, bounds
+def resolve_backend(backend="numpy") -> NumpyBackend:
+    """Kept for ``bench/`` until ROADMAP item 2: ``"numpy"``, the
+    recorded name of the one level op, gives a :class:`NumpyBackend`;
+    anything else raises :class:`~repro.errors.ConfigurationError`."""
+    if backend != NumpyBackend.name:
+        raise ConfigurationError(
+            f"backend must be {NumpyBackend.name!r} (the only level op), "
+            f"got {backend!r}"
         )
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(name={self.name!r})"
-
-
-def _empty_flat() -> tuple[np.ndarray, np.ndarray]:
-    return np.empty(0, dtype=MEMBER_DTYPE), np.empty(0, dtype=np.int64)
+    return NumpyBackend()
 
 
 def node_bounds(graph, in_probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -139,30 +158,34 @@ def drive_blocked(
     in_probs: np.ndarray,
     rng: np.random.Generator,
     count: int,
-    level_op,
     batch_size: int | None = None,
     roots: np.ndarray | None = None,
     bounds: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Shared blocked-BFS driver: ``count`` RR-sets as a packed
-    ``(members, lengths)`` block, drawing from ``rng``.
+    """``count`` RR-sets as a packed ``(members, lengths)`` block,
+    drawing from ``rng``.
 
     Runs a reverse BFS over a whole batch of roots at once: each level
     gathers the in-edge slot ranges of *every* frontier node across the
     batch, draws all their coins in one ``Generator.random`` block, and
-    hands frontier + coins to ``level_op`` for the live-edge test and
-    the ``(set, node)`` dedup.  ``in_probs`` is the per-in-slot
-    probability array (canonical edge probabilities gathered through
-    ``graph.in_edge_ids``) and ``bounds`` its :func:`node_bounds`
+    hands frontier + coins to :meth:`NumpyBackend.level_op` for the
+    live-edge test and the ``(set, node)`` dedup.  ``in_probs`` is the
+    per-in-slot probability array (canonical edge probabilities gathered
+    through ``graph.in_edge_ids``) and ``bounds`` its :func:`node_bounds`
     (computed here when the caller did not keep them).  ``roots`` fixes
-    the roots (tests and the single-set helper); by default they are
-    drawn from ``rng``.
+    the roots (tests); by default they are drawn from ``rng``.
 
-    The RNG call sequence is fixed here, independent of ``level_op``:
-    that is what makes every backend byte-identical for the same
-    generator state.  ``batch_size`` is part of that sequence — a level's
-    coin block interleaves every set of the batch — so two batch sizes
-    give different (equally valid) samples from one generator.
+    ``batch_size`` is part of the RNG call sequence — a level's coin
+    block interleaves every set of the batch — so two batch sizes give
+    different (equally valid) samples from one generator.
+
+        >>> from repro.graph.digraph import DirectedGraph
+        >>> graph = DirectedGraph.from_edges([(0, 1), (1, 2)], num_nodes=3)
+        >>> members, lengths = drive_blocked(
+        ...     graph, np.ones(2), np.random.default_rng(0), 1, roots=[2]
+        ... )
+        >>> members.tolist(), lengths.tolist()
+        ([2, 1, 0], [3])
     """
     n = graph.num_nodes
     if count < 0:
@@ -182,7 +205,7 @@ def drive_blocked(
         if bad.size:
             raise ValueError(f"roots must lie in [0, {n}), got {int(bad[0])}")
     if count == 0:
-        return _empty_flat()
+        return np.empty(0, dtype=MEMBER_DTYPE), np.empty(0, dtype=np.int64)
     if n == 0:
         raise ValueError("cannot sample RR-sets from an empty graph")
     in_indptr = graph.in_indptr
@@ -210,7 +233,7 @@ def drive_blocked(
             if total == 0:
                 break
             coins = rng.random(total)
-            owners, frontier, visited_keys = level_op(
+            owners, frontier, visited_keys = NumpyBackend.level_op(
                 owners, in_indptr[frontier], degrees, node_bound[frontier],
                 in_sources, in_probs, coins, visited_keys, n,
             )

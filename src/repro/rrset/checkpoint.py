@@ -19,16 +19,16 @@ needs to name the targets.  Heaps are likewise *derived* state: the lazy
 selector's answers are pure functions of the coverage counters, so the
 restore path rebuilds them instead of persisting them.
 
-The compatibility config also records the *resolved* sampling
-``backend`` (``repro.rrset.backends``) and the engine substrate's
-``transport`` name (``repro.rrset.sharded``) as provenance, but
-deliberately does **not** match on either at resume time: backends and
-substrates are byte-identical for the same streams, so a checkpoint
-written under the numpy backend in-process resumes under the numba
-backend on a socket fleet (and vice versa) with an unchanged allocation
-— whatever ``transport`` value the artifact carries — and
-only the RNG contract (``rng``, ``sampler_mode``, ``chunk_size``, seed,
-stream entropies) pins the samples.  ``rng`` and ``sampler_mode`` have
+The compatibility config also records the sampling ``backend`` name
+(``repro.rrset.backends``) and the engine substrate's ``transport``
+name (``repro.rrset.sharded``) as provenance, but deliberately does
+**not** match on either at resume time: substrates are byte-identical
+for the same streams, so a checkpoint written in-process resumes on a
+socket fleet (and vice versa) with an unchanged allocation — whatever
+``backend`` or ``transport`` value the artifact carries, including
+backend names an older build recorded — and only the RNG contract
+(``rng``, ``sampler_mode``, ``chunk_size``, seed, stream entropies)
+pins the samples.  ``rng`` and ``sampler_mode`` have
 one value each in this build (:data:`~repro.rrset.sampler.STREAM_RNG`,
 :data:`~repro.rrset.sampler.STREAM_MODE`); they stay in the config and
 in the match list so an artifact whose samples came from any other
@@ -68,9 +68,9 @@ CHECKPOINT_FORMAT_VERSION = 1
 #: Config keys that must match exactly between the checkpointed run and
 #: the resuming allocator/problem — any drift would silently change the
 #: allocation the resumed run converges to.  ``backend`` and
-#: ``transport`` are stored but intentionally absent here: both are
-#: byte-identical substrates, so cross-backend and cross-substrate
-#: resume is sound (and pinned by tests).
+#: ``transport`` are stored but intentionally absent here: neither
+#: names anything that changes a sample, so resume under any recorded
+#: value is sound (and pinned by tests).
 _MATCH_KEYS = (
     "algorithm",
     "rng",

@@ -7,7 +7,7 @@ per ``(ad, chunk)`` over the bytes each chunk contributes to the pool —
 the packed ``(lengths, members)`` block, which is itself a deterministic
 function of every RNG draw the chunk consumed.  Two runs the contract
 requires to be byte-identical (serial vs process vs dist, any worker
-count, numpy vs numba, prefetched or not) must therefore produce *equal
+count, prefetched or not, cold or cached) must therefore produce *equal
 digest maps*; when they do not, :func:`compare_digests` (or an ``expected=``
 recorder checking inline) raises
 :class:`~repro.errors.DeterminismError` naming the **first divergent

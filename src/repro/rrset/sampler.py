@@ -20,11 +20,8 @@ private generator ``Philox(SeedSequence(entropy, spawn_key=(i, c)))``,
 so any chunk is independently computable by any worker, in any order,
 with no stream state to round-trip.
 :meth:`RRSetSampler.sample_chunk_block` is the entry point; it runs the
-*blocked* BFS, whose level-op implementation is pluggable: the
-``backend=`` knob (see :mod:`repro.rrset.backends`) selects ``"numpy"``
-(reference), ``"numba"`` (JIT kernel), or ``"auto"``.  All backends are
-byte-identical for the same generator state, so the backend is **not**
-part of the determinism contract.
+*blocked* BFS of :mod:`repro.rrset.backends` — one RNG-owning driver
+over one vectorized level op.
 
 Streams, tails and pools are owned by
 :class:`~repro.rrset.sharded.ShardedSamplingEngine`, the only way to
@@ -39,7 +36,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.digraph import DirectedGraph
-from repro.rrset.backends import node_bounds, resolve_backend
+from repro.rrset.backends import drive_blocked, node_bounds
 from repro.utils.validation import check_probability_array
 
 #: Default set-index chunk width of the counter-based streams.  Part of
@@ -150,19 +147,12 @@ class RRSetSampler:
     """The chunk kernel of one (graph, per-ad probabilities) pair.
 
     Immutable after construction: the graph, the in-slot probability
-    gather, the per-node bounds and the resolved backend.  Its one
+    gather and the per-node bounds.  Its one
     sampling method, :meth:`sample_chunk_block`, is a pure function of
     the stream address ``(StreamPlan, chunk_index)``, so any worker can
     compute any chunk and a sampler is safely shared.  TIRM's engine
     keeps one per advertiser; stream positions, partial tails and pools
     live in the engine, never here.
-
-    ``backend`` selects the blocked-BFS implementation
-    (:mod:`repro.rrset.backends`): ``"numpy"`` (reference, default),
-    ``"numba"`` (JIT kernel, optional extra), ``"auto"``, or a ready
-    :class:`~repro.rrset.backends.SamplingBackend` instance.  Backends
-    are byte-identical for the same stream, so the choice affects
-    throughput only.
 
     Examples
     --------
@@ -188,12 +178,8 @@ class RRSetSampler:
         self,
         graph: DirectedGraph,
         edge_probabilities,
-        *,
-        backend="numpy",
     ) -> None:
         self.graph = graph
-        #: Resolved backend *instance*; ``backend_name`` is its name.
-        self.backend = resolve_backend(backend)
         self.edge_probabilities = check_probability_array(
             "edge_probabilities", edge_probabilities
         )
@@ -204,12 +190,6 @@ class RRSetSampler:
             )
         self._in_probs_array = self.edge_probabilities[graph.in_edge_ids]
         self._node_bounds = node_bounds(graph, self._in_probs_array)
-
-    @property
-    def backend_name(self) -> str:
-        """The resolved backend's name (stats/provenance string; the
-        backend *instance* is ``self.backend``)."""
-        return self.backend.name
 
     def sample_chunk_block(
         self, plan: StreamPlan, chunk_index: int
@@ -231,7 +211,7 @@ class RRSetSampler:
         holds each ad's partial tail block so a continuation request
         never recomputes it.
         """
-        return self.backend.sample_flat(
+        return drive_blocked(
             self.graph, self._in_probs_array, plan.generator(chunk_index),
             plan.chunk_size, bounds=self._node_bounds,
         )

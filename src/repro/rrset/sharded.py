@@ -86,7 +86,6 @@ from typing import Mapping, Sequence
 
 from repro.errors import ConfigurationError
 from repro.graph.digraph import DirectedGraph
-from repro.rrset.backends import resolve_backend
 from repro.rrset.block import Block
 from repro.rrset.dsan import DsanRecorder, dsan_enabled
 from repro.rrset.pool import RRSetPool
@@ -130,26 +129,25 @@ def check_engine(engine: str, coordinator) -> None:
 # ----------------------------------------------------------------------
 class ChunkSource:
     """Everything needed to re-derive any chunk of any ad — graph,
-    per-ad probability rows and stream entropies, chunk size, resolved
-    backend — plus lazily built per-ad samplers, so the O(m) in-CSR
+    per-ad probability rows and stream entropies, chunk size — plus
+    lazily built per-ad samplers, so the O(m) in-CSR
     probability gather is paid at most once per (process, ad).  Forked
     workers inherit the parent's; workers that dial in rebuild theirs
     over the flat payload the parent packed.
     """
 
-    def __init__(self, graph, probs_per_ad, entropies, chunk_size, backend) -> None:
+    def __init__(self, graph, probs_per_ad, entropies, chunk_size) -> None:
         self.graph = graph
         self.probs_per_ad = probs_per_ad
         self.entropies = entropies
         self.chunk_size = chunk_size
-        self.backend = backend
         self._samplers: dict[int, RRSetSampler] = {}
 
     def sampler(self, ad: int) -> RRSetSampler:
         sampler = self._samplers.get(ad)
         if sampler is None:
             sampler = self._samplers[ad] = RRSetSampler(
-                self.graph, self.probs_per_ad[ad], backend=self.backend
+                self.graph, self.probs_per_ad[ad]
             )
         return sampler
 
@@ -259,14 +257,6 @@ class ShardedSamplingEngine:
         Set-index chunk width of the counter-based streams.  Part of the
         determinism contract — resampling with a different chunk size
         yields different (equally valid) sets.
-    backend:
-        Blocked-BFS backend (:mod:`repro.rrset.backends`): ``"numpy"``
-        (reference, default), ``"numba"`` (JIT kernel), ``"auto"``, or
-        a :class:`~repro.rrset.backends.SamplingBackend` instance.
-        Resolved once here; forked workers inherit the resolved backend
-        with the chunk source.  **Not** part of the
-        determinism contract — every backend yields byte-identical
-        shards.
     dsan:
         Runtime determinism sanitizer (:mod:`repro.rrset.dsan`):
         ``True`` keeps a blake2 digest per ``(ad, chunk)`` over every
@@ -318,7 +308,6 @@ class ShardedSamplingEngine:
         coordinator=None,
         max_workers: int | None = None,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
-        backend="numpy",
         dsan: bool | None = None,
         dsan_expected: Mapping | None = None,
         cache=None,
@@ -334,11 +323,6 @@ class ShardedSamplingEngine:
         self.graph = graph
         self.engine = engine
         self.chunk_size = int(chunk_size)
-        # Resolve once, up front: "auto" picks its substrate here (and
-        # warns here if it degrades), workers inherit the *resolved*
-        # backend via the chunk source, and provenance records its name
-        # (`backend_name`, mirroring RRSetSampler.backend/.backend_name).
-        self.backend = resolve_backend(backend)
         h = len(probs_per_ad)
         if isinstance(seeds, (list, tuple)) and len(seeds) != h:
             raise ConfigurationError(
@@ -354,7 +338,7 @@ class ShardedSamplingEngine:
         # Samplers are built eagerly so a bad probability row fails here,
         # not at the first request.
         self._source = ChunkSource(
-            graph, probs_per_ad, entropies, self.chunk_size, self.backend
+            graph, probs_per_ad, entropies, self.chunk_size
         )
         self._samplers = [self._source.sampler(ad) for ad in range(h)]
         self._plans = [self._source.plan(ad) for ad in range(h)]
@@ -436,8 +420,7 @@ class ShardedSamplingEngine:
         :mod:`repro.store.keys`); returns the graph digest they were
         derived from.  Keys pin what determines the bytes — graph
         content, edge probabilities, stream entropy, chunk size — and
-        exclude the byte-identical substrate (engine / backend /
-        workers)."""
+        exclude the byte-identical substrate (engine / workers)."""
         from repro.store.keys import philox_shard_key
         from repro.utils.hashing import array_digest, graph_digest
 
@@ -469,12 +452,6 @@ class ShardedSamplingEngine:
     def num_ads(self) -> int:
         """Number of shards ``h``."""
         return len(self._shards)
-
-    @property
-    def backend_name(self) -> str:
-        """The resolved backend's name (stats/provenance string; the
-        backend *instance* is ``self.backend``)."""
-        return self.backend.name
 
     @property
     def transport(self) -> str:
@@ -895,6 +872,6 @@ class ShardedSamplingEngine:
     def __repr__(self) -> str:
         return (
             f"{type(self).__name__}(h={self.num_ads}, engine={self.engine!r}, "
-            f"chunk_size={self.chunk_size}, backend={self.backend_name!r}, "
+            f"chunk_size={self.chunk_size}, "
             f"transport={self.transport!r}, total_sets={self.total_sets()})"
         )

@@ -1,8 +1,8 @@
 """Allocation-as-a-service: a resident server over warm engine pools.
 
 The batch CLI pays the full engine lifecycle on every run — forking the
-worker fleet, backend resolution — costs that dwarf the sampling itself
-once the shard cache is warm.  This package keeps those substrates
+worker fleet, building the per-ad samplers — costs that dwarf the
+sampling itself once the shard cache is warm.  This package keeps those substrates
 *resident*:
 
 * :class:`~repro.service.pool.EnginePool` — warm

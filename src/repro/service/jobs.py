@@ -53,7 +53,9 @@ from repro.service.pool import EnginePool
 #: lifecycle knobs (checkpoint/resume) are deliberately absent — a
 #: running job lives in this process only (nothing journals it, so a
 #: killed server loses it), and a finished one is its result plus the
-#: catalog row it wrote; everything else passes through.
+#: catalog row it wrote; everything else passes through.  ``backend``
+#: accepts only ``"numpy"``; it is kept for ``bench/`` until ROADMAP
+#: item 2.
 ALLOCATOR_PARAMS = frozenset({
     "epsilon", "ell", "select_rule", "engine", "rng",
     "chunk_size", "backend",

@@ -2,8 +2,8 @@
 
 A :class:`~repro.rrset.sharded.ShardedSamplingEngine` bundles the
 expensive run-independent state — its chunk substrate (the forked
-worker fleet, or the distributed session), the
-resolved sampling backend, the shard cache handle, and the *sample*:
+worker fleet, or the distributed session), the shard cache handle,
+and the *sample*:
 every RR set its shards hold and the inverted index over them, a pure
 function of the stream contract.  :class:`EnginePool` keeps finished
 engines alive keyed by the inputs that pin their sample bytes, so the
@@ -78,7 +78,7 @@ class EnginePool:
     change its samples or its recorded substrate: the problem content
     (graph digest + per-ad probability digests), the stream contract
     (seed, chunk size) and the substrate knobs
-    (engine mode, backend, worker count, dsan).
+    (engine mode, worker count, dsan).
     Two requests with equal keys are guaranteed interchangeable engines
     — which is what lets an idle engine keep its sample: the resident
     sets of one run are the sets any equal-keyed run would draw.
@@ -122,7 +122,6 @@ class EnginePool:
             int(seed) if seed is not None else None,
             allocator.chunk_size,
             allocator.engine,
-            str(allocator.backend),
             allocator.max_workers,
             allocator.dsan,
         )

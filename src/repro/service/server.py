@@ -179,7 +179,10 @@ class AllocationServer:
                         None, self.dispatch, request
                     )
                     response = {"ok": True, **payload}
-                except (ReproError, ValueError, KeyError, TypeError) as exc:
+                except (ReproError, ValueError, KeyError, TypeError,
+                        OverflowError) as exc:
+                    # OverflowError: JSON reads 1e999 as inf, and int(inf)
+                    # overflows where int(nan) raises ValueError.
                     response = {"ok": False, "error": str(exc) or repr(exc)}
                 await send(response)
                 if request.get("op") == "shutdown" and response.get("ok"):

@@ -107,11 +107,11 @@ GOLDEN = {
 }
 
 
-def fingerprint(key, backend: str = "numpy") -> tuple[int, str]:
+def fingerprint(key) -> tuple[int, str]:
     name, rule, seed = key
     problem = _problem(name)
     allocator = TIRMAllocator(
-        seed=seed, select_rule=rule, dsan=True, backend=backend, **PANEL[key]
+        seed=seed, select_rule=rule, dsan=True, **PANEL[key]
     )
     # The facade's loop with the session in hand: the per-ad ``active``
     # flags are part of what the selector decides and of no result.
@@ -141,10 +141,8 @@ def test_the_panel_is_the_recorded_one():
 
 
 @pytest.mark.parametrize("key", list(PANEL), ids=lambda k: "-".join(map(str, k)))
-def test_allocation_is_the_parents(key, rrset_backend):
-    """On every backend: ``pytest --backend numba`` replays the panel on
-    the compiled kernel."""
-    assert fingerprint(key, rrset_backend) == GOLDEN[key]
+def test_allocation_is_the_parents(key):
+    assert fingerprint(key) == GOLDEN[key]
 
 
 if __name__ == "__main__":

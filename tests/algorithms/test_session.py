@@ -258,3 +258,58 @@ class TestErrors:
         assert session.error is not None
         with pytest.raises(SessionError, match="failed"):
             session.result()
+
+
+class TestAlgorithm4Recredit:
+    """After a GROW top-up, every seed's marginal coverage is what a
+    from-scratch recount over the grown sample gives, and each ad's
+    revenue is the Theorem-5 value of that recount (Algorithm 4)."""
+
+    @staticmethod
+    def _recount(state) -> dict[int, int]:
+        """Credit each set in ``[0, θ)`` to the first seed, in selection
+        order, that it contains."""
+        view = state.collection.prefix_view()
+        members, indptr = view.members, view.indptr
+        credit = dict.fromkeys(state.seeds_in_order, 0)
+        for j in range(state.theta):
+            contained = set(members[indptr[j]:indptr[j + 1]].tolist())
+            for seed in state.seeds_in_order:
+                if seed in contained:
+                    credit[seed] += 1
+                    break
+        return credit
+
+    def test_every_grow_recredits_to_a_from_scratch_recount(self):
+        problem = _problem(seed=2, num_ads=2, budget=12.0)
+        allocator = _allocator(
+            initial_pilot=64, min_rr_sets_per_ad=64,
+            max_rr_sets_per_ad=100_000, chunk_size=32,
+        )
+        engine, session = _session(problem, allocator)
+        # θ = 128·s grows with s and never reaches the cap, so every
+        # GROW step tops its ad up and re-credits the existing seeds.
+        session._theta_for = lambda state, s: 128 * s
+        cpes = problem.catalog.cpes()
+        grows = 0
+        with engine:
+            while session.state not in TERMINAL_STATES:
+                if session.state != GROW:
+                    session.step()
+                    continue
+                grown = session._pending_growth[0]
+                before = session.states[grown].theta
+                session.step()
+                assert session.states[grown].theta > before  # the top-up sampled
+                grows += 1
+                for ad, state in enumerate(session.states):
+                    recount = self._recount(state)
+                    assert state.marginal_coverage == recount, ad
+                    delta = problem.ad_ctps(ad)
+                    revenue = sum(
+                        cpes[ad] * problem.num_nodes * delta[node] * count / state.theta
+                        for node, count in recount.items()
+                    )
+                    assert state.revenue == pytest.approx(revenue, rel=1e-12), ad
+        assert session.state == DONE
+        assert grows >= 4

@@ -118,7 +118,8 @@ def test_default_config_matches_contract_seams():
     cfg = DEFAULT_CONFIG
     assert cfg.is_rng_seam("repro/utils/rng.py")
     assert cfg.is_rng_seam("repro/rrset/sampler.py")
-    assert cfg.is_rng_seam("repro/rrset/backends/base.py")
+    # The blocked-BFS driver only draws from generators it is passed.
+    assert not cfg.is_rng_seam("repro/rrset/backends.py")
     assert not cfg.is_rng_seam("repro/diffusion/spread.py")
     assert cfg.is_seed_source_seam("repro/utils/rng.py")
     assert cfg.is_seed_source_seam("repro/store/catalog.py")
@@ -128,7 +129,7 @@ def test_default_config_matches_contract_seams():
     assert cfg.is_service("repro/service/pool.py")
     assert not cfg.is_service("repro/store/catalog.py")
     assert cfg.is_hot_path("repro/rrset/pool.py")
-    assert cfg.is_hot_path("repro/rrset/backends/numba_backend.py")
+    assert cfg.is_hot_path("repro/rrset/backends.py")
     assert cfg.is_hot_path("repro/algorithms/tirm.py")
     assert cfg.is_hot_path("repro/algorithms/session.py")
     assert not cfg.is_hot_path("repro/algorithms/greedy.py")
@@ -149,7 +150,6 @@ def test_r101_allows_the_seams(tmp_path):
     for seam in (
         "repro/utils/rng.py",
         "repro/rrset/sampler.py",
-        "repro/rrset/backends/base.py",
     ):
         path = _write(tmp_path, seam, FIXTURES["R101"][1])
         assert "R101" not in _codes(lint_file(path))

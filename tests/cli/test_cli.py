@@ -92,27 +92,35 @@ def test_parser_defaults_to_philox_streams():
 
 
 def test_allocate_backend_flag(capsys):
-    code = main([
+    """The one level op has no flag: ``--backend numpy`` is a usage
+    error, and the same run without it allocates."""
+    argv = [
         "allocate", "figure1", "--algorithm", "tirm",
         "--eval-runs", "50", "--max-rr-sets", "1000",
-        "--backend", "numpy",
-    ])
-    assert code == 0
+    ]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--backend", "numpy"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --backend" in capsys.readouterr().err
+    assert main(argv) == 0
     assert "TIRM on figure1" in capsys.readouterr().out
 
 
 def test_parser_defaults_to_numpy_backend():
+    """The parser carries no backend; the allocator it builds runs the
+    numpy level op."""
+    from repro.cli.main import _ALLOCATORS
+
     args = build_parser().parse_args(["allocate", "figure1"])
-    assert args.backend == "numpy"
-    args = build_parser().parse_args(
-        ["allocate", "figure1", "--backend", "auto"]
-    )
-    assert args.backend == "auto"
+    assert not hasattr(args, "backend")
+    assert _ALLOCATORS["tirm"](args, None).backend == "numpy"
 
 
-def test_allocate_rejects_unknown_backend():
-    with pytest.raises(SystemExit):
+def test_allocate_rejects_unknown_backend(capsys):
+    with pytest.raises(SystemExit) as exit_info:
         main(["allocate", "figure1", "--backend", "cuda"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_allocate_process_engine_flags(capsys):
@@ -132,7 +140,7 @@ def test_parser_has_no_substrate_knobs():
     """The parser carries no substrate knobs at all; the allocator's
     defaults (transport ``"auto"``) are what every CLI run gets."""
     args = build_parser().parse_args(["allocate", "figure1"])
-    for knob in ("transport", "start_method", "no_prefetch"):
+    for knob in ("transport", "start_method", "no_prefetch", "backend"):
         assert not hasattr(args, knob)
 
 
@@ -147,55 +155,6 @@ def test_allocate_rejects_unknown_transport(capsys):
             main(["allocate", "figure1", *flag])
         assert exit_info.value.code == 2  # argparse usage error
         assert "unrecognized arguments" in capsys.readouterr().err
-
-
-def test_backend_numba_unavailable_fails_cleanly(capsys, monkeypatch):
-    """Explicit --backend numba without the optional extra: a one-line
-    ``error:`` on stderr and exit code 2, never a traceback."""
-    from repro.rrset import backends as backends_pkg
-    from repro.rrset.backends import numba_backend as numba_module
-
-    monkeypatch.setattr(numba_module, "_COMPILED", None)
-    monkeypatch.setattr(numba_module, "numba_available", lambda: False)
-    monkeypatch.setattr(backends_pkg, "numba_available", lambda: False)
-    code = main([
-        "allocate", "figure1", "--algorithm", "tirm",
-        "--eval-runs", "50", "--max-rr-sets", "1000",
-        "--backend", "numba",
-    ])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:")
-    assert "numba" in err
-    assert len(err.strip().splitlines()) == 1
-
-
-def test_backend_auto_degrades_gracefully(capsys, monkeypatch):
-    """--backend auto without numba warns once and still allocates."""
-    import warnings
-
-    from repro.rrset import backends as backends_pkg
-    from repro.rrset.backends import numba_backend as numba_module
-
-    monkeypatch.setattr(numba_module, "_COMPILED", None)
-    monkeypatch.setattr(numba_module, "numba_available", lambda: False)
-    monkeypatch.setattr(backends_pkg, "numba_available", lambda: False)
-    monkeypatch.setattr(backends_pkg, "_WARNED_AUTO_FALLBACK", False)
-    with pytest.warns(RuntimeWarning, match="falling back"):
-        code = main([
-            "allocate", "figure1", "--algorithm", "tirm",
-            "--eval-runs", "50", "--max-rr-sets", "1000",
-            "--backend", "auto",
-        ])
-    assert code == 0
-    assert "TIRM on figure1" in capsys.readouterr().out
-    with warnings.catch_warnings():  # the fallback warning fired once
-        warnings.simplefilter("error", RuntimeWarning)
-        assert main([
-            "allocate", "figure1", "--algorithm", "tirm",
-            "--eval-runs", "50", "--max-rr-sets", "1000",
-            "--backend", "auto",
-        ]) == 0
 
 
 def test_bounds_on_figure1(capsys):
@@ -501,12 +460,11 @@ def test_submit_without_server_fails_cleanly(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 def test_parser_worker_flags():
     args = build_parser().parse_args([
-        "worker", "--connect", "127.0.0.1:9410", "--backend", "numpy",
-        "--name", "w1",
+        "worker", "--connect", "127.0.0.1:9410", "--name", "w1",
     ])
     assert args.command == "worker"
     assert args.connect == "127.0.0.1:9410"
-    assert args.backend == "numpy"
+    assert not hasattr(args, "backend")
     assert args.name == "w1"
     assert args.cache is None
 

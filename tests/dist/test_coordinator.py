@@ -138,14 +138,10 @@ class TestAdoption:
         from repro.dist.worker import WorkerHost, _Session
         from repro.graph.generators import erdos_renyi
         from repro.graph.probabilities import constant_probabilities
-        from repro.rrset.backends import resolve_backend
         from repro.rrset.sharded import ChunkSource
 
         graph = erdos_renyi(30, 0.1, seed=1)
-        source = ChunkSource(
-            graph, [constant_probabilities(graph, 0.2)], [7], 8,
-            resolve_backend("numpy"),
-        )
+        source = ChunkSource(graph, [constant_probabilities(graph, 0.2)], [7], 8)
         coordinator = Coordinator()
         session = coordinator.register_session({}, b"")
         parent_end, child_end = socket.socketpair()

@@ -2,8 +2,8 @@
 
 The tentpole invariant — every chunk is a pure function of
 ``(seed, ad, chunk)`` — means a dialled fleet must produce shards
-byte-identical to the serial engine regardless of worker count, worker
-backend, scatter order, prefetching, or a completely empty fleet (local
+byte-identical to the serial engine regardless of worker count,
+scatter order, prefetching, or a completely empty fleet (local
 fallback).  These tests pin that, plus the engine-side plumbing:
 session registration/release on a caller-owned coordinator, the
 engine/coordinator pairing, and allocator-level validation.
@@ -218,31 +218,6 @@ class TestByteIdentity:
                 assert (_fingerprint(engine), engine.dsan_root()) == (
                     _serial_reference(graph, probs, further)
                 )
-        join_workers(threads)
-
-    def test_mixed_backend_fleet_matches_serial(self):
-        from repro.rrset.backends import resolve_backend
-
-        try:
-            resolve_backend("numba")
-        except ConfigurationError:
-            pytest.skip("numba backend not installed")
-        graph = _graph()
-        probs = _probs(graph)
-        reference, reference_root = _serial_reference(graph, probs)
-        with Coordinator() as coordinator:
-            workers = [
-                WorkerHost("127.0.0.1", coordinator.port, backend="numpy"),
-                WorkerHost("127.0.0.1", coordinator.port, backend="numba"),
-            ]
-            threads = start_workers(coordinator, workers)
-            with ShardedSamplingEngine(
-                graph, probs, engine="dist", coordinator=coordinator, seeds=7,
-                chunk_size=CHUNK, dsan=True,
-            ) as engine:
-                engine.ensure(TARGETS)
-                assert _fingerprint(engine) == reference
-                assert engine.dsan_root() == reference_root
         join_workers(threads)
 
 

@@ -320,6 +320,22 @@ class TestResumeValidation:
         config = TIRMCheckpoint.load(path).config
         assert (config["rng"], config["sampler_mode"]) == ("philox", "blocked")
 
+    def test_recorded_numba_backend_resumes_to_same_root(self, tmp_path):
+        """Older builds could record ``backend: "numba"``.  The name is
+        provenance, never matched, so such an artifact still resumes —
+        to the uninterrupted run's dsan root, recording ``"numpy"``."""
+        problem = figure1_problem()
+        reference = _allocator(dsan=True).allocate(problem)
+        path = tmp_path / "ck.npz"
+        self._write(problem, path, dsan=True)
+        _rewrite_meta(path, lambda meta: meta["config"].update(backend="numba"))
+        assert TIRMCheckpoint.load(path).config["backend"] == "numba"
+        resumed = _allocator(resume_from=path, dsan=True).allocate(problem)
+        assert resumed.stats["resumed_at_iteration"] == 1
+        assert resumed.stats["dsan_root"] == reference.stats["dsan_root"]
+        assert resumed.stats["backend"] == "numpy"
+        assert _results_identical(resumed, reference)
+
     def test_mismatched_problem_is_refused(self, tmp_path):
         path = tmp_path / "ck.npz"
         self._write(figure1_problem(), path)
@@ -438,33 +454,20 @@ class TestKillAndResumeDeterminism:
 
 class TestCrossSubstrateResumeMatrix:
     """A checkpoint written under one substrate resumes under any
-    other: serial/numpy snapshots land byte-identically when finished
-    by a distributed fleet of 1/2/4 workers (numpy and, when installed,
-    numba), and a distributed snapshot finishes serially.  Counter-based
+    other: serial snapshots land byte-identically when finished by a
+    distributed fleet of 1/2/4 workers, and a distributed snapshot
+    finishes serially.  Counter-based
     chunks make the shards substrate-invariant; the checkpoint matches
     on the contract (seed/rng/chunk size), never the topology."""
 
     @staticmethod
-    def _backends():
-        from repro.rrset.backends import resolve_backend
-
-        backends = ["numpy"]
-        try:
-            resolve_backend("numba")
-        except ConfigurationError:
-            pass
-        else:
-            backends.append("numba")
-        return backends
-
-    @staticmethod
-    def _spawn_fleet(coordinator, count: int, backend: str):
+    def _spawn_fleet(coordinator, count: int):
         import threading
 
         from repro.dist import WorkerHost
 
         workers = [
-            WorkerHost(coordinator.host, coordinator.port, backend=backend)
+            WorkerHost(coordinator.host, coordinator.port)
             for _ in range(count)
         ]
         threads = [
@@ -486,23 +489,20 @@ class TestCrossSubstrateResumeMatrix:
         kwargs = dict(chunk_size=64)
         reference = _allocator(**kwargs).allocate(problem)
         k = max(1, reference.stats["iterations"] // 2)
-        for backend in self._backends():
-            path = tmp_path / f"ck-{num_workers}-{backend}.npz"
-            _allocator(
-                checkpoint_path=path, max_iterations=k, **kwargs
+        path = tmp_path / f"ck-{num_workers}.npz"
+        _allocator(
+            checkpoint_path=path, max_iterations=k, **kwargs
+        ).allocate(problem)
+        with Coordinator() as coordinator:
+            threads = self._spawn_fleet(coordinator, num_workers)
+            resumed = _allocator(
+                engine="dist", coordinator=coordinator,
+                resume_from=path, **kwargs,
             ).allocate(problem)
-            with Coordinator() as coordinator:
-                threads = self._spawn_fleet(coordinator, num_workers, backend)
-                resumed = _allocator(
-                    engine="dist", coordinator=coordinator,
-                    resume_from=path, **kwargs,
-                ).allocate(problem)
-            for thread in threads:
-                thread.join(timeout=10.0)
-            assert resumed.stats["resumed_at_iteration"] == k
-            assert _results_identical(resumed, reference), (
-                num_workers, backend,
-            )
+        for thread in threads:
+            thread.join(timeout=10.0)
+        assert resumed.stats["resumed_at_iteration"] == k
+        assert _results_identical(resumed, reference), num_workers
 
     def test_distributed_checkpoint_finishes_serially(self, tmp_path):
         from repro.dist import Coordinator
@@ -513,7 +513,7 @@ class TestCrossSubstrateResumeMatrix:
         reference = _allocator(**kwargs).allocate(problem)
         k = max(1, reference.stats["iterations"] // 2)
         with Coordinator() as coordinator:
-            threads = self._spawn_fleet(coordinator, 2, "numpy")
+            threads = self._spawn_fleet(coordinator, 2)
             _allocator(
                 engine="dist", coordinator=coordinator,
                 checkpoint_path=path, max_iterations=k, **kwargs,

@@ -1,8 +1,8 @@
 """The bound-prefilter driver against the driver it replaced.
 
-``tests/rrset/_reference_driver.py`` is the pre-PR-21 ``drive_blocked``
-and NumPy level op, verbatim.  The shipped driver must equal it in
-values, dtypes *and* generator state after the call, on every backend —
+``tests/rrset/_reference_driver.py`` is the ``drive_blocked`` and NumPy
+level op from before the bound prefilter, verbatim.  The shipped driver
+must equal it in values, dtypes *and* generator state after the call —
 the prefilter only ever skips edges that cannot be live, and everything
 after a batch's last coin is bookkeeping.  Guards are properties and
 call counts, never clocks.
@@ -16,15 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph.digraph import DirectedGraph
+from repro.rrset import backends
 from repro.rrset import sampler as sampler_module
-from repro.rrset.backends import (
-    NumbaBackend,
-    NumpyBackend,
-    base,
-    node_bounds,
-    numpy_backend,
-    resolve_backend,
-)
+from repro.rrset.backends import drive_blocked, node_bounds
 from repro.rrset.sharded import ShardedSamplingEngine
 
 from tests.rrset._reference_driver import reference_drive_blocked
@@ -71,13 +65,13 @@ def _stream_position(rng):
     )
 
 
-def _assert_same_as_reference(backend, graph, in_probs, count, batch_size, roots, seed):
+def _assert_same_as_reference(graph, in_probs, count, batch_size, roots, seed):
     expected_rng = np.random.Generator(np.random.Philox(seed))
     actual_rng = np.random.Generator(np.random.Philox(seed))
     expected = reference_drive_blocked(
         graph, in_probs, expected_rng, count, batch_size, roots
     )
-    actual = backend.sample_flat(graph, in_probs, actual_rng, count, batch_size, roots)
+    actual = drive_blocked(graph, in_probs, actual_rng, count, batch_size, roots)
     for want, got in zip(expected, actual):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
@@ -86,14 +80,8 @@ def _assert_same_as_reference(backend, graph, in_probs, count, batch_size, roots
 
 @given(case=cases())
 @settings(max_examples=150, deadline=None)
-def test_driver_equals_the_reference(case, rrset_backend):
-    _assert_same_as_reference(resolve_backend(rrset_backend), *case)
-
-
-@given(case=cases())
-@settings(max_examples=50, deadline=None)
-def test_uncompiled_kernel_equals_the_reference(case):
-    _assert_same_as_reference(NumbaBackend(jit=False), *case)
+def test_driver_equals_the_reference(case):
+    _assert_same_as_reference(*case)
 
 
 @pytest.mark.parametrize("share", [0.0, np.inf], ids=["never", "always"])
@@ -102,12 +90,12 @@ def test_uncompiled_kernel_equals_the_reference(case):
 def test_either_side_of_the_prefilter_choice_equals_the_reference(share, case):
     """The per-level choice is a cost decision only: forcing every
     level down either path yields the same block."""
-    original = numpy_backend._PREFILTER_MAX_SHARE
-    numpy_backend._PREFILTER_MAX_SHARE = share
+    original = backends._PREFILTER_MAX_SHARE
+    backends._PREFILTER_MAX_SHARE = share
     try:
-        _assert_same_as_reference(NumpyBackend(), *case)
+        _assert_same_as_reference(*case)
     finally:
-        numpy_backend._PREFILTER_MAX_SHARE = original
+        backends._PREFILTER_MAX_SHARE = original
 
 
 class TestNodeBounds:
@@ -138,7 +126,7 @@ class TestNodeBounds:
             assert in_degree[v] == slots.size
             assert bound[v] == (slots.max() if slots.size else 0.0)
 
-    def test_built_once_per_ad_not_per_chunk(self, monkeypatch, rrset_backend):
+    def test_built_once_per_ad_not_per_chunk(self, monkeypatch):
         """O(m) per call: paid per chunk it cost more than the prefilter
         saved on small chunks.  Counted over a 16-chunk ``ensure``."""
         calls = []
@@ -147,16 +135,14 @@ class TestNodeBounds:
             calls.append(graph)
             return node_bounds(graph, in_probs)
 
-        monkeypatch.setattr(base, "node_bounds", spy)
+        monkeypatch.setattr(backends, "node_bounds", spy)
         monkeypatch.setattr(sampler_module, "node_bounds", spy)
         graph = DirectedGraph.from_edges(
             [(u, (u * 3 + 1) % 20) for u in range(20) if u != (u * 3 + 1) % 20],
             num_nodes=20,
         )
         probs = [np.full(graph.num_edges, p) for p in (0.3, 0.6)]
-        with ShardedSamplingEngine(
-            graph, probs, seeds=4, chunk_size=8, backend=rrset_backend
-        ) as engine:
+        with ShardedSamplingEngine(graph, probs, seeds=4, chunk_size=8) as engine:
             engine.ensure({0: 8 * 8, 1: 8 * 8})
             engine.ensure({0: 8 * 16, 1: 8 * 16})
             assert engine.shard(0).num_total == engine.shard(1).num_total == 128
@@ -186,7 +172,7 @@ def test_no_comparison_sort_or_unique_on_the_sampling_path(monkeypatch):
     monkeypatch.setattr(np, "unique", banned)
     monkeypatch.setattr(np, "insert", banned)
     in_probs = np.full(graph.num_edges, 0.4)
-    members, lengths = NumpyBackend().sample_flat(
+    members, lengths = drive_blocked(
         graph, in_probs, np.random.default_rng(0), 5_000
     )
     assert lengths.size == 5_000 and members.size > 5_000
@@ -202,7 +188,7 @@ class TestInputValidation:
     probs = np.full(2, 0.5)
 
     def _sample(self, count, **kwargs):
-        return NumpyBackend().sample_flat(
+        return drive_blocked(
             self.graph, self.probs, np.random.default_rng(0), count, **kwargs
         )
 

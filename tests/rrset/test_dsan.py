@@ -1,8 +1,8 @@
 """The runtime determinism sanitizer (:mod:`repro.rrset.dsan`).
 
 The contract under test: with dsan enabled, per-``(ad, chunk)`` digests
-are equal across serial/process execution, any worker count, and
-numpy/numba backends; recording never perturbs the sampled bytes; and a
+are equal across serial/process execution and any worker count;
+recording never perturbs the sampled bytes; and a
 divergence — a tampered expected map, or a deliberately perturbed
 sampler — raises :class:`~repro.errors.DeterminismError` naming the
 *first* divergent chunk.
@@ -19,7 +19,6 @@ from repro.errors import DeterminismError
 from repro.graph.generators import erdos_renyi
 from repro.graph.probabilities import constant_probabilities
 from repro.rrset import ShardedSamplingEngine, compare_digests
-from repro.rrset.backends import NumbaBackend
 from repro.rrset.dsan import DsanRecorder, digest_block, dsan_enabled
 from repro.rrset.sampler import StreamPlan
 
@@ -144,12 +143,6 @@ def test_digests_identical_serial_vs_process_vs_transports(graph, probs):
                 np.array_equal(a, b)
                 for a, b in zip(serial_sets[ad], sets[ad])
             )
-
-
-def test_digests_identical_across_backends(graph, probs):
-    reference, _ = _digests(graph, probs)
-    numba_like, _ = _digests(graph, probs, backend=NumbaBackend(jit=False))
-    assert numba_like == reference
 
 
 def test_digests_invariant_to_request_splitting(graph, probs):

@@ -1,7 +1,7 @@
 """Literal digests of sampled chunk blocks — the stream, pinned.
 
 Every other root assertion in the suite is *relative* (serial vs
-process, numpy vs numba, cold vs warm), so a driver change that shifts
+process vs dist, cold vs warm), so a driver change that shifts
 all paths equally would pass them all.  These digests are literals: the
 ``(members, lengths)`` bytes of a handful of ``(graph, probability
 shape, chunk_size, chunk_index)`` stream addresses, recorded before the
@@ -27,7 +27,7 @@ import pytest
 from repro.graph.digraph import DirectedGraph
 from repro.graph.generators import cycle_graph
 from repro.graph.probabilities import weighted_cascade_probabilities
-from repro.rrset.backends import BLOCK_BATCH, NumbaBackend
+from repro.rrset.backends import BLOCK_BATCH
 from repro.rrset.sampler import RRSetSampler, StreamPlan
 
 ENTROPY = 20_211
@@ -85,24 +85,18 @@ def block_digest(members: np.ndarray, lengths: np.ndarray) -> str:
     return digest.hexdigest()
 
 
-def _block(address, backend):
+def _block(address):
     graph_name, shape, chunk_size, chunk_index = address
     graph = _GRAPHS[graph_name]()
-    sampler = RRSetSampler(graph, _SHAPES[shape](graph), backend=backend)
+    sampler = RRSetSampler(graph, _SHAPES[shape](graph))
     return sampler.sample_chunk_block(
         StreamPlan(ENTROPY, ad=2, chunk_size=chunk_size), chunk_index
     )
 
 
 @pytest.mark.parametrize("address", sorted(GOLDEN), ids=lambda a: "-".join(map(str, a)))
-def test_block_digest_is_the_recorded_literal(address, rrset_backend):
-    assert block_digest(*_block(address, rrset_backend)) == GOLDEN[address]
-
-
-@pytest.mark.parametrize("address", sorted(GOLDEN), ids=lambda a: "-".join(map(str, a)))
-def test_uncompiled_kernel_matches_the_recorded_literal(address):
-    """The numba kernel's logic, runnable where numba is absent."""
-    assert block_digest(*_block(address, NumbaBackend(jit=False))) == GOLDEN[address]
+def test_block_digest_is_the_recorded_literal(address):
+    assert block_digest(*_block(address)) == GOLDEN[address]
 
 
 def test_a_pinned_chunk_spans_the_batch_boundary():
@@ -113,4 +107,4 @@ def test_a_pinned_chunk_spans_the_batch_boundary():
 
 if __name__ == "__main__":
     for address in GOLDEN:
-        print(f"    {address!r}: {block_digest(*_block(address, 'numpy'))!r},")
+        print(f"    {address!r}: {block_digest(*_block(address))!r},")

@@ -9,7 +9,7 @@ from repro.diffusion.exact import exact_spread
 from repro.errors import ConfigurationError
 from repro.graph.generators import erdos_renyi
 from repro.graph.probabilities import constant_probabilities
-from repro.rrset.backends import NumpyBackend
+from repro.rrset.backends import drive_blocked
 from repro.rrset.estimator import estimate_spread_from_sets
 from repro.rrset.pool import RRSetPool
 from repro.rrset.sampler import RRSetSampler, StreamPlan
@@ -18,7 +18,7 @@ from repro.rrset.sharded import ShardedSamplingEngine
 
 def _rooted(graph, probs, root, seed=0):
     """One RR-set from a fixed root, straight from the driver."""
-    members, _ = NumpyBackend().sample_flat(
+    members, _ = drive_blocked(
         graph, np.asarray(probs, dtype=np.float64)[graph.in_edge_ids],
         np.random.default_rng(seed), 1, roots=[root],
     )

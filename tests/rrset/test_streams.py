@@ -246,26 +246,19 @@ class TestRequestSplitInvariance:
 
 class TestWorkerCountInvariance:
     """The acceptance matrix: byte-identical pools for workers in
-    {1, 2, 4} × chunk_size in {1, 7, 64}.
-
-    The matrix honours ``pytest --backend``: the CI numba leg re-runs it
-    with both engines on the JIT backend (backends are byte-identical,
-    so the pinned fingerprints are the same either way —
-    ``tests/rrset/test_backends.py`` pins the cross-backend direction).
-    """
+    {1, 2, 4} × chunk_size in {1, 7, 64}."""
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     @pytest.mark.parametrize("chunk_size", [1, 7, 64])
     @pytest.mark.parametrize("mode", ["blocked"])
-    def test_pools_byte_identical(self, mode, chunk_size, workers, rrset_backend):
+    def test_pools_byte_identical(self, mode, chunk_size, workers):
         problem = _problem(4, num_ads=2)
         with ShardedSamplingEngine(
             problem.graph, _probs(problem), seeds=8,
-            engine="serial", chunk_size=chunk_size, backend=rrset_backend,
+            engine="serial", chunk_size=chunk_size,
         ) as serial, ShardedSamplingEngine(
             problem.graph, _probs(problem), seeds=8,
             engine="process", max_workers=workers, chunk_size=chunk_size,
-            backend=rrset_backend,
         ) as process:
             for requests in ({0: 70, 1: 40}, {0: 33}, {1: 5}):
                 serial.sample(requests)

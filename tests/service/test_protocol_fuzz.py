@@ -142,6 +142,9 @@ def test_eof_before_any_byte_is_a_clean_close(served):
             b'"num_sets": 16}\n',
             "seed ids [-1] out of range",
         ),
+        # JSON reads 1e999 as inf: int(inf) overflows.
+        (b'{"op": "estimate-spread", "num_sets": 1e999}\n', "infinity"),
+        (b'{"op": "estimate-spread", "ad": 1e999}\n', "infinity"),
     ],
 )
 def test_malformed_request_gets_one_error_line(served, line, message):
@@ -161,6 +164,20 @@ def test_non_finite_param_is_refused_before_a_job_exists(served):
         b'"params": {"ell": NaN}}\n',
     )
     assert "ell must be finite" in _error_of(reply)
+    (line,) = _exchange(port, b'{"op": "ping"}\n')
+    assert json.loads(line)["jobs"] == 0
+
+
+def test_auto_backend_is_refused_before_a_job_exists(served):
+    """``backend`` keeps one wire value, ``"numpy"``; the old ``"auto"``
+    is refused with one error line and no job."""
+    port, _ = served
+    (reply,) = _exchange(
+        port,
+        b'{"op": "submit-allocation", "dataset": "figure1", '
+        b'"params": {"backend": "auto"}}\n',
+    )
+    assert "backend must be 'numpy'" in _error_of(reply)
     (line,) = _exchange(port, b'{"op": "ping"}\n')
     assert json.loads(line)["jobs"] == 0
 

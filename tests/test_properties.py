@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.diffusion.exact import exact_click_probabilities, exact_spread
 from repro.graph.digraph import DirectedGraph
-from repro.rrset.backends import NumpyBackend
+from repro.rrset.backends import drive_blocked
 from repro.rrset.pool import RRSetPool
 
 
@@ -105,7 +105,7 @@ class TestRRSetStructure:
     )
     @settings(max_examples=40, deadline=None)
     def test_rr_set_no_duplicates_and_contains_root(self, graph, p, root, _pyrandom):
-        rr, _ = NumpyBackend().sample_flat(
+        rr, _ = drive_blocked(
             graph, np.full(graph.num_edges, p),
             np.random.default_rng(int(p * 1e6) + root), 1, roots=[root],
         )
