@@ -2,7 +2,10 @@
 
 Kept as a plain ``setup.py`` so the legacy
 ``pip install -e . --no-use-pep517`` editable path works offline.
-The package is pure numpy.
+The package is numpy plus a C compiler on first use: the RR-set BFS
+kernel ``repro/rrset/_bfs.c`` ships as package data and is compiled
+the first time a process samples (``repro.rrset.backends``), not at
+install time.
 """
 
 from setuptools import find_packages, setup
@@ -15,6 +18,7 @@ setup(
     ),
     package_dir={"": "src"},
     packages=find_packages("src"),
+    package_data={"repro.rrset": ["_bfs.c"]},
     python_requires=">=3.10",
     install_requires=["numpy"],
 )

@@ -80,7 +80,7 @@ class TIRMAllocator(Allocator):
         reproduces the same allocation.
     backend:
         Kept for ``bench/`` until ROADMAP item 2: the recorded name of
-        the one blocked-BFS level op, ``"numpy"``
+        the one blocked BFS, ``"numpy"``
         (:mod:`repro.rrset.backends`).  Not an option: any other value
         raises :class:`~repro.errors.ConfigurationError`.
     transport:

@@ -8,8 +8,9 @@ forked ``engine="process"`` child runs, on its end of a ``socketpair``
 (:func:`serve_forked`).  Per session a dialled worker receives the
 payload once — graph in-CSR, per-ad probability rows, stream entropies
 — and rebuilds over it the same :class:`~repro.rrset.sharded.ChunkSource`
-the engine holds (zero-copy views, every layout entry bounds-checked);
-a forked child keeps the one it inherited.  The source re-derives any
+the engine holds (zero-copy views, every layout entry bounds-checked,
+the in-CSR checked once); a forked child keeps the one it inherited.
+The source re-derives any
 requested chunk purely from ``(entropy, ad, chunk)``: no sampler state
 ever crosses the wire, which is why a chunk can be recomputed by *any*
 worker after a failure and still be byte-identical.
@@ -99,10 +100,41 @@ class _Session:
             probs_per_ad = [arrays[f"probs_{ad}"] for ad in range(len(entropies))]
         except KeyError as exc:
             raise ProtocolError(f"payload is missing array {exc}") from exc
+        _check_in_csr(graph)
         source = ChunkSource(
             graph, probs_per_ad, entropies, int(meta["chunk_size"])
         )
         return cls(source, meta.get("shard_keys"), meta.get("graph_digest"))
+
+
+def _check_in_csr(graph: DirectedGraph) -> None:
+    """Refuse a SETUP in-CSR the compiled BFS cannot walk safely: the
+    kernel reads ``in_sources[in_indptr[v] : in_indptr[v + 1]]`` for
+    every node ``v`` it reaches and trusts each source id, so a bad
+    array here would be an out-of-bounds access, not an ``IndexError``.
+    O(m), once per session."""
+    n, m = graph.num_nodes, graph.num_edges
+    indptr = graph.in_indptr
+    columns = {"in_sources": graph.in_sources, "in_edge_ids": graph.in_edge_ids}
+    problem = None
+    if n < 0 or m < 0:
+        problem = f"negative dimensions ({n} nodes, {m} edges)"
+    elif any(a.dtype != np.int64 for a in (indptr, *columns.values())):
+        problem = "in_indptr, in_sources and in_edge_ids must be int64"
+    elif indptr.shape != (n + 1,) or indptr[0] != 0 or indptr[-1] != m:
+        problem = f"in_indptr must run from 0 to {m} over {n + 1} entries"
+    elif np.any(indptr[1:] < indptr[:-1]):
+        problem = "in_indptr must be non-decreasing"
+    else:
+        for key, array in columns.items():
+            bound = n if key == "in_sources" else m
+            if array.shape != (m,) or (
+                m and (array.min() < 0 or array.max() >= bound)
+            ):
+                problem = f"{key} must hold {m} ids in [0, {bound})"
+                break
+    if problem is not None:
+        raise ProtocolError(f"SETUP in-CSR is malformed: {problem}")
 
 
 class WorkerHost:

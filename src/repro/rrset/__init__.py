@@ -4,8 +4,9 @@
   coins) for a fixed ad's Eq.-(1) probabilities, addressed by
   ``(seed, ad, set_index)``: the chunk kernel every sample in this
   package comes out of, always through a sharded engine;
-* :mod:`repro.rrset.backends` — the blocked BFS the sampler runs: one
-  RNG-owning driver over one vectorized level op;
+* :mod:`repro.rrset.backends` — the blocked BFS the sampler runs: a
+  driver that draws each batch's roots over one compiled C kernel
+  (``_bfs.c``) that runs the batch's BFS;
 * :mod:`repro.rrset.rrc` — RRC-sets (§5.2): the engine's RR-sets thinned
   by one CTP coin per member, drawn from a child of each chunk's stream;
 * :mod:`repro.rrset.pool` — the flat CSR storage engine: contiguous

@@ -1,45 +1,43 @@
-"""The blocked BFS of the RR-set sampler: one driver, one level op.
+"""The blocked BFS of the RR-set sampler: one driver, one compiled kernel.
 
 The level-synchronous blocked BFS (``docs/rrset_engine.md``) has two
 halves:
 
-* the **driver** (:func:`drive_blocked`) — batching, root draws, the
-  per-level coin draws, and the final pack into a ``(members, lengths)``
-  block.  The driver owns *every* RNG call, in a fixed order: one
-  ``Generator.integers`` per batch for the roots, then exactly one
-  ``Generator.random(total)`` per BFS level;
-* the **level op** (:meth:`NumpyBackend.level_op`) — given one level's
-  frontier and its pre-drawn coin block, decide which edges are live,
-  dedup the newly reached ``(set, node)`` pairs, and merge them into
-  the sorted visited-key array.  A pure function: no RNG, no state.
+* the **driver** (:func:`drive_blocked`) — argument checks, batching,
+  and one ``Generator.integers`` root draw per batch;
+* the **kernel** (:meth:`NumpyBackend.level_op`, the C function
+  ``repro_bfs_batch`` of ``_bfs.c``) — one call runs a whole batch's
+  BFS: per level it walks the frontier in ascending ``(set, node)`` key
+  order and each node's in-CSR slots in order, draws one coin per slot
+  through the bit generator's own ``next_double``, keeps an edge iff
+  ``coin < in_probs[slot]``, and makes the not-yet-visited pairs the
+  next frontier; at the end it regroups the members by set.
 
-The level-op contract
----------------------
+The coins are the words ``Generator.random(total)`` would return for
+each level's block, drawn in the same order, so the blocks and the
+final generator state equal those of the numpy driver kept as the test
+oracle in ``tests/rrset/_reference_driver.py`` — for any bit generator.
 
-``level_op(owners, starts, degrees, bounds, in_sources, in_probs, coins,
-visited_keys, n) -> (new_owners, new_sources, new_visited_keys)``
-
-* ``owners[i]``/``starts[i]``/``degrees[i]`` — set id owning frontier
-  entry ``i`` and its in-CSR slot range ``[starts[i], starts[i] +
-  degrees[i])``;
-* ``bounds[i]`` — the largest ``in_probs`` value in that slot range
-  (:func:`node_bounds`).  A coin ``>= bounds[i]`` cannot be live, so it
-  is discarded before its slot is read: the *candidates*
-  ``coins < repeat(bounds, degrees)`` are a superset of the live edges;
-* ``coins`` — one uniform draw per examined in-edge, in frontier order
-  then CSR slot order (``coins.size == degrees.sum()``);
-* ``visited_keys`` — sorted, unique ``owner * n + node`` keys of every
-  pair already reached in this batch;
-* returns the *fresh* pairs in ascending key order plus the merged
-  (still sorted, unique) visited keys.  An edge is live iff
-  ``coins[k] < in_probs[slot]``; a pair is fresh iff its key is not in
-  ``visited_keys``.
-
-Its reference is the pre-prefilter level op kept verbatim in
-``tests/rrset/_reference_driver.py``.
+The kernel is compiled on the first sampling call (never at import)
+with the compiler Python was built with, ``-O2 -fPIC -shared``, into a
+per-user cache directory (``$XDG_CACHE_HOME/repro``, else
+``~/.cache/repro``) under a name keyed by a hash of the source and the
+command; a build lands there through an atomic rename, so concurrent
+first calls are safe.  A failed build raises
+:class:`~repro.errors.ConfigurationError` naming the compiler.
 """
 
 from __future__ import annotations
+
+import ctypes
+import functools
+import hashlib
+import os
+import shlex
+import subprocess
+import sysconfig
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -53,79 +51,121 @@ from repro.rrset.pool import MEMBER_DTYPE
 #: stream contract for chunks wider than it.
 BLOCK_BATCH = 4_096
 
-_EMPTY = np.empty(0, dtype=np.int64)
+_SOURCE = Path(__file__).with_name("_bfs.c")
 
-#: Expected candidate share of a level's coin block — ``Σ bound·degree /
-#: Σ degree`` over the frontier, known before a coin is looked at — at
-#: or above which the prefilter is skipped: its repeat/compare/nonzero
-#: passes then cost more than the gathers they save.
-_PREFILTER_MAX_SHARE = 0.1
+#: Largest ``(set, node)`` key the kernel's int64 keys can hold.
+_MAX_KEY = 2**63 - 1
+
+_INT64_P = ctypes.POINTER(ctypes.c_int64)
+
+
+def _build() -> Path:
+    """Compile ``_bfs.c`` into the cache unless it is already there;
+    returns the shared library's path."""
+    source = _SOURCE.read_bytes()
+    compiler = sysconfig.get_config_var("CC") or "cc"
+    command = [*shlex.split(compiler), "-O2", "-fPIC", "-shared"]
+    tag = repr((command, sysconfig.get_platform())).encode()
+    digest = hashlib.sha256(source + tag).hexdigest()[:16]
+    cache = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
+    target = Path(cache) / "repro" / f"_bfs-{digest}.so"
+    if target.exists():
+        return target
+    failure = None
+    try:
+        target.parent.mkdir(parents=True, exist_ok=True)
+        fd, partial = tempfile.mkstemp(dir=target.parent, suffix=".so.part")
+        os.close(fd)
+        try:
+            done = subprocess.run(
+                [*command, "-o", partial, str(_SOURCE)],
+                capture_output=True, text=True,
+            )
+            if done.returncode == 0:
+                os.replace(partial, target)
+            else:
+                failure = done.stderr.strip() or f"exit status {done.returncode}"
+        finally:
+            if os.path.exists(partial):
+                os.unlink(partial)
+    except OSError as exc:
+        failure = str(exc)
+    if failure is not None:
+        raise ConfigurationError(
+            f"cannot build the RR-set BFS kernel with compiler {compiler!r}: "
+            f"{failure}"
+        )
+    return target
+
+
+@functools.cache
+def _kernel() -> ctypes.CDLL:
+    """The loaded kernel library (built on first use)."""
+    library = ctypes.CDLL(str(_build()))
+    run = library.repro_bfs_batch
+    run.restype = ctypes.c_int64
+    run.argtypes = [
+        ctypes.c_int64, ctypes.c_int64, _INT64_P,
+        _INT64_P, _INT64_P, ctypes.POINTER(ctypes.c_double),
+        ctypes.c_void_p, ctypes.c_void_p,
+        _INT64_P, ctypes.POINTER(ctypes.POINTER(ctypes.c_int32)),
+    ]
+    library.repro_bfs_free.restype = None
+    library.repro_bfs_free.argtypes = [ctypes.c_void_p]
+    return library
+
+
+def _pointer(array: np.ndarray, ctype):
+    return array.ctypes.data_as(ctypes.POINTER(ctype))
 
 
 class NumpyBackend:
-    """The vectorized level op: a per-node bound prefilter of the
-    pre-drawn coin block, fancy-indexed slot and probability gathers for
-    the surviving candidates only, one exact comparison, and a
-    sort-based ``(set, node)`` dedup (in-place key sort,
-    adjacent-difference and ``searchsorted`` freshness mask,
-    masked-scatter sorted merge).
+    """The compiled batch BFS behind the recorded backend name.
 
     Kept as a class for ``bench/`` until ROADMAP item 2: its traced pass
     wraps ``level_op`` in this class's ``__dict__``, and the driver calls
-    it through the class attribute so the wrapper sees every level."""
+    it through the class attribute so the wrapper sees every batch."""
 
     #: The recorded ``backend`` provenance value (stats, checkpoint
     #: configs, catalog rows).
     name = "numpy"
 
     @staticmethod
-    def level_op(owners, starts, degrees, bounds, in_sources, in_probs,
-                 coins, visited_keys, n):
-        """Advance one BFS level (see the module docstring contract)."""
-        total = coins.size
-        ends = degrees.cumsum()
-        if float(np.dot(bounds, degrees)) < _PREFILTER_MAX_SHARE * total:
-            # Candidates: coins under their node's largest in-edge
-            # probability — a superset of the live edges, found without
-            # touching a slot.  `counts[i]` of them belong to entry `i`.
-            cand = (coins < bounds.repeat(degrees)).nonzero()[0]
-            if cand.size == 0:
-                return _EMPTY, _EMPTY, visited_keys
-            counts = cand.searchsorted(ends)
-            counts[1:] -= counts[:-1]
-            coins = coins[cand]
-        else:
-            cand = np.arange(total, dtype=np.int64)
-            counts = degrees
-        slots = cand + (starts - (ends - degrees)).repeat(counts)
-        live = (coins < in_probs[slots]).nonzero()[0]
-        if live.size == 0:
-            return _EMPTY, _EMPTY, visited_keys
-        key = (owners * n).repeat(counts)[live] + in_sources[slots[live]]
-        # Keep a key once (sorted: drop equal neighbours) and only if its
-        # pair is not already visited in its set.
-        key.sort()
-        pos = visited_keys.searchsorted(key)
-        fresh = visited_keys[np.minimum(pos, visited_keys.size - 1)] != key
-        fresh[1:] &= key[1:] != key[:-1]
-        key = key[fresh]
-        if key.size == 0:
-            return _EMPTY, _EMPTY, visited_keys
-        # Sorted merge: both sides are sorted and disjoint and `pos`
-        # holds the insertion points, so this is O(V), no re-sort.
-        at = pos[fresh] + np.arange(key.size)
-        merged = np.empty(visited_keys.size + key.size, dtype=np.int64)
-        old = np.ones(merged.size, dtype=bool)
-        old[at] = False
-        merged[at] = key
-        merged[old] = visited_keys
-        own = key // n
-        return own, key - own * n, merged
+    def level_op(roots, in_indptr, in_sources, in_probs, bit_generator, n):
+        """One batch's whole BFS as ``(members, lengths)``: the sets
+        rooted at ``roots`` (C-contiguous int64), each set's members
+        level by level and ascending within a level.
+
+        The graph arrays must be C-contiguous — ``in_indptr`` and
+        ``in_sources`` int64, ``in_probs`` float64 — and are not checked
+        here: :func:`drive_blocked` does that.  Runs with the GIL
+        released and ``bit_generator.lock`` held."""
+        library = _kernel()
+        lengths = np.empty(roots.size, dtype=np.int64)
+        members_out = ctypes.POINTER(ctypes.c_int32)()
+        draw = bit_generator.ctypes
+        with bit_generator.lock:
+            total = library.repro_bfs_batch(
+                n, roots.size, _pointer(roots, ctypes.c_int64),
+                _pointer(in_indptr, ctypes.c_int64),
+                _pointer(in_sources, ctypes.c_int64),
+                _pointer(in_probs, ctypes.c_double),
+                ctypes.cast(draw.next_double, ctypes.c_void_p), draw.state,
+                _pointer(lengths, ctypes.c_int64), ctypes.byref(members_out),
+            )
+        if total < 0:
+            raise MemoryError("the RR-set BFS kernel could not allocate memory")
+        try:
+            members = np.empty(total, dtype=MEMBER_DTYPE)
+            ctypes.memmove(members.ctypes.data, members_out, members.nbytes)
+        finally:
+            library.repro_bfs_free(members_out)
+        return members, lengths
 
 
 def resolve_backend(backend="numpy") -> NumpyBackend:
     """Kept for ``bench/`` until ROADMAP item 2: ``"numpy"``, the
-    recorded name of the one level op, gives a :class:`NumpyBackend`;
+    recorded name of the one BFS, gives a :class:`NumpyBackend`;
     anything else raises :class:`~repro.errors.ConfigurationError`."""
     if backend != NumpyBackend.name:
         raise ConfigurationError(
@@ -135,24 +175,6 @@ def resolve_backend(backend="numpy") -> NumpyBackend:
     return NumpyBackend()
 
 
-def node_bounds(graph, in_probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(in_degree, node_bound)`` for one per-in-slot probability array:
-    ``node_bound[v]`` is the largest probability on an in-edge of ``v``
-    (0 where there is none), so ``coin >= node_bound[v]`` rules out every
-    in-edge of ``v`` without reading it.  O(m); samplers build it once
-    per (process, ad) and pass it to :func:`drive_blocked`."""
-    in_degree = graph.in_degrees()
-    node_bound = np.zeros(graph.num_nodes, dtype=np.float64)
-    # reduceat over the non-empty slot ranges only: an empty range would
-    # read its neighbour's first slot, a trailing one index past the end.
-    nonempty = np.flatnonzero(in_degree)
-    if nonempty.size:
-        node_bound[nonempty] = np.maximum.reduceat(
-            in_probs, graph.in_indptr[nonempty]
-        )
-    return in_degree, node_bound
-
-
 def drive_blocked(
     graph,
     in_probs: np.ndarray,
@@ -160,23 +182,21 @@ def drive_blocked(
     count: int,
     batch_size: int | None = None,
     roots: np.ndarray | None = None,
-    bounds: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``count`` RR-sets as a packed ``(members, lengths)`` block,
     drawing from ``rng``.
 
-    Runs a reverse BFS over a whole batch of roots at once: each level
-    gathers the in-edge slot ranges of *every* frontier node across the
-    batch, draws all their coins in one ``Generator.random`` block, and
-    hands frontier + coins to :meth:`NumpyBackend.level_op` for the
-    live-edge test and the ``(set, node)`` dedup.  ``in_probs`` is the
-    per-in-slot probability array (canonical edge probabilities gathered
-    through ``graph.in_edge_ids``) and ``bounds`` its :func:`node_bounds`
-    (computed here when the caller did not keep them).  ``roots`` fixes
-    the roots (tests); by default they are drawn from ``rng``.
+    Runs a reverse BFS over a whole batch of roots at once, one
+    :meth:`NumpyBackend.level_op` call per batch: each level examines
+    the in-edge slots of *every* frontier node across the batch, one
+    coin each.  ``in_probs`` is the per-in-slot probability array
+    (canonical edge probabilities gathered through
+    ``graph.in_edge_ids``), a float64 array of shape ``(num_edges,)``.
+    ``roots`` fixes the roots (tests); by default they are drawn from
+    ``rng``.
 
-    ``batch_size`` is part of the RNG call sequence — a level's coin
-    block interleaves every set of the batch — so two batch sizes give
+    ``batch_size`` is part of the RNG call sequence — a level's coins
+    interleave every set of the batch — so two batch sizes give
     different (equally valid) samples from one generator.
 
         >>> from repro.graph.digraph import DirectedGraph
@@ -194,6 +214,16 @@ def drive_blocked(
         batch_size = BLOCK_BATCH
     elif batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    if not (
+        isinstance(in_probs, np.ndarray)
+        and in_probs.dtype == np.float64
+        and in_probs.shape == (graph.num_edges,)
+    ):
+        raise ValueError(
+            f"in_probs must be a float64 array of shape ({graph.num_edges},), "
+            f"got {getattr(in_probs, 'dtype', type(in_probs).__name__)} of "
+            f"shape {np.shape(in_probs)}"
+        )
     if roots is not None:
         roots = np.asarray(roots, dtype=np.int64)
         if roots.shape != (count,):
@@ -208,47 +238,26 @@ def drive_blocked(
         return np.empty(0, dtype=MEMBER_DTYPE), np.empty(0, dtype=np.int64)
     if n == 0:
         raise ValueError("cannot sample RR-sets from an empty graph")
-    in_indptr = graph.in_indptr
-    in_sources = graph.in_sources
-    in_degree, node_bound = node_bounds(graph, in_probs) if bounds is None else bounds
+    if min(batch_size, count) * n > _MAX_KEY:
+        raise ValueError(
+            f"batch_size * num_nodes must fit int64, got "
+            f"{min(batch_size, count)} * {n}"
+        )
+    in_indptr = np.ascontiguousarray(graph.in_indptr, dtype=np.int64)
+    in_sources = np.ascontiguousarray(graph.in_sources, dtype=np.int64)
+    in_probs = np.ascontiguousarray(in_probs)
     member_chunks: list[np.ndarray] = []
     length_chunks: list[np.ndarray] = []
     for done in range(0, count, batch_size):
         batch = min(batch_size, count - done)
         if roots is None:
-            frontier = rng.integers(0, n, size=batch)
+            batch_roots = rng.integers(0, n, size=batch)
         else:
-            frontier = roots[done : done + batch]
-        owners = np.arange(batch, dtype=np.int64)
-        # Visited (set, node) pairs as a sorted key array: memory and
-        # work scale with the members actually discovered, never with
-        # batch × num_nodes.  Owners are distinct here, so the root
-        # keys are already unique and sorted.
-        visited_keys = owners * n + frontier
-        level_owner = [owners]
-        level_node = [frontier]
-        while True:
-            degrees = in_degree[frontier]
-            total = int(degrees.sum())
-            if total == 0:
-                break
-            coins = rng.random(total)
-            owners, frontier, visited_keys = NumpyBackend.level_op(
-                owners, in_indptr[frontier], degrees, node_bound[frontier],
-                in_sources, in_probs, coins, visited_keys, n,
-            )
-            if frontier.size == 0:
-                break
-            level_owner.append(owners)
-            level_node.append(frontier)
-        # Regroup by set, levels in order within a set.  Owners are
-        # below the batch size, so they fit the narrowest unsigned type
-        # — uint16 at BLOCK_BATCH, where numpy's stable sort is a radix
-        # sort, O(members) instead of an int64 merge sort.
-        all_owner = np.concatenate(level_owner)
-        order = np.argsort(
-            all_owner.astype(np.min_scalar_type(batch - 1)), kind="stable"
+            batch_roots = roots[done : done + batch]
+        members, lengths = NumpyBackend.level_op(
+            np.ascontiguousarray(batch_roots, dtype=np.int64), in_indptr,
+            in_sources, in_probs, rng.bit_generator, n,
         )
-        member_chunks.append(np.concatenate(level_node).astype(MEMBER_DTYPE)[order])
-        length_chunks.append(np.bincount(all_owner, minlength=batch))
+        member_chunks.append(members)
+        length_chunks.append(lengths)
     return np.concatenate(member_chunks), np.concatenate(length_chunks)

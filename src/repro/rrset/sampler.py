@@ -20,8 +20,8 @@ private generator ``Philox(SeedSequence(entropy, spawn_key=(i, c)))``,
 so any chunk is independently computable by any worker, in any order,
 with no stream state to round-trip.
 :meth:`RRSetSampler.sample_chunk_block` is the entry point; it runs the
-*blocked* BFS of :mod:`repro.rrset.backends` — one RNG-owning driver
-over one vectorized level op.
+*blocked* BFS of :mod:`repro.rrset.backends` — a driver that draws
+each batch's roots over one compiled kernel that runs the batch's BFS.
 
 Streams, tails and pools are owned by
 :class:`~repro.rrset.sharded.ShardedSamplingEngine`, the only way to
@@ -36,7 +36,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.digraph import DirectedGraph
-from repro.rrset.backends import drive_blocked, node_bounds
+from repro.rrset.backends import drive_blocked
 from repro.utils.validation import check_probability_array
 
 #: Default set-index chunk width of the counter-based streams.  Part of
@@ -146,8 +146,8 @@ class StreamPlan:
 class RRSetSampler:
     """The chunk kernel of one (graph, per-ad probabilities) pair.
 
-    Immutable after construction: the graph, the in-slot probability
-    gather and the per-node bounds.  Its one
+    Immutable after construction: the graph and the in-slot probability
+    gather.  Its one
     sampling method, :meth:`sample_chunk_block`, is a pure function of
     the stream address ``(StreamPlan, chunk_index)``, so any worker can
     compute any chunk and a sampler is safely shared.  TIRM's engine
@@ -189,7 +189,6 @@ class RRSetSampler:
                 f"got {self.edge_probabilities.shape}"
             )
         self._in_probs_array = self.edge_probabilities[graph.in_edge_ids]
-        self._node_bounds = node_bounds(graph, self._in_probs_array)
 
     def sample_chunk_block(
         self, plan: StreamPlan, chunk_index: int
@@ -213,5 +212,5 @@ class RRSetSampler:
         """
         return drive_blocked(
             self.graph, self._in_probs_array, plan.generator(chunk_index),
-            plan.chunk_size, bounds=self._node_bounds,
+            plan.chunk_size,
         )

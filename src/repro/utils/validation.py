@@ -65,13 +65,16 @@ def check_probability(name: str, value: float) -> float:
 
 
 def check_probability_array(name: str, values) -> np.ndarray:
-    """Validate an array of probabilities; returns a float64 ndarray."""
+    """Validate an array of probabilities (NaN refused); returns a
+    float64 ndarray."""
     array = np.asarray(values, dtype=np.float64)
-    if array.size and (array.min() < 0.0 or array.max() > 1.0):
-        raise ValueError(
-            f"{name} must contain probabilities in [0, 1]; "
-            f"range was [{array.min()}, {array.max()}]"
+    if array.size and not (array.min() >= 0.0 and array.max() <= 1.0):
+        # min/max propagate NaN, and every comparison with NaN is false.
+        found = (
+            "it holds NaN" if np.isnan(array).any()
+            else f"range was [{array.min()}, {array.max()}]"
         )
+        raise ValueError(f"{name} must contain probabilities in [0, 1]; {found}")
     return array
 
 

@@ -44,6 +44,22 @@ class TestConfiguration:
         with pytest.raises(ConfigurationError):
             TIRMAllocator(**kwargs)
 
+    def test_nan_edge_probability_refused(self):
+        """A NaN probability is refused where the problem is built, and
+        — slipped into a built problem — where TIRM builds its
+        samplers, before a set is drawn."""
+        problem = figure1_problem()
+        probs = problem.edge_probabilities.copy()
+        probs[0, 0] = np.nan
+        with pytest.raises(ValueError, match="edge_probabilities.*NaN"):
+            AdAllocationProblem(
+                problem.graph, problem.catalog, probs, problem.ctps,
+                problem.attention, problem.penalty,
+            )
+        problem.edge_probabilities[0, 0] = np.nan
+        with pytest.raises(ValueError, match="edge_probabilities.*NaN"):
+            tirm().allocate(problem)
+
 
 class TestToyBehaviour:
     def test_beats_myopic_on_figure1(self):

@@ -233,3 +233,97 @@ class TestRecvFrame:
         finally:
             thread.join()
             left.close()
+
+
+# ---------------------------------------------------------------------------
+# SETUP payloads
+# ---------------------------------------------------------------------------
+def _setup_frames(graph, probs, **overrides):
+    """A SETUP meta + PAYLOAD for ``graph`` laid out as the coordinator
+    lays it out, with ``overrides`` replacing arrays by key."""
+    arrays = {
+        "in_indptr": graph.in_indptr,
+        "in_sources": graph.in_sources,
+        "in_edge_ids": graph.in_edge_ids,
+        "probs_0": probs,
+        **overrides,
+    }
+    layout, payload = [], bytearray()
+    for key, array in arrays.items():
+        payload += bytes(-len(payload) % 8)
+        layout.append((key, array.dtype.str, int(array.size), len(payload)))
+        payload += array.tobytes()
+    meta = {
+        "session": 1, "num_nodes": graph.num_nodes,
+        "num_edges": graph.num_edges, "h": 1, "entropies": [7],
+        "chunk_size": 8, "layout": layout,
+    }
+    return meta, bytes(payload)
+
+
+class TestSetupPayload:
+    """A dialled worker binds the SETUP in-CSR straight into the compiled
+    BFS, which trusts it; every malformed one must be refused at SETUP
+    as a ProtocolError, never read out of bounds."""
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        from repro.graph.generators import erdos_renyi
+
+        return erdos_renyi(30, 0.15, seed=2)
+
+    def test_well_formed_payload_rebuilds_the_source(self, graph):
+        from repro.dist.worker import _Session
+        from repro.rrset.sharded import ChunkSource
+
+        probs = np.full(graph.num_edges, 0.3)
+        session = _Session.from_setup(*_setup_frames(graph, probs))
+        expected = ChunkSource(graph, [probs], [7], 8).block(0, 2)
+        got = session.source.block(0, 2)
+        assert got.members.tobytes() == expected.members.tobytes()
+        assert got.lengths.tobytes() == expected.lengths.tobytes()
+
+    @pytest.mark.parametrize("case", [
+        "short_indptr", "indptr_beyond_sources", "indptr_not_from_zero",
+        "indptr_decreasing", "source_too_large", "source_negative",
+        "edge_id_too_large", "short_edge_ids", "int32_sources",
+    ])
+    def test_malformed_in_csr_is_a_protocol_error(self, graph, case):
+        from repro.dist.worker import WorkerHost
+
+        n, m = graph.num_nodes, graph.num_edges
+        indptr = graph.in_indptr.copy()
+        sources = graph.in_sources.copy()
+        edge_ids = graph.in_edge_ids.copy()
+        busy = int(np.flatnonzero(np.diff(indptr))[0])  # a node with in-edges
+        if case == "short_indptr":
+            indptr = indptr[:n // 2]
+        elif case == "indptr_beyond_sources":
+            indptr[-1] = m + 1000
+        elif case == "indptr_not_from_zero":
+            indptr[0] = -5
+        elif case == "indptr_decreasing":
+            indptr[busy + 1] = indptr[busy] - 1
+        elif case == "source_too_large":
+            sources[0] = n + 10**9
+        elif case == "source_negative":
+            sources[-1] = -1
+        elif case == "edge_id_too_large":
+            edge_ids[1] = m
+        elif case == "short_edge_ids":
+            edge_ids = edge_ids[:-1]
+        elif case == "int32_sources":
+            sources = sources.astype(np.int32)
+        meta, payload = _setup_frames(
+            graph, np.full(m, 0.3), in_indptr=indptr, in_sources=sources,
+            in_edge_ids=edge_ids,
+        )
+        parent_end, child_end = socket.socketpair()
+        try:
+            frames.send_json(parent_end, frames.SETUP, meta)
+            frames.send_frame(parent_end, frames.PAYLOAD, payload)
+            with pytest.raises(ProtocolError, match="in-CSR is malformed"):
+                WorkerHost("", 0).serve(child_end)
+        finally:
+            parent_end.close()
+            child_end.close()

@@ -1,5 +1,6 @@
 """The blocked-BFS driver and NumPy level op as they stood before PR 21
-(commit 8b80fed), kept verbatim as the in-test reference.
+(commit 8b80fed), kept verbatim as the in-test reference — the only
+numpy BFS left, a test-only oracle for the compiled kernel.
 
 PR 21 gave the level op a per-node probability bound to prefilter the
 coin block with, and rebuilt the driver's regroup and the level op's

@@ -1,11 +1,12 @@
-"""The blocked BFS's one level op and the names kept for ``bench/``.
+"""The blocked BFS's compiled kernel and the names kept for ``bench/``.
 
-``repro.rrset.backends`` holds one RNG-owning driver over one level op.
-The driver is pinned against the pre-prefilter reference in
+``repro.rrset.backends`` holds one driver over one compiled batch BFS.
+The driver is pinned against the numpy reference in
 ``test_driver_equivalence.py`` and against recorded digests in
-``test_golden_blocks.py``; this file covers the level-op paths random
-graphs may not reliably hit, and the one-value ``backend`` knob: the
-recorded name is ``"numpy"`` and every other value is refused.
+``test_golden_blocks.py``; this file covers the kernel paths random
+graphs may not reliably hit, the kernel's build, and the one-value
+``backend`` knob: the recorded name is ``"numpy"`` and every other
+value is refused.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from repro.algorithms.tirm import TIRMAllocator
 from repro.errors import ConfigurationError
 from repro.graph.generators import erdos_renyi
 from repro.graph.probabilities import constant_probabilities
+from repro.rrset import backends
 from repro.rrset.backends import NumpyBackend, drive_blocked, resolve_backend
 
 
@@ -119,3 +121,26 @@ class TestKernelEdgeCases:
             got = members[start:start + length].tolist()
             assert got[0] == root
             assert len(got) == len(set(got)) and set(got) == reached
+
+
+class TestKernelBuild:
+    """The kernel is compiled on first use into a per-user cache, keyed
+    by a hash of its source and command."""
+
+    def test_builds_into_an_empty_cache(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        built = backends._build()
+        assert built.parent == tmp_path / "repro" and built.exists()
+        assert [p.name for p in built.parent.iterdir()] == [built.name]
+        assert backends._build() == built  # found, not rebuilt
+
+    def test_a_failed_build_names_the_compiler(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        config = backends.sysconfig.get_config_var
+        monkeypatch.setattr(
+            backends.sysconfig, "get_config_var",
+            lambda name: "no-such-cc -pthread" if name == "CC" else config(name),
+        )
+        with pytest.raises(ConfigurationError, match="compiler 'no-such-cc -pthread'"):
+            backends._build()
+        assert list((tmp_path / "repro").iterdir()) == []  # no partial output

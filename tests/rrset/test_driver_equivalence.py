@@ -1,14 +1,16 @@
-"""The bound-prefilter driver against the driver it replaced.
+"""The compiled batch BFS against the numpy driver it replaced.
 
-``tests/rrset/_reference_driver.py`` is the ``drive_blocked`` and NumPy
-level op from before the bound prefilter, verbatim.  The shipped driver
-must equal it in values, dtypes *and* generator state after the call —
-the prefilter only ever skips edges that cannot be live, and everything
-after a batch's last coin is bookkeeping.  Guards are properties and
-call counts, never clocks.
+``tests/rrset/_reference_driver.py`` is a numpy ``drive_blocked`` and
+level op, kept verbatim as the test oracle.  The shipped driver, which
+runs each batch in the C kernel and draws every coin through the bit
+generator's own ``next_double``, must equal it in values, dtypes *and*
+generator state after the call.  Guards are properties, never clocks.
 """
 
 from __future__ import annotations
+
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -16,15 +18,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph.digraph import DirectedGraph
-from repro.rrset import backends
-from repro.rrset import sampler as sampler_module
-from repro.rrset.backends import drive_blocked, node_bounds
-from repro.rrset.sharded import ShardedSamplingEngine
+from repro.graph.generators import erdos_renyi
+from repro.graph.probabilities import constant_probabilities
+from repro.rrset.backends import drive_blocked
+from repro.rrset.sampler import RRSetSampler, StreamPlan
 
 from tests.rrset._reference_driver import reference_drive_blocked
 
-# p = 0 and p = 1 edges, probabilities far below a node's bound (loose
-# bounds) and close to it, and ones small enough to take the prefilter.
+# p = 0 and p = 1 edges, and probabilities from rare to near-certain.
 PROBABILITIES = st.sampled_from([0.0, 1.0, 0.004, 0.03, 0.2, 0.6, 0.97])
 
 
@@ -84,99 +85,61 @@ def test_driver_equals_the_reference(case):
     _assert_same_as_reference(*case)
 
 
-@pytest.mark.parametrize("share", [0.0, np.inf], ids=["never", "always"])
-@given(case=cases())
-@settings(max_examples=60, deadline=None)
-def test_either_side_of_the_prefilter_choice_equals_the_reference(share, case):
-    """The per-level choice is a cost decision only: forcing every
-    level down either path yields the same block."""
-    original = backends._PREFILTER_MAX_SHARE
-    backends._PREFILTER_MAX_SHARE = share
-    try:
-        _assert_same_as_reference(*case)
-    finally:
-        backends._PREFILTER_MAX_SHARE = original
-
-
-class TestNodeBounds:
-    def test_bound_is_the_largest_in_probability(self):
-        # in-edges: 0 <- {1, 2}, 2 <- {0}; nodes 1, 3, 4 have none —
-        # one empty range between two full ones and two trailing.
-        graph = DirectedGraph.from_edges([(1, 0), (2, 0), (0, 2)], num_nodes=5)
-        probs = np.zeros(graph.num_edges)
-        probs[graph.edge_id(1, 0)] = 0.25
-        probs[graph.edge_id(2, 0)] = 0.75
-        probs[graph.edge_id(0, 2)] = 0.5
-        in_degree, bound = node_bounds(graph, probs[graph.in_edge_ids])
-        assert in_degree.tolist() == [2, 0, 1, 0, 0]
-        assert bound.tolist() == [0.75, 0.0, 0.5, 0.0, 0.0]
-
-    def test_edgeless_graph(self):
-        graph = DirectedGraph.from_edges([], num_nodes=4)
-        in_degree, bound = node_bounds(graph, np.empty(0))
-        assert in_degree.tolist() == [0] * 4 and bound.tolist() == [0.0] * 4
-
-    @given(case=cases())
-    @settings(max_examples=60, deadline=None)
-    def test_matches_a_per_node_loop(self, case):
-        graph, in_probs = case[0], case[1]
-        in_degree, bound = node_bounds(graph, in_probs)
-        for v in range(graph.num_nodes):
-            slots = in_probs[graph.in_indptr[v] : graph.in_indptr[v + 1]]
-            assert in_degree[v] == slots.size
-            assert bound[v] == (slots.max() if slots.size else 0.0)
-
-    def test_built_once_per_ad_not_per_chunk(self, monkeypatch):
-        """O(m) per call: paid per chunk it cost more than the prefilter
-        saved on small chunks.  Counted over a 16-chunk ``ensure``."""
-        calls = []
-
-        def spy(graph, in_probs):
-            calls.append(graph)
-            return node_bounds(graph, in_probs)
-
-        monkeypatch.setattr(backends, "node_bounds", spy)
-        monkeypatch.setattr(sampler_module, "node_bounds", spy)
-        graph = DirectedGraph.from_edges(
-            [(u, (u * 3 + 1) % 20) for u in range(20) if u != (u * 3 + 1) % 20],
-            num_nodes=20,
-        )
-        probs = [np.full(graph.num_edges, p) for p in (0.3, 0.6)]
-        with ShardedSamplingEngine(graph, probs, seeds=4, chunk_size=8) as engine:
-            engine.ensure({0: 8 * 8, 1: 8 * 8})
-            engine.ensure({0: 8 * 16, 1: 8 * 16})
-            assert engine.shard(0).num_total == engine.shard(1).num_total == 128
-        assert len(calls) == 2
-
-
-def test_no_comparison_sort_or_unique_on_the_sampling_path(monkeypatch):
-    """What the driver rebuild removed must stay removed: the stable
-    int64 argsort of the regroup (a merge sort; owners below the batch
-    size fit uint16, where numpy's stable sort is a radix sort) and the
-    level op's ``np.unique`` / ``np.insert``."""
-    edges = {(u, v) for v in range(30) for u in ((v * 7 + 1) % 30, (v * 11 + 5) % 30)}
+def test_driver_equals_the_reference_on_pcg64():
+    """The kernel draws through whatever ``next_double`` the bit
+    generator carries, so a non-Philox generator takes the same words
+    as ``Generator.random`` too."""
+    edges = {(u, v) for v in range(40) for u in ((v * 7 + 1) % 40, (v * 11 + 5) % 40)}
     graph = DirectedGraph.from_edges(
-        sorted((u, v) for u, v in edges if u != v), num_nodes=30
+        sorted((u, v) for u, v in edges if u != v), num_nodes=40
     )
-    sorted_dtypes = []
-    argsort = np.argsort
+    in_probs = np.linspace(0.05, 0.9, graph.num_edges)[graph.in_edge_ids]
+    expected_rng = np.random.Generator(np.random.PCG64(11))
+    actual_rng = np.random.Generator(np.random.PCG64(11))
+    expected = reference_drive_blocked(graph, in_probs, expected_rng, 300, 64)
+    actual = drive_blocked(graph, in_probs, actual_rng, 300, 64)
+    for want, got in zip(expected, actual):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    assert actual_rng.bit_generator.state == expected_rng.bit_generator.state
+    assert actual_rng.random() == expected_rng.random()
 
-    def spy(a, *args, **kwargs):
-        sorted_dtypes.append(np.asarray(a).dtype)
-        return argsort(a, *args, **kwargs)
 
-    def banned(*args, **kwargs):
-        raise AssertionError("np.unique / np.insert on the sampling path")
+def test_threads_sampling_different_chunks_match_a_serial_run():
+    """The kernel runs with the GIL released: chunks sampled on more
+    threads than cores at once (as the service steps sessions) equal a
+    serial run, chunk for chunk."""
+    graph = erdos_renyi(300, 0.03, seed=4)
+    sampler = RRSetSampler(graph, constant_probabilities(graph, 0.3))
+    plan = StreamPlan(entropy=9, ad=0, chunk_size=512)
+    chunks = range(12)
+    serial = [sampler.sample_chunk_block(plan, c) for c in chunks]
+    threaded: dict[int, tuple] = {}
+    workers = 4
+    barrier = threading.Barrier(workers)
 
-    monkeypatch.setattr(np, "argsort", spy)
-    monkeypatch.setattr(np, "unique", banned)
-    monkeypatch.setattr(np, "insert", banned)
-    in_probs = np.full(graph.num_edges, 0.4)
-    members, lengths = drive_blocked(
-        graph, in_probs, np.random.default_rng(0), 5_000
-    )
-    assert lengths.size == 5_000 and members.size > 5_000
-    assert sorted_dtypes == [np.dtype(np.uint16)] * 2  # 4 096 + 904 sets
+    def work(mine):
+        barrier.wait()
+        for c in mine:
+            threaded[c] = sampler.sample_chunk_block(plan, c)
+
+    threads = [
+        threading.Thread(target=work, args=(chunks[k::workers],))
+        for k in range(workers)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for c, (members, lengths) in enumerate(serial):
+        assert np.array_equal(threaded[c][0], members)
+        assert np.array_equal(threaded[c][1], lengths)
 
 
 class TestInputValidation:
@@ -208,6 +171,23 @@ class TestInputValidation:
     def test_non_positive_batch_size(self):
         with pytest.raises(ValueError, match="batch_size must be >= 1"):
             self._sample(2, batch_size=0)
+
+    @pytest.mark.parametrize("size", [1, 5], ids=["short", "long"])
+    def test_in_probs_of_the_wrong_length(self, size):
+        """A short array used to fail inside numpy, a long one was
+        silently read; the kernel would read past a short one."""
+        with pytest.raises(ValueError, match=r"in_probs must be a float64 array of shape \(2,\)"):
+            drive_blocked(
+                self.graph, np.full(size, 0.5), np.random.default_rng(0), 3
+            )
+
+    @pytest.mark.parametrize(
+        "probs", [np.full(2, 0.5, dtype=np.float32), [0.5, 0.5]],
+        ids=["float32", "list"],
+    )
+    def test_in_probs_not_a_float64_array(self, probs):
+        with pytest.raises(ValueError, match="in_probs must be a float64 array"):
+            drive_blocked(self.graph, probs, np.random.default_rng(0), 3)
 
     def test_valid_roots_are_honoured(self):
         members, lengths = self._sample(3, roots=[2, 0, 1], batch_size=2)

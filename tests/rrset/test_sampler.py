@@ -78,6 +78,10 @@ class TestStructure:
         with pytest.raises(ValueError):
             RRSetSampler(small_random_graph, np.ones(3))
 
+    def test_nan_probability_refused(self, line_graph):
+        with pytest.raises(ValueError, match="edge_probabilities.*NaN"):
+            RRSetSampler(line_graph, [np.nan, 1.0, 0.5])
+
 
 def _frozen(value):
     """``vars(sampler)`` values in a form ``==`` can compare."""

@@ -96,6 +96,41 @@ class TestSpreadStructure:
             assert clicks[s] == pytest.approx(1.0)
 
 
+#: Sets per graph in the RR-set law test, and the two-sided normal
+#: quantile of its 99.9 % binomial (Wilson score) interval.
+LAW_SETS = 20_000
+Z_999 = 3.2905
+
+
+def _wilson(successes: int, trials: int, z: float) -> tuple[float, float]:
+    """Wilson score interval for a binomial proportion."""
+    share = successes / trials
+    scale = 1.0 + z * z / trials
+    centre = (share + z * z / (2 * trials)) / scale
+    half = z * np.sqrt(share * (1 - share) / trials + z * z / (4 * trials**2)) / scale
+    return centre - half, centre + half
+
+
+class TestRRSetLaw:
+    @given(graph_probs_seeds())
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    def test_node_share_is_its_exact_spread(self, case):
+        """§5.1: a node lies in a random RR-set with probability σ({u})/n,
+        so ``n ×`` the share of sets holding ``u`` estimates its exact
+        spread.  Checked per node on the shipped sampler, against exact
+        enumeration — the model, not an older implementation."""
+        graph, probs, _, _ = case
+        n = graph.num_nodes
+        members, _ = drive_blocked(
+            graph, probs[graph.in_edge_ids],
+            np.random.Generator(np.random.Philox(7)), LAW_SETS,
+        )
+        holding = np.bincount(members, minlength=n)  # a set holds u at most once
+        for u in range(n):
+            low, high = _wilson(int(holding[u]), LAW_SETS, Z_999)
+            assert n * low <= exact_spread(graph, probs, [u]) <= n * high, u
+
+
 class TestRRSetStructure:
     @given(
         tiny_graphs(),

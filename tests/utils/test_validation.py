@@ -50,6 +50,13 @@ class TestCheckProbabilityArray:
     def test_empty_array_ok(self):
         assert check_probability_array("ps", []).size == 0
 
+    @pytest.mark.parametrize("values", [[0.5, np.nan], [np.nan], [np.nan, 2.0]])
+    def test_rejects_nan(self, values):
+        """The scalar check refuses NaN; the array check did not, as
+        every range comparison with NaN is false."""
+        with pytest.raises(ValueError, match="ps must contain probabilities.*NaN"):
+            check_probability_array("ps", values)
+
 
 class TestCheckInRange:
     def test_accepts_boundary(self):
