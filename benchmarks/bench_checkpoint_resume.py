@@ -82,7 +82,7 @@ def run_kill_and_resume(workdir: str) -> tuple[list, dict, dict]:
         "smoke fixture must run past the kill point"
     )
 
-    path = os.path.join(workdir, "smoke.ckpt.npz")
+    path = os.path.join(workdir, "smoke.ckpt.json")
     env = dict(os.environ)
     src = os.path.join(
         os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"

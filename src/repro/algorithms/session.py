@@ -50,8 +50,8 @@ The loop runs as discrete, externally steppable states:
 
 :meth:`AllocationSession.step` advances the machine and returns a
 progress snapshot — the :mod:`repro.rrset.checkpoint` payload
-(:func:`~repro.rrset.checkpoint.build_snapshot`: same fields as the
-on-disk artifact, no file) plus the session state.  *Iteration
+(:func:`~repro.rrset.checkpoint.build_snapshot`) plus the session
+state; a checkpoint file is this snapshot taken at a boundary.  *Iteration
 boundaries* — the consistent points where the batch loop snapshotted and
 honored ``max_iterations`` — land at the end of every ``SELECT`` step
 that triggers no growth and at the end of every ``GROW`` step; that is
@@ -337,8 +337,9 @@ class AllocationSession:
 
     def progress(self) -> dict:
         """Live progress: the checkpoint snapshot payload
-        (:func:`~repro.rrset.checkpoint.build_snapshot` — same fields
-        as the on-disk artifact, no file) plus the session state."""
+        (:func:`~repro.rrset.checkpoint.build_snapshot`) plus the
+        session state — at a boundary, exactly what a checkpoint
+        file holds."""
         snapshot = {
             "state": self.state,
             "iterations": self.iterations,
@@ -492,14 +493,8 @@ class AllocationSession:
 
     def _write_checkpoint(self) -> None:
         config = self.config
-        save_checkpoint(
-            config.checkpoint_path,
-            config=config._checkpoint_config(self.problem),
-            engine=self.engine,
-            per_ad=self._per_ad_records(),
-            iterations=self.iterations,
-            lineage=self.lineage,
-        )
+        snapshot = self.progress()
+        save_checkpoint(config.checkpoint_path, snapshot)
         self.checkpoints_written += 1
         if self.engine.cache is not None:
             # Register the artifact and the shard prefixes a resume
@@ -509,7 +504,7 @@ class AllocationSession:
             self.engine.cache.catalog.record_checkpoint(
                 config.checkpoint_path,
                 iterations=self.iterations,
-                config=config._checkpoint_config(self.problem),
+                config=snapshot["config"],
                 shard_refs=self.engine.shard_cache_refs(),
             )
 
@@ -656,8 +651,10 @@ class AllocationSession:
             state = self._new_state(ad)
             state.seed_size_estimate = int(checkpoint.seed_size_estimate[ad])
             state.revenue = float(checkpoint.revenue[ad])
-            state.seeds_in_order = checkpoint.seeds_in_order(ad)
-            state.marginal_coverage = checkpoint.marginal_coverage(ad)
+            state.seeds_in_order = list(checkpoint.seeds[ad])
+            state.marginal_coverage = dict(
+                zip(checkpoint.seeds[ad], checkpoint.marginal_counts[ad])
+            )
             state.active = bool(checkpoint.active[ad])
             for user in state.seeds_in_order:
                 self.allocation.assign(user, ad)

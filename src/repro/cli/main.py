@@ -110,10 +110,10 @@ def build_parser() -> argparse.ArgumentParser:
                                "dsan_root fingerprint in the stats; "
                                "REPRO_DSAN=1 does the same without the flag")
     allocate.add_argument("--checkpoint", default=None, metavar="PATH",
-                          help="snapshot the TIRM allocation to PATH at "
-                               "iteration boundaries (atomic overwrite; the "
-                               "artifact holds no RR members — they are "
-                               "re-derived on resume)")
+                          help="snapshot the TIRM allocation to PATH "
+                               "(e.g. run.ckpt.json) at iteration boundaries: "
+                               "the JSON progress report, atomically "
+                               "overwritten; RR sets are re-derived on resume")
     allocate.add_argument("--checkpoint-every", type=int, default=None,
                           dest="checkpoint_every", metavar="N",
                           help="snapshot every N iteration boundaries "

@@ -2,22 +2,30 @@
 
 A long allocation on an LJ-scale graph can run for hours revising each
 ad's sample size ``θ_i`` (Algorithms 2–4); losing all of it to a crash
-or preemption is what this module prevents.  A checkpoint is a *small*,
-versioned artifact snapshotted at iteration boundaries: it records the
-RNG provenance (master ``seed``, the stream contract's recorded names,
-``chunk_size``, per-ad stream entropies), the per-ad ``θ_i`` targets,
-the chosen seeds in selection order, the marginal-coverage/revenue
-state, and the per-shard alive masks — and, crucially, **no RR-set
-members**.
+or preemption is what this module prevents.  A checkpoint is the
+session's progress snapshot at an iteration boundary — the file is
+exactly ``json.dumps(AllocationSession.progress())`` — so it holds only
+what cannot be re-derived: the RNG provenance (master ``seed``, the
+stream contract's recorded names, ``chunk_size``, per-ad stream
+entropies), the per-ad ``θ_i`` targets, the chosen seeds in selection
+order, and the marginal-coverage/revenue state.
 
-Why no members?  Counter-based addressing makes every RR set a pure
-function of ``(seed, ad, set_index)`` (see
-:class:`~repro.rrset.sampler.StreamPlan`), so
-:meth:`~repro.rrset.sharded.ShardedSamplingEngine.ensure` re-derives the
-exact shard contents byte-identically on load — the checkpoint only
-needs to name the targets.  Heaps are likewise *derived* state: the lazy
-selector's answers are pure functions of the coverage counters, so the
-restore path rebuilds them instead of persisting them.
+Everything else is derived, and the restore re-derives it:
+
+* **RR-set members.**  Counter-based addressing makes every RR set a
+  pure function of ``(seed, ad, set_index)`` (see
+  :class:`~repro.rrset.sampler.StreamPlan`), so
+  :meth:`~repro.rrset.sharded.ShardedSamplingEngine.ensure` rebuilds
+  the exact shard contents byte-identically on load.
+* **Alive sets and coverage counters.**  At a boundary the sets alive
+  in ad ``i``'s pool are exactly those in ``[0, θ_i)`` that none of
+  ``S_i``'s seeds covers, and each seed's marginal coverage is the
+  count ``remove_covered`` returns when the seeds are applied in
+  selection order (Algorithm 4's recount).  The restore replays the
+  seeds and checks every recount against the recorded
+  ``marginal_counts`` — an integrity check on the artifact.
+* **Heaps.**  The lazy selector's answers are pure functions of the
+  coverage counters, so the session rebuilds them.
 
 The compatibility config also records the sampling ``backend`` name
 (``repro.rrset.backends``) and the engine substrate's ``transport``
@@ -34,36 +42,31 @@ one value each in this build (:data:`~repro.rrset.sampler.STREAM_RNG`,
 in the match list so an artifact whose samples came from any other
 stream is refused by name instead of resumed onto different sets.
 
-Artifact layout (``format_version`` 1)
+Artifact format (``format_version`` 2)
 --------------------------------------
 
-One uncompressed ``.npz`` written atomically (temp file + ``os.replace``):
-
-* ``meta_json`` — version, the allocator/problem compatibility config,
-  iteration count, resume lineage, and the per-ad stream entropies;
-* ``theta`` / ``revenue`` / ``seed_size_estimate`` / ``active`` — per-ad
-  vectors;
-* ``seeds_{i}`` — ad ``i``'s chosen seeds in selection order;
-* ``marginal_nodes_{i}`` / ``marginal_counts_{i}`` — the Algorithm-4
-  marginal-coverage map in insertion order (the order matters: revenue
-  re-estimation sums floats in it);
-* ``alive_{i}`` — the shard's alive mask, bit-packed.
+One JSON object, written atomically (temp sibling, ``flush`` +
+``fsync``, ``os.replace``): the :func:`build_snapshot` fields —
+``format``, ``format_version``, ``config``, ``iterations``,
+``lineage``, ``entropies`` and the per-ad lists ``theta``,
+``revenue``, ``seed_size_estimate``, ``active``, ``seeds``,
+``marginal_nodes``, ``marginal_counts`` — plus the session's
+``state`` (``"select"`` at a boundary), ``truncated`` and
+``total_seeds``.  Its size does not depend on ``θ``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
-import zipfile
-
-import numpy as np
 
 from repro.errors import CheckpointError, ConfigurationError
 from repro.rrset.sharded import ShardedSamplingEngine
 
 #: Bump on any incompatible artifact change; loaders refuse unknown
 #: versions instead of guessing.
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 
 #: Config keys that must match exactly between the checkpointed run and
 #: the resuming allocator/problem — any drift would silently change the
@@ -88,18 +91,6 @@ _MATCH_KEYS = (
 )
 
 
-def _atomic_write(target: str, writer) -> None:
-    """Write via ``writer(open file)`` to a temp sibling, then rename."""
-    tmp = f"{target}.tmp"
-    try:
-        with open(tmp, "wb") as handle:
-            writer(handle)
-        os.replace(tmp, target)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-
-
 def build_snapshot(
     *,
     config: dict,
@@ -111,13 +102,11 @@ def build_snapshot(
     """The checkpoint payload as one JSON-friendly dict — no file.
 
     This is the single serializer behind both snapshot consumers: the
-    on-disk artifact (:func:`save_checkpoint` writes exactly these
-    fields, adding only the bulk alive masks) and
-    the live progress reports of
+    live progress reports of
     :meth:`~repro.algorithms.session.AllocationSession.progress` (the
-    service's ``query-progress`` answers are this dict verbatim).  One
-    serializer means the two views cannot drift: a field added here
-    shows up in both the artifact and the wire format.
+    service's ``query-progress`` answers are this dict verbatim) and
+    the on-disk artifact, which is such a report taken at an iteration
+    boundary.  One serializer means the two views cannot drift.
 
     ``per_ad`` takes one dict per advertiser with keys ``seeds``,
     ``marginal_nodes``, ``marginal_counts``, ``revenue``,
@@ -151,85 +140,100 @@ def build_snapshot(
     return snapshot
 
 
-def save_checkpoint(
-    path,
-    *,
-    config: dict,
-    engine: ShardedSamplingEngine,
-    per_ad: list[dict],
-    iterations: int,
-    lineage: list[dict],
-) -> None:
-    """Snapshot an in-flight allocation to ``path`` (atomic overwrite).
+def save_checkpoint(path, snapshot: dict) -> None:
+    """Write ``snapshot`` (a :func:`build_snapshot` payload, normally
+    ``AllocationSession.progress()`` at a boundary) to ``path`` as JSON.
 
-    ``config`` is the allocator/problem compatibility record (validated
-    on resume), ``per_ad`` one dict per advertiser with keys ``seeds``,
-    ``marginal_nodes``, ``marginal_counts``, ``revenue``,
-    ``seed_size_estimate`` and ``active``, and ``lineage`` the list of
-    resume events this run inherited (recorded into
-    ``Allocation.provenance`` by the allocator).  The payload fields
-    come from :func:`build_snapshot`; this function only adds the bulk
-    state a live progress report omits (bit-packed alive masks) and the
-    atomic file plumbing.
+    The write is atomic: a temp sibling is written and pushed to disk,
+    then renamed over ``path``.  Without the ``fsync`` a host crash can
+    persist the rename before the data and leave an empty artifact.
     """
     path = os.fspath(path)
-    h = engine.num_ads
-    snapshot = build_snapshot(
-        config=config,
-        engine=engine,
-        per_ad=per_ad,
-        iterations=iterations,
-        lineage=lineage,
-    )
     directory = os.path.dirname(path)
     if directory:
         os.makedirs(directory, exist_ok=True)
-    meta: dict = {
-        key: snapshot[key]
-        for key in (
-            "format", "format_version", "config", "iterations", "lineage",
-            "entropies",
-        )
-    }
-    arrays: dict[str, np.ndarray] = {
-        "theta": np.asarray(snapshot["theta"], dtype=np.int64),
-        "revenue": np.asarray(snapshot["revenue"], dtype=np.float64),
-        "seed_size_estimate": np.asarray(
-            snapshot["seed_size_estimate"], dtype=np.int64
-        ),
-        "active": np.asarray(snapshot["active"], dtype=bool),
-    }
-    for ad in range(h):
-        arrays[f"seeds_{ad}"] = np.asarray(snapshot["seeds"][ad], dtype=np.int64)
-        arrays[f"marginal_nodes_{ad}"] = np.asarray(
-            snapshot["marginal_nodes"][ad], dtype=np.int64
-        )
-        arrays[f"marginal_counts_{ad}"] = np.asarray(
-            snapshot["marginal_counts"][ad], dtype=np.int64
-        )
-        arrays[f"alive_{ad}"] = np.packbits(engine.shard(ad).alive_mask())
-    arrays["meta_json"] = np.array(json.dumps(meta))
-    _atomic_write(path, lambda f: np.savez(f, **arrays))
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            json.dump(snapshot, handle)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def _is_int(value) -> bool:
+    return type(value) is int  # a JSON true/false parses to bool, an int subclass
 
 
 class TIRMCheckpoint:
     """A loaded checkpoint artifact (see the module docstring for the
-    on-disk layout).  Use :meth:`load`, then :meth:`validate_config`
-    against the resuming allocator, then :meth:`restore_engine` on a
-    freshly constructed engine."""
+    format).  Use :meth:`load`, then :meth:`validate_config` against the
+    resuming allocator, then :meth:`restore_engine` on a freshly
+    constructed engine."""
 
-    def __init__(self, path: str, meta: dict, arrays: dict) -> None:
+    def __init__(self, path: str, snapshot: dict) -> None:
         self.path = path
-        self.config: dict = meta["config"]
-        self.iterations: int = int(meta["iterations"])
-        self.lineage: list[dict] = list(meta.get("lineage", []))
-        self.entropies = meta.get("entropies")
-        self.num_ads: int = int(self.config["num_ads"])
-        self.theta = arrays["theta"]
-        self.revenue = arrays["revenue"]
-        self.seed_size_estimate = arrays["seed_size_estimate"]
-        self.active = arrays["active"]
-        self._arrays = arrays
+        config = snapshot.get("config")
+        if not isinstance(config, dict):
+            self._refuse("has no config record")
+        self.config: dict = config
+        self.num_ads = config.get("num_ads")
+        num_nodes = config.get("num_nodes")
+        if not (_is_int(self.num_ads) and _is_int(num_nodes)):
+            self._refuse("config must name integer num_ads and num_nodes")
+        self.iterations = snapshot.get("iterations")
+        if not _is_int(self.iterations) or self.iterations < 0:
+            self._refuse(f"bad iteration count {self.iterations!r}")
+        if snapshot.get("state", "select") != "select":
+            self._refuse(
+                f"was taken in state {snapshot['state']!r}, not at an "
+                "iteration boundary"
+            )
+        self.lineage: list[dict] = snapshot.get("lineage", [])
+        if not isinstance(self.lineage, list):
+            self._refuse(f"has a bad lineage {self.lineage!r:.80}")
+        self.entropies = snapshot.get("entropies")
+        self.theta = self._per_ad(
+            snapshot, "theta", lambda v: _is_int(v) and v >= 0
+        )
+        self.revenue = self._per_ad(
+            snapshot, "revenue",
+            lambda v: type(v) in (int, float) and math.isfinite(v),
+        )
+        self.seed_size_estimate = self._per_ad(
+            snapshot, "seed_size_estimate", _is_int
+        )
+        self.active = self._per_ad(snapshot, "active", lambda v: type(v) is bool)
+        self.seeds = self._per_ad(
+            snapshot, "seeds",
+            lambda v: isinstance(v, list)
+            and all(_is_int(u) and 0 <= u < num_nodes for u in v)
+            and len(set(v)) == len(v),
+        )
+        self.marginal_counts = self._per_ad(
+            snapshot, "marginal_counts",
+            lambda v: isinstance(v, list) and all(_is_int(c) and c >= 0 for c in v),
+        )
+        if snapshot.get("marginal_nodes") != self.seeds:
+            self._refuse("has marginal_nodes that differ from its seeds")
+        if list(map(len, self.marginal_counts)) != list(map(len, self.seeds)):
+            self._refuse("has marginal_counts that do not match its seeds")
+
+    def _refuse(self, reason: str):
+        raise CheckpointError(f"checkpoint {self.path!r} {reason}")
+
+    def _per_ad(self, snapshot: dict, key: str, valid) -> list:
+        """``snapshot[key]``, refused unless it is one valid entry per ad."""
+        values = snapshot.get(key)
+        if not isinstance(values, list) or len(values) != self.num_ads:
+            self._refuse(f"needs {key!r} as a list of {self.num_ads} entries")
+        for ad, value in enumerate(values):
+            if not valid(value):
+                self._refuse(f"has a bad {key!r} entry for ad {ad}: {value!r:.80}")
+        return values
 
     # ------------------------------------------------------------------
     # Loading
@@ -241,63 +245,23 @@ class TIRMCheckpoint:
         if not os.path.exists(path):
             raise CheckpointError(f"no checkpoint artifact at {path!r}")
         try:
-            # BadZipFile subclasses Exception directly (not OSError), so
-            # it must be named: a truncated artifact raises it.
-            with np.load(path, allow_pickle=False) as data:
-                arrays = {name: data[name] for name in data.files}
-        except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
+            with open(path, "rb") as handle:
+                snapshot = json.loads(handle.read())
+        except (OSError, ValueError) as exc:
+            # ValueError covers undecodable bytes and malformed JSON —
+            # a truncated write or a version-1 zip archive.
             raise CheckpointError(
                 f"could not read checkpoint artifact {path!r}: {exc}"
             ) from exc
-        if "meta_json" not in arrays:
-            raise CheckpointError(
-                f"{path!r} is not a TIRM checkpoint (no meta_json entry)"
-            )
-        try:
-            meta = json.loads(str(arrays["meta_json"][()]))
-        except json.JSONDecodeError as exc:
-            raise CheckpointError(f"corrupt checkpoint metadata in {path!r}") from exc
-        if meta.get("format") != "tirm-checkpoint":
+        if not isinstance(snapshot, dict) or snapshot.get("format") != "tirm-checkpoint":
             raise CheckpointError(f"{path!r} is not a TIRM checkpoint")
-        version = meta.get("format_version")
+        version = snapshot.get("format_version")
         if version != CHECKPOINT_FORMAT_VERSION:
             raise CheckpointError(
                 f"unsupported checkpoint format version {version!r} in {path!r} "
                 f"(this build reads version {CHECKPOINT_FORMAT_VERSION})"
             )
-        checkpoint = cls(path, meta, arrays)
-        required = ["theta", "revenue", "seed_size_estimate", "active"]
-        for ad in range(checkpoint.num_ads):
-            required += [f"seeds_{ad}", f"marginal_nodes_{ad}",
-                         f"marginal_counts_{ad}", f"alive_{ad}"]
-        missing = [name for name in required if name not in arrays]
-        if missing:
-            raise CheckpointError(
-                f"checkpoint {path!r} is missing entries: {missing}"
-            )
-        return checkpoint
-
-    # ------------------------------------------------------------------
-    # Per-ad accessors
-    # ------------------------------------------------------------------
-    def seeds_in_order(self, ad: int) -> list[int]:
-        """Ad ``ad``'s chosen seeds in selection order."""
-        return [int(v) for v in self._arrays[f"seeds_{ad}"]]
-
-    def marginal_coverage(self, ad: int) -> dict[int, int]:
-        """The Algorithm-4 marginal-coverage map, in insertion order."""
-        return {
-            int(node): int(count)
-            for node, count in zip(
-                self._arrays[f"marginal_nodes_{ad}"],
-                self._arrays[f"marginal_counts_{ad}"],
-            )
-        }
-
-    def alive_mask(self, ad: int) -> np.ndarray:
-        """The shard's snapshotted alive mask, unpacked."""
-        theta = int(self.theta[ad])
-        return np.unpackbits(self._arrays[f"alive_{ad}"], count=theta).astype(bool)
+        return cls(path, snapshot)
 
     # ------------------------------------------------------------------
     # Validation and restore
@@ -327,8 +291,10 @@ class TIRMCheckpoint:
 
         The members are re-derived byte-identically from the
         counter-based streams (``engine.ensure`` to each ``θ_i`` —
-        nothing was persisted).  The snapshot's alive masks are then
-        re-applied, which also restores the coverage counters exactly.
+        nothing was persisted).  Each ad's seeds are then replayed in
+        selection order through ``remove_covered``, which restores the
+        alive sets and coverage counters; every recount must equal the
+        recorded marginal count, or the artifact is refused.
         """
         if engine.num_ads != self.num_ads:
             raise ConfigurationError(
@@ -347,20 +313,19 @@ class TIRMCheckpoint:
                 "engine stream entropies do not match the checkpoint; "
                 "construct the engine from the checkpoint's entropies"
             )
-        engine.ensure({ad: int(self.theta[ad]) for ad in range(self.num_ads)})
-        for ad in range(self.num_ads):
+        engine.ensure(dict(enumerate(self.theta)))
+        for ad, theta in enumerate(self.theta):
             shard = engine.shard(ad)
-            theta = int(self.theta[ad])
             if shard.num_total != theta:
                 raise CheckpointError(
                     f"restored shard {ad} holds {shard.num_total} sets, "
                     f"checkpoint recorded {theta}"
                 )
-            shard.kill_sets(np.flatnonzero(~self.alive_mask(ad)))
-
-    def __repr__(self) -> str:
-        return (
-            f"{type(self).__name__}(path={self.path!r}, "
-            f"iterations={self.iterations}, rng={self.config.get('rng')!r}, "
-            f"num_ads={self.num_ads})"
-        )
+            for seed, count in zip(self.seeds[ad], self.marginal_counts[ad]):
+                recount = shard.remove_covered(seed)
+                if recount != count:
+                    self._refuse(
+                        f"does not match its samples: ad {ad} seed {seed} "
+                        f"covers {recount} re-derived sets, the artifact "
+                        f"records {count}"
+                    )

@@ -239,11 +239,11 @@ class RRSetPool:
     The inverted index is built by the first index read after growth
     (``remove_covered``, ``coverage_of_set``, ``set_ids_containing`` /
     ``sets_containing``) that finds the visible sets past what it
-    covers; appends, ``coverage`` / ``coverage_of``, the views,
-    ``kill_sets`` and the byte accounting never build it.  A pool has a
-    single owner at a time (engine leases are exclusive, and the
-    service reports progress from stored snapshots, never the live
-    pool), so a read that builds takes no lock.
+    covers; appends, ``coverage`` / ``coverage_of``, the views and the
+    byte accounting never build it.  A pool has a single owner at a
+    time (engine leases are exclusive, and the service reports progress
+    from stored snapshots, never the live pool), so a read that builds
+    takes no lock.
 
     Examples
     --------
@@ -489,28 +489,6 @@ class RRSetPool:
         # A set that contains ``node`` twice (possible through the public
         # ``add_sets``) appears twice in the index; dedup before killing.
         ids = np.unique(ids)
-        self._alive_mask[ids] = False
-        self._num_alive -= ids.size
-        _bump_counts(self._coverage, self._gather_members(ids), -1)
-        return int(ids.size)
-
-    def kill_sets(self, set_ids) -> int:
-        """Mark the given sets dead by id, decrementing coverage.
-
-        This is the checkpoint-restore primitive: after a pool's sets
-        have been re-derived (or re-loaded from a spill), the snapshot's
-        alive mask is re-applied by killing exactly the sets that the
-        chosen seeds had covered.  Already-dead ids are ignored; returns
-        how many sets were actually killed.
-        """
-        ids = np.unique(np.asarray(set_ids, dtype=np.int64).ravel())
-        if ids.size == 0:
-            return 0
-        if ids[0] < 0 or ids[-1] >= self._num_sets:
-            raise IndexError(f"set ids must lie in [0, {self._num_sets})")
-        ids = ids[self._alive_mask[ids]]
-        if ids.size == 0:
-            return 0
         self._alive_mask[ids] = False
         self._num_alive -= ids.size
         _bump_counts(self._coverage, self._gather_members(ids), -1)

@@ -450,7 +450,7 @@ class TestCheckpointKnobValidation:
             {"rng": "mersenne"},
             {"max_workers": 0},
             {"max_workers": -4},
-            {"checkpoint_every": 0, "checkpoint_path": "x.npz"},
+            {"checkpoint_every": 0, "checkpoint_path": "x.json"},
             {"checkpoint_every": 2},  # every without a path
             {"max_iterations": 0},
         ],
@@ -460,6 +460,6 @@ class TestCheckpointKnobValidation:
             TIRMAllocator(**kwargs)
 
     def test_checkpoint_path_defaults_every_to_one(self, tmp_path):
-        allocator = TIRMAllocator(checkpoint_path=tmp_path / "ck.npz")
+        allocator = TIRMAllocator(checkpoint_path=tmp_path / "ck.json")
         assert allocator.checkpoint_every == 1
         assert TIRMAllocator().checkpoint_every is None

@@ -205,7 +205,7 @@ def test_resume_without_checkpoint_rejected_cleanly(capsys):
 
 
 def test_checkpoint_flag_writes_artifact_and_resume_reuses_it(tmp_path, capsys):
-    path = tmp_path / "figure1.ckpt.npz"
+    path = tmp_path / "figure1.ckpt.json"
     code = main([
         "allocate", "figure1", "--algorithm", "tirm",
         "--eval-runs", "50", "--max-rr-sets", "1000",
@@ -228,7 +228,7 @@ def test_checkpoint_flag_writes_artifact_and_resume_reuses_it(tmp_path, capsys):
 def test_resume_with_absent_artifact_starts_fresh(tmp_path, capsys):
     """First launch of an always-on job: --resume with no artifact yet
     must start from scratch, not error out."""
-    path = tmp_path / "never-written.npz"
+    path = tmp_path / "never-written.json"
     code = main([
         "allocate", "figure1", "--algorithm", "tirm",
         "--eval-runs", "50", "--max-rr-sets", "1000",
@@ -239,7 +239,7 @@ def test_resume_with_absent_artifact_starts_fresh(tmp_path, capsys):
 
 
 def test_incompatible_resume_surfaces_clean_error(tmp_path, capsys):
-    path = tmp_path / "ck.npz"
+    path = tmp_path / "ck.json"
     assert main([
         "allocate", "figure1", "--eval-runs", "50", "--max-rr-sets", "1000",
         "--checkpoint", str(path),
@@ -357,7 +357,7 @@ def test_catalog_ls_show_diff_roundtrip(tmp_path, capsys):
 
 
 def test_catalog_gc_smoke(tmp_path, capsys):
-    checkpoint = tmp_path / "figure1.ckpt.npz"
+    checkpoint = tmp_path / "figure1.ckpt.json"
     assert _allocate_cached(tmp_path, "--checkpoint", str(checkpoint)) == 0
     capsys.readouterr()
     assert main([
@@ -370,7 +370,7 @@ def test_catalog_gc_smoke(tmp_path, capsys):
     assert "still over budget" in out
 
     assert main(["ls", "--cache", str(tmp_path), "--checkpoints"]) == 0
-    assert "figure1.ckpt.npz" in capsys.readouterr().out
+    assert "figure1.ckpt.json" in capsys.readouterr().out
 
 
 def test_catalog_commands_require_cache_dir(tmp_path, capsys, monkeypatch):

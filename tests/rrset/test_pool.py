@@ -230,9 +230,10 @@ class TestIndexMaintenance:
             pool.add_flat(members, lengths)
             appended += members.size
         assert build_calls == []
-        assert pool.remove_covered(7) > 0
+        counts = [pool.remove_covered(7)]
+        assert counts[0] > 0
         assert build_calls == [appended]  # one build for the whole event
-        pool.remove_covered(8)
+        counts.append(pool.remove_covered(8))
         pool.coverage_of_set([1, 2, 3])
         pool.set_ids_containing(4)
         assert len(build_calls) == 1
@@ -241,13 +242,14 @@ class TestIndexMaintenance:
         assert len(build_calls) == 1
         pool.coverage_of_set([9], alive_only=False)
         assert build_calls == [appended, members.size]
-        # The resume path (re-derive the sets, re-apply the alive mask)
-        # and every non-index accessor build nothing.
+        # The resume path (re-derive the sets, replay the seeds) builds
+        # once, at the first seed; every non-index accessor builds nothing.
         resumed = RRSetPool(40)
-        view = pool.prefix_view()
+        view = pool.prefix_view(3_200)
         resumed.add_flat(view.members, np.diff(view.indptr))
-        resumed.kill_sets(np.flatnonzero(~pool.alive_mask()))
-        assert np.array_equal(resumed.coverage(), pool.coverage())
+        assert [resumed.remove_covered(7), resumed.remove_covered(8)] == counts
+        assert build_calls == [appended, members.size, appended]
+        assert np.array_equal(resumed.alive_mask(), pool.alive_mask()[:3_200])
         pool.add_flat(*chunk(300))
         for p in (pool, resumed):
             p.prefix_view(50).get_set(3)
@@ -256,7 +258,7 @@ class TestIndexMaintenance:
             p.coverage_of(7)
             p.memory_bytes()
             p.allocated_bytes()
-        assert len(build_calls) == 2
+        assert len(build_calls) == 3
 
 
 def _reference_index(members, first_set, lengths):
@@ -422,9 +424,11 @@ class TestAgainstModel:
                 assert pool.remove_covered(node) == model.kill(
                     model.ids_containing(node, True)
                 )
-            elif op == 2 and model.sets:
-                ids = rng.integers(0, len(model.sets), size=3).tolist()
-                assert pool.kill_sets(ids) == model.kill(ids)
+            elif op == 2:  # a checkpoint restore's seed replay
+                for seed in nodes:
+                    assert pool.remove_covered(seed) == model.kill(
+                        model.ids_containing(seed, True)
+                    )
             elif op == 3:
                 assert pool.coverage_of_set(
                     nodes, alive_only=alive_only
@@ -839,48 +843,3 @@ class TestCapacityLimits:
         assert np.array_equal(pool.coverage(), coverage)
         assert pool.num_total == 2
 
-
-class TestKillSets:
-    def test_kills_by_id_and_decrements_coverage(self):
-        pool = RRSetPool(5)
-        pool.add_sets(_sets([0, 1], [1, 2], [3]))
-        killed = pool.kill_sets([0, 2])
-        assert killed == 2
-        assert pool.num_alive == 1
-        assert not pool.is_alive(0) and pool.is_alive(1) and not pool.is_alive(2)
-        assert pool.coverage_of(1) == 1  # only set 1 still covers node 1
-        assert pool.coverage_of(0) == 0 and pool.coverage_of(3) == 0
-
-    def test_already_dead_ids_are_ignored(self):
-        pool = RRSetPool(5)
-        pool.add_sets(_sets([0], [1]))
-        assert pool.kill_sets([0]) == 1
-        assert pool.kill_sets([0, 1]) == 1  # 0 already dead
-        assert pool.kill_sets([]) == 0
-        assert pool.num_alive == 0
-
-    def test_restores_remove_covered_semantics(self):
-        """Killing the snapshot's dead ids reproduces the exact state a
-        sequence of ``remove_covered`` calls left behind."""
-        rng = np.random.default_rng(5)
-        source = RRSetPool(30)
-        source.add_sets(
-            [rng.choice(30, size=4, replace=False) for _ in range(200)]
-        )
-        twin = RRSetPool(30)
-        twin.add_sets([source.get_set(i).copy() for i in range(200)])
-        for node in (3, 17, 9):
-            source.remove_covered(node)
-        dead = np.flatnonzero(~np.asarray(source.alive_mask()))
-        twin.kill_sets(dead)
-        assert np.array_equal(twin.alive_mask(), source.alive_mask())
-        assert np.array_equal(twin.coverage(), source.coverage())
-        assert twin.num_alive == source.num_alive
-
-    def test_rejects_out_of_range_ids(self):
-        pool = RRSetPool(3)
-        pool.add_sets(_sets([0]))
-        with pytest.raises(IndexError):
-            pool.kill_sets([5])
-        with pytest.raises(IndexError):
-            pool.kill_sets([-1])

@@ -310,22 +310,48 @@ class TestMemoryAccounting:
             assert eng.memory_bytes() == shard_bytes()
             assert not eng._blocks
 
-    def test_resume_path_builds_no_index(self, build_calls):
-        """``ensure`` + ``kill_sets`` (checkpoint resume) and the pilot's
-        accessors never build the inverted index; the first seed does."""
+    def test_restore_builds_the_index_once_per_seeded_shard(
+        self, tmp_path, build_calls
+    ):
+        """A checkpoint restore re-derives the sets and replays each ad's
+        seeds through ``remove_covered``: a seeded shard builds its index
+        once, at its first seed, and an unseeded shard never builds."""
+        from repro.rrset.checkpoint import (
+            TIRMCheckpoint,
+            build_snapshot,
+            save_checkpoint,
+        )
+
         problem = _problem(3, num_ads=2)
         with ShardedSamplingEngine(
             problem.graph, _probs(problem), seeds=4, chunk_size=16
         ) as eng:
             eng.ensure({0: 100, 1: 40})
             shard = eng.shard(0)
-            shard.kill_sets([0, 5, 9])
-            shard.prefix_view(50).get_set(1)
-            shard.coverage()
+            seeds = [int(np.argmax(shard.coverage()))]
+            counts = [shard.remove_covered(seeds[0])]
+            seeds.append(int(np.argmax(shard.coverage())))
+            counts.append(shard.remove_covered(seeds[1]))
+            records = [
+                {"seeds": chosen, "marginal_nodes": chosen,
+                 "marginal_counts": recorded, "revenue": 0.0,
+                 "seed_size_estimate": 2, "active": True}
+                for chosen, recorded in ((seeds, counts), ([], []))
+            ]
+            save_checkpoint(tmp_path / "ck.json", build_snapshot(
+                config={"num_ads": 2, "num_nodes": problem.num_nodes},
+                engine=eng, per_ad=records, iterations=2, lineage=[],
+            ))
+        build_calls.clear()
+        checkpoint = TIRMCheckpoint.load(tmp_path / "ck.json")
+        with ShardedSamplingEngine(
+            problem.graph, _probs(problem), seeds=4, chunk_size=16
+        ) as eng:
+            checkpoint.restore_engine(eng)
+            eng.shard(1).prefix_view(20).get_set(1)
+            eng.shard(1).coverage()
             eng.memory_bytes()
-            assert build_calls == []
-            shard.remove_covered(int(np.argmax(shard.coverage())))
-            assert build_calls == [shard.prefix_view().members.size]
+            assert build_calls == [eng.shard(0).prefix_view().members.size]
 
 
 @pytest.fixture

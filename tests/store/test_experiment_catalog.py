@@ -74,7 +74,7 @@ def test_get_unknown_allocation_is_none(catalog):
 
 
 def test_checkpoint_reregistration_replaces_refs(catalog, tmp_path):
-    artifact = tmp_path / "ckpt.npz"
+    artifact = tmp_path / "ckpt.json"
     artifact.write_bytes(b"x")
     catalog.record_checkpoint(
         str(artifact), iterations=1, config={}, shard_refs=[("k1", 2)]
@@ -88,7 +88,7 @@ def test_checkpoint_reregistration_replaces_refs(catalog, tmp_path):
 
 
 def test_dead_checkpoint_stops_pinning(catalog, tmp_path):
-    artifact = tmp_path / "ckpt.npz"
+    artifact = tmp_path / "ckpt.json"
     artifact.write_bytes(b"x")
     catalog.record_checkpoint(
         str(artifact), iterations=1, config={}, shard_refs=[("k1", 3)]
@@ -99,7 +99,7 @@ def test_dead_checkpoint_stops_pinning(catalog, tmp_path):
 
 
 def test_protected_shards_takes_max_over_checkpoints(catalog, tmp_path):
-    for name, max_index in (("a.npz", 2), ("b.npz", 7)):
+    for name, max_index in (("a.json", 2), ("b.json", 7)):
         artifact = tmp_path / name
         artifact.write_bytes(b"x")
         catalog.record_checkpoint(

@@ -65,7 +65,7 @@ def test_gc_evicts_lru_first(tmp_path):
 
 def test_gc_protects_checkpoint_referenced_shards(tmp_path):
     _populate(tmp_path, ["pinned", "loose"])
-    artifact = tmp_path / "ckpt.npz"
+    artifact = tmp_path / "ckpt.json"
     artifact.write_bytes(b"x")
     with ExperimentCatalog(str(tmp_path)) as catalog:
         catalog.record_checkpoint(

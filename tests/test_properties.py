@@ -130,6 +130,27 @@ class TestRRSetLaw:
             low, high = _wilson(int(holding[u]), LAW_SETS, Z_999)
             assert n * low <= exact_spread(graph, probs, [u]) <= n * high, u
 
+    @given(graph_probs_seeds())
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    def test_root_node_share_is_its_reach_probability(self, case):
+        """The same law per (root, node): a set rooted at ``r`` holds
+        ``u`` exactly when ``u`` reaches ``r`` in the live-edge draw, so
+        over sets all rooted at ``r`` the share holding ``u`` estimates
+        P(u reaches r), which exact enumeration gives as ``u``'s
+        click-through probability at ``r`` with CTPs of 1."""
+        graph, probs, _, root = case
+        n = graph.num_nodes
+        members, _ = drive_blocked(
+            graph, probs[graph.in_edge_ids],
+            np.random.Generator(np.random.Philox(7)), LAW_SETS,
+            roots=[root] * LAW_SETS,
+        )
+        holding = np.bincount(members, minlength=n)
+        for u in range(n):
+            low, high = _wilson(int(holding[u]), LAW_SETS, Z_999)
+            reach = exact_click_probabilities(graph, probs, [u])[root]
+            assert low - 1e-12 <= reach <= high + 1e-12, (u, root)
+
 
 class TestRRSetStructure:
     @given(
