@@ -2,10 +2,11 @@
 
 Kept as a plain ``setup.py`` so the legacy
 ``pip install -e . --no-use-pep517`` editable path works offline.
-The package is numpy plus a C compiler on first use: the RR-set BFS
-kernel ``repro/rrset/_bfs.c`` ships as package data and is compiled
-the first time a process samples (``repro.rrset.backends``), not at
-install time.
+The package is numpy plus a C compiler on first use: its C sources
+(``repro/rrset/_bfs.c``, ``repro/rrset/_pool.c``,
+``repro/algorithms/_select.c``) ship as package data and are compiled
+into one library the first time a process needs a kernel
+(``repro._native``), not at install time.
 """
 
 from setuptools import find_packages, setup
@@ -18,7 +19,10 @@ setup(
     ),
     package_dir={"": "src"},
     packages=find_packages("src"),
-    package_data={"repro.rrset": ["_bfs.c"]},
+    package_data={
+        "repro.rrset": ["_bfs.c", "_pool.c"],
+        "repro.algorithms": ["_select.c"],
+    },
     python_requires=">=3.10",
     install_requires=["numpy"],
 )

@@ -3,7 +3,8 @@
 An allocation is *valid* (§3) when no user appears in more than ``κ_u``
 seed sets.  Seed sets are stored as Python sets during construction (the
 greedy algorithms mutate them seed-by-seed) with array views for the
-vectorised evaluators.
+vectorised evaluators, beside a per-ad membership mask and per-user
+assignment counts that the compiled TIRM selector reads in place.
 """
 
 from __future__ import annotations
@@ -19,7 +20,9 @@ from repro.errors import AllocationError
 class Allocation:
     """A mutable assignment of seed sets to ``h`` ads over ``n`` users."""
 
-    __slots__ = ("num_nodes", "_seed_sets", "_user_counts", "_provenance")
+    __slots__ = (
+        "num_nodes", "_seed_sets", "_seed_masks", "_user_counts", "_provenance"
+    )
 
     def __init__(self, num_ads: int, num_nodes: int) -> None:
         if num_ads < 1:
@@ -28,6 +31,7 @@ class Allocation:
             raise AllocationError("num_nodes must be >= 0")
         self.num_nodes = int(num_nodes)
         self._seed_sets: list[set[int]] = [set() for _ in range(num_ads)]
+        self._seed_masks = np.zeros((num_ads, num_nodes), dtype=np.uint8)
         self._user_counts = np.zeros(num_nodes, dtype=np.int64)
         self._provenance: dict | None = None
 
@@ -74,6 +78,7 @@ class Allocation:
         if user in seeds:
             raise AllocationError(f"user {user} is already a seed for ad {ad}")
         seeds.add(user)
+        self._seed_masks[ad, user] = 1
         self._user_counts[user] += 1
 
     def unassign(self, user: int, ad: int) -> None:
@@ -82,6 +87,7 @@ class Allocation:
         if user not in seeds:
             raise AllocationError(f"user {user} is not a seed for ad {ad}")
         seeds.remove(user)
+        self._seed_masks[ad, user] = 0
         self._user_counts[user] -= 1
 
     # ------------------------------------------------------------------
@@ -129,6 +135,16 @@ class Allocation:
         """How many ads each user is a seed for (length ``n``)."""
         return self._user_counts.copy()
 
+    def live_views(self, ad: int) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only views that follow every later ``assign`` /
+        ``unassign``: ad ``ad``'s ``uint8`` membership mask (1 iff the
+        user is its seed) and the ``int64`` per-user assignment counts,
+        both C-contiguous of length ``n``."""
+        views = (self._seed_masks[ad].view(), self._user_counts.view())
+        for view in views:
+            view.flags.writeable = False
+        return views
+
     def ads_of_user(self, user: int) -> list[int]:
         """The ads that directly target ``user``."""
         return [ad for ad, seeds in enumerate(self._seed_sets) if user in seeds]
@@ -160,15 +176,6 @@ class Allocation:
             user not in self._seed_sets[ad]
             and self._user_counts[user] < bounds.kappa[user]
         )
-
-    def assignable(self, ad: int, bounds: AttentionBounds) -> np.ndarray:
-        """:meth:`can_assign` for every user at once: a fresh boolean
-        mask of length ``n``."""
-        mask = self._user_counts < bounds.kappa
-        seeds = self._seed_sets[ad]
-        if seeds:
-            mask[np.fromiter(seeds, dtype=np.int64, count=len(seeds))] = False
-        return mask
 
     # ------------------------------------------------------------------
     def copy(self) -> "Allocation":

@@ -31,6 +31,17 @@ Two differences from the pseudocode:
   ``δ(v, i) · coverage`` — the true marginal-revenue order Algorithm 1
   maximises; ``"coverage"`` gives the literal Algorithm-3 ranking.
 
+Algorithm 3's lazy selector is compiled (``_select.c``, one call per ad
+per ``SELECT`` step): each ad's heap is two numpy arrays — keys
+``-score`` and node ids, a binary min-heap on ``(-score, node)`` — that
+the C code updates in place, reading coverage, CTPs, the allocation's
+per-ad membership mask and assignment counts, and the attention bounds
+through pointers bound once per heap rebuild.  It walks a few heap
+entries (:func:`_walk_limit`) and answers deeper scans with one pass
+over the coverage vector; the doubles it compares are the ones the
+Python walk kept in ``tests/algorithms/_reference_selector.py``
+computes, so the allocation is the same to the bit.
+
 The loop runs as discrete, externally steppable states:
 
 .. code-block:: text
@@ -72,17 +83,17 @@ byte-identical to the frozen pre-pool loop by the equivalence suite.
 
 from __future__ import annotations
 
-import heapq
+import ctypes
 import math
 import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro._native import library
 from repro.advertising.allocation import Allocation
 from repro.advertising.regret import regret_of
 from repro.algorithms.base import AllocationResult
-from repro.algorithms.greedy import _beats
 from repro.errors import SessionError
 from repro.rrset.checkpoint import TIRMCheckpoint, build_snapshot, save_checkpoint
 from repro.rrset.pool import RRSetPool
@@ -107,27 +118,85 @@ TERMINAL_STATES = frozenset({DONE, CANCELLED, FAILED})
 
 #: How many fresh heap entries a candidate scan walks before it is
 #: computed from the coverage vector instead: ``_WALK_BASE + n //
-#: _WALK_NODES_PER_ENTRY``.  Measured on the 2-core dev box (numpy 2,
-#: ``FLIX``-shaped states, ≈ 400 overshooting entries ahead of the first
-#: fit): one walked entry ≈ 3.3 µs at every ``n``; one pass ≈ 32 / 116 /
-#: 217 / 968 / 3 170 / 11 250 µs at n = 300 / 3 000 / 10 000 / 30 000 /
-#: 100 000 / 300 000, i.e. the walk has paid for a pass after about
-#: ``16 + n // 100`` entries.  Scans are bimodal — settled within a few
-#: entries or hundreds deep — so the walk gives up at half of that:
-#: ``FLIX`` (n = 3 000, seeds 1 / 2 / 5) reads 0.198 / 0.219 / 0.187 s at
-#: 7 entries, 0.217 / 0.219 / 0.227 s at 23, 0.224 / 0.229 / 0.219 s at
-#: 45, 0.255 / 0.248 / 0.237 s at 107 and 1.29 / 0.76 / 0.74 s never
-#: switching.
+#: _WALK_NODES_PER_ENTRY``.  Measured for the compiled selector on the
+#: 2-core dev box (``FLIX``-shaped states, allocator seed 1): one walked
+#: entry, stale refreshes and its re-push included, ≈ 0.17 µs at n =
+#: 3 000 and 9 000; one pass ≈ 3 µs + 8 ns·n when few nodes overshoot
+#: and 47 / 150 µs at n = 3 000 / 9 000 on the deep scans that actually
+#: reach it.  Scans are bimodal — settled within a few entries or
+#: hundreds deep — and every pass on both instances was a deep scan:
+#: limits of 4 to 32 entries take the same 156 / 998 passes, and the
+#: selector's total moves only within noise (12.2–13.9 ms at n = 3 000,
+#: 164–184 ms at n = 9 000; never switching, 68 / 293 ms; always
+#: passing, 34 / 387 ms).  So the walk stays short: it costs at most
+#: ≈ 1/9 of the pass it may precede, and still settles the shallow scans.
 _WALK_BASE = 8
 _WALK_NODES_PER_ENTRY = 200
 
 
 def _walk_limit(num_nodes: int) -> int:
     """Entries :meth:`AllocationSession._best_candidate` walks before it
-    switches to :meth:`AllocationSession._scan_coverage`: a deep scan
-    costs at most a pass and a half, and a scan settled near the top of
-    a paper-scale heap never pays for a pass."""
+    switches to the coverage pass: a deep scan costs at most ≈ 1.1
+    passes, and a scan settled near the top of the heap never pays for
+    one."""
     return _WALK_BASE + num_nodes // _WALK_NODES_PER_ENTRY
+
+
+#: ``repro_select``'s answers besides "no candidate" (0) and "out of
+#: memory" (-1): a candidate, and no candidate ever again.
+_ANSWER, _RETIRE = 1, 2
+
+
+class _SelectView(ctypes.Structure):
+    """``repro_select_t`` of ``_select.c``, field for field: one ad's
+    heap, the run state the selector reads, and its last answer."""
+
+    _fields_ = [
+        ("keys", ctypes.c_void_p), ("nodes", ctypes.c_void_p),
+        ("size", ctypes.c_int64),
+        ("coverage", ctypes.c_void_p), ("ctps", ctypes.c_void_p),
+        ("seeds", ctypes.c_void_p), ("counts", ctypes.c_void_p),
+        ("kappa", ctypes.c_void_p),
+        ("n", ctypes.c_int64), ("weighted", ctypes.c_int64),
+        ("cpe", ctypes.c_double), ("budget", ctypes.c_double),
+        ("penalty", ctypes.c_double),
+        ("node", ctypes.c_int64), ("cov", ctypes.c_int64),
+        ("marginal", ctypes.c_double), ("drop", ctypes.c_double),
+        ("pops", ctypes.c_int64), ("passes", ctypes.c_int64),
+    ]
+
+
+class _LazyHeap:
+    """One ad's Algorithm-3 heap: entries ``(-score, node)`` in two
+    arrays, the first ``size`` of them a binary min-heap, and the C view
+    the selector updates them through.
+
+    The view's run-state pointers are bound by
+    :meth:`AllocationSession._bind` on the first call after a rebuild;
+    ``pinned`` keeps the arrays they point into alive."""
+
+    __slots__ = ("keys", "nodes", "view", "address", "pinned", "bound_to")
+
+    def __init__(self, keys: np.ndarray, nodes: np.ndarray, size=None) -> None:
+        self.keys = np.ascontiguousarray(keys, dtype=np.float64)
+        self.nodes = np.ascontiguousarray(nodes, dtype=np.int64)
+        self.view = _SelectView(
+            keys=self.keys.ctypes.data, nodes=self.nodes.ctypes.data,
+            size=self.keys.size if size is None else size,
+        )
+        self.address = ctypes.addressof(self.view)
+        self.pinned = ()
+        self.bound_to = None
+
+    def entries(self) -> list[tuple[float, int]]:
+        """The live entries, in heap-array order."""
+        size = self.view.size
+        return list(zip(self.keys[:size].tolist(), self.nodes[:size].tolist()))
+
+    def __reduce__(self):
+        # The view holds raw addresses: a copy or an unpickled heap is
+        # rebuilt over its own arrays, and bound afresh on first use.
+        return _LazyHeap, (self.keys, self.nodes, self.view.size)
 
 
 def _select_candidate(candidates):
@@ -161,7 +230,7 @@ class _AdState:
     revenue: float = 0.0
     seeds_in_order: list[int] = field(default_factory=list)
     marginal_coverage: dict[int, int] = field(default_factory=dict)
-    heap: list[tuple[float, int]] = field(default_factory=list)
+    heap: _LazyHeap | None = None
     active: bool = True
 
     @property
@@ -753,46 +822,54 @@ class AllocationSession:
     # ------------------------------------------------------------------
     # Candidate selection (Algorithm 3, lazily)
     # ------------------------------------------------------------------
-    def _score(self, ad: int, node: int, cov: int) -> float:
-        if self.config.select_rule == "weighted":
-            return float(self.problem.ctps[ad, node]) * cov
-        return float(cov)
-
     def _rebuild_heap(self, ad: int, state: _AdState) -> None:
+        """Every node of positive coverage under its current score: the
+        entries sorted by ``(-score, node)``, which is a valid heap."""
         coverage = state.collection.coverage()
         nodes = np.flatnonzero(coverage > 0)
         if self.config.select_rule == "weighted":
             scores = self.problem.ctps[ad, nodes] * coverage[nodes]
         else:
             scores = coverage[nodes].astype(np.float64)
-        state.heap = list(zip((-scores).tolist(), nodes.tolist()))
-        heapq.heapify(state.heap)
+        keys = -scores
+        # Node ids ascend already, so a stable sort on the keys alone.
+        order = np.argsort(keys, kind="stable")
+        state.heap = _LazyHeap(keys[order], nodes[order])
 
-    def _pop_fresh(self, ad: int, state: _AdState):
-        """Pop the eligible node with the largest *fresh* score.
-
-        Scores only decrease between heap rebuilds (covered sets are
-        removed), so re-pushing stale entries with their current score is
-        sound.  Returns ``(node, coverage, score)`` or ``None`` when no
-        eligible node with positive score remains.
-        """
-        problem, allocation = self.problem, self.allocation
-        heap = state.heap
-        while heap:
-            neg_score, node = heap[0]
-            if not allocation.can_assign(node, ad, problem.attention):
-                heapq.heappop(heap)
-                continue
-            cov = state.collection.coverage_of(node)
-            current = self._score(ad, node, cov)
-            if current <= 0.0:
-                heapq.heappop(heap)
-                continue
-            if math.isclose(current, -neg_score, rel_tol=1e-12, abs_tol=1e-12):
-                heapq.heappop(heap)
-                return node, cov, current
-            heapq.heapreplace(heap, (-current, node))
-        return None
+    def _bind(self, ad: int, state: _AdState) -> None:
+        """Point the ad's C view at the arrays the selector reads in
+        place: the pool's coverage vector, the ad's CTP row, the
+        allocation's membership mask and assignment counts, and the
+        attention bounds (a test may swap a state's pool, so the view
+        records which one it follows)."""
+        problem, heap = self.problem, state.heap
+        coverage = state.collection.coverage()
+        if coverage.dtype != np.int64 or not coverage.flags.c_contiguous:
+            raise TypeError(
+                "the selector reads coverage in place: it must be a "
+                f"C-contiguous int64 vector, got {coverage.dtype}"
+            )
+        seeds, counts = self.allocation.live_views(ad)
+        # CTPs and bounds are the problem's and never change: copies do.
+        ctps = np.ascontiguousarray(problem.ctps[ad], dtype=np.float64)
+        kappa = np.ascontiguousarray(problem.attention.kappa, dtype=np.int64)
+        arrays = (coverage, ctps, seeds, counts, kappa)
+        if any(array.shape != (problem.num_nodes,) for array in arrays):
+            raise ValueError(
+                f"the selector reads {problem.num_nodes} entries per node "
+                f"array, got shapes {[array.shape for array in arrays]}"
+            )
+        view = heap.view
+        view.coverage, view.ctps, view.seeds, view.counts, view.kappa = (
+            array.ctypes.data for array in arrays
+        )
+        view.n = problem.num_nodes
+        view.weighted = self.config.select_rule == "weighted"
+        view.cpe = float(self.cpes[ad])
+        view.budget = float(self.budgets[ad])
+        view.penalty = float(problem.penalty)
+        heap.pinned = arrays
+        heap.bound_to = state.collection
 
     def _best_candidate(self, ad: int, state: _AdState):
         """Argmax-drop candidate for one ad: ``(node, cov, marginal, drop)``.
@@ -805,151 +882,58 @@ class AllocationSession:
         The ``coverage`` rule reproduces the literal Algorithm 3: only
         the single top-coverage node is considered.
 
+        One call of the compiled selector (``_select.c``, whose header
+        states the exactness contract) answers it:
+
         *What is lazy.*  The heap holds every eligible node of positive
         score under a key that is its score at some earlier coverage —
         never below its current one, since coverage only falls between
-        rebuilds — and :meth:`_pop_fresh` refreshes keys as they reach
-        the top.  While the fresh top fits (the common case) a call is
-        one pop and one push, O(log n).
+        rebuilds — and keys are refreshed as they reach the top.  While
+        the fresh top fits (the common case) a call is one pop and one
+        push, O(log n).
 
         *When it switches.*  Once an ad's remaining budget is smaller
         than its top marginal, the first candidate that fits can sit
-        hundreds of entries deep, and a walk would pop down to it and
-        push everything back on this and every later iteration.  So the
-        walk is given :func:`_walk_limit` entries; a scan that is not
-        settled by then is answered by :meth:`_scan_coverage` instead —
-        one numpy pass over the coverage vector, O(n) however deep the
-        answer lies — and pops nothing more.
+        hundreds of entries deep.  So the walk is given
+        :func:`_walk_limit` entries; a scan that is not settled by then
+        is answered by a pass over the coverage vector instead — O(n)
+        however deep the answer lies — which pops nothing more.
 
         *Why the answer is the same.*  Keys are the exact products
-        :meth:`_rebuild_heap` and :meth:`_score` compute, so an entry is
-        fresh iff its key equals its current score, and fresh entries
-        leave the heap in ``(-score, node)`` order over the eligible
-        nodes of positive score: a pure function of coverage, CTPs and
-        eligibility, which the pass evaluates directly with the walk's
-        own arithmetic and folds with the same :func:`_beats` sequence.
-        The heap is left a valid lazy heap either way.
+        :meth:`_rebuild_heap` computes, so an entry is fresh iff its key
+        equals its current score, and fresh entries leave the heap in
+        ``(-score, node)`` order over the eligible nodes of positive
+        score: a pure function of coverage, CTPs and eligibility, which
+        the pass evaluates directly with the walk's own arithmetic and
+        folds with the same :func:`~repro.algorithms.greedy._beats`
+        sequence.  The heap is left a valid lazy heap either way.
 
         An ad whose top candidate overshoots while no node at all
         lowers its regret is retired (``state.active = False``): its
         coverage, revenue and θ change only when it takes a seed, it has
         none to take, and other ads' picks only make users ineligible.
         """
-        problem, budgets = self.problem, self.budgets
-        remaining = budgets[ad] - state.revenue
-        if remaining <= 0:
+        if self.budgets[ad] - state.revenue <= 0:
             return None
-        num_seeds = len(state.seeds_in_order)
-        before = regret_of(budgets[ad], state.revenue, problem.penalty, num_seeds)
-        literal = self.config.select_rule == "coverage"
-        limit = 1 if literal else _walk_limit(problem.num_nodes)
-        scanned: list[tuple[float, int]] = []
-        best = None
-        best_drop = 0.0
-        answered = False
-        while len(scanned) < limit:
-            top = self._pop_fresh(ad, state)
-            if top is None:
-                if not scanned:
-                    state.active = False
-                    return None
-                break
-            node, cov, score = top
-            scanned.append((-score, node))
-            marginal = self._marginal_revenue(ad, state, node, cov)
-            drop = before - regret_of(
-                budgets[ad], state.revenue + marginal, problem.penalty, num_seeds + 1
-            )
-            fits = marginal <= remaining
-            # Every entry before this one overshot, or the walk had ended.
-            if drop > 1e-12 and _beats(drop, fits, best_drop, False):
-                best = (node, cov, marginal, drop)
-                best_drop = drop
-            if literal or fits:
-                # The scan ends here — but empty-handed under a top entry
-                # that overshoots, the ad may have to be retired, which
-                # only the pass can tell.
-                answered = best is not None or len(scanned) == 1
-                break
-        for entry in scanned:
-            heapq.heappush(state.heap, entry)
-        if answered:
-            return best
-        return self._scan_coverage(ad, state)
-
-    def _scan_coverage(self, ad: int, state: _AdState):
-        """The ``weighted`` scan of :meth:`_best_candidate` from its
-        first entry, computed instead of walked: marginals, drops and
-        fit flags of all nodes at once — the same operations in the same
-        order as the scalar ones, so the same doubles — then the first
-        eligible node that fits in ``(-score, node)`` order, and the
-        :func:`_beats` fold over the eligible nodes ahead of it that
-        lower regret, in that order.  Retires the ad when there is no
-        eligible node, or the top one overshoots and no node at all
-        lowers regret.
-        """
-        problem = self.problem
-        coverage = state.collection.coverage()
-        marginals, drops = self._marginals_and_drops(ad, state)
-        lowers = drops > 1e-12
-        fits = marginals <= self.budgets[ad] - state.revenue
-        scores = problem.ctps[ad] * coverage
-        eligible = self.allocation.assignable(ad, problem.attention) & (scores > 0.0)
-        candidates = np.flatnonzero(eligible)
-        if not candidates.size:
+        heap = state.heap
+        if heap.bound_to is not state.collection:
+            self._bind(ad, state)
+        limit = (
+            1 if self.config.select_rule == "coverage"
+            else _walk_limit(self.problem.num_nodes)
+        )
+        found = library().repro_select(
+            heap.address, state.revenue, len(state.seeds_in_order),
+            state.theta, limit,
+        )
+        if found == _ANSWER:
+            view = heap.view
+            return view.node, view.cov, view.marginal, view.drop
+        if found == _RETIRE:
             state.active = False
-            return None
-        if not lowers.any():
-            # Nothing to return, and nothing ever will be if the top
-            # entry overshoots (one that fits ends the walk unasked).
-            # argmax takes the first of equal scores: the smallest node,
-            # as the heap does.
-            if not fits[candidates[scores[candidates].argmax()]]:
-                state.active = False
-            return None
-        ahead = eligible & lowers & ~fits
-        fitting = candidates[fits[candidates]]
-        first_fit = None
-        if fitting.size:
-            first_fit = int(fitting[scores[fitting].argmax()])
-            # Ahead of it: a larger score, or an equal one at a smaller id.
-            tied = scores == scores[first_fit]
-            tied[first_fit:] = False
-            ahead &= (scores > scores[first_fit]) | tied
-        ahead = np.flatnonzero(ahead)
-        # Ascending node ids, stably sorted by falling score: heap order.
-        ahead = ahead[np.argsort(-scores[ahead], kind="stable")]
-        winner = None
-        best_drop = 0.0
-        for node, drop in zip(ahead.tolist(), drops[ahead].tolist()):
-            if _beats(drop, False, best_drop, False):
-                winner, best_drop = node, drop
-        if first_fit is not None and lowers[first_fit] and _beats(
-            float(drops[first_fit]), True, best_drop, False
-        ):
-            winner = first_fit
-        if winner is None:
-            return None
-        return (
-            winner, int(coverage[winner]), float(marginals[winner]), float(drops[winner])
-        )
-
-    def _marginals_and_drops(self, ad: int, state: _AdState):
-        """:meth:`_marginal_revenue` of every node, and the regret drop
-        of taking it, as two float64 vectors: the operations of the
-        scalar forms in their order, hence their doubles."""
-        problem, budgets, cpes = self.problem, self.budgets, self.cpes
-        num_seeds = len(state.seeds_in_order)
-        marginals = (
-            cpes[ad] * problem.num_nodes * problem.ctps[ad]
-            * state.collection.coverage() / state.theta
-        )
-        after = (
-            np.abs(float(budgets[ad]) - (state.revenue + marginals))
-            + float(problem.penalty) * (num_seeds + 1)
-        )
-        before = regret_of(budgets[ad], state.revenue, problem.penalty, num_seeds)
-        return marginals, before - after
+        elif found < 0:
+            raise MemoryError("the TIRM selector could not allocate memory")
+        return None
 
     def _marginal_revenue(self, ad: int, state: _AdState, node: int,
                           cov: int) -> float:

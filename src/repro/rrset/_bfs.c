@@ -2,9 +2,9 @@
  * The blocked BFS of the RR-set sampler: one batch of reverse BFS-es,
  * run level-synchronously, in one call.
  *
- * Compiled on first use by repro.rrset.backends (see its module
- * docstring) and called through ctypes with the GIL released and the
- * generator's lock held.  The stream contract lives in the order of the
+ * Compiled with the package's other C sources by repro._native and
+ * called through ctypes by repro.rrset.backends with the GIL released
+ * and the generator's lock held.  The stream contract lives in the order of the
  * coin draws, so it is spelled out here:
  *
  *   level 0 is the batch's roots, set s rooted at roots[s];

@@ -18,29 +18,18 @@ each level's block, drawn in the same order, so the blocks and the
 final generator state equal those of the numpy driver kept as the test
 oracle in ``tests/rrset/_reference_driver.py`` — for any bit generator.
 
-The kernel is compiled on the first sampling call (never at import)
-with the compiler Python was built with, ``-O2 -fPIC -shared``, into a
-per-user cache directory (``$XDG_CACHE_HOME/repro``, else
-``~/.cache/repro``) under a name keyed by a hash of the source and the
-command; a build lands there through an atomic rename, so concurrent
-first calls are safe.  A failed build raises
-:class:`~repro.errors.ConfigurationError` naming the compiler.
+The kernel is part of the package's one compiled library
+(:mod:`repro._native`), built on the first call that needs it — never
+at import.
 """
 
 from __future__ import annotations
 
 import ctypes
-import functools
-import hashlib
-import os
-import shlex
-import subprocess
-import sysconfig
-import tempfile
-from pathlib import Path
 
 import numpy as np
 
+from repro._native import library
 from repro.errors import ConfigurationError
 from repro.rrset.pool import MEMBER_DTYPE
 
@@ -51,72 +40,8 @@ from repro.rrset.pool import MEMBER_DTYPE
 #: stream contract for chunks wider than it.
 BLOCK_BATCH = 4_096
 
-_SOURCE = Path(__file__).with_name("_bfs.c")
-
 #: Largest ``(set, node)`` key the kernel's int64 keys can hold.
 _MAX_KEY = 2**63 - 1
-
-_INT64_P = ctypes.POINTER(ctypes.c_int64)
-
-
-def _build() -> Path:
-    """Compile ``_bfs.c`` into the cache unless it is already there;
-    returns the shared library's path."""
-    source = _SOURCE.read_bytes()
-    compiler = sysconfig.get_config_var("CC") or "cc"
-    command = [*shlex.split(compiler), "-O2", "-fPIC", "-shared"]
-    tag = repr((command, sysconfig.get_platform())).encode()
-    digest = hashlib.sha256(source + tag).hexdigest()[:16]
-    cache = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
-    target = Path(cache) / "repro" / f"_bfs-{digest}.so"
-    if target.exists():
-        return target
-    failure = None
-    try:
-        target.parent.mkdir(parents=True, exist_ok=True)
-        fd, partial = tempfile.mkstemp(dir=target.parent, suffix=".so.part")
-        os.close(fd)
-        try:
-            done = subprocess.run(
-                [*command, "-o", partial, str(_SOURCE)],
-                capture_output=True, text=True,
-            )
-            if done.returncode == 0:
-                os.replace(partial, target)
-            else:
-                failure = done.stderr.strip() or f"exit status {done.returncode}"
-        finally:
-            if os.path.exists(partial):
-                os.unlink(partial)
-    except OSError as exc:
-        failure = str(exc)
-    if failure is not None:
-        raise ConfigurationError(
-            f"cannot build the RR-set BFS kernel with compiler {compiler!r}: "
-            f"{failure}"
-        )
-    return target
-
-
-@functools.cache
-def _kernel() -> ctypes.CDLL:
-    """The loaded kernel library (built on first use)."""
-    library = ctypes.CDLL(str(_build()))
-    run = library.repro_bfs_batch
-    run.restype = ctypes.c_int64
-    run.argtypes = [
-        ctypes.c_int64, ctypes.c_int64, _INT64_P,
-        _INT64_P, _INT64_P, ctypes.POINTER(ctypes.c_double),
-        ctypes.c_void_p, ctypes.c_void_p,
-        _INT64_P, ctypes.POINTER(ctypes.POINTER(ctypes.c_int32)),
-    ]
-    library.repro_bfs_free.restype = None
-    library.repro_bfs_free.argtypes = [ctypes.c_void_p]
-    return library
-
-
-def _pointer(array: np.ndarray, ctype):
-    return array.ctypes.data_as(ctypes.POINTER(ctype))
 
 
 class NumpyBackend:
@@ -140,18 +65,16 @@ class NumpyBackend:
         ``in_sources`` int64, ``in_probs`` float64 — and are not checked
         here: :func:`drive_blocked` does that.  Runs with the GIL
         released and ``bit_generator.lock`` held."""
-        library = _kernel()
+        kernels = library()
         lengths = np.empty(roots.size, dtype=np.int64)
         members_out = ctypes.POINTER(ctypes.c_int32)()
         draw = bit_generator.ctypes
         with bit_generator.lock:
-            total = library.repro_bfs_batch(
-                n, roots.size, _pointer(roots, ctypes.c_int64),
-                _pointer(in_indptr, ctypes.c_int64),
-                _pointer(in_sources, ctypes.c_int64),
-                _pointer(in_probs, ctypes.c_double),
+            total = kernels.repro_bfs_batch(
+                n, roots.size, roots.ctypes.data, in_indptr.ctypes.data,
+                in_sources.ctypes.data, in_probs.ctypes.data,
                 ctypes.cast(draw.next_double, ctypes.c_void_p), draw.state,
-                _pointer(lengths, ctypes.c_int64), ctypes.byref(members_out),
+                lengths.ctypes.data, ctypes.byref(members_out),
             )
         if total < 0:
             raise MemoryError("the RR-set BFS kernel could not allocate memory")
@@ -159,7 +82,7 @@ class NumpyBackend:
             members = np.empty(total, dtype=MEMBER_DTYPE)
             ctypes.memmove(members.ctypes.data, members_out, members.nbytes)
         finally:
-            library.repro_bfs_free(members_out)
+            kernels.repro_bfs_free(members_out)
         return members, lengths
 
 

@@ -4,11 +4,13 @@ Every sampled set lives in one growable ``int32`` members buffer
 addressed by an ``indptr`` array, with eager per-node coverage counts
 beside it.  The node→set inverted index is derived data — a pure
 function of the member rows — held as a second CSR pair and built in
-bulk by one packed-key sort, never by per-element Python appends.  All
-hot mutations (``add_flat``, ``remove_covered``) and queries
-(``coverage_of_set``, ``sets_containing``) are numpy kernels over those
-buffers.  See ``docs/rrset_engine.md`` for the layout, the index policy,
-and the determinism contract.
+bulk, never by per-element Python appends: the main tier by one
+counting sort and the pending tier by one packed-key sort.  The main
+index build and ``remove_covered`` are compiled kernels (``_pool.c``,
+built into the package's one library by :mod:`repro._native`); the
+appends and the other queries (``coverage_of_set``, ``sets_containing``)
+are numpy over the same buffers.  See ``docs/rrset_engine.md`` for the
+layout, the index policy, and the determinism contract.
 
 Index maintenance (amortized, at the first index read after growth):
 
@@ -20,7 +22,8 @@ Index maintenance (amortized, at the first index read after growth):
 * the *main* index covers sets ``[0, _main_sets)`` and is rebuilt in
   bulk only when the un-indexed region has grown past ``1/4`` of the
   indexed members (geometric threshold, so total rebuild work is
-  ``O(M log M)`` over the pool's lifetime);
+  ``O(M + n)`` per rebuild and ``O((M + n) log M)`` over the pool's
+  lifetime);
 * smaller growth gets a *pending mini-index* over the remaining sets — a
   (sorted member, set id) pair array over just the pending region,
   queried with ``searchsorted``, so a +1 top-up costs O(pending log
@@ -42,6 +45,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from repro._native import library
 from repro.errors import CapacityError
 from repro.graph._traversal import gather_slices
 
@@ -141,26 +145,21 @@ class CSRSetView:
         return f"{type(self).__name__}(num_sets={self.num_sets})"
 
 
-def _bump_counts(counts: np.ndarray, members: np.ndarray, sign: int) -> None:
-    """``counts[members] += sign`` per occurrence, without always paying
+def _bump_counts(counts: np.ndarray, members: np.ndarray) -> None:
+    """``counts[members] += 1`` per occurrence, without always paying
     an O(len(counts)) ``bincount`` scratch array: small batches go
     through ``ufunc.at`` (O(batch)), large ones through ``bincount``."""
     if members.size == 0:
         return
     n = counts.size
     if members.size * 16 < n:
-        if sign > 0:
-            np.add.at(counts, members, 1)
-        else:
-            np.subtract.at(counts, members, 1)
-    elif sign > 0:
-        counts += np.bincount(members, minlength=n)
+        np.add.at(counts, members, 1)
     else:
-        counts -= np.bincount(members, minlength=n)
+        counts += np.bincount(members, minlength=n)
 
 
 def _sorted_keys(members: np.ndarray, first_set: int, lengths: np.ndarray) -> np.ndarray:
-    """The build kernel of both index tiers: one sorted ``int64`` key
+    """The build kernel of the pending tier: one sorted ``int64`` key
     ``(member << 32) | set_id`` per member of sets ``first_set ..``.
 
     Ascending keys are ascending members with ascending set ids inside a
@@ -186,15 +185,21 @@ def _build_csr_index(
     """Bulk-build a node→set CSR index over one contiguous member region.
 
     ``members`` is the flat member slice of sets ``first_set ..``;
-    ``lengths`` their sizes.  Returns ``(indptr, set_ids)`` where
+    ``lengths`` their sizes; every member must lie in ``[0, num_nodes)``
+    (appends check that).  Returns ``(indptr, set_ids)`` where
     ``set_ids[indptr[v]:indptr[v+1]]`` lists the sets containing ``v`` in
-    ascending set order.
+    ascending set order — the order a stable sort of the members leaves
+    their set ids in, built by one O(M + n) counting sort in C.
     """
-    counts = np.bincount(members, minlength=num_nodes)
-    indptr = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
-    keys = _sorted_keys(members, first_set, lengths)
-    keys &= MAX_SETS
-    return indptr, keys.astype(SET_ID_DTYPE)
+    members = np.ascontiguousarray(members, dtype=MEMBER_DTYPE)
+    lengths = np.ascontiguousarray(lengths, dtype=np.int64)
+    indptr = np.empty(num_nodes + 1, dtype=np.int64)
+    set_ids = np.empty(members.size, dtype=SET_ID_DTYPE)
+    library().repro_index_build(
+        num_nodes, lengths.size, first_set, lengths.ctypes.data,
+        members.ctypes.data, indptr.ctypes.data, set_ids.ctypes.data,
+    )
+    return indptr, set_ids
 
 
 def _build_pending_index(
@@ -295,6 +300,15 @@ class RRSetPool:
         # Bumped whenever a growth reallocation retires a storage buffer;
         # outstanding CSRSetViews use it to re-materialize themselves.
         self._generation = 0
+        # The buffer addresses remove_covered hands the kernel, taken
+        # once per buffer swap (None after one): an address costs more
+        # to read than the kernel takes to run.
+        self._addresses: tuple[int, ...] | None = None
+
+    def __getstate__(self) -> dict:
+        # A copy or an unpickled pool owns other buffers: the cached
+        # addresses are this pool's alone.
+        return {**self.__dict__, "_addresses": None}
 
     def _reset_cold_marks(self) -> None:
         """The index marks of a cold pool with nothing visible.
@@ -441,7 +455,7 @@ class RRSetPool:
         self._num_sets += count
         self._resident_sets = self._num_sets
         self._num_alive += count
-        _bump_counts(self._coverage, members, +1)
+        _bump_counts(self._coverage, members)
 
     def rewind(self) -> None:
         """Make nothing visible: drop the run state (visible marks,
@@ -471,28 +485,35 @@ class RRSetPool:
         self._members_used = end
         self._num_sets = hi
         self._num_alive += count
-        _bump_counts(self._coverage, self._members[start:end], +1)
+        _bump_counts(self._coverage, self._members[start:end])
 
     def remove_covered(self, node: int) -> int:
         """Remove every alive set containing ``node``; returns how many.
 
-        One index slice finds the candidate sets; their members are
-        gathered with a single multi-slice and coverage is decremented by
-        one ``np.bincount`` — no per-set Python loops.
+        One compiled call walks the node's main-index slice and its
+        pending run, clipped to the visible sets, kills each alive set
+        once — a set that names ``node`` twice (possible through the
+        public ``add_sets``) is listed twice and found dead the second
+        time — and decrements coverage once per member of each.
         """
-        ids = self._ids_containing(node)
-        if ids.size == 0:
-            return 0
-        ids = ids[self._alive_mask[ids]]
-        if ids.size == 0:
-            return 0
-        # A set that contains ``node`` twice (possible through the public
-        # ``add_sets``) appears twice in the index; dedup before killing.
-        ids = np.unique(ids)
-        self._alive_mask[ids] = False
-        self._num_alive -= ids.size
-        _bump_counts(self._coverage, self._gather_members(ids), -1)
-        return int(ids.size)
+        if not 0 <= node < self.num_nodes:
+            raise IndexError(f"node {node} out of range")
+        self._sync_index()
+        if self._addresses is None:
+            self._addresses = tuple(
+                array.ctypes.data for array in (
+                    self._idx_indptr, self._idx_sets, self._pend_nodes,
+                    self._pend_sets, self._alive_mask, self._indptr,
+                    self._members, self._coverage,
+                )
+            )
+        visible = self._num_sets
+        pending = self._pend_nodes.size if self._main_sets < visible else 0
+        killed = library().repro_remove_covered(
+            node, visible, pending, *self._addresses
+        )
+        self._num_alive -= killed
+        return killed
 
     # ------------------------------------------------------------------
     # Queries
@@ -683,6 +704,7 @@ class RRSetPool:
         grown[: self._members_used] = self._members[: self._members_used]
         self._members = grown
         self._generation += 1
+        self._addresses = None
 
     def _reserve_sets(self, needed: int) -> None:
         if needed <= self._alive_mask.size:
@@ -699,6 +721,7 @@ class RRSetPool:
         indptr[: self._num_sets + 1] = self._indptr[: self._num_sets + 1]
         self._indptr = indptr
         self._generation += 1
+        self._addresses = None
 
     def _sync_index(self) -> None:
         """Amortized index maintenance, run by the index readers: the
@@ -727,6 +750,7 @@ class RRSetPool:
                 members[self._idx_sets.size :], lo, np.diff(indptr[lo:])
             )
         self._index_sets = self._num_sets
+        self._addresses = None
 
     def _ids_containing(self, node: int) -> np.ndarray:
         if not 0 <= node < self.num_nodes:
@@ -762,8 +786,3 @@ class RRSetPool:
         if self._index_sets > visible:
             ids = ids[ids < visible]  # a kept index lists hidden sets too
         return ids
-
-    def _gather_members(self, set_ids: np.ndarray) -> np.ndarray:
-        starts = self._indptr[set_ids]
-        lengths = self._indptr[np.asarray(set_ids, dtype=np.int64) + 1] - starts
-        return self._members[gather_slices(starts, lengths)]

@@ -200,6 +200,9 @@ class Job:
         self.finished_at: float | None = None
         self.lock = threading.Lock()
         self.done = threading.Event()
+        # Called once with the job when ``done`` is set (see
+        # JobManager.when_done); guarded by ``lock``.
+        self.done_callbacks: list = []
         self.session: AllocationSession | None = None
         self._state = "pending"
         self.snapshot: dict | None = None
@@ -353,7 +356,11 @@ class JobManager:
                 job.error = exc
         finally:
             job.finished_at = time.time()
-            job.done.set()
+            with job.lock:
+                job.done.set()
+                callbacks, job.done_callbacks = job.done_callbacks, []
+            for callback in callbacks:
+                callback(job)
 
     def _drive(self, job: Job, lease) -> None:
         """Step one session to a terminal state over the leased engine,
@@ -422,6 +429,19 @@ class JobManager:
             raise ServiceError(
                 f"job {job_id} still running after {timeout}s"
             )
+        return job
+
+    def when_done(self, job_id: str, callback) -> Job:
+        """Call ``callback(job)`` once the job is done: right here if it
+        already is, else from its worker thread as it finishes.  Returns
+        the job.  This is how a waiter is told without holding a thread
+        (the server's ``wait``)."""
+        job = self.get(job_id)
+        with job.lock:
+            if not job.done.is_set():
+                job.done_callbacks.append(callback)
+                return job
+        callback(job)
         return job
 
     def result(self, job_id: str):

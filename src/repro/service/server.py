@@ -3,10 +3,15 @@
 ``repro serve`` runs one :class:`AllocationServer` over one
 :class:`~repro.service.jobs.JobManager`.  The protocol is deliberately
 primitive — one JSON object per line, one JSON object back — so any
-language (or ``nc``) can drive it; the blocking ops (``submit`` loads a
-dataset, ``wait`` joins a job) run in the default thread-pool executor
-so the event loop keeps answering ``query-progress`` while allocations
-run in the manager's worker threads.
+language (or ``nc``) can drive it.  Allocations run in the manager's
+worker threads.  The ops that compute (``submit-allocation`` loads a
+dataset, ``reallocate`` builds the modified instance,
+``estimate-spread``) run in the default thread-pool executor; every
+other op is answered on the event loop.  No request holds a thread
+while it waits for a job: ``wait``, ``cancel`` with ``wait`` and
+``reallocate``'s wait for its source job await a completion callback
+the job's worker thread delivers to the loop — so any number of waiters
+leave ``ping`` and ``query-progress`` answering.
 
 Operations (request ``{"op": ..., ...}`` → response ``{"ok": true,
 ...}`` or ``{"ok": false, "error": ...}``):
@@ -34,7 +39,7 @@ import json
 import os
 
 from repro.errors import ReproError, ServiceError
-from repro.service.jobs import JobManager
+from repro.service.jobs import Job, JobManager
 from repro.utils.validation import check_bind_host
 
 #: Hard cap on one request line (a seeds list at most).
@@ -84,9 +89,63 @@ class AllocationServer:
         self._stop: asyncio.Event | None = None
 
     # ------------------------------------------------------------------
-    # Dispatch (runs in the executor — may block)
+    # Dispatch
     # ------------------------------------------------------------------
+    async def _answer(self, request: dict) -> dict:
+        """The reply payload for one request, on the event loop: the ops
+        that compute go to the executor through :meth:`dispatch`, and
+        waits for a job await its completion, holding no thread."""
+        op = request.get("op")
+        if op == "wait":
+            job = await self._until_done(request["job_id"], request.get("timeout"))
+            if job.error is not None:
+                raise ServiceError(f"job {job.job_id} failed: {job.error}")
+            return result_payload(job)
+        if op == "cancel":
+            job = self.manager.cancel(request["job_id"])
+            if request.get("wait", False):
+                await self._until_done(job.job_id, request.get("timeout"))
+            return job.summary()
+        if op in ("ping", "query-progress", "list-jobs", "shutdown"):
+            return self.dispatch(request)
+        if op == "reallocate" and (
+            request.get("update_budgets") or request.get("add_ads")
+            or request.get("remove_ads")
+        ):
+            await self._until_done(request["job_id"], request.get("timeout"))
+        return await asyncio.get_running_loop().run_in_executor(
+            None, self.dispatch, request
+        )
+
+    async def _until_done(self, job_id: str, timeout) -> Job:
+        """The job, once done — or a :class:`ServiceError` after
+        ``timeout`` seconds, as :meth:`JobManager.wait` raises."""
+        loop = asyncio.get_running_loop()
+        finished = loop.create_future()
+
+        def tell(job) -> None:
+            try:
+                loop.call_soon_threadsafe(
+                    lambda: finished.done() or finished.set_result(job)
+                )
+            except RuntimeError:
+                pass  # the loop closed first: nobody is waiting any more
+
+        job = self.manager.when_done(job_id, tell)
+        if job.done.is_set():
+            return job
+        try:
+            return await asyncio.wait_for(finished, timeout)
+        except asyncio.TimeoutError:
+            raise ServiceError(
+                f"job {job_id} still running after {timeout}s"
+            ) from None
+
     def dispatch(self, request: dict) -> dict:
+        """The reply payload of every op but ``wait`` and ``cancel``
+        (:meth:`_answer`'s own), synchronously: ``submit-allocation``,
+        ``reallocate`` and ``estimate-spread`` compute, so the server
+        runs them on an executor thread."""
         op = request.get("op")
         if op == "ping":
             return {
@@ -103,22 +162,6 @@ class AllocationServer:
             return {"job_id": job.job_id}
         if op == "query-progress":
             return self.manager.progress(request["job_id"])
-        if op == "wait":
-            job = self.manager.wait(
-                request["job_id"], request.get("timeout")
-            )
-            if job.error is not None:
-                raise ServiceError(
-                    f"job {job.job_id} failed: {job.error}"
-                )
-            return result_payload(job)
-        if op == "cancel":
-            job = self.manager.cancel(
-                request["job_id"],
-                wait=bool(request.get("wait", False)),
-                timeout=request.get("timeout"),
-            )
-            return job.summary()
         if op == "reallocate":
             job = self.manager.reallocate(
                 request["job_id"],
@@ -148,8 +191,6 @@ class AllocationServer:
     # ------------------------------------------------------------------
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
-        loop = asyncio.get_running_loop()
-
         async def send(response: dict) -> None:
             writer.write(json.dumps(response).encode() + b"\n")
             await writer.drain()
@@ -175,9 +216,7 @@ class AllocationServer:
                     if not isinstance(parsed, dict):
                         raise ServiceError("request must be a JSON object")
                     request = parsed
-                    payload = await loop.run_in_executor(
-                        None, self.dispatch, request
-                    )
+                    payload = await self._answer(request)
                     response = {"ok": True, **payload}
                 except (ReproError, ValueError, KeyError, TypeError,
                         OverflowError) as exc:

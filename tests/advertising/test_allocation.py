@@ -148,22 +148,29 @@ def test_counts_invariant_under_random_assignments(ops):
     ),
 )
 @settings(max_examples=100, deadline=None)
-def test_assignable_is_can_assign_for_every_user(kappa, ops):
-    """The mask agrees with the scalar test node by node after any
-    sequence of assigns and unassigns, and is the caller's to mutate."""
+def test_live_views_are_can_assign_for_every_user(kappa, ops):
+    """Views taken before any sequence of assigns and unassigns follow
+    it: the membership mask and the counts give :meth:`can_assign` node
+    by node (what the compiled selector reads), and are read-only."""
     bounds = AttentionBounds(np.asarray(kappa))
     alloc = Allocation(3, 6)
+    views = [alloc.live_views(ad) for ad in range(3)]
     for add, user, ad in ops:
         if add and user not in alloc.seeds(ad):
             alloc.assign(user, ad)
         elif not add and user in alloc.seeds(ad):
             alloc.unassign(user, ad)
-    for ad in range(3):
-        expected = [bool(alloc.can_assign(user, ad, bounds)) for user in range(6)]
-        mask = alloc.assignable(ad, bounds)
-        assert mask.dtype == bool and mask.tolist() == expected
-        mask[:] = True
-        assert alloc.assignable(ad, bounds).tolist() == expected
+    for ad, (seeds, counts) in enumerate(views):
+        assert seeds.dtype == np.uint8 and counts.dtype == np.int64
+        assert seeds.tolist() == [int(user in alloc.seeds(ad)) for user in range(6)]
+        assert counts.tolist() == alloc.user_assignment_counts().tolist()
+        assert [
+            not seeds[user] and counts[user] < bounds.kappa[user]
+            for user in range(6)
+        ] == [alloc.can_assign(user, ad, bounds) for user in range(6)]
+        for view in (seeds, counts):
+            with pytest.raises(ValueError):
+                view[0] = 1
 
 
 def test_provenance_roundtrip_and_equality_exclusion():

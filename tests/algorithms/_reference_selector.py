@@ -1,14 +1,14 @@
-"""The Algorithm-3 selector as it stood at commit c3d1ac2, kept verbatim
-as the in-test reference.
+"""The Algorithm-3 selector as it stood at commit c3d1ac2 — a plain
+``heapq`` walk in Python — kept verbatim as the in-test reference.
 
-The next commit stopped ``AllocationSession._best_candidate`` from
-walking the lazy heap down to the first candidate that fits: past a few
-entries the scan's answer is computed from the coverage vector in one
-numpy pass.  The answer — ``(node, cov, marginal, drop)`` and every
-``state.active`` transition — may not move, so the walk lives on here,
-unoptimized and obviously Algorithm 3, and
-``test_selector_equivalence.py`` holds the shipped selector equal to it
-call by call.  The three method bodies are untouched but for their
+The shipped ``AllocationSession._best_candidate`` is one call of the
+compiled selector (``algorithms/_select.c``): an array heap it walks a
+few entries deep, then a pass over the coverage vector.  The answer —
+``(node, cov, marginal, drop)`` and every ``state.active`` transition —
+may not move, so the walk lives on here, unoptimized and obviously
+Algorithm 3, with its own list heap and its own :meth:`_rebuild_heap`,
+and ``test_selector_equivalence.py`` holds the shipped selector equal
+to it call by call.  The method bodies are untouched but for their
 argument plumbing: the run state they took as arguments is the
 session's own.
 
@@ -46,6 +46,21 @@ def make_session(problem, config, session_class=AllocationSession, engine=None):
 
 class ReferenceSelector(AllocationSession):
     """TIRM with the heap-walking candidate scan of commit c3d1ac2."""
+
+    def _score(self, ad: int, node: int, cov: int) -> float:
+        if self.config.select_rule == "weighted":
+            return float(self.problem.ctps[ad, node]) * cov
+        return float(cov)
+
+    def _rebuild_heap(self, ad: int, state: _AdState) -> None:
+        coverage = state.collection.coverage()
+        nodes = np.flatnonzero(coverage > 0)
+        if self.config.select_rule == "weighted":
+            scores = self.problem.ctps[ad, nodes] * coverage[nodes]
+        else:
+            scores = coverage[nodes].astype(np.float64)
+        state.heap = list(zip((-scores).tolist(), nodes.tolist()))
+        heapq.heapify(state.heap)
 
     def _pop_fresh(self, ad: int, state: _AdState):
         """Pop the eligible node with the largest *fresh* score.

@@ -1,9 +1,10 @@
-"""The shipped candidate scan equals the heap walk it replaced.
+"""The compiled candidate scan equals the Python heap walk it replaced.
 
-``AllocationSession._best_candidate`` walks a few heap entries and then
-computes the scan from the coverage vector;
-``tests/algorithms/_reference_selector.py`` is the earlier scan that
-pops the heap down to the answer.  Both are driven from the same
+``AllocationSession._best_candidate`` is one call of the compiled
+selector (``_select.c``), which walks a few entries of an array heap and
+then computes the scan from the coverage vector;
+``tests/algorithms/_reference_selector.py`` is the earlier ``heapq``
+scan that pops the heap down to the answer.  Both are driven from the same
 synthetic per-ad state and must return the same ``(node, cov, marginal,
 drop)``, leave the same ``state.active``, and — the heap left behind
 being a valid lazy heap — answer a second call the same way.  The
@@ -21,10 +22,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.advertising.attention import AttentionBounds
+from repro.advertising.regret import regret_of
 from repro.algorithms import session as session_module
 from repro.algorithms.session import AllocationSession, _AdState
 from repro.algorithms.tirm import TIRMAllocator
@@ -124,18 +126,36 @@ def _build(session_class, case):
 def _assert_same_as_reference(case):
     shipped, state = _build(AllocationSession, case)
     reference, reference_state = _build(ReferenceSelector, case)
-    assert state.heap == reference_state.heap
+    assert sorted(state.heap.entries()) == sorted(reference_state.heap)
     answer = shipped._best_candidate(0, state)
     expected = reference._best_candidate(0, reference_state)
     assert answer == expected
     if answer is not None:
         assert [type(field) for field in answer] == [int, int, float, float]
     assert state.active == reference_state.active
+    _assert_valid_lazy_heap(shipped, state)
     # What the scan left behind still answers the same question.
     again = copy.deepcopy(state)
     assert shipped._best_candidate(0, again) == expected
     assert again.active == reference_state.active
-    return answer, state.active
+    return answer, state.active, state.heap.view.passes + again.heap.view.passes
+
+
+def _assert_valid_lazy_heap(session, state):
+    """Heap order over the live entries, each node at most once, and
+    every entry's score at or above its node's current one."""
+    entries = state.heap.entries()
+    for child in range(1, len(entries)):
+        assert entries[(child - 1) // 2] < entries[child]
+    nodes = [node for _, node in entries]
+    assert len(set(nodes)) == len(nodes)
+    coverage = state.collection.coverage()
+    weighted = session.config.select_rule == "weighted"
+    for key, node in entries:
+        score = float(coverage[node])
+        if weighted:
+            score *= float(session.problem.ctps[0, node])
+        assert -key >= score
 
 
 @pytest.mark.parametrize(
@@ -194,17 +214,62 @@ def _case(coverage, remaining, *, ctp=1.0, penalty=0.0, taken=()):
 def test_each_outcome_of_a_scan(monkeypatch, walk_base, case, walked, node, active):
     """The outcomes the property above must be landing in, one each;
     ``walked`` says a two-entry walk settles the scan without a pass."""
-    scans = []
-    scan = AllocationSession._scan_coverage
-
-    def counting_scan(self, *args):
-        scans.append(1)
-        return scan(self, *args)
-
-    monkeypatch.setattr(AllocationSession, "_scan_coverage", counting_scan)
     monkeypatch.setattr(session_module, "_WALK_BASE", walk_base)
-    answer, still_active = _assert_same_as_reference(case)
+    answer, still_active, passes = _assert_same_as_reference(case)
     assert (None if answer is None else answer[0]) == node
     assert still_active == active
     # Once for the first call, once for the repeat.
-    assert len(scans) == (0 if walked and walk_base else 2)
+    assert passes == (0 if walked and walk_base else 2)
+
+
+@given(
+    n=st.integers(1, 64),
+    cpe=st.floats(0.01, 100.0),
+    ctp=st.floats(1e-6, 1.0),
+    cov=st.integers(1, 10**6),
+    theta=st.integers(1, 10**7),
+    revenue=st.floats(0.0, 1e4),
+    remaining=st.floats(1e-9, 1e4),
+    penalty=st.floats(0.0, 10.0),
+    num_seeds=st.integers(0, 1_000),
+    walk=st.booleans(),
+)
+@settings(max_examples=1_000, deadline=None)
+def test_compiled_arithmetic_is_the_pythons_bit_for_bit(
+    n, cpe, ctp, cov, theta, revenue, remaining, penalty, num_seeds, walk
+):
+    """The marginal and drop the compiled selector returns are
+    ``_marginal_revenue`` and the ``regret_of`` difference to the bit:
+    one candidate of positive drop, taken by the walk or by the pass."""
+    budget = revenue + remaining
+    ctps = np.zeros(n)
+    ctps[0] = ctp
+    coverage = np.zeros(n, dtype=np.int64)
+    coverage[0] = cov
+    problem = SimpleNamespace(
+        num_ads=1,
+        num_nodes=n,
+        ctps=ctps[None, :],
+        penalty=penalty,
+        attention=AttentionBounds.uniform(n, 1),
+        catalog=SimpleNamespace(
+            budgets=lambda: np.asarray([budget]), cpes=lambda: np.asarray([cpe])
+        ),
+    )
+    session = make_session(problem, TIRMAllocator())
+    state = _AdState(collection=_Pool(coverage, theta))
+    state.revenue, state.seeds_in_order = revenue, [None] * num_seeds
+    marginal = session._marginal_revenue(0, state, 0, cov)
+    drop = regret_of(budget, revenue, penalty, num_seeds) - regret_of(
+        budget, revenue + marginal, penalty, num_seeds + 1
+    )
+    assume(drop > 1e-12 and budget - revenue > 0)
+    session._rebuild_heap(0, state)
+    original = session_module._WALK_BASE
+    session_module._WALK_BASE = 1 if walk else 0
+    try:
+        answer = session._best_candidate(0, state)
+    finally:
+        session_module._WALK_BASE = original
+    assert answer is not None
+    assert (answer[2].hex(), answer[3].hex()) == (marginal.hex(), drop.hex())

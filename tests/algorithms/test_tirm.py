@@ -272,25 +272,21 @@ class _FullScan(ReferenceSelector):
         return True
 
 
-def _count_scans(monkeypatch, session_class):
-    """Per ``_best_candidate`` call: ``(ad, entries popped, found one)``."""
+def _count_scans(monkeypatch):
+    """Per ``_best_candidate`` call of the compiled selector: ``(ad,
+    fresh-entry searches, found one)`` — the searches the Python walk
+    made one ``_pop_fresh`` call each, read off the heap's C view."""
     calls = []
-    pops = [0]
-    pop_fresh = session_class._pop_fresh
-    best_candidate = session_class._best_candidate
+    best_candidate = AllocationSession._best_candidate
 
-    def counting_pop(self, *args):
-        pops[0] += 1
-        return pop_fresh(self, *args)
-
-    def counting_best(self, ad, *args):
-        pops[0] = 0
-        best = best_candidate(self, ad, *args)
-        calls.append((ad, pops[0], best is not None))
+    def counting_best(self, ad, state):
+        view = state.heap.view
+        pops = view.pops
+        best = best_candidate(self, ad, state)
+        calls.append((ad, view.pops - pops, best is not None))
         return best
 
-    monkeypatch.setattr(session_class, "_pop_fresh", counting_pop)
-    monkeypatch.setattr(session_class, "_best_candidate", counting_best)
+    monkeypatch.setattr(AllocationSession, "_best_candidate", counting_best)
     return calls
 
 
@@ -323,13 +319,13 @@ class TestEndGame:
 
     def test_a_fruitless_scan_stops_at_the_top_of_the_heap(self, monkeypatch):
         """Counts, not seconds: no scan walks the heap past the switch
-        count (one more ``_pop_fresh`` call may find it empty), a
-        retired ad is not asked again, and the run pops a fraction of
-        what the parent's heap walk did."""
+        count (one more fresh-entry search may find it empty), a retired
+        ad is not asked again, and the run pops a fraction of what the
+        parent's heap walk did."""
         from repro.algorithms import session as session_module
 
         problem = self._problem()
-        calls = _count_scans(monkeypatch, AllocationSession)
+        calls = _count_scans(monkeypatch)
         active = []
         select = AllocationSession._step_select
 
@@ -358,15 +354,19 @@ class TestEndGame:
         for before, after in zip(active, active[1:]):
             assert all(a <= b for a, b in zip(after, before))
 
-    def test_the_question_is_the_scans_own_arithmetic(self):
-        """The pass must hold, for every node, the marginal and the drop
-        the walk computes one at a time — so it picks with the walk's
-        numbers and decides "no node lowers regret" as the walk's drops
-        do, including on the ``2·remaining`` edge where the drop is 0."""
+    def test_the_question_is_the_scans_own_arithmetic(self, monkeypatch):
+        """The compiled pass must pick with the marginals and drops the
+        walk computes one at a time, and decide "no node lowers regret"
+        as the walk's drops do, including on the ``2·remaining`` edge
+        where the drop is 0.  ``_WALK_BASE = 0`` makes every call a
+        pass (``n // 200`` is 0 here)."""
         import itertools
 
         from repro.advertising.regret import regret_of
+        from repro.algorithms import session as session_module
         from repro.algorithms.session import _AdState
+
+        monkeypatch.setattr(session_module, "_WALK_BASE", 0)
 
         class _Pool:
             def __init__(self, coverage, theta):
@@ -419,10 +419,10 @@ class TestEndGame:
                     )
                     for node in range(n)
                 ]
-                marginals, drops = session._marginals_and_drops(0, state)
-                assert marginals.tolist() == marginal and drops.tolist() == scalar
                 on_the_edge += coverage is edge and scalar[0] == 0.0
-                answer = session._scan_coverage(0, state)
+                session._rebuild_heap(0, state)
+                answer = session._best_candidate(0, state)
+                assert state.heap.view.passes == 1
                 lowers = any(drop > 1e-12 for drop in scalar)
                 if answer is not None:
                     node = answer[0]

@@ -1,0 +1,96 @@
+"""The pool's numpy ``remove_covered`` and main-index build as they stood
+before the compiled pool kernels (``rrset/_pool.c``), kept verbatim as
+the in-test reference.
+
+The compiled kernels may not move a coverage count, an alive flag, a
+returned count or an index entry, so the numpy code lives on here —
+unoptimized, obviously correct — and ``test_pool_kernels.py`` holds a
+shipped pool equal to a :class:`ReferencePool` fed the same operations.
+Only the names changed (``reference_`` prefix, and ``_bump_counts``'s
+``-1`` branch as :func:`_drop_counts`).
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.graph._traversal import gather_slices
+from repro.rrset.pool import (
+    MAX_SETS,
+    MEMBER_DTYPE,
+    SET_ID_DTYPE,
+    RRSetPool,
+    _build_pending_index,
+    _rebuilds,
+    _sorted_keys,
+)
+
+
+def _drop_counts(counts: np.ndarray, members: np.ndarray) -> None:
+    """``counts[members] -= 1`` per occurrence."""
+    if members.size == 0:
+        return
+    n = counts.size
+    if members.size * 16 < n:
+        np.subtract.at(counts, members, 1)
+    else:
+        counts -= np.bincount(members, minlength=n)
+
+
+def reference_build_csr_index(members, first_set, lengths, num_nodes):
+    """The packed-key sort: ``(indptr, set_ids)``, ids ascending per node."""
+    counts = np.bincount(members, minlength=num_nodes)
+    indptr = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+    keys = _sorted_keys(members, first_set, lengths)
+    keys &= MAX_SETS
+    return indptr, keys.astype(SET_ID_DTYPE)
+
+
+class ReferencePool(RRSetPool):
+    """An :class:`RRSetPool` whose ``remove_covered`` and main-index
+    build are the numpy ones."""
+
+    def remove_covered(self, node: int) -> int:
+        ids = self._ids_containing(node)
+        if ids.size == 0:
+            return 0
+        ids = ids[self._alive_mask[ids]]
+        if ids.size == 0:
+            return 0
+        # A set that contains ``node`` twice (possible through the public
+        # ``add_sets``) appears twice in the index; dedup before killing.
+        ids = np.unique(ids)
+        self._alive_mask[ids] = False
+        self._num_alive -= ids.size
+        _drop_counts(self._coverage, self._gather_members(ids))
+        return int(ids.size)
+
+    def _gather_members(self, set_ids: np.ndarray) -> np.ndarray:
+        starts = self._indptr[set_ids]
+        lengths = self._indptr[np.asarray(set_ids, dtype=np.int64) + 1] - starts
+        return self._members[gather_slices(starts, lengths)]
+
+    def _sync_index(self) -> None:
+        if self._synced_sets == self._num_sets:
+            return
+        if _rebuilds(self._indexed_members, self._members_used):
+            self._indexed_sets = self._num_sets
+            self._indexed_members = self._members_used
+        self._synced_sets = self._num_sets
+        if self._index_sets >= self._num_sets:
+            return
+        members = self._members[: self._members_used]
+        indptr = self._indptr[: self._num_sets + 1]
+        if _rebuilds(self._idx_sets.size, self._members_used):
+            self._idx_indptr, self._idx_sets = reference_build_csr_index(
+                members, 0, np.diff(indptr), self.num_nodes
+            )
+            self._main_sets = self._num_sets
+            self._pend_nodes = np.empty(0, dtype=MEMBER_DTYPE)
+            self._pend_sets = np.empty(0, dtype=SET_ID_DTYPE)
+        else:
+            lo = self._main_sets
+            self._pend_nodes, self._pend_sets = _build_pending_index(
+                members[self._idx_sets.size :], lo, np.diff(indptr[lo:])
+            )
+        self._index_sets = self._num_sets

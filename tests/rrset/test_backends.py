@@ -19,10 +19,10 @@ from repro.advertising.attention import AttentionBounds
 from repro.advertising.catalog import AdCatalog
 from repro.advertising.problem import AdAllocationProblem
 from repro.algorithms.tirm import TIRMAllocator
+from repro import _native
 from repro.errors import ConfigurationError
 from repro.graph.generators import erdos_renyi
 from repro.graph.probabilities import constant_probabilities
-from repro.rrset import backends
 from repro.rrset.backends import NumpyBackend, drive_blocked, resolve_backend
 
 
@@ -124,23 +124,62 @@ class TestKernelEdgeCases:
 
 
 class TestKernelBuild:
-    """The kernel is compiled on first use into a per-user cache, keyed
-    by a hash of its source and command."""
+    """Every C source the package ships is compiled on first use into one
+    library in a per-user cache, keyed by a hash of all the sources and
+    the command."""
+
+    @pytest.fixture
+    def sources(self, monkeypatch, tmp_path):
+        """Copies of the shipped sources, built into an empty cache."""
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        copies = []
+        for source in _native.SOURCES:
+            copy = tmp_path / source.parent.name / source.name
+            copy.parent.mkdir(exist_ok=True)
+            copy.write_bytes(source.read_bytes())
+            copies.append(copy)
+        monkeypatch.setattr(_native, "SOURCES", tuple(copies))
+        return copies
 
     def test_builds_into_an_empty_cache(self, monkeypatch, tmp_path):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-        built = backends._build()
+        built = _native.build()
         assert built.parent == tmp_path / "repro" and built.exists()
         assert [p.name for p in built.parent.iterdir()] == [built.name]
-        assert backends._build() == built  # found, not rebuilt
+        assert _native.build() == built  # found, not rebuilt
+
+    def test_ships_every_source(self):
+        names = {(p.parent.name, p.name) for p in _native.SOURCES}
+        assert names == {
+            ("rrset", "_bfs.c"), ("rrset", "_pool.c"), ("algorithms", "_select.c")
+        }
+        assert all(p.exists() for p in _native.SOURCES)
+
+    def test_editing_any_one_source_rebuilds(self, sources):
+        built = {_native.build()}
+        for source in sources:
+            source.write_bytes(source.read_bytes() + b"\n/* edited */\n")
+            again = _native.build()
+            assert again not in built and again.exists()
+            built.add(again)
+        assert {p.name for p in built} == {
+            p.name for p in next(iter(built)).parent.iterdir()
+        }
 
     def test_a_failed_build_names_the_compiler(self, monkeypatch, tmp_path):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-        config = backends.sysconfig.get_config_var
+        config = _native.sysconfig.get_config_var
         monkeypatch.setattr(
-            backends.sysconfig, "get_config_var",
+            _native.sysconfig, "get_config_var",
             lambda name: "no-such-cc -pthread" if name == "CC" else config(name),
         )
         with pytest.raises(ConfigurationError, match="compiler 'no-such-cc -pthread'"):
-            backends._build()
+            _native.build()
         assert list((tmp_path / "repro").iterdir()) == []  # no partial output
+
+    def test_a_source_that_does_not_compile_leaves_nothing(self, sources, tmp_path):
+        sources[-1].write_bytes(b"this is not C;\n")
+        compiler = _native.sysconfig.get_config_var("CC") or "cc"
+        with pytest.raises(ConfigurationError, match=f"compiler {compiler!r}"):
+            _native.build()
+        assert list((tmp_path / "cache" / "repro").iterdir()) == []

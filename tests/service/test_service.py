@@ -12,10 +12,12 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import gc
+import os
 import sys
 import threading
 import time
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -697,3 +699,78 @@ class TestPing:
             monkeypatch.setattr(manager, "list_jobs", listed)
             reply = server.dispatch({"op": "ping"})
             assert reply["pong"] is True and reply["jobs"] == 1
+
+
+class TestWaitersHoldNoThread:
+    """A ``wait`` holds no executor thread while its job runs: more
+    waiters than the loop's default executor has threads
+    (``min(32, cpu + 4)``) leave ``ping`` answering."""
+
+    @staticmethod
+    def _waiting(job, count):
+        deadline = time.monotonic() + 60
+        while True:
+            with job.lock:
+                if len(job.done_callbacks) >= count:
+                    return
+            assert time.monotonic() < deadline, "the waiters never arrived"
+            time.sleep(0.01)
+
+    def test_waiters_leave_ping_answering_and_all_get_the_result(self, monkeypatch):
+        waiters = (os.cpu_count() or 1) + 5
+        problem = _problem()
+        batch = TIRMAllocator(**PARAMS).allocate(problem)
+        with JobManager(cache=None) as manager, _serving(manager) as client:
+            gate = _HeldLease(manager, monkeypatch)
+            job = manager.submit(problem=problem, params=PARAMS)
+            with ThreadPoolExecutor(waiters + 1) as clients:
+                replies = [
+                    clients.submit(client.wait, job.job_id, 60)
+                    for _ in range(waiters - 1)
+                ]
+                replies.append(clients.submit(client.wait, job.job_id, 0.2))
+                self._waiting(job, waiters)
+                started = time.monotonic()
+                assert ServiceClient(client.port, timeout=1.0).ping()["pong"]
+                assert time.monotonic() - started < 1.0
+                assert manager.progress(job.job_id)["state"] == "pending"
+                # The timed-out waiter got its answer while the job ran.
+                with pytest.raises(ServiceError, match="still running after 0.2s"):
+                    replies.pop().result(60)
+                gate.release(1)
+                results = [reply.result(60) for reply in replies]
+        for result in results:
+            assert result["state"] == "done"
+            assert result["seeds_per_ad"] == [
+                batch.allocation.seed_array(ad).tolist()
+                for ad in range(problem.num_ads)
+            ]
+
+    def test_cancel_and_wait_holds_no_thread(self, monkeypatch):
+        problem = _problem()
+        with JobManager(cache=None) as manager, _serving(manager) as client:
+            gate = _HeldLease(manager, monkeypatch)
+            job = manager.submit(problem=problem, params=PARAMS)
+            with ThreadPoolExecutor(1) as clients:
+                reply = clients.submit(client.cancel, job.job_id, wait=True)
+                self._waiting(job, 1)
+                assert ServiceClient(client.port, timeout=1.0).ping()["pong"]
+                assert not reply.done()
+                gate.release(1)
+                assert reply.result(60)["state"] == "cancelled"
+
+    def test_reallocate_waits_for_its_source_on_the_loop(self, monkeypatch):
+        problem = _problem()
+        with JobManager(cache=None) as manager, _serving(manager) as client:
+            gate = _HeldLease(manager, monkeypatch)
+            source = manager.submit(problem=problem, params=PARAMS)
+            with ThreadPoolExecutor(1) as clients:
+                reply = clients.submit(
+                    client.reallocate, source.job_id, update_budgets={0: 9.0}
+                )
+                self._waiting(source, 1)
+                assert ServiceClient(client.port, timeout=1.0).ping()["pong"]
+                assert not reply.done()
+                gate.release(2)
+                job_id = reply.result(60)
+            assert client.wait(job_id, 60)["state"] == "done"
