@@ -12,8 +12,10 @@ Three sources make up the library:
 compiler Python was built with, ``-O2 -fPIC -shared -ffp-contract=off``,
 into a per-user cache directory (``$XDG_CACHE_HOME/repro``, else
 ``~/.cache/repro``) under a name keyed by a hash of every source and the
-command; a build lands there through an atomic rename, so concurrent
-first calls are safe.  A failed build raises
+command; a build lands there through an atomic rename, so processes
+building at once never see a partial library.  Within a process the
+library is built and loaded once, under a lock, whichever thread asks
+first (a forked child gets a fresh lock).  A failed build raises
 :class:`~repro.errors.ConfigurationError` naming the compiler.
 ``-ffp-contract=off`` keeps every double the selector computes the one
 Python computes: no multiply-add is fused.
@@ -22,13 +24,13 @@ Python computes: no multiply-add is fused.
 from __future__ import annotations
 
 import ctypes
-import functools
 import hashlib
 import os
 import shlex
 import subprocess
 import sysconfig
 import tempfile
+import threading
 from pathlib import Path
 
 from repro.errors import ConfigurationError
@@ -105,12 +107,24 @@ def build() -> Path:
     return target
 
 
-@functools.cache
+_loaded: ctypes.CDLL | None = None
+_lock = threading.Lock()
+if hasattr(os, "register_at_fork"):  # a child never inherits it held
+    os.register_at_fork(
+        after_in_child=lambda: globals().update(_lock=threading.Lock())
+    )
+
+
 def library() -> ctypes.CDLL:
     """The loaded library (built on first use), every export typed."""
-    loaded = ctypes.CDLL(str(build()))
-    for name, (restype, argtypes) in _SIGNATURES.items():
-        function = getattr(loaded, name)
-        function.restype = restype
-        function.argtypes = argtypes
-    return loaded
+    global _loaded
+    if _loaded is None:
+        with _lock:
+            if _loaded is None:
+                loaded = ctypes.CDLL(str(build()))
+                for name, (restype, argtypes) in _SIGNATURES.items():
+                    function = getattr(loaded, name)
+                    function.restype = restype
+                    function.argtypes = argtypes
+                _loaded = loaded
+    return _loaded

@@ -87,8 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
     allocate.add_argument("--max-rr-sets", type=int, default=20_000, dest="max_rr_sets")
     allocate.add_argument("--engine", choices=("serial", "process", "dist"),
                           default="serial",
-                          help="RR-set sampling engine: in-process serial, a "
-                               "fleet of forked worker processes, or the "
+                          help="RR-set sampling engine: in-process (the "
+                               "caller and one helper thread per further "
+                               "CPU), a fleet of forked worker processes, or the "
                                "distributed coordinator over socket workers "
                                "(TIRM only; all give identical allocations "
                                "for a seed)")
@@ -96,8 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
                           dest="chunk_size",
                           help="set-index chunk width of the RR-set streams "
                                "(TIRM only): every set is addressed by (seed, "
-                               "ad, set index), chunk-parallel under --engine "
-                               "process; part of the determinism contract "
+                               "ad, set index), and chunks run in parallel "
+                               "on every engine; part of the determinism contract "
                                "(same seed + same chunk size = same "
                                "allocation)")
     allocate.add_argument("--workers", type=int, default=None,

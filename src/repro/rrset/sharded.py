@@ -52,12 +52,16 @@ Substrates
 
 A substrate is ``submit(ad, chunk) → future | None`` (``None``: compute
 inline), ``collect(ad, chunk, future) → block`` and ``drain(futures)``.
-The base :class:`ChunkSubstrate` takes no work (``engine="serial"``);
-the fleet (:mod:`repro.dist.engine`) hands chunk tasks to a
-coordinator's workers — children forked at the first submit, on
-socketpairs (``engine="process"``; inline with one warning where
-``os.fork`` is missing), or ``repro worker`` processes over TCP
-(``engine="dist"``) — and takes digest-verified RESULT frames back.
+The base :class:`ChunkSubstrate` takes no work.  ``engine="serial"``
+runs chunks on the calling thread and on one process-wide pool of
+``cpus − 1`` helper threads, the caller taking unstarted chunks while
+it waits (:class:`_HelperThreads`; inline on one CPU, and for an ad
+whose blocks are too small to pay for the hand-off).  The fleet
+(:mod:`repro.dist.engine`) hands chunk tasks to a coordinator's
+workers — children forked at the first submit, on socketpairs
+(``engine="process"``; inline with one warning where ``os.fork`` is
+missing), or ``repro worker`` processes over TCP (``engine="dist"``) —
+and takes digest-verified RESULT frames back.
 Which substrate ran is provenance (``transport``, ``start_method``),
 never part of the determinism contract.
 
@@ -80,8 +84,10 @@ warning and the block recomputed, never spliced.
 from __future__ import annotations
 
 import itertools
+import os
+import threading
 import weakref
-from concurrent.futures import Future
+from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Mapping, Sequence
 
 from repro.errors import ConfigurationError
@@ -201,6 +207,94 @@ class ChunkSubstrate:
         """Release everything the substrate holds (idempotent)."""
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+#: The process-wide helper threads (``None``: not started, or one CPU).
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _helper_pool() -> ThreadPoolExecutor | None:
+    """The ``cpus − 1`` helper threads every in-process engine shares,
+    started on first use; ``None`` on one CPU."""
+    global _pool
+    if _pool is None:
+        with _pool_lock:
+            if _pool is None and (helpers := _cpus() - 1) > 0:
+                _pool = ThreadPoolExecutor(helpers, thread_name_prefix="repro-chunk")
+    return _pool
+
+
+if hasattr(os, "register_at_fork"):  # a forked child has no helper threads
+    os.register_at_fork(after_in_child=lambda: globals().update(
+        _pool=None, _pool_lock=threading.Lock()
+    ))
+
+
+#: An ad with a collected block of fewer members is computed inline
+#: from then on: a FLIX chunk (1.6 k members, 0.55 ms) holds the GIL a
+#: quarter of its time, so two threads mostly trade the GIL, and the run
+#: time spread about as widely as the helper saved (docs/rrset_engine.md).
+#: An LJ chunk (14 k members, 10 ms) keeps the helpers.
+_HELPER_MIN_MEMBERS = 4096
+
+
+class _HelperThreads(ChunkSubstrate):
+    """``engine="serial"``: chunks are queued on :func:`_helper_pool`,
+    and while the future the gather waits for is not done the caller
+    computes the lowest queued chunk no helper has started, holding its
+    block until the gather reaches it.  An ad with small blocks
+    (:data:`_HELPER_MIN_MEMBERS`) is computed inline."""
+
+    def __init__(self, source: ChunkSource) -> None:
+        self._source = source
+        # This engine's uncollected chunks in submission (= gather)
+        # order, and the blocks the caller computed ahead of the gather.
+        self._queue: dict[tuple[int, int], Future] = {}
+        self._taken: dict[tuple[int, int], Block] = {}
+        self._inline_ads: set[int] = set()
+
+    def submit(self, ad: int, chunk_index: int) -> Future | None:
+        if ad in self._inline_ads:
+            return None
+        pool = _helper_pool()
+        if pool is None:
+            return None
+        future = self._queue[ad, chunk_index] = pool.submit(
+            self._source.block, ad, chunk_index
+        )
+        return future
+
+    def collect(self, ad: int, chunk_index: int, future: Future) -> Block:
+        while not future.done():
+            key = next((k for k, f in self._queue.items() if f.cancel()), None)
+            if key is None:
+                break  # every queued chunk has started: wait
+            del self._queue[key]
+            self._taken[key] = self._source.block(*key)
+        self._queue.pop((ad, chunk_index), None)
+        block = self._taken.pop((ad, chunk_index), None)
+        block = future.result() if block is None else block
+        if block.members.size < _HELPER_MIN_MEMBERS:
+            self._inline_ads.add(ad)
+        return block
+
+    def drain(self, futures) -> None:
+        super().drain([*futures, *self._queue.values()])
+        self._queue.clear()
+        self._taken.clear()
+
+    def close(self) -> None:
+        self.drain(())
+
+    reset = close
+
+
 def _release_engine_resources(resources: dict) -> None:
     """Teardown shared by ``close()`` and the GC finalizer: drain the
     prefetch ledger, close the substrate (fleet session, forked
@@ -239,7 +333,9 @@ class ShardedSamplingEngine:
         the ``spawn_key``), or a sequence of ``h`` seed-likes for
         explicit per-ad roots.
     engine:
-        ``"serial"`` samples in-process; ``"process"`` fans chunk tasks
+        ``"serial"`` samples in-process, on the calling thread and one
+        helper thread per further CPU (an ad with small chunks on the
+        calling thread alone); ``"process"`` fans chunk tasks
         across a fleet of forked worker processes; ``"dist"`` across the
         ``repro worker`` processes dialled in to ``coordinator``.  All
         produce bit-identical shards for the same ``(seeds,
@@ -374,7 +470,7 @@ class ShardedSamplingEngine:
         self._cache, self._cache_owned = resolve_cache(cache)
         self._shard_keys: list[str] | None = None
         self._cache_meta: list[dict] | None = None
-        self._substrate = ChunkSubstrate()
+        self._substrate: ChunkSubstrate = _HelperThreads(self._source)
         try:
             # A dialled fleet's workers address their local caches by
             # the shard keys too.

@@ -11,6 +11,8 @@ value is refused.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -176,6 +178,35 @@ class TestKernelBuild:
         with pytest.raises(ConfigurationError, match="compiler 'no-such-cc -pthread'"):
             _native.build()
         assert list((tmp_path / "repro").iterdir()) == []  # no partial output
+
+    def test_concurrent_first_calls_build_and_load_once(self, monkeypatch, tmp_path):
+        """Threads racing into :func:`library` on an empty cache: one
+        compiler run, one loaded handle."""
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setattr(_native, "_loaded", None)
+        runs = []
+        run = _native.subprocess.run
+
+        def counting_run(*args, **kwargs):
+            runs.append(args)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(_native.subprocess, "run", counting_run)
+        barrier = threading.Barrier(4)
+        handles = []
+
+        def first_call():
+            barrier.wait()
+            handles.append(_native.library())
+
+        threads = [threading.Thread(target=first_call) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert len(runs) == 1
+        assert len(handles) == 4 and len({id(h) for h in handles}) == 1
+        assert handles[0].repro_bfs_batch.restype is _native._I64
 
     def test_a_source_that_does_not_compile_leaves_nothing(self, sources, tmp_path):
         sources[-1].write_bytes(b"this is not C;\n")

@@ -8,6 +8,15 @@ holds exactly the chunks the plain sampler draws for each ad's plan.
 
 from __future__ import annotations
 
+import functools
+import os
+import subprocess
+import sys
+import textwrap
+import threading
+import time
+from concurrent.futures import wait
+
 import numpy as np
 import pytest
 
@@ -15,13 +24,19 @@ from repro.advertising.advertiser import Advertiser
 from repro.advertising.attention import AttentionBounds
 from repro.advertising.catalog import AdCatalog
 from repro.advertising.problem import AdAllocationProblem
+from repro.algorithms.session import AllocationSession
 from repro.algorithms.tirm import TIRMAllocator
+from repro.datasets import flixster_like, livejournal_like
 from repro.errors import ConfigurationError
 from repro.graph.generators import erdos_renyi
 from repro.graph.probabilities import constant_probabilities
 from repro.rrset.pool import RRSetPool
 from repro.rrset.sampler import RRSetSampler, StreamPlan, _slice_flat
-from repro.rrset.sharded import ChunkSubstrate, ShardedSamplingEngine
+from repro.rrset import sharded
+from repro.rrset.sharded import ChunkSource, ChunkSubstrate, ShardedSamplingEngine
+from repro.service.pool import EnginePool
+
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "..", "src"))
 
 
 def _problem(seed: int, num_ads: int = 3, budget: float = 6.0):
@@ -462,6 +477,332 @@ class TestSubstrateSeam:
         assert engine.shard(0).num_total == 32
         assert fake.closed and not engine._finalizer.alive
         engine.close()  # still idempotent after the failure path
+
+
+# ----------------------------------------------------------------------
+# engine="serial": the caller and the process-wide helper threads
+# ----------------------------------------------------------------------
+#: The block size below which an ad's chunks stay on the caller.
+_MIN_MEMBERS = sharded._HELPER_MIN_MEMBERS
+
+
+@pytest.fixture
+def cpus(request, monkeypatch):
+    """A fresh helper pool sized from ``request.param`` CPUs (default 4,
+    more than most runners have), shut down after the test.  Every
+    block counts as large enough for the helpers."""
+    count = getattr(request, "param", 4)
+    monkeypatch.setattr(sharded, "_cpus", lambda: count)
+    monkeypatch.setattr(sharded, "_pool", None)
+    monkeypatch.setattr(sharded, "_HELPER_MIN_MEMBERS", 0)
+    yield count
+    if sharded._pool is not None:
+        sharded._pool.shutdown(wait=True)
+
+
+@pytest.fixture
+def computed_on(monkeypatch) -> list[tuple[int, int, bool]]:
+    """Spy on :meth:`ChunkSource.block`: ``(ad, chunk, on_caller)`` per
+    computed chunk, ``on_caller`` meaning the test's own thread."""
+    calls: list[tuple[int, int, bool]] = []
+    block, caller = ChunkSource.block, threading.get_ident()
+
+    def spy(self, ad, chunk_index):
+        calls.append((ad, chunk_index, threading.get_ident() == caller))
+        return block(self, ad, chunk_index)
+
+    monkeypatch.setattr(ChunkSource, "block", spy)
+    return calls
+
+
+#: Two TIRM instances whose runs top single ads up after the pilot
+#: (Algorithm 4's θ growth): an ``LJ``-like and a ``FLIX``-like one.
+_HELPER_CASES = {
+    "LJ": (
+        lambda: livejournal_like(scale=0.0002, num_ads=3),
+        dict(epsilon=0.3, max_rr_sets_per_ad=200_000),
+    ),
+    "FLIX": (
+        lambda: flixster_like(scale=0.02, num_ads=3),
+        dict(
+            epsilon=0.5, initial_pilot=100, min_rr_sets_per_ad=100,
+            max_rr_sets_per_ad=100_000,
+        ),
+    ),
+}
+
+
+@functools.cache
+def _helper_problem(case: str):
+    return _HELPER_CASES[case][0]()
+
+
+def _helper_run(case: str, substrate=None):
+    """One dsan allocation of ``case``: ``(seed sets, revenues, digests,
+    requests)``, each request being the ``(ad, chunk)`` splices of one
+    ``ensure`` in order.  ``substrate`` replaces the engine's own."""
+    problem = _helper_problem(case)
+    allocator = TIRMAllocator(
+        seed=1, chunk_size=1024, dsan=True, **_HELPER_CASES[case][1]
+    )
+    engine = allocator._build_engine(problem, None)
+    if substrate is not None:
+        _install(engine, substrate)
+    requests: list[list[tuple[int, int]]] = []
+    ensure, splice = engine.ensure, engine._splice
+
+    def recording_ensure(targets):
+        requests.append([])
+        return ensure(targets)
+
+    def recording_splice(ad, chunk_index, *rest):
+        requests[-1].append((ad, chunk_index))
+        return splice(ad, chunk_index, *rest)
+
+    engine.ensure, engine._splice = recording_ensure, recording_splice
+    with engine:
+        result = AllocationSession(problem, allocator, engine=engine).run()
+        digests = engine.dsan_digests()
+    return result.allocation, list(result.estimated_revenues), digests, requests
+
+
+@functools.cache
+def _inline_run(case: str):
+    """The reference: every chunk computed by the caller, in order."""
+    run = _helper_run(case, ChunkSubstrate())
+    requests = run[3]
+    assert any(len({ad for ad, _ in r}) == 1 for r in requests[1:])  # a top-up
+    return run
+
+
+def _assert_same_run(run, inline):
+    assert run[0] == inline[0]  # seed sets
+    assert run[1] == inline[1]  # revenues
+    assert run[2] == inline[2]  # dsan digests
+    assert run[3] == inline[3]  # splices, request by request
+    assert all(request == sorted(request) for request in run[3])
+
+
+class TestHelperThreads:
+    """``engine="serial"`` computes a request's chunks on the caller and
+    on ``cpus − 1`` helper threads; which thread computed a chunk must
+    never change a byte or the splice order."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4], indirect=True)
+    @pytest.mark.parametrize("case", sorted(_HELPER_CASES))
+    def test_same_bytes_for_any_helper_count(self, case, cpus, computed_on):
+        inline = _inline_run(case)
+        del computed_on[:]
+        _assert_same_run(_helper_run(case), inline)
+        on_caller = {flag for *_, flag in computed_on}
+        if cpus == 1:
+            assert sharded._pool is None and on_caller == {True}
+        else:
+            assert False in on_caller  # the helpers took work
+
+    def test_caller_takes_every_chunk_while_the_helpers_are_held(
+        self, cpus, computed_on
+    ):
+        inline = _inline_run("LJ")
+        del computed_on[:]
+        gate = threading.Event()
+        held = [sharded._helper_pool().submit(gate.wait) for _ in range(cpus - 1)]
+        try:
+            run = _helper_run("LJ")
+        finally:
+            gate.set()
+        wait(held)
+        _assert_same_run(run, inline)
+        assert computed_on and all(flag for *_, flag in computed_on)
+
+    def test_helpers_take_almost_every_chunk_from_a_slow_caller(
+        self, cpus, computed_on, monkeypatch
+    ):
+        inline = _inline_run("LJ")
+        block, caller = ChunkSource.block, threading.get_ident()
+
+        def slow(self, ad, chunk_index):
+            if threading.get_ident() == caller:
+                time.sleep(0.02)
+            return block(self, ad, chunk_index)
+
+        monkeypatch.setattr(ChunkSource, "block", slow)
+        del computed_on[:]
+        _assert_same_run(_helper_run("LJ"), inline)
+        on_caller = sum(flag for *_, flag in computed_on)
+        assert on_caller <= len(computed_on) // 4
+
+    def test_an_ad_with_small_blocks_stays_on_the_caller(
+        self, cpus, computed_on, monkeypatch
+    ):
+        """FLIX-like blocks (1.3 k members) are computed by the caller
+        once one was collected; LJ-like ones (11 k and more) keep going
+        to the helpers.  Either way the bytes are the inline ones."""
+        monkeypatch.setattr(sharded, "_HELPER_MIN_MEMBERS", _MIN_MEMBERS)
+
+        def after_the_pilot(case) -> set[bool]:
+            inline = _inline_run(case)
+            del computed_on[:]
+            run = _helper_run(case)
+            _assert_same_run(run, inline)
+            return {flag for *_, flag in computed_on[len(run[3][0]):]}
+
+        assert after_the_pilot("FLIX") == {True}
+        assert False in after_the_pilot("LJ")
+
+    def test_concurrent_engines_share_the_helpers(self, cpus):
+        """Six engines sampling at once from their own threads, as
+        service jobs do, on one pool of helpers and a short switch
+        interval: each splices its own inline bytes."""
+        problem = _problem(37)
+        requests = ({0: 150, 1: 90, 2: 120}, {1: 200}, {0: 260, 2: 170})
+
+        def digests(seed, substrate=None):
+            with ShardedSamplingEngine(
+                problem.graph, _probs(problem), seeds=seed, chunk_size=8,
+                dsan=True,
+            ) as engine:
+                if substrate is not None:
+                    _install(engine, substrate)
+                for targets in requests:
+                    engine.ensure(targets)
+                return engine.dsan_digests()
+
+        inline = {seed: digests(seed, ChunkSubstrate()) for seed in range(6)}
+        got: dict[int, dict] = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(
+                    target=lambda seed=seed: got.update({seed: digests(seed)})
+                )
+                for seed in range(6)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == inline
+
+    def test_fork_after_the_helpers_started_gives_the_same_root(self):
+        """Serial, then the forked fleet, then serial again in one
+        interpreter — as the service does — with helper threads alive
+        at the fork."""
+        script = """
+            import threading
+            from repro.rrset import sharded
+            sharded._cpus = lambda: 3
+            from repro.algorithms.tirm import TIRMAllocator
+            from repro.datasets import livejournal_like
+
+            problem = livejournal_like(scale=0.0002, num_ads=3)
+
+            def root(engine):
+                allocator = TIRMAllocator(
+                    seed=1, chunk_size=1024, dsan=True, engine=engine,
+                    max_workers=2, epsilon=0.3, max_rr_sets_per_ad=20_000,
+                )
+                return allocator.allocate(problem).stats["dsan_root"]
+
+            roots = [root("serial")]
+            assert sharded._pool is not None and threading.active_count() > 1
+            roots += [root("process"), root("serial")]
+            print(*roots)
+        """
+        done = subprocess.run(
+            [sys.executable, "-c", textwrap.dedent(script)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert done.returncode == 0, done.stderr
+        roots = done.stdout.split()
+        assert len(roots) == 3 and len(set(roots)) == 1
+
+    def test_helper_threads_are_process_wide(self, cpus):
+        problem = _problem(23)
+        baseline, before = threading.active_count(), set(threading.enumerate())
+        allocator = TIRMAllocator(seed=3, chunk_size=32, max_rr_sets_per_ad=1_000)
+        for _ in range(50):
+            allocator.allocate(problem)
+        with EnginePool() as pool:
+            leases = [pool.lease(problem, allocator) for _ in range(4)]
+            for lease in leases:
+                lease.engine.ensure({0: 200, 1: 200})
+                lease.release()
+            assert pool.stats()["idle_engines"] == 4
+            assert threading.active_count() <= baseline + cpus - 1
+        helpers = [
+            t for t in set(threading.enumerate()) - before
+            if t.name.startswith("repro-chunk")
+        ]
+        assert 1 <= len(helpers) <= cpus - 1
+
+    @pytest.mark.parametrize("where", ["helper", "caller"])
+    def test_a_failed_chunk_surfaces_and_closes_the_engine(
+        self, where, cpus, monkeypatch
+    ):
+        block, caller = ChunkSource.block, threading.get_ident()
+        failed = []
+
+        def failing(self, ad, chunk_index):
+            on_caller = threading.get_ident() == caller
+            if (where == "caller") == on_caller and not failed:
+                failed.append((ad, chunk_index))
+                raise MemoryError("chunk could not allocate")
+            if on_caller:
+                time.sleep(0.01)  # leave the helpers time to start work
+            return block(self, ad, chunk_index)
+
+        submitted = []
+        submit = sharded._HelperThreads.submit
+
+        def recording_submit(self, ad, chunk_index):
+            future = submit(self, ad, chunk_index)
+            submitted.append(future)
+            return future
+
+        monkeypatch.setattr(ChunkSource, "block", failing)
+        monkeypatch.setattr(sharded._HelperThreads, "submit", recording_submit)
+        gate = threading.Event()
+        if where == "caller":  # hold the helpers: the caller takes chunks
+            held = [
+                sharded._helper_pool().submit(gate.wait) for _ in range(cpus - 1)
+            ]
+        problem = _problem(29)
+        engine = ShardedSamplingEngine(
+            problem.graph, _probs(problem), seeds=2, chunk_size=8
+        )
+        try:
+            with pytest.raises(MemoryError, match="could not allocate"):
+                engine.ensure({0: 96, 1: 96})
+        finally:
+            gate.set()
+        assert failed and len(submitted) == 24
+        assert not engine._finalizer.alive
+        assert engine._substrate._queue == {} and engine._substrate._taken == {}
+        _, running = wait(submitted, timeout=30)
+        assert not running  # nothing of the engine is left queued
+        if where == "caller":
+            wait(held)
+
+    def test_a_fully_cached_run_starts_no_helper(self, cpus, monkeypatch, tmp_path):
+        problem = _problem(31)
+        allocator = TIRMAllocator(
+            seed=4, chunk_size=32, max_rr_sets_per_ad=1_000, cache=tmp_path,
+            dsan=True,
+        )
+        monkeypatch.setattr(sharded, "_cpus", lambda: 1)
+        cold = allocator.allocate(problem)
+        assert sharded._pool is None
+        monkeypatch.setattr(sharded, "_cpus", lambda: cpus)
+        warm = allocator.allocate(problem)
+        assert warm.stats["backend_invocations"] == 0
+        assert warm.stats["dsan_root"] == cold.stats["dsan_root"]
+        assert sharded._pool is None
 
 
 class TestResetForReuse:
