@@ -9,9 +9,8 @@ index read after growth, so between an append and that read they lag the
 sets, and a rewound pool keeps them, so they list sets not visible yet —
 a raw read elsewhere is a silent stale-index bug of the same shape.
 Every external consumer must go through the pool's stable API
-(``prefix_view``, ``first_k_sets``, ``add_flat`` — generation-checked;
-``remove_covered``, ``coverage_of_set``, ``set_ids_containing`` —
-synced).  This rule fences
+(``prefix_view``, ``resident_rows``, ``add_flat`` — generation-checked;
+``remove_covered``, ``coverage_of_set`` — synced).  This rule fences
 the arrays off syntactically: any such attribute access outside
 ``pool.py`` is flagged, whatever object it syntactically hangs on — a
 private name that specific appearing outside its owner is wrong even
@@ -32,13 +31,13 @@ from repro.analysis.rules.base import LintContext, Rule
 _BUFFER = (
     "buffer",
     "buffers reallocate on growth (aliasing bug class); use "
-    "prefix_view()/first_k_sets()/add_flat*() instead",
+    "prefix_view()/resident_rows()/add_flat*() instead",
 )
 _INDEX = (
     "index",
     "the index is built at the first index read and may lag the sets "
-    "(stale-index bug class); use remove_covered()/coverage_of_set()/"
-    "set_ids_containing() instead",
+    "(stale-index bug class); use remove_covered()/coverage_of_set() "
+    "instead",
 )
 
 

@@ -191,8 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="list cached shard blocks (LRU-oldest first)")
     ls_what.add_argument("--checkpoints", action="store_true",
                          help="list registered checkpoint artifacts")
-    ls_what.add_argument("--benchmarks", action="store_true",
-                         help="list recorded benchmark history")
 
     show = commands.add_parser("show", help="one catalog allocation in full")
     show.add_argument("id", type=int, help="allocation id (see `repro ls`)")

@@ -28,7 +28,7 @@ def coverage_fraction(sets: RRSetPool, seeds) -> float:
     ``remove_covered`` still estimates over its whole sample."""
     if not sets.num_total:
         raise EstimationError("cannot estimate coverage from zero sets")
-    return sets.coverage_of_set(seeds, alive_only=False) / sets.num_total
+    return sets.coverage_of_set(seeds) / sets.num_total
 
 
 def estimate_spread_from_sets(sets: RRSetPool, num_nodes: int, seeds) -> float:

@@ -8,17 +8,16 @@ bulk, never by per-element Python appends: the main tier by one
 counting sort and the pending tier by one packed-key sort.  The main
 index build and ``remove_covered`` are compiled kernels (``_pool.c``,
 built into the package's one library by :mod:`repro._native`); the
-appends and the other queries (``coverage_of_set``, ``sets_containing``)
-are numpy over the same buffers.  See ``docs/rrset_engine.md`` for the
+appends and the other index query (``coverage_of_set``) are numpy over
+the same buffers.  See ``docs/rrset_engine.md`` for the
 layout, the index policy, and the determinism contract.
 
 Index maintenance (amortized, at the first index read after growth):
 
 * appends only validate, copy and bump coverage; the first index read
-  that follows (``remove_covered``, ``coverage_of_set``,
-  ``set_ids_containing`` / ``sets_containing``) indexes everything
-  appended since the last one, so a growth event of many chunks costs
-  one build;
+  that follows (``remove_covered``, ``coverage_of_set``) indexes
+  everything appended since the last one, so a growth event of many
+  chunks costs one build;
 * the *main* index covers sets ``[0, _main_sets)`` and is rebuilt in
   bulk only when the un-indexed region has grown past ``1/4`` of the
   indexed members (geometric threshold, so total rebuild work is
@@ -40,8 +39,6 @@ slice — and the index is built only where the visible sets outrun it.
 """
 
 from __future__ import annotations
-
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -84,37 +81,26 @@ class CSRSetView:
     """A read-only CSR window over a prefix of a pool's sets.
 
     ``indptr`` has ``num_sets + 1`` entries and indexes into ``members``.
-    Views alias the pool's buffers and are O(1) to create.  A view bound
-    to its pool is *self-healing*: the pool is append-only, so the first
-    ``num_sets`` sets never change, and when a growth-triggered
-    reallocation retires the buffer a view points at, the view
-    re-materializes itself against the live buffer on next access (the
-    pool's generation counter detects the swap).  Holding a stale view
-    therefore never silently reads — or keeps alive — a retired buffer.
-
-    Detached views (``pool=None``, e.g. after crossing a process
-    boundary) are plain frozen windows with no refresh behaviour.
+    Views alias the pool's buffers and are O(1) to create.  A view is
+    *self-healing*: the pool is append-only, so the first ``num_sets``
+    sets never change, and when a growth-triggered reallocation retires
+    the buffer a view points at, the view re-materializes itself against
+    the live buffer on next access (the pool's generation counter detects
+    the swap).  Holding a stale view therefore never silently reads — or
+    keeps alive — a retired buffer.
     """
 
     __slots__ = ("_indptr", "_members", "num_sets", "_pool", "_generation")
 
-    def __init__(
-        self,
-        indptr: np.ndarray,
-        members: np.ndarray,
-        num_sets: int,
-        *,
-        pool: "RRSetPool | None" = None,
-    ) -> None:
-        self._indptr = indptr
-        self._members = members
-        self.num_sets = int(num_sets)
+    def __init__(self, pool: "RRSetPool", num_sets: int) -> None:
         self._pool = pool
-        self._generation = pool.generation if pool is not None else -1
+        self.num_sets = int(num_sets)
+        self._generation = -1
+        self._refresh()
 
     def _refresh(self) -> None:
         pool = self._pool
-        if pool is not None and pool.generation != self._generation:
+        if pool.generation != self._generation:
             end = int(pool._indptr[self.num_sets])
             self._indptr = pool._indptr[: self.num_sets + 1]
             self._members = pool._members[:end]
@@ -129,17 +115,6 @@ class CSRSetView:
     def members(self) -> np.ndarray:
         self._refresh()
         return self._members
-
-    def detach(self) -> "CSRSetView":
-        """A pool-independent copy of this window (safe to pickle/ship)."""
-        self._refresh()
-        return CSRSetView(
-            self._indptr.copy(), self._members.copy(), self.num_sets
-        )
-
-    def get_set(self, set_id: int) -> np.ndarray:
-        self._refresh()
-        return self._members[self._indptr[set_id] : self._indptr[set_id + 1]]
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(num_sets={self.num_sets})"
@@ -217,12 +192,13 @@ def _build_pending_index(
 class RRSetPool:
     """Append-only pool of RR-sets over ``num_nodes`` users.
 
-    Public API: TIRM's two mutations (``add_sets`` /
-    ``remove_covered``), eager per-node coverage counts, and the
-    coverage queries — plus the bulk entry point
-    ``add_flat`` (samplers write straight into the pool) and zero-copy
-    ``prefix_view`` / ``first_k_sets`` accessors for O(pilot) OPT
-    estimation.
+    Public API: what TIRM asks of its sample (§5.1–5.2) — append sets
+    (``add_flat``, the samplers' bulk entry point), remove the ones a
+    seed covers (``remove_covered``), read the eager per-node coverage
+    counts (``coverage``), and count the sets a seed set intersects
+    (``coverage_of_set``, for ``n · F_R(S)``) — plus the zero-copy
+    ``prefix_view`` window for O(pilot) OPT estimation and
+    ``resident_rows`` for re-reading packed rows.
 
     A pool is an immutable *sample* plus a cheap *run state*.  The
     sample is the member rows and ``indptr`` of every set ever appended
@@ -242,9 +218,8 @@ class RRSetPool:
     while resident sets are still hidden.
 
     The inverted index is built by the first index read after growth
-    (``remove_covered``, ``coverage_of_set``, ``set_ids_containing`` /
-    ``sets_containing``) that finds the visible sets past what it
-    covers; appends, ``coverage`` / ``coverage_of``, the views and the
+    (``remove_covered``, ``coverage_of_set``) that finds the visible
+    sets past what it covers; appends, ``coverage``, the views and the
     byte accounting never build it.  A pool has a single owner at a
     time (engine leases are exclusive, and the service reports progress
     from stored snapshots, never the live pool), so a read that builds
@@ -252,22 +227,24 @@ class RRSetPool:
 
     Examples
     --------
-    Three sets over five nodes; node 2 appears in two of them, and
+    Three sets over five nodes — ``{0, 2}``, ``{2, 3}`` and ``{4}``,
+    packed as members plus lengths; node 2 appears in two of them, and
     removing the sets it covers updates the eager coverage counters::
 
         >>> import numpy as np
         >>> from repro.rrset import RRSetPool
         >>> pool = RRSetPool(num_nodes=5)
-        >>> pool.add_sets([[0, 2], [2, 3], [4]])   # -> the new set ids
-        [0, 1, 2]
+        >>> pool.add_flat(np.array([0, 2, 2, 3, 4]), np.array([2, 2, 1]))
         >>> pool.num_total, pool.num_alive
         (3, 3)
-        >>> int(pool.coverage_of(2))
-        2
+        >>> pool.coverage().tolist()
+        [1, 0, 2, 1, 1]
         >>> pool.remove_covered(2)      # kill the sets containing node 2
         2
-        >>> pool.num_alive, int(pool.coverage_of(3))
-        (1, 0)
+        >>> pool.num_alive, pool.coverage().tolist()
+        (1, [0, 0, 0, 0, 1])
+        >>> pool.coverage_of_set([2, 4])  # F_R counts every visible set
+        3
     """
 
     def __init__(self, num_nodes: int) -> None:
@@ -333,37 +310,23 @@ class RRSetPool:
     # ------------------------------------------------------------------
     # Mutations
     # ------------------------------------------------------------------
-    def add_sets(self, sets: Iterable[np.ndarray]) -> Sequence[int]:
-        """Register new RR-sets; returns their ids (compat API).
-
-        Bulk path: the per-set arrays are concatenated once and appended
-        through :meth:`add_flat` — no per-element index updates.
-        """
-        arrays = [np.asarray(s).ravel() for s in sets]
-        first = self._num_sets
-        if not arrays:
-            return []
-        lengths = np.asarray([a.size for a in arrays], dtype=np.int64)
-        if sum(a.size for a in arrays):
-            flat = np.concatenate(arrays).astype(MEMBER_DTYPE, copy=False)
-        else:
-            flat = np.empty(0, dtype=MEMBER_DTYPE)
-        self.add_flat(flat, lengths)
-        return list(range(first, self._num_sets))
-
     def add_flat(self, members: np.ndarray, lengths: np.ndarray) -> None:
         """Append ``len(lengths)`` sets whose members are concatenated in
         ``members``.  This is the samplers' bulk entry point.
 
         Exactly one copy: members land in the pool's growable buffer via
         a single slice assignment, which casts integer inputs in place —
-        no ``astype`` staging copy.  (Non-integer inputs pay their own
-        explicit conversion first — a legacy convenience path.)
+        no ``astype`` staging copy.  Both arrays must hold integers: a
+        float or bool array is refused (``ValueError``), never truncated.
         """
         members = np.asarray(members).ravel()
-        if members.size and not np.issubdtype(members.dtype, np.integer):
-            members = members.astype(MEMBER_DTYPE)
-        lengths = np.asarray(lengths, dtype=np.int64).ravel()
+        lengths = np.asarray(lengths).ravel()
+        for name, array in (("members", members), ("lengths", lengths)):
+            if array.size and not np.issubdtype(array.dtype, np.integer):
+                raise ValueError(
+                    f"{name} must be an integer array, got dtype {array.dtype}"
+                )
+        lengths = lengths.astype(np.int64, copy=False)
         self._validate_flat(members, lengths)
         self._append_flat(members, lengths)
 
@@ -493,7 +456,7 @@ class RRSetPool:
         One compiled call walks the node's main-index slice and its
         pending run, clipped to the visible sets, kills each alive set
         once — a set that names ``node`` twice (possible through the
-        public ``add_sets``) is listed twice and found dead the second
+        public ``add_flat``) is listed twice and found dead the second
         time — and decrements coverage once per member of each.
         """
         if not 0 <= node < self.num_nodes:
@@ -549,18 +512,13 @@ class RRSetPool:
         view.flags.writeable = False
         return view
 
-    def coverage_of(self, node: int) -> int:
-        """Coverage count of one node among alive sets."""
-        return int(self._coverage[node])
-
-    def coverage_of_set(self, nodes, *, alive_only: bool = True) -> int:
-        """Number of alive sets intersecting ``nodes`` (for ``F_R(S)``).
+    def coverage_of_set(self, nodes) -> int:
+        """Number of visible sets intersecting ``nodes`` — alive or
+        removed, so a pool that has been through ``remove_covered``
+        still counts over its whole sample (``F_R(S)``, Proposition 1).
 
         Vectorized: gathers every candidate set id via index slices, then
-        dedups with one ``np.unique`` over the alive survivors (the old
-        implementation walked Python lists with a ``set``).  Pass
-        ``alive_only=False`` to count over *all* sampled sets — e.g. for
-        spread estimation after seeds have removed their covered sets.
+        dedups with one ``np.unique``.
         """
         nodes = np.unique(np.asarray(nodes, dtype=np.int64).ravel())
         if nodes.size == 0:
@@ -568,41 +526,7 @@ class RRSetPool:
         if nodes[0] < 0 or nodes[-1] >= self.num_nodes:
             raise IndexError("node ids out of range")
         ids = self._ids_containing_many(nodes)
-        if ids.size == 0:
-            return 0
-        if alive_only:
-            ids = ids[self._alive_mask[ids]]
         return int(np.unique(ids).size)
-
-    def set_ids_containing(self, node: int, *, alive_only: bool = True) -> np.ndarray:
-        """Ids of sets containing ``node`` as an array (fast path)."""
-        ids = self._ids_containing(node)
-        if alive_only and ids.size:
-            ids = ids[self._alive_mask[ids]]
-        return ids
-
-    def sets_containing(self, node: int, *, alive_only: bool = True) -> list[int]:
-        """Ids of sets containing ``node`` (compat list API)."""
-        return [int(i) for i in self.set_ids_containing(node, alive_only=alive_only)]
-
-    def get_set(self, set_id: int) -> np.ndarray:
-        """Members of a set by id (a zero-copy view into the pool)."""
-        if not 0 <= set_id < self._num_sets:
-            raise IndexError(f"set id {set_id} out of range")
-        return self._members[self._indptr[set_id] : self._indptr[set_id + 1]]
-
-    def first_k_sets(self, k: int) -> list[np.ndarray]:
-        """Views of the first ``min(k, num_total)`` sets — O(k), unlike
-        the old ``all_sets()[:k]`` which materialised every set.
-
-        The returned arrays alias the members buffer *as of this call*;
-        across later ``add_*`` calls prefer :meth:`prefix_view`, whose
-        window survives growth reallocations.
-        """
-        k = min(max(int(k), 0), self._num_sets)
-        indptr = self._indptr
-        members = self._members
-        return [members[indptr[i] : indptr[i + 1]] for i in range(k)]
 
     def prefix_view(self, k: int | None = None) -> CSRSetView:
         """Zero-copy CSR window over the first ``k`` sets (default: all).
@@ -613,37 +537,7 @@ class RRSetPool:
         against the live one on next access (see :class:`CSRSetView`).
         """
         k = self._num_sets if k is None else min(max(int(k), 0), self._num_sets)
-        end = int(self._indptr[k])
-        return CSRSetView(
-            self._indptr[: k + 1], self._members[:end], k, pool=self
-        )
-
-    def all_sets(self) -> list[np.ndarray]:
-        """Every sampled set, alive or covered (selection order).
-
-        TIRM's seed-size re-estimation runs a fresh greedy cover over the
-        *full* sample to lower-bound ``OPT_s``, so it needs covered sets
-        back.  Prefer :meth:`prefix_view` where a CSR window suffices.
-        """
-        return self.first_k_sets(self._num_sets)
-
-    def is_alive(self, set_id: int) -> bool:
-        """Whether a set is still uncovered."""
-        if not 0 <= set_id < self._num_sets:
-            raise IndexError(f"set id {set_id} out of range")
-        return bool(self._alive_mask[set_id])
-
-    def alive_mask(self) -> np.ndarray:
-        """Read-only alive mask over all sets."""
-        view = self._alive_mask[: self._num_sets].view()
-        view.flags.writeable = False
-        return view
-
-    def average_set_size(self) -> float:
-        """Mean size over all sampled sets (EPT-style diagnostics)."""
-        if not self._num_sets:
-            return 0.0
-        return float(self._members_used / self._num_sets)
+        return CSRSetView(self, k)
 
     def memory_bytes(self) -> int:
         """Bytes of RR data a cold pool holding the visible sets would
@@ -653,9 +547,8 @@ class RRSetPool:
         last index read have no index entries yet, and asking never
         builds them.  Hidden resident rows, and the part of a kept index
         that lists them, are the sample a rewound pool keeps for its next
-        run, not this run's data (:meth:`allocated_bytes` counts them).
-        This is the honest Table-4 figure: the engine stores nothing
-        else.
+        run, not this run's data.  This is the honest Table-4 figure: the
+        engine stores nothing else.
         """
         pending = int(self._indptr[self._synced_sets]) - self._indexed_members
         return int(
@@ -666,20 +559,6 @@ class RRSetPool:
             + self._idx_indptr.nbytes
             + self._indexed_members * self._idx_sets.itemsize
             + pending * (self._pend_nodes.itemsize + self._pend_sets.itemsize)
-        )
-
-    def allocated_bytes(self) -> int:
-        """Capacity actually allocated (≥ :meth:`memory_bytes` due to the
-        growth slack of the append buffers)."""
-        return int(
-            self._members.nbytes
-            + self._indptr.nbytes
-            + self._alive_mask.nbytes
-            + self._coverage.nbytes
-            + self._idx_indptr.nbytes
-            + self._idx_sets.nbytes
-            + self._pend_nodes.nbytes
-            + self._pend_sets.nbytes
         )
 
     def __repr__(self) -> str:
@@ -751,25 +630,6 @@ class RRSetPool:
             )
         self._index_sets = self._num_sets
         self._addresses = None
-
-    def _ids_containing(self, node: int) -> np.ndarray:
-        if not 0 <= node < self.num_nodes:
-            raise IndexError(f"node {node} out of range")
-        self._sync_index()
-        visible = self._num_sets
-        ids = self._idx_sets[self._idx_indptr[node] : self._idx_indptr[node + 1]]
-        if self._main_sets < visible:
-            lo, hi = np.searchsorted(self._pend_nodes, [node, node + 1])
-            mini = self._pend_sets[lo:hi]
-            if ids.size == 0:
-                ids = mini
-            elif mini.size:
-                ids = np.concatenate((ids, mini))
-        if self._index_sets > visible:
-            # A kept index lists hidden sets too; ids ascend, so the
-            # visible ones are a prefix.
-            ids = ids[: np.searchsorted(ids, visible)]
-        return ids
 
     def _ids_containing_many(self, nodes: np.ndarray) -> np.ndarray:
         self._sync_index()

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.errors import EstimationError
 from repro.graph.digraph import DirectedGraph
-from repro.rrset.pool import CSRSetView, RRSetPool
+from repro.rrset.pool import RRSetPool
 from repro.rrset.sharded import ShardedSamplingEngine
 
 
@@ -64,64 +64,29 @@ def required_rr_sets(
     return int(math.ceil(numerator / (opt_lower_bound * epsilon**2)))
 
 
-def _working_pool(sets, num_nodes: int) -> RRSetPool:
-    """A fresh, mutable pool over ``sets`` for one greedy-cover run.
-
-    ``sets`` may be a ``list[np.ndarray]`` (compat), an
-    :class:`RRSetPool`, or a :class:`CSRSetView` — pool/view inputs are
-    bulk-copied from their flat CSR buffers in O(members), never mutated.
-    """
-    pool = RRSetPool(num_nodes)
-    if isinstance(sets, RRSetPool):
-        sets = sets.prefix_view()
-    if isinstance(sets, CSRSetView):
-        pool.add_flat(sets.members, np.diff(sets.indptr))
-    else:
-        pool.add_sets(sets)
-    return pool
-
-
-def greedy_max_coverage(
-    sets,
-    num_nodes: int,
-    k: int,
-    *,
-    eligible=None,
-) -> tuple[list[int], int]:
+def greedy_max_coverage(sets, num_nodes: int, k: int) -> tuple[list[int], int]:
     """Greedy Max k-Cover over RR-sets (TIM phase 2).
 
-    ``sets`` may be a list of member arrays, an :class:`RRSetPool`, or a
-    :class:`CSRSetView` (e.g. from :meth:`RRSetPool.prefix_view`); the
-    input is never mutated.  Returns the chosen nodes (in selection
-    order) and the number of sets they jointly cover.  ``eligible``
-    optionally restricts candidates to a boolean mask over nodes.
+    ``sets`` is an :class:`RRSetPool` or a :class:`CSRSetView` (e.g. from
+    :meth:`RRSetPool.prefix_view`); it is bulk-copied into a fresh pool
+    in O(members) and never mutated.  Returns the chosen nodes (in
+    selection order) and the number of sets they jointly cover.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    collection = _working_pool(sets, num_nodes)
+    if isinstance(sets, RRSetPool):
+        sets = sets.prefix_view()
+    collection = RRSetPool(num_nodes)
+    collection.add_flat(sets.members, np.diff(sets.indptr))
     coverage = collection.coverage()
-    mask = None
-    if eligible is not None:
-        # Copy: the mask is consumed destructively as seeds are chosen.
-        mask = np.array(eligible, dtype=bool, copy=True)
-        if mask.shape != (num_nodes,):
-            raise ValueError(f"eligible must have shape ({num_nodes},)")
     chosen: list[int] = []
     covered = 0
     for _ in range(min(k, num_nodes)):
-        if mask is None:
-            best = int(np.argmax(coverage))
-        else:
-            if not mask.any():
-                break
-            scores = np.where(mask, coverage, -1)
-            best = int(np.argmax(scores))
+        best = int(np.argmax(coverage))
         if coverage[best] <= 0:
             break
         covered += collection.remove_covered(best)
         chosen.append(best)
-        if mask is not None:
-            mask[best] = False
     return chosen, covered
 
 

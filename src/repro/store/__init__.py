@@ -9,8 +9,7 @@ resulting bytes — this package turns those two properties into a
 :class:`~repro.rrset.sharded.ShardedSamplingEngine` consults before
 submitting any compute, plus a **WAL-mode SQLite experiment catalog**
 (:class:`~repro.store.catalog.ExperimentCatalog`) indexing cached
-shards, allocations with full provenance, checkpoint lineage, and
-benchmark history.
+shards, allocations with full provenance, and checkpoint lineage.
 
 A warm second run of the same allocation performs **zero**
 sampling-backend invocations and is byte-identical to a cold one: every

@@ -16,10 +16,9 @@ One ``catalog.sqlite`` per cache directory, holding four tables:
     Checkpoint lineage plus the shard references that *protect* cached
     blocks from eviction: ``repro gc`` refuses to drop a shard a live
     checkpoint would re-derive its pool from.
-``benchmarks``
-    Bench-section history (``bench_rrset_engine.py --json`` records its
-    rows here when a cache is configured), read by
-    ``repro ls --benchmarks``.
+
+Catalogs written by older versions may also hold a ``benchmarks``
+table; nothing reads or drops it.
 
 Concurrency: the database opens in WAL journal mode with a generous
 busy timeout, every write runs in a short implicit transaction, and
@@ -106,18 +105,6 @@ CREATE TABLE IF NOT EXISTS checkpoint_shards (
     shard_key     TEXT NOT NULL,
     max_index     INTEGER NOT NULL,
     PRIMARY KEY (checkpoint_id, shard_key)
-);
-CREATE TABLE IF NOT EXISTS benchmarks (
-    id         INTEGER PRIMARY KEY AUTOINCREMENT,
-    created_at REAL NOT NULL,
-    phase      TEXT,
-    variant    TEXT,
-    n          INTEGER,
-    ads        INTEGER,
-    theta      INTEGER,
-    wall_s     REAL,
-    speedup    TEXT,
-    report     TEXT
 );
 """
 
@@ -361,35 +348,3 @@ class ExperimentCatalog:
         for key, max_index in rows:
             protected[key] = int(max_index)
         return protected
-
-    # ------------------------------------------------------------------
-    # Benchmarks
-    # ------------------------------------------------------------------
-    def record_benchmarks(self, rows: list[dict], *, report: str | None = None) -> None:
-        """Append bench-section rows (``bench_rrset_engine.py`` record
-        shape: phase/n/variant/ads/theta/wall_s/speedup)."""
-        if not rows:
-            return
-        now = time.time()
-        with self._lock, self._conn:
-            self._conn.executemany(
-                "INSERT INTO benchmarks (created_at, phase, variant, n, ads, "
-                "theta, wall_s, speedup, report) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                [
-                    (
-                        now, row.get("phase"), row.get("variant"), row.get("n"),
-                        row.get("ads"), row.get("theta"), row.get("wall_s"),
-                        str(row.get("speedup")), report,
-                    )
-                    for row in rows
-                ],
-            )
-
-    def list_benchmarks(self) -> list[dict]:
-        with self._lock:
-            cursor = self._conn.execute(
-                "SELECT id, created_at, phase, variant, n, ads, theta, "
-                "wall_s, speedup, report FROM benchmarks ORDER BY id"
-            )
-            columns = [d[0] for d in cursor.description]
-            return [dict(zip(columns, row)) for row in cursor.fetchall()]

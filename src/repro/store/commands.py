@@ -7,7 +7,7 @@ and returns an exit code — same shape as the rest of the CLI, so the
 commands are trivially testable with ``capsys``.
 
 * ``ls``   — catalog overview: allocations (default), or one of
-  ``--shards`` / ``--checkpoints`` / ``--benchmarks``.
+  ``--shards`` / ``--checkpoints``.
 * ``show`` — one allocation row in full (provenance + stats JSON).
 * ``diff`` — compare two allocations field-by-field; exit 1 when any
   determinism-contract field differs (substrate fields — engine,
@@ -88,17 +88,6 @@ def cmd_ls(args) -> int:
             print(format_table(
                 ["id", "path", "iterations", "written"],
                 rows, title=f"Registered checkpoints: {directory}",
-            ))
-            return 0
-        if getattr(args, "benchmarks", False):
-            rows = [
-                [row["id"], row["phase"], row["variant"], row["wall_s"],
-                 row["speedup"], _when(row["created_at"])]
-                for row in catalog.list_benchmarks()
-            ]
-            print(format_table(
-                ["id", "phase", "variant", "wall_s", "speedup", "recorded"],
-                rows, title=f"Benchmark history: {directory}",
             ))
             return 0
         usage = cache_usage(directory)

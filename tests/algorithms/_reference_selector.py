@@ -77,7 +77,7 @@ class ReferenceSelector(AllocationSession):
             if not allocation.can_assign(node, ad, problem.attention):
                 heapq.heappop(heap)
                 continue
-            cov = state.collection.coverage_of(node)
+            cov = int(state.collection.coverage()[node])
             current = self._score(ad, node, cov)
             if current <= 0.0:
                 heapq.heappop(heap)

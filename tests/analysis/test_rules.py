@@ -7,6 +7,8 @@ applies) plus targeted positive/negative cases for its semantics.
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.analysis import lint_file, lint_paths
@@ -541,9 +543,24 @@ def test_r105_index_queries_not_flagged(tmp_path):
         "repro/algorithms/indexok.py",
         "def sets_of(pool, node, idx_sets, pend):\n"
         "    pool.remove_covered(node)\n"
-        "    return pool.set_ids_containing(node), idx_sets[0], pend._nodes\n",
+        "    return pool.coverage_of_set([node]), idx_sets[0], pend._nodes\n",
     )
     assert "R105" not in _codes(lint_file(path))
+
+
+def test_r105_recommends_only_methods_the_pool_has():
+    """Each method R105's docstring and messages send users to instead
+    is an attribute of ``RRSetPool`` (``add_flat*`` names the family)."""
+    from repro.analysis.rules import r105_pool_internals as r105
+    from repro.rrset.pool import RRSetPool
+
+    stable = re.search(r"stable API\s*\((.*?)\)\.", r105.__doc__, re.S)
+    named = set(re.findall(r"``(\w+)``", stable.group(1)))
+    for text in (r105._BUFFER[1], r105._INDEX[1],
+                 r105.PoolInternalsRule.description):
+        named |= set(re.findall(r"(\w+)\*?\(\)", text))
+    assert {"prefix_view", "add_flat", "remove_covered"} <= named
+    assert [name for name in sorted(named) if not hasattr(RRSetPool, name)] == []
 
 
 def test_r105_public_api_not_flagged(tmp_path):

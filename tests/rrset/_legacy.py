@@ -31,6 +31,7 @@ from repro.rrset.sharded import ShardedSamplingEngine
 from repro.rrset.tim import required_rr_sets
 
 from tests.algorithms._reference_selector import make_session
+from tests.rrset._pool_helpers import get_set
 
 
 class LegacyRRSetCollection:
@@ -174,7 +175,7 @@ class StreamReplay:
         start = shard.num_total
         self._engine.sample({self._ad: count})
         return [
-            shard.get_set(i).astype(np.int64) for i in range(start, start + count)
+            get_set(shard, i).astype(np.int64) for i in range(start, start + count)
         ]
 
 

@@ -7,7 +7,9 @@ returned count or an index entry, so the numpy code lives on here —
 unoptimized, obviously correct — and ``test_pool_kernels.py`` holds a
 shipped pool equal to a :class:`ReferencePool` fed the same operations.
 Only the names changed (``reference_`` prefix, and ``_bump_counts``'s
-``-1`` branch as :func:`_drop_counts`).
+``-1`` branch as :func:`_drop_counts`); the single-node index lookup
+``_ids_containing``, which the shipped pool no longer needs, lives on
+here as it stood.
 """
 
 from __future__ import annotations
@@ -50,6 +52,25 @@ class ReferencePool(RRSetPool):
     """An :class:`RRSetPool` whose ``remove_covered`` and main-index
     build are the numpy ones."""
 
+    def _ids_containing(self, node: int) -> np.ndarray:
+        if not 0 <= node < self.num_nodes:
+            raise IndexError(f"node {node} out of range")
+        self._sync_index()
+        visible = self._num_sets
+        ids = self._idx_sets[self._idx_indptr[node] : self._idx_indptr[node + 1]]
+        if self._main_sets < visible:
+            lo, hi = np.searchsorted(self._pend_nodes, [node, node + 1])
+            mini = self._pend_sets[lo:hi]
+            if ids.size == 0:
+                ids = mini
+            elif mini.size:
+                ids = np.concatenate((ids, mini))
+        if self._index_sets > visible:
+            # A kept index lists hidden sets too; ids ascend, so the
+            # visible ones are a prefix.
+            ids = ids[: np.searchsorted(ids, visible)]
+        return ids
+
     def remove_covered(self, node: int) -> int:
         ids = self._ids_containing(node)
         if ids.size == 0:
@@ -58,7 +79,7 @@ class ReferencePool(RRSetPool):
         if ids.size == 0:
             return 0
         # A set that contains ``node`` twice (possible through the public
-        # ``add_sets``) appears twice in the index; dedup before killing.
+        # ``add_flat``) appears twice in the index; dedup before killing.
         ids = np.unique(ids)
         self._alive_mask[ids] = False
         self._num_alive -= ids.size

@@ -36,6 +36,8 @@ from repro.rrset.checkpoint import (
 )
 from repro.rrset.sharded import ShardedSamplingEngine
 
+from tests.rrset._pool_helpers import alive_mask, get_set
+
 
 def _problem(seed: int = 7, num_ads: int = 3, budget: float = 5.0):
     graph = erdos_renyi(50, 0.06, seed=seed)
@@ -71,7 +73,7 @@ def _engine_fingerprint(engine: ShardedSamplingEngine):
                 shard.num_total,
                 view.members.tobytes(),
                 view.indptr.tobytes(),
-                shard.alive_mask().tobytes(),
+                alive_mask(shard).tobytes(),
                 shard.coverage().tobytes(),
             )
         )
@@ -156,10 +158,10 @@ class TestEngineRestore:
             problem.graph, _probs(problem), seeds=11, chunk_size=64
         ) as engine:
             engine.sample({0: 120, 1: 75, 2: 40})
-            first = int(engine.shard(0).get_set(0)[0])
+            first = int(get_set(engine.shard(0), 0)[0])
             seeds = {
                 0: [first, int(np.argmax(engine.shard(0).coverage()))],
-                1: [int(engine.shard(1).get_set(3)[0])],
+                1: [int(get_set(engine.shard(1), 3)[0])],
             }
             if seeds[0][1] == first:
                 seeds[0].pop()

@@ -22,6 +22,8 @@ from repro.rrset import ShardedSamplingEngine, compare_digests
 from repro.rrset.dsan import DsanRecorder, digest_block, dsan_enabled
 from repro.rrset.sampler import StreamPlan
 
+from tests.rrset._pool_helpers import all_sets
+
 
 @pytest.fixture
 def graph():
@@ -47,7 +49,7 @@ def _digests(graph, probs, **kwargs):
     with _engine(graph, probs, **kwargs) as engine:
         engine.ensure(TARGETS)
         return engine.dsan_digests(), [
-            engine.shard(ad).all_sets() for ad in range(2)
+            all_sets(engine.shard(ad)) for ad in range(2)
         ]
 
 
@@ -163,7 +165,7 @@ def test_dsan_recording_is_pure_observation(graph, probs):
         for ad in range(2):
             assert all(
                 np.array_equal(a, b)
-                for a, b in zip(sanitized_sets[ad], engine.shard(ad).all_sets())
+                for a, b in zip(sanitized_sets[ad], all_sets(engine.shard(ad)))
             )
 
 

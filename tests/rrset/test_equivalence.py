@@ -24,6 +24,13 @@ from repro.graph.probabilities import constant_probabilities
 from repro.rrset.pool import RRSetPool
 from repro.rrset.tim import greedy_max_coverage
 
+from tests.rrset._pool_helpers import (
+    add_sets,
+    get_set,
+    is_alive,
+    pool_of,
+    sets_containing,
+)
 from tests.rrset._legacy import (
     LegacyRRSetCollection,
     LegacyTIRMAllocator,
@@ -45,10 +52,10 @@ def _as_arrays(sets):
 @given(sets=set_lists, removals=st.lists(st.integers(0, N_NODES - 1), max_size=8))
 @settings(max_examples=80, deadline=None)
 def test_mutation_equivalence(sets, removals):
-    """add_sets + remove_covered march in lockstep with the seed code."""
+    """Appends + remove_covered march in lockstep with the seed code."""
     pool = RRSetPool(N_NODES)
     legacy = LegacyRRSetCollection(N_NODES)
-    assert list(pool.add_sets(_as_arrays(sets))) == list(
+    assert list(add_sets(pool, _as_arrays(sets))) == list(
         legacy.add_sets(_as_arrays(sets))
     )
     assert np.array_equal(pool.coverage(), legacy.coverage())
@@ -58,55 +65,47 @@ def test_mutation_equivalence(sets, removals):
         assert pool.num_alive == legacy.num_alive
     assert pool.num_total == legacy.num_total
     for i in range(pool.num_total):
-        assert pool.is_alive(i) == legacy.is_alive(i)
-        assert pool.get_set(i).tolist() == legacy.get_set(i).tolist()
+        assert is_alive(pool, i) == legacy.is_alive(i)
+        assert get_set(pool, i).tolist() == legacy.get_set(i).tolist()
 
 
 @given(sets=set_lists, removals=st.lists(st.integers(0, N_NODES - 1), max_size=4))
 @settings(max_examples=60, deadline=None)
 def test_query_equivalence(sets, removals):
-    """coverage_of_set / sets_containing match the seed semantics."""
+    """Coverage counts and the sets containing a node match the seed
+    semantics; ``coverage_of_set`` counts removed sets too, so it equals
+    the seed code's count before any removal (``F_R(S)`` over the whole
+    sample)."""
     pool = RRSetPool(N_NODES)
     legacy = LegacyRRSetCollection(N_NODES)
-    pool.add_sets(_as_arrays(sets))
+    add_sets(pool, _as_arrays(sets))
     legacy.add_sets(_as_arrays(sets))
+    unremoved = LegacyRRSetCollection(N_NODES)
+    unremoved.add_sets(_as_arrays(sets))
     for node in removals:
         pool.remove_covered(node)
         legacy.remove_covered(node)
     for node in range(N_NODES):
-        assert pool.sets_containing(node) == legacy.sets_containing(node)
-        assert pool.sets_containing(node, alive_only=False) == legacy.sets_containing(
+        assert sets_containing(pool, node) == legacy.sets_containing(node)
+        assert sets_containing(pool, node, alive_only=False) == legacy.sets_containing(
             node, alive_only=False
         )
-        assert pool.coverage_of(node) == legacy.coverage_of(node)
+        assert pool.coverage()[node] == legacy.coverage_of(node)
     for query in ([0], [1, 3], list(range(N_NODES)), [5, 5, 2]):
-        assert pool.coverage_of_set(query) == legacy.coverage_of_set(query)
+        assert pool.coverage_of_set(query) == unremoved.coverage_of_set(query)
 
 
 @given(sets=set_lists, k=st.integers(0, 6))
 @settings(max_examples=60, deadline=None)
 def test_greedy_cover_equivalence(sets, k):
-    """Same picks and the same covered count, for list and pool inputs."""
+    """Same picks and the same covered count, for pool and view inputs."""
     arrays = _as_arrays(sets)
     expected = legacy_greedy_max_coverage(arrays, N_NODES, k)
-    assert greedy_max_coverage(arrays, N_NODES, k) == expected
-    pool = RRSetPool(N_NODES)
-    pool.add_sets(arrays)
+    pool = pool_of(arrays, N_NODES)
     assert greedy_max_coverage(pool, N_NODES, k) == expected
     assert greedy_max_coverage(pool.prefix_view(), N_NODES, k) == expected
     # the greedy never mutates a pool handed to it
     assert pool.num_alive == pool.num_total
-
-
-def test_greedy_cover_eligible_equivalence():
-    rng = np.random.default_rng(3)
-    arrays = [rng.choice(N_NODES, size=3, replace=False) for _ in range(30)]
-    eligible = rng.random(N_NODES) < 0.5
-    # the legacy greedy consumes its mask destructively — hand it a copy
-    expected = legacy_greedy_max_coverage(arrays, N_NODES, 4, eligible=eligible.copy())
-    assert greedy_max_coverage(arrays, N_NODES, 4, eligible=eligible) == expected
-    # ...while the pool-era greedy leaves the caller's mask untouched
-    assert greedy_max_coverage(arrays, N_NODES, 4, eligible=eligible) == expected
 
 
 def _problem(seed: int, num_ads: int = 2, budget: float = 6.0):

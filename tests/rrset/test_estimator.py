@@ -1,6 +1,5 @@
 """Coverage-fraction spread estimation and the RRC oracle."""
 
-import numpy as np
 import pytest
 
 from repro.diffusion.exact import exact_spread
@@ -12,11 +11,11 @@ from repro.rrset.estimator import (
 )
 from repro.rrset.pool import RRSetPool
 
+from tests.rrset._pool_helpers import pool_of
+
 
 def _sets(*members):
-    pool = RRSetPool(5)
-    pool.add_sets([np.asarray(m, dtype=np.int64) for m in members])
-    return pool
+    return pool_of(members, 5)
 
 
 class TestCoverageFraction:

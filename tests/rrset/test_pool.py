@@ -14,6 +14,15 @@ from repro.rrset.pool import (
     _build_pending_index,
 )
 
+from tests.rrset._pool_helpers import (
+    add_sets,
+    alive_mask,
+    all_sets,
+    get_set,
+    is_alive,
+    view_sets,
+)
+
 
 def _sets(*members):
     return [np.asarray(m, dtype=np.int64) for m in members]
@@ -24,17 +33,17 @@ class TestAddFlat:
         pool = RRSetPool(6)
         pool.add_flat(np.asarray([0, 1, 2, 3, 1]), np.asarray([2, 3]))
         assert pool.num_total == 2
-        assert pool.get_set(0).tolist() == [0, 1]
-        assert pool.get_set(1).tolist() == [2, 3, 1]
+        assert get_set(pool, 0).tolist() == [0, 1]
+        assert get_set(pool, 1).tolist() == [2, 3, 1]
         assert pool.coverage().tolist() == [1, 2, 1, 1, 0, 0]
 
     def test_empty_sets_are_registered(self):
         pool = RRSetPool(4)
         pool.add_flat(np.asarray([2]), np.asarray([0, 1, 0]))
         assert pool.num_total == 3
-        assert pool.get_set(0).size == 0
-        assert pool.get_set(1).tolist() == [2]
-        assert pool.get_set(2).size == 0
+        assert get_set(pool, 0).size == 0
+        assert get_set(pool, 1).tolist() == [2]
+        assert get_set(pool, 2).size == 0
         assert pool.coverage_of_set([2]) == 1
 
     def test_length_mismatch_rejected(self):
@@ -54,6 +63,29 @@ class TestAddFlat:
         with pytest.raises(ValueError):
             pool.add_flat(np.asarray([-1]), np.asarray([1]))
 
+    @pytest.mark.parametrize(
+        "members, lengths, dtype",
+        [
+            (np.array([0.9, 2.7, 4.99]), np.array([1, 2]), "float64"),
+            (np.array([True, False, True]), np.array([3]), "bool"),
+            (np.array([1, 2]), np.array([1.9, 1.1]), "float64"),
+            (np.array([1, 2]), [1.0, 1.0], "float64"),
+        ],
+    )
+    def test_non_integer_input_is_refused_not_truncated(self, members, lengths, dtype):
+        """A float or bool array used to be cast (0.9 -> node 0, True ->
+        node 1, length 1.9 -> 1); it is refused by name instead."""
+        pool = RRSetPool(6)
+        with pytest.raises(ValueError, match=f"dtype {dtype}"):
+            pool.add_flat(members, lengths)
+        assert pool.num_total == 0 and not pool.coverage().any()
+
+    def test_empty_input_of_any_dtype_is_accepted(self):
+        pool = RRSetPool(3)
+        pool.add_flat([], [])
+        pool.add_flat(np.empty(0), np.asarray([0, 0]))
+        assert pool.num_total == 2 and pool.prefix_view().members.size == 0
+
     def test_growth_across_many_batches(self):
         """Appends far past the initial capacities keep all data intact."""
         pool = RRSetPool(50)
@@ -62,11 +94,11 @@ class TestAddFlat:
         for _ in range(40):
             batch = [rng.choice(50, size=rng.integers(1, 6), replace=False)
                      for _ in range(rng.integers(1, 60))]
-            pool.add_sets(batch)
+            add_sets(pool, batch)
             reference.extend(batch)
         assert pool.num_total == len(reference)
         for i, members in enumerate(reference):
-            assert pool.get_set(i).tolist() == list(members)
+            assert get_set(pool, i).tolist() == list(members)
         expected = np.zeros(50, dtype=np.int64)
         for members in reference:
             expected[members] += 1
@@ -108,8 +140,8 @@ class TestAddFlatFromBuffer:
             lengths_offset=1 * 8, members_offset=3 * 8 + 2 * 4,
         )
         assert pool.num_total == 2
-        assert pool.get_set(0).tolist() == [2, 3, 1]
-        assert pool.get_set(1).tolist() == [4]
+        assert get_set(pool, 0).tolist() == [2, 3, 1]
+        assert get_set(pool, 1).tolist() == [4]
 
     def test_leading_padding_via_lengths_offset(self):
         pool = RRSetPool(6)
@@ -117,8 +149,8 @@ class TestAddFlatFromBuffer:
         pool.add_flat_from_buffer(
             buf, num_sets=2, num_members=2, lengths_offset=16
         )
-        assert pool.get_set(0).tolist() == [5]
-        assert pool.get_set(1).tolist() == [0]
+        assert get_set(pool, 0).tolist() == [5]
+        assert get_set(pool, 1).tolist() == [0]
 
     def test_empty_block(self):
         pool = RRSetPool(4)
@@ -156,11 +188,11 @@ class TestAddFlatFromBuffer:
         before = pool.prefix_view().members.tobytes()
         buf[:] = b"\xff" * len(buf)  # clobber the source
         assert pool.prefix_view().members.tobytes() == before
-        assert pool.get_set(1).tolist() == [1, 2]
+        assert get_set(pool, 1).tolist() == [1, 2]
 
     def test_add_flat_still_accepts_int64_convenience_input(self):
-        """``add_flat`` keeps the legacy wide-dtype convenience path (one
-        explicit astype) while int32 input goes straight through."""
+        """Any integer dtype goes straight through ``add_flat``'s one
+        copy: int64 members are cast into the int32 buffer in place."""
         pool = RRSetPool(6)
         pool.add_flat(
             np.asarray([0, 1], dtype=np.int64), np.asarray([2], dtype=np.int64)
@@ -169,8 +201,8 @@ class TestAddFlatFromBuffer:
             np.asarray([2], dtype=np.int32), np.asarray([1], dtype=np.int32)
         )
         assert pool.num_total == 2
-        assert pool.get_set(0).tolist() == [0, 1]
-        assert pool.get_set(1).tolist() == [2]
+        assert get_set(pool, 0).tolist() == [0, 1]
+        assert get_set(pool, 1).tolist() == [2]
 
 
 class TestIndexMaintenance:
@@ -180,36 +212,35 @@ class TestIndexMaintenance:
         pool = RRSetPool(30)
         rng = np.random.default_rng(1)
         big = [rng.choice(30, size=8, replace=False) for _ in range(700)]
-        pool.add_sets(big)
+        add_sets(pool, big)
         assert pool._indexed_sets == 0  # appends index nothing ...
         assert pool.coverage_of_set([4]) == sum(4 in s for s in big)
         assert pool._indexed_sets == 700  # ... the first read covers the batch
-        pool.add_sets(_sets([3, 4], [4, 5]))
+        add_sets(pool, _sets([3, 4], [4, 5]))
         assert pool._pend_sets.size == 0  # still nothing indexed by the append
         assert pool.num_total == 702
-        assert set(pool.sets_containing(4)) >= {700, 701}
+        in_big = sum(4 in s for s in big)
+        assert pool.coverage_of_set([4]) == in_big + 2  # an index read
         assert pool._indexed_sets == 700  # mini-index path engaged
         assert pool._pend_nodes.tolist() == [3, 4, 4, 5]
         assert pool._pend_sets.tolist() == [700, 700, 701, 701]
-        assert pool.coverage_of(4) == int(
-            sum(4 in set(map(int, s)) for s in big)
-        ) + 2
+        assert pool.coverage()[4] == in_big + 2
         # removal through the mixed main+mini index stays consistent
         before = pool.num_alive
         removed = pool.remove_covered(4)
         assert pool.num_alive == before - removed
-        assert pool.coverage_of(4) == 0
+        assert pool.coverage()[4] == 0
 
     def test_full_rebuild_when_pending_grows(self):
         pool = RRSetPool(10)
-        pool.add_sets(_sets(*[[i % 10] for i in range(5_000)]))
+        add_sets(pool, _sets(*[[i % 10] for i in range(5_000)]))
         assert pool.remove_covered(0) == 500
         assert pool._indexed_sets == 5_000
-        pool.add_sets(_sets(*[[i % 10] for i in range(1_249)]))
-        assert pool.coverage_of_set([0]) == 125
+        add_sets(pool, _sets(*[[i % 10] for i in range(1_249)]))
+        assert pool.coverage_of_set([0]) == 500 + 125  # removed sets count too
         assert (pool._indexed_sets, pool._pend_sets.size) == (5_000, 1_249)
-        pool.add_sets(_sets([0]))  # pending reaches 1/4 of the indexed members
-        assert pool.set_ids_containing(0).tolist()[-2:] == [6_240, 6_249]
+        add_sets(pool, _sets([0]))  # pending reaches 1/4 of the indexed members
+        assert pool.coverage_of_set([0]) == 500 + 125 + 1  # every visible set
         assert pool._indexed_sets == pool.num_total  # pending forced rebuild
         assert pool._pend_sets.size == 0
 
@@ -235,12 +266,12 @@ class TestIndexMaintenance:
         assert build_calls == [appended]  # one build for the whole event
         counts.append(pool.remove_covered(8))
         pool.coverage_of_set([1, 2, 3])
-        pool.set_ids_containing(4)
+        pool.coverage_of_set([4])
         assert len(build_calls) == 1
         members, lengths = chunk(5)  # a +5 top-up: mini-index tier
         pool.add_flat(members, lengths)
         assert len(build_calls) == 1
-        pool.coverage_of_set([9], alive_only=False)
+        pool.coverage_of_set([9])
         assert build_calls == [appended, members.size]
         # The resume path (re-derive the sets, replay the seeds) builds
         # once, at the first seed; every non-index accessor builds nothing.
@@ -249,15 +280,13 @@ class TestIndexMaintenance:
         resumed.add_flat(view.members, np.diff(view.indptr))
         assert [resumed.remove_covered(7), resumed.remove_covered(8)] == counts
         assert build_calls == [appended, members.size, appended]
-        assert np.array_equal(resumed.alive_mask(), pool.alive_mask()[:3_200])
+        assert np.array_equal(alive_mask(resumed), alive_mask(pool)[:3_200])
         pool.add_flat(*chunk(300))
         for p in (pool, resumed):
-            p.prefix_view(50).get_set(3)
-            p.first_k_sets(10)
+            p.prefix_view(50).members
+            p.resident_rows(0, 10)
             p.coverage()
-            p.coverage_of(7)
             p.memory_bytes()
-            p.allocated_bytes()
         assert len(build_calls) == 3
 
 
@@ -340,12 +369,14 @@ class TestBuildKernel:
         assert set_ids.tolist() == [MAX_SETS - 1, MAX_SETS - 2, MAX_SETS - 1]
 
     def test_repeated_node_through_the_public_api(self):
-        """``add_sets`` accepts a set naming a node twice; the index lists
-        that set twice and removal still kills it once."""
+        """``add_flat`` accepts a set naming a node twice; the index lists
+        that set twice, ``coverage_of_set`` counts it once and removal
+        still kills it once."""
         pool = RRSetPool(4)
-        pool.add_sets(_sets([1, 1, 2], [3], [1, 0, 1]))
-        assert pool.set_ids_containing(1).tolist() == [0, 0, 2, 2]
+        add_sets(pool, _sets([1, 1, 2], [3], [1, 0, 1]))
         assert pool.coverage_of_set([1]) == 2
+        starts = pool._idx_indptr
+        assert pool._idx_sets[starts[1] : starts[2]].tolist() == [0, 0, 2, 2]
         assert pool.remove_covered(1) == 2
         assert pool.coverage().tolist() == [0, 0, 0, 1]
 
@@ -362,12 +393,12 @@ class _ModelPool:
         self.sets.extend(sets)
         self.alive.extend([True] * len(sets))
 
-    def ids_containing(self, node, alive_only):
+    def alive_ids_containing(self, node):
         return [
             i
             for i, members in enumerate(self.sets)
             for v in members
-            if v == node and (self.alive[i] or not alive_only)
+            if v == node and self.alive[i]
         ]
 
     def kill(self, ids):
@@ -376,10 +407,8 @@ class _ModelPool:
             self.alive[i] = False
         return len(killed)
 
-    def coverage_of_set(self, nodes, alive_only):
-        return len(
-            {i for node in nodes for i in self.ids_containing(node, alive_only)}
-        )
+    def coverage_of_set(self, nodes):
+        return sum(any(v in members for v in nodes) for members in self.sets)
 
     def coverage(self):
         counts = [0] * self.num_nodes
@@ -408,7 +437,6 @@ class TestAgainstModel:
             op = rng.integers(0, 6)
             node = int(rng.integers(0, n))
             nodes = rng.integers(0, n, size=rng.integers(0, 4)).tolist()
-            alive_only = bool(rng.integers(0, 2))
             if op == 0:  # batches on both sides of the threshold
                 count = int(rng.choice([1, 2, 12, 40]))
                 sets = [
@@ -422,28 +450,25 @@ class TestAgainstModel:
                 model.add(sets)
             elif op == 1:
                 assert pool.remove_covered(node) == model.kill(
-                    model.ids_containing(node, True)
+                    model.alive_ids_containing(node)
                 )
             elif op == 2:  # a checkpoint restore's seed replay
                 for seed in nodes:
                     assert pool.remove_covered(seed) == model.kill(
-                        model.ids_containing(seed, True)
+                        model.alive_ids_containing(seed)
                     )
             elif op == 3:
-                assert pool.coverage_of_set(
-                    nodes, alive_only=alive_only
-                ) == model.coverage_of_set(nodes, alive_only)
+                assert pool.coverage_of_set(nodes) == model.coverage_of_set(nodes)
             elif op == 4:
-                ids = pool.set_ids_containing(node, alive_only=alive_only)
-                assert ids.tolist() == model.ids_containing(node, alive_only)
+                assert pool.coverage_of_set([node]) == model.coverage_of_set([node])
             elif op == 5:
-                assert pool.coverage_of(node) == model.coverage()[node]
+                assert pool.coverage()[node] == model.coverage()[node]
             # After every step — through accessors that never read
             # (hence never sync) the index, so a reader that forgot
             # its own sync is not rescued by this check.
             assert pool.num_total == len(model.sets)
             assert pool.num_alive == sum(model.alive)
-            assert pool.alive_mask().tolist() == model.alive
+            assert alive_mask(pool).tolist() == model.alive
             assert pool.coverage().tolist() == model.coverage()
             if pool._synced_sets == pool.num_total:
                 tiers.add("pending" if pool._pend_sets.size else "main")
@@ -461,8 +486,7 @@ _POOL_OPS = st.lists(
         st.tuples(st.just("rewind")),
         st.tuples(st.just("reveal"), st.integers(0, 16)),
         st.tuples(st.just("remove"), _NODES),
-        st.tuples(st.just("cover"), st.lists(_NODES, max_size=3), st.booleans()),
-        st.tuples(st.just("ids"), _NODES, st.booleans()),
+        st.tuples(st.just("cover"), st.lists(_NODES, max_size=3)),
     ),
     max_size=40,
 )
@@ -487,22 +511,22 @@ _MORE = [[0, 4], [8], [1, 2, 0]]
 #: visible, read again (the kept index covers less than is visible).
 _KEPT_INDEX_SCHEDULES = [
     [
-        ("add", _FIRST), ("ids", 0, False),
-        ("rewind",), ("reveal", 5), ("ids", 0, False),
-        ("cover", [0, 4, 8], False), ("remove", 4), ("ids", 4, False),
+        ("add", _FIRST), ("cover", [0]),
+        ("rewind",), ("reveal", 5), ("cover", [0]),
+        ("cover", [0, 4, 8]), ("remove", 4), ("cover", [4]),
         ("add", _MORE), ("reveal", 9), ("add", _MORE),
-        ("ids", 0, False), ("cover", [0, 8], True), ("remove", 0),
+        ("cover", [0]), ("cover", [0, 8]), ("remove", 0),
     ],
     [
-        ("add", _FIRST), ("add", _MORE), ("cover", [1], True),
-        ("rewind",), ("reveal", 3), ("ids", 1, True), ("remove", 2),
-        ("reveal", 14), ("add", _MORE), ("ids", 1, True),
-        ("rewind",), ("reveal", 20), ("ids", 1, False), ("cover", [0, 2], False),
+        ("add", _FIRST), ("add", _MORE), ("cover", [1]),
+        ("rewind",), ("reveal", 3), ("cover", [1]), ("remove", 2),
+        ("reveal", 14), ("add", _MORE), ("cover", [1]),
+        ("rewind",), ("reveal", 20), ("cover", [1]), ("cover", [0, 2]),
     ],
     [
         ("add", _FIRST), ("remove", 3), ("add", _MORE),
-        ("rewind",), ("reveal", 10), ("cover", [8], True),
-        ("reveal", 7), ("ids", 0, True), ("remove", 0), ("cover", [1, 2], True),
+        ("rewind",), ("reveal", 10), ("cover", [8]),
+        ("reveal", 7), ("cover", [0]), ("remove", 0), ("cover", [1, 2]),
     ],
 ]
 
@@ -553,48 +577,42 @@ class TestRewindReveal:
                         args[0]
                     )
                 elif op == "cover":
-                    assert pool.coverage_of_set(
-                        args[0], alive_only=args[1]
-                    ) == twin.coverage_of_set(args[0], alive_only=args[1])
-                elif op == "ids":
-                    assert np.array_equal(
-                        pool.set_ids_containing(args[0], alive_only=args[1]),
-                        twin.set_ids_containing(args[0], alive_only=args[1]),
+                    assert pool.coverage_of_set(args[0]) == twin.coverage_of_set(
+                        args[0]
                     )
                 # Through accessors that never sync the index, so the
                 # as-held index bytes are compared as the ops left them.
                 assert pool.num_total == twin.num_total
                 assert pool.num_alive == twin.num_alive
                 assert pool.num_resident == len(resident)
-                assert np.array_equal(pool.alive_mask(), twin.alive_mask())
+                assert np.array_equal(alive_mask(pool), alive_mask(twin))
                 assert np.array_equal(pool.coverage(), twin.coverage())
                 assert pool.memory_bytes() == twin.memory_bytes()
-                assert [s.tolist() for s in pool.all_sets()] == [
-                    s.tolist() for s in twin.all_sets()
+                assert [s.tolist() for s in all_sets(pool)] == [
+                    s.tolist() for s in all_sets(twin)
                 ]
 
     def test_reveal_copies_nothing_and_rewind_keeps_the_rows(self):
         pool = RRSetPool(6)
-        pool.add_sets(_sets([0, 1], [2], [], [3, 4, 5]))
-        first = pool.get_set(3)
+        add_sets(pool, _sets([0, 1], [2], [], [3, 4, 5]))
+        first = get_set(pool, 3)
         pool.remove_covered(2)
-        allocated = pool.allocated_bytes()
         pool.rewind()
         assert (pool.num_total, pool.num_alive, pool.num_resident) == (0, 0, 4)
         assert not pool.coverage().any()
         assert pool.memory_bytes() == RRSetPool(6).memory_bytes()
-        assert pool.allocated_bytes() == allocated  # the sample stays
-        with pytest.raises(IndexError):
-            pool.get_set(0)  # hidden sets are not visible to queries
+        assert pool.prefix_view().num_sets == 0  # hidden sets are not visible
+        assert np.shares_memory(pool.resident_rows(3, 4)[0], first)  # the sample stays
         pool.reveal(4)
-        assert np.shares_memory(pool.get_set(3), first)
-        assert pool.alive_mask().tolist() == [True] * 4  # alive again
+        assert np.shares_memory(get_set(pool, 3), first)
+        assert alive_mask(pool).tolist() == [True] * 4  # alive again
         assert pool.coverage().tolist() == [1, 1, 1, 1, 1, 1]
-        assert pool.set_ids_containing(2).tolist() == [1]
+        assert pool.coverage_of_set([2]) == 1
+        assert pool.remove_covered(2) == 1
 
     def test_resident_rows_reach_hidden_sets(self):
         pool = RRSetPool(6)
-        pool.add_sets(_sets([0, 1], [2], [], [3, 4, 5]))
+        add_sets(pool, _sets([0, 1], [2], [], [3, 4, 5]))
         pool.rewind()
         members, lengths = pool.resident_rows(1, 4)
         assert members.tolist() == [2, 3, 4, 5]
@@ -605,81 +623,61 @@ class TestRewindReveal:
 
     def test_append_is_refused_while_sets_are_hidden(self):
         pool = RRSetPool(4)
-        pool.add_sets(_sets([0], [1, 2]))
+        add_sets(pool, _sets([0], [1, 2]))
         pool.rewind()
         pool.reveal(1)
         with pytest.raises(ValueError, match="hidden"):
-            pool.add_sets(_sets([3]))
+            add_sets(pool, _sets([3]))
         with pytest.raises(ValueError, match="hidden"):
             pool.reveal(2)
         with pytest.raises(ValueError, match="hidden"):
             pool.reveal(-1)
         assert pool.num_total == 1 and pool.coverage().tolist() == [1, 0, 0, 0]
         pool.reveal(1)
-        assert pool.add_sets(_sets([3])) == [2]
+        assert add_sets(pool, _sets([3])) == [2]
         assert pool.num_resident == 3
 
 
 class TestViews:
     def test_prefix_view_is_zero_copy(self):
         pool = RRSetPool(5)
-        pool.add_sets(_sets([0, 1], [2], [3, 4]))
+        add_sets(pool, _sets([0, 1], [2], [3, 4]))
         view = pool.prefix_view(2)
         assert isinstance(view, CSRSetView)
         assert view.num_sets == 2
         assert view.members.base is not None  # a view, not a copy
-        assert view.get_set(0).tolist() == [0, 1]
-        assert view.get_set(1).tolist() == [2]
+        assert [s.tolist() for s in view_sets(view)] == [[0, 1], [2]]
 
     def test_prefix_view_defaults_to_all(self):
         pool = RRSetPool(5)
-        pool.add_sets(_sets([0], [1], [2]))
+        add_sets(pool, _sets([0], [1], [2]))
         assert pool.prefix_view().num_sets == 3
 
     def test_prefix_view_clamps(self):
         pool = RRSetPool(5)
-        pool.add_sets(_sets([0]))
+        add_sets(pool, _sets([0]))
         assert pool.prefix_view(10).num_sets == 1
         assert pool.prefix_view(-3).num_sets == 0
 
-    def test_first_k_sets(self):
-        pool = RRSetPool(5)
-        pool.add_sets(_sets([0, 1], [2], [3]))
-        first = pool.first_k_sets(2)
-        assert [s.tolist() for s in first] == [[0, 1], [2]]
-
-    def test_set_ids_containing_array(self):
-        pool = RRSetPool(5)
-        ids = pool.add_sets(_sets([0, 1], [1, 2], [2]))
-        hits = pool.set_ids_containing(1)
-        assert isinstance(hits, np.ndarray)
-        assert sorted(hits.tolist()) == [ids[0], ids[1]]
-        pool.remove_covered(0)
-        assert pool.set_ids_containing(1).tolist() == [ids[1]]
-        assert sorted(pool.set_ids_containing(1, alive_only=False).tolist()) == [
-            ids[0], ids[1],
-        ]
-
     def test_alive_mask(self):
         pool = RRSetPool(5)
-        pool.add_sets(_sets([0], [1], [0, 1]))
+        add_sets(pool, _sets([0], [1], [0, 1]))
         pool.remove_covered(0)
-        assert pool.alive_mask().tolist() == [False, True, False]
-        with pytest.raises(ValueError):
-            pool.alive_mask()[0] = True
+        assert alive_mask(pool).tolist() == [False, True, False]
+        assert [is_alive(pool, i) for i in range(3)] == [False, True, False]
 
 
 class TestViewGenerations:
     def test_generation_bumps_on_reallocation(self):
         pool = RRSetPool(50)
-        pool.add_sets(_sets([0, 1]))
+        add_sets(pool, _sets([0, 1]))
         start = pool.generation
         # small append: fits in the initial capacity, no retirement
-        pool.add_sets(_sets([2]))
+        add_sets(pool, _sets([2]))
         assert pool.generation == start
         # blow past the member-buffer capacity: generation must move
         big = [np.arange(50, dtype=np.int64) for _ in range(60)]
-        pool.add_sets(big)
+        add_sets(pool, big)
         assert pool.generation > start
 
     def test_prefix_view_survives_growth_reallocation(self):
@@ -687,15 +685,15 @@ class TestViewGenerations:
         used to keep pointing at the retired buffer.  It must now
         re-materialize against the live one with identical contents."""
         pool = RRSetPool(50)
-        pool.add_sets(_sets([0, 1], [2, 3, 4]))
+        add_sets(pool, _sets([0, 1], [2, 3, 4]))
         view = pool.prefix_view(2)
-        before = [view.get_set(i).tolist() for i in range(2)]
+        before = [s.tolist() for s in view_sets(view)]
         old_members = pool._members
         big = [np.arange(50, dtype=np.int64) for _ in range(200)]
-        pool.add_sets(big)
+        add_sets(pool, big)
         assert pool._members is not old_members  # reallocation happened
         # contents unchanged, but served from the live buffer
-        assert [view.get_set(i).tolist() for i in range(2)] == before
+        assert [s.tolist() for s in view_sets(view)] == before
         assert np.shares_memory(view.members, pool._members)
         assert view.indptr.tolist() == pool._indptr[:3].tolist()
 
@@ -706,39 +704,30 @@ class TestViewGenerations:
 
         pool = RRSetPool(30)
         rng = np.random.default_rng(8)
-        pool.add_sets(
-            [rng.choice(30, size=4, replace=False) for _ in range(50)]
-        )
+        add_sets(pool, [rng.choice(30, size=4, replace=False) for _ in range(50)])
         pilot = pool.prefix_view(50)
         expected = greedy_max_coverage(pilot, 30, 3)
         # grow well past capacity, as a θ top-up would
-        pool.add_sets([rng.choice(30, size=6, replace=False) for _ in range(800)])
+        add_sets(pool, [rng.choice(30, size=6, replace=False) for _ in range(800)])
         # the held view still answers over exactly the first 50 sets
         assert greedy_max_coverage(pilot, 30, 3) == expected
         assert pilot.num_sets == 50
 
-    def test_detached_view_is_frozen(self):
-        pool = RRSetPool(10)
-        pool.add_sets(_sets([0, 1], [2]))
-        detached = pool.prefix_view().detach()
-        pool.add_sets([np.arange(10, dtype=np.int64) for _ in range(300)])
-        assert detached.num_sets == 2
-        assert detached.get_set(0).tolist() == [0, 1]
-        assert not np.shares_memory(detached.members, pool._members)
-
 
 class TestBounds:
     def test_get_set_range_checked(self):
+        """Reading one set's row past the resident sets is refused."""
         pool = RRSetPool(3)
-        pool.add_sets(_sets([0]))
+        add_sets(pool, _sets([0]))
+        assert pool.resident_rows(0, 1)[0].tolist() == [0]
         with pytest.raises(IndexError):
-            pool.get_set(1)
+            pool.resident_rows(1, 2)
         with pytest.raises(IndexError):
-            pool.is_alive(-1)
+            pool.resident_rows(-1, 0)
 
     def test_node_range_checked(self):
         pool = RRSetPool(3)
-        pool.add_sets(_sets([0]))
+        add_sets(pool, _sets([0]))
         with pytest.raises(IndexError):
             pool.remove_covered(3)
         with pytest.raises(IndexError):
@@ -749,29 +738,25 @@ class TestMemoryAccounting:
     def test_reports_real_buffer_bytes(self):
         pool = RRSetPool(100)
         rng = np.random.default_rng(2)
-        pool.add_sets(
-            [rng.choice(100, size=5, replace=False) for _ in range(1_000)]
-        )
+        add_sets(pool, [rng.choice(100, size=5, replace=False) for _ in range(1_000)])
         unread = pool.memory_bytes()
         # Never index-read: the int32 members dominate, and asking for
         # the bytes built no index.
         assert 1_000 * 5 * 4 <= unread < 1_000 * 5 * (4 + 4)
         assert pool._idx_sets.size == 0 and pool._indexed_sets == 0
-        assert unread <= pool.allocated_bytes()
         pool.coverage_of_set([0])
         reported = pool.memory_bytes()
         # int32 members + int32 index entries: 5 members/set × 8 bytes.
         assert reported == unread + 1_000 * 5 * 4
-        assert reported <= pool.allocated_bytes()
-        pool.add_sets([np.asarray([1, 2])])  # +2 members: 8 B/member mini-index
+        add_sets(pool, [np.asarray([1, 2])])  # +2 members: 8 B/member mini-index
         assert pool.memory_bytes() == reported + 2 * 4 + 8 + 1
         pool.coverage_of_set([0])
         assert pool.memory_bytes() == reported + 2 * 4 + 8 + 1 + 2 * (4 + 4)
 
     def test_members_are_int32(self):
         pool = RRSetPool(10)
-        pool.add_sets(_sets([1, 2]))
-        assert pool.get_set(0).dtype == np.int32
+        add_sets(pool, _sets([1, 2]))
+        assert get_set(pool, 0).dtype == np.int32
 
 
 class TestCapacityLimits:
@@ -783,7 +768,7 @@ class TestCapacityLimits:
         from repro.rrset.pool import MAX_SETS
 
         pool = RRSetPool(4)
-        pool.add_sets(_sets([0], [1]))
+        add_sets(pool, _sets([0], [1]))
         snapshot = (pool.num_total, pool.coverage().copy())
         # White-box: fake a pool one set short of the id limit — actually
         # appending 2^31 sets is not testable hardware-wise.
@@ -805,7 +790,7 @@ class TestCapacityLimits:
         from repro.rrset.pool import MAX_MEMBERS
 
         pool = RRSetPool(4)
-        pool.add_sets(_sets([0, 1]))
+        add_sets(pool, _sets([0, 1]))
         pool._members_used = MAX_MEMBERS - 1
         with pytest.raises(CapacityError, match="member-offset limit"):
             pool.add_flat(
@@ -830,7 +815,7 @@ class TestCapacityLimits:
         from repro.rrset.pool import MAX_SETS
 
         pool = RRSetPool(4)
-        pool.add_sets(_sets([0], [1, 2]))
+        add_sets(pool, _sets([0], [1, 2]))
         coverage = pool.coverage().copy()
         members_used = pool._members_used
         pool._num_sets = MAX_SETS  # at the limit: any append overflows

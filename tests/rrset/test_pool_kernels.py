@@ -3,13 +3,13 @@
 ``RRSetPool.remove_covered`` and the main inverted-index build run in C
 (``rrset/_pool.c``); ``tests/rrset/_reference_pool.py`` keeps the numpy
 versions.  A hypothesis state machine drives a shipped pool and a
-:class:`ReferencePool` through the same operations — appends through
-``add_sets`` with repeated members and through ``add_flat`` in chunks
-large enough to cross the main/pending tiering, ``rewind`` and
-``reveal`` (so a kept index lists hidden sets), removals of in-range
-and out-of-range nodes, and index reads — and after every one holds the
-return value, ``coverage()``, ``alive_mask()``, ``num_alive``,
-``memory_bytes()`` and both tiers' index arrays equal.
+:class:`ReferencePool` through the same operations — small appends
+with repeated members and ``add_flat`` chunks large enough to cross
+the main/pending tiering, ``rewind`` and ``reveal`` (so a kept index
+lists hidden sets), removals of in-range and out-of-range nodes, and
+index reads — and after every one holds the return value,
+``coverage()``, the alive flags, ``num_alive``, ``memory_bytes()`` and
+both tiers' index arrays equal.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.rrset.pool import RRSetPool
 
+from tests.rrset._pool_helpers import add_sets, alive_mask
 from tests.rrset._reference_pool import ReferencePool
 
 N = 12
@@ -46,9 +47,9 @@ class PoolMachine(RuleBasedStateMachine):
         assert outcomes[0] == outcomes[1]
 
     @rule(sets=st.lists(st.lists(st.integers(0, N - 1), max_size=5), max_size=6))
-    def add_sets(self, sets):
+    def append_sets(self, sets):
         """Small appends (the pending tier), members repeated in a set."""
-        self._both(lambda pool: pool.add_sets([np.asarray(s) for s in sets]))
+        self._both(lambda pool: add_sets(pool, sets))
 
     @rule(num_sets=st.integers(1, 1_500), seed=st.integers(0, 2**16))
     def add_chunk(self, num_sets, seed):
@@ -64,7 +65,7 @@ class PoolMachine(RuleBasedStateMachine):
 
     @rule(nodes=st.lists(st.integers(0, N - 1), min_size=1, max_size=3))
     def read_index(self, nodes):
-        self._both(lambda pool: pool.coverage_of_set(nodes, alive_only=False))
+        self._both(lambda pool: pool.coverage_of_set(nodes))
 
     @rule()
     def rewind(self):
@@ -80,7 +81,7 @@ class PoolMachine(RuleBasedStateMachine):
     def same_state(self):
         shipped, reference = self.pools
         assert np.array_equal(shipped.coverage(), reference.coverage())
-        assert np.array_equal(shipped.alive_mask(), reference.alive_mask())
+        assert np.array_equal(alive_mask(shipped), alive_mask(reference))
         assert shipped.num_alive == reference.num_alive
         assert shipped.num_total == reference.num_total
         assert shipped.memory_bytes() == reference.memory_bytes()
@@ -101,7 +102,7 @@ def test_a_set_naming_the_node_twice_dies_once():
     """The index lists such a set twice; the kernel finds it dead the
     second time, so it is counted, and its members decremented, once."""
     pool = RRSetPool(4)
-    pool.add_sets([[2, 1, 2], [2, 3], [0]])
+    add_sets(pool, [[2, 1, 2], [2, 3], [0]])
     assert pool.remove_covered(2) == 2
     assert pool.coverage().tolist() == [1, 0, 0, 0]
     assert pool.num_alive == 1
@@ -109,7 +110,7 @@ def test_a_set_naming_the_node_twice_dies_once():
 
 def test_out_of_range_nodes_raise_before_the_kernel():
     pool = RRSetPool(3)
-    pool.add_sets([[0, 1, 2]])
+    add_sets(pool, [[0, 1, 2]])
     for node in (-1, 3):
         with pytest.raises(IndexError):
             pool.remove_covered(node)
@@ -121,7 +122,7 @@ def test_a_copied_pool_removes_from_its_own_buffers(clone):
     """The kernel's buffer addresses are cached per pool; a copy taken
     after a removal must not write through the original's."""
     pool = RRSetPool(4)
-    pool.add_sets([[0, 1], [1, 2], [3]])
+    add_sets(pool, [[0, 1], [1, 2], [3]])
     assert pool.remove_covered(3) == 1
     twin = clone(pool)
     assert twin.remove_covered(1) == 2

@@ -11,6 +11,8 @@ from repro.rrset.estimator import estimate_spread_from_sets
 from repro.rrset.rrc import sample_rrc_sets
 from repro.rrset.sharded import ShardedSamplingEngine
 
+from tests.rrset._pool_helpers import all_sets
+
 
 def _rows(pool):
     """A pool's packed ``(members, lengths)`` bytes, comparable with ``==``."""
@@ -48,9 +50,10 @@ class TestStructure:
         delta = np.full(small_random_graph.num_nodes, 0.5)
         rrc = sample_rrc_sets(small_random_graph, probs, delta, 300, seed=6)
         rr = _rr_pool(small_random_graph, probs, 300, seed=6)
-        assert any(rrc.get_set(i).size < rr.get_set(i).size for i in range(300))
-        for i in range(300):
-            assert set(rrc.get_set(i).tolist()) <= set(rr.get_set(i).tolist())
+        thinned, full = all_sets(rrc), all_sets(rr)
+        assert any(a.size < b.size for a, b in zip(thinned, full))
+        for a, b in zip(thinned, full):
+            assert set(a.tolist()) <= set(b.tolist())
 
     def test_same_seed_same_bytes(self, small_random_graph):
         probs = constant_probabilities(small_random_graph, 0.3)
@@ -124,6 +127,6 @@ class TestTheorem5:
         u = 0
         rr = _rr_pool(diamond_graph, probs, 30_000, seed=3)
         rrc = sample_rrc_sets(diamond_graph, probs, delta, 30_000, seed=4)
-        f_rr = rr.coverage_of(u) / rr.num_total
-        f_rrc = rrc.coverage_of(u) / rrc.num_total
+        f_rr = rr.coverage()[u] / rr.num_total
+        f_rrc = rrc.coverage()[u] / rrc.num_total
         assert delta[u] * f_rr == pytest.approx(f_rrc, rel=0.1, abs=0.01)

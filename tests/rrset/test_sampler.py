@@ -15,6 +15,8 @@ from repro.rrset.pool import RRSetPool
 from repro.rrset.sampler import RRSetSampler, StreamPlan
 from repro.rrset.sharded import ShardedSamplingEngine
 
+from tests.rrset._pool_helpers import all_sets
+
 
 def _rooted(graph, probs, root, seed=0):
     """One RR-set from a fixed root, straight from the driver."""
@@ -56,8 +58,7 @@ class TestStructure:
         )
         nxg.add_nodes_from(range(small_random_graph.num_nodes))
         pool = _engine_pool(small_random_graph, probs, 20, seed=3)
-        for i in range(20):
-            rr = pool.get_set(i)
+        for rr in all_sets(pool):
             root = rr[0]
             ancestors = networkx.ancestors(nxg, int(root)) | {int(root)}
             assert set(rr.tolist()) <= ancestors
@@ -66,7 +67,7 @@ class TestStructure:
         probs = constant_probabilities(small_random_graph, 0.2)
         pool = _engine_pool(small_random_graph, probs, 25, seed=1)
         assert pool.num_total == 25
-        assert all(pool.get_set(i).size >= 1 for i in range(25))
+        assert all(rr.size >= 1 for rr in all_sets(pool))
 
     def test_count_validation(self, small_random_graph):
         probs = constant_probabilities(small_random_graph, 0.2)
@@ -127,8 +128,7 @@ class TestBlockedSampler:
         sampler = RRSetSampler(small_random_graph, probs)
         pool = RRSetPool(small_random_graph.num_nodes)
         pool.add_flat(*sampler.sample_chunk_block(StreamPlan(1, 0, 200), 0))
-        for i in range(200):
-            members = pool.get_set(i)
+        for members in all_sets(pool):
             assert members.size >= 1  # root always present
             assert np.unique(members).size == members.size
 

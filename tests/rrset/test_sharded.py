@@ -36,6 +36,8 @@ from repro.rrset import sharded
 from repro.rrset.sharded import ChunkSource, ChunkSubstrate, ShardedSamplingEngine
 from repro.service.pool import EnginePool
 
+from tests.rrset._pool_helpers import alive_mask
+
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "..", "src"))
 
 
@@ -64,9 +66,10 @@ def _assert_shards_equal(a: ShardedSamplingEngine, b: ShardedSamplingEngine):
         assert pa.num_total == pb.num_total
         assert pa.num_alive == pb.num_alive
         assert np.array_equal(pa.coverage(), pb.coverage())
-        assert np.array_equal(pa.alive_mask(), pb.alive_mask())
-        for i in range(pa.num_total):
-            assert np.array_equal(pa.get_set(i), pb.get_set(i))
+        assert np.array_equal(alive_mask(pa), alive_mask(pb))
+        va, vb = pa.prefix_view(), pb.prefix_view()
+        assert np.array_equal(va.indptr, vb.indptr)
+        assert np.array_equal(va.members, vb.members)
 
 
 class TestConfiguration:
@@ -129,10 +132,9 @@ class TestSerialCompatibility:
             eng.sample({ad: 70 for ad in range(h)})
             for ad in range(h):
                 assert eng.shard(ad).num_total == pools[ad].num_total
-                for i in range(pools[ad].num_total):
-                    assert np.array_equal(
-                        eng.shard(ad).get_set(i), pools[ad].get_set(i)
-                    )
+                mine, theirs = eng.shard(ad).prefix_view(), pools[ad].prefix_view()
+                assert np.array_equal(mine.indptr, theirs.indptr)
+                assert np.array_equal(mine.members, theirs.members)
 
     def test_engines_sharing_a_graph_share_no_sampler_state(self):
         """Requests interleaved across two engines over one graph leave
@@ -192,6 +194,24 @@ class TestProcessParity:
                         ad
                     ).remove_covered(node)
                 _assert_shards_equal(serial, process)
+
+    def test_single_ad_growth_top_up_matches_serial(self):
+        """One ad's Algorithm-4 top-up spans several chunks, which the
+        process engine fans across its workers: after a warm-up of two
+        chunks, a 2 000-set request at ``chunk_size=512`` (chunks 2-5,
+        the last one partial) lands set for set as the serial one."""
+        problem = _problem(5, num_ads=1)
+        kwargs = dict(seeds=0, chunk_size=512)
+        with ShardedSamplingEngine(
+            problem.graph, _probs(problem), engine="serial", **kwargs
+        ) as serial, ShardedSamplingEngine(
+            problem.graph, _probs(problem), engine="process", **kwargs
+        ) as process:
+            for requests in ({0: 2 * 512}, {0: 2_000}):
+                serial.sample(requests)
+                process.sample(requests)
+            assert process.shard(0).num_total == 3_024
+            _assert_shards_equal(serial, process)
 
     def test_max_workers_does_not_change_results(self):
         problem = _problem(4)
@@ -363,7 +383,7 @@ class TestMemoryAccounting:
             problem.graph, _probs(problem), seeds=4, chunk_size=16
         ) as eng:
             checkpoint.restore_engine(eng)
-            eng.shard(1).prefix_view(20).get_set(1)
+            eng.shard(1).prefix_view(20).members
             eng.shard(1).coverage()
             eng.memory_bytes()
             assert build_calls == [eng.shard(0).prefix_view().members.size]

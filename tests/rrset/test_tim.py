@@ -20,6 +20,8 @@ from repro.rrset.tim import (
     required_rr_sets,
 )
 
+from tests.rrset._pool_helpers import pool_of
+
 
 def _pilot(graph, probs, count, seed):
     """The first ``count`` RR sets of a one-ad stream, as its shard."""
@@ -78,32 +80,25 @@ class TestRequiredRRSets:
 
 class TestGreedyMaxCoverage:
     def test_picks_best_cover(self):
-        sets = [np.asarray(s) for s in ([0, 1], [0, 2], [0, 3], [4])]
+        sets = pool_of([[0, 1], [0, 2], [0, 3], [4]], 5)
         chosen, covered = greedy_max_coverage(sets, 5, 2)
         assert chosen[0] == 0  # covers three sets
         assert covered == 4
-
-    def test_respects_eligibility(self):
-        sets = [np.asarray([0]), np.asarray([0]), np.asarray([1])]
-        eligible = np.asarray([False, True])
-        chosen, covered = greedy_max_coverage(sets, 2, 1, eligible=eligible)
-        assert chosen == [1]
-        assert covered == 1
+        assert sets.num_alive == 4  # the input is never mutated
 
     def test_stops_when_nothing_left(self):
-        sets = [np.asarray([0])]
-        chosen, covered = greedy_max_coverage(sets, 3, 3)
+        chosen, covered = greedy_max_coverage(pool_of([[0]], 3), 3, 3)
         assert chosen == [0]
         assert covered == 1
 
     def test_k_zero(self):
-        chosen, covered = greedy_max_coverage([np.asarray([0])], 2, 0)
+        chosen, covered = greedy_max_coverage(pool_of([[0]], 2), 2, 0)
         assert chosen == []
         assert covered == 0
 
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):
-            greedy_max_coverage([], 2, -1)
+            greedy_max_coverage(RRSetPool(2), 2, -1)
 
 
 class TestOptEstimation:

@@ -1,11 +1,16 @@
 """ExperimentCatalog: the WAL-mode SQLite index — row round-trips,
-LRU bookkeeping, checkpoint lineage/protection, benchmark history."""
+LRU bookkeeping, checkpoint lineage/protection, and catalogs written
+under an older schema."""
 
 from __future__ import annotations
 
+import json
+import sqlite3
+
 import pytest
 
-from repro.store.catalog import ExperimentCatalog
+from repro.cli.main import main
+from repro.store.catalog import CATALOG_FILENAME, ExperimentCatalog
 
 
 def _shard_row(key: str, index: int, **overrides):
@@ -108,19 +113,6 @@ def test_protected_shards_takes_max_over_checkpoints(catalog, tmp_path):
     assert catalog.protected_shards() == {"k1": 7}
 
 
-def test_benchmark_history_roundtrip(catalog):
-    catalog.record_benchmarks(
-        [{"phase": "shard_cache", "variant": "warm", "n": 400, "ads": 3,
-          "theta": 900, "wall_s": 0.12, "speedup": 4.5}],
-        report="BENCH_PR8.json",
-    )
-    (row,) = catalog.list_benchmarks()
-    assert row["phase"] == "shard_cache"
-    assert row["variant"] == "warm"
-    assert row["report"] == "BENCH_PR8.json"
-    assert row["speedup"] == "4.5"
-
-
 def test_concurrent_connections_share_one_database(tmp_path):
     with ExperimentCatalog(str(tmp_path)) as writer, ExperimentCatalog(
         str(tmp_path)
@@ -129,3 +121,87 @@ def test_concurrent_connections_share_one_database(tmp_path):
         assert len(reader.list_shards()) == 1
         reader.record_shards([_shard_row("k2", 0)])
         assert len(writer.list_shards()) == 2
+
+
+#: The catalog schema as it stood while the catalog also kept bench
+#: history: the four current tables plus ``benchmarks``.
+_SCHEMA_WITH_BENCHMARKS = """
+CREATE TABLE shards (
+    shard_key TEXT NOT NULL, block_index INTEGER NOT NULL, ad INTEGER,
+    rng TEXT, mode TEXT, chunk_size INTEGER, entropy TEXT, graph_hash TEXT,
+    num_sets INTEGER NOT NULL, num_members INTEGER NOT NULL,
+    nbytes INTEGER NOT NULL, digest TEXT NOT NULL, created_at REAL NOT NULL,
+    last_used_at REAL NOT NULL, uses INTEGER NOT NULL DEFAULT 0,
+    PRIMARY KEY (shard_key, block_index)
+);
+CREATE TABLE allocations (
+    id INTEGER PRIMARY KEY AUTOINCREMENT, created_at REAL NOT NULL,
+    algorithm TEXT, dataset TEXT, seed INTEGER, rng TEXT,
+    chunk_size INTEGER, engine TEXT, backend TEXT, transport TEXT,
+    dsan_root TEXT, iterations INTEGER, total_rr_sets INTEGER,
+    cache_hits INTEGER, cache_misses INTEGER, backend_invocations INTEGER,
+    job_id TEXT, provenance_json TEXT, stats_json TEXT
+);
+CREATE TABLE checkpoints (
+    id INTEGER PRIMARY KEY AUTOINCREMENT, path TEXT NOT NULL UNIQUE,
+    created_at REAL NOT NULL, iterations INTEGER, config_json TEXT
+);
+CREATE TABLE checkpoint_shards (
+    checkpoint_id INTEGER NOT NULL, shard_key TEXT NOT NULL,
+    max_index INTEGER NOT NULL, PRIMARY KEY (checkpoint_id, shard_key)
+);
+CREATE TABLE benchmarks (
+    id INTEGER PRIMARY KEY AUTOINCREMENT, created_at REAL NOT NULL,
+    phase TEXT, variant TEXT, n INTEGER, ads INTEGER, theta INTEGER,
+    wall_s REAL, speedup TEXT, report TEXT
+);
+"""
+
+
+def test_catalog_with_a_benchmarks_table_still_serves_every_command(
+    tmp_path, capsys
+):
+    """A catalog written while it still kept bench history opens, lists,
+    shows and dry-run collects as before; its ``benchmarks`` table is
+    left as it was."""
+    conn = sqlite3.connect(tmp_path / CATALOG_FILENAME)
+    with conn:
+        conn.executescript(_SCHEMA_WITH_BENCHMARKS)
+        conn.execute(
+            "INSERT INTO shards VALUES ('k1', 0, 0, 'philox', 'blocked', 64, "
+            "'123', 'g', 64, 200, 1024, 'd', 1.0, 1.0, 0)"
+        )
+        conn.execute(
+            "INSERT INTO allocations (created_at, algorithm, dataset, seed, "
+            "rng, engine, dsan_root, provenance_json, stats_json) VALUES "
+            "(1.0, 'tirm', 'toy', 7, 'philox', 'serial', 'r00t', ?, ?)",
+            (json.dumps({"seed": 7}), json.dumps({"iterations": 3})),
+        )
+        conn.execute(
+            "INSERT INTO benchmarks (created_at, phase, variant, wall_s, "
+            "speedup, report) VALUES (1.0, 'shard-cache', 'warm', 0.1, "
+            "'4.5', 'engine-report.json')"
+        )
+    conn.close()
+
+    cache = str(tmp_path)
+    assert main(["ls", "--cache", cache]) == 0
+    assert "tirm" in capsys.readouterr().out
+    assert main(["ls", "--cache", cache, "--shards"]) == 0
+    assert "k1" in capsys.readouterr().out
+    assert main(["show", "1", "--cache", cache]) == 0
+    assert "r00t" in capsys.readouterr().out
+    assert main(["gc", "--cache", cache, "--max-bytes", "0", "--dry-run"]) == 0
+    assert "would evict" in capsys.readouterr().out
+
+    conn = sqlite3.connect(tmp_path / CATALOG_FILENAME)
+    rows = conn.execute("SELECT phase, report FROM benchmarks").fetchall()
+    conn.close()
+    assert rows == [("shard-cache", "engine-report.json")]
+
+
+def test_ls_has_no_benchmarks_listing(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["ls", "--cache", str(tmp_path), "--benchmarks"])
+    assert exit_info.value.code == 2
+    assert "--benchmarks" in capsys.readouterr().err

@@ -55,8 +55,9 @@ def _assert_shards_equal(a: ShardedSamplingEngine, b: ShardedSamplingEngine):
     for ad in range(a.num_ads):
         pa, pb = a.shard(ad), b.shard(ad)
         assert pa.num_total == pb.num_total
-        for i in range(pa.num_total):
-            assert np.array_equal(pa.get_set(i), pb.get_set(i))
+        va, vb = pa.prefix_view(), pb.prefix_view()
+        assert np.array_equal(va.indptr, vb.indptr)
+        assert np.array_equal(va.members, vb.members)
 
 
 def _entry_files(cache_dir) -> list[str]:

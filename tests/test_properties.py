@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from repro.diffusion.exact import exact_click_probabilities, exact_spread
 from repro.graph.digraph import DirectedGraph
 from repro.rrset.backends import drive_blocked
-from repro.rrset.pool import RRSetPool
+
+from tests.rrset._pool_helpers import pool_of
 
 
 def tiny_graphs():
@@ -181,9 +182,7 @@ class TestRRSetStructure:
         single node (a weak but universal sanity bound)."""
         from repro.rrset.tim import greedy_max_coverage
 
-        arrays = [np.asarray(s, dtype=np.int64) for s in sets]
-        collection = RRSetPool(6)
-        collection.add_sets(arrays)
+        collection = pool_of(sets, 6)
         best_single = int(collection.coverage().max())
-        _, covered = greedy_max_coverage(arrays, 6, 2)
+        _, covered = greedy_max_coverage(collection, 6, 2)
         assert covered >= best_single
