@@ -3,8 +3,8 @@
 Three sources make up the library:
 
 * ``rrset/_bfs.c`` — the sampler's batch BFS (:mod:`repro.rrset.backends`);
-* ``rrset/_pool.c`` — the pool's inverted-index build and
-  ``remove_covered`` (:mod:`repro.rrset.pool`);
+* ``rrset/_pool.c`` — the pool's coverage bump, inverted-index build
+  and ``remove_covered`` (:mod:`repro.rrset.pool`);
 * ``algorithms/_select.c`` — Algorithm 3's per-ad candidate search
   (:mod:`repro.algorithms.session`).
 
@@ -58,6 +58,7 @@ _SIGNATURES = {
                ctypes.POINTER(ctypes.POINTER(ctypes.c_int32))],
     ),
     "repro_bfs_free": (None, [_PTR]),
+    "repro_bump_counts": (None, [_I64, _PTR, _PTR]),
     "repro_index_build": (None, [_I64, _I64, _I64, _PTR, _PTR, _PTR, _PTR]),
     "repro_remove_covered": (
         _I64, [_I64, _I64, _I64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR],

@@ -9,6 +9,11 @@ An :class:`AdAllocationProblem` bundles everything an allocator needs:
   through Eq. (1);
 * per-ad CTPs ``δ(u, i)`` — an ``(h, n)`` matrix;
 * attention bounds ``κ_u`` and the seed penalty ``λ``.
+
+The instance is immutable in fact, not only by convention: its graph's
+arrays and both ``(h, ·)`` matrices are read-only, so the content digests
+an engine pool keys on (:meth:`AdAllocationProblem.content_digests`) are
+hashed once and can never go stale.
 """
 
 from __future__ import annotations
@@ -22,7 +27,19 @@ from repro.advertising.catalog import AdCatalog
 from repro.errors import ConfigurationError
 from repro.graph.digraph import DirectedGraph
 from repro.topics.model import TopicModel
+from repro.utils import hashing
 from repro.utils.validation import check_probability_array
+
+
+def _frozen(array: np.ndarray, given) -> np.ndarray:
+    """``array`` made read-only, copied first unless the problem owns
+    it: a caller's writable array, or a view of anything, is copied; a
+    fresh conversion, and a read-only array such as another problem's
+    matrix, are kept as they are."""
+    if array.base is not None or (array is given and array.flags.writeable):
+        array = array.copy()
+    array.flags.writeable = False
+    return array
 
 
 class AdAllocationProblem:
@@ -45,9 +62,19 @@ class AdAllocationProblem:
         Per-user bounds ``κ_u``.
     penalty:
         The seed penalty ``λ ≥ 0`` of Eq. (3).
+
+    Both matrices are stored read-only — a caller's writable array is
+    copied first — and the graph's arrays are read-only too, so an
+    in-place write raises ``ValueError``.  The content digests are
+    hashed once (:meth:`content_digests`) and shared by every problem
+    derived over the same arrays (:meth:`with_catalog`,
+    :meth:`with_penalty`, :meth:`with_attention`).
     """
 
-    __slots__ = ("graph", "catalog", "edge_probabilities", "ctps", "attention", "penalty")
+    __slots__ = (
+        "graph", "catalog", "edge_probabilities", "ctps", "attention",
+        "penalty", "_digests",
+    )
 
     def __init__(
         self,
@@ -60,6 +87,7 @@ class AdAllocationProblem:
     ) -> None:
         h, n, m = len(catalog), graph.num_nodes, graph.num_edges
 
+        given = edge_probabilities
         edge_probabilities = check_probability_array("edge_probabilities", edge_probabilities)
         if edge_probabilities.ndim == 1:
             edge_probabilities = np.broadcast_to(edge_probabilities, (h, m)).copy()
@@ -68,6 +96,7 @@ class AdAllocationProblem:
                 f"edge_probabilities must be ({h}, {m}), got {edge_probabilities.shape}"
             )
 
+        given_ctps = ctps
         ctps = np.asarray(ctps, dtype=np.float64)
         if ctps.ndim == 0:
             ctps = np.full((h, n), float(ctps))
@@ -86,10 +115,13 @@ class AdAllocationProblem:
 
         self.graph = graph
         self.catalog = catalog
-        self.edge_probabilities = edge_probabilities
-        self.ctps = ctps
+        self.edge_probabilities = _frozen(edge_probabilities, given)
+        self.ctps = _frozen(ctps, given_ctps)
         self.attention = attention
         self.penalty = float(penalty)
+        # Filled by content_digests(); shared with every problem derived
+        # over the same graph and matrices.
+        self._digests: dict = {}
 
     # ------------------------------------------------------------------
     @classmethod
@@ -118,8 +150,10 @@ class AdAllocationProblem:
         edge_probs = np.stack(
             [model.ad_edge_probabilities(ad.topics) for ad in catalog], axis=0
         )
+        edge_probs.flags.writeable = False  # the problem's own: not copied
         if ctps is None:
             ctps = np.stack([model.ad_ctps(ad.topics) for ad in catalog], axis=0)
+            ctps.flags.writeable = False
         return cls(model.graph, catalog, edge_probs, ctps, attention, penalty)
 
     # ------------------------------------------------------------------
@@ -152,27 +186,45 @@ class AdAllocationProblem:
         per_ad_min = self.ctps.min(axis=1) * self.catalog.cpes()
         return float(per_ad_min.min())
 
+    def content_digests(self) -> tuple[str, tuple[str, ...]]:
+        """``(graph digest, per-ad probability-row digests)`` — the
+        content an RR-set sample depends on, which the service's engine
+        pool keys on.  Hashed on the first call (the graph's digest is
+        cached on the graph itself) and kept: the arrays are read-only,
+        so the digests cannot go stale."""
+        cached = self._digests.get("content")
+        if cached is None:
+            cached = self._digests["content"] = (
+                hashing.graph_digest(self.graph),
+                tuple(
+                    hashing.array_digest(row, label="probs")
+                    for row in self.edge_probabilities
+                ),
+            )
+        return cached
+
+    def with_catalog(self, catalog: AdCatalog) -> "AdAllocationProblem":
+        """A copy of this instance with a catalog of the same size (new
+        budgets or CPEs; shares arrays and digests)."""
+        return self._sharing(catalog, self.attention, self.penalty)
+
     def with_penalty(self, penalty: float) -> "AdAllocationProblem":
-        """A copy of this instance with a different λ (shares arrays)."""
-        return AdAllocationProblem(
-            self.graph,
-            self.catalog,
-            self.edge_probabilities,
-            self.ctps,
-            self.attention,
-            penalty,
-        )
+        """A copy of this instance with a different λ (shares arrays and
+        digests)."""
+        return self._sharing(self.catalog, self.attention, penalty)
 
     def with_attention(self, attention: AttentionBounds) -> "AdAllocationProblem":
-        """A copy of this instance with different attention bounds."""
-        return AdAllocationProblem(
-            self.graph,
-            self.catalog,
-            self.edge_probabilities,
-            self.ctps,
-            attention,
-            self.penalty,
+        """A copy of this instance with different attention bounds
+        (shares arrays and digests)."""
+        return self._sharing(self.catalog, attention, self.penalty)
+
+    def _sharing(self, catalog, attention, penalty) -> "AdAllocationProblem":
+        problem = AdAllocationProblem(
+            self.graph, catalog, self.edge_probabilities, self.ctps,
+            attention, penalty,
         )
+        problem._digests = self._digests
+        return problem
 
     def memory_bytes(self) -> int:
         """Bytes held by the instance's dense matrices plus the graph."""
@@ -182,6 +234,13 @@ class AdAllocationProblem:
             + self.attention.kappa.nbytes
             + self.graph.memory_bytes()
         )
+
+    def __setstate__(self, state) -> None:
+        # An unpickled or deep-copied problem holds fresh, writable arrays.
+        for name, value in state[1].items():
+            setattr(self, name, value)
+        self.edge_probabilities.flags.writeable = False
+        self.ctps.flags.writeable = False
 
     def __repr__(self) -> str:
         return (

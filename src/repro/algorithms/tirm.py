@@ -81,10 +81,10 @@ class TIRMAllocator(Allocator):
         the determinism contract: the same ``(seed, chunk_size)``
         reproduces the same allocation.
     backend:
-        Kept for ``bench/`` until ROADMAP item 2: the recorded name of
-        the one blocked BFS, ``"numpy"``
-        (:mod:`repro.rrset.backends`).  Not an option: any other value
-        raises :class:`~repro.errors.ConfigurationError`.
+        Kept for ``bench/`` until the ROADMAP's "Parked: re-cut the
+        ruler" lands: the recorded name of the one blocked BFS,
+        ``"numpy"`` (:mod:`repro.rrset.backends`).  Not an option: any
+        other value raises :class:`~repro.errors.ConfigurationError`.
     transport:
         Accepted with the single value ``"auto"``: how chunk blocks
         travel home is decided by the engine substrate (computed inline

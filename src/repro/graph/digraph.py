@@ -37,7 +37,10 @@ class DirectedGraph:
     Notes
     -----
     The constructor sorts the edge list once; all queries afterwards are
-    O(1) slicing into flat numpy arrays.
+    O(1) slicing into flat numpy arrays.  The arrays are read-only (an
+    in-place write raises ``ValueError``), so the content digest
+    :func:`~repro.utils.hashing.graph_digest` caches on the graph stays
+    true.
     """
 
     __slots__ = (
@@ -51,6 +54,7 @@ class DirectedGraph:
         "in_indptr",
         "in_sources",
         "in_edge_ids",
+        "_digest",
     )
 
     def __init__(self, num_nodes: int, sources, targets) -> None:
@@ -100,6 +104,9 @@ class DirectedGraph:
         self.in_indptr = np.concatenate(([0], np.cumsum(in_degree))).astype(np.int64)
         self.in_sources = src[in_order]
         self.in_edge_ids = in_order
+        for array in self._arrays():
+            array.flags.writeable = False
+        self._digest: str | None = None  # graph_digest() fills it
 
     # ------------------------------------------------------------------
     # Constructors
@@ -188,9 +195,8 @@ class DirectedGraph:
         """The transpose graph (every edge flipped)."""
         return DirectedGraph(self.num_nodes, self.edge_targets, self.edge_sources)
 
-    def memory_bytes(self) -> int:
-        """Bytes held by the CSR arrays (used in the Table-4 accounting)."""
-        arrays: Sequence[np.ndarray] = (
+    def _arrays(self) -> Sequence[np.ndarray]:
+        return (
             self.edge_sources,
             self.edge_targets,
             self.out_indptr,
@@ -200,11 +206,21 @@ class DirectedGraph:
             self.in_sources,
             self.in_edge_ids,
         )
-        return int(sum(a.nbytes for a in arrays))
+
+    def memory_bytes(self) -> int:
+        """Bytes held by the CSR arrays (used in the Table-4 accounting)."""
+        return int(sum(a.nbytes for a in self._arrays()))
 
     # ------------------------------------------------------------------
     # Dunder methods
     # ------------------------------------------------------------------
+    def __setstate__(self, state) -> None:
+        # An unpickled or deep-copied graph holds fresh, writable arrays.
+        for name, value in state[1].items():
+            setattr(self, name, value)
+        for array in self._arrays():
+            array.flags.writeable = False
+
     def __repr__(self) -> str:
         return f"DirectedGraph(num_nodes={self.num_nodes}, num_edges={self.num_edges})"
 

@@ -1,6 +1,6 @@
 /*
- * The RR-set pool's two index kernels: the main inverted-index build
- * and remove_covered.
+ * The RR-set pool's kernels: the coverage bump, the main inverted-index
+ * build and remove_covered.
  *
  * Compiled with the rest of the package's C sources by repro._native
  * and called through ctypes by repro.rrset.pool, which checks every
@@ -10,6 +10,15 @@
  */
 
 #include <stdint.h>
+
+/* coverage[members[i]]++ for every i in [0, count): the coverage bump
+ * of an append or a reveal, once per occurrence. */
+void repro_bump_counts(
+    int64_t count, const int32_t *members, int64_t *coverage)
+{
+    for (int64_t i = 0; i < count; i++)
+        coverage[members[i]]++;
+}
 
 /*
  * The node -> set CSR index over sets first_set .. first_set + count:

@@ -47,9 +47,10 @@ _MAX_KEY = 2**63 - 1
 class NumpyBackend:
     """The compiled batch BFS behind the recorded backend name.
 
-    Kept as a class for ``bench/`` until ROADMAP item 2: its traced pass
-    wraps ``level_op`` in this class's ``__dict__``, and the driver calls
-    it through the class attribute so the wrapper sees every batch."""
+    Kept as a class for ``bench/`` until the ROADMAP's "Parked: re-cut
+    the ruler" lands: its traced pass wraps ``level_op`` in this class's
+    ``__dict__``, and the driver calls it through the class attribute so
+    the wrapper sees every batch."""
 
     #: The recorded ``backend`` provenance value (stats, checkpoint
     #: configs, catalog rows).
@@ -87,8 +88,9 @@ class NumpyBackend:
 
 
 def resolve_backend(backend="numpy") -> NumpyBackend:
-    """Kept for ``bench/`` until ROADMAP item 2: ``"numpy"``, the
-    recorded name of the one BFS, gives a :class:`NumpyBackend`;
+    """Kept for ``bench/`` until the ROADMAP's "Parked: re-cut the
+    ruler" lands: ``"numpy"``, the recorded name of the one BFS, gives a
+    :class:`NumpyBackend`;
     anything else raises :class:`~repro.errors.ConfigurationError`."""
     if backend != NumpyBackend.name:
         raise ConfigurationError(

@@ -65,6 +65,36 @@ def digest_block(members: np.ndarray, lengths: np.ndarray) -> str:
     return digest.hexdigest()
 
 
+def _hash_block(block: tuple[np.ndarray, np.ndarray]) -> str:
+    return digest_block(*block)
+
+
+def digest_blocks(blocks: list, executor=None) -> list[str]:
+    """:func:`digest_block` of each ``(members, lengths)`` pair, in order.
+
+    With an ``executor`` the blocks are hashed on its threads and the
+    calling thread at once: every block is queued, and the caller walks
+    the queue hashing each block no thread has started (blake2b releases
+    the GIL on buffers of 2 KiB and more), then collects the rest.
+    Without one, the caller hashes them all in turn.
+    """
+    if executor is None:
+        return [_hash_block(block) for block in blocks]
+    futures = [executor.submit(_hash_block, block) for block in blocks]
+    try:
+        mine = [
+            _hash_block(block) if future.cancel() else None
+            for future, block in zip(futures, blocks)
+        ]
+        return [
+            future.result() if digest is None else digest
+            for future, digest in zip(futures, mine)
+        ]
+    finally:
+        for future in futures:  # after a failure: nothing left queued
+            future.cancel()
+
+
 class DsanRecorder:
     """Per-engine digest ledger, keyed by ``(ad, chunk)``.
 
@@ -91,8 +121,9 @@ class DsanRecorder:
 
         ``digest`` is the block's digest when its arrival already
         verified one over these very arrays (a cache entry's stored
-        digest, a RESULT frame's stamp); the block is hashed only
-        without it.  Returns the recorded digest.
+        digest, a RESULT frame's stamp) or it was just hashed
+        (a revealed chunk, :func:`digest_blocks`); the block is hashed
+        only without it.  Returns the recorded digest.
 
         Raises
         ------

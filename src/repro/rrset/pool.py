@@ -5,11 +5,12 @@ addressed by an ``indptr`` array, with eager per-node coverage counts
 beside it.  The node→set inverted index is derived data — a pure
 function of the member rows — held as a second CSR pair and built in
 bulk, never by per-element Python appends: the main tier by one
-counting sort and the pending tier by one packed-key sort.  The main
-index build and ``remove_covered`` are compiled kernels (``_pool.c``,
-built into the package's one library by :mod:`repro._native`); the
-appends and the other index query (``coverage_of_set``) are numpy over
-the same buffers.  See ``docs/rrset_engine.md`` for the
+counting sort and the pending tier by one packed-key sort.  The
+coverage bump of an append or a reveal, the main index build and
+``remove_covered`` are compiled kernels (``_pool.c``, built into the
+package's one library by :mod:`repro._native`); the rest of an append
+and the other index query (``coverage_of_set``) are numpy over the same
+buffers.  See ``docs/rrset_engine.md`` for the
 layout, the index policy, and the determinism contract.
 
 Index maintenance (amortized, at the first index read after growth):
@@ -121,16 +122,12 @@ class CSRSetView:
 
 
 def _bump_counts(counts: np.ndarray, members: np.ndarray) -> None:
-    """``counts[members] += 1`` per occurrence, without always paying
-    an O(len(counts)) ``bincount`` scratch array: small batches go
-    through ``ufunc.at`` (O(batch)), large ones through ``bincount``."""
-    if members.size == 0:
-        return
-    n = counts.size
-    if members.size * 16 < n:
-        np.add.at(counts, members, 1)
-    else:
-        counts += np.bincount(members, minlength=n)
+    """``counts[members] += 1`` per occurrence: one compiled pass over
+    the pool's own ``int32`` members (checked to lie in range when they
+    were appended) into the ``int64`` coverage."""
+    library().repro_bump_counts(
+        members.size, members.ctypes.data, counts.ctypes.data
+    )
 
 
 def _sorted_keys(members: np.ndarray, first_set: int, lengths: np.ndarray) -> np.ndarray:
@@ -410,15 +407,16 @@ class RRSetPool:
         self._reserve_sets(self._num_sets + count)
         # The one and only copy: slice assignment casts same-kind integer
         # inputs (int64 views included) directly into the int32 buffer.
-        self._members[self._members_used : self._members_used + members.size] = members
-        new_indptr = self._members_used + np.cumsum(lengths)
+        start, end = self._members_used, self._members_used + members.size
+        self._members[start:end] = members
+        new_indptr = start + np.cumsum(lengths)
         self._indptr[self._num_sets + 1 : self._num_sets + count + 1] = new_indptr
         self._alive_mask[self._num_sets : self._num_sets + count] = True
-        self._members_used += members.size
+        self._members_used = end
         self._num_sets += count
         self._resident_sets = self._num_sets
         self._num_alive += count
-        _bump_counts(self._coverage, members)
+        _bump_counts(self._coverage, self._members[start:end])
 
     def rewind(self) -> None:
         """Make nothing visible: drop the run state (visible marks,

@@ -93,7 +93,7 @@ from typing import Mapping, Sequence
 from repro.errors import ConfigurationError
 from repro.graph.digraph import DirectedGraph
 from repro.rrset.block import Block
-from repro.rrset.dsan import DsanRecorder, dsan_enabled
+from repro.rrset.dsan import DsanRecorder, digest_blocks, dsan_enabled
 from repro.rrset.pool import RRSetPool
 from repro.rrset.sampler import (
     DEFAULT_CHUNK_SIZE,
@@ -670,9 +670,15 @@ class ShardedSamplingEngine:
         inverted index over them and the tail memo (chunks are pure
         functions of ``(entropy, ad, chunk)``).  The next run reveals
         resident sets instead of sampling them: up to the resident mark
-        no backend invocation, no copy, no index build.  dsan still
-        re-hashes every revealed chunk — the check that the sample did
-        not change between leases.  The shards are the *same objects*
+        no backend invocation, no copy, no index build — one
+        :meth:`~repro.rrset.pool.RRSetPool.reveal` per ad and request.
+        dsan still re-hashes every revealed chunk from the resident rows
+        on every lease, on the helper threads and the calling thread at
+        once, and records the digests in ascending ``(ad, chunk)``
+        order: the check that the sample did not change between leases
+        (with ``dsan_expected``, a changed chunk raises
+        :class:`~repro.errors.DeterminismError` naming it and closes the
+        engine).  The shards are the *same objects*
         before and after, so a reader of the previous run must be gone
         (leases are exclusive).  Raises
         :class:`~repro.errors.ConfigurationError` on a closed engine.
@@ -832,9 +838,9 @@ class ShardedSamplingEngine:
         return self._source.block(ad, chunk_index), True
 
     def _run_tasks(self, tasks: list[tuple[int, int, int, int, bool]]) -> None:
-        """The one dispatch loop: scatter the non-resident ``(ad, chunk,
-        lo, hi, resident)`` tasks over the substrate, then gather in
-        task order — reveal the resident ones, splice the others."""
+        """The one dispatch loop over ``(ad, chunk, lo, hi, resident)``
+        tasks: reveal the resident ones, scatter the others over the
+        substrate, then gather and splice them in task order."""
         # A one-block request with nothing in flight is computed in the
         # parent — a round trip buys nothing — and a closed engine has
         # no substrate left (close also drained the prefetch ledger).
@@ -850,6 +856,12 @@ class ShardedSamplingEngine:
         # chunk that has to be computed; held chunks are absent.
         pending: dict[tuple[int, int], Future | None] = {}
         try:
+            resident = [
+                (ad, chunk_index, hi - lo)
+                for ad, chunk_index, lo, hi, is_resident in tasks if is_resident
+            ]
+            if resident:
+                self._reveal(resident)
             for ad, chunk_index in blocks:
                 future = self._inflight.pop((ad, chunk_index), None)
                 if future is None:  # else: harvest prefetched work
@@ -863,9 +875,8 @@ class ShardedSamplingEngine:
             # order the task list was built in), independent of which
             # worker finished first.  Each result is consumed as soon as
             # *its* future resolves — no barrier on the whole batch.
-            for ad, chunk_index, lo, hi, resident in tasks:
-                if resident:
-                    self._reveal(ad, chunk_index, hi - lo)
+            for ad, chunk_index, lo, hi, is_resident in tasks:
+                if is_resident:
                     continue
                 if (ad, chunk_index) not in pending:
                     block, fresh = self._open_held(ad, chunk_index)
@@ -887,21 +898,37 @@ class ShardedSamplingEngine:
             self.close()
             raise
 
-    def _reveal(self, ad: int, chunk_index: int, count: int) -> None:
-        """A wholly resident task: make ``count`` more of the chunk's
-        sets visible in place.  dsan records what a splice would — the
-        digest of the *full* chunk: the tail memo's block when the
-        chunk is only partly resident, else the shard's own rows."""
-        shard = self._shards[ad]
+    def _reveal(self, resident: list[tuple[int, int, int]]) -> None:
+        """A request's wholly resident ``(ad, chunk, count)`` tasks,
+        ascending: each ad's sets are made visible in place by one
+        reveal.  dsan records what a splice would — the digest of each
+        *full* chunk: the tail memo's block when the chunk is only partly
+        resident, else the shard's own rows, re-hashed on every lease
+        (the check that the sample did not change between leases) on
+        the helper threads and the calling thread at once."""
         if self._dsan is not None:
-            memo = self._blocks.get((ad, chunk_index))
-            if memo is not None:
-                arrays = memo.members, memo.lengths
-            else:
-                first = chunk_index * self.chunk_size
-                arrays = shard.resident_rows(first, first + self.chunk_size)
-            self._dsan.record(ad, chunk_index, *arrays)
-        shard.reveal(count)
+            blocks = []
+            for ad, chunk_index, _ in resident:
+                memo = self._blocks.get((ad, chunk_index))
+                if memo is not None:
+                    blocks.append((memo.members, memo.lengths))
+                else:
+                    first = chunk_index * self.chunk_size
+                    blocks.append(self._shards[ad].resident_rows(
+                        first, first + self.chunk_size
+                    ))
+            digests = digest_blocks(
+                blocks, _helper_pool() if len(blocks) > 1 else None
+            )
+            for (ad, chunk_index, _), block, digest in zip(
+                resident, blocks, digests
+            ):
+                self._dsan.record(ad, chunk_index, *block, digest=digest)
+        counts: dict[int, int] = {}
+        for ad, _, count in resident:
+            counts[ad] = counts.get(ad, 0) + count
+        for ad, count in counts.items():
+            self._shards[ad].reveal(count)
 
     def _splice(
         self, ad: int, chunk_index: int, lo: int, hi: int, block, fresh: bool,

@@ -54,8 +54,8 @@ from repro.service.pool import EnginePool
 #: running job lives in this process only (nothing journals it, so a
 #: killed server loses it), and a finished one is its result plus the
 #: catalog row it wrote; everything else passes through.  ``backend``
-#: accepts only ``"numpy"``; it is kept for ``bench/`` until ROADMAP
-#: item 2.
+#: accepts only ``"numpy"``; it is kept for ``bench/`` until the
+#: ROADMAP's "Parked: re-cut the ruler" lands.
 ALLOCATOR_PARAMS = frozenset({
     "epsilon", "ell", "select_rule", "engine", "rng",
     "chunk_size", "backend",
@@ -121,8 +121,8 @@ def modified_problem(
 ) -> AdAllocationProblem:
     """A copy of ``problem`` with budgets updated and/or ads added or
     removed.  The graph is always shared; with the catalog's shape
-    unchanged (budget updates only) so are both ``(h, ·)`` matrices —
-    an add or remove stacks fresh ones.
+    unchanged (budget updates only) so are both ``(h, ·)`` matrices and
+    their cached content digests — an add or remove stacks fresh ones.
 
     ``update_budgets`` maps ad index → new budget (JSON clients send
     string keys; both are accepted).  ``add_ads`` entries are dicts with
@@ -167,15 +167,17 @@ def modified_problem(
         probs = [p for i, p in enumerate(probs) if i not in drop]
         ctps = [c for i, c in enumerate(ctps) if i not in drop]
 
-    if add_ads or remove_ads:
-        edge_probabilities, ctps = np.stack(probs, axis=0), np.stack(ctps, axis=0)
-    else:
-        edge_probabilities, ctps = problem.edge_probabilities, problem.ctps
+    if not (add_ads or remove_ads):
+        return problem.with_catalog(AdCatalog(advertisers))
+    stacked = []
+    for rows in (probs, ctps):
+        matrix = np.stack(rows, axis=0)
+        matrix.flags.writeable = False  # the new problem's own: not copied
+        stacked.append(matrix)
     return AdAllocationProblem(
         problem.graph,
         AdCatalog(advertisers),
-        edge_probabilities,
-        ctps,
+        *stacked,
         problem.attention,
         problem.penalty,
     )

@@ -32,7 +32,6 @@ import threading
 import numpy as np
 
 from repro.errors import ServiceError
-from repro.utils.hashing import array_digest, graph_digest
 
 
 class EngineLease:
@@ -76,7 +75,8 @@ class EnginePool:
 
     The key covers everything the engine constructor consumed that could
     change its samples or its recorded substrate: the problem content
-    (graph digest + per-ad probability digests), the stream contract
+    (graph digest + per-ad probability digests, which the frozen problem
+    hashes once and caches), the stream contract
     (seed, chunk size) and the substrate knobs
     (engine mode, worker count, dsan).
     Two requests with equal keys are guaranteed interchangeable engines
@@ -108,17 +108,19 @@ class EnginePool:
     @staticmethod
     def lease_key(problem, allocator) -> tuple | None:
         """The pooling key for one (problem, allocator) pair, or ``None``
-        when the pair is not poolable (generator-valued seed)."""
+        when the pair is not poolable (generator-valued seed).  The
+        content part is the problem's cached digests
+        (:meth:`~repro.advertising.problem.AdAllocationProblem.content_digests`):
+        a frozen instance is hashed once, so a warm lease costs a tuple
+        compare, not a pass over the graph and every probability row."""
         seed = allocator._seed
         if seed is not None and not isinstance(seed, (int, np.integer)):
             return None
+        graph_hash, probs_hashes = problem.content_digests()
         return (
             allocator.dataset,
-            graph_digest(problem.graph),
-            tuple(
-                array_digest(problem.ad_edge_probabilities(ad), label="probs")
-                for ad in range(problem.num_ads)
-            ),
+            graph_hash,
+            probs_hashes,
             int(seed) if seed is not None else None,
             allocator.chunk_size,
             allocator.engine,

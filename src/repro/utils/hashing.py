@@ -40,7 +40,9 @@ def array_digest(array, *, label: str = "") -> str:
 
 
 def graph_digest(graph) -> str:
-    """Content digest of a :class:`~repro.graph.digraph.DirectedGraph`.
+    """Content digest of a :class:`~repro.graph.digraph.DirectedGraph`,
+    hashed on the first call and cached on the graph (its arrays are
+    read-only, so the digest cannot go stale).
 
     Hashes the dimensions plus the canonical edge arrays
     (``edge_sources``/``edge_targets``, in edge-id order) — exactly the
@@ -51,6 +53,9 @@ def graph_digest(graph) -> str:
     dialled worker's PAYLOAD reconstruction, which ships only the
     in-CSR).
     """
+    cached = getattr(graph, "_digest", None)
+    if cached is not None:
+        return cached
     digest = hashlib.blake2b(digest_size=DIGEST_SIZE)
     digest.update(f"graph:{graph.num_nodes}:{graph.num_edges};".encode())
     sources = getattr(graph, "edge_sources", None)
@@ -62,4 +67,5 @@ def graph_digest(graph) -> str:
         digest.update(np.ascontiguousarray(graph.in_indptr).tobytes())
         digest.update(np.ascontiguousarray(graph.in_sources).tobytes())
         digest.update(np.ascontiguousarray(graph.in_edge_ids).tobytes())
-    return digest.hexdigest()
+    graph._digest = digest.hexdigest()
+    return graph._digest

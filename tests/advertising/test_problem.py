@@ -1,5 +1,8 @@
 """AdAllocationProblem: validation, broadcasting, topic-model collapse."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -64,6 +67,83 @@ def test_with_attention(two_ad_problem):
     changed = two_ad_problem.with_attention(new_bounds)
     assert changed.attention is new_bounds
     assert changed.penalty == two_ad_problem.penalty
+
+
+class TestFrozen:
+    """A built problem is immutable in fact: both matrices are
+    read-only, a caller's writable array is copied first, and the
+    content digests are hashed once and shared by derived problems."""
+
+    def test_in_place_writes_are_refused(self, two_ad_problem):
+        for matrix in (two_ad_problem.edge_probabilities, two_ad_problem.ctps):
+            with pytest.raises(ValueError, match="read-only"):
+                matrix[0, 0] = 0.9
+            with pytest.raises(ValueError, match="read-only"):
+                matrix *= 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            two_ad_problem.ad_edge_probabilities(1)[:] = 0.0
+
+    def test_a_writable_argument_is_copied_a_read_only_one_shared(
+        self, two_ad_problem
+    ):
+        mine = np.array(two_ad_problem.edge_probabilities)
+        problem = AdAllocationProblem(
+            two_ad_problem.graph, two_ad_problem.catalog, mine,
+            two_ad_problem.ctps, two_ad_problem.attention,
+        )
+        assert not np.shares_memory(problem.edge_probabilities, mine)
+        mine[0, 0] = 0.0  # the caller's array stays the caller's
+        assert problem.edge_probabilities[0, 0] == 0.5
+        assert problem.ctps is two_ad_problem.ctps  # read-only: shared
+        view = AdAllocationProblem(
+            two_ad_problem.graph, two_ad_problem.catalog,
+            two_ad_problem.edge_probabilities[:, :], two_ad_problem.ctps,
+            two_ad_problem.attention,
+        )
+        assert view.edge_probabilities.base is None  # a view is copied
+
+    def test_derived_problems_share_arrays_and_digests(self, two_ad_problem):
+        digests = two_ad_problem.content_digests()
+        catalog = AdCatalog(
+            [Advertiser(name="alpha", budget=5.0, cpe=1.0),
+             Advertiser(name="beta", budget=1.0, cpe=2.0)]
+        )
+        for derived in (
+            two_ad_problem.with_penalty(0.3),
+            two_ad_problem.with_attention(AttentionBounds.uniform(4, 2)),
+            two_ad_problem.with_catalog(catalog),
+        ):
+            assert derived.edge_probabilities is two_ad_problem.edge_probabilities
+            assert derived.ctps is two_ad_problem.ctps
+            assert derived.content_digests() is digests
+        with pytest.raises(ConfigurationError, match="edge_probabilities"):
+            two_ad_problem.with_catalog(AdCatalog(list(catalog)[:1]))
+
+    @pytest.mark.parametrize(
+        "clone", [copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))]
+    )
+    def test_a_copy_stays_frozen(self, two_ad_problem, clone):
+        """A copy carries the cached digests, so its fresh arrays must be
+        read-only too."""
+        digests = two_ad_problem.content_digests()
+        twin = clone(two_ad_problem)
+        assert twin.content_digests() == digests
+        for array in (
+            twin.edge_probabilities, twin.ctps, twin.graph.edge_sources,
+            twin.graph.in_edge_ids,
+        ):
+            assert not array.flags.writeable
+
+    def test_content_digests_are_the_hashing_module_digests(self, two_ad_problem):
+        from repro.utils.hashing import array_digest, graph_digest
+
+        graph_hash, probs_hashes = two_ad_problem.content_digests()
+        assert graph_hash == graph_digest(two_ad_problem.graph)
+        assert probs_hashes == tuple(
+            array_digest(np.array(two_ad_problem.ad_edge_probabilities(ad)),
+                         label="probs")
+            for ad in range(two_ad_problem.num_ads)
+        )
 
 
 def test_memory_bytes_positive(two_ad_problem):

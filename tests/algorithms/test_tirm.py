@@ -45,9 +45,10 @@ class TestConfiguration:
             TIRMAllocator(**kwargs)
 
     def test_nan_edge_probability_refused(self):
-        """A NaN probability is refused where the problem is built, and
-        — slipped into a built problem — where TIRM builds its
-        samplers, before a set is drawn."""
+        """A NaN probability is refused where the problem is built; a
+        built problem's matrix is read-only, and — slipped in past
+        that — refused where TIRM builds its samplers, before a set is
+        drawn."""
         problem = figure1_problem()
         probs = problem.edge_probabilities.copy()
         probs[0, 0] = np.nan
@@ -56,6 +57,9 @@ class TestConfiguration:
                 problem.graph, problem.catalog, probs, problem.ctps,
                 problem.attention, problem.penalty,
             )
+        with pytest.raises(ValueError, match="read-only"):
+            problem.edge_probabilities[0, 0] = np.nan
+        problem.edge_probabilities.flags.writeable = True  # this test's own
         problem.edge_probabilities[0, 0] = np.nan
         with pytest.raises(ValueError, match="edge_probabilities.*NaN"):
             tirm().allocate(problem)

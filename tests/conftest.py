@@ -38,7 +38,8 @@ def build_calls(monkeypatch) -> list[int]:
 @pytest.fixture
 def digest_calls(monkeypatch) -> list[str]:
     """Spy on ``digest_block`` in every module that hashes a block: one
-    entry per call, naming the calling function — ``record`` (dsan),
+    entry per call, naming the calling function — ``record`` (dsan, a
+    spliced block), ``_hash_block`` (dsan, a revealed resident chunk),
     ``pack`` (a RESULT stamp or cache write without a digest in hand),
     ``_compute_result`` (a socket worker's freshly computed block) or
     ``parse`` (a cache load or a RESULT check)."""

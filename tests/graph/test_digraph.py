@@ -101,6 +101,34 @@ class TestQueries:
         assert line_graph != DirectedGraph(4, [0], [1])
 
 
+class TestFrozen:
+    _ARRAYS = (
+        "edge_sources", "edge_targets", "out_indptr", "out_targets",
+        "out_edge_ids", "in_indptr", "in_sources", "in_edge_ids",
+    )
+
+    @pytest.mark.parametrize("name", _ARRAYS)
+    def test_in_place_writes_are_refused(self, diamond_graph, name):
+        array = getattr(diamond_graph, name)
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            array += 1
+
+    def test_views_are_read_only_too(self, diamond_graph):
+        with pytest.raises(ValueError, match="read-only"):
+            diamond_graph.out_neighbors(0)[0] = 3
+        with pytest.raises(ValueError, match="read-only"):
+            diamond_graph.in_edges_of(3).sort()
+
+    def test_the_digest_is_hashed_once(self, diamond_graph, monkeypatch):
+        from repro.utils import hashing
+
+        first = hashing.graph_digest(diamond_graph)
+        monkeypatch.setattr(hashing.hashlib, "blake2b", None)  # no more hashing
+        assert hashing.graph_digest(diamond_graph) == first
+
+
 class TestCSRInvariants:
     """The in-CSR and out-CSR views must describe the same edge set and
     agree on canonical edge ids — the property the probability arrays

@@ -1,8 +1,9 @@
 """The compiled pool kernels equal the numpy code they replaced.
 
-``RRSetPool.remove_covered`` and the main inverted-index build run in C
-(``rrset/_pool.c``); ``tests/rrset/_reference_pool.py`` keeps the numpy
-versions.  A hypothesis state machine drives a shipped pool and a
+``RRSetPool.remove_covered``, the main inverted-index build and the
+coverage bump run in C (``rrset/_pool.c``); ``tests/rrset/_reference_pool.py``
+keeps the numpy versions of the first two, and the bump is held to
+``np.add.at`` directly.  A hypothesis state machine drives a shipped pool and a
 :class:`ReferencePool` through the same operations — small appends
 with repeated members and ``add_flat`` chunks large enough to cross
 the main/pending tiering, ``rewind`` and ``reveal`` (so a kept index
@@ -19,11 +20,11 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.rrset.pool import RRSetPool
+from repro.rrset.pool import RRSetPool, _bump_counts
 
 from tests.rrset._pool_helpers import add_sets, alive_mask
 from tests.rrset._reference_pool import ReferencePool
@@ -128,3 +129,21 @@ def test_a_copied_pool_removes_from_its_own_buffers(clone):
     assert twin.remove_covered(1) == 2
     assert twin.coverage().tolist() == [0, 0, 0, 0]
     assert pool.coverage().tolist() == [1, 2, 1, 0] and pool.num_alive == 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 3_000),
+    size=st.integers(0, 5_000),
+    seed=st.integers(0, 2**16),
+)
+def test_the_compiled_bump_is_add_at(n, size, seed):
+    """Small and large batches alike (the numpy code switched to
+    ``bincount`` above n / 16 members), repeated members included."""
+    rng = np.random.default_rng(seed)
+    members = rng.integers(0, n, size=size).astype(np.int32)
+    counts = rng.integers(0, 50, size=n)
+    expected = counts.copy()
+    np.add.at(expected, members, 1)
+    _bump_counts(counts, members)
+    assert np.array_equal(counts, expected)

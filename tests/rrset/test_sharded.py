@@ -27,7 +27,7 @@ from repro.advertising.problem import AdAllocationProblem
 from repro.algorithms.session import AllocationSession
 from repro.algorithms.tirm import TIRMAllocator
 from repro.datasets import flixster_like, livejournal_like
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, DeterminismError
 from repro.graph.generators import erdos_renyi
 from repro.graph.probabilities import constant_probabilities
 from repro.rrset.pool import RRSetPool
@@ -809,6 +809,33 @@ class TestHelperThreads:
         if where == "caller":
             wait(held)
 
+    @pytest.mark.parametrize("cpus", [1, 2, 4], indirect=True)
+    @pytest.mark.parametrize("case", sorted(_HELPER_CASES))
+    def test_a_warm_re_lease_gives_the_cold_run(self, case, cpus):
+        """The second lease reveals every chunk the first one sampled and
+        re-hashes them on the caller and the helpers: the same seed
+        sets, revenues and dsan digests as the inline cold run."""
+        inline = _inline_run(case)
+        problem = _helper_problem(case)
+        allocator = TIRMAllocator(
+            seed=1, chunk_size=1024, dsan=True, **_HELPER_CASES[case][1]
+        )
+        runs = []
+        with EnginePool() as pool:
+            for _ in range(2):
+                with pool.lease(problem, allocator) as lease:
+                    result = AllocationSession(
+                        problem, allocator, engine=lease.engine
+                    ).run()
+                    runs.append((
+                        lease.warm, lease.engine.backend_invocations,
+                        (result.allocation, list(result.estimated_revenues),
+                         lease.engine.dsan_digests()),
+                    ))
+        (cold_warm, _, cold), (warm, invocations, again) = runs
+        assert not cold_warm and warm and invocations == 0
+        assert cold == again == inline[:3]
+
     def test_a_fully_cached_run_starts_no_helper(self, cpus, monkeypatch, tmp_path):
         problem = _problem(31)
         allocator = TIRMAllocator(
@@ -830,6 +857,60 @@ class TestResetForReuse:
     through the same engine is byte-identical to a fresh-engine run —
     no stale shards, tail blocks, in-flight futures, dsan state, or
     sampler positions may survive into the next session."""
+
+    #: The resident member the reveal tests overwrite: ad 1, chunk 3.
+    _AD, _CHUNK = 1, 3
+    #: Ad 1 ends in a tail chunk, held by the tail memo.
+    _TARGETS = {0: 96, 1: 100, 2: 64}
+
+    def _engine(self, **kwargs):
+        problem = _problem(41)
+        return ShardedSamplingEngine(
+            problem.graph, _probs(problem), seeds=9, chunk_size=16, **kwargs
+        )
+
+    def _cold(self):
+        """The cold run's dsan digests and root."""
+        with self._engine(dsan=True) as cold:
+            cold.ensure(self._TARGETS)
+            return cold.dsan_digests(), cold.dsan_root()
+
+    def _changed_sample(self, **kwargs):
+        """An engine whose first run reached the targets, then had one
+        resident member of ``(_AD, _CHUNK)`` overwritten and was
+        rewound for the next lease."""
+        engine = self._engine(**kwargs)
+        engine.ensure(self._TARGETS)
+        shard = engine.shard(self._AD)
+        at = int(shard._indptr[self._CHUNK * 16]) + 1
+        shard._members[at] = (shard._members[at] + 1) % shard.num_nodes
+        engine.reset_for_reuse()
+        return engine
+
+    @pytest.mark.parametrize("cpus", [1, 4], indirect=True)
+    def test_a_changed_resident_member_fails_the_reveal(self, cpus):
+        """The reveal re-hashes the resident rows on every lease: a
+        member changed between leases is named by the expected-map check,
+        which closes the engine."""
+        digests, _ = self._cold()
+        engine = self._changed_sample(dsan_expected=digests)
+        with pytest.raises(DeterminismError) as raised:
+            engine.ensure(self._TARGETS)
+        assert (raised.value.ad, raised.value.chunk) == (self._AD, self._CHUNK)
+        assert not engine._finalizer.alive
+
+    @pytest.mark.parametrize("cpus", [1, 4], indirect=True)
+    def test_a_changed_resident_member_moves_the_root(self, cpus):
+        digests, root = self._cold()
+        with self._changed_sample(dsan=True) as engine:
+            engine.ensure(self._TARGETS)
+            assert engine.backend_invocations == 0  # every chunk revealed
+            assert engine.dsan_root() != root
+            changed = {
+                key for key, digest in engine.dsan_digests().items()
+                if digests[key] != digest
+            }
+        assert changed == {(self._AD, self._CHUNK)}
 
     def test_back_to_back_sampling_matches_fresh_engine(self):
         problem = _problem(11)

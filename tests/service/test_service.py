@@ -651,6 +651,49 @@ class TestReallocate:
                 manager.reallocate("job-9999", remove_ads=[0])
 
 
+@pytest.fixture
+def content_hashes(monkeypatch) -> list[str]:
+    """Spy on the instance digests: one entry per ``array_digest`` or
+    ``graph_digest`` call, by name."""
+    from repro.utils import hashing
+
+    calls: list[str] = []
+    for name in ("array_digest", "graph_digest"):
+        def spy(*args, _name=name, _digest=getattr(hashing, name), **kwargs):
+            calls.append(_name)
+            return _digest(*args, **kwargs)
+
+        monkeypatch.setattr(hashing, name, spy)
+    return calls
+
+
+class TestInstanceHashedOnce:
+    def test_warm_leases_hash_nothing(self, content_hashes):
+        """The cold lease hashes the graph and every probability row; a
+        warm resubmit and a budget-only re-allocation read the cached
+        digests, and an add_ads re-allocation hashes its new matrix and
+        leases cold."""
+        problem = _problem()
+        spec = {"name": "a9", "budget": 4.0, "cpe": 1.0, "like": 0}
+        with JobManager(cache=None) as manager:
+            cold = manager.submit(problem=problem, params=PARAMS)
+            manager.wait(cold.job_id, timeout=60)
+            assert content_hashes == ["graph_digest"] + ["array_digest"] * 3
+            del content_hashes[:]
+            warm = manager.submit(problem=problem, params=PARAMS)
+            manager.wait(warm.job_id, timeout=60)
+            rebudgeted = manager.reallocate(
+                warm.job_id, update_budgets={"0": 9.0}
+            )
+            manager.result(rebudgeted.job_id)
+            assert content_hashes == []
+            grown = manager.reallocate(warm.job_id, add_ads=[spec])
+            manager.result(grown.job_id)
+        assert warm.engine_warm and rebudgeted.engine_warm
+        assert not grown.engine_warm
+        assert content_hashes == ["graph_digest"] + ["array_digest"] * 4
+
+
 class TestEstimateSpread:
     def test_estimates_through_the_pool(self):
         from repro.rrset.estimator import estimate_spread_from_sets

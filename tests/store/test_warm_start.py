@@ -138,8 +138,9 @@ class TestWarmStartMatrix:
     def test_each_arrival_is_hashed_once(self, tmp_path, digest_calls):
         """A fresh block is hashed by dsan and written under that digest;
         a cache hit is hashed by the load's verification and recorded
-        under it; a revealed resident chunk is re-hashed by dsan — the
-        check that the sample did not change between leases."""
+        under it; a revealed resident chunk is re-hashed by dsan's
+        ``digest_blocks`` — the check that the sample did not change
+        between leases."""
         graph, probs = _inputs()
         targets = {0: 128, 1: 64, 2: 192}  # whole 64-set chunks: no tail memo
         chunks = 2 + 1 + 3
@@ -166,7 +167,7 @@ class TestWarmStartMatrix:
             warm.reset_for_reuse()
             warm.ensure(targets)
             assert warm.dsan_root() == root
-        assert digest_calls == ["record"] * chunks
+        assert digest_calls == ["_hash_block"] * chunks
 
     def test_cache_off_by_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_CACHE", raising=False)
