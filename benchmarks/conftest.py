@@ -1,10 +1,10 @@
 """Shared benchmark configuration.
 
 The benchmarks regenerate every table and figure of the paper's §6 at
-laptop scale (see DESIGN.md §3–4).  Each module prints its results in
-the paper's layout; EXPERIMENTS.md records the paper-vs-measured
-comparison.  Scale knobs live here so a beefier machine can turn them up
-towards paper scale.
+laptop scale.  Each module prints its results in the paper's layout;
+docs/reproduction.md maps each figure and table to its module.  Scale
+knobs live here so a beefier machine can turn them up towards paper
+scale.
 """
 
 from __future__ import annotations

@@ -84,7 +84,7 @@ def main() -> None:
         [[f"v{i + 1}", clicks[i], paper_clicks[i]] for i in range(6)],
     ))
     print("\n(the paper treats v4/v5 as independent when scoring v6; exact")
-    print(" enumeration accounts for their shared ancestor v3 — see DESIGN.md)")
+    print(" enumeration accounts for their shared ancestor v3)")
 
 
 if __name__ == "__main__":

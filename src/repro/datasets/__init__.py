@@ -1,5 +1,5 @@
 """Datasets: the Fig.-1 toy gadget and simulated stand-ins for the four
-real networks of Table 1 (see DESIGN.md §3 for the substitution notes).
+real networks of Table 1.
 
 All dataset factories are deterministic functions of their ``seed`` and
 return ready-to-solve :class:`~repro.advertising.AdAllocationProblem`

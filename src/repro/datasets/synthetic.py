@@ -6,8 +6,6 @@ probability regime, topic structure, CTPs, budgets, CPEs — at a
 quality datasets, 1/100th for the scalability ones, so the default
 objects are laptop-sized).  Budgets scale with the node count so the
 "thousands of seeds required" regime of §6 is preserved relatively.
-
-See DESIGN.md §3 for the substitution rationale.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ every attention bound is 1.
 The paper computes expected clicks 5.55 for Allocation A (everything to
 ad a) and 6.3 for Allocation B (the virality-aware split), treating v4
 and v5 as independent when scoring v6 — exact possible-world enumeration
-differs in the third decimal (they share ancestor v3; see DESIGN.md §2).
+differs in the third decimal (they share ancestor v3).
 """
 
 from __future__ import annotations

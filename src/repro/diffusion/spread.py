@@ -68,7 +68,7 @@ class CachingSpreadOracle(SpreadOracle):
 
 
 class ExactSpreadOracle(CachingSpreadOracle):
-    """Exact enumeration — only for graphs with at most ~20 edges."""
+    """Exact enumeration — only for graphs with at most ~20 uncertain edges."""
 
     def _compute(self, ad: int, seeds: frozenset[int]) -> float:
         if not seeds:

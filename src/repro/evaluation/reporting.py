@@ -1,8 +1,8 @@
 """Plain-text reporting in the layout of the paper's figures and tables.
 
 The benchmark harness prints these to stdout so ``pytest benchmarks/``
-output can be compared side-by-side with the paper (EXPERIMENTS.md
-records that comparison).
+output can be compared side-by-side with the paper (docs/reproduction.md
+maps each figure and table to its bench).
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ Given a CSR ``indptr`` and a frontier of node ids, :func:`gather_edge_slots`
 returns the flat positions (into the CSR's adjacency arrays) of every edge
 incident to the frontier — without any per-node Python loop.  This is the
 primitive that keeps Monte-Carlo simulation, reverse BFS and connectivity
-algorithms fast in pure numpy (see DESIGN.md §6).  Both it and the RR-set
+algorithms fast in pure numpy.  Both it and the RR-set
 pool's row reads are one kernel, :func:`gather_slices`.
 """
 

@@ -1,27 +1,11 @@
-"""Possible worlds: live-edge sampling, world probability, reachability."""
+"""Possible worlds: world probability and reachability, the helpers of the
+reference enumerator in ``_reference_exact.py``."""
 
 import numpy as np
 import pytest
 
-from repro.diffusion.possible_worlds import (
-    reachable_from,
-    sample_live_edges,
-    world_probability,
-)
 from repro.graph.digraph import DirectedGraph
-
-
-def test_sample_extremes(diamond_graph):
-    all_live = sample_live_edges(np.ones(4), seed=0)
-    assert all_live.all()
-    none_live = sample_live_edges(np.zeros(4), seed=0)
-    assert not none_live.any()
-
-
-def test_sample_deterministic(diamond_graph):
-    a = sample_live_edges(np.full(4, 0.5), seed=7)
-    b = sample_live_edges(np.full(4, 0.5), seed=7)
-    assert np.array_equal(a, b)
+from tests.diffusion._reference_exact import reachable_from, world_probability
 
 
 def test_world_probability():
