@@ -2,7 +2,8 @@
 
 Three sources make up the library:
 
-* ``rrset/_bfs.c`` — the sampler's batch BFS (:mod:`repro.rrset.backends`);
+* ``rrset/_bfs.c`` — the batch BFS of the RR-set sampler and the
+  Monte-Carlo cascades (:mod:`repro.graph._traversal`);
 * ``rrset/_pool.c`` — the pool's coverage bump, inverted-index build
   and ``remove_covered`` (:mod:`repro.rrset.pool`);
 * ``algorithms/_select.c`` — Algorithm 3's per-ad candidate search
@@ -54,7 +55,8 @@ _PTR = ctypes.c_void_p
 #: travel as plain addresses.
 _SIGNATURES = {
     "repro_bfs_batch": (
-        _I64, [_I64, _I64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR,
+        _I64, [_I64, _I64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR,
+               ctypes.POINTER(ctypes.POINTER(ctypes.c_int32)),
                ctypes.POINTER(ctypes.POINTER(ctypes.c_int32))],
     ),
     "repro_bfs_free": (None, [_PTR]),

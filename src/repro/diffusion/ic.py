@@ -1,9 +1,14 @@
-"""Vectorised IC / IC-CTP simulation.
+"""IC / TIC-CTP simulation on the package's one BFS kernel.
 
 One simulation run flips the seed coins (CTPs), then runs the independent
 cascade forward with *lazy* edge coins: an edge's coin is flipped exactly
 when its source first becomes active, which matches the "one independent
 attempt" semantics of §3 and never touches edges outside the cascade.
+The cascade is one :func:`repro.graph._traversal.bfs_batch` call over the
+out-CSR (whose slots are canonical edge ids), rooted at the seeds that
+clicked.  It draws the coins of a numpy loop taking one
+``Generator.random`` block per level (``tests/diffusion/_reference_ic.py``),
+so a run's rounds and the generator state it leaves are that loop's.
 """
 
 from __future__ import annotations
@@ -11,10 +16,48 @@ from __future__ import annotations
 import numpy as np
 
 from repro.diffusion.montecarlo import SpreadEstimate, combine_mean_variance
-from repro.graph._traversal import gather_edge_slots
+from repro.graph._traversal import bfs_batch
 from repro.graph.digraph import DirectedGraph
 from repro.utils.rng import as_generator
 from repro.utils.validation import check_probability_array
+
+_NO_CLICKS = np.empty(0, dtype=np.int32)
+
+
+class _Cascade:
+    """One ad's cascade with its arguments checked once; calling it on a
+    generator simulates one run and returns the clickers (int32) and,
+    if ``depth``, the round each clicked in (else ``None``)."""
+
+    def __init__(self, graph: DirectedGraph, edge_probabilities, seeds, ctps) -> None:
+        n, m = graph.num_nodes, graph.num_edges
+        probs = check_probability_array("edge_probabilities", edge_probabilities)
+        if probs.shape != (m,):
+            raise ValueError(f"edge_probabilities must have shape ({m},)")
+        seeds = np.unique(np.asarray(seeds, dtype=np.int64))
+        if seeds.size and not (seeds[0] >= 0 and seeds[-1] < n):
+            raise ValueError(f"seeds must lie in [0, {n}), found [{seeds[0]}, {seeds[-1]}]")
+        self.seed_ctps = None
+        if ctps is not None:
+            delta = check_probability_array("ctps", ctps)
+            if delta.shape != (n,):
+                raise ValueError(f"ctps must have shape ({n},)")
+            self.seed_ctps = delta[seeds]
+        self.graph, self.seeds, self.probs = graph, seeds, np.ascontiguousarray(probs)
+
+    def __call__(self, rng: np.random.Generator, depth: bool = False):
+        roots = self.seeds
+        if roots.size and self.seed_ctps is not None:
+            roots = roots[rng.random(roots.size) < self.seed_ctps]
+        if roots.size == 0:
+            return _NO_CLICKS, _NO_CLICKS if depth else None
+        graph = self.graph
+        members, _, rounds = bfs_batch(
+            np.array([0, roots.size], dtype=np.int64), roots, graph.out_indptr,
+            graph.out_targets, self.probs, rng.bit_generator, graph.num_nodes,
+            depth=depth,
+        )
+        return members, rounds
 
 
 def simulate_clicks(
@@ -62,35 +105,10 @@ def simulate_rounds(
     (:mod:`repro.topics.learning`) consumes — the paper's Flixster
     probabilities were learned from exactly such traces [3].
     """
-    probs = check_probability_array("edge_probabilities", edge_probabilities)
-    if probs.shape != (graph.num_edges,):
-        raise ValueError(f"edge_probabilities must have shape ({graph.num_edges},)")
-    rng = as_generator(rng)
-    seeds = np.unique(np.asarray(seeds, dtype=np.int64))
+    cascade = _Cascade(graph, edge_probabilities, seeds, ctps)
+    clicked, depth = cascade(as_generator(rng), depth=True)
     rounds = np.full(graph.num_nodes, -1, dtype=np.int64)
-    if seeds.size == 0:
-        return rounds
-    if ctps is None:
-        accepted = seeds
-    else:
-        delta = np.asarray(ctps, dtype=np.float64)
-        accepted = seeds[rng.random(seeds.size) < delta[seeds]]
-    if accepted.size == 0:
-        return rounds
-    rounds[accepted] = 0
-    frontier = accepted
-    step = 0
-    while frontier.size:
-        step += 1
-        slots = gather_edge_slots(graph.out_indptr, frontier)
-        if slots.size == 0:
-            break
-        # Out-CSR slots are canonical edge ids, so probs index directly.
-        success = rng.random(slots.size) < probs[slots]
-        targets = graph.out_targets[slots[success]]
-        fresh = np.unique(targets[rounds[targets] < 0])
-        rounds[fresh] = step
-        frontier = fresh
+    rounds[clicked] = depth
     return rounds
 
 
@@ -110,13 +128,10 @@ def estimate_spread(
     """
     if num_runs < 1:
         raise ValueError(f"num_runs must be >= 1, got {num_runs}")
+    cascade = _Cascade(graph, edge_probabilities, seeds, ctps)
     rng = as_generator(seed)
-    seeds = np.unique(np.asarray(seeds, dtype=np.int64))
-    if seeds.size == 0:
+    if cascade.seeds.size == 0:
         return SpreadEstimate(mean=0.0, std_error=0.0, num_runs=num_runs)
-    counts = [
-        int(simulate_clicks(graph, edge_probabilities, seeds, ctps=ctps, rng=rng).sum())
-        for _ in range(num_runs)
-    ]
+    counts = [cascade(rng)[0].size for _ in range(num_runs)]
     mean, std_error = combine_mean_variance(counts)
     return SpreadEstimate(mean=mean, std_error=std_error, num_runs=num_runs)

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.diffusion.exact import exact_spread
-from repro.diffusion.ic import simulate_clicks
+from repro.diffusion.ic import _Cascade
 from repro.utils.rng import keyed_generator
 
 if TYPE_CHECKING:  # imported lazily to avoid a package-level cycle:
@@ -106,16 +106,16 @@ class MonteCarloSpreadOracle(CachingSpreadOracle):
     def _compute(self, ad: int, seeds: frozenset[int]) -> float:
         if not seeds:
             return 0.0
-        graph = self.problem.graph
-        probs = self.problem.ad_edge_probabilities(ad)
-        ctps = self.problem.ad_ctps(ad)
-        seed_array = np.fromiter(seeds, dtype=np.int64)
+        problem = self.problem
+        cascade = _Cascade(
+            problem.graph, problem.ad_edge_probabilities(ad),
+            np.fromiter(seeds, dtype=np.int64), problem.ad_ctps(ad),
+        )
         total = 0
         for run_seed in self._run_seeds:
             # Common random numbers, keyed by (run, ad): the stream is a
             # pure function of the key, so every evaluation of ad ``ad``
             # replays the same possible worlds (stream-identical to the
             # historical np.random.default_rng([run_seed, ad]) call).
-            rng = keyed_generator(int(run_seed), ad)
-            total += int(simulate_clicks(graph, probs, seed_array, ctps=ctps, rng=rng).sum())
+            total += cascade(keyed_generator(int(run_seed), ad))[0].size
         return total / self.num_runs

@@ -1,23 +1,28 @@
 /*
- * The blocked BFS of the RR-set sampler: one batch of reverse BFS-es,
- * run level-synchronously, in one call.
+ * The package's one BFS: a batch of level-synchronous BFS-es in one
+ * call.  RR-sets run it in reverse over the in-CSR, one root per set;
+ * Monte-Carlo cascades forward over the out-CSR, one set per run.
  *
  * Compiled with the package's other C sources by repro._native and
- * called through ctypes by repro.rrset.backends with the GIL released
- * and the generator's lock held.  The stream contract lives in the order of the
- * coin draws, so it is spelled out here:
+ * called through ctypes by repro.graph._traversal.bfs_batch with the GIL
+ * released and the generator's lock held.  The stream contract lives in
+ * the order of the coin draws, so it is spelled out here:
  *
- *   level 0 is the batch's roots, set s rooted at roots[s];
- *   each level walks its (set, node) pairs in ascending key order
- *   (key = set * n + node) and each node's in-CSR slots in order,
- *   drawing one coin per slot with the generator's own next_double;
- *   an edge is live iff coin < in_probs[slot];
- *   the live edges' (set, source) pairs not yet reached in their set
- *   form the next level, again in ascending key order.
+ *   level 0 is the batch's roots: set s is rooted at
+ *   roots[root_indptr[s] .. root_indptr[s + 1]), each set's roots
+ *   ascending and distinct, so level 0 is in ascending key order
+ *   (key = set * n + node);
+ *   each level walks its (set, node) pairs in ascending key order and
+ *   each node's CSR slots in order, drawing one coin per slot with the
+ *   generator's own next_double;
+ *   an edge is live iff coin < probs[slot];
+ *   the live edges' (set, adjacent node) pairs not yet reached in their
+ *   set form the next level, again in ascending key order.
  *
  * This is the draw sequence of one Generator.random(total) block per
  * level over the same walk, so the bytes and the final generator state
- * equal those of the numpy reference driver for any bit generator.
+ * equal those of the numpy reference drivers for any bit generator.  A
+ * member's depth is the level it was reached at: 0 for the roots.
  *
  * Memory is O(members of the batch): the reached pairs, a hash set of
  * their keys, a radix-sort scratch buffer and the output.  Every
@@ -162,55 +167,60 @@ void repro_bfs_free(void *members)
 }
 
 /*
- * The RR-sets rooted at roots[0 .. batch), sets in order, each set's
- * members level by level and ascending within a level (its root
- * first).  Writes each set's size to lengths[0 .. batch) and a
- * malloc'd member array to *members_out (release it with
- * repro_bfs_free); returns the member count, or -1 if an allocation
- * failed (then nothing is left allocated).
+ * The sets rooted at the root CSR (root_indptr, roots), sets in order,
+ * each set's members level by level and ascending within a level (its
+ * roots first).  Writes each set's size to lengths[0 .. batch) and a
+ * malloc'd member array to *members_out; when depth_out is not NULL, a
+ * malloc'd array of each member's depth to *depth_out (release both
+ * with repro_bfs_free).  Returns the member count, or -1 if an
+ * allocation failed (then nothing is left allocated).
  */
 int64_t repro_bfs_batch(
-    int64_t n, int64_t batch, const int64_t *roots,
-    const int64_t *in_indptr, const int64_t *in_sources,
-    const double *in_probs,
+    int64_t n, int64_t batch, const int64_t *root_indptr, const int64_t *roots,
+    const int64_t *indptr, const int64_t *adjacent, const double *probs,
     next_double_fn next_double, void *state,
-    int64_t *lengths, int32_t **members_out)
+    int64_t *lengths, int32_t **members_out, int32_t **depth_out)
 {
-    keys_t reached = {0}, scratch = {0};
+    keys_t reached = {0}, scratch = {0}, levels = {0};
     keyset_t seen = {0};
     int64_t *next = NULL;
-    int32_t *members = NULL;
-    int64_t total = -1, lo = 0, hi = batch, max_key = batch * n - 1;
+    int32_t *members = NULL, *depth = NULL;
+    int64_t total = -1, lo = 0, hi, max_key = batch * n - 1;
     int bytes = 0, log2cap = 10;
 
     *members_out = NULL;
+    if (depth_out != NULL)
+        *depth_out = NULL;
     while (bytes < 8 && (max_key >> (8 * bytes)))
         bytes++;
-    while (((int64_t)1 << log2cap) < 2 * batch)
+    while (((int64_t)1 << log2cap) < 2 * root_indptr[batch])
         log2cap++;
-    if (keys_reserve(&reached, batch) || keyset_init(&seen, log2cap))
+    if (keys_reserve(&reached, root_indptr[batch]) || keyset_init(&seen, log2cap))
         goto done;
-    for (int64_t s = 0; s < batch; s++) {
-        reached.data[s] = s * n + roots[s];
-        if (keyset_add(&seen, reached.data[s]) < 0)
-            goto done;
-    }
-    reached.size = batch;
+    for (int64_t s = 0; s < batch; s++)
+        for (int64_t r = root_indptr[s]; r < root_indptr[s + 1]; r++) {
+            reached.data[reached.size] = s * n + roots[r];
+            if (keyset_add(&seen, reached.data[reached.size++]) < 0)
+                goto done;
+        }
+    hi = reached.size;
 
     /* Level [lo, hi) of `reached` is the frontier; the next level is
-     * appended behind it, then sorted in place. */
+     * appended behind it, then sorted in place.  `levels` holds each lo. */
     while (lo < hi) {
+        if (keys_reserve(&levels, levels.size + 1))
+            goto done;
+        levels.data[levels.size++] = lo;
         for (int64_t i = lo; i < hi; i++) {
             int64_t key = reached.data[i];
             int64_t base = key - key % n;
             int64_t node = key - base;
-            for (int64_t slot = in_indptr[node]; slot < in_indptr[node + 1];
-                 slot++) {
+            for (int64_t slot = indptr[node]; slot < indptr[node + 1]; slot++) {
                 int64_t found;
                 int added;
-                if (!(next_double(state) < in_probs[slot]))
+                if (!(next_double(state) < probs[slot]))
                     continue;
-                found = base + in_sources[slot];
+                found = base + adjacent[slot];
                 added = keyset_add(&seen, found);
                 if (added < 0)
                     goto done;
@@ -231,7 +241,9 @@ int64_t repro_bfs_batch(
      * level order, and the ascending order within a level. */
     next = malloc((size_t)batch * sizeof *next);
     members = malloc((size_t)(reached.size ? reached.size : 1) * sizeof *members);
-    if (next == NULL || members == NULL)
+    if (depth_out != NULL)
+        depth = malloc((size_t)(reached.size ? reached.size : 1) * sizeof *depth);
+    if (next == NULL || members == NULL || (depth_out != NULL && depth == NULL))
         goto done;
     memset(lengths, 0, (size_t)batch * sizeof *lengths);
     for (int64_t i = 0; i < reached.size; i++)
@@ -240,19 +252,29 @@ int64_t repro_bfs_batch(
         next[s] = sum;
         sum += lengths[s];
     }
-    for (int64_t i = 0; i < reached.size; i++) {
+    for (int64_t i = 0, level = 0; i < reached.size; i++) {
         int64_t s = reached.data[i] / n;
+        if (level + 1 < levels.size && levels.data[level + 1] == i)
+            level++;
+        if (depth != NULL)
+            depth[next[s]] = (int32_t)level;
         members[next[s]++] = (int32_t)(reached.data[i] - s * n);
     }
     *members_out = members;
     members = NULL;
+    if (depth_out != NULL) {
+        *depth_out = depth;
+        depth = NULL;
+    }
     total = reached.size;
 
 done:
+    free(depth);
     free(members);
     free(next);
     free(seen.slots);
     free(scratch.data);
+    free(levels.data);
     free(reached.data);
     return total;
 }

@@ -5,18 +5,16 @@ halves:
 
 * the **driver** (:func:`drive_blocked`) — argument checks, batching,
   and one ``Generator.integers`` root draw per batch;
-* the **kernel** (:meth:`NumpyBackend.level_op`, the C function
-  ``repro_bfs_batch`` of ``_bfs.c``) — one call runs a whole batch's
-  BFS: per level it walks the frontier in ascending ``(set, node)`` key
-  order and each node's in-CSR slots in order, draws one coin per slot
-  through the bit generator's own ``next_double``, keeps an edge iff
-  ``coin < in_probs[slot]``, and makes the not-yet-visited pairs the
-  next frontier; at the end it regroups the members by set.
+* the **kernel** (:meth:`NumpyBackend.level_op`: the package's one BFS,
+  :func:`repro.graph._traversal.bfs_batch`, one root per set, over the
+  in-CSR) — one call runs a whole batch's BFS, drawing one coin per
+  examined slot through the bit generator's own ``next_double`` in the
+  order ``_bfs.c`` states.
 
 The coins are the words ``Generator.random(total)`` would return for
-each level's block, drawn in the same order, so the blocks and the
-final generator state equal those of the numpy driver kept as the test
-oracle in ``tests/rrset/_reference_driver.py`` — for any bit generator.
+each level's block, so the blocks and the final generator state equal
+those of the numpy driver kept as the test oracle in
+``tests/rrset/_reference_driver.py`` — for any bit generator.
 
 The kernel is part of the package's one compiled library
 (:mod:`repro._native`), built on the first call that needs it — never
@@ -25,12 +23,10 @@ at import.
 
 from __future__ import annotations
 
-import ctypes
-
 import numpy as np
 
-from repro._native import library
 from repro.errors import ConfigurationError
+from repro.graph._traversal import bfs_batch
 from repro.rrset.pool import MEMBER_DTYPE
 
 #: RNG-block width of the level-synchronous batched BFS: one batch of
@@ -59,31 +55,12 @@ class NumpyBackend:
     @staticmethod
     def level_op(roots, in_indptr, in_sources, in_probs, bit_generator, n):
         """One batch's whole BFS as ``(members, lengths)``: the sets
-        rooted at ``roots`` (C-contiguous int64), each set's members
-        level by level and ascending within a level.
-
-        The graph arrays must be C-contiguous — ``in_indptr`` and
-        ``in_sources`` int64, ``in_probs`` float64 — and are not checked
-        here: :func:`drive_blocked` does that.  Runs with the GIL
-        released and ``bit_generator.lock`` held."""
-        kernels = library()
-        lengths = np.empty(roots.size, dtype=np.int64)
-        members_out = ctypes.POINTER(ctypes.c_int32)()
-        draw = bit_generator.ctypes
-        with bit_generator.lock:
-            total = kernels.repro_bfs_batch(
-                n, roots.size, roots.ctypes.data, in_indptr.ctypes.data,
-                in_sources.ctypes.data, in_probs.ctypes.data,
-                ctypes.cast(draw.next_double, ctypes.c_void_p), draw.state,
-                lengths.ctypes.data, ctypes.byref(members_out),
-            )
-        if total < 0:
-            raise MemoryError("the RR-set BFS kernel could not allocate memory")
-        try:
-            members = np.empty(total, dtype=MEMBER_DTYPE)
-            ctypes.memmove(members.ctypes.data, members_out, members.nbytes)
-        finally:
-            kernels.repro_bfs_free(members_out)
+        rooted at ``roots``, one each, through :func:`bfs_batch` (whose
+        array contract :func:`drive_blocked` checks)."""
+        members, lengths, _ = bfs_batch(
+            np.arange(roots.size + 1, dtype=np.int64), roots, in_indptr,
+            in_sources, in_probs, bit_generator, n,
+        )
         return members, lengths
 
 

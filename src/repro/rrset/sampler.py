@@ -25,7 +25,7 @@ each batch's roots over one compiled kernel that runs the batch's BFS.
 
 Streams, tails and pools are owned by
 :class:`~repro.rrset.sharded.ShardedSamplingEngine`, the only way to
-sample: standalone callers that want "θ RR sets" (TIM, KPT estimation,
+sample: standalone callers that want "θ RR sets" (TIM,
 the Theorem-2–4 bounds, the RRC-sets of :mod:`repro.rrset.rrc`) hold a
 serial engine and read its shards, so their sets are addressable and
 replayable like everyone else's.

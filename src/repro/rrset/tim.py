@@ -6,8 +6,6 @@
 * :func:`estimate_opt_lower_bound` — the greedy-cover estimate of a
   lower bound on ``OPT_s`` from a pilot sample (the greedy cover's
   spread is achievable, hence a lower bound on the optimum);
-* :func:`kpt_estimation` — the original KPT* estimator of TIM's phase 1,
-  kept for reference and cross-checking;
 * :func:`greedy_max_coverage` — the Max s-Cover greedy of TIM's phase 2;
 * :class:`TIMInfluenceMaximizer` — a standalone (1 − 1/e − ε)
   influence maximizer, used by the AB2 ablation and as a public API for
@@ -106,51 +104,6 @@ def estimate_opt_lower_bound(sets, num_nodes: int, s: int) -> float:
     _, covered = greedy_max_coverage(sets, num_nodes, s)
     estimate = num_nodes * covered / sets.num_sets
     return float(max(estimate, min(s, num_nodes), 1.0))
-
-
-def kpt_estimation(
-    graph: DirectedGraph,
-    edge_probabilities,
-    s: int,
-    *,
-    ell: float = 1.0,
-    seed=None,
-) -> float:
-    """TIM's phase-1 KPT estimator (Algorithm 2 of Tang et al. [25]).
-
-    Returns a value that, with high probability, lower-bounds ``OPT_s``.
-    Kept for reference/cross-checks; TIRM defaults to the greedy pilot of
-    :func:`estimate_opt_lower_bound`, which behaves better at the small
-    scales this reproduction runs at.
-
-    Round ``i`` reads its ``c_i`` sets as the prefix ``[0, c_i)`` of one
-    stream: each round still sees ``c_i`` i.i.d. sets, and the guarantee
-    is a union bound over rounds, which needs no independence between
-    them.
-    """
-    n, m = graph.num_nodes, graph.num_edges
-    if n < 2 or m == 0:
-        return 1.0
-    in_degrees = graph.in_degrees()
-    log2n = max(int(math.floor(math.log2(n))), 1)
-    s = min(max(int(s), 1), n)
-    base = 6.0 * ell * math.log(n) + 6.0 * math.log(log2n)
-    with ShardedSamplingEngine(graph, [edge_probabilities], seeds=seed) as engine:
-        for i in range(1, log2n):
-            c_i = int(math.ceil(base * 2.0**i))
-            engine.ensure({0: c_i})
-            view = engine.shard(0).prefix_view(c_i)
-            lengths = np.diff(view.indptr)
-            owners = np.repeat(np.arange(c_i), lengths)
-            widths = np.bincount(
-                owners,
-                weights=in_degrees[view.members].astype(np.float64),
-                minlength=c_i,
-            )
-            kappa_sum = float(np.sum(1.0 - (1.0 - widths / m) ** s))
-            if kappa_sum / c_i > 1.0 / (2.0**i):
-                return max(n * kappa_sum / (2.0 * c_i), 1.0)
-    return 1.0
 
 
 @dataclass(frozen=True)

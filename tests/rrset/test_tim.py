@@ -15,7 +15,6 @@ from repro.rrset.tim import (
     TIMInfluenceMaximizer,
     estimate_opt_lower_bound,
     greedy_max_coverage,
-    kpt_estimation,
     log_binomial,
     required_rr_sets,
 )
@@ -122,25 +121,6 @@ class TestOptEstimation:
     def test_needs_a_sample(self):
         with pytest.raises(EstimationError):
             estimate_opt_lower_bound(RRSetPool(4), 4, 1)
-
-
-class TestKPT:
-    def test_returns_positive(self, small_random_graph):
-        probs = constant_probabilities(small_random_graph, 0.2)
-        kpt = kpt_estimation(small_random_graph, probs, 3, seed=3)
-        assert kpt >= 1.0
-
-    def test_degenerate_graph(self):
-        g = erdos_renyi(5, 0.0, seed=1)
-        assert kpt_estimation(g, np.empty(0), 2, seed=1) == 1.0
-
-    def test_star_graph_lower_bounds_opt(self):
-        """``OPT_1 = n`` on a certain star; KPT must not exceed it."""
-        g = star_graph(30)
-        probs = constant_probabilities(g, 1.0)
-        kpt = kpt_estimation(g, probs, 1, seed=3)
-        assert 1.0 <= kpt <= g.num_nodes
-        assert kpt == kpt_estimation(g, probs, 1, seed=3)
 
 
 class TestTIM:
