@@ -3,7 +3,8 @@
 Three sources make up the library:
 
 * ``rrset/_bfs.c`` — the batch BFS of the RR-set sampler and the
-  Monte-Carlo cascades (:mod:`repro.graph._traversal`);
+  Monte-Carlo cascades, run as a table of batches that several threads
+  join (:mod:`repro.graph._traversal`);
 * ``rrset/_pool.c`` — the pool's coverage bump, inverted-index build
   and ``remove_covered`` (:mod:`repro.rrset.pool`);
 * ``algorithms/_select.c`` — Algorithm 3's per-ad candidate search
@@ -60,6 +61,8 @@ _SIGNATURES = {
                ctypes.POINTER(ctypes.POINTER(ctypes.c_int32))],
     ),
     "repro_bfs_free": (None, [_PTR]),
+    "repro_bfs_run": (_I64, [_PTR, _I64, _PTR, _I64]),
+    "repro_bfs_stop": (None, [_PTR, _I64]),
     "repro_bump_counts": (None, [_I64, _PTR, _PTR]),
     "repro_index_build": (None, [_I64, _I64, _I64, _PTR, _PTR, _PTR, _PTR]),
     "repro_remove_covered": (

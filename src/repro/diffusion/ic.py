@@ -4,11 +4,12 @@ One simulation run flips the seed coins (CTPs), then runs the independent
 cascade forward with *lazy* edge coins: an edge's coin is flipped exactly
 when its source first becomes active, which matches the "one independent
 attempt" semantics of §3 and never touches edges outside the cascade.
-The cascade is one :func:`repro.graph._traversal.bfs_batch` call over the
-out-CSR (whose slots are canonical edge ids), rooted at the seeds that
-clicked.  It draws the coins of a numpy loop taking one
-``Generator.random`` block per level (``tests/diffusion/_reference_ic.py``),
-so a run's rounds and the generator state it leaves are that loop's.
+The cascade is one run of a prepared one-batch
+:class:`repro.graph._traversal.BfsTable` over the out-CSR (whose slots
+are canonical edge ids), rooted at the seeds that clicked.  It draws the
+coins of a numpy loop taking one ``Generator.random`` block per level
+(``tests/diffusion/_reference_ic.py``), so a run's rounds and the
+generator state it leaves are that loop's.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.diffusion.montecarlo import SpreadEstimate, combine_mean_variance
-from repro.graph._traversal import bfs_batch
+from repro.graph._traversal import BfsTable
 from repro.graph.digraph import DirectedGraph
 from repro.utils.rng import as_generator
 from repro.utils.validation import check_probability_array
@@ -27,7 +28,11 @@ _NO_CLICKS = np.empty(0, dtype=np.int32)
 class _Cascade:
     """One ad's cascade with its arguments checked once; calling it on a
     generator simulates one run and returns the clickers (int32) and,
-    if ``depth``, the round each clicked in (else ``None``)."""
+    if ``depth``, the round each clicked in (else ``None``).
+
+    The kernel's batch is prepared once: the CSR and probability
+    addresses are resolved here, a run writes only its roots and, for a
+    new generator, the generator's address."""
 
     def __init__(self, graph: DirectedGraph, edge_probabilities, seeds, ctps) -> None:
         n, m = graph.num_nodes, graph.num_edges
@@ -44,20 +49,36 @@ class _Cascade:
                 raise ValueError(f"ctps must have shape ({n},)")
             self.seed_ctps = delta[seeds]
         self.graph, self.seeds, self.probs = graph, seeds, np.ascontiguousarray(probs)
+        # The batch's roots are the first ``_root_indptr[1]`` of ``_roots``.
+        self._roots = seeds.copy()
+        self._root_indptr = np.array([0, seeds.size], dtype=np.int64)
+        self._table = BfsTable(1)
+        self._task = self._table.tasks[0]
+        self._bit_generator = None
+        self._table.set(
+            0, n, self._roots, np.ascontiguousarray(graph.out_indptr, dtype=np.int64),
+            np.ascontiguousarray(graph.out_targets, dtype=np.int64), self.probs,
+            None, np.empty(1, dtype=np.int64),
+            root_indptr=self._root_indptr,
+        )
 
     def __call__(self, rng: np.random.Generator, depth: bool = False):
         roots = self.seeds
         if roots.size and self.seed_ctps is not None:
             roots = roots[rng.random(roots.size) < self.seed_ctps]
+            self._roots[: roots.size] = roots
+            self._root_indptr[1] = roots.size
         if roots.size == 0:
             return _NO_CLICKS, _NO_CLICKS if depth else None
-        graph = self.graph
-        members, _, rounds = bfs_batch(
-            np.array([0, roots.size], dtype=np.int64), roots, graph.out_indptr,
-            graph.out_targets, self.probs, rng.bit_generator, graph.num_nodes,
-            depth=depth,
-        )
-        return members, rounds
+        table, bit_generator = self._table, rng.bit_generator
+        if bit_generator is not self._bit_generator:
+            table.bind(0, bit_generator)
+            self._bit_generator = bit_generator
+        self._task.want_depth = depth
+        with bit_generator.lock:
+            table.rearm()
+            table.run()
+        return table.take(0)
 
 
 def simulate_clicks(

@@ -4,14 +4,16 @@
  * Monte-Carlo cascades forward over the out-CSR, one set per run.
  *
  * Compiled with the package's other C sources by repro._native and
- * called through ctypes by repro.graph._traversal.bfs_batch with the GIL
- * released and the generator's lock held.  The stream contract lives in
- * the order of the coin draws, so it is spelled out here:
+ * called through ctypes (repro.graph._traversal.BfsTable) with the GIL
+ * released: a table of batches, each batch with its own generator,
+ * that every thread joining it pulls from one atomic cursor
+ * (repro_bfs_run).  The stream contract lives in the order of the coin
+ * draws, so it is spelled out here:
  *
  *   level 0 is the batch's roots: set s is rooted at
- *   roots[root_indptr[s] .. root_indptr[s + 1]), each set's roots
- *   ascending and distinct, so level 0 is in ascending key order
- *   (key = set * n + node);
+ *   roots[root_indptr[s] .. root_indptr[s + 1]) (roots[s] alone when
+ *   root_indptr is NULL), each set's roots ascending and distinct, so
+ *   level 0 is in ascending key order (key = set * n + node);
  *   each level walks its (set, node) pairs in ascending key order and
  *   each node's CSR slots in order, drawing one coin per slot with the
  *   generator's own next_double;
@@ -29,6 +31,7 @@
  * allocation is freed on every path; -1 reports an allocation failure.
  */
 
+#include <sched.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -167,7 +170,8 @@ void repro_bfs_free(void *members)
 }
 
 /*
- * The sets rooted at the root CSR (root_indptr, roots), sets in order,
+ * The sets rooted at the root CSR (root_indptr, roots; one root per set
+ * when root_indptr is NULL), sets in order,
  * each set's members level by level and ascending within a level (its
  * roots first).  Writes each set's size to lengths[0 .. batch) and a
  * malloc'd member array to *members_out; when depth_out is not NULL, a
@@ -186,6 +190,7 @@ int64_t repro_bfs_batch(
     int64_t *next = NULL;
     int32_t *members = NULL, *depth = NULL;
     int64_t total = -1, lo = 0, hi, max_key = batch * n - 1;
+    int64_t root_count = root_indptr ? root_indptr[batch] : batch;
     int bytes = 0, log2cap = 10;
 
     *members_out = NULL;
@@ -193,12 +198,14 @@ int64_t repro_bfs_batch(
         *depth_out = NULL;
     while (bytes < 8 && (max_key >> (8 * bytes)))
         bytes++;
-    while (((int64_t)1 << log2cap) < 2 * root_indptr[batch])
+    while (((int64_t)1 << log2cap) < 2 * root_count)
         log2cap++;
-    if (keys_reserve(&reached, root_indptr[batch]) || keyset_init(&seen, log2cap))
+    if (keys_reserve(&reached, root_count) || keyset_init(&seen, log2cap))
         goto done;
     for (int64_t s = 0; s < batch; s++)
-        for (int64_t r = root_indptr[s]; r < root_indptr[s + 1]; r++) {
+        for (int64_t r = root_indptr ? root_indptr[s] : s,
+                     end = root_indptr ? root_indptr[s + 1] : s + 1;
+             r < end; r++) {
             reached.data[reached.size] = s * n + roots[r];
             if (keyset_add(&seen, reached.data[reached.size++]) < 0)
                 goto done;
@@ -277,4 +284,59 @@ done:
     free(levels.data);
     free(reached.data);
     return total;
+}
+
+/*
+ * One entry of a task table: a batch of BFS-es with its own generator,
+ * and its outputs.  Laid out as repro.graph._traversal.BfsTask.
+ */
+typedef struct {
+    int64_t n, batch;
+    const int64_t *root_indptr, *roots, *indptr, *adjacent;
+    const double *probs;
+    next_double_fn next_double;
+    void *state;
+    int64_t *lengths;
+    int64_t want_depth;
+    int64_t total;        /* repro_bfs_batch's result */
+    int32_t *members, *depth;
+    int64_t done;         /* set, with a release store, once the outputs are */
+} bfs_task_t;
+
+/*
+ * Run tasks[0 .. count) pulled from the shared *cursor, one whole task
+ * at a time, until tasks[until] is done; with until < 0, until the
+ * cursor passes the end.  Once nothing is left to pull, a call waits
+ * (yielding the CPU) for tasks[until] to be finished by the thread
+ * that took it.  Returns how many tasks this call ran.  Each task's
+ * generator is touched by the one thread that took the task.
+ */
+int64_t repro_bfs_run(bfs_task_t *tasks, int64_t count, int64_t *cursor,
+                      int64_t until)
+{
+    int64_t ran = 0;
+    while (until < 0 || !__atomic_load_n(&tasks[until].done, __ATOMIC_ACQUIRE)) {
+        int64_t i = __atomic_fetch_add(cursor, 1, __ATOMIC_RELAXED);
+        bfs_task_t *task;
+        if (i >= count)
+            break;
+        task = tasks + i;
+        task->total = repro_bfs_batch(
+            task->n, task->batch, task->root_indptr, task->roots,
+            task->indptr, task->adjacent, task->probs, task->next_double,
+            task->state, task->lengths, &task->members,
+            task->want_depth ? &task->depth : NULL);
+        __atomic_store_n(&task->done, 1, __ATOMIC_RELEASE);
+        ran++;
+    }
+    if (until >= 0)
+        while (!__atomic_load_n(&tasks[until].done, __ATOMIC_ACQUIRE))
+            sched_yield();
+    return ran;
+}
+
+/* Move the cursor past the end: no call pulls another task. */
+void repro_bfs_stop(int64_t *cursor, int64_t count)
+{
+    __atomic_store_n(cursor, count, __ATOMIC_SEQ_CST);
 }

@@ -3,13 +3,16 @@
 The level-synchronous blocked BFS (``docs/rrset_engine.md``) has two
 halves:
 
-* the **driver** (:func:`drive_blocked`) — argument checks, batching,
-  and one ``Generator.integers`` root draw per batch;
-* the **kernel** (:meth:`NumpyBackend.level_op`: the package's one BFS,
-  :func:`repro.graph._traversal.bfs_batch`, one root per set, over the
-  in-CSR) — one call runs a whole batch's BFS, drawing one coin per
-  examined slot through the bit generator's own ``next_double`` in the
-  order ``_bfs.c`` states.
+* the **driver** (:func:`run_blocked`) — batching, and one
+  ``Generator.integers`` root draw per batch, for any number of
+  ``(generator, probabilities, count)`` tasks at once;
+  :func:`drive_blocked` is its checked one-task form;
+* the **kernel** (:class:`repro.graph._traversal.BfsTable`: the
+  package's one BFS, one root per set, over the in-CSR) — one table
+  entry runs a whole batch's BFS, drawing one coin per examined slot
+  through the bit generator's own ``next_double`` in the order
+  ``_bfs.c`` states, and every thread that joins the table pulls whole
+  entries from it with the GIL released.
 
 The coins are the words ``Generator.random(total)`` would return for
 each level's block, so the blocks and the final generator state equal
@@ -23,10 +26,12 @@ at import.
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.graph._traversal import bfs_batch
+from repro.graph._traversal import BfsTable
 from repro.rrset.pool import MEMBER_DTYPE
 
 #: RNG-block width of the level-synchronous batched BFS: one batch of
@@ -45,8 +50,8 @@ class NumpyBackend:
 
     Kept as a class for ``bench/`` until the ROADMAP's "Parked: re-cut
     the ruler" lands: its traced pass wraps ``level_op`` in this class's
-    ``__dict__``, and the driver calls it through the class attribute so
-    the wrapper sees every batch."""
+    ``__dict__``.  The driver runs its batches as table entries, so the
+    wrapper sees none of them."""
 
     #: The recorded ``backend`` provenance value (stats, checkpoint
     #: configs, catalog rows).
@@ -55,13 +60,13 @@ class NumpyBackend:
     @staticmethod
     def level_op(roots, in_indptr, in_sources, in_probs, bit_generator, n):
         """One batch's whole BFS as ``(members, lengths)``: the sets
-        rooted at ``roots``, one each, through :func:`bfs_batch` (whose
-        array contract :func:`drive_blocked` checks)."""
-        members, lengths, _ = bfs_batch(
-            np.arange(roots.size + 1, dtype=np.int64), roots, in_indptr,
-            in_sources, in_probs, bit_generator, n,
-        )
-        return members, lengths
+        rooted at ``roots``, one each (the array contract of
+        :class:`~repro.graph._traversal.BfsTable`)."""
+        table, lengths = BfsTable(1), np.empty(roots.size, dtype=np.int64)
+        table.set(0, n, roots, in_indptr, in_sources, in_probs, bit_generator, lengths)
+        with bit_generator.lock:
+            table.run()
+        return table.take(0)[0], lengths
 
 
 def resolve_backend(backend="numpy") -> NumpyBackend:
@@ -86,16 +91,16 @@ def drive_blocked(
     roots: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``count`` RR-sets as a packed ``(members, lengths)`` block,
-    drawing from ``rng``.
+    drawing from ``rng`` — :func:`run_blocked`'s one-task case, with
+    every argument checked.
 
-    Runs a reverse BFS over a whole batch of roots at once, one
-    :meth:`NumpyBackend.level_op` call per batch: each level examines
-    the in-edge slots of *every* frontier node across the batch, one
-    coin each.  ``in_probs`` is the per-in-slot probability array
-    (canonical edge probabilities gathered through
-    ``graph.in_edge_ids``), a float64 array of shape ``(num_edges,)``.
-    ``roots`` fixes the roots (tests); by default they are drawn from
-    ``rng``.
+    Runs a reverse BFS over a whole batch of roots at once, one kernel
+    call per batch: each level examines the in-edge slots of *every*
+    frontier node across the batch, one coin each.  ``in_probs`` is the
+    per-in-slot probability array (canonical edge probabilities gathered
+    through ``graph.in_edge_ids``), a float64 array of shape
+    ``(num_edges,)``.  ``roots`` fixes the roots (tests); by default
+    they are drawn from ``rng``.
 
     ``batch_size`` is part of the RNG call sequence — a level's coins
     interleave every set of the batch — so two batch sizes give
@@ -138,28 +143,107 @@ def drive_blocked(
             raise ValueError(f"roots must lie in [0, {n}), got {int(bad[0])}")
     if count == 0:
         return np.empty(0, dtype=MEMBER_DTYPE), np.empty(0, dtype=np.int64)
-    if n == 0:
+    task = (rng, np.ascontiguousarray(in_probs), count)
+    with contextlib.closing(
+        run_blocked(graph, [task], batch_size=batch_size, roots=roots)
+    ) as blocks:
+        return next(blocks)
+
+
+def run_blocked(graph, tasks, *, helpers=None, batch_size=BLOCK_BATCH, roots=None):
+    """Each ``(rng, in_probs, count)`` task's ``count`` RR-sets as a
+    packed ``(members, lengths)`` block, yielded in task order; close
+    the generator if you stop early.
+
+    The batches of all tasks go into one :class:`BfsTable`, one round
+    of batches at a time: round ``r`` holds batch ``r`` of every task
+    with more than ``r * batch_size`` sets, its roots drawn from the
+    task's ``rng`` with ``Generator.integers`` once round ``r − 1``'s
+    kernel left that generator's state.  So a task of at most
+    ``batch_size`` sets (the default chunk) is one round, and its block
+    is yielded as soon as its entry is done; wider ones wait for the
+    last round.  ``helpers`` (a ``ThreadPoolExecutor``) runs one
+    :meth:`BfsTable.run` call per helper thread beside the caller, which
+    takes entries itself while the next one in order is not done; its
+    generators must then be private to the tasks.  Without helpers, the
+    caller runs each entry holding its generator's lock.  ``roots``
+    fixes a one-task request's roots.  The arguments are trusted:
+    :func:`drive_blocked` checks them, the engines' samplers already
+    did.
+    """
+    n = graph.num_nodes
+    counts = [count for _, _, count in tasks]
+    widest = max(counts, default=0)
+    if widest and n == 0:
         raise ValueError("cannot sample RR-sets from an empty graph")
-    if min(batch_size, count) * n > _MAX_KEY:
+    if min(batch_size, widest) * n > _MAX_KEY:
         raise ValueError(
             f"batch_size * num_nodes must fit int64, got "
-            f"{min(batch_size, count)} * {n}"
+            f"{min(batch_size, widest)} * {n}"
         )
     in_indptr = np.ascontiguousarray(graph.in_indptr, dtype=np.int64)
     in_sources = np.ascontiguousarray(graph.in_sources, dtype=np.int64)
-    in_probs = np.ascontiguousarray(in_probs)
-    member_chunks: list[np.ndarray] = []
-    length_chunks: list[np.ndarray] = []
-    for done in range(0, count, batch_size):
-        batch = min(batch_size, count - done)
-        if roots is None:
-            batch_roots = rng.integers(0, n, size=batch)
+    rounds = -(-widest // batch_size)
+    parts: list[list] = [[] for _ in tasks]
+    for lo in range(0, rounds * batch_size, batch_size):
+        entries = [j for j, count in enumerate(counts) if count > lo]
+        table, lengths = BfsTable(len(entries)), []
+        for e, j in enumerate(entries):
+            rng, in_probs, count = tasks[j]
+            batch = min(batch_size, count - lo)
+            batch_roots = (
+                rng.integers(0, n, size=batch) if roots is None
+                else np.ascontiguousarray(roots[lo : lo + batch], dtype=np.int64)
+            )
+            lengths.append(np.empty(batch, dtype=np.int64))
+            table.set(
+                e, n, batch_roots, in_indptr, in_sources, in_probs,
+                rng.bit_generator, lengths[e],
+            )
+        with _joined(table, helpers) as run:
+            for e, j in enumerate(entries):
+                run(e, tasks[j][0])
+                block = table.take(e)[0], lengths[e]
+                if rounds == 1:
+                    yield block
+                else:
+                    parts[j].append(block)
+    if rounds > 1:
+        for part in parts:
+            members, lengths = zip(*part)
+            yield np.concatenate(members), np.concatenate(lengths)
+
+
+@contextlib.contextmanager
+def _joined(table: BfsTable, helpers):
+    """``run(entry, rng)`` for the caller, with one :meth:`BfsTable.run`
+    call per helper queued beside it when there are helpers and more
+    than one entry.  On the way out — done or failed — the cursor moves
+    to the end, the helper calls that never started are cancelled and
+    the started ones waited for (never a cancelled one: ``wait`` would
+    block on it until a thread dequeued it), and the outputs nobody took
+    are freed; only then may the table go."""
+    futures = []
+    if helpers is not None and table.count > 1:
+        futures = [
+            helpers.submit(table.run)
+            for _ in range(min(helpers._max_workers, table.count - 1))
+        ]
+
+    def run(entry, rng):
+        if futures:
+            table.run(entry)
         else:
-            batch_roots = roots[done : done + batch]
-        members, lengths = NumpyBackend.level_op(
-            np.ascontiguousarray(batch_roots, dtype=np.int64), in_indptr,
-            in_sources, in_probs, rng.bit_generator, n,
-        )
-        member_chunks.append(members)
-        length_chunks.append(lengths)
-    return np.concatenate(member_chunks), np.concatenate(length_chunks)
+            with rng.bit_generator.lock:
+                table.run(entry)
+
+    try:
+        yield run
+    finally:
+        table.stop()
+        started = [future for future in futures if not future.cancel()]
+        for future in started:
+            future.exception()
+        table.free()
+        for future in started:
+            future.result()

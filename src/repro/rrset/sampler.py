@@ -19,9 +19,11 @@ grouped into fixed-size *chunks*; chunk ``c`` of ad ``i`` owns its
 private generator ``Philox(SeedSequence(entropy, spawn_key=(i, c)))``,
 so any chunk is independently computable by any worker, in any order,
 with no stream state to round-trip.
-:meth:`RRSetSampler.sample_chunk_block` is the entry point; it runs the
-*blocked* BFS of :mod:`repro.rrset.backends` — a driver that draws
-each batch's roots over one compiled kernel that runs the batch's BFS.
+:meth:`RRSetSampler.sample_chunk_block` is the entry point for one chunk;
+it runs the *blocked* BFS of :mod:`repro.rrset.backends` — a driver that
+draws each batch's roots over one compiled kernel that runs the batch's
+BFS.  :meth:`RRSetSampler.chunk_task` hands a chunk to that driver as a
+task, so an engine can run many chunks as one kernel table.
 
 Streams, tails and pools are owned by
 :class:`~repro.rrset.sharded.ShardedSamplingEngine`, the only way to
@@ -147,8 +149,9 @@ class RRSetSampler:
     """The chunk kernel of one (graph, per-ad probabilities) pair.
 
     Immutable after construction: the graph and the in-slot probability
-    gather.  Its one
-    sampling method, :meth:`sample_chunk_block`, is a pure function of
+    gather.  Its
+    sampling method, :meth:`sample_chunk_block` (or :meth:`chunk_task`
+    run by the driver), is a pure function of
     the stream address ``(StreamPlan, chunk_index)``, so any worker can
     compute any chunk and a sampler is safely shared.  TIRM's engine
     keeps one per advertiser; stream positions, partial tails and pools
@@ -210,7 +213,11 @@ class RRSetSampler:
         holds each ad's partial tail block so a continuation request
         never recomputes it.
         """
-        return drive_blocked(
-            self.graph, self._in_probs_array, plan.generator(chunk_index),
-            plan.chunk_size,
-        )
+        rng, in_probs, count = self.chunk_task(plan, chunk_index)
+        return drive_blocked(self.graph, in_probs, rng, count)
+
+    def chunk_task(self, plan: StreamPlan, chunk_index: int) -> tuple:
+        """The chunk as a blocked-driver task ``(generator, in-slot
+        probabilities, count)``: its private generator, drawn from by
+        whichever thread runs it (:func:`repro.rrset.backends.run_blocked`)."""
+        return plan.generator(chunk_index), self._in_probs_array, plan.chunk_size

@@ -31,7 +31,9 @@ tail memo, or in the shard cache) is offered to the engine's
 :class:`ChunkSubstrate` — and then *gathers* in ascending
 ``(ad, chunk)`` order, whatever the completion order: each block is
 collected from its future, opened from the memo or the cache, or
-computed inline, and handed to :meth:`ShardedSamplingEngine._splice`,
+taken from the request's one table of inline chunks
+(:meth:`ChunkSource.blocks`), and handed to
+:meth:`ShardedSamplingEngine._splice`,
 the single place a block enters a shard (dsan digest of the full block,
 cache write-through of a freshly computed one, memo bookkeeping,
 exactly one copy into the pool, release of the block).  Sets
@@ -52,11 +54,11 @@ Substrates
 
 A substrate is ``submit(ad, chunk) → future | None`` (``None``: compute
 inline), ``collect(ad, chunk, future) → block`` and ``drain(futures)``.
-The base :class:`ChunkSubstrate` takes no work.  ``engine="serial"``
-runs chunks on the calling thread and on one process-wide pool of
-``cpus − 1`` helper threads, the caller taking unstarted chunks while
-it waits (:class:`_HelperThreads`; inline on one CPU, and for an ad
-whose blocks are too small to pay for the hand-off).  The fleet
+The base :class:`ChunkSubstrate` takes no work: it is
+``engine="serial"``'s, whose inline chunks go into one table of the
+compiled kernel that the calling thread and one process-wide pool of
+``cpus − 1`` helper threads run together, each thread with one
+GIL-free call (inline on one CPU).  The fleet
 (:mod:`repro.dist.engine`) hands chunk tasks to a coordinator's
 workers — children forked at the first submit, on socketpairs
 (``engine="process"``; inline with one warning where ``os.fork`` is
@@ -83,6 +85,7 @@ warning and the block recomputed, never spliced.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import os
 import threading
@@ -92,6 +95,7 @@ from typing import Mapping, Sequence
 
 from repro.errors import ConfigurationError
 from repro.graph.digraph import DirectedGraph
+from repro.rrset.backends import run_blocked
 from repro.rrset.block import Block
 from repro.rrset.dsan import DsanRecorder, digest_blocks, dsan_enabled
 from repro.rrset.pool import RRSetPool
@@ -167,6 +171,20 @@ class ChunkSource:
         sampler = self.sampler(ad)
         return Block(*sampler.sample_chunk_block(self.plan(ad), chunk_index))
 
+    def blocks(self, keys, helpers=None):
+        """The full blocks of the ``(ad, chunk)`` addresses ``keys``, yielded
+        in order as each is done: one kernel table
+        (:func:`~repro.rrset.backends.run_blocked`) for all of them, run
+        by the calling thread and, with ``helpers``, one call per helper
+        thread.  Close the generator if you stop early: that settles the
+        helpers and frees what was not yielded."""
+        tasks = [self.sampler(ad).chunk_task(self.plan(ad), c) for ad, c in keys]
+        with contextlib.closing(
+            run_blocked(self.graph, tasks, helpers=helpers)
+        ) as blocks:
+            for members, lengths in blocks:
+                yield Block(members, lengths)
+
 
 # ----------------------------------------------------------------------
 # Parent side: substrates
@@ -236,65 +254,6 @@ if hasattr(os, "register_at_fork"):  # a forked child has no helper threads
     ))
 
 
-#: An ad with a collected block of fewer members is computed inline
-#: from then on: a FLIX chunk (1.6 k members, 0.55 ms) holds the GIL a
-#: quarter of its time, so two threads mostly trade the GIL, and the run
-#: time spread about as widely as the helper saved (docs/rrset_engine.md).
-#: An LJ chunk (14 k members, 10 ms) keeps the helpers.
-_HELPER_MIN_MEMBERS = 4096
-
-
-class _HelperThreads(ChunkSubstrate):
-    """``engine="serial"``: chunks are queued on :func:`_helper_pool`,
-    and while the future the gather waits for is not done the caller
-    computes the lowest queued chunk no helper has started, holding its
-    block until the gather reaches it.  An ad with small blocks
-    (:data:`_HELPER_MIN_MEMBERS`) is computed inline."""
-
-    def __init__(self, source: ChunkSource) -> None:
-        self._source = source
-        # This engine's uncollected chunks in submission (= gather)
-        # order, and the blocks the caller computed ahead of the gather.
-        self._queue: dict[tuple[int, int], Future] = {}
-        self._taken: dict[tuple[int, int], Block] = {}
-        self._inline_ads: set[int] = set()
-
-    def submit(self, ad: int, chunk_index: int) -> Future | None:
-        if ad in self._inline_ads:
-            return None
-        pool = _helper_pool()
-        if pool is None:
-            return None
-        future = self._queue[ad, chunk_index] = pool.submit(
-            self._source.block, ad, chunk_index
-        )
-        return future
-
-    def collect(self, ad: int, chunk_index: int, future: Future) -> Block:
-        while not future.done():
-            key = next((k for k, f in self._queue.items() if f.cancel()), None)
-            if key is None:
-                break  # every queued chunk has started: wait
-            del self._queue[key]
-            self._taken[key] = self._source.block(*key)
-        self._queue.pop((ad, chunk_index), None)
-        block = self._taken.pop((ad, chunk_index), None)
-        block = future.result() if block is None else block
-        if block.members.size < _HELPER_MIN_MEMBERS:
-            self._inline_ads.add(ad)
-        return block
-
-    def drain(self, futures) -> None:
-        super().drain([*futures, *self._queue.values()])
-        self._queue.clear()
-        self._taken.clear()
-
-    def close(self) -> None:
-        self.drain(())
-
-    reset = close
-
-
 def _release_engine_resources(resources: dict) -> None:
     """Teardown shared by ``close()`` and the GC finalizer: drain the
     prefetch ledger, close the substrate (fleet session, forked
@@ -333,9 +292,9 @@ class ShardedSamplingEngine:
         the ``spawn_key``), or a sequence of ``h`` seed-likes for
         explicit per-ad roots.
     engine:
-        ``"serial"`` samples in-process, on the calling thread and one
-        helper thread per further CPU (an ad with small chunks on the
-        calling thread alone); ``"process"`` fans chunk tasks
+        ``"serial"`` samples in-process: a request's chunks are one
+        table of the compiled kernel, run by the calling thread and one
+        helper thread per further CPU; ``"process"`` fans chunk tasks
         across a fleet of forked worker processes; ``"dist"`` across the
         ``repro worker`` processes dialled in to ``coordinator``.  All
         produce bit-identical shards for the same ``(seeds,
@@ -470,7 +429,7 @@ class ShardedSamplingEngine:
         self._cache, self._cache_owned = resolve_cache(cache)
         self._shard_keys: list[str] | None = None
         self._cache_meta: list[dict] | None = None
-        self._substrate: ChunkSubstrate = _HelperThreads(self._source)
+        self._substrate = ChunkSubstrate()
         try:
             # A dialled fleet's workers address their local caches by
             # the shard keys too.
@@ -849,12 +808,12 @@ class ShardedSamplingEngine:
             (ad, chunk_index)
             for ad, chunk_index, _, _, resident in tasks if not resident
         ]
-        fan_out = self._finalizer.alive and (
-            len(blocks) > 1 or bool(self._inflight)
-        )
+        alive = self._finalizer.alive
+        fan_out = alive and (len(blocks) > 1 or bool(self._inflight))
         # (ad, chunk) -> future, or None for "compute inline", for every
         # chunk that has to be computed; held chunks are absent.
         pending: dict[tuple[int, int], Future | None] = {}
+        inline = None
         try:
             resident = [
                 (ad, chunk_index, hi - lo)
@@ -871,6 +830,13 @@ class ShardedSamplingEngine:
                     if fan_out:
                         future = substrate.submit(ad, chunk_index)
                 pending[ad, chunk_index] = future
+            # Every chunk computed in this process is an entry of one
+            # kernel table, which the helper threads join.
+            local = [key for key, future in pending.items() if future is None]
+            if local:
+                inline = self._source.blocks(
+                    local, _helper_pool() if alive and len(local) > 1 else None
+                )
             # Deterministic splice order (ascending ad, then chunk — the
             # order the task list was built in), independent of which
             # worker finished first.  Each result is consumed as soon as
@@ -883,7 +849,7 @@ class ShardedSamplingEngine:
                 else:
                     future = pending.pop((ad, chunk_index))
                     if future is None:
-                        block = self._source.block(ad, chunk_index)
+                        block = next(inline)
                     else:
                         block = substrate.collect(ad, chunk_index, future)
                     fresh = True
@@ -897,6 +863,9 @@ class ShardedSamplingEngine:
             substrate.drain(f for f in pending.values() if f is not None)
             self.close()
             raise
+        finally:
+            if inline is not None:
+                inline.close()  # settles the helpers, frees what is left
 
     def _reveal(self, resident: list[tuple[int, int, int]]) -> None:
         """A request's wholly resident ``(ad, chunk, count)`` tasks,

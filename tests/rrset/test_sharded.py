@@ -30,10 +30,13 @@ from repro.datasets import flixster_like, livejournal_like
 from repro.errors import ConfigurationError, DeterminismError
 from repro.graph.generators import erdos_renyi
 from repro.graph.probabilities import constant_probabilities
+from repro.graph._traversal import BfsTable
+from repro.rrset.backends import BLOCK_BATCH
+from repro.rrset.block import Block
 from repro.rrset.pool import RRSetPool
 from repro.rrset.sampler import RRSetSampler, StreamPlan, _slice_flat
 from repro.rrset import sharded
-from repro.rrset.sharded import ChunkSource, ChunkSubstrate, ShardedSamplingEngine
+from repro.rrset.sharded import ChunkSubstrate, ShardedSamplingEngine
 from repro.service.pool import EnginePool
 
 from tests.rrset._pool_helpers import alive_mask
@@ -500,39 +503,51 @@ class TestSubstrateSeam:
 
 
 # ----------------------------------------------------------------------
-# engine="serial": the caller and the process-wide helper threads
+# engine="serial": one kernel table, the caller and the helper threads
 # ----------------------------------------------------------------------
-#: The block size below which an ad's chunks stay on the caller.
-_MIN_MEMBERS = sharded._HELPER_MIN_MEMBERS
-
-
 @pytest.fixture
 def cpus(request, monkeypatch):
     """A fresh helper pool sized from ``request.param`` CPUs (default 4,
-    more than most runners have), shut down after the test.  Every
-    block counts as large enough for the helpers."""
+    more than most runners have), shut down after the test."""
     count = getattr(request, "param", 4)
     monkeypatch.setattr(sharded, "_cpus", lambda: count)
     monkeypatch.setattr(sharded, "_pool", None)
-    monkeypatch.setattr(sharded, "_HELPER_MIN_MEMBERS", 0)
     yield count
     if sharded._pool is not None:
         sharded._pool.shutdown(wait=True)
 
 
 @pytest.fixture
-def computed_on(monkeypatch) -> list[tuple[int, int, bool]]:
-    """Spy on :meth:`ChunkSource.block`: ``(ad, chunk, on_caller)`` per
-    computed chunk, ``on_caller`` meaning the test's own thread."""
-    calls: list[tuple[int, int, bool]] = []
-    block, caller = ChunkSource.block, threading.get_ident()
+def ran_on(monkeypatch) -> list[tuple[bool, int]]:
+    """Spy on the runner, :meth:`BfsTable.run`: ``(on_caller, ran)`` per
+    call, ``ran`` being the kernel entries — whole chunks — that call
+    ran and ``on_caller`` meaning the test's own thread."""
+    calls: list[tuple[bool, int]] = []
+    run, caller = BfsTable.run, threading.get_ident()
 
-    def spy(self, ad, chunk_index):
-        calls.append((ad, chunk_index, threading.get_ident() == caller))
-        return block(self, ad, chunk_index)
+    def spy(self, until=-1):
+        ran = run(self, until)
+        calls.append((threading.get_ident() == caller, ran))
+        return ran
 
-    monkeypatch.setattr(ChunkSource, "block", spy)
+    monkeypatch.setattr(BfsTable, "run", spy)
     return calls
+
+
+class _ChunkByChunk(ChunkSubstrate):
+    """The reference path: each chunk computed alone, at submit, by
+    :meth:`ChunkSource.block` — a one-entry table on the calling
+    thread."""
+
+    def __init__(self, source):
+        self.source = source
+
+    def submit(self, ad, chunk_index):
+        from concurrent.futures import Future
+
+        future = Future()
+        future.set_result(self.source.block(ad, chunk_index))
+        return future
 
 
 #: Two TIRM instances whose runs top single ads up after the pilot
@@ -557,17 +572,17 @@ def _helper_problem(case: str):
     return _HELPER_CASES[case][0]()
 
 
-def _helper_run(case: str, substrate=None):
+def _helper_run(case: str, chunk_by_chunk: bool = False):
     """One dsan allocation of ``case``: ``(seed sets, revenues, digests,
     requests)``, each request being the ``(ad, chunk)`` splices of one
-    ``ensure`` in order.  ``substrate`` replaces the engine's own."""
+    ``ensure`` in order; with ``chunk_by_chunk``, on :class:`_ChunkByChunk`."""
     problem = _helper_problem(case)
     allocator = TIRMAllocator(
         seed=1, chunk_size=1024, dsan=True, **_HELPER_CASES[case][1]
     )
     engine = allocator._build_engine(problem, None)
-    if substrate is not None:
-        _install(engine, substrate)
+    if chunk_by_chunk:
+        _install(engine, _ChunkByChunk(engine._source))
     requests: list[list[tuple[int, int]]] = []
     ensure, splice = engine.ensure, engine._splice
 
@@ -588,8 +603,8 @@ def _helper_run(case: str, substrate=None):
 
 @functools.cache
 def _inline_run(case: str):
-    """The reference: every chunk computed by the caller, in order."""
-    run = _helper_run(case, ChunkSubstrate())
+    """The reference: every chunk computed alone by the caller, in order."""
+    run = _helper_run(case, chunk_by_chunk=True)
     requests = run[3]
     assert any(len({ad for ad, _ in r}) == 1 for r in requests[1:])  # a top-up
     return run
@@ -604,27 +619,29 @@ def _assert_same_run(run, inline):
 
 
 class TestHelperThreads:
-    """``engine="serial"`` computes a request's chunks on the caller and
-    on ``cpus − 1`` helper threads; which thread computed a chunk must
-    never change a byte or the splice order."""
+    """``engine="serial"`` puts a request's chunks into one kernel table
+    that the caller and ``cpus − 1`` helper threads run, one call each;
+    which thread ran a chunk must never change a byte or the splice
+    order, and no chunk may run twice."""
 
     @pytest.mark.parametrize("cpus", [1, 2, 4], indirect=True)
     @pytest.mark.parametrize("case", sorted(_HELPER_CASES))
-    def test_same_bytes_for_any_helper_count(self, case, cpus, computed_on):
+    def test_same_bytes_for_any_helper_count(self, case, cpus, ran_on):
         inline = _inline_run(case)
-        del computed_on[:]
+        del ran_on[:]
         _assert_same_run(_helper_run(case), inline)
-        on_caller = {flag for *_, flag in computed_on}
+        assert sum(ran for _, ran in ran_on) == len(inline[2])  # once each
         if cpus == 1:
-            assert sharded._pool is None and on_caller == {True}
+            assert sharded._pool is None
+            assert all(on_caller for on_caller, _ in ran_on)
         else:
-            assert False in on_caller  # the helpers took work
+            assert any(ran for on_caller, ran in ran_on if not on_caller)
 
     def test_caller_takes_every_chunk_while_the_helpers_are_held(
-        self, cpus, computed_on
+        self, cpus, ran_on
     ):
         inline = _inline_run("LJ")
-        del computed_on[:]
+        del ran_on[:]
         gate = threading.Event()
         held = [sharded._helper_pool().submit(gate.wait) for _ in range(cpus - 1)]
         try:
@@ -633,42 +650,27 @@ class TestHelperThreads:
             gate.set()
         wait(held)
         _assert_same_run(run, inline)
-        assert computed_on and all(flag for *_, flag in computed_on)
+        # The helper calls queued behind the held ones were cancelled.
+        assert ran_on and all(on_caller for on_caller, _ in ran_on)
+        assert sum(ran for _, ran in ran_on) == len(inline[2])
 
     def test_helpers_take_almost_every_chunk_from_a_slow_caller(
-        self, cpus, computed_on, monkeypatch
+        self, cpus, ran_on, monkeypatch
     ):
         inline = _inline_run("LJ")
-        block, caller = ChunkSource.block, threading.get_ident()
+        run, caller = BfsTable.run, threading.get_ident()
 
-        def slow(self, ad, chunk_index):
+        def slow(self, until=-1):
             if threading.get_ident() == caller:
                 time.sleep(0.02)
-            return block(self, ad, chunk_index)
+            return run(self, until)
 
-        monkeypatch.setattr(ChunkSource, "block", slow)
-        del computed_on[:]
+        monkeypatch.setattr(BfsTable, "run", slow)
+        del ran_on[:]
         _assert_same_run(_helper_run("LJ"), inline)
-        on_caller = sum(flag for *_, flag in computed_on)
-        assert on_caller <= len(computed_on) // 4
-
-    def test_an_ad_with_small_blocks_stays_on_the_caller(
-        self, cpus, computed_on, monkeypatch
-    ):
-        """FLIX-like blocks (1.3 k members) are computed by the caller
-        once one was collected; LJ-like ones (11 k and more) keep going
-        to the helpers.  Either way the bytes are the inline ones."""
-        monkeypatch.setattr(sharded, "_HELPER_MIN_MEMBERS", _MIN_MEMBERS)
-
-        def after_the_pilot(case) -> set[bool]:
-            inline = _inline_run(case)
-            del computed_on[:]
-            run = _helper_run(case)
-            _assert_same_run(run, inline)
-            return {flag for *_, flag in computed_on[len(run[3][0]):]}
-
-        assert after_the_pilot("FLIX") == {True}
-        assert False in after_the_pilot("LJ")
+        total = sum(ran for _, ran in ran_on)
+        assert total == len(inline[2])
+        assert sum(ran for on_caller, ran in ran_on if on_caller) <= total // 4
 
     def test_concurrent_engines_share_the_helpers(self, cpus):
         """Six engines sampling at once from their own threads, as
@@ -677,18 +679,18 @@ class TestHelperThreads:
         problem = _problem(37)
         requests = ({0: 150, 1: 90, 2: 120}, {1: 200}, {0: 260, 2: 170})
 
-        def digests(seed, substrate=None):
+        def digests(seed, chunk_by_chunk=False):
             with ShardedSamplingEngine(
                 problem.graph, _probs(problem), seeds=seed, chunk_size=8,
                 dsan=True,
             ) as engine:
-                if substrate is not None:
-                    _install(engine, substrate)
+                if chunk_by_chunk:
+                    _install(engine, _ChunkByChunk(engine._source))
                 for targets in requests:
                     engine.ensure(targets)
                 return engine.dsan_digests()
 
-        inline = {seed: digests(seed, ChunkSubstrate()) for seed in range(6)}
+        inline = {seed: digests(seed, chunk_by_chunk=True) for seed in range(6)}
         got: dict[int, dict] = {}
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -765,33 +767,43 @@ class TestHelperThreads:
     def test_a_failed_chunk_surfaces_and_closes_the_engine(
         self, where, cpus, monkeypatch
     ):
-        block, caller = ChunkSource.block, threading.get_ident()
-        failed = []
+        """One entry of the request's table asks the kernel for 2^60
+        roots, so its allocation fails wherever it runs — on a helper,
+        or on the caller while the helpers are held: ``ensure`` raises
+        ``MemoryError``, the engine closes, and every helper call of the
+        request has returned or was cancelled."""
+        run, caller = BfsTable.run, threading.get_ident()
+        too_many = np.full(9, 2**60, dtype=np.int64)  # chunk_size + 1
+        poisoned, helper_returned = threading.Event(), threading.Event()
 
-        def failing(self, ad, chunk_index):
+        def failing(self, until=-1):
             on_caller = threading.get_ident() == caller
-            if (where == "caller") == on_caller and not failed:
-                failed.append((ad, chunk_index))
-                raise MemoryError("chunk could not allocate")
-            if on_caller:
-                time.sleep(0.01)  # leave the helpers time to start work
-            return block(self, ad, chunk_index)
+            if self.count > 1 and not poisoned.is_set() and (
+                (where == "caller") == on_caller
+            ):
+                self.tasks[self._cursor.value].root_indptr = too_many.ctypes.data
+                poisoned.set()
+                ran = run(self, until)
+                helper_returned.set()
+                return ran
+            if where == "helper" and on_caller and self.count > 1:
+                helper_returned.wait(30)  # the helpers take the bad entry
+            return run(self, until)
 
-        submitted = []
-        submit = sharded._HelperThreads.submit
-
-        def recording_submit(self, ad, chunk_index):
-            future = submit(self, ad, chunk_index)
-            submitted.append(future)
-            return future
-
-        monkeypatch.setattr(ChunkSource, "block", failing)
-        monkeypatch.setattr(sharded._HelperThreads, "submit", recording_submit)
+        monkeypatch.setattr(BfsTable, "run", failing)
         gate = threading.Event()
-        if where == "caller":  # hold the helpers: the caller takes chunks
+        if where == "caller":  # hold the helpers: the caller runs it all
             held = [
                 sharded._helper_pool().submit(gate.wait) for _ in range(cpus - 1)
             ]
+        pool, submitted = sharded._helper_pool(), []
+        submit = pool.submit
+
+        def recording_submit(*args):
+            submitted.append(submit(*args))
+            return submitted[-1]
+
+        monkeypatch.setattr(pool, "submit", recording_submit)
         problem = _problem(29)
         engine = ShardedSamplingEngine(
             problem.graph, _probs(problem), seeds=2, chunk_size=8
@@ -801,13 +813,51 @@ class TestHelperThreads:
                 engine.ensure({0: 96, 1: 96})
         finally:
             gate.set()
-        assert failed and len(submitted) == 24
+        assert poisoned.is_set() and len(submitted) == cpus - 1
+        assert all(future.done() for future in submitted)
         assert not engine._finalizer.alive
-        assert engine._substrate._queue == {} and engine._substrate._taken == {}
-        _, running = wait(submitted, timeout=30)
-        assert not running  # nothing of the engine is left queued
         if where == "caller":
+            assert all(future.cancelled() for future in submitted)
             wait(held)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4], indirect=True)
+    def test_wide_chunks_give_the_reference_bytes(self, cpus):
+        """Chunks wider than ``BLOCK_BATCH`` are two rounds of batches,
+        the second one's roots drawn from the state the first one's
+        kernel left: two such chunks per request give the per-chunk
+        digests and root of the numpy reference driver."""
+        from tests.rrset._reference_driver import reference_drive_blocked
+
+        chunk_size = BLOCK_BATCH + 904
+        requests = ({0: 2 * chunk_size, 1: chunk_size + 7}, {1: 3 * chunk_size})
+        problem = _problem(43, num_ads=2)
+
+        class Reference(_ChunkByChunk):
+            def submit(self, ad, chunk_index):
+                from concurrent.futures import Future
+
+                sampler = self.source.sampler(ad)
+                future = Future()
+                future.set_result(Block(*reference_drive_blocked(
+                    sampler.graph, sampler._in_probs_array,
+                    self.source.plan(ad).generator(chunk_index), chunk_size,
+                )))
+                return future
+
+        def run(reference=False):
+            with ShardedSamplingEngine(
+                problem.graph, _probs(problem), seeds=13,
+                chunk_size=chunk_size, dsan=True,
+            ) as engine:
+                if reference:
+                    _install(engine, Reference(engine._source))
+                for targets in requests:
+                    engine.ensure(targets)
+                return engine.dsan_digests(), engine.dsan_root()
+
+        expected = run(reference=True)
+        assert len(expected[0]) == 5
+        assert run() == expected
 
     @pytest.mark.parametrize("cpus", [1, 2, 4], indirect=True)
     @pytest.mark.parametrize("case", sorted(_HELPER_CASES))

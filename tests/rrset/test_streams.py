@@ -211,16 +211,18 @@ class TestRequestSplitInvariance:
     def test_partial_tail_chunks_are_computed_once(self, mode, monkeypatch):
         """Continuation requests re-entering a partially consumed chunk
         must reuse the cached block, not resample it — with the cache,
-        every chunk is computed exactly once per engine lifetime."""
+        every chunk is computed exactly once per engine lifetime.  Every
+        chunk the engine computes is made a kernel task by
+        :meth:`RRSetSampler.chunk_task` first."""
         problem = _problem(3, num_ads=1)
         computed = []
-        original = RRSetSampler.sample_chunk_block
+        original = RRSetSampler.chunk_task
 
-        def counting(self, plan, chunk_index, **kwargs):
+        def counting(self, plan, chunk_index):
             computed.append(chunk_index)
-            return original(self, plan, chunk_index, **kwargs)
+            return original(self, plan, chunk_index)
 
-        monkeypatch.setattr(RRSetSampler, "sample_chunk_block", counting)
+        monkeypatch.setattr(RRSetSampler, "chunk_task", counting)
         with ShardedSamplingEngine(
             problem.graph, _probs(problem), seeds=6, chunk_size=16
         ) as eng, ShardedSamplingEngine(
