@@ -60,6 +60,7 @@ _SIGNATURES = {
                ctypes.POINTER(ctypes.POINTER(ctypes.c_int32)),
                ctypes.POINTER(ctypes.POINTER(ctypes.c_int32))],
     ),
+    "repro_bfs_done": (_I64, [_PTR, _I64]),
     "repro_bfs_free": (None, [_PTR]),
     "repro_bfs_run": (_I64, [_PTR, _I64, _PTR, _I64]),
     "repro_bfs_stop": (None, [_PTR, _I64]),

@@ -115,10 +115,14 @@ class BfsTable:
 
     def run(self, until: int = -1) -> int:
         """Run batches pulled from the cursor until batch ``until`` is
-        done — waiting for the thread that took it once none is left —
-        or, with ``until < 0``, until none is left; returns how many this
-        call ran."""
+        done or none is left to pull (``until < 0``: until none is left);
+        returns how many this call ran.  It never waits for a batch
+        another thread took: :meth:`done` tells."""
         return self._kernels.repro_bfs_run(self._table, self.count, self._at, until)
+
+    def done(self, i: int) -> bool:
+        """Whether batch ``i`` is done, so that :meth:`take` may read it."""
+        return bool(self._kernels.repro_bfs_done(self._table, i))
 
     def stop(self) -> None:
         """Move the cursor past the end: no call takes another batch."""
@@ -134,7 +138,7 @@ class BfsTable:
     def take(self, i: int) -> tuple[np.ndarray, np.ndarray | None]:
         """Batch ``i``'s ``(members, depths)``, copied out of the kernel's
         buffers (released here); ``depths`` is ``None`` unless asked for.
-        Only after :meth:`run` returned with batch ``i`` done."""
+        Only once batch ``i`` is :meth:`done`."""
         task = self.tasks[i]
         total, members, depth = task.total, task.members, task.depth
         task.members = task.depth = None

@@ -31,7 +31,6 @@
  * allocation is freed on every path; -1 reports an allocation failure.
  */
 
-#include <sched.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -305,11 +304,10 @@ typedef struct {
 
 /*
  * Run tasks[0 .. count) pulled from the shared *cursor, one whole task
- * at a time, until tasks[until] is done; with until < 0, until the
- * cursor passes the end.  Once nothing is left to pull, a call waits
- * (yielding the CPU) for tasks[until] to be finished by the thread
- * that took it.  Returns how many tasks this call ran.  Each task's
- * generator is touched by the one thread that took the task.
+ * at a time, until tasks[until] is done or, with until < 0, until the
+ * cursor passes the end; never waits for a task another thread took.
+ * Returns how many tasks this call ran.  Each task's generator is
+ * touched by the one thread that took the task.
  */
 int64_t repro_bfs_run(bfs_task_t *tasks, int64_t count, int64_t *cursor,
                       int64_t until)
@@ -329,10 +327,13 @@ int64_t repro_bfs_run(bfs_task_t *tasks, int64_t count, int64_t *cursor,
         __atomic_store_n(&task->done, 1, __ATOMIC_RELEASE);
         ran++;
     }
-    if (until >= 0)
-        while (!__atomic_load_n(&tasks[until].done, __ATOMIC_ACQUIRE))
-            sched_yield();
     return ran;
+}
+
+/* Whether tasks[i] is done: its outputs are visible to the caller. */
+int64_t repro_bfs_done(const bfs_task_t *tasks, int64_t i)
+{
+    return __atomic_load_n(&tasks[i].done, __ATOMIC_ACQUIRE);
 }
 
 /* Move the cursor past the end: no call pulls another task. */

@@ -150,7 +150,9 @@ def drive_blocked(
         return next(blocks)
 
 
-def run_blocked(graph, tasks, *, helpers=None, batch_size=BLOCK_BATCH, roots=None):
+def run_blocked(
+    graph, tasks, *, helpers=None, head=None, batch_size=BLOCK_BATCH, roots=None
+):
     """Each ``(rng, in_probs, count)`` task's ``count`` RR-sets as a
     packed ``(members, lengths)`` block, yielded in task order; close
     the generator if you stop early.
@@ -160,16 +162,18 @@ def run_blocked(graph, tasks, *, helpers=None, batch_size=BLOCK_BATCH, roots=Non
     with more than ``r * batch_size`` sets, its roots drawn from the
     task's ``rng`` with ``Generator.integers`` once round ``r − 1``'s
     kernel left that generator's state.  So a task of at most
-    ``batch_size`` sets (the default chunk) is one round, and its block
-    is yielded as soon as its entry is done; wider ones wait for the
-    last round.  ``helpers`` (a ``ThreadPoolExecutor``) runs one
-    :meth:`BfsTable.run` call per helper thread beside the caller, which
-    takes entries itself while the next one in order is not done; its
-    generators must then be private to the tasks.  Without helpers, the
-    caller runs each entry holding its generator's lock.  ``roots``
-    fixes a one-task request's roots.  The arguments are trusted:
-    :func:`drive_blocked` checks them, the engines' samplers already
-    did.
+    ``batch_size`` sets (the default chunk) is one round; a task's
+    block is yielded as soon as its last batch is done and every
+    earlier task's block was.  ``helpers`` — an executor and how many
+    threads it has — runs one :meth:`BfsTable.run` call per thread
+    beside the caller, which takes entries itself while the next one in
+    order is not done; the task generators must then be private to the
+    tasks.  Without helpers, the caller runs each entry holding its
+    generator's lock.  ``head``, a callable returning a block, is run by
+    the caller once the first round's helper calls are queued, and its
+    block yielded before the tasks'.  ``roots`` fixes a one-task
+    request's roots.  The arguments are trusted: :func:`drive_blocked`
+    checks them, the engines' samplers already did.
     """
     n = graph.num_nodes
     counts = [count for _, _, count in tasks]
@@ -183,9 +187,9 @@ def run_blocked(graph, tasks, *, helpers=None, batch_size=BLOCK_BATCH, roots=Non
         )
     in_indptr = np.ascontiguousarray(graph.in_indptr, dtype=np.int64)
     in_sources = np.ascontiguousarray(graph.in_sources, dtype=np.int64)
-    rounds = -(-widest // batch_size)
-    parts: list[list] = [[] for _ in tasks]
-    for lo in range(0, rounds * batch_size, batch_size):
+    parts: list = [[] for _ in tasks]
+    yielded = 0  # tasks whose block went out
+    for lo in range(0, widest, batch_size):
         entries = [j for j, count in enumerate(counts) if count > lo]
         table, lengths = BfsTable(len(entries)), []
         for e, j in enumerate(entries):
@@ -201,38 +205,69 @@ def run_blocked(graph, tasks, *, helpers=None, batch_size=BLOCK_BATCH, roots=Non
                 rng.bit_generator, lengths[e],
             )
         with _joined(table, helpers) as run:
+            if head is not None:
+                yield head()
+                head = None
             for e, j in enumerate(entries):
                 run(e, tasks[j][0])
-                block = table.take(e)[0], lengths[e]
-                if rounds == 1:
-                    yield block
-                else:
-                    parts[j].append(block)
-    if rounds > 1:
-        for part in parts:
-            members, lengths = zip(*part)
-            yield np.concatenate(members), np.concatenate(lengths)
+                parts[j].append((table.take(e)[0], lengths[e]))
+                # Tasks up to j are complete once their last batch is at
+                # most this round; later ones once it was an earlier round.
+                while yielded < len(tasks) and counts[yielded] <= lo + (
+                    batch_size if yielded <= j else 0
+                ):
+                    yield _packed(parts[yielded])
+                    parts[yielded] = None
+                    yielded += 1
+    if head is not None:
+        yield head()
+    for part in parts[yielded:]:  # tasks of no sets
+        yield _packed(part)
+
+
+def _packed(part: list) -> tuple[np.ndarray, np.ndarray]:
+    """One task's ``(members, lengths)`` from its batches' blocks."""
+    if len(part) == 1:
+        return part[0]
+    if not part:
+        return np.empty(0, dtype=MEMBER_DTYPE), np.empty(0, dtype=np.int64)
+    members, lengths = zip(*part)
+    return np.concatenate(members), np.concatenate(lengths)
 
 
 @contextlib.contextmanager
 def _joined(table: BfsTable, helpers):
-    """``run(entry, rng)`` for the caller, with one :meth:`BfsTable.run`
-    call per helper queued beside it when there are helpers and more
-    than one entry.  On the way out — done or failed — the cursor moves
-    to the end, the helper calls that never started are cancelled and
-    the started ones waited for (never a cancelled one: ``wait`` would
-    block on it until a thread dequeued it), and the outputs nobody took
-    are freed; only then may the table go."""
+    """``run(entry, rng)`` for the caller, returning once the entry is
+    done, with one :meth:`BfsTable.run` call per helper thread queued
+    beside it when there are ``(executor, threads)`` helpers and more
+    than one entry.  Settling the helpers moves the cursor to the end,
+    cancels the calls that never started and waits for the started ones
+    (never a cancelled one: ``wait`` would block on it until a thread
+    dequeued it); a started call returns once it finishes the entry it
+    holds.  The caller settles them when it finds nothing left to pull
+    and its entry still running, and on the way out — done or failed —
+    where the outputs nobody took are freed too; only then may the table
+    go."""
     futures = []
     if helpers is not None and table.count > 1:
+        executor, threads = helpers
         futures = [
-            helpers.submit(table.run)
-            for _ in range(min(helpers._max_workers, table.count - 1))
+            executor.submit(table.run) for _ in range(min(threads, table.count - 1))
         ]
+    started = []
+
+    def settle():
+        table.stop()
+        started.extend(future for future in futures if not future.cancel())
+        futures.clear()
+        for future in started:
+            future.exception()
 
     def run(entry, rng):
-        if futures:
+        if futures or started:
             table.run(entry)
+            if not table.done(entry):
+                settle()
         else:
             with rng.bit_generator.lock:
                 table.run(entry)
@@ -240,10 +275,7 @@ def _joined(table: BfsTable, helpers):
     try:
         yield run
     finally:
-        table.stop()
-        started = [future for future in futures if not future.cancel()]
-        for future in started:
-            future.exception()
+        settle()
         table.free()
         for future in started:
             future.result()

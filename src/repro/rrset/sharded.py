@@ -173,15 +173,23 @@ class ChunkSource:
 
     def blocks(self, keys, helpers=None):
         """The full blocks of the ``(ad, chunk)`` addresses ``keys``, yielded
-        in order as each is done: one kernel table
-        (:func:`~repro.rrset.backends.run_blocked`) for all of them, run
-        by the calling thread and, with ``helpers``, one call per helper
-        thread.  Close the generator if you stop early: that settles the
-        helpers and frees what was not yielded."""
-        tasks = [self.sampler(ad).chunk_task(self.plan(ad), c) for ad, c in keys]
-        with contextlib.closing(
-            run_blocked(self.graph, tasks, helpers=helpers)
-        ) as blocks:
+        in order as each is done.  The calling thread computes the first
+        as :meth:`block` does, once ``helpers`` (``(executor, threads)``)
+        have one call per thread queued on a kernel table
+        (:func:`~repro.rrset.backends.run_blocked`) of the rest, then
+        joins that table.  So the sampler's one-chunk
+        :meth:`~repro.rrset.sampler.RRSetSampler.sample_chunk_block`,
+        which ``bench/``'s traced pass counts, runs once per request.
+        Close the generator if you stop early: that settles the helpers
+        and frees what was not yielded."""
+        (ad, chunk_index), rest = keys[0], keys[1:]
+        tasks = [self.sampler(a).chunk_task(self.plan(a), c) for a, c in rest]
+        with contextlib.closing(run_blocked(
+            self.graph, tasks, helpers=helpers,
+            head=lambda: self.sampler(ad).sample_chunk_block(
+                self.plan(ad), chunk_index
+            ),
+        )) as blocks:
             for members, lengths in blocks:
                 yield Block(members, lengths)
 
@@ -232,25 +240,28 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-#: The process-wide helper threads (``None``: not started, or one CPU).
+#: The process-wide helper threads (``None``: not started, or one CPU),
+#: and how many there are.
 _pool: ThreadPoolExecutor | None = None
+_threads = 0
 _pool_lock = threading.Lock()
 
 
 def _helper_pool() -> ThreadPoolExecutor | None:
     """The ``cpus − 1`` helper threads every in-process engine shares,
     started on first use; ``None`` on one CPU."""
-    global _pool
+    global _pool, _threads
     if _pool is None:
         with _pool_lock:
             if _pool is None and (helpers := _cpus() - 1) > 0:
+                _threads = helpers
                 _pool = ThreadPoolExecutor(helpers, thread_name_prefix="repro-chunk")
     return _pool
 
 
 if hasattr(os, "register_at_fork"):  # a forked child has no helper threads
     os.register_at_fork(after_in_child=lambda: globals().update(
-        _pool=None, _pool_lock=threading.Lock()
+        _pool=None, _threads=0, _pool_lock=threading.Lock()
     ))
 
 
@@ -834,8 +845,9 @@ class ShardedSamplingEngine:
             # kernel table, which the helper threads join.
             local = [key for key, future in pending.items() if future is None]
             if local:
+                pool = _helper_pool() if alive and len(local) > 1 else None
                 inline = self._source.blocks(
-                    local, _helper_pool() if alive and len(local) > 1 else None
+                    local, None if pool is None else (pool, _threads)
                 )
             # Deterministic splice order (ascending ad, then chunk — the
             # order the task list was built in), independent of which

@@ -12,6 +12,7 @@ value is refused.
 from __future__ import annotations
 
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -25,7 +26,9 @@ from repro import _native
 from repro.errors import ConfigurationError
 from repro.graph.generators import erdos_renyi
 from repro.graph.probabilities import constant_probabilities
-from repro.rrset.backends import NumpyBackend, drive_blocked, resolve_backend
+from repro.rrset.backends import (
+    NumpyBackend, drive_blocked, resolve_backend, run_blocked,
+)
 
 
 def _graph_and_probs(seed=5, n=80, p=0.05, prob=0.12):
@@ -123,6 +126,54 @@ class TestKernelEdgeCases:
             got = members[start:start + length].tolist()
             assert got[0] == root
             assert len(got) == len(set(got)) and set(got) == reached
+
+
+class TestRunBlocked:
+    """The many-task driver: each task's block equals its one-task
+    :func:`drive_blocked` block, in task order, whatever the widths."""
+
+    COUNTS = (0, 23, 5, 0, 41, 12)
+
+    def _tasks(self, in_probs):
+        return [
+            (np.random.default_rng(seed), in_probs, count)
+            for seed, count in enumerate(self.COUNTS)
+        ]
+
+    @pytest.mark.parametrize("threads", [0, 1, 3])
+    def test_tasks_of_any_width_give_their_own_blocks_in_order(self, threads):
+        graph, probs = _graph_and_probs(seed=4, prob=0.3)
+        in_probs = probs[graph.in_edge_ids]
+        expected = [
+            drive_blocked(
+                graph, in_probs, np.random.default_rng(seed), count, batch_size=8
+            )
+            for seed, count in enumerate(self.COUNTS)
+        ]
+        head = (np.arange(3, dtype=np.int32), np.array([3]))
+        with ThreadPoolExecutor(max(threads, 1)) as executor:
+            got = list(run_blocked(
+                graph, self._tasks(in_probs), batch_size=8,
+                helpers=(executor, threads) if threads else None,
+                head=lambda: head,
+            ))
+        assert got[0] is head and len(got) == len(self.COUNTS) + 1
+        for (members, lengths), (want_members, want_lengths) in zip(got[1:], expected):
+            assert members.tobytes() == want_members.tobytes()
+            assert lengths.tolist() == want_lengths.tolist()
+
+    def test_a_task_leaves_before_a_wider_one_finishes(self):
+        """Tasks 0-2 (the widest 23 sets: three rounds of 8) are yielded
+        while the 41-set task still has three rounds to run."""
+        graph, probs = _graph_and_probs(seed=4, prob=0.3)
+        tasks = self._tasks(probs[graph.in_edge_ids])
+        blocks = run_blocked(graph, tasks, batch_size=8)
+        for _ in range(3):
+            next(blocks)
+        wide = tasks[4][0].bit_generator
+        mid = wide.state["state"]["state"]
+        list(blocks)
+        assert wide.state["state"]["state"] != mid
 
 
 class TestKernelBuild:

@@ -512,6 +512,7 @@ def cpus(request, monkeypatch):
     count = getattr(request, "param", 4)
     monkeypatch.setattr(sharded, "_cpus", lambda: count)
     monkeypatch.setattr(sharded, "_pool", None)
+    monkeypatch.setattr(sharded, "_threads", 0)
     yield count
     if sharded._pool is not None:
         sharded._pool.shutdown(wait=True)
