@@ -55,10 +55,11 @@ Substrates
 A substrate is ``submit(ad, chunk) → future | None`` (``None``: compute
 inline), ``collect(ad, chunk, future) → block`` and ``drain(futures)``.
 The base :class:`ChunkSubstrate` takes no work: it is
-``engine="serial"``'s, whose inline chunks go into one table of the
-compiled kernel that the calling thread and one process-wide pool of
-``cpus − 1`` helper threads run together, each thread with one
-GIL-free call (inline on one CPU).  The fleet
+``engine="serial"``'s: the calling thread computes a request's first
+inline chunk, and the rest go into one table of the compiled kernel
+that the calling thread and one process-wide pool of ``cpus − 1``
+helper threads run together, each thread with one GIL-free call
+(inline on one CPU).  The fleet
 (:mod:`repro.dist.engine`) hands chunk tasks to a coordinator's
 workers — children forked at the first submit, on socketpairs
 (``engine="process"``; inline with one warning where ``os.fork`` is
@@ -303,9 +304,9 @@ class ShardedSamplingEngine:
         the ``spawn_key``), or a sequence of ``h`` seed-likes for
         explicit per-ad roots.
     engine:
-        ``"serial"`` samples in-process: a request's chunks are one
-        table of the compiled kernel, run by the calling thread and one
-        helper thread per further CPU; ``"process"`` fans chunk tasks
+        ``"serial"`` samples in-process: a request's chunks past its
+        first are one table of the compiled kernel, run by the calling
+        thread and one helper thread per further CPU; ``"process"`` fans chunk tasks
         across a fleet of forked worker processes; ``"dist"`` across the
         ``repro worker`` processes dialled in to ``coordinator``.  All
         produce bit-identical shards for the same ``(seeds,
@@ -841,8 +842,8 @@ class ShardedSamplingEngine:
                     if fan_out:
                         future = substrate.submit(ad, chunk_index)
                 pending[ad, chunk_index] = future
-            # Every chunk computed in this process is an entry of one
-            # kernel table, which the helper threads join.
+            # Every chunk computed in this process but the first is an
+            # entry of one kernel table, which the helper threads join.
             local = [key for key, future in pending.items() if future is None]
             if local:
                 pool = _helper_pool() if alive and len(local) > 1 else None
