@@ -21,6 +21,15 @@ first (a forked child gets a fresh lock).  A failed build raises
 :class:`~repro.errors.ConfigurationError` naming the compiler.
 ``-ffp-contract=off`` keeps every double the selector computes the one
 Python computes: no multiply-add is fused.
+
+The flags name no CPU.  The BFS's vector coin arm (Philox words computed
+with AVX-512) sits in functions that carry their own
+``__attribute__((target(...)))``, compiled on x86-64 with GCC or Clang
+only, and runs only where ``repro_philox_vector()`` finds AVX-512F and
+AVX-512DQ at run time (``__builtin_cpu_supports``); everywhere else the
+kernel calls the generator's ``next_double`` per coin.  So one library
+serves every CPU of an architecture, and its bytes do not depend on
+which arm runs.
 """
 
 from __future__ import annotations
@@ -55,17 +64,13 @@ _PTR = ctypes.c_void_p
 #: ``name: (restype, argtypes)`` of every exported function; pointers
 #: travel as plain addresses.
 _SIGNATURES = {
-    "repro_bfs_batch": (
-        _I64, [_I64, _I64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR,
-               ctypes.POINTER(ctypes.POINTER(ctypes.c_int32)),
-               ctypes.POINTER(ctypes.POINTER(ctypes.c_int32))],
-    ),
     "repro_bfs_done": (_I64, [_PTR, _I64]),
     "repro_bfs_free": (None, [_PTR]),
     "repro_bfs_run": (_I64, [_PTR, _I64, _PTR, _I64]),
     "repro_bfs_stop": (None, [_PTR, _I64]),
     "repro_bump_counts": (None, [_I64, _PTR, _PTR]),
     "repro_index_build": (None, [_I64, _I64, _I64, _PTR, _PTR, _PTR, _PTR]),
+    "repro_philox_vector": (_I64, []),
     "repro_remove_covered": (
         _I64, [_I64, _I64, _I64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR],
     ),

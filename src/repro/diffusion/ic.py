@@ -32,7 +32,10 @@ class _Cascade:
 
     The kernel's batch is prepared once: the CSR and probability
     addresses are resolved here, a run writes only its roots and, for a
-    new generator, the generator's address."""
+    new generator, the generator's address — or, for a Philox on the
+    kernel's vector arm, reads the generator's state words before the
+    cascade and writes them back after it, all under the generator's
+    lock."""
 
     def __init__(self, graph: DirectedGraph, edge_probabilities, seeds, ctps) -> None:
         n, m = graph.num_nodes, graph.num_edges
@@ -71,14 +74,14 @@ class _Cascade:
         if roots.size == 0:
             return _NO_CLICKS, _NO_CLICKS if depth else None
         table, bit_generator = self._table, rng.bit_generator
-        if bit_generator is not self._bit_generator:
-            table.bind(0, bit_generator)
-            self._bit_generator = bit_generator
         self._task.want_depth = depth
         with bit_generator.lock:
+            if bit_generator is not self._bit_generator:
+                table.bind(0, bit_generator)
+                self._bit_generator = bit_generator
             table.rearm()
             table.run()
-        return table.take(0)
+            return table.take(0)
 
 
 def simulate_clicks(

@@ -2,6 +2,17 @@
 ``rrset/_bfs.c``, reverse over the in-CSR for RR-sets and forward over
 the out-CSR for the Monte-Carlo cascades — as a :class:`BfsTable` of
 batches, and :func:`gather_slices`, the RR-set pool's row read.
+
+A batch draws its coins through one of two arms, with the same coins
+either way.  A batch drawing from a ``numpy.random.Philox`` on a CPU
+with AVX-512F/DQ takes the vector arm: the table loads the generator's
+state words (counter, key, buffer, buffer position) into the entry and
+the kernel computes the stream itself, 16 blocks per step; the words
+it leaves are written back to the generator's state when the batch is
+taken.  Every other bit generator, and every batch on a CPU without
+those instructions, takes the per-slot arm: one call of the
+generator's own ``next_double`` per coin.  The arm follows from the
+generator's type and the CPU alone (:data:`_vector_arm`).
 """
 
 from __future__ import annotations
@@ -26,6 +37,13 @@ def gather_slices(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     ends = np.cumsum(lengths)
     offsets = np.repeat(starts.astype(np.int64, copy=False) - (ends - lengths), lengths)
     return offsets + np.arange(total, dtype=np.int64)
+
+
+#: Whether Philox batches take the vector arm: ``None`` until the first
+#: table asks the library (``repro_philox_vector``: built for x86-64 and
+#: the CPU has AVX-512F/DQ).  Tests set it to ``False`` to force the
+#: per-slot arm on a CPU that has the vector one.
+_vector_arm: bool | None = None
 
 
 def _copied(address: int, count: int) -> np.ndarray:
@@ -54,6 +72,11 @@ class BfsTask(ctypes.Structure):
         ("members", ctypes.c_void_p),
         ("depth", ctypes.c_void_p),
         ("done", ctypes.c_int64),
+        ("philox", ctypes.c_int64),
+        ("counter", ctypes.c_uint64 * 4),
+        ("key", ctypes.c_uint64 * 2),
+        ("buffer", ctypes.c_uint64 * 4),
+        ("buffer_pos", ctypes.c_int64),
     ]
 
 
@@ -76,11 +99,16 @@ class BfsTable:
     The table holds every array and generator its batches point into,
     so it must outlive every :meth:`run` call in flight; a batch's
     generator is drawn from by the one thread that takes the batch, and
-    the caller locks it if anyone else can reach it.  Outputs nobody
-    took are released by :meth:`free`.
+    the caller locks it if anyone else can reach it — from :meth:`bind`
+    (or :meth:`rearm`) to :meth:`take`, since a Philox batch on the
+    vector arm reads the generator's state at the one and writes it back
+    at the other.  Outputs nobody took are released by :meth:`free`; a
+    vector-arm Philox whose batch is never taken keeps the state it was
+    read at.
     """
 
     def __init__(self, count: int) -> None:
+        global _vector_arm
         self.count = count
         self.tasks = (BfsTask * count)()
         self._cursor = ctypes.c_int64(0)
@@ -88,6 +116,10 @@ class BfsTable:
         self._table = ctypes.addressof(self.tasks)
         self._at = ctypes.addressof(self._cursor)
         self._held: list = []
+        if _vector_arm is None:
+            _vector_arm = bool(self._kernels.repro_philox_vector())
+        self._vector = _vector_arm
+        self._philox: dict = {}  # vector-arm batch -> its Philox
 
     def set(self, i, n, roots, indptr, adjacent, probs, bit_generator, lengths,
             *, root_indptr=None) -> None:
@@ -107,11 +139,32 @@ class BfsTable:
 
     def bind(self, i, bit_generator) -> None:
         """Batch ``i`` draws from ``bit_generator``, which the caller
-        keeps alive."""
-        draw = bit_generator.ctypes
+        keeps alive; a Philox on the vector arm has its state read now."""
         task = self.tasks[i]
+        task.philox = self._vector and type(bit_generator) is np.random.Philox
+        if task.philox:
+            self._philox[i] = bit_generator
+            self._load(i)
+            return
+        self._philox.pop(i, None)
+        draw = bit_generator.ctypes
         task.next_double = ctypes.cast(draw.next_double, ctypes.c_void_p).value
         task.state = draw.state_address
+
+    def _load(self, i) -> None:
+        state, task = self._philox[i].state, self.tasks[i]
+        task.counter[:] = state["state"]["counter"].tolist()
+        task.key[:] = state["state"]["key"].tolist()
+        task.buffer[:] = state["buffer"].tolist()
+        task.buffer_pos = state["buffer_pos"]
+
+    def _store(self, i) -> None:
+        bit_generator, task = self._philox[i], self.tasks[i]
+        state = bit_generator.state
+        state["state"]["counter"] = np.array(task.counter, dtype=np.uint64)
+        state["buffer"] = np.array(task.buffer, dtype=np.uint64)
+        state["buffer_pos"] = task.buffer_pos
+        bit_generator.state = state
 
     def run(self, until: int = -1) -> int:
         """Run batches pulled from the cursor until batch ``until`` is
@@ -130,16 +183,22 @@ class BfsTable:
 
     def rearm(self) -> None:
         """Make every batch runnable again (a table reused with new
-        roots or a new generator)."""
+        roots or a new generator), reading the state of every Philox
+        on the vector arm afresh."""
         self._cursor.value = 0
         for task in self.tasks:
             task.done = 0
+        for i in self._philox:
+            self._load(i)
 
     def take(self, i: int) -> tuple[np.ndarray, np.ndarray | None]:
         """Batch ``i``'s ``(members, depths)``, copied out of the kernel's
         buffers (released here); ``depths`` is ``None`` unless asked for.
-        Only once batch ``i`` is :meth:`done`."""
+        A Philox on the vector arm gets the state the batch left.  Only
+        once batch ``i`` is :meth:`done`."""
         task = self.tasks[i]
+        if task.philox:
+            self._store(i)
         total, members, depth = task.total, task.members, task.depth
         task.members = task.depth = None
         try:

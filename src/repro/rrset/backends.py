@@ -10,14 +10,20 @@ halves:
 * the **kernel** (:class:`repro.graph._traversal.BfsTable`: the
   package's one BFS, one root per set, over the in-CSR) — one table
   entry runs a whole batch's BFS, drawing one coin per examined slot
-  through the bit generator's own ``next_double`` in the order
-  ``_bfs.c`` states, and every thread that joins the table pulls whole
-  entries from it with the GIL released.
+  in the order ``_bfs.c`` states, and every thread that joins the
+  table pulls whole entries from it with the GIL released.
 
-The coins are the words ``Generator.random(total)`` would return for
-each level's block, so the blocks and the final generator state equal
-those of the numpy driver kept as the test oracle in
-``tests/rrset/_reference_driver.py`` — for any bit generator.
+A coin comes from one of two arms.  A chunk's Philox, on a CPU with
+AVX-512F/DQ, takes the vector arm: the kernel computes the Philox words
+itself, 16 blocks per step, from the state the table read from the
+generator, and the state it leaves is written back.  Any other bit
+generator, or any CPU without those instructions, takes the per-slot
+arm: a call of the bit generator's own ``next_double``.  Either way the
+coins are the words ``Generator.random(total)`` would return for each
+level's block, so the blocks and the final generator state equal those
+of the numpy driver kept as the test oracle in
+``tests/rrset/_reference_driver.py`` — for any bit generator, on any
+CPU.
 
 The kernel is part of the package's one compiled library
 (:mod:`repro._native`), built on the first call that needs it — never
@@ -63,10 +69,11 @@ class NumpyBackend:
         rooted at ``roots``, one each (the array contract of
         :class:`~repro.graph._traversal.BfsTable`)."""
         table, lengths = BfsTable(1), np.empty(roots.size, dtype=np.int64)
-        table.set(0, n, roots, in_indptr, in_sources, in_probs, bit_generator, lengths)
+        table.set(0, n, roots, in_indptr, in_sources, in_probs, None, lengths)
         with bit_generator.lock:
+            table.bind(0, bit_generator)
             table.run()
-        return table.take(0)[0], lengths
+            return table.take(0)[0], lengths
 
 
 def resolve_backend(backend="numpy") -> NumpyBackend:
@@ -201,16 +208,15 @@ def run_blocked(
             )
             lengths.append(np.empty(batch, dtype=np.int64))
             table.set(
-                e, n, batch_roots, in_indptr, in_sources, in_probs,
-                rng.bit_generator, lengths[e],
+                e, n, batch_roots, in_indptr, in_sources, in_probs, None, lengths[e],
             )
-        with _joined(table, helpers) as run:
+        generators = [tasks[j][0].bit_generator for j in entries]
+        with _joined(table, helpers, generators) as run:
             if head is not None:
                 yield head()
                 head = None
             for e, j in enumerate(entries):
-                run(e, tasks[j][0])
-                parts[j].append((table.take(e)[0], lengths[e]))
+                parts[j].append((run(e), lengths[e]))
                 # Tasks up to j are complete once their last batch is at
                 # most this round; later ones once it was an earlier round.
                 while yielded < len(tasks) and counts[yielded] <= lo + (
@@ -236,11 +242,13 @@ def _packed(part: list) -> tuple[np.ndarray, np.ndarray]:
 
 
 @contextlib.contextmanager
-def _joined(table: BfsTable, helpers):
-    """``run(entry, rng)`` for the caller, returning once the entry is
-    done, with one :meth:`BfsTable.run` call per helper thread queued
-    beside it when there are ``(executor, threads)`` helpers and more
-    than one entry.  Settling the helpers moves the cursor to the end,
+def _joined(table: BfsTable, helpers, generators):
+    """``run(entry)`` for the caller, returning the entry's members once
+    it is done, with one :meth:`BfsTable.run` call per helper thread
+    queued beside it when there are ``(executor, threads)`` helpers and
+    more than one entry.  Entry ``e`` draws from ``generators[e]``: bound
+    up front when helpers run, else bound, run and taken under the
+    generator's lock.  Settling the helpers moves the cursor to the end,
     cancels the calls that never started and waits for the started ones
     (never a cancelled one: ``wait`` would block on it until a thread
     dequeued it); a started call returns once it finishes the entry it
@@ -250,6 +258,8 @@ def _joined(table: BfsTable, helpers):
     go."""
     futures = []
     if helpers is not None and table.count > 1:
+        for entry, bit_generator in enumerate(generators):
+            table.bind(entry, bit_generator)
         executor, threads = helpers
         futures = [
             executor.submit(table.run) for _ in range(min(threads, table.count - 1))
@@ -263,14 +273,17 @@ def _joined(table: BfsTable, helpers):
         for future in started:
             future.exception()
 
-    def run(entry, rng):
+    def run(entry):
         if futures or started:
             table.run(entry)
             if not table.done(entry):
                 settle()
-        else:
-            with rng.bit_generator.lock:
-                table.run(entry)
+            return table.take(entry)[0]
+        bit_generator = generators[entry]
+        with bit_generator.lock:
+            table.bind(entry, bit_generator)
+            table.run(entry)
+            return table.take(entry)[0]
 
     try:
         yield run

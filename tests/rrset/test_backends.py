@@ -257,7 +257,7 @@ class TestKernelBuild:
             thread.join(timeout=120)
         assert len(runs) == 1
         assert len(handles) == 4 and len({id(h) for h in handles}) == 1
-        assert handles[0].repro_bfs_batch.restype is _native._I64
+        assert handles[0].repro_bfs_run.restype is _native._I64
 
     def test_a_source_that_does_not_compile_leaves_nothing(self, sources, tmp_path):
         sources[-1].write_bytes(b"this is not C;\n")
