@@ -71,9 +71,7 @@ _SIGNATURES = {
     "repro_bump_counts": (None, [_I64, _PTR, _PTR]),
     "repro_index_build": (None, [_I64, _I64, _I64, _PTR, _PTR, _PTR, _PTR]),
     "repro_philox_vector": (_I64, []),
-    "repro_remove_covered": (
-        _I64, [_I64, _I64, _I64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR],
-    ),
+    "repro_remove_covered": (_I64, [_I64, _I64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR]),
     "repro_select": (_I64, [_PTR, _F64, _I64, _I64, _I64]),
 }
 

@@ -110,7 +110,7 @@ class AnalysisConfig:
     #: (reallocated on growth) and the inverted-index arrays (built at the
     #: first index read, so they may lag the sets).
     pool_private_attrs: frozenset[str] = frozenset(
-        {"_members", "_indptr", "_idx_indptr", "_idx_sets", "_pend_nodes", "_pend_sets"}
+        {"_members", "_indptr", "_idx_indptr", "_idx_sets"}
     )
     #: Extra per-rule sanctioned modules, e.g. ``{"R104": {...}}`` —
     #: lets a caller widen a seam without subclassing the config.

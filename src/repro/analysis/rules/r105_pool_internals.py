@@ -4,12 +4,12 @@
 on growth; a view captured elsewhere silently aliases a *retired* buffer
 after the next append — the PR-2 bug class, fixed then by the
 self-healing ``CSRSetView``.  Its inverted-index arrays (``_idx_indptr``,
-``_idx_sets``, ``_pend_nodes``, ``_pend_sets``) are built at the first
-index read after growth, so between an append and that read they lag the
-sets, and a rewound pool keeps them, so they list sets not visible yet —
-a raw read elsewhere is a silent stale-index bug of the same shape.
-Every external consumer must go through the pool's stable API
-(``prefix_view``, ``resident_rows``, ``add_flat`` — generation-checked;
+``_idx_sets``) are built at the first index read after growth, so
+between an append and that read they lag the sets, and a rewound pool
+keeps them, so they list sets not visible yet — a raw read elsewhere
+is a silent stale-index bug of the same shape.  Every external consumer
+must go through the pool's stable API (``prefix_view``,
+``resident_rows``, ``add_flat`` — generation-checked;
 ``remove_covered``, ``coverage_of_set`` — synced).  This rule fences
 the arrays off syntactically: any such attribute access outside
 ``pool.py`` is flagged, whatever object it syntactically hangs on — a
@@ -44,9 +44,9 @@ _INDEX = (
 class PoolInternalsRule(Rule):
     code = "R105"
     description = (
-        "no raw RRSetPool buffer (._members / ._indptr) or index "
-        "(._idx_* / ._pend_*) access outside rrset/pool.py — use "
-        "prefix_view()/add_flat*() and the coverage queries"
+        "no raw RRSetPool buffer (._members / ._indptr) or index (._idx_*) "
+        "access outside rrset/pool.py — use prefix_view()/add_flat*() and "
+        "the coverage queries"
     )
 
     def check(self, context: LintContext) -> Iterator[Finding]:
@@ -56,7 +56,7 @@ class PoolInternalsRule(Rule):
         for node in ast.walk(context.tree):
             if isinstance(node, ast.Attribute) and node.attr in private:
                 kind, reason = (
-                    _INDEX if node.attr.startswith(("_idx_", "_pend_")) else _BUFFER
+                    _INDEX if node.attr.startswith("_idx_") else _BUFFER
                 )
                 yield context.finding(
                     node,

@@ -1,12 +1,12 @@
 /*
- * The RR-set pool's kernels: the coverage bump, the main inverted-index
+ * The RR-set pool's kernels: the coverage bump, the inverted-index
  * build and remove_covered.
  *
  * Compiled with the rest of the package's C sources by repro._native
  * and called through ctypes by repro.rrset.pool, which checks every
  * argument first: the arrays are C-contiguous, the node lies in
  * [0, n), every member lies in [0, n) and every set id in the index is
- * a set of the pool.  Neither kernel allocates.
+ * a set of the pool.  No kernel allocates.
  */
 
 #include <stdint.h>
@@ -55,16 +55,22 @@ void repro_index_build(
     indptr[0] = 0;
 }
 
-/* Kill the alive sets among ids[0 .. count) below `visible` (ids
- * ascend); returns how many. */
-static int64_t kill(
-    const int32_t *ids, int64_t count, int64_t visible,
+/*
+ * remove_covered(node): kill every alive visible set containing node,
+ * decrementing coverage once per member of each; returns how many sets
+ * died.  The sets are the node's index slice (idx_indptr / idx_sets),
+ * ascending; ids >= visible are hidden sets of a kept index.
+ */
+int64_t repro_remove_covered(
+    int64_t node, int64_t visible,
+    const int64_t *idx_indptr, const int32_t *idx_sets,
     uint8_t *alive, const int64_t *indptr, const int32_t *members,
     int64_t *coverage)
 {
     int64_t killed = 0;
-    for (int64_t i = 0; i < count && ids[i] < visible; i++) {
-        int64_t set = ids[i];
+    for (int64_t i = idx_indptr[node];
+         i < idx_indptr[node + 1] && idx_sets[i] < visible; i++) {
+        int64_t set = idx_sets[i];
         if (!alive[set])
             continue; /* dead already, or listed twice */
         alive[set] = 0;
@@ -73,39 +79,4 @@ static int64_t kill(
             coverage[members[at]]--;
     }
     return killed;
-}
-
-/*
- * remove_covered(node): kill every alive visible set containing node,
- * decrementing coverage once per member of each; returns how many sets
- * died.  The sets are the node's slice of the main index
- * (idx_indptr / idx_sets) followed by its run in the pending tier
- * (pend_count entries: pend_nodes ascending, pend_sets in lockstep);
- * both list ascending ids, and ids >= visible are hidden sets of a kept
- * index.
- */
-int64_t repro_remove_covered(
-    int64_t node, int64_t visible, int64_t pend_count,
-    const int64_t *idx_indptr, const int32_t *idx_sets,
-    const int32_t *pend_nodes, const int32_t *pend_sets,
-    uint8_t *alive, const int64_t *indptr, const int32_t *members,
-    int64_t *coverage)
-{
-    int64_t lo = 0, hi = pend_count, killed;
-
-    killed = kill(idx_sets + idx_indptr[node],
-                  idx_indptr[node + 1] - idx_indptr[node], visible,
-                  alive, indptr, members, coverage);
-    /* The pending run of node: [first entry >= node, first > node). */
-    while (lo < hi) {
-        int64_t mid = lo + (hi - lo) / 2;
-        if (pend_nodes[mid] < node)
-            lo = mid + 1;
-        else
-            hi = mid;
-    }
-    for (hi = lo; hi < pend_count && pend_nodes[hi] == node; hi++)
-        ;
-    return killed + kill(pend_sets + lo, hi - lo, visible,
-                         alive, indptr, members, coverage);
 }

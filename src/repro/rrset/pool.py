@@ -4,34 +4,20 @@ Every sampled set lives in one growable ``int32`` members buffer
 addressed by an ``indptr`` array, with eager per-node coverage counts
 beside it.  The node→set inverted index is derived data — a pure
 function of the member rows — held as a second CSR pair and built in
-bulk, never by per-element Python appends: the main tier by one
-counting sort and the pending tier by one packed-key sort.  The
-coverage bump of an append or a reveal, the main index build and
-``remove_covered`` are compiled kernels (``_pool.c``, built into the
+bulk by one O(M + n) counting sort, never by per-element Python
+appends.  The coverage bump of an append or a reveal, the index build
+and ``remove_covered`` are compiled kernels (``_pool.c``, built into the
 package's one library by :mod:`repro._native`); the rest of an append
 and the other index query (``coverage_of_set``) are numpy over the same
-buffers.  See ``docs/rrset_engine.md`` for the
-layout, the index policy, and the determinism contract.
+buffers.  See ``docs/rrset_engine.md`` for the layout, the index
+policy, and the determinism contract.
 
-Index maintenance (amortized, at the first index read after growth):
-
-* appends only validate, copy and bump coverage; the first index read
-  that follows (``remove_covered``, ``coverage_of_set``) indexes
-  everything appended since the last one, so a growth event of many
-  chunks costs one build;
-* the *main* index covers sets ``[0, _main_sets)`` and is rebuilt in
-  bulk only when the un-indexed region has grown past ``1/4`` of the
-  indexed members (geometric threshold, so total rebuild work is
-  ``O(M + n)`` per rebuild and ``O((M + n) log M)`` over the pool's
-  lifetime);
-* smaller growth gets a *pending mini-index* over the remaining sets — a
-  (sorted member, set id) pair array over just the pending region,
-  queried with ``searchsorted``, so a +1 top-up costs O(pending log
-  pending) with no O(num_nodes) allocation, and queries never degrade to
-  linear scans.
-
-Every query concatenates the main slice and the mini slice — ascending
-set ids under any tiering, so when the index was built never shows.
+Index maintenance is amortized over growth events: appends only
+validate, copy and bump coverage, and the first index read that follows
+(``remove_covered``, ``coverage_of_set``) rebuilds the index over every
+visible set, so a growth event of many chunks costs one build.  Every
+node's slice lists ascending set ids, so when the index was built never
+shows.
 
 The index is part of the *sample*: :meth:`RRSetPool.rewind` keeps it,
 so after a rewind it may list sets that are not visible yet.  Readers
@@ -60,23 +46,6 @@ SET_ID_DTYPE = np.int32
 #: silently wrapping ids would corrupt the CSR index.
 MAX_SETS = int(np.iinfo(SET_ID_DTYPE).max)
 MAX_MEMBERS = int(np.iinfo(np.int32).max)
-
-#: Full index rebuild triggers when pending members exceed this fraction
-#: of the indexed members (geometric growth ⇒ amortized O(log) rebuilds).
-_REBUILD_FRACTION = 4
-#: Below this many indexed members, just rebuild the full index.
-_MIN_INDEXED_MEMBERS = 4_096
-
-
-def _rebuilds(indexed_members: int, members: int) -> bool:
-    """The tiering rule: whether indexing ``members`` visible members,
-    of which the main index covers ``indexed_members``, rebuilds the main
-    index (else the remainder gets a pending mini-index)."""
-    return (
-        indexed_members < _MIN_INDEXED_MEMBERS
-        or (members - indexed_members) * _REBUILD_FRACTION >= indexed_members
-    )
-
 
 class CSRSetView:
     """A read-only CSR window over a prefix of a pool's sets.
@@ -130,24 +99,6 @@ def _bump_counts(counts: np.ndarray, members: np.ndarray) -> None:
     )
 
 
-def _sorted_keys(members: np.ndarray, first_set: int, lengths: np.ndarray) -> np.ndarray:
-    """The build kernel of the pending tier: one sorted ``int64`` key
-    ``(member << 32) | set_id`` per member of sets ``first_set ..``.
-
-    Ascending keys are ascending members with ascending set ids inside a
-    member — the order a stable sort on the members alone leaves the
-    owning set ids in, at a fraction of its cost.  Members and set ids
-    are both below 2^31 (``MAX_SETS``), so the two words never mix.
-    """
-    keys = members.astype(np.int64)
-    keys <<= 32
-    keys |= np.repeat(
-        np.arange(first_set, first_set + lengths.size, dtype=SET_ID_DTYPE), lengths
-    )
-    keys.sort()
-    return keys
-
-
 def _build_csr_index(
     members: np.ndarray,
     first_set: int,
@@ -174,18 +125,6 @@ def _build_csr_index(
     return indptr, set_ids
 
 
-def _build_pending_index(
-    members: np.ndarray, first_set: int, lengths: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted-pairs index over one member region: ``(nodes, set_ids)`` in
-    lockstep, nodes ascending — O(region log region) work and memory,
-    independent of ``num_nodes``."""
-    keys = _sorted_keys(members, first_set, lengths)
-    nodes = (keys >> 32).astype(MEMBER_DTYPE)
-    keys &= MAX_SETS
-    return nodes, keys.astype(SET_ID_DTYPE)
-
-
 class RRSetPool:
     """Append-only pool of RR-sets over ``num_nodes`` users.
 
@@ -209,9 +148,9 @@ class RRSetPool:
     visible ids instead of re-sorting them — so a second run over the
     same sample builds no index up to where the first one built it.
     Every query and ``memory_bytes()`` see visible sets only:
-    ``memory_bytes()`` replays what a cold pool fed the same visible
-    sets and the same reads would hold, so the hidden part of a kept
-    index stays uncounted like the hidden rows.  Appends are refused
+    ``memory_bytes()`` charges the index a cold pool fed the same
+    visible sets and the same reads would hold, so the hidden part of a
+    kept index stays uncounted like the hidden rows.  Appends are refused
     while resident sets are still hidden.
 
     The inverted index is built by the first index read after growth
@@ -259,18 +198,16 @@ class RRSetPool:
         # ones): equal except between a rewind() and the reveal()s that
         # catch up with it.
         self._resident_sets = 0
-        # Main inverted index: covers sets [0, _main_sets), which are
-        # the first _idx_sets.size members.
+        # The inverted index over sets [0, _index_sets); a rewind keeps
+        # it, so it may cover sets that are not visible.
         self._idx_indptr = np.zeros(self.num_nodes + 1, dtype=np.int64)
         self._idx_sets = np.empty(0, dtype=SET_ID_DTYPE)
-        self._main_sets = 0
-        # Pending mini-index over sets [_main_sets, _index_sets): the
-        # pending members sorted ascending, with their owning set ids in
-        # lockstep.  Queried by searchsorted — no O(num_nodes) indptr.
-        self._pend_nodes = np.empty(0, dtype=MEMBER_DTYPE)
-        self._pend_sets = np.empty(0, dtype=SET_ID_DTYPE)
         self._index_sets = 0
-        self._reset_cold_marks()
+        # The cold mark: num_total at the last index read, so the index a
+        # cold pool fed the visible sets would hold covers sets
+        # [0, _synced_sets).  It prices memory_bytes(); appends leave it
+        # behind and a rewind resets it.
+        self._synced_sets = 0
         # Bumped whenever a growth reallocation retires a storage buffer;
         # outstanding CSRSetViews use it to re-materialize themselves.
         self._generation = 0
@@ -283,21 +220,6 @@ class RRSetPool:
         # A copy or an unpickled pool owns other buffers: the cached
         # addresses are this pool's alone.
         return {**self.__dict__, "_addresses": None}
-
-    def _reset_cold_marks(self) -> None:
-        """The index marks of a cold pool with nothing visible.
-
-        The marks replay, as integers, the index a cold pool fed the
-        visible sets would hold: its main tier over sets
-        ``[0, _indexed_sets)`` (``_indexed_members`` members) and its
-        pending tier up to ``_synced_sets``.  Appends leave
-        ``_synced_sets`` behind ``_num_sets``; the next index read
-        catches up (``_sync_index``).  They price ``memory_bytes()``;
-        the readers use the index arrays (``_idx_*``, ``_pend_*``),
-        which a rewind keeps."""
-        self._indexed_sets = 0
-        self._indexed_members = 0
-        self._synced_sets = 0
 
     @property
     def generation(self) -> int:
@@ -426,7 +348,7 @@ class RRSetPool:
         self._num_sets = 0
         self._num_alive = 0
         self._coverage[:] = 0
-        self._reset_cold_marks()
+        self._synced_sets = 0
 
     def reveal(self, count: int) -> None:
         """Make the next ``count`` resident sets visible — an append
@@ -451,27 +373,29 @@ class RRSetPool:
     def remove_covered(self, node: int) -> int:
         """Remove every alive set containing ``node``; returns how many.
 
-        One compiled call walks the node's main-index slice and its
-        pending run, clipped to the visible sets, kills each alive set
-        once — a set that names ``node`` twice (possible through the
-        public ``add_flat``) is listed twice and found dead the second
-        time — and decrements coverage once per member of each.
+        One compiled call walks the node's index slice, clipped to the
+        visible sets, kills each alive set once — a set that names
+        ``node`` twice (possible through the public ``add_flat``) is
+        listed twice and found dead the second time — and decrements
+        coverage once per member of each.  ``node`` must be an integer:
+        a float or bool is refused (``ValueError``), never truncated.
         """
+        if isinstance(node, bool) or not isinstance(node, (int, np.integer)):
+            raise ValueError(
+                f"node must be an integer, got {type(node).__name__}"
+            )
         if not 0 <= node < self.num_nodes:
             raise IndexError(f"node {node} out of range")
         self._sync_index()
         if self._addresses is None:
             self._addresses = tuple(
                 array.ctypes.data for array in (
-                    self._idx_indptr, self._idx_sets, self._pend_nodes,
-                    self._pend_sets, self._alive_mask, self._indptr,
-                    self._members, self._coverage,
+                    self._idx_indptr, self._idx_sets, self._alive_mask,
+                    self._indptr, self._members, self._coverage,
                 )
             )
-        visible = self._num_sets
-        pending = self._pend_nodes.size if self._main_sets < visible else 0
         killed = library().repro_remove_covered(
-            node, visible, pending, *self._addresses
+            node, self._num_sets, *self._addresses
         )
         self._num_alive -= killed
         return killed
@@ -516,14 +440,27 @@ class RRSetPool:
         still counts over its whole sample (``F_R(S)``, Proposition 1).
 
         Vectorized: gathers every candidate set id via index slices, then
-        dedups with one ``np.unique``.
+        dedups with one ``np.unique``.  ``nodes`` must hold integers: a
+        float array or a boolean mask is refused (``ValueError``), never
+        read as node ids.
         """
-        nodes = np.unique(np.asarray(nodes, dtype=np.int64).ravel())
+        nodes = np.asarray(nodes).ravel()
         if nodes.size == 0:
             return 0
+        if not np.issubdtype(nodes.dtype, np.integer):
+            raise ValueError(
+                f"nodes must be an integer array, got dtype {nodes.dtype}"
+            )
+        nodes = np.unique(nodes.astype(np.int64, copy=False))
         if nodes[0] < 0 or nodes[-1] >= self.num_nodes:
             raise IndexError("node ids out of range")
-        ids = self._ids_containing_many(nodes)
+        self._sync_index()
+        starts = self._idx_indptr[nodes]
+        ids = self._idx_sets[
+            gather_slices(starts, self._idx_indptr[nodes + 1] - starts)
+        ]
+        if self._index_sets > self._num_sets:
+            ids = ids[ids < self._num_sets]  # a kept index lists hidden sets too
         return int(np.unique(ids).size)
 
     def prefix_view(self, k: int | None = None) -> CSRSetView:
@@ -548,15 +485,13 @@ class RRSetPool:
         run, not this run's data.  This is the honest Table-4 figure: the
         engine stores nothing else.
         """
-        pending = int(self._indptr[self._synced_sets]) - self._indexed_members
         return int(
             self._members_used * self._members.itemsize
             + (self._num_sets + 1) * self._indptr.itemsize
             + self._num_sets * self._alive_mask.itemsize
             + self._coverage.nbytes
             + self._idx_indptr.nbytes
-            + self._indexed_members * self._idx_sets.itemsize
-            + pending * (self._pend_nodes.itemsize + self._pend_sets.itemsize)
+            + int(self._indptr[self._synced_sets]) * self._idx_sets.itemsize
         )
 
     def __repr__(self) -> str:
@@ -601,46 +536,17 @@ class RRSetPool:
         self._addresses = None
 
     def _sync_index(self) -> None:
-        """Amortized index maintenance, run by the index readers: the
-        cold marks advance as a cold pool's index would, and one build
-        covers every visible set the kept index does not."""
-        if self._synced_sets == self._num_sets:
-            return
-        if _rebuilds(self._indexed_members, self._members_used):
-            self._indexed_sets = self._num_sets
-            self._indexed_members = self._members_used
+        """Amortized index maintenance, run by the index readers: mark
+        the visible sets synced, and rebuild the index over all of them
+        if they outrun what it covers."""
         self._synced_sets = self._num_sets
         if self._index_sets >= self._num_sets:
             return
-        members = self._members[: self._members_used]
-        indptr = self._indptr[: self._num_sets + 1]
-        if _rebuilds(self._idx_sets.size, self._members_used):
-            self._idx_indptr, self._idx_sets = _build_csr_index(
-                members, 0, np.diff(indptr), self.num_nodes
-            )
-            self._main_sets = self._num_sets
-            self._pend_nodes = np.empty(0, dtype=MEMBER_DTYPE)
-            self._pend_sets = np.empty(0, dtype=SET_ID_DTYPE)
-        else:
-            lo = self._main_sets
-            self._pend_nodes, self._pend_sets = _build_pending_index(
-                members[self._idx_sets.size :], lo, np.diff(indptr[lo:])
-            )
+        self._idx_indptr, self._idx_sets = _build_csr_index(
+            self._members[: self._members_used],
+            0,
+            np.diff(self._indptr[: self._num_sets + 1]),
+            self.num_nodes,
+        )
         self._index_sets = self._num_sets
         self._addresses = None
-
-    def _ids_containing_many(self, nodes: np.ndarray) -> np.ndarray:
-        self._sync_index()
-        visible = self._num_sets
-        starts = self._idx_indptr[nodes]
-        lengths = self._idx_indptr[nodes + 1] - starts
-        ids = self._idx_sets[gather_slices(starts, lengths)]
-        if self._main_sets < visible:
-            plos = np.searchsorted(self._pend_nodes, nodes)
-            phis = np.searchsorted(self._pend_nodes, nodes + 1)
-            ids = np.concatenate(
-                (ids, self._pend_sets[gather_slices(plos, phis - plos)])
-            )
-        if self._index_sets > visible:
-            ids = ids[ids < visible]  # a kept index lists hidden sets too
-        return ids

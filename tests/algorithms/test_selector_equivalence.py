@@ -52,9 +52,6 @@ class _Pool:
     def coverage(self) -> np.ndarray:
         return self._coverage
 
-    def coverage_of(self, node: int) -> int:
-        return int(self._coverage[node])
-
 
 @st.composite
 def cases(draw):

@@ -525,16 +525,16 @@ def test_r105_flags_index_arrays_as_possibly_stale(tmp_path):
         "repro/algorithms/peek.py",
         "def sets_of(pool, node):\n"
         "    lo, hi = pool._idx_indptr[node], pool._idx_indptr[node + 1]\n"
-        "    return pool._idx_sets[lo:hi], pool._pend_nodes, pool._pend_sets\n"
+        "    return pool._idx_sets[lo:hi]\n"
         "\n"
         "def raw(pool):\n"
         "    return pool._members\n",
     )
     findings = [f for f in lint_file(path) if f.code == "R105"]
-    assert [f.line for f in findings] == [2, 2, 3, 3, 3, 6]
-    assert all("lag the sets" in f.message for f in findings[:5])
-    assert "reallocate on growth" in findings[5].message
-    assert "lag the sets" not in findings[5].message
+    assert [f.line for f in findings] == [2, 2, 3, 6]
+    assert all("lag the sets" in f.message for f in findings[:3])
+    assert "reallocate on growth" in findings[3].message
+    assert "lag the sets" not in findings[3].message
 
 
 def test_r105_index_queries_not_flagged(tmp_path):

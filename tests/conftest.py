@@ -20,18 +20,18 @@ from repro.graph.probabilities import constant_probabilities
 
 @pytest.fixture
 def build_calls(monkeypatch) -> list[int]:
-    """Spy on the builds of both tiers of the pool's inverted index (the
-    main tier's counting sort, the pending tier's key sort): one entry
-    (the number of members indexed) per build."""
+    """Spy on the builds of the pool's inverted index (its counting
+    sort): one entry (the number of members indexed) per build."""
     from repro.rrset import pool as pool_module
 
     calls: list[int] = []
-    for name in ("_build_csr_index", "_build_pending_index"):
-        def spy(members, *args, _build=getattr(pool_module, name)):
-            calls.append(int(members.size))
-            return _build(members, *args)
+    build = pool_module._build_csr_index
 
-        monkeypatch.setattr(pool_module, name, spy)
+    def spy(members, *args):
+        calls.append(int(members.size))
+        return build(members, *args)
+
+    monkeypatch.setattr(pool_module, "_build_csr_index", spy)
     return calls
 
 

@@ -1,4 +1,4 @@
-"""The pool's numpy ``remove_covered`` and main-index build as they stood
+"""The pool's numpy ``remove_covered`` and index build as they stood
 before the compiled pool kernels (``rrset/_pool.c``), kept verbatim as
 the in-test reference.
 
@@ -9,7 +9,10 @@ shipped pool equal to a :class:`ReferencePool` fed the same operations.
 Only the names changed (``reference_`` prefix, and ``_bump_counts``'s
 ``-1`` branch as :func:`_drop_counts`); the single-node index lookup
 ``_ids_containing``, which the shipped pool no longer needs, lives on
-here as it stood.
+here as it stood, and so does the packed-key sort :func:`_sorted_keys`
+the shipped pool dropped with its second index tier.  The index has one
+tier, as the shipped pool's does: the first index read after growth
+rebuilds it over every visible set.
 """
 
 from __future__ import annotations
@@ -17,15 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph._traversal import gather_slices
-from repro.rrset.pool import (
-    MAX_SETS,
-    MEMBER_DTYPE,
-    SET_ID_DTYPE,
-    RRSetPool,
-    _build_pending_index,
-    _rebuilds,
-    _sorted_keys,
-)
+from repro.rrset.pool import MAX_SETS, SET_ID_DTYPE, RRSetPool
 
 
 def _drop_counts(counts: np.ndarray, members: np.ndarray) -> None:
@@ -39,6 +34,24 @@ def _drop_counts(counts: np.ndarray, members: np.ndarray) -> None:
         counts -= np.bincount(members, minlength=n)
 
 
+def _sorted_keys(members: np.ndarray, first_set: int, lengths: np.ndarray) -> np.ndarray:
+    """The packed-key sort: one sorted ``int64`` key
+    ``(member << 32) | set_id`` per member of sets ``first_set ..``.
+
+    Ascending keys are ascending members with ascending set ids inside a
+    member — the order a stable sort on the members alone leaves the
+    owning set ids in, at a fraction of its cost.  Members and set ids
+    are both below 2^31 (``MAX_SETS``), so the two words never mix.
+    """
+    keys = members.astype(np.int64)
+    keys <<= 32
+    keys |= np.repeat(
+        np.arange(first_set, first_set + lengths.size, dtype=SET_ID_DTYPE), lengths
+    )
+    keys.sort()
+    return keys
+
+
 def reference_build_csr_index(members, first_set, lengths, num_nodes):
     """The packed-key sort: ``(indptr, set_ids)``, ids ascending per node."""
     counts = np.bincount(members, minlength=num_nodes)
@@ -49,8 +62,8 @@ def reference_build_csr_index(members, first_set, lengths, num_nodes):
 
 
 class ReferencePool(RRSetPool):
-    """An :class:`RRSetPool` whose ``remove_covered`` and main-index
-    build are the numpy ones."""
+    """An :class:`RRSetPool` whose ``remove_covered`` and index build
+    are the numpy ones."""
 
     def _ids_containing(self, node: int) -> np.ndarray:
         if not 0 <= node < self.num_nodes:
@@ -58,13 +71,6 @@ class ReferencePool(RRSetPool):
         self._sync_index()
         visible = self._num_sets
         ids = self._idx_sets[self._idx_indptr[node] : self._idx_indptr[node + 1]]
-        if self._main_sets < visible:
-            lo, hi = np.searchsorted(self._pend_nodes, [node, node + 1])
-            mini = self._pend_sets[lo:hi]
-            if ids.size == 0:
-                ids = mini
-            elif mini.size:
-                ids = np.concatenate((ids, mini))
         if self._index_sets > visible:
             # A kept index lists hidden sets too; ids ascend, so the
             # visible ones are a prefix.
@@ -92,26 +98,13 @@ class ReferencePool(RRSetPool):
         return self._members[gather_slices(starts, lengths)]
 
     def _sync_index(self) -> None:
-        if self._synced_sets == self._num_sets:
-            return
-        if _rebuilds(self._indexed_members, self._members_used):
-            self._indexed_sets = self._num_sets
-            self._indexed_members = self._members_used
         self._synced_sets = self._num_sets
         if self._index_sets >= self._num_sets:
             return
-        members = self._members[: self._members_used]
-        indptr = self._indptr[: self._num_sets + 1]
-        if _rebuilds(self._idx_sets.size, self._members_used):
-            self._idx_indptr, self._idx_sets = reference_build_csr_index(
-                members, 0, np.diff(indptr), self.num_nodes
-            )
-            self._main_sets = self._num_sets
-            self._pend_nodes = np.empty(0, dtype=MEMBER_DTYPE)
-            self._pend_sets = np.empty(0, dtype=SET_ID_DTYPE)
-        else:
-            lo = self._main_sets
-            self._pend_nodes, self._pend_sets = _build_pending_index(
-                members[self._idx_sets.size :], lo, np.diff(indptr[lo:])
-            )
+        self._idx_indptr, self._idx_sets = reference_build_csr_index(
+            self._members[: self._members_used],
+            0,
+            np.diff(self._indptr[: self._num_sets + 1]),
+            self.num_nodes,
+        )
         self._index_sets = self._num_sets

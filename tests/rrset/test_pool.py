@@ -5,14 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.rrset import pool as pool_module
-from repro.rrset.pool import (
-    MAX_SETS,
-    CSRSetView,
-    RRSetPool,
-    _build_csr_index,
-    _build_pending_index,
-)
+from repro.rrset.pool import MAX_SETS, CSRSetView, RRSetPool, _build_csr_index
 
 from tests.rrset._pool_helpers import (
     add_sets,
@@ -22,6 +15,7 @@ from tests.rrset._pool_helpers import (
     is_alive,
     view_sets,
 )
+from tests.rrset._reference_pool import _sorted_keys
 
 
 def _sets(*members):
@@ -206,43 +200,35 @@ class TestAddFlatFromBuffer:
 
 
 class TestIndexMaintenance:
-    def test_pending_mini_index_serves_queries(self):
-        """A small batch after a large one must not trigger a full
-        rebuild, yet queries must still see the new sets."""
-        pool = RRSetPool(30)
+    def test_small_top_up_after_a_large_build_rebuilds_the_one_index(self):
+        """A +2-set top-up after a 700-set build: appending indexes
+        nothing, and the next index read rebuilds the one index over every
+        visible set — answering like the model, at 4 B (one ``int32`` set
+        id) per indexed member."""
+        pool, model = RRSetPool(30), _ModelPool(30)
         rng = np.random.default_rng(1)
-        big = [rng.choice(30, size=8, replace=False) for _ in range(700)]
+        big = [rng.choice(30, size=8, replace=False).tolist() for _ in range(700)]
         add_sets(pool, big)
-        assert pool._indexed_sets == 0  # appends index nothing ...
-        assert pool.coverage_of_set([4]) == sum(4 in s for s in big)
-        assert pool._indexed_sets == 700  # ... the first read covers the batch
-        add_sets(pool, _sets([3, 4], [4, 5]))
-        assert pool._pend_sets.size == 0  # still nothing indexed by the append
-        assert pool.num_total == 702
-        in_big = sum(4 in s for s in big)
-        assert pool.coverage_of_set([4]) == in_big + 2  # an index read
-        assert pool._indexed_sets == 700  # mini-index path engaged
-        assert pool._pend_nodes.tolist() == [3, 4, 4, 5]
-        assert pool._pend_sets.tolist() == [700, 700, 701, 701]
-        assert pool.coverage()[4] == in_big + 2
-        # removal through the mixed main+mini index stays consistent
-        before = pool.num_alive
-        removed = pool.remove_covered(4)
-        assert pool.num_alive == before - removed
-        assert pool.coverage()[4] == 0
-
-    def test_full_rebuild_when_pending_grows(self):
-        pool = RRSetPool(10)
-        add_sets(pool, _sets(*[[i % 10] for i in range(5_000)]))
-        assert pool.remove_covered(0) == 500
-        assert pool._indexed_sets == 5_000
-        add_sets(pool, _sets(*[[i % 10] for i in range(1_249)]))
-        assert pool.coverage_of_set([0]) == 500 + 125  # removed sets count too
-        assert (pool._indexed_sets, pool._pend_sets.size) == (5_000, 1_249)
-        add_sets(pool, _sets([0]))  # pending reaches 1/4 of the indexed members
-        assert pool.coverage_of_set([0]) == 500 + 125 + 1  # every visible set
-        assert pool._indexed_sets == pool.num_total  # pending forced rebuild
-        assert pool._pend_sets.size == 0
+        model.add(big)
+        assert pool.coverage_of_set([4]) == model.coverage_of_set([4])
+        assert pool._idx_sets.size == 700 * 8
+        built = pool.memory_bytes()
+        top_up = [[3, 4], [4, 5]]
+        add_sets(pool, top_up)
+        model.add(top_up)
+        assert pool._idx_sets.size == 700 * 8  # the append indexed nothing
+        # The new rows only: 4 int32 members, 2 int64 offsets, 2 flags.
+        unread = pool.memory_bytes()
+        assert unread == built + 4 * 4 + 2 * 8 + 2
+        for nodes in ([4], [3], [3, 5], [0, 4, 5]):
+            assert pool.coverage_of_set(nodes) == model.coverage_of_set(nodes)
+        assert pool.memory_bytes() == unread + 4 * 4
+        assert pool._idx_sets.size == 700 * 8 + 4  # every visible member
+        for node in (4, 3, 5):
+            assert pool.remove_covered(node) == model.kill(
+                model.alive_ids_containing(node)
+            )
+        assert pool.coverage().tolist() == model.coverage()
 
     def test_builds_once_per_growth_event_at_the_first_index_read(self, build_calls):
         """The complexity guard, as a count: appends never build, the
@@ -268,18 +254,18 @@ class TestIndexMaintenance:
         pool.coverage_of_set([1, 2, 3])
         pool.coverage_of_set([4])
         assert len(build_calls) == 1
-        members, lengths = chunk(5)  # a +5 top-up: mini-index tier
+        members, lengths = chunk(5)  # a +5 top-up rebuilds over everything
         pool.add_flat(members, lengths)
         assert len(build_calls) == 1
         pool.coverage_of_set([9])
-        assert build_calls == [appended, members.size]
+        assert build_calls == [appended, appended + members.size]
         # The resume path (re-derive the sets, replay the seeds) builds
         # once, at the first seed; every non-index accessor builds nothing.
         resumed = RRSetPool(40)
         view = pool.prefix_view(3_200)
         resumed.add_flat(view.members, np.diff(view.indptr))
         assert [resumed.remove_covered(7), resumed.remove_covered(8)] == counts
-        assert build_calls == [appended, members.size, appended]
+        assert build_calls == [appended, appended + members.size, appended]
         assert np.array_equal(alive_mask(resumed), alive_mask(pool)[:3_200])
         pool.add_flat(*chunk(300))
         for p in (pool, resumed):
@@ -291,8 +277,8 @@ class TestIndexMaintenance:
 
 
 def _reference_index(members, first_set, lengths):
-    """The stable-argsort construction the packed-key kernel replaced,
-    kept as the reference: ``(sorted members, owning set ids)``."""
+    """The stable-argsort construction the index kernels replaced, kept
+    as the reference: ``(sorted members, owning set ids)``."""
     owners = np.repeat(
         np.arange(first_set, first_set + len(lengths), dtype=np.int64), lengths
     )
@@ -300,7 +286,7 @@ def _reference_index(members, first_set, lengths):
     return members[order], owners[order]
 
 
-def _assert_builders_match_reference(members, first_set, lengths, num_nodes):
+def _assert_builder_matches_reference(members, first_set, lengths, num_nodes):
     members = np.asarray(members, dtype=np.int32)
     lengths = np.asarray(lengths, dtype=np.int64)
     nodes, owners = _reference_index(members, first_set, lengths)
@@ -310,15 +296,11 @@ def _assert_builders_match_reference(members, first_set, lengths, num_nodes):
     assert np.array_equal(
         indptr, np.searchsorted(nodes, np.arange(num_nodes + 1))
     )
-    pend_nodes, pend_sets = _build_pending_index(members, first_set, lengths)
-    assert pend_nodes.dtype == np.int32 and pend_sets.dtype == np.int32
-    assert np.array_equal(pend_nodes, nodes)
-    assert np.array_equal(pend_sets, owners)
 
 
 class TestBuildKernel:
-    """Both index tiers are built by one packed-key sort; it must leave
-    exactly the order of the stable argsort it replaced."""
+    """The index is built by one counting sort; it must leave exactly
+    the order of the stable argsort it replaced."""
 
     @given(data=st.data())
     @settings(max_examples=120, deadline=None)
@@ -332,7 +314,7 @@ class TestBuildKernel:
         first_set = data.draw(
             st.sampled_from([0, 1, 700, 2**16, MAX_SETS - len(sets)])
         )
-        _assert_builders_match_reference(
+        _assert_builder_matches_reference(
             [v for members in sets for v in members],
             first_set,
             [len(members) for members in sets],
@@ -354,19 +336,23 @@ class TestBuildKernel:
         ],
     )
     def test_explicit_edges(self, members, first_set, lengths, num_nodes):
-        _assert_builders_match_reference(members, first_set, lengths, num_nodes)
+        _assert_builder_matches_reference(members, first_set, lengths, num_nodes)
 
     def test_both_words_at_the_int32_limit(self):
-        """The largest node id beside the largest set ids (pending tier:
-        no O(num_nodes) indptr to allocate)."""
+        """The numpy oracle of ``test_pool_kernels.py`` builds its index
+        from packed ``(member << 32) | set_id`` keys: the largest node id
+        beside the largest set ids must come back whole from both words.
+        (The compiled builder packs no keys; its largest set ids are an
+        explicit edge above, and a node id near 2^31 would need an
+        O(num_nodes) ``indptr`` of 16 GiB.)"""
         top = 2**31 - 2
-        nodes, set_ids = _build_pending_index(
+        keys = _sorted_keys(
             np.asarray([top, 0, top], dtype=np.int32),
             MAX_SETS - 2,
             np.asarray([1, 2], dtype=np.int64),
         )
-        assert nodes.tolist() == [0, top, top]
-        assert set_ids.tolist() == [MAX_SETS - 1, MAX_SETS - 2, MAX_SETS - 1]
+        assert (keys >> 32).tolist() == [0, top, top]
+        assert (keys & MAX_SETS).tolist() == [MAX_SETS - 1, MAX_SETS - 2, MAX_SETS - 1]
 
     def test_repeated_node_through_the_public_api(self):
         """``add_flat`` accepts a set naming a node twice; the index lists
@@ -425,19 +411,16 @@ class TestAgainstModel:
     against the brute-force model."""
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_random_interleavings(self, seed, monkeypatch):
-        # A small main-tier floor lets short schedules reach both sides
-        # of the 1/4 rebuild threshold.
-        monkeypatch.setattr(pool_module, "_MIN_INDEXED_MEMBERS", 24)
+    def test_random_interleavings(self, seed):
         rng = np.random.default_rng(seed)
         n = 9
         pool, model = RRSetPool(n), _ModelPool(n)
-        tiers = set()
+        states = set()
         for _ in range(150):
             op = rng.integers(0, 6)
             node = int(rng.integers(0, n))
             nodes = rng.integers(0, n, size=rng.integers(0, 4)).tolist()
-            if op == 0:  # batches on both sides of the threshold
+            if op == 0:  # batches of one set to forty
                 count = int(rng.choice([1, 2, 12, 40]))
                 sets = [
                     rng.integers(0, n, size=rng.integers(0, 4)).tolist()
@@ -470,11 +453,10 @@ class TestAgainstModel:
             assert pool.num_alive == sum(model.alive)
             assert alive_mask(pool).tolist() == model.alive
             assert pool.coverage().tolist() == model.coverage()
-            if pool._synced_sets == pool.num_total:
-                tiers.add("pending" if pool._pend_sets.size else "main")
-            else:
-                tiers.add("lagging")
-        assert tiers == {"main", "pending", "lagging"}
+            states.add(
+                "indexed" if pool._synced_sets == pool.num_total else "lagging"
+            )
+        assert states == {"indexed", "lagging"}
 
 
 _N = 9
@@ -499,7 +481,7 @@ def _flat(sets):
     )
 
 
-#: Fourteen sets, 29 members: past the test's 24-member main-tier floor.
+#: Fourteen sets, 29 members.
 _FIRST = [
     [0, 1, 2], [3, 4], [5], [6, 7, 8], [0, 3], [1, 4, 7], [2],
     [8, 0], [4, 5, 6], [1], [7, 2], [3, 3], [0, 8, 4], [6],
@@ -545,52 +527,49 @@ class TestRewindReveal:
         ``add_flat`` exactly the sets the pool under test was asked to
         show, in the same steps.  Everything observable must agree,
         ``memory_bytes()`` (the index as held) included."""
-        with pytest.MonkeyPatch.context() as patch:
-            # Short schedules reach both sides of the rebuild threshold.
-            patch.setattr(pool_module, "_MIN_INDEXED_MEMBERS", 24)
-            pool, twin = RRSetPool(_N), RRSetPool(_N)
-            resident: list[list[int]] = []
-            for op, *args in ops:
-                hidden = len(resident) - pool.num_total
-                if op == "add":
-                    if hidden:
-                        with pytest.raises(ValueError, match="hidden"):
-                            pool.add_flat(*_flat(args[0]))
-                    else:
+        pool, twin = RRSetPool(_N), RRSetPool(_N)
+        resident: list[list[int]] = []
+        for op, *args in ops:
+            hidden = len(resident) - pool.num_total
+            if op == "add":
+                if hidden:
+                    with pytest.raises(ValueError, match="hidden"):
                         pool.add_flat(*_flat(args[0]))
-                        twin.add_flat(*_flat(args[0]))
-                        resident.extend(args[0])
-                elif op == "rewind":
-                    pool.rewind()
-                    twin = RRSetPool(_N)
-                elif op == "reveal":
-                    count = args[0]
-                    if count > hidden:
-                        with pytest.raises(ValueError, match="hidden"):
-                            pool.reveal(count)
-                        count %= hidden + 1  # then one that fits
-                    shown = resident[pool.num_total : pool.num_total + count]
-                    pool.reveal(count)
-                    twin.add_flat(*_flat(shown))
-                elif op == "remove":
-                    assert pool.remove_covered(args[0]) == twin.remove_covered(
-                        args[0]
-                    )
-                elif op == "cover":
-                    assert pool.coverage_of_set(args[0]) == twin.coverage_of_set(
-                        args[0]
-                    )
-                # Through accessors that never sync the index, so the
-                # as-held index bytes are compared as the ops left them.
-                assert pool.num_total == twin.num_total
-                assert pool.num_alive == twin.num_alive
-                assert pool.num_resident == len(resident)
-                assert np.array_equal(alive_mask(pool), alive_mask(twin))
-                assert np.array_equal(pool.coverage(), twin.coverage())
-                assert pool.memory_bytes() == twin.memory_bytes()
-                assert [s.tolist() for s in all_sets(pool)] == [
-                    s.tolist() for s in all_sets(twin)
-                ]
+                else:
+                    pool.add_flat(*_flat(args[0]))
+                    twin.add_flat(*_flat(args[0]))
+                    resident.extend(args[0])
+            elif op == "rewind":
+                pool.rewind()
+                twin = RRSetPool(_N)
+            elif op == "reveal":
+                count = args[0]
+                if count > hidden:
+                    with pytest.raises(ValueError, match="hidden"):
+                        pool.reveal(count)
+                    count %= hidden + 1  # then one that fits
+                shown = resident[pool.num_total : pool.num_total + count]
+                pool.reveal(count)
+                twin.add_flat(*_flat(shown))
+            elif op == "remove":
+                assert pool.remove_covered(args[0]) == twin.remove_covered(
+                    args[0]
+                )
+            elif op == "cover":
+                assert pool.coverage_of_set(args[0]) == twin.coverage_of_set(
+                    args[0]
+                )
+            # Through accessors that never sync the index, so the
+            # as-held index bytes are compared as the ops left them.
+            assert pool.num_total == twin.num_total
+            assert pool.num_alive == twin.num_alive
+            assert pool.num_resident == len(resident)
+            assert np.array_equal(alive_mask(pool), alive_mask(twin))
+            assert np.array_equal(pool.coverage(), twin.coverage())
+            assert pool.memory_bytes() == twin.memory_bytes()
+            assert [s.tolist() for s in all_sets(pool)] == [
+                s.tolist() for s in all_sets(twin)
+            ]
 
     def test_reveal_copies_nothing_and_rewind_keeps_the_rows(self):
         pool = RRSetPool(6)
@@ -734,6 +713,58 @@ class TestBounds:
             pool.coverage_of_set([5])
 
 
+def _docstring_pool():
+    """The class docstring's pool: ``{0, 2}``, ``{2, 3}``, ``{4}``."""
+    pool = RRSetPool(5)
+    pool.add_flat(np.array([0, 2, 2, 3, 4]), np.array([2, 2, 1]))
+    return pool
+
+
+class TestNodeInput:
+    """The index readers take integer node ids only: a float used to be
+    truncated (2.7 -> node 2) and a boolean mask read as the ids 0 and 1;
+    both are refused by name instead, before any state changes."""
+
+    def test_coverage_of_set_refuses_float_nodes(self):
+        pool = _docstring_pool()
+        with pytest.raises(ValueError, match="nodes must be an integer array.*float64"):
+            pool.coverage_of_set([2.7])
+
+    def test_coverage_of_set_refuses_a_boolean_mask(self):
+        pool = _docstring_pool()
+        mask = np.array([False, False, True, False, False])  # selects node 2
+        with pytest.raises(ValueError, match="nodes must be an integer array.*bool"):
+            pool.coverage_of_set(mask)
+        assert pool.coverage_of_set(np.flatnonzero(mask)) == 2
+
+    @pytest.mark.parametrize("node", [2.5, np.float64(2.0)], ids=["float", "float64"])
+    def test_remove_covered_refuses_a_float_node(self, node):
+        pool = _docstring_pool()
+        with pytest.raises(ValueError, match="node must be an integer"):
+            pool.remove_covered(node)
+        assert pool.num_alive == 3 and pool.coverage().tolist() == [1, 0, 2, 1, 1]
+
+    @pytest.mark.parametrize("node", [True, np.True_], ids=["bool", "bool_"])
+    def test_remove_covered_refuses_a_bool_node(self, node):
+        pool = _docstring_pool()
+        with pytest.raises(ValueError, match="node must be an integer"):
+            pool.remove_covered(node)
+        assert pool.num_alive == 3
+
+    def test_empty_nodes_of_any_dtype_count_nothing(self):
+        pool = _docstring_pool()
+        for nodes in ([], np.empty(0), np.empty(0, dtype=bool), np.empty((0, 2))):
+            assert pool.coverage_of_set(nodes) == 0
+
+    @pytest.mark.parametrize("cast", [np.int64, np.int32, np.uint8])
+    def test_numpy_integer_scalars_are_node_ids(self, cast):
+        pool = _docstring_pool()
+        assert pool.coverage_of_set(cast(2)) == 2
+        assert pool.coverage_of_set(np.asarray([2, 4], dtype=cast)) == 3
+        assert pool.remove_covered(cast(2)) == 2
+        assert pool.coverage().tolist() == [0, 0, 0, 0, 1]
+
+
 class TestMemoryAccounting:
     def test_reports_real_buffer_bytes(self):
         pool = RRSetPool(100)
@@ -743,15 +774,15 @@ class TestMemoryAccounting:
         # Never index-read: the int32 members dominate, and asking for
         # the bytes built no index.
         assert 1_000 * 5 * 4 <= unread < 1_000 * 5 * (4 + 4)
-        assert pool._idx_sets.size == 0 and pool._indexed_sets == 0
+        assert pool._idx_sets.size == 0 and pool._synced_sets == 0
         pool.coverage_of_set([0])
         reported = pool.memory_bytes()
         # int32 members + int32 index entries: 5 members/set × 8 bytes.
         assert reported == unread + 1_000 * 5 * 4
-        add_sets(pool, [np.asarray([1, 2])])  # +2 members: 8 B/member mini-index
+        add_sets(pool, [np.asarray([1, 2])])  # +2 members, indexed at the read
         assert pool.memory_bytes() == reported + 2 * 4 + 8 + 1
         pool.coverage_of_set([0])
-        assert pool.memory_bytes() == reported + 2 * 4 + 8 + 1 + 2 * (4 + 4)
+        assert pool.memory_bytes() == reported + 2 * 4 + 8 + 1 + 2 * 4
 
     def test_members_are_int32(self):
         pool = RRSetPool(10)

@@ -1,16 +1,15 @@
 """The compiled pool kernels equal the numpy code they replaced.
 
-``RRSetPool.remove_covered``, the main inverted-index build and the
+``RRSetPool.remove_covered``, the inverted-index build and the
 coverage bump run in C (``rrset/_pool.c``); ``tests/rrset/_reference_pool.py``
 keeps the numpy versions of the first two, and the bump is held to
 ``np.add.at`` directly.  A hypothesis state machine drives a shipped pool and a
 :class:`ReferencePool` through the same operations — small appends
-with repeated members and ``add_flat`` chunks large enough to cross
-the main/pending tiering, ``rewind`` and ``reveal`` (so a kept index
-lists hidden sets), removals of in-range and out-of-range nodes, and
-index reads — and after every one holds the return value,
-``coverage()``, the alive flags, ``num_alive``, ``memory_bytes()`` and
-both tiers' index arrays equal.
+with repeated members and ``add_flat`` chunks of thousands of members,
+``rewind`` and ``reveal`` (so a kept index lists hidden sets), removals
+of in-range and out-of-range nodes, and index reads — and after every
+one holds the return value, ``coverage()``, the alive flags,
+``num_alive``, ``memory_bytes()`` and the index arrays equal.
 """
 
 from __future__ import annotations
@@ -49,12 +48,12 @@ class PoolMachine(RuleBasedStateMachine):
 
     @rule(sets=st.lists(st.lists(st.integers(0, N - 1), max_size=5), max_size=6))
     def append_sets(self, sets):
-        """Small appends (the pending tier), members repeated in a set."""
+        """Small appends, members repeated in a set."""
         self._both(lambda pool: add_sets(pool, sets))
 
     @rule(num_sets=st.integers(1, 1_500), seed=st.integers(0, 2**16))
     def add_chunk(self, num_sets, seed):
-        """A chunk of up to ~4 500 members: enough to rebuild the main tier."""
+        """A chunk of up to ~4 500 members."""
         rng = np.random.default_rng(seed)
         lengths = rng.integers(0, 7, size=num_sets)
         members = rng.integers(0, N, size=int(lengths.sum()))
@@ -86,10 +85,9 @@ class PoolMachine(RuleBasedStateMachine):
         assert shipped.num_alive == reference.num_alive
         assert shipped.num_total == reference.num_total
         assert shipped.memory_bytes() == reference.memory_bytes()
-        for name in ("_idx_indptr", "_idx_sets", "_pend_nodes", "_pend_sets"):
+        for name in ("_idx_indptr", "_idx_sets"):
             mine, theirs = getattr(shipped, name), getattr(reference, name)
             assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
-        assert shipped._main_sets == reference._main_sets
         assert shipped._index_sets == reference._index_sets
 
 

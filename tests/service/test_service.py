@@ -411,15 +411,16 @@ class TestRunStateDiesWithTheLease:
 
 @pytest.fixture
 def index_builds(monkeypatch) -> list:
-    """Spy on both index-tier builders: one entry per build, the pool
-    whose index read built it."""
+    """Spy on the index builder: one entry per build, the pool whose
+    index read built it."""
     builds = []
-    for name in ("_build_csr_index", "_build_pending_index"):
-        def spy(*args, _original=getattr(pool_module, name)):
-            builds.append(sys._getframe(1).f_locals["self"])
-            return _original(*args)
+    original = pool_module._build_csr_index
 
-        monkeypatch.setattr(pool_module, name, spy)
+    def spy(*args):
+        builds.append(sys._getframe(1).f_locals["self"])
+        return original(*args)
+
+    monkeypatch.setattr(pool_module, "_build_csr_index", spy)
     return builds
 
 
