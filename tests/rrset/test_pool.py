@@ -200,11 +200,13 @@ class TestAddFlatFromBuffer:
 
 
 class TestIndexMaintenance:
-    def test_small_top_up_after_a_large_build_rebuilds_the_one_index(self):
-        """A +2-set top-up after a 700-set build: appending indexes
-        nothing, and the next index read rebuilds the one index over every
-        visible set — answering like the model, at 4 B (one ``int32`` set
-        id) per indexed member."""
+    def test_pending_mini_index_serves_queries(self):
+        """Sets appended after a build are pending until the next index
+        read, which rebuilds the one index over every visible set (there is
+        no separate mini-index for them).  A +2-set top-up after a 700-set
+        build: appending indexes nothing, and queries see the new sets,
+        answering like the model, at 4 B (one ``int32`` set id) per indexed
+        member."""
         pool, model = RRSetPool(30), _ModelPool(30)
         rng = np.random.default_rng(1)
         big = [rng.choice(30, size=8, replace=False).tolist() for _ in range(700)]
@@ -229,6 +231,25 @@ class TestIndexMaintenance:
                 model.alive_ids_containing(node)
             )
         assert pool.coverage().tolist() == model.coverage()
+
+    def test_full_rebuild_when_pending_grows(self):
+        """Every index read after growth rebuilds over every visible set,
+        removed ones included, however few sets are pending."""
+        pool = RRSetPool(10)
+        add_sets(pool, _sets(*[[i % 10] for i in range(5_000)]))
+        assert pool.remove_covered(0) == 500
+        assert pool._synced_sets == 5_000
+        add_sets(pool, _sets(*[[i % 10] for i in range(1_249)]))
+        assert pool._synced_sets == 5_000  # the append indexed nothing
+        assert pool.coverage_of_set([0]) == 500 + 125  # removed sets count too
+        assert pool._synced_sets == pool.num_total == 6_249
+        assert pool._idx_sets.size == 6_249
+        add_sets(pool, _sets([0]))  # a single pending set
+        assert pool.coverage_of_set([0]) == 500 + 125 + 1  # every visible set
+        assert pool._synced_sets == pool.num_total == 6_250
+        assert pool._idx_sets.size == 6_250
+        assert pool.remove_covered(0) == 126  # the 500 are already dead
+        assert pool.coverage()[0] == 0
 
     def test_builds_once_per_growth_event_at_the_first_index_read(self, build_calls):
         """The complexity guard, as a count: appends never build, the
