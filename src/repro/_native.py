@@ -69,7 +69,7 @@ _SIGNATURES = {
     "repro_bfs_run": (_I64, [_PTR, _I64, _PTR, _I64]),
     "repro_bfs_stop": (None, [_PTR, _I64]),
     "repro_bump_counts": (None, [_I64, _PTR, _PTR]),
-    "repro_index_build": (None, [_I64, _I64, _I64, _PTR, _PTR, _PTR, _PTR]),
+    "repro_index_build": (None, [_I64, _I64, _PTR, _PTR, _PTR, _PTR]),
     "repro_philox_vector": (_I64, []),
     "repro_remove_covered": (_I64, [_I64, _I64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR]),
     "repro_select": (_I64, [_PTR, _F64, _I64, _I64, _I64]),

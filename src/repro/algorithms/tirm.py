@@ -51,9 +51,9 @@ class TIRMAllocator(Allocator):
         ``"weighted"`` (CTP-weighted coverage; default) or ``"coverage"``
         (the literal Algorithm 3).
     engine:
-        ``"serial"`` (default) samples every ad's RR-sets in-process,
-        on the calling thread and one helper thread per further CPU
-        (an ad with small chunks on the calling thread alone);
+        ``"serial"`` (default) samples every ad's RR-sets in-process:
+        a request's first chunk on the calling thread, the rest on it
+        and one helper thread per further CPU;
         ``"process"`` fans the sharded engine's chunk tasks — the
         batched pilot phase *and* every single-ad growth top-up — across
         forked worker processes.  The two produce identical

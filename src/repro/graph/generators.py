@@ -84,10 +84,9 @@ def power_law_graph(
         extra_src, extra_dst = dst[flip], src[flip]
         src = np.concatenate((src, extra_src))
         dst = np.concatenate((dst, extra_dst))
-    pairs = np.unique(np.stack((src, dst), axis=1), axis=0)
-    keep = pairs[:, 0] != pairs[:, 1]
-    pairs = pairs[keep]
-    return DirectedGraph(num_nodes, pairs[:, 0], pairs[:, 1])
+    # Dedup on one code per pair: the codes sort as the pairs do.
+    src, dst = np.divmod(np.unique(src * num_nodes + dst), num_nodes)
+    return DirectedGraph(num_nodes, src, dst)
 
 
 def community_graph(

@@ -21,17 +21,17 @@ void repro_bump_counts(
 }
 
 /*
- * The node -> set CSR index over sets first_set .. first_set + count:
- * a counting sort.  lengths[s] is set first_set + s's size and members
- * their concatenated rows.  Fills indptr[0 .. n] and
- * set_ids[0 .. total): set_ids[indptr[v] .. indptr[v + 1]) lists the
- * sets containing v in ascending order, a set that names v twice
- * twice over -- the order of a stable sort of the members.
+ * The node -> set CSR index over sets 0 .. count: a counting sort.
+ * lengths[s] is set s's size and members their concatenated rows.
+ * Fills indptr[0 .. n] and set_ids[0 .. total): set_ids[indptr[v] ..
+ * indptr[v + 1]) lists the sets containing v in ascending order, a set
+ * that names v twice twice over -- the order of a stable sort of the
+ * members.  The pool keeps total and count within int32.
  */
 void repro_index_build(
-    int64_t n, int64_t count, int64_t first_set,
+    int64_t n, int64_t count,
     const int64_t *lengths, const int32_t *members,
-    int64_t *indptr, int32_t *set_ids)
+    int32_t *indptr, int32_t *set_ids)
 {
     int64_t total = 0, at = 0;
 
@@ -45,11 +45,9 @@ void repro_index_build(
         indptr[v + 1] += indptr[v];
     /* indptr[v] is now the next free slot of v; it advances to
      * indptr[v + 1] as v's entries land, and is shifted back below. */
-    for (int64_t s = 0; s < count; s++) {
-        int32_t id = (int32_t)(first_set + s);
+    for (int64_t s = 0; s < count; s++)
         for (int64_t end = at + lengths[s]; at < end; at++)
-            set_ids[indptr[members[at]]++] = id;
-    }
+            set_ids[indptr[members[at]]++] = (int32_t)s;
     for (int64_t v = n; v > 0; v--)
         indptr[v] = indptr[v - 1];
     indptr[0] = 0;
@@ -63,8 +61,8 @@ void repro_index_build(
  */
 int64_t repro_remove_covered(
     int64_t node, int64_t visible,
-    const int64_t *idx_indptr, const int32_t *idx_sets,
-    uint8_t *alive, const int64_t *indptr, const int32_t *members,
+    const int32_t *idx_indptr, const int32_t *idx_sets,
+    uint8_t *alive, const int32_t *indptr, const int32_t *members,
     int64_t *coverage)
 {
     int64_t killed = 0;

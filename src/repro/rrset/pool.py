@@ -1,7 +1,7 @@
 """Flat CSR-backed storage engine for RR-sets.
 
 Every sampled set lives in one growable ``int32`` members buffer
-addressed by an ``indptr`` array, with eager per-node coverage counts
+addressed by an ``int32`` ``indptr`` array, with eager per-node coverage counts
 beside it.  The node→set inverted index is derived data — a pure
 function of the member rows — held as a second CSR pair and built in
 bulk by one O(M + n) counting sort, never by per-element Python
@@ -38,14 +38,16 @@ from repro.graph._traversal import gather_slices
 MEMBER_DTYPE = np.int32
 #: Set ids in the inverted index; int32 supports 2^31 sets per pool.
 SET_ID_DTYPE = np.int32
+#: Offsets of both CSR pairs (set → members, node → index entries).
+OFFSET_DTYPE = np.int32
 
-#: Hard per-pool limits implied by the int32 storage dtypes: set ids in
-#: the inverted index and member offsets must both stay below 2^31.
+#: Hard per-pool limits implied by the int32 storage dtypes: set ids and
+#: the offsets of both CSR pairs must stay below 2^31.
 #: ``add_flat`` refuses appends that would cross either limit (with a
 #: :class:`~repro.errors.CapacityError`) before touching any buffer —
 #: silently wrapping ids would corrupt the CSR index.
 MAX_SETS = int(np.iinfo(SET_ID_DTYPE).max)
-MAX_MEMBERS = int(np.iinfo(np.int32).max)
+MAX_MEMBERS = int(np.iinfo(OFFSET_DTYPE).max)
 
 class CSRSetView:
     """A read-only CSR window over a prefix of a pool's sets.
@@ -100,26 +102,23 @@ def _bump_counts(counts: np.ndarray, members: np.ndarray) -> None:
 
 
 def _build_csr_index(
-    members: np.ndarray,
-    first_set: int,
-    lengths: np.ndarray,
-    num_nodes: int,
+    members: np.ndarray, lengths: np.ndarray, num_nodes: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Bulk-build a node→set CSR index over one contiguous member region.
+    """Bulk-build a node→set CSR index over sets ``0 ..``.
 
-    ``members`` is the flat member slice of sets ``first_set ..``;
-    ``lengths`` their sizes; every member must lie in ``[0, num_nodes)``
-    (appends check that).  Returns ``(indptr, set_ids)`` where
+    ``members`` is their flat member slice and ``lengths`` their sizes;
+    every member must lie in ``[0, num_nodes)`` (appends check that).
+    Returns the ``int32`` pair ``(indptr, set_ids)`` where
     ``set_ids[indptr[v]:indptr[v+1]]`` lists the sets containing ``v`` in
     ascending set order — the order a stable sort of the members leaves
     their set ids in, built by one O(M + n) counting sort in C.
     """
     members = np.ascontiguousarray(members, dtype=MEMBER_DTYPE)
     lengths = np.ascontiguousarray(lengths, dtype=np.int64)
-    indptr = np.empty(num_nodes + 1, dtype=np.int64)
+    indptr = np.empty(num_nodes + 1, dtype=OFFSET_DTYPE)
     set_ids = np.empty(members.size, dtype=SET_ID_DTYPE)
     library().repro_index_build(
-        num_nodes, lengths.size, first_set, lengths.ctypes.data,
+        num_nodes, lengths.size, lengths.ctypes.data,
         members.ctypes.data, indptr.ctypes.data, set_ids.ctypes.data,
     )
     return indptr, set_ids
@@ -189,7 +188,7 @@ class RRSetPool:
         self.num_nodes = int(num_nodes)
         self._members = np.empty(1_024, dtype=MEMBER_DTYPE)
         self._members_used = 0
-        self._indptr = np.zeros(257, dtype=np.int64)
+        self._indptr = np.zeros(257, dtype=OFFSET_DTYPE)
         self._num_sets = 0
         self._alive_mask = np.empty(256, dtype=bool)
         self._num_alive = 0
@@ -200,7 +199,7 @@ class RRSetPool:
         self._resident_sets = 0
         # The inverted index over sets [0, _index_sets); a rewind keeps
         # it, so it may cover sets that are not visible.
-        self._idx_indptr = np.zeros(self.num_nodes + 1, dtype=np.int64)
+        self._idx_indptr = np.zeros(self.num_nodes + 1, dtype=OFFSET_DTYPE)
         self._idx_sets = np.empty(0, dtype=SET_ID_DTYPE)
         self._index_sets = 0
         # The cold mark: num_total at the last index read, so the index a
@@ -328,11 +327,11 @@ class RRSetPool:
         self._reserve_members(self._members_used + members.size)
         self._reserve_sets(self._num_sets + count)
         # The one and only copy: slice assignment casts same-kind integer
-        # inputs (int64 views included) directly into the int32 buffer.
+        # inputs (int64 views included) directly into the int32 buffer;
+        # the offsets are cast the same way, once checked against MAX_MEMBERS.
         start, end = self._members_used, self._members_used + members.size
         self._members[start:end] = members
-        new_indptr = start + np.cumsum(lengths)
-        self._indptr[self._num_sets + 1 : self._num_sets + count + 1] = new_indptr
+        self._indptr[self._num_sets + 1 : self._num_sets + count + 1] = start + np.cumsum(lengths)
         self._alive_mask[self._num_sets : self._num_sets + count] = True
         self._members_used = end
         self._num_sets += count
@@ -420,13 +419,14 @@ class RRSetPool:
 
     def resident_rows(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         """Packed ``(members, lengths)`` of resident sets ``[lo, hi)``,
-        hidden ones included (members: a zero-copy view)."""
+        hidden ones included (members: a zero-copy view; lengths:
+        ``int64``, the packed-block layout)."""
         if not 0 <= lo <= hi <= self._resident_sets:
             raise IndexError(
                 f"sets [{lo}, {hi}) not within the {self._resident_sets} resident"
             )
         indptr = self._indptr[lo : hi + 1]
-        return self._members[indptr[0] : indptr[-1]], np.diff(indptr)
+        return self._members[indptr[0] : indptr[-1]], np.diff(indptr).astype(np.int64)
 
     def coverage(self) -> np.ndarray:
         """Read-only view of per-node alive-set coverage counts."""
@@ -529,7 +529,7 @@ class RRSetPool:
         alive = np.empty(capacity, dtype=bool)
         alive[: self._num_sets] = self._alive_mask[: self._num_sets]
         self._alive_mask = alive
-        indptr = np.zeros(capacity + 1, dtype=np.int64)
+        indptr = np.zeros(capacity + 1, dtype=OFFSET_DTYPE)
         indptr[: self._num_sets + 1] = self._indptr[: self._num_sets + 1]
         self._indptr = indptr
         self._generation += 1
@@ -544,7 +544,6 @@ class RRSetPool:
             return
         self._idx_indptr, self._idx_sets = _build_csr_index(
             self._members[: self._members_used],
-            0,
             np.diff(self._indptr[: self._num_sets + 1]),
             self.num_nodes,
         )

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import GraphError
+from repro.graph.digraph import DirectedGraph
 from repro.graph.generators import (
     bipartite_gadget,
     community_graph,
@@ -13,6 +14,7 @@ from repro.graph.generators import (
     power_law_graph,
     star_graph,
 )
+from repro.utils.rng import as_generator
 
 
 class TestErdosRenyi:
@@ -65,6 +67,36 @@ class TestPowerLaw:
     def test_rejects_tiny(self):
         with pytest.raises(GraphError):
             power_law_graph(1, 2.0)
+
+    @pytest.mark.parametrize("num_nodes", [2, 3, 50, 951, 4_000])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_code_dedup_keeps_the_pair_dedup_graph(self, num_nodes, seed):
+        """The edges are deduplicated as ``src * n + dst`` codes; they
+        must be the graph the row-wise ``np.unique`` over the stacked
+        pairs (which also dropped self-loops) built from the same draws."""
+        for reciprocity in (0.0, 0.3, 1.0):
+            assert power_law_graph(
+                num_nodes, 4.0, reciprocity=reciprocity, seed=seed
+            ) == _pair_dedup_power_law(num_nodes, 4.0, reciprocity, seed)
+
+
+def _pair_dedup_power_law(num_nodes, avg_out_degree, reciprocity, seed):
+    """``power_law_graph`` as it stood with the row-wise pair dedup."""
+    rng = as_generator(seed)
+    weights = np.arange(1, num_nodes + 1, dtype=np.float64) ** (-1.0 / 1.2)
+    weights /= weights.sum()
+    popularity = rng.permutation(num_nodes)
+    out_degrees = rng.poisson(avg_out_degree, size=num_nodes)
+    src = np.repeat(np.arange(num_nodes, dtype=np.int64), out_degrees)
+    dst = popularity[rng.choice(num_nodes, size=int(out_degrees.sum()), p=weights)]
+    keep = src != dst
+    src, dst = src[keep], dst[keep]
+    if reciprocity > 0.0 and src.size:
+        flip = rng.random(src.size) < reciprocity
+        src, dst = np.concatenate((src, dst[flip])), np.concatenate((dst, src[flip]))
+    pairs = np.unique(np.stack((src, dst), axis=1), axis=0)
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    return DirectedGraph(num_nodes, pairs[:, 0], pairs[:, 1])
 
 
 class TestCommunityGraph:

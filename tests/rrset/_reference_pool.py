@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph._traversal import gather_slices
-from repro.rrset.pool import MAX_SETS, SET_ID_DTYPE, RRSetPool
+from repro.rrset.pool import MAX_SETS, OFFSET_DTYPE, SET_ID_DTYPE, RRSetPool
 
 
 def _drop_counts(counts: np.ndarray, members: np.ndarray) -> None:
@@ -52,11 +52,12 @@ def _sorted_keys(members: np.ndarray, first_set: int, lengths: np.ndarray) -> np
     return keys
 
 
-def reference_build_csr_index(members, first_set, lengths, num_nodes):
+def reference_build_csr_index(members, lengths, num_nodes):
     """The packed-key sort: ``(indptr, set_ids)``, ids ascending per node."""
     counts = np.bincount(members, minlength=num_nodes)
-    indptr = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
-    keys = _sorted_keys(members, first_set, lengths)
+    indptr = np.zeros(num_nodes + 1, dtype=OFFSET_DTYPE)
+    np.cumsum(counts, out=indptr[1:])
+    keys = _sorted_keys(members, 0, lengths)
     keys &= MAX_SETS
     return indptr, keys.astype(SET_ID_DTYPE)
 
@@ -103,7 +104,6 @@ class ReferencePool(RRSetPool):
             return
         self._idx_indptr, self._idx_sets = reference_build_csr_index(
             self._members[: self._members_used],
-            0,
             np.diff(self._indptr[: self._num_sets + 1]),
             self.num_nodes,
         )

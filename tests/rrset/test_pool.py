@@ -5,7 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.graph.probabilities import constant_probabilities
+from repro.rrset.dsan import digest_block
 from repro.rrset.pool import MAX_SETS, CSRSetView, RRSetPool, _build_csr_index
+from repro.rrset.sampler import RRSetSampler, StreamPlan
 
 from tests.rrset._pool_helpers import (
     add_sets,
@@ -219,9 +222,9 @@ class TestIndexMaintenance:
         add_sets(pool, top_up)
         model.add(top_up)
         assert pool._idx_sets.size == 700 * 8  # the append indexed nothing
-        # The new rows only: 4 int32 members, 2 int64 offsets, 2 flags.
+        # The new rows only: 4 int32 members, 2 int32 offsets, 2 flags.
         unread = pool.memory_bytes()
-        assert unread == built + 4 * 4 + 2 * 8 + 2
+        assert unread == built + 4 * 4 + 2 * 4 + 2
         for nodes in ([4], [3], [3, 5], [0, 4, 5]):
             assert pool.coverage_of_set(nodes) == model.coverage_of_set(nodes)
         assert pool.memory_bytes() == unread + 4 * 4
@@ -297,22 +300,24 @@ class TestIndexMaintenance:
         assert len(build_calls) == 3
 
 
-def _reference_index(members, first_set, lengths):
+def _reference_index(members, lengths):
     """The stable-argsort construction the index kernels replaced, kept
     as the reference: ``(sorted members, owning set ids)``."""
-    owners = np.repeat(
-        np.arange(first_set, first_set + len(lengths), dtype=np.int64), lengths
-    )
+    owners = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
     order = np.argsort(members, kind="stable")
     return members[order], owners[order]
 
 
-def _assert_builder_matches_reference(members, first_set, lengths, num_nodes):
+def _assert_builder_matches_reference(members, empty_first, lengths, num_nodes):
+    """The builder numbers sets from 0: ``empty_first`` empty sets go
+    first, so the listed sets carry ids ``empty_first ..``."""
     members = np.asarray(members, dtype=np.int32)
-    lengths = np.asarray(lengths, dtype=np.int64)
-    nodes, owners = _reference_index(members, first_set, lengths)
-    indptr, set_ids = _build_csr_index(members, first_set, lengths, num_nodes)
-    assert set_ids.dtype == np.int32 and indptr.dtype == np.int64
+    lengths = np.concatenate(
+        (np.zeros(empty_first, dtype=np.int64), np.asarray(lengths, dtype=np.int64))
+    )
+    nodes, owners = _reference_index(members, lengths)
+    indptr, set_ids = _build_csr_index(members, lengths, num_nodes)
+    assert set_ids.dtype == np.int32 and indptr.dtype == np.int32
     assert np.array_equal(set_ids, owners)
     assert np.array_equal(
         indptr, np.searchsorted(nodes, np.arange(num_nodes + 1))
@@ -332,40 +337,37 @@ class TestBuildKernel:
         )
         # Not ``unique``: a node may repeat inside one set (equal keys).
         sets = data.draw(st.lists(st.lists(node, max_size=6), max_size=30))
-        first_set = data.draw(
-            st.sampled_from([0, 1, 700, 2**16, MAX_SETS - len(sets)])
-        )
+        empty_first = data.draw(st.sampled_from([0, 1, 700, 2**16]))
         _assert_builder_matches_reference(
             [v for members in sets for v in members],
-            first_set,
+            empty_first,
             [len(members) for members in sets],
             num_nodes,
         )
 
     @pytest.mark.parametrize(
-        "members, first_set, lengths, num_nodes",
+        "members, empty_first, lengths, num_nodes",
         [
             ([], 0, [], 4),  # nothing at all
             ([], 5, [0, 0, 0], 4),  # only empty sets
             ([2, 2, 2, 0, 2], 0, [3, 2], 3),  # a node repeated inside one set
-            ([1, 0, 1], 9, [0, 2, 0, 0, 1], 2),  # empty sets, first_set > 0
+            ([1, 0, 1], 9, [0, 2, 0, 0, 1], 2),  # empty sets between members
             ([6, 0, 6, 6], 3, [1, 3], 7),  # node num_nodes - 1
             ([69_999, 65_536, 0, 65_535, 69_999], 2, [2, 3], 70_000),  # n > 2^16
-            # Set ids up to MAX_SETS - 1 on a tiny array: the low word
-            # uses all 31 bits and must not come back sign-wrapped.
-            ([3, 0, 3, 1, 3], MAX_SETS - 3, [2, 1, 2], 4),
         ],
     )
-    def test_explicit_edges(self, members, first_set, lengths, num_nodes):
-        _assert_builder_matches_reference(members, first_set, lengths, num_nodes)
+    def test_explicit_edges(self, members, empty_first, lengths, num_nodes):
+        _assert_builder_matches_reference(members, empty_first, lengths, num_nodes)
 
     def test_both_words_at_the_int32_limit(self):
         """The numpy oracle of ``test_pool_kernels.py`` builds its index
         from packed ``(member << 32) | set_id`` keys: the largest node id
         beside the largest set ids must come back whole from both words.
-        (The compiled builder packs no keys; its largest set ids are an
-        explicit edge above, and a node id near 2^31 would need an
-        O(num_nodes) ``indptr`` of 16 GiB.)"""
+        (The compiled builder packs no keys and numbers the sets of its
+        call from 0: set ids near 2^31 would need 2^31 lengths, 16 GiB,
+        and the append guard keeps them below ``MAX_SETS``
+        (``TestCapacityLimits``); a node id near 2^31 would need an
+        O(num_nodes) ``indptr`` of 8 GiB.)"""
         top = 2**31 - 2
         keys = _sorted_keys(
             np.asarray([top, 0, top], dtype=np.int32),
@@ -621,6 +623,27 @@ class TestRewindReveal:
         with pytest.raises(IndexError):
             pool.resident_rows(2, 5)
 
+    def test_resident_rows_are_the_spliced_chunks_bytes(self, small_random_graph):
+        """The pool's offsets are ``int32``, but ``resident_rows`` hands
+        out ``int64`` lengths, the packed-block layout: a resident chunk,
+        hidden or visible, hashes to the dsan digest its splice recorded."""
+        sampler = RRSetSampler(
+            small_random_graph, constant_probabilities(small_random_graph, 0.1)
+        )
+        plan = StreamPlan(4, ad=0, chunk_size=40)
+        pool = RRSetPool(small_random_graph.num_nodes)
+        digests = []
+        for chunk in range(3):
+            members, lengths = sampler.sample_chunk_block(plan, chunk)
+            digests.append(digest_block(members, lengths))
+            pool.add_flat(members, lengths)
+        for _visible_then_hidden in range(2):
+            for chunk, digest in enumerate(digests):
+                members, lengths = pool.resident_rows(40 * chunk, 40 * chunk + 40)
+                assert lengths.dtype == np.int64 and members.dtype == np.int32
+                assert digest_block(members, lengths) == digest
+            pool.rewind()
+
     def test_append_is_refused_while_sets_are_hidden(self):
         pool = RRSetPool(4)
         add_sets(pool, _sets([0], [1, 2]))
@@ -801,9 +824,24 @@ class TestMemoryAccounting:
         # int32 members + int32 index entries: 5 members/set × 8 bytes.
         assert reported == unread + 1_000 * 5 * 4
         add_sets(pool, [np.asarray([1, 2])])  # +2 members, indexed at the read
-        assert pool.memory_bytes() == reported + 2 * 4 + 8 + 1
+        assert pool.memory_bytes() == reported + 2 * 4 + 4 + 1
         pool.coverage_of_set([0])
-        assert pool.memory_bytes() == reported + 2 * 4 + 8 + 1 + 2 * 4
+        assert pool.memory_bytes() == reported + 2 * 4 + 4 + 1 + 2 * 4
+
+    def test_offsets_cost_four_bytes_each(self):
+        """Both CSR pairs store ``int32`` offsets: 4 B per set offset and
+        per index offset, beside 4 B per member and per index entry, 1 B
+        per alive flag and 8 B per coverage counter."""
+        n = 7
+        pool = RRSetPool(n)
+        assert pool._indptr.dtype == pool._idx_indptr.dtype == np.int32
+        empty = pool.memory_bytes()
+        assert empty == 4 + 8 * n + 4 * (n + 1)
+        add_sets(pool, _sets([0, 1, 2], [], [6]))
+        assert pool.prefix_view().indptr.dtype == np.int32
+        assert pool.memory_bytes() == empty + 4 * 4 + 3 * 4 + 3
+        pool.coverage_of_set([6])
+        assert pool.memory_bytes() == empty + 4 * 4 + 3 * 4 + 3 + 4 * 4
 
     def test_members_are_int32(self):
         pool = RRSetPool(10)
@@ -849,6 +887,33 @@ class TestCapacityLimits:
                 np.asarray([0, 1], dtype=np.int32),
                 np.asarray([2], dtype=np.int64),
             )
+
+    def test_append_crossing_the_member_limit_changes_nothing(self, monkeypatch):
+        """With the limit lowered to 6 members, an append that would put
+        an offset past it is refused before the offsets' int32 cast, and
+        the pool — rows, offsets, index, coverage, bytes — is as it was;
+        an append that ends exactly at the limit is taken."""
+        from repro.errors import CapacityError
+        from repro.rrset import pool as pool_module
+
+        monkeypatch.setattr(pool_module, "MAX_MEMBERS", 6)
+        pool = RRSetPool(4)
+        add_sets(pool, _sets([0, 1], [2, 3, 1]))
+        assert pool.remove_covered(0) == 1
+        def state():
+            return (
+                pool.num_total, pool.num_alive, pool.memory_bytes(),
+                pool.coverage().tolist(), pool._indptr.tolist(),
+                pool._idx_indptr.tolist(), pool._idx_sets.tolist(),
+            )
+
+        before = state()
+        with pytest.raises(CapacityError, match="member-offset limit"):
+            add_sets(pool, _sets([3], [0]))
+        assert state() == before
+        add_sets(pool, _sets([3]))
+        assert pool.resident_rows(2, 3)[0].tolist() == [3]
+        assert pool.prefix_view().indptr.tolist() == [0, 2, 5, 6]
 
     def test_reserve_helpers_refuse_overflow_directly(self):
         from repro.errors import CapacityError
