@@ -3,8 +3,8 @@
 :class:`_Fleet` implements the engine's substrate seam (``submit`` /
 ``collect`` / ``drain``) over a
 :class:`~repro.dist.coordinator.Coordinator` session; the engine's one
-chunk path (scatter, ordered gather, splice, dsan, tail memo, cache
-write-through) runs unchanged, so serial, process and distributed runs
+chunk path (scatter, ordered gather, splice, dsan, cache write-through)
+runs unchanged, so serial, process and distributed runs
 are byte-identical by construction.  Its workers come two ways and
 speak the same frames, digests and retries: ``max_workers`` children
 forked at the first submit, each on a ``socketpair`` a private

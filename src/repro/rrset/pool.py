@@ -32,6 +32,7 @@ import numpy as np
 from repro._native import library
 from repro.errors import CapacityError
 from repro.graph._traversal import gather_slices
+from repro.utils.validation import is_integer
 
 #: Members are node ids; int32 halves RR memory vs the old int64 arrays
 #: and comfortably addresses graphs up to 2^31 nodes.
@@ -146,6 +147,10 @@ class RRSetPool:
     without copying them, and an index read clips the kept index to the
     visible ids instead of re-sorting them — so a second run over the
     same sample builds no index up to where the first one built it.
+    Sets can also arrive hidden: ``add_flat(..., visible=k)`` shows the
+    first ``k`` sets it appends and keeps the rest resident.  That is
+    the *hidden tail*, where the sharded engine keeps the unread rest of
+    a chunk it spliced whole, until a later ``reveal`` continues it.
     Every query and ``memory_bytes()`` see visible sets only:
     ``memory_bytes()`` charges the index a cold pool fed the same
     visible sets and the same reads would hold, so the hidden part of a
@@ -194,8 +199,8 @@ class RRSetPool:
         self._num_alive = 0
         self._coverage = np.zeros(num_nodes, dtype=np.int64)
         # Sets whose rows sit in the buffers (>= _num_sets, the visible
-        # ones): equal except between a rewind() and the reveal()s that
-        # catch up with it.
+        # ones): equal except after a rewind() or an append with a
+        # hidden tail, until the reveal()s that catch up with it.
         self._resident_sets = 0
         # The inverted index over sets [0, _index_sets); a rewind keeps
         # it, so it may cover sets that are not visible.
@@ -228,9 +233,15 @@ class RRSetPool:
     # ------------------------------------------------------------------
     # Mutations
     # ------------------------------------------------------------------
-    def add_flat(self, members: np.ndarray, lengths: np.ndarray) -> None:
+    def add_flat(
+        self, members: np.ndarray, lengths: np.ndarray, *, visible=None
+    ) -> None:
         """Append ``len(lengths)`` sets whose members are concatenated in
         ``members``.  This is the samplers' bulk entry point.
+
+        All the sets become resident and the first ``visible`` (an
+        integer in ``[0, len(lengths)]``, default: all) are revealed; the
+        rest are the hidden tail a later :meth:`reveal` continues.
 
         Exactly one copy: members land in the pool's growable buffer via
         a single slice assignment, which casts integer inputs in place —
@@ -244,9 +255,15 @@ class RRSetPool:
                 raise ValueError(
                     f"{name} must be an integer array, got dtype {array.dtype}"
                 )
+        if visible is None:
+            visible = lengths.size
+        if not is_integer(visible) or not 0 <= visible <= lengths.size:
+            raise ValueError(
+                f"visible must be an integer in [0, {lengths.size}], got {visible!r}"
+            )
         lengths = lengths.astype(np.int64, copy=False)
         self._validate_flat(members, lengths)
-        self._append_flat(members, lengths)
+        self._append_flat(members, lengths, int(visible))
 
     def add_flat_from_buffer(
         self,
@@ -286,7 +303,7 @@ class RRSetPool:
             offset=int(members_offset),
         )
         self._validate_flat(members, lengths)
-        self._append_flat(members, lengths)
+        self._append_flat(members, lengths, num_sets)
 
     def _validate_flat(self, members: np.ndarray, lengths: np.ndarray) -> None:
         if int(lengths.sum()) != members.size:
@@ -300,9 +317,12 @@ class RRSetPool:
                     f"members must lie in [0, {self.num_nodes - 1}], found [{lo}, {hi}]"
                 )
 
-    def _append_flat(self, members: np.ndarray, lengths: np.ndarray) -> None:
+    def _append_flat(
+        self, members: np.ndarray, lengths: np.ndarray, visible: int
+    ) -> None:
         """The single-copy append core shared by :meth:`add_flat` and
-        :meth:`add_flat_from_buffer` (inputs already validated)."""
+        :meth:`add_flat_from_buffer` (inputs already validated): copy the
+        rows in as resident sets, then reveal the first ``visible``."""
         if self._num_sets < self._resident_sets:
             raise ValueError(
                 f"cannot append to a pool with hidden resident sets "
@@ -329,15 +349,11 @@ class RRSetPool:
         # The one and only copy: slice assignment casts same-kind integer
         # inputs (int64 views included) directly into the int32 buffer;
         # the offsets are cast the same way, once checked against MAX_MEMBERS.
-        start, end = self._members_used, self._members_used + members.size
-        self._members[start:end] = members
+        start = self._members_used
+        self._members[start : start + members.size] = members
         self._indptr[self._num_sets + 1 : self._num_sets + count + 1] = start + np.cumsum(lengths)
-        self._alive_mask[self._num_sets : self._num_sets + count] = True
-        self._members_used = end
-        self._num_sets += count
-        self._resident_sets = self._num_sets
-        self._num_alive += count
-        _bump_counts(self._coverage, self._members[start:end])
+        self._resident_sets = self._num_sets + count
+        self.reveal(visible)
 
     def rewind(self) -> None:
         """Make nothing visible: drop the run state (visible marks,
@@ -379,7 +395,7 @@ class RRSetPool:
         coverage once per member of each.  ``node`` must be an integer:
         a float or bool is refused (``ValueError``), never truncated.
         """
-        if isinstance(node, bool) or not isinstance(node, (int, np.integer)):
+        if not is_integer(node):
             raise ValueError(
                 f"node must be an integer, got {type(node).__name__}"
             )

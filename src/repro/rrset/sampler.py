@@ -56,20 +56,6 @@ STREAM_RNG = "philox"
 STREAM_MODE = "blocked"
 
 
-def _slice_flat(
-    members: np.ndarray, lengths: np.ndarray, lo: int, hi: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sets ``[lo, hi)`` of a packed ``(members, lengths)`` block."""
-    if lo == 0 and hi == lengths.size:
-        return members, np.asarray(lengths, dtype=np.int64)
-    bounds = np.zeros(lengths.size + 1, dtype=np.int64)
-    np.cumsum(lengths, out=bounds[1:])
-    return (
-        members[bounds[lo] : bounds[hi]],
-        np.asarray(lengths[lo:hi], dtype=np.int64),
-    )
-
-
 class StreamPlan:
     """Counter-based RNG addressing for one advertiser's RR-set stream.
 
@@ -210,8 +196,8 @@ class RRSetSampler:
         requests pure: the blocked BFS interleaves the coin draws of all
         sets in a batch, so a partial batch would consume the stream
         differently, and a full block is cacheable — the sharded engine
-        holds each ad's partial tail block so a continuation request
-        never recomputes it.
+        splices every chunk whole and keeps its unread tail hidden in
+        the shard, so a continuation request never recomputes it.
         """
         rng, in_probs, count = self.chunk_task(plan, chunk_index)
         return drive_blocked(self.graph, in_probs, rng, count)

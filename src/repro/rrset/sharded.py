@@ -26,21 +26,24 @@ One chunk path
 
 Parent side, :meth:`ShardedSamplingEngine._run_tasks` is the only
 dispatch loop.  It *scatters* — every chunk of the request not already
-held (in flight from a :meth:`~ShardedSamplingEngine.prefetch`, in the
-tail memo, or in the shard cache) is offered to the engine's
-:class:`ChunkSubstrate` — and then *gathers* in ascending
-``(ad, chunk)`` order, whatever the completion order: each block is
-collected from its future, opened from the memo or the cache, or
-taken from the request's one table of inline chunks
+held (in flight from a :meth:`~ShardedSamplingEngine.prefetch`, or in
+the shard cache) is offered to the engine's :class:`ChunkSubstrate` —
+and then *gathers* in ascending ``(ad, chunk)`` order, whatever the
+completion order: each block is collected from its future, opened from
+the cache, or taken from the request's one table of inline chunks
 (:meth:`ChunkSource.blocks`), and handed to
 :meth:`ShardedSamplingEngine._splice`,
 the single place a block enters a shard (dsan digest of the full block,
-cache write-through of a freshly computed one, memo bookkeeping,
-exactly one copy into the pool, release of the block).  Sets
-a rewound shard still holds (:meth:`ShardedSamplingEngine.reset_for_reuse`)
-are never tasks of that path: every request is split at the shard's
-resident mark, and the resident part is *revealed* in place — nothing
-computed, nothing copied.
+cache write-through of a freshly computed one, exactly one copy of the
+*whole* chunk into the pool, release of the block).  The sets past the
+request stay in the pool as its *hidden tail*
+(:meth:`~repro.rrset.pool.RRSetPool.add_flat` with ``visible=``), so
+a shard's resident mark always falls on a chunk boundary.  Resident
+sets — a hidden tail, or everything a rewound shard still holds
+(:meth:`ShardedSamplingEngine.reset_for_reuse`) — are never tasks of
+that path: every request is split at the shard's resident mark, and
+the resident part is *revealed* in place — nothing computed, nothing
+copied.
 
 Worker side, :class:`ChunkSource` is the only thing that turns an
 ``(ad, chunk)`` address into a block: the payload (graph in-CSR, per-ad
@@ -106,9 +109,9 @@ from repro.rrset.sampler import (
     STREAM_RNG,
     RRSetSampler,
     StreamPlan,
-    _slice_flat,
 )
 from repro.utils.rng import seed_entropy
+from repro.utils.validation import is_integer
 
 ENGINE_MODES = ("serial", "process", "dist")
 
@@ -167,8 +170,8 @@ class ChunkSource:
 
     def block(self, ad: int, chunk_index: int) -> Block:
         """The chunk's full packed block — always the whole chunk: the
-        parent slices out the range it needs and memoizes partial
-        tails."""
+        parent splices it whole and keeps the sets past its request
+        hidden in the shard."""
         sampler = self.sampler(ad)
         return Block(*sampler.sample_chunk_block(self.plan(ad), chunk_index))
 
@@ -410,14 +413,6 @@ class ShardedSamplingEngine:
         self._samplers = [self._source.sampler(ad) for ad in range(h)]
         self._plans = [self._source.plan(ad) for ad in range(h)]
         self._shards = [RRSetPool(graph.num_nodes) for _ in range(h)]
-        # Tail memo, keyed by the pure ``(ad, chunk)`` stream address
-        # and consulted before the shard cache and the substrate.  It
-        # holds each ad's *partially consumed* tail chunk — at most one
-        # block per ad — so a θ continuation re-enters the chunk instead
-        # of resampling it and every chunk is computed at most once per
-        # engine lifetime.  Fully consumed chunks are held once, by the
-        # shard.
-        self._blocks: dict[tuple[int, int], Block] = {}
         self._engine_id = next(_ENGINE_IDS)
         # Determinism sanitizer: an explicit expected map implies dsan
         # (there is nothing to check the map against otherwise).
@@ -612,16 +607,8 @@ class ShardedSamplingEngine:
         return int(sum(s.num_total for s in self._shards))
 
     def memory_bytes(self) -> int:
-        """Σ over shards of bytes held (the Table-4 figure), plus every
-        block the tail memo holds — each ad's partially consumed tail
-        chunk."""
-        return (
-            int(sum(s.memory_bytes() for s in self._shards))
-            + sum(
-                int(block.members.nbytes + block.lengths.nbytes)
-                for block in self._blocks.values()
-            )
-        )
+        """Σ over shards of bytes held (the Table-4 figure)."""
+        return int(sum(s.memory_bytes() for s in self._shards))
 
     # ------------------------------------------------------------------
     # Warm reuse
@@ -637,9 +624,9 @@ class ShardedSamplingEngine:
         ``expected`` map), ``backend_invocations`` and the substrate's
         fallback count — while the *engine-scoped* state stays warm: the
         substrate (forked workers, the fleet session), the shard cache
-        and its keys, and the *sample* — the shards' resident rows, the
-        inverted index over them and the tail memo (chunks are pure
-        functions of ``(entropy, ad, chunk)``).  The next run reveals
+        and its keys, and the *sample* — the shards' resident rows,
+        hidden tails included, and the inverted index over them (chunks
+        are pure functions of ``(entropy, ad, chunk)``).  The next run reveals
         resident sets instead of sampling them: up to the resident mark
         no backend invocation, no copy, no index build — one
         :meth:`~repro.rrset.pool.RRSetPool.reveal` per ad and request.
@@ -724,13 +711,13 @@ class ShardedSamplingEngine:
         needed — and one never consumed is drained at :meth:`close`.
 
         No-op (returns 0) on an in-process or closed engine, and for
-        chunks already pooled, resident, memoized, cached, or in flight.
+        chunks already pooled, resident, cached, or in flight.
         """
         extras = self._targets_to_extras(targets)
         if self.engine == "serial" or not self._finalizer.alive:
             return 0
         submitted = 0
-        for ad, chunk_index, _, _, resident in self._tasks(extras):
+        for ad, chunk_index, _, resident in self._tasks(extras):
             if (
                 resident
                 or (ad, chunk_index) in self._inflight
@@ -746,8 +733,15 @@ class ShardedSamplingEngine:
         return submitted
 
     def _checked(self, requests: Mapping[int, int], what: str):
-        """The validated ``(ad, value)`` pairs of a request mapping."""
+        """The validated ``(ad, value)`` pairs of a request mapping.  Ads
+        and values must be integers: a float or bool is refused, never
+        truncated."""
         for ad, value in requests.items():
+            for name, number in (("ad", ad), (what, value)):
+                if not is_integer(number):
+                    raise ConfigurationError(
+                        f"{name} must be an integer, got {number!r}"
+                    )
             ad, value = int(ad), int(value)
             if not 0 <= ad < self.num_ads:
                 raise ConfigurationError(f"ad {ad} out of range [0, {self.num_ads})")
@@ -764,42 +758,43 @@ class ShardedSamplingEngine:
 
     def _tasks(
         self, extras: Mapping[int, int]
-    ) -> list[tuple[int, int, int, int, bool]]:
-        """``extras[ad]`` more sets per ad as ``(ad, chunk, lo, hi,
+    ) -> list[tuple[int, int, int, bool]]:
+        """``extras[ad]`` more sets per ad as ``(ad, chunk, count,
         resident)`` tasks, ascending — the order they enter the shard.
         Every request is split at the shard's resident mark, so a task
-        is wholly resident (revealed in place) or wholly not (spliced
-        from a block)."""
-        tasks: list[tuple[int, int, int, int, bool]] = []
+        is wholly resident (``count`` sets revealed in place) or wholly
+        not (a chunk spliced whole, its first ``count`` sets visible).
+        Splices append whole chunks, so the mark is on a chunk boundary
+        and a spliced task's sets start at the chunk's first."""
+        tasks: list[tuple[int, int, int, bool]] = []
         for ad in sorted(extras):
             shard, plan = self._shards[ad], self._plans[ad]
             start = shard.num_total
             stop = start + extras[ad]
             mark = min(shard.num_resident, stop)
-            tasks += [(ad, *task, True) for task in plan.chunk_tasks(start, mark)]
-            tasks += [(ad, *task, False) for task in plan.chunk_tasks(mark, stop)]
+            for first, last, resident in ((start, mark, True), (mark, stop, False)):
+                tasks += [
+                    (ad, chunk, hi - lo, resident)
+                    for chunk, lo, hi in plan.chunk_tasks(first, last)
+                ]
         return tasks
 
     # ------------------------------------------------------------------
     # The chunk path
     # ------------------------------------------------------------------
     def _held(self, ad: int, chunk_index: int) -> bool:
-        """Whether the chunk can be served without computing it: it is
-        memoized, or the shard cache has an entry for it (a cheap
-        existence probe — the gather does the verified load)."""
-        return (ad, chunk_index) in self._blocks or (
-            self._cache is not None
-            and self._cache.has(self._shard_keys[ad], chunk_index)
+        """Whether the chunk can be served without computing it: the
+        shard cache has an entry for it (a cheap existence probe — the
+        gather does the verified load)."""
+        return self._cache is not None and self._cache.has(
+            self._shard_keys[ad], chunk_index
         )
 
     def _open_held(self, ad: int, chunk_index: int):
         """``(block, fresh)`` for a chunk the scatter found held: the
-        memoized arrays, else the verified cache entry — else (the
-        probed entry vanished or was quarantined) an inline compute:
-        the cache can only ever save work, never change bytes."""
-        memo = self._blocks.get((ad, chunk_index))
-        if memo is not None:
-            return Block(memo.members, memo.lengths), False
+        verified cache entry — else (the probed entry vanished or was
+        quarantined) an inline compute: the cache can only ever save
+        work, never change bytes."""
         entry = self._cache.load(
             self._shard_keys[ad], chunk_index, self.chunk_size
         )
@@ -808,8 +803,8 @@ class ShardedSamplingEngine:
         self.backend_invocations += 1
         return self._source.block(ad, chunk_index), True
 
-    def _run_tasks(self, tasks: list[tuple[int, int, int, int, bool]]) -> None:
-        """The one dispatch loop over ``(ad, chunk, lo, hi, resident)``
+    def _run_tasks(self, tasks: list[tuple[int, int, int, bool]]) -> None:
+        """The one dispatch loop over ``(ad, chunk, count, resident)``
         tasks: reveal the resident ones, scatter the others over the
         substrate, then gather and splice them in task order."""
         # A one-block request with nothing in flight is computed in the
@@ -818,7 +813,7 @@ class ShardedSamplingEngine:
         substrate = self._substrate
         blocks = [
             (ad, chunk_index)
-            for ad, chunk_index, _, _, resident in tasks if not resident
+            for ad, chunk_index, _, resident in tasks if not resident
         ]
         alive = self._finalizer.alive
         fan_out = alive and (len(blocks) > 1 or bool(self._inflight))
@@ -827,10 +822,7 @@ class ShardedSamplingEngine:
         pending: dict[tuple[int, int], Future | None] = {}
         inline = None
         try:
-            resident = [
-                (ad, chunk_index, hi - lo)
-                for ad, chunk_index, lo, hi, is_resident in tasks if is_resident
-            ]
+            resident = [task[:3] for task in tasks if task[3]]
             if resident:
                 self._reveal(resident)
             for ad, chunk_index in blocks:
@@ -854,7 +846,7 @@ class ShardedSamplingEngine:
             # order the task list was built in), independent of which
             # worker finished first.  Each result is consumed as soon as
             # *its* future resolves — no barrier on the whole batch.
-            for ad, chunk_index, lo, hi, is_resident in tasks:
+            for ad, chunk_index, count, is_resident in tasks:
                 if is_resident:
                     continue
                 if (ad, chunk_index) not in pending:
@@ -866,7 +858,7 @@ class ShardedSamplingEngine:
                     else:
                         block = substrate.collect(ad, chunk_index, future)
                     fresh = True
-                self._splice(ad, chunk_index, lo, hi, block, fresh)
+                self._splice(ad, chunk_index, count, block, fresh)
         except BaseException:
             # A failed batch (submit error, splice error, a chunk that
             # fails inline too) leaves the request partially applied;
@@ -884,21 +876,18 @@ class ShardedSamplingEngine:
         """A request's wholly resident ``(ad, chunk, count)`` tasks,
         ascending: each ad's sets are made visible in place by one
         reveal.  dsan records what a splice would — the digest of each
-        *full* chunk: the tail memo's block when the chunk is only partly
-        resident, else the shard's own rows, re-hashed on every lease
-        (the check that the sample did not change between leases) on
-        the helper threads and the calling thread at once."""
+        *full* chunk, re-hashed from the shard's own rows (a chunk is
+        always resident whole) on every lease and continuation: the check
+        that the sample did not change since its splice, on the helper
+        threads and the calling thread at once."""
         if self._dsan is not None:
-            blocks = []
-            for ad, chunk_index, _ in resident:
-                memo = self._blocks.get((ad, chunk_index))
-                if memo is not None:
-                    blocks.append((memo.members, memo.lengths))
-                else:
-                    first = chunk_index * self.chunk_size
-                    blocks.append(self._shards[ad].resident_rows(
-                        first, first + self.chunk_size
-                    ))
+            blocks = [
+                self._shards[ad].resident_rows(
+                    chunk_index * self.chunk_size,
+                    (chunk_index + 1) * self.chunk_size,
+                )
+                for ad, chunk_index, _ in resident
+            ]
             digests = digest_blocks(
                 blocks, _helper_pool() if len(blocks) > 1 else None
             )
@@ -913,15 +902,16 @@ class ShardedSamplingEngine:
             self._shards[ad].reveal(count)
 
     def _splice(
-        self, ad: int, chunk_index: int, lo: int, hi: int, block, fresh: bool,
+        self, ad: int, chunk_index: int, visible: int, block, fresh: bool,
     ) -> None:
-        """The one place a block enters a shard: append sets ``[lo, hi)``
-        of the chunk and release the block — whatever it arrived as."""
+        """The one place a block enters a shard: append the whole chunk,
+        its first ``visible`` sets visible and the rest as the shard's
+        hidden tail, and release the block — whatever it arrived as."""
         members, lengths, digest = block.members, block.lengths, block.digest
         try:
             if self._dsan is not None:
                 # Digest the *full* chunk block (chunks are always
-                # computed whole), so inline, frame, cache and memo
+                # computed whole), so inline, frame and cache
                 # arrivals of the same chunk hash the same bytes by
                 # construction — once per arrival: a frame or cache
                 # entry brings the digest it was verified against.  A
@@ -938,18 +928,9 @@ class ShardedSamplingEngine:
                     self._shard_keys[ad], chunk_index, members, lengths,
                     meta=self._cache_meta[ad], digest=digest,
                 )
-            if hi < self.chunk_size:
-                # A cache entry's mapping goes at the release below, so
-                # the memo must own a copy.
-                self._blocks[ad, chunk_index] = (
-                    Block(members, lengths) if block.buffer is None
-                    else Block(members.copy(), lengths.copy())
-                )
-            else:
-                self._blocks.pop((ad, chunk_index), None)
             # Exactly one copy into the pool, whatever the block arrived
             # as: a cache entry's arrays are views over its mapping.
-            self._shards[ad].add_flat(*_slice_flat(members, lengths, lo, hi))
+            self._shards[ad].add_flat(members, lengths, visible=visible)
         finally:
             block.release()
 

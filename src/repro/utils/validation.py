@@ -48,6 +48,11 @@ def check_bind_host(host: str, *, allow_remote: bool = False,
     return host
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer (a bool is not)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def check_positive(name: str, value: float, *, strict: bool = True) -> float:
     """Validate that ``value`` is positive (``> 0``; ``>= 0`` if not strict)."""
     if strict and not value > 0:

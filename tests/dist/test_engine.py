@@ -212,7 +212,7 @@ class TestByteIdentity:
                 )
                 engine.reset_for_reuse()
                 engine.ensure(further)
-                # Ad 0: chunk 3 comes from the tail memo, chunks 4-7 new.
+                # Ad 0: chunk 3 is revealed from its hidden tail, chunks 4-7 new.
                 assert engine.backend_invocations == 4
                 assert worker.chunks_served == served + 4
                 assert (_fingerprint(engine), engine.dsan_root()) == (

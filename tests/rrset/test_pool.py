@@ -391,16 +391,24 @@ class TestBuildKernel:
 
 
 class _ModelPool:
-    """Brute-force list-of-sets model of :class:`RRSetPool`."""
+    """Brute-force list-of-sets model of :class:`RRSetPool`: the visible
+    sets, and the hidden tail of the last append."""
 
     def __init__(self, num_nodes):
         self.num_nodes = num_nodes
         self.sets: list[list[int]] = []
         self.alive: list[bool] = []
+        self.hidden: list[list[int]] = []
 
-    def add(self, sets):
-        self.sets.extend(sets)
-        self.alive.extend([True] * len(sets))
+    def add(self, sets, visible=None):
+        assert not self.hidden
+        self.hidden = list(sets)
+        self.reveal(len(sets) if visible is None else visible)
+
+    def reveal(self, count):
+        self.sets.extend(self.hidden[:count])
+        self.alive.extend([True] * len(self.hidden[:count]))
+        self.hidden = self.hidden[count:]
 
     def alive_ids_containing(self, node):
         return [
@@ -431,7 +439,8 @@ class TestAgainstModel:
     """A forgotten sync is the bug class of an index built on first read:
     some reader answers from an index that lags the sets.  Random
     interleavings of every mutation and every reader, each answer checked
-    against the brute-force model."""
+    against the brute-force model.  Appends draw how many of their sets
+    are visible, so the hidden tail and its reveals interleave too."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_interleavings(self, seed):
@@ -440,7 +449,7 @@ class TestAgainstModel:
         pool, model = RRSetPool(n), _ModelPool(n)
         states = set()
         for _ in range(150):
-            op = rng.integers(0, 6)
+            op = rng.integers(0, 7)
             node = int(rng.integers(0, n))
             nodes = rng.integers(0, n, size=rng.integers(0, 4)).tolist()
             if op == 0:  # batches of one set to forty
@@ -449,11 +458,20 @@ class TestAgainstModel:
                     rng.integers(0, n, size=rng.integers(0, 4)).tolist()
                     for _ in range(count)
                 ]
-                pool.add_flat(
+                flat = (
                     np.asarray([v for s in sets for v in s], dtype=np.int32),
                     np.asarray([len(s) for s in sets]),
                 )
-                model.add(sets)
+                visible = [None, 0, int(rng.integers(0, count + 1))][
+                    rng.integers(0, 3)
+                ]
+                if model.hidden:
+                    with pytest.raises(ValueError, match="hidden"):
+                        pool.add_flat(*flat, visible=visible)
+                    pool.reveal(len(model.hidden))
+                    model.reveal(len(model.hidden))
+                pool.add_flat(*flat, visible=visible)
+                model.add(sets, visible)
             elif op == 1:
                 assert pool.remove_covered(node) == model.kill(
                     model.alive_ids_containing(node)
@@ -469,10 +487,15 @@ class TestAgainstModel:
                 assert pool.coverage_of_set([node]) == model.coverage_of_set([node])
             elif op == 5:
                 assert pool.coverage()[node] == model.coverage()[node]
+            elif op == 6:
+                count = int(rng.integers(0, len(model.hidden) + 1))
+                pool.reveal(count)
+                model.reveal(count)
             # After every step — through accessors that never read
             # (hence never sync) the index, so a reader that forgot
             # its own sync is not rescued by this check.
             assert pool.num_total == len(model.sets)
+            assert pool.num_resident == len(model.sets) + len(model.hidden)
             assert pool.num_alive == sum(model.alive)
             assert alive_mask(pool).tolist() == model.alive
             assert pool.coverage().tolist() == model.coverage()
@@ -659,6 +682,84 @@ class TestRewindReveal:
         pool.reveal(1)
         assert add_sets(pool, _sets([3])) == [2]
         assert pool.num_resident == 3
+
+
+class TestHiddenTail:
+    """``add_flat(..., visible=k)`` appends every set resident and shows
+    the first ``k``: the rest is a hidden tail that a later ``reveal``
+    continues."""
+
+    def test_visible_prefix_and_reveal(self):
+        pool = RRSetPool(6)
+        pool.add_flat(*_flat([[0, 1], [2], [], [3, 4, 5]]), visible=2)
+        assert (pool.num_total, pool.num_alive, pool.num_resident) == (2, 2, 4)
+        assert pool.coverage().tolist() == [1, 1, 1, 0, 0, 0]
+        assert [s.tolist() for s in all_sets(pool)] == [[0, 1], [2]]
+        assert pool.coverage_of_set([2, 3]) == 1
+        pool.reveal(2)
+        assert (pool.num_total, pool.num_alive) == (4, 4)
+        assert pool.coverage().tolist() == [1, 1, 1, 1, 1, 1]
+        assert pool.coverage_of_set([2, 3]) == 2
+
+    @pytest.mark.parametrize("visible", [-1, 5, 2.0, 1.5, True, False, "2"])
+    def test_bad_visible_is_refused_and_changes_nothing(self, visible):
+        pool = RRSetPool(6)
+        add_sets(pool, _sets([0]))
+        before = (pool.num_total, pool.num_resident, pool.coverage().tolist())
+        with pytest.raises(ValueError, match="visible"):
+            pool.add_flat(*_flat([[1], [2], [3], [4]]), visible=visible)
+        assert (
+            pool.num_total, pool.num_resident, pool.coverage().tolist()
+        ) == before
+
+    @pytest.mark.parametrize("cast", [int, np.int64, np.int32, np.uint8])
+    def test_integer_visible_is_taken(self, cast):
+        pool = RRSetPool(6)
+        pool.add_flat(*_flat([[1], [2], [3]]), visible=cast(2))
+        assert (pool.num_total, pool.num_resident) == (2, 3)
+
+    def test_append_is_refused_while_the_tail_is_hidden(self):
+        pool = RRSetPool(6)
+        pool.add_flat(*_flat([[0], [1], [2]]), visible=1)
+        for visible in (None, 0, 1):
+            with pytest.raises(ValueError, match="hidden"):
+                pool.add_flat(*_flat([[3]]), visible=visible)
+        assert (pool.num_total, pool.num_resident) == (1, 3)
+        pool.reveal(2)
+        pool.add_flat(*_flat([[3]]), visible=0)
+        assert (pool.num_total, pool.num_resident) == (3, 4)
+
+    def test_reallocating_append_keeps_its_hidden_tail(self):
+        """An append that outgrows both buffers copies the visible and
+        the hidden rows alike into the new ones."""
+        pool = RRSetPool(9)
+        add_sets(pool, _sets([0, 1]))
+        rng = np.random.default_rng(4)
+        sets = [rng.integers(0, 9, size=rng.integers(0, 8)).tolist() for _ in range(600)]
+        members, lengths = _flat(sets)
+        assert members.size > 1_024  # past both initial capacities
+        generation = pool.generation
+        pool.add_flat(members, lengths, visible=100)
+        assert pool.generation > generation
+        assert (pool.num_total, pool.num_resident) == (101, 601)
+        rows, sizes = pool.resident_rows(1, 601)
+        assert rows.tobytes() == members.tobytes()
+        assert sizes.tolist() == lengths.tolist()
+
+    def test_memory_bytes_ignore_hidden_rows(self):
+        """A pool holding a hidden tail reports the bytes of a pool fed
+        only the visible sets, before and after an index read."""
+        sets = [[0, 1, 2], [3], [4, 5], [], [1, 2, 3, 4]]
+        pool, twin = RRSetPool(6), RRSetPool(6)
+        pool.add_flat(*_flat(sets), visible=2)
+        twin.add_flat(*_flat(sets[:2]))
+        assert pool.memory_bytes() == twin.memory_bytes()
+        pool.coverage_of_set([4])
+        twin.coverage_of_set([4])
+        assert pool.memory_bytes() == twin.memory_bytes()
+        pool.reveal(3)
+        twin.add_flat(*_flat(sets[2:]))
+        assert pool.memory_bytes() == twin.memory_bytes()
 
 
 class TestViews:

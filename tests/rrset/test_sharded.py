@@ -34,7 +34,7 @@ from repro.graph._traversal import BfsTable
 from repro.rrset.backends import BLOCK_BATCH
 from repro.rrset.block import Block
 from repro.rrset.pool import RRSetPool
-from repro.rrset.sampler import RRSetSampler, StreamPlan, _slice_flat
+from repro.rrset.sampler import RRSetSampler, StreamPlan
 from repro.rrset import sharded
 from repro.rrset.sharded import ChunkSubstrate, ShardedSamplingEngine
 from repro.service.pool import EnginePool
@@ -99,6 +99,29 @@ class TestConfiguration:
             with pytest.raises(ConfigurationError):
                 eng.sample({0: -1})
 
+    @pytest.mark.parametrize(
+        "request_",
+        [{0: 10.7}, {1: 2.5}, {0: 3.0}, {True: 5}, {0.9: 12}, {0: False},
+         {np.float64(1.0): 4}, {0: np.float32(8.0)}, {0: np.bool_(True)}],
+    )
+    @pytest.mark.parametrize("method", ["sample", "ensure", "prefetch"])
+    def test_rejects_non_integer_requests(self, method, request_):
+        """A float or bool ad or count is refused, never truncated: no
+        shard grows."""
+        problem = _problem(0)
+        with ShardedSamplingEngine(problem.graph, _probs(problem), seeds=0) as eng:
+            with pytest.raises(ConfigurationError, match="must be an integer"):
+                getattr(eng, method)(request_)
+            assert eng.total_sets() == 0
+
+    @pytest.mark.parametrize("cast", [int, np.int64, np.int32, np.uint16])
+    def test_accepts_numpy_integer_requests(self, cast):
+        problem = _problem(0)
+        with ShardedSamplingEngine(problem.graph, _probs(problem), seeds=0) as eng:
+            eng.ensure({cast(0): cast(10)})
+            eng.sample({cast(1): cast(3)})
+            assert [eng.shard(ad).num_total for ad in (0, 1)] == [10, 3]
+
     def test_close_is_idempotent(self):
         problem = _problem(0)
         eng = ShardedSamplingEngine(
@@ -113,7 +136,8 @@ class TestSerialCompatibility:
     @pytest.mark.parametrize("mode", ["blocked"])
     def test_serial_engine_matches_plain_samplers(self, mode):
         """A shard is the ad's plan drawn chunk by chunk through a plain
-        sampler, sliced to the requested index range."""
+        sampler and appended whole, the sets past the requested index
+        range hidden."""
         problem = _problem(1)
         h = problem.num_ads
         pools = []
@@ -123,9 +147,9 @@ class TestSerialCompatibility:
             )
             plan = StreamPlan(5, ad, chunk_size=64)
             pool = RRSetPool(problem.num_nodes)
-            for chunk, lo, hi in plan.chunk_tasks(0, 220):
+            for chunk, _, hi in plan.chunk_tasks(0, 220):
                 block = sampler.sample_chunk_block(plan, chunk)
-                pool.add_flat(*_slice_flat(*block, lo, hi))
+                pool.add_flat(*block, visible=hi)
             pools.append(pool)
 
         with ShardedSamplingEngine(
@@ -318,9 +342,10 @@ class TestLifecycle:
 
 class TestMemoryAccounting:
     def test_memory_bytes_counts_held_tail_blocks(self):
-        """An engine keeps each ad's partially consumed tail chunk in
-        the tail memo — at most one block per ad, and nothing else
-        beside the shards; what it holds, it reports."""
+        """An engine holds each ad's partially consumed tail chunk in
+        the shard, as hidden rows, and nothing beside the shards: its
+        bytes are the shards' visible bytes, and a rerun or a
+        continuation reveals the tail instead of sampling it."""
         problem = _problem(3, num_ads=2)
         with ShardedSamplingEngine(
             problem.graph, _probs(problem), seeds=4, chunk_size=64
@@ -330,23 +355,26 @@ class TestMemoryAccounting:
             def shard_bytes():
                 return sum(eng.shard(ad).memory_bytes() for ad in range(2))
 
-            held = sum(
-                part.nbytes
-                for ad in range(2)
-                for part in eng.sampler(ad).sample_chunk_block(eng.plan(ad), 1)
-            )
-            assert held > 0
-            assert eng.memory_bytes() == shard_bytes() + held
+            def tails():
+                return [
+                    eng.shard(ad).num_resident - eng.shard(ad).num_total
+                    for ad in range(2)
+                ]
+
+            assert eng.memory_bytes() == shard_bytes()
+            assert tails() == [32, 32]
             # Idle between two leases the engine holds exactly that; a
-            # rerun to the same targets adds nothing to it.
+            # rerun to the same targets samples nothing and adds nothing.
             idle = eng.memory_bytes()
             eng.reset_for_reuse()
             eng.ensure({0: 96, 1: 96})
-            assert eng.memory_bytes() == idle
-            assert sorted(eng._blocks) == [(0, 1), (1, 1)]
-            eng.ensure({0: 128, 1: 128})  # tails consumed: the memo lets go
+            assert eng.backend_invocations == 0
+            assert eng.memory_bytes() == idle == shard_bytes()
+            assert tails() == [32, 32]
+            eng.ensure({0: 128, 1: 128})  # tails consumed by a reveal
+            assert eng.backend_invocations == 0
             assert eng.memory_bytes() == shard_bytes()
-            assert not eng._blocks
+            assert tails() == [0, 0]
 
     def test_restore_builds_the_index_once_per_seeded_shard(
         self, tmp_path, build_calls
@@ -906,12 +934,12 @@ class TestHelperThreads:
 class TestResetForReuse:
     """The warm-reuse contract: after ``reset_for_reuse`` a second run
     through the same engine is byte-identical to a fresh-engine run —
-    no stale shards, tail blocks, in-flight futures, dsan state, or
+    no stale shards, visible tails, in-flight futures, dsan state, or
     sampler positions may survive into the next session."""
 
     #: The resident member the reveal tests overwrite: ad 1, chunk 3.
     _AD, _CHUNK = 1, 3
-    #: Ad 1 ends in a tail chunk, held by the tail memo.
+    #: Ad 1 ends in a tail chunk, whose rest its shard holds hidden.
     _TARGETS = {0: 96, 1: 100, 2: 64}
 
     def _engine(self, **kwargs):
@@ -1047,7 +1075,7 @@ class TestResetForReuse:
                 fresh.sample({0: 20, 1: 20, 2: 20})
                 _assert_shards_equal(engine, fresh)
 
-    #: First run, chunk_size 16: ad 0 ends mid-chunk (tail memo), ad 1
+    #: First run, chunk_size 16: ad 0 ends mid-chunk (a hidden tail), ad 1
     #: on a chunk boundary, ad 2 mid-chunk in its third chunk.
     FIRST = {0: 72, 1: 48, 2: 33}
     BELOW = {0: 40, 1: 16, 2: 33}
@@ -1066,7 +1094,7 @@ class TestResetForReuse:
     )
     def test_rerun_around_the_resident_mark(self, mode, steps, append_calls):
         """Targets below the resident mark, at it, above it (continuing
-        from the tail block) and one request straddling it: the rerun
+        from the hidden tail) and one request straddling it: the rerun
         equals a fresh engine fed the same steps — shards, digests,
         bytes — and computes only the chunks the first run never saw."""
         problem = _problem(17)
@@ -1093,11 +1121,8 @@ class TestResetForReuse:
                 assert (
                     reused.shard(ad).memory_bytes() == fresh.shard(ad).memory_bytes()
                 )
-            # At most one tail block per ad beside the shards — the
-            # first run's where the rerun stopped short of it.
-            assert len(reused._blocks) <= reused.num_ads
-            if steps != [self.BELOW]:
-                assert reused.memory_bytes() == fresh.memory_bytes()
+            # Rows the rerun stopped short of stay hidden and uncounted.
+            assert reused.memory_bytes() == fresh.memory_bytes()
             new_chunks = max(fresh.backend_invocations - first_invocations, 0)
             assert reused.backend_invocations == new_chunks
             if steps[-1] is not self.ABOVE:

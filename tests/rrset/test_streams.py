@@ -29,7 +29,8 @@ from repro.algorithms.tirm import TIRMAllocator
 from repro.errors import ConfigurationError
 from repro.graph.generators import erdos_renyi
 from repro.graph.probabilities import constant_probabilities
-from repro.rrset.sampler import RRSetSampler, StreamPlan, _slice_flat
+from repro.rrset.pool import RRSetPool
+from repro.rrset.sampler import RRSetSampler, StreamPlan
 from repro.rrset.sharded import ShardedSamplingEngine
 
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "..", "src"))
@@ -144,8 +145,8 @@ class TestSeedEntropy:
 
 
 class TestChunkSampling:
-    """A chunk block is stateless, and ``_slice_flat`` cuts any set
-    range out of it."""
+    """A chunk block is stateless, and a pool it was appended to with
+    a hidden tail hands any set range of it back."""
 
     @pytest.mark.parametrize("mode", ["blocked"])
     def test_recomputing_a_chunk_is_identical(self, mode, small_random_graph):
@@ -159,17 +160,22 @@ class TestChunkSampling:
 
     @pytest.mark.parametrize("mode", ["blocked"])
     def test_slices_agree_with_full_chunk(self, mode, small_random_graph):
-        """Sets [lo, hi) of a chunk equal the same rows of the full chunk —
-        the property that makes partial-chunk resume pure."""
+        """Sets [lo, hi) of a chunk appended with a hidden tail equal the
+        same rows of the full chunk — the property that makes
+        partial-chunk resume pure."""
         probs = constant_probabilities(small_random_graph, 0.1)
         plan = StreamPlan(5, ad=1, chunk_size=24)
         sampler = RRSetSampler(small_random_graph, probs)
         members, lengths = sampler.sample_chunk_block(plan, 0)
         bounds = np.concatenate(([0], np.cumsum(lengths)))
-        for lo, hi in [(0, 24), (0, 10), (10, 24), (7, 13), (23, 24), (5, 5)]:
-            m, ln = _slice_flat(members, lengths, lo, hi)
-            assert ln.tolist() == lengths[lo:hi].tolist()
-            assert m.tobytes() == members[bounds[lo] : bounds[hi]].tobytes()
+        for visible in (0, 10, 24):
+            pool = RRSetPool(small_random_graph.num_nodes)
+            pool.add_flat(members, lengths, visible=visible)
+            assert (pool.num_total, pool.num_resident) == (visible, 24)
+            for lo, hi in [(0, 24), (0, 10), (10, 24), (7, 13), (23, 24), (5, 5)]:
+                m, ln = pool.resident_rows(lo, hi)
+                assert ln.tolist() == lengths[lo:hi].tolist()
+                assert m.tobytes() == members[bounds[lo] : bounds[hi]].tobytes()
 
 
 class TestRequestSplitInvariance:
@@ -210,8 +216,8 @@ class TestRequestSplitInvariance:
     @pytest.mark.parametrize("mode", ["blocked"])
     def test_partial_tail_chunks_are_computed_once(self, mode, monkeypatch):
         """Continuation requests re-entering a partially consumed chunk
-        must reuse the cached block, not resample it — with the cache,
-        every chunk is computed exactly once per engine lifetime.  Every
+        must reveal its hidden tail in the shard, not resample it — every
+        chunk is computed exactly once per engine lifetime.  Every
         chunk the engine computes is made a kernel task by
         :meth:`RRSetSampler.chunk_task` first."""
         problem = _problem(3, num_ads=1)
@@ -289,7 +295,7 @@ class TestWorkerCountInvariance:
         assert len(dispatched) == 1
         tasks = dispatched[0]
         assert len(tasks) == 4  # ceil(50 / 16) chunks, all for ad 0
-        assert all(ad == 0 and not resident for ad, _, _, _, resident in tasks)
+        assert all(ad == 0 and not resident for ad, _, _, resident in tasks)
 
 
 class TestTransportMatrix:
