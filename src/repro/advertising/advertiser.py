@@ -39,8 +39,7 @@ class Advertiser:
     def __post_init__(self) -> None:
         check_positive("budget", self.budget)
         check_positive("cpe", self.cpe)
-        if self.boost < 0:
-            raise ValueError(f"boost must be >= 0, got {self.boost}")
+        check_positive("boost", self.boost, strict=False)
         if not self.name:
             raise ValueError("advertiser name must be non-empty")
 

@@ -59,17 +59,18 @@ The loop runs as discrete, externally steppable states:
 * ``GROW`` — the Algorithm-4 growth event the previous pick triggered:
   ``s_i`` revision, θ top-up, coverage re-estimation, heap rebuild.
 
-:meth:`AllocationSession.step` advances the machine and returns a
-progress snapshot — the :mod:`repro.rrset.checkpoint` payload
-(:func:`~repro.rrset.checkpoint.build_snapshot`) plus the session
-state; a checkpoint file is this snapshot taken at a boundary.  *Iteration
-boundaries* — the consistent points where the batch loop snapshotted and
-honored ``max_iterations`` — land at the end of every ``SELECT`` step
-that triggers no growth and at the end of every ``GROW`` step; that is
-exactly where checkpoints are written, ``max_iterations`` truncates, and
-a :meth:`request_cancel` takes effect, so a cancelled or truncated
-session returns the same valid partial allocation the batch
-``max_iterations`` machinery produces.
+:meth:`AllocationSession.step` makes one transition and returns the
+state it moved to.  Only :meth:`~AllocationSession.progress` builds a
+snapshot — the :mod:`repro.rrset.checkpoint` payload plus the session
+state — for a reader that asks: the checkpoint writer (a checkpoint
+file is this snapshot at a boundary) and a service job, once it ends.
+*Iteration boundaries* — the consistent points where the batch loop
+snapshotted and honored ``max_iterations`` — land at the end of every
+``SELECT`` step that triggers no growth and at the end of every
+``GROW`` step; that is exactly where checkpoints are written,
+``max_iterations`` truncates, and a :meth:`request_cancel` takes
+effect, so a cancelled or truncated session returns the same valid
+partial allocation the batch ``max_iterations`` machinery produces.
 
 The session *borrows* its engine and cache — both are injected and never
 closed here.  That inversion is what the service tier
@@ -280,7 +281,7 @@ class AllocationSession:
         >>> config = TIRMAllocator(seed=0, max_rr_sets_per_ad=1_000)
         >>> with config._build_engine(problem, None) as engine:
         ...     session = AllocationSession(problem, config, engine=engine)
-        ...     states = [session.step()["state"] for _ in range(2)]
+        ...     states = [session.step() for _ in range(2)]
         ...     result = session.run()
         >>> states
         ['estimate-theta', 'select']
@@ -337,27 +338,20 @@ class AllocationSession:
     # ------------------------------------------------------------------
     # Driving
     # ------------------------------------------------------------------
-    def step(self) -> dict:
-        """Advance the machine by one transition and return a progress
-        snapshot (:meth:`progress`).
+    def step(self) -> str:
+        """Make one transition and return the state it moved to.
 
         ``SELECT`` steps that trigger an Algorithm-4 growth event stop
-        *before* it (state ``GROW``; the snapshot is mid-iteration) and
-        the following step completes the growth plus the iteration
-        boundary — so every boundary-side effect (checkpoint write,
-        ``max_iterations`` truncation, cancellation) observes exactly
-        the state the batch loop did.  Terminal states are absorbing:
-        stepping them is a no-op returning the final snapshot.
+        *before* it (state ``GROW``, mid-iteration) and the following
+        step completes the growth plus the iteration boundary — so every
+        boundary-side effect (checkpoint write, ``max_iterations``
+        truncation, cancellation) observes exactly the state the batch
+        loop did.  Terminal states are absorbing: stepping them changes
+        nothing.  No snapshot is built here; :meth:`progress` builds one
+        for a reader that asks.
         """
-        self._advance()
-        return self.progress()
-
-    def _advance(self) -> None:
-        """One transition, no snapshot: what :meth:`run` loops —
-        building the checkpoint-shaped payload per transition is
-        O(seeds) work nobody reads there."""
         if self.state in TERMINAL_STATES:
-            return
+            return self.state
         try:
             if self.state == PILOT:
                 self._step_pilot()
@@ -371,12 +365,13 @@ class AllocationSession:
             self.state = FAILED
             self.error = exc
             raise
+        return self.state
 
     def run(self) -> AllocationResult:
         """Drive the machine to a terminal state and return the result
         — the batch facade's whole loop."""
         while self.state not in TERMINAL_STATES:
-            self._advance()
+            self.step()
         return self.result()
 
     def request_cancel(self) -> None:
@@ -405,10 +400,10 @@ class AllocationSession:
         return self._result
 
     def progress(self) -> dict:
-        """Live progress: the checkpoint snapshot payload
+        """The run's snapshot: the checkpoint payload
         (:func:`~repro.rrset.checkpoint.build_snapshot`) plus the
-        session state — at a boundary, exactly what a checkpoint
-        file holds."""
+        session state — at a boundary, exactly what a checkpoint file
+        holds.  O(seeds) to build, so only its readers call it."""
         snapshot = {
             "state": self.state,
             "iterations": self.iterations,
@@ -416,19 +411,22 @@ class AllocationSession:
             "total_seeds": self.allocation.total_seeds(),
         }
         if self.states is not None:
-            snapshot.update(
-                build_snapshot(
-                    config=self.config._checkpoint_config(self.problem),
-                    engine=self.engine,
-                    per_ad=self._per_ad_records(),
-                    iterations=self.iterations,
-                    lineage=self.lineage,
-                )
-            )
-            # build_snapshot reports the loop counter; "state" above is
-            # the machine position, which subsumes at-boundary-ness
-            # (GROW = mid-iteration, SELECT = at a boundary).
-            snapshot["iterations"] = self.iterations
+            per_ad = [
+                {
+                    "seeds": state.seeds_in_order,
+                    "marginal_nodes": list(state.marginal_coverage.keys()),
+                    "marginal_counts": list(state.marginal_coverage.values()),
+                    "revenue": state.revenue,
+                    "seed_size_estimate": state.seed_size_estimate,
+                    "active": state.active,
+                }
+                for state in self.states
+            ]
+            snapshot.update(build_snapshot(
+                config=self.config._checkpoint_config(self.problem),
+                engine=self.engine, per_ad=per_ad,
+                iterations=self.iterations, lineage=self.lineage,
+            ))
         return snapshot
 
     # ------------------------------------------------------------------
@@ -457,7 +455,7 @@ class AllocationSession:
             return
         h = self.problem.num_ads
         config = self.config
-        self.states = [self._new_state(ad) for ad in range(h)]
+        self.states = [_AdState(self.engine.shard(ad)) for ad in range(h)]
         pilot = max(
             min(config.initial_pilot, config.max_rr_sets_per_ad),
             config.min_rr_sets_per_ad,
@@ -547,19 +545,6 @@ class AllocationSession:
     # ------------------------------------------------------------------
     # Finalization
     # ------------------------------------------------------------------
-    def _per_ad_records(self) -> list[dict]:
-        return [
-            {
-                "seeds": state.seeds_in_order,
-                "marginal_nodes": list(state.marginal_coverage.keys()),
-                "marginal_counts": list(state.marginal_coverage.values()),
-                "revenue": state.revenue,
-                "seed_size_estimate": state.seed_size_estimate,
-                "active": state.active,
-            }
-            for state in self.states
-        ]
-
     def _write_checkpoint(self) -> None:
         config = self.config
         snapshot = self.progress()
@@ -707,9 +692,6 @@ class AllocationSession:
             },
         })
 
-    def _new_state(self, ad: int) -> _AdState:
-        return _AdState(collection=self.engine.shard(ad))
-
     def _restored_states(self, checkpoint: TIRMCheckpoint) -> list[_AdState]:
         """Rebuild the per-ad allocator state (and the allocation's seed
         assignments) from a restored snapshot.  The marginal-coverage
@@ -717,7 +699,7 @@ class AllocationSession:
         re-estimation sums floats in it."""
         states = []
         for ad in range(self.engine.num_ads):
-            state = self._new_state(ad)
+            state = _AdState(self.engine.shard(ad))
             state.seed_size_estimate = int(checkpoint.seed_size_estimate[ad])
             state.revenue = float(checkpoint.revenue[ad])
             state.seeds_in_order = list(checkpoint.seeds[ad])

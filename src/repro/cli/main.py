@@ -29,16 +29,10 @@ from repro.rrset.sampler import DEFAULT_CHUNK_SIZE
 _ALLOCATORS: dict[str, Callable[..., object]] = {
     "tirm": lambda args, coordinator: TIRMAllocator(
         seed=args.seed, epsilon=args.epsilon, max_rr_sets_per_ad=args.max_rr_sets,
-        engine=getattr(args, "engine", "serial"),
-        coordinator=coordinator,
-        chunk_size=getattr(args, "chunk_size", DEFAULT_CHUNK_SIZE),
-        max_workers=getattr(args, "workers", None),
-        checkpoint_path=getattr(args, "checkpoint", None),
-        checkpoint_every=getattr(args, "checkpoint_every", None),
-        resume_from=_resume_path(args),
-        dsan=True if getattr(args, "dsan", False) else None,
-        cache=getattr(args, "cache", None),
-        dataset=getattr(args, "dataset", None),
+        engine=args.engine, coordinator=coordinator, chunk_size=args.chunk_size,
+        max_workers=args.workers, checkpoint_path=args.checkpoint,
+        checkpoint_every=args.checkpoint_every, resume_from=_resume_path(args),
+        dsan=True if args.dsan else None, cache=args.cache, dataset=args.dataset,
     ),
     "greedy": lambda args, _: GreedyAllocator(num_runs=args.mc_runs, seed=args.seed),
     "myopic": lambda args, _: MyopicAllocator(),
@@ -48,17 +42,23 @@ _ALLOCATORS: dict[str, Callable[..., object]] = {
 
 _DATASET_KWARG_NAMES = ("scale", "num_ads", "attention_bound", "penalty")
 
+#: ``allocate`` options only TIRM reads: another ``--algorithm`` refuses
+#: them rather than run without them.
+_TIRM_ONLY = (
+    "engine", "workers", "dsan", "checkpoint", "checkpoint_every", "resume",
+    "cache", "dist_port", "dist_host", "wait_workers", "allow_remote",
+)
+
 
 def _resume_path(args) -> str | None:
     """``--resume`` resolves to the ``--checkpoint`` path when an
     artifact already exists there — a fresh launch of an always-on job
     (no artifact yet) starts from scratch instead of erroring."""
-    if not getattr(args, "resume", False):
+    if not args.resume:
         return None
-    checkpoint = getattr(args, "checkpoint", None)
-    if checkpoint is None:
+    if args.checkpoint is None:
         raise ConfigurationError("--resume requires --checkpoint PATH")
-    return checkpoint if os.path.exists(checkpoint) else None
+    return args.checkpoint if os.path.exists(args.checkpoint) else None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -71,20 +71,36 @@ def build_parser() -> argparse.ArgumentParser:
 
     commands.add_parser("datasets", help="list built-in datasets")
 
+    def _add_run_args(command) -> None:
+        """The dataset and TIRM options ``allocate`` and ``submit`` share."""
+        command.add_argument("--scale", type=float, default=None,
+                             help="dataset scale (synthetic datasets only)")
+        command.add_argument("--num-ads", type=int, default=None)
+        command.add_argument("--attention-bound", type=int, default=None)
+        command.add_argument("--penalty", type=float, default=None,
+                             help="seed penalty lambda")
+        command.add_argument("--seed", type=int, default=0)
+        command.add_argument("--epsilon", type=float, default=0.1)
+        command.add_argument("--max-rr-sets", type=int, default=20_000)
+        command.add_argument("--chunk-size", type=int, default=DEFAULT_CHUNK_SIZE,
+                             help="set-index chunk width of the RR-set streams "
+                                  "(TIRM only): every set is addressed by "
+                                  "(seed, ad, set index), and chunks run in "
+                                  "parallel on every engine; part of the "
+                                  "determinism contract (same seed + same "
+                                  "chunk size = same allocation)")
+        command.add_argument("--dsan", action="store_true",
+                             help="enable the runtime determinism sanitizer "
+                                  "(TIRM only): record a blake2 digest per "
+                                  "(ad, chunk) RR block and a whole-run "
+                                  "dsan_root fingerprint in the stats; "
+                                  "REPRO_DSAN=1 does the same without the flag")
+
     allocate = commands.add_parser("allocate", help="run an allocator on a dataset")
     allocate.add_argument("dataset", choices=sorted(DATASETS))
     allocate.add_argument("--algorithm", choices=sorted(_ALLOCATORS), default="tirm")
-    allocate.add_argument("--scale", type=float, default=None,
-                          help="dataset scale (synthetic datasets only)")
-    allocate.add_argument("--num-ads", type=int, default=None, dest="num_ads")
-    allocate.add_argument("--attention-bound", type=int, default=None,
-                          dest="attention_bound")
-    allocate.add_argument("--penalty", type=float, default=None,
-                          help="seed penalty lambda")
+    _add_run_args(allocate)
     allocate.add_argument("--eval-runs", type=int, default=500)
-    allocate.add_argument("--seed", type=int, default=0)
-    allocate.add_argument("--epsilon", type=float, default=0.1)
-    allocate.add_argument("--max-rr-sets", type=int, default=20_000, dest="max_rr_sets")
     allocate.add_argument("--engine", choices=("serial", "process", "dist"),
                           default="serial",
                           help="RR-set sampling engine: in-process (the "
@@ -93,23 +109,9 @@ def build_parser() -> argparse.ArgumentParser:
                                "distributed coordinator over socket workers "
                                "(TIRM only; all give identical allocations "
                                "for a seed)")
-    allocate.add_argument("--chunk-size", type=int, default=DEFAULT_CHUNK_SIZE,
-                          dest="chunk_size",
-                          help="set-index chunk width of the RR-set streams "
-                               "(TIRM only): every set is addressed by (seed, "
-                               "ad, set index), and chunks run in parallel "
-                               "on every engine; part of the determinism contract "
-                               "(same seed + same chunk size = same "
-                               "allocation)")
     allocate.add_argument("--workers", type=int, default=None,
                           help="forked workers for --engine process "
                                "(default: cpu count)")
-    allocate.add_argument("--dsan", action="store_true",
-                          help="enable the runtime determinism sanitizer "
-                               "(TIRM only): record a blake2 digest per "
-                               "(ad, chunk) RR block and a whole-run "
-                               "dsan_root fingerprint in the stats; "
-                               "REPRO_DSAN=1 does the same without the flag")
     allocate.add_argument("--checkpoint", default=None, metavar="PATH",
                           help="snapshot the TIRM allocation to PATH "
                                "(e.g. run.ckpt.json) at iteration boundaries: "
@@ -274,29 +276,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     submit.add_argument("dataset", choices=sorted(DATASETS))
     _add_conn_args(submit)
-    submit.add_argument("--scale", type=float, default=None)
-    submit.add_argument("--num-ads", type=int, default=None, dest="num_ads")
-    submit.add_argument("--attention-bound", type=int, default=None,
-                        dest="attention_bound")
-    submit.add_argument("--penalty", type=float, default=None)
-    submit.add_argument("--seed", type=int, default=0)
-    submit.add_argument("--epsilon", type=float, default=0.1)
-    submit.add_argument("--max-rr-sets", type=int, default=20_000,
-                        dest="max_rr_sets")
+    _add_run_args(submit)
     submit.add_argument("--engine", choices=("serial", "process", "dist"),
                         default="serial",
                         help="'dist' needs the service started with "
                              "--dist-port (the job runs on the server's "
                              "worker fleet)")
-    submit.add_argument("--chunk-size", type=int, default=DEFAULT_CHUNK_SIZE,
-                        dest="chunk_size")
-    submit.add_argument("--dsan", action="store_true")
     submit.add_argument("--wait", action="store_true",
                         help="block until the job finishes and print its "
                              "result summary")
 
     progress = commands.add_parser(
-        "progress", help="query one service job's progress snapshot"
+        "progress", help="query one service job's progress"
     )
     progress.add_argument("job_id")
     _add_conn_args(progress)
@@ -315,15 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _dataset_kwargs(args) -> dict:
-    kwargs = {}
-    for name in _DATASET_KWARG_NAMES:
-        value = getattr(args, name, None)
-        if value is not None:
-            kwargs[name] = value
-    if args.dataset == "figure1":
-        # the gadget only takes a penalty
-        kwargs = {k: v for k, v in kwargs.items() if k == "penalty"}
-    return kwargs
+    # The Figure-1 gadget only takes a penalty.
+    names = ("penalty",) if args.dataset == "figure1" else _DATASET_KWARG_NAMES
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
 def _cmd_datasets(args) -> int:
@@ -362,9 +347,17 @@ def _start_coordinator(args):
 
 
 def _cmd_allocate(args) -> int:
+    if args.algorithm != "tirm":
+        defaults = build_parser().parse_args(["allocate", args.dataset])
+        for name in _TIRM_ONLY:
+            if getattr(args, name) != getattr(defaults, name):
+                raise ConfigurationError(
+                    f"--{name.replace('_', '-')} is a TIRM option; "
+                    f"--algorithm {args.algorithm} does not read it"
+                )
     problem = load_dataset(args.dataset, **_dataset_kwargs(args))
     coordinator = None
-    if args.engine == "dist" and args.algorithm == "tirm":
+    if args.engine == "dist":
         coordinator = _start_coordinator(args)
     try:
         if coordinator is not None and args.wait_workers > 0:
@@ -507,30 +500,14 @@ def _cmd_lint(args) -> int:
     return linter.run(argv)
 
 
-def _cmd_ls(args) -> int:
-    # Lazy import, like lint: the store package (sqlite + block format)
-    # is machinery the allocation paths only need when caching.
+def _cmd_store(args) -> int:
+    """``ls`` / ``show`` / ``diff`` / ``gc``: ``repro.store.commands``'s
+    ``cmd_<command>``.  Lazy import, like lint: the store package
+    (sqlite + block format) is machinery the allocation paths only need
+    when caching."""
     from repro.store import commands as store_commands
 
-    return store_commands.cmd_ls(args)
-
-
-def _cmd_show(args) -> int:
-    from repro.store import commands as store_commands
-
-    return store_commands.cmd_show(args)
-
-
-def _cmd_diff(args) -> int:
-    from repro.store import commands as store_commands
-
-    return store_commands.cmd_diff(args)
-
-
-def _cmd_gc(args) -> int:
-    from repro.store import commands as store_commands
-
-    return store_commands.cmd_gc(args)
+    return getattr(store_commands, f"cmd_{args.command}")(args)
 
 
 def _cmd_serve(args) -> int:
@@ -652,10 +629,10 @@ _COMMANDS = {
     "bounds": _cmd_bounds,
     "im": _cmd_im,
     "lint": _cmd_lint,
-    "ls": _cmd_ls,
-    "show": _cmd_show,
-    "diff": _cmd_diff,
-    "gc": _cmd_gc,
+    "ls": _cmd_store,
+    "show": _cmd_store,
+    "diff": _cmd_store,
+    "gc": _cmd_store,
     "serve": _cmd_serve,
     "worker": _cmd_worker,
     "submit": _cmd_submit,

@@ -101,12 +101,12 @@ def build_snapshot(
 ) -> dict:
     """The checkpoint payload as one JSON-friendly dict — no file.
 
-    This is the single serializer behind both snapshot consumers: the
-    live progress reports of
+    This is the single serializer behind both snapshot consumers:
     :meth:`~repro.algorithms.session.AllocationSession.progress` (the
-    service's ``query-progress`` answers are this dict verbatim) and
-    the on-disk artifact, which is such a report taken at an iteration
-    boundary.  One serializer means the two views cannot drift.
+    snapshot a finished service job keeps and ``query-progress``
+    returns) and the on-disk artifact, which is such a snapshot taken
+    at an iteration boundary.  One serializer means the two views
+    cannot drift.
 
     ``per_ad`` takes one dict per advertiser with keys ``seeds``,
     ``marginal_nodes``, ``marginal_counts``, ``revenue``,

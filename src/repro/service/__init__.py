@@ -10,8 +10,9 @@ sampling itself once the shard cache is warm.  This package keeps those substrat
   exclusively per run and reset (``reset_for_reuse``) between runs;
 * :class:`~repro.service.jobs.JobManager` — allocation jobs as
   :class:`~repro.algorithms.session.AllocationSession` state machines
-  driven in worker threads, with live progress snapshots, boundary
-  cancellation, and incremental re-allocation of finished jobs;
+  driven in worker threads, with live progress counters, the run's
+  snapshot once it ends, boundary cancellation, and incremental
+  re-allocation of finished jobs;
 * :class:`~repro.service.server.AllocationServer` — a stdlib-asyncio
   line-delimited-JSON server (``repro serve``) exposing the manager;
 * :class:`~repro.service.client.ServiceClient` — the matching blocking

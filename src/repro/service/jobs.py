@@ -3,17 +3,18 @@
 A job is one :class:`~repro.algorithms.session.AllocationSession` run to
 a terminal state in a daemon thread, over an engine leased from the
 manager's :class:`~repro.service.pool.EnginePool` and the manager's
-shared shard cache.  The worker publishes each step's progress snapshot
-under the job's lock, so ``query-progress`` reads a consistent
-boundary-state picture without ever touching the live session from
-another thread; cancellation goes the other way through the session's
-thread-safe :meth:`~repro.algorithms.session.AllocationSession.request_cancel`.
+shared shard cache.  Under the job's lock the worker publishes three
+counters after each step (state, iterations, seeds) and the session's
+snapshot once, when the run ends DONE or CANCELLED, so
+``query-progress`` never touches the live session from another thread;
+cancellation goes the other way through the session's thread-safe
+:meth:`~repro.algorithms.session.AllocationSession.request_cancel`.
 
 Residency is single-copy.  *Run state belongs to the lease, not the
 job*: the session — per-ad states, heaps, and through them the engine's
 shards — is dropped when the lease is released, because the next lease
 rewinds those very shards; a finished job keeps only what its readers
-need (result, last snapshot, terminal state, and the problem/allocator
+need (result, final snapshot, terminal state, and the problem/allocator
 ``reallocate`` starts from).  The job table is bounded
 (:data:`MAX_JOBS`; a submit that finds it full of running jobs is
 refused), and submits by dataset name share one problem per
@@ -35,6 +36,7 @@ job timestamps are provenance about the service, never sampling inputs.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 import traceback
@@ -48,6 +50,7 @@ from repro.algorithms.session import TERMINAL_STATES, AllocationSession
 from repro.algorithms.tirm import TIRMAllocator
 from repro.errors import ServiceError
 from repro.service.pool import EnginePool
+from repro.utils.validation import is_integer
 
 #: TIRMAllocator keyword arguments a service request may set.  The
 #: lifecycle knobs (checkpoint/resume) are deliberately absent — a
@@ -67,7 +70,7 @@ ALLOCATOR_PARAMS = frozenset({
 DATASET_PARAMS = frozenset({"scale", "num_ads", "attention_bound", "penalty"})
 
 #: Jobs the table holds before the oldest *finished* ones are evicted.
-#: A finished job is its result, last snapshot and config; the
+#: A finished job is its result, final snapshot and config; the
 #: allocation's per-user count vector (``8n`` bytes) dominates — 24 KB
 #: pickled on the benchmark's ``LJ`` instance, where filling the table
 #: costs ≈ 6 MiB of RSS and the server is flat from then on — while a
@@ -112,6 +115,24 @@ def build_allocator(params: dict | None, *, dataset: str | None,
     return TIRMAllocator(dataset=dataset, **params)
 
 
+def _integer(value, what: str) -> int:
+    """``value``, refused unless an integer: a bool or a float (JSON
+    reads ``1e999`` as one) is never truncated."""
+    if not is_integer(value):
+        shown = "infinity" if isinstance(value, float) and math.isinf(value) else repr(value)
+        raise ServiceError(f"{what} must be an integer, got {shown}")
+    return int(value)
+
+
+def _changed(advertiser, **changes):
+    """``advertiser`` with ``changes``; what the Advertiser refuses (a
+    budget or CPE that is no finite positive number) is refused here."""
+    try:
+        return replace(advertiser, **changes)
+    except ValueError as exc:
+        raise ServiceError(str(exc)) from exc
+
+
 def modified_problem(
     problem: AdAllocationProblem,
     *,
@@ -125,39 +146,46 @@ def modified_problem(
     their cached content digests — an add or remove stacks fresh ones.
 
     ``update_budgets`` maps ad index → new budget (JSON clients send
-    string keys; both are accepted).  ``add_ads`` entries are dicts with
-    ``name``/``budget``/``cpe`` plus ``like``, an existing ad index whose
-    probability and CTP rows the new ad copies (the service never ships
-    per-edge arrays over the wire).  ``remove_ads`` lists ad indices.
+    string keys, so a decimal string is an index too).  ``add_ads``
+    entries are dicts with ``name``/``budget``/``cpe`` plus ``like``, an
+    existing ad index whose probability and CTP rows the new ad copies
+    (the service never ships per-edge arrays over the wire).
+    ``remove_ads`` lists ad indices.  An index must be an integer, and a
+    budget or CPE a finite positive number: anything else raises
+    :class:`~repro.errors.ServiceError`, never truncated or coerced.
     """
     advertisers = list(problem.catalog)
     probs = [problem.ad_edge_probabilities(ad) for ad in range(problem.num_ads)]
     ctps = [problem.ad_ctps(ad) for ad in range(problem.num_ads)]
 
-    for ad, budget in sorted((update_budgets or {}).items(), key=lambda kv: int(kv[0])):
-        index = int(ad)
+    updates = {}
+    for ad, budget in (update_budgets or {}).items():
+        if isinstance(ad, str) and ad.isascii() and ad.isdigit():
+            ad = int(ad)
+        updates[_integer(ad, "update_budgets index")] = budget
+    for index, budget in sorted(updates.items()):
         if not 0 <= index < len(advertisers):
             raise ServiceError(f"update_budgets: no ad with index {index}")
-        advertisers[index] = replace(advertisers[index], budget=float(budget))
+        advertisers[index] = _changed(advertisers[index], budget=budget)
 
     for spec in add_ads or ():
         try:
-            like = int(spec["like"])
-            name, budget, cpe = spec["name"], float(spec["budget"]), float(spec["cpe"])
-        except (KeyError, TypeError, ValueError) as exc:
+            like = _integer(spec["like"], "add_ads like")
+            name, budget, cpe = spec["name"], spec["budget"], spec["cpe"]
+        except (KeyError, TypeError) as exc:
             raise ServiceError(
                 f"add_ads entries need name/budget/cpe/like, got {spec!r}"
             ) from exc
         if not 0 <= like < problem.num_ads:
             raise ServiceError(f"add_ads: no ad with index {like} to copy")
-        advertisers.append(replace(
-            problem.catalog[like], name=name, budget=budget, cpe=cpe,
-        ))
+        advertisers.append(
+            _changed(problem.catalog[like], name=name, budget=budget, cpe=cpe)
+        )
         probs.append(problem.ad_edge_probabilities(like))
         ctps.append(problem.ad_ctps(like))
 
     if remove_ads:
-        drop = {int(ad) for ad in remove_ads}
+        drop = {_integer(ad, "remove_ads index") for ad in remove_ads}
         bad = sorted(d for d in drop if not 0 <= d < len(advertisers))
         if bad:
             raise ServiceError(f"remove_ads: no ads with indices {bad}")
@@ -186,9 +214,10 @@ def modified_problem(
 class Job:
     """One allocation run and its published progress.
 
-    ``session`` is set only while the run holds its engine lease; once
-    the job is terminal it is ``None`` and the job answers from what the
-    worker published (``state``, ``snapshot``, ``result``, ``error``).
+    ``session`` is set only while the run holds its engine lease; the
+    job answers from what the worker published: ``state``,
+    ``iterations`` and ``total_seeds`` after every step, then
+    ``snapshot`` and ``result`` (DONE or CANCELLED) or ``error``.
     """
 
     def __init__(self, job_id: str, dataset: str | None, problem, allocator,
@@ -207,6 +236,8 @@ class Job:
         self.done_callbacks: list = []
         self.session: AllocationSession | None = None
         self._state = "pending"
+        self.iterations = 0
+        self.total_seeds = 0
         self.snapshot: dict | None = None
         self.result = None
         self.error: BaseException | None = None
@@ -220,7 +251,6 @@ class Job:
 
     def summary(self) -> dict:
         with self.lock:
-            snapshot = self.snapshot or {}
             record = {
                 "job_id": self.job_id,
                 "dataset": self.dataset,
@@ -228,8 +258,8 @@ class Job:
                 "created_at": self.created_at,
                 "finished_at": self.finished_at,
                 "engine_warm": self.engine_warm,
-                "iterations": snapshot.get("iterations", 0),
-                "total_seeds": snapshot.get("total_seeds", 0),
+                "iterations": self.iterations,
+                "total_seeds": self.total_seeds,
                 "state": self._state,
             }
             if self.error is not None:
@@ -366,9 +396,9 @@ class JobManager:
 
     def _drive(self, job: Job, lease) -> None:
         """Step one session to a terminal state over the leased engine,
-        publishing state, snapshot and result as it goes.  The session
-        is dropped before the lease is released: the next lease rewinds
-        the shards it reads."""
+        publishing the counters after each step and the snapshot and
+        result once at the end.  The session is dropped before the
+        lease is released: the next lease rewinds the shards it reads."""
         session = AllocationSession(
             job.problem, job.allocator,
             engine=lease.engine, cache=self.cache, job_id=job.job_id,
@@ -380,14 +410,19 @@ class JobManager:
             if job.cancel_requested:
                 session.request_cancel()
         try:
-            while session.state not in TERMINAL_STATES:
-                snapshot = session.step()
+            state = session.state
+            while state not in TERMINAL_STATES:
+                state = session.step()
+                # DONE or CANCELLED (a failure raises out of step()):
+                # the one snapshot the job keeps, built once.
+                final = state in TERMINAL_STATES
+                snapshot = session.progress() if final else None
                 with job.lock:
-                    job.snapshot = snapshot
-                    job._state = session.state
-            result = session.result()
-            with job.lock:
-                job.result = result
+                    job._state = state
+                    job.iterations = session.iterations
+                    job.total_seeds = session.allocation.total_seeds()
+                    if final:
+                        job.snapshot, job.result = snapshot, session.result()
         finally:
             with job.lock:
                 job.session = None
@@ -417,7 +452,8 @@ class JobManager:
         return len(self._jobs)
 
     def progress(self, job_id: str) -> dict:
-        """The job summary plus the latest boundary snapshot."""
+        """The job summary, plus the final snapshot once the job is
+        DONE or CANCELLED."""
         job = self.get(job_id)
         record = job.summary()
         with job.lock:
@@ -545,16 +581,19 @@ class JobManager:
     ) -> dict:
         """``n · F_R(S)`` over ``num_sets`` RR-sets of one ad, sampled
         through a pooled engine (warm when the pool holds one for the
-        same contract)."""
+        same contract).  ``ad``, ``num_sets`` and every seed must be
+        integers: a bool or a float is refused, never truncated."""
+        ad = _integer(ad, "ad")
+        num_sets = _integer(num_sets, "num_sets")
+        seeds = [_integer(v, "seed id") for v in seeds]
         if problem is None:
             if dataset is None:
                 raise ServiceError(
                     "estimate_spread needs a dataset name or a problem"
                 )
             problem = self._problem_for(dataset, dataset_kwargs)
-        if not 0 <= int(ad) < problem.num_ads:
+        if not 0 <= ad < problem.num_ads:
             raise ServiceError(f"no ad with index {ad}")
-        seeds = [int(v) for v in seeds]
         bad = sorted({v for v in seeds if not 0 <= v < problem.num_nodes})
         if bad:
             raise ServiceError(
@@ -566,15 +605,15 @@ class JobManager:
             params, dataset=dataset, coordinator=self.coordinator
         )
         with self.pool.lease(problem, allocator) as lease:
-            lease.engine.ensure({int(ad): int(num_sets)})
+            lease.engine.ensure({ad: num_sets})
             spread = estimate_spread_from_sets(
-                lease.engine.shard(int(ad)), problem.num_nodes, seeds
+                lease.engine.shard(ad), problem.num_nodes, seeds
             )
             warm = lease.warm
         return {
             "spread": float(spread),
-            "ad": int(ad),
-            "num_sets": int(num_sets),
+            "ad": ad,
+            "num_sets": num_sets,
             "engine_warm": warm,
         }
 
@@ -589,10 +628,7 @@ class JobManager:
             self._closed = True
             jobs = list(self._jobs.values())
         for job in jobs:
-            with job.lock:
-                job.cancel_requested = True
-                if job.session is not None:
-                    job.session.request_cancel()
+            self.cancel(job.job_id)
         for job in jobs:
             # Set after the lease is back in the pool: nothing is out on
             # lease once every job is done.

@@ -18,7 +18,7 @@ Operations (request ``{"op": ..., ...}`` → response ``{"ok": true,
 
 ``ping``                  liveness + job/pool counters
 ``submit-allocation``     ``dataset`` [+ ``dataset_kwargs``/``params``] → ``job_id``
-``query-progress``        ``job_id`` → summary + latest boundary snapshot
+``query-progress``        ``job_id`` → summary; plus the final snapshot once done
 ``wait``                  ``job_id`` [+ ``timeout``] → full result payload
 ``cancel``                ``job_id`` [+ ``wait``] → stop at next boundary
 ``reallocate``            ``job_id`` + ``update_budgets``/``add_ads``/``remove_ads``
@@ -174,9 +174,9 @@ class AllocationServer:
         if op == "estimate-spread":
             return self.manager.estimate_spread(
                 request.get("dataset"),
-                ad=int(request.get("ad", 0)),
+                ad=request.get("ad", 0),
                 seeds=request.get("seeds", ()),
-                num_sets=int(request.get("num_sets", 10_000)),
+                num_sets=request.get("num_sets", 10_000),
                 params=request.get("params"),
                 dataset_kwargs=request.get("dataset_kwargs"),
             )

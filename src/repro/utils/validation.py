@@ -8,6 +8,8 @@ inside numpy kernels.
 
 from __future__ import annotations
 
+import math
+import numbers
 import warnings
 
 import numpy as np
@@ -54,11 +56,13 @@ def is_integer(value) -> bool:
 
 
 def check_positive(name: str, value: float, *, strict: bool = True) -> float:
-    """Validate that ``value`` is positive (``> 0``; ``>= 0`` if not strict)."""
-    if strict and not value > 0:
-        raise ValueError(f"{name} must be > 0, got {value!r}")
-    if not strict and not value >= 0:
-        raise ValueError(f"{name} must be >= 0, got {value!r}")
+    """Validate that ``value`` is a finite real number ``> 0`` (``>= 0``
+    if not strict).  A bool is not a number here."""
+    bound = "> 0" if strict else ">= 0"
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number {bound}, got {value!r}")
+    if not (value > 0 if strict else value >= 0) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number {bound}, got {value!r}")
     return value
 
 

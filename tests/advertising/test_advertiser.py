@@ -39,6 +39,25 @@ def test_validation(kwargs):
         Advertiser(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"budget": True}, "budget must be a number"),
+        ({"budget": float("inf")}, "budget must be a finite number"),
+        ({"budget": float("nan")}, "budget must be a finite number > 0"),
+        ({"cpe": True}, "cpe must be a number"),
+        ({"cpe": float("inf")}, "cpe must be a finite number"),
+        ({"boost": float("inf")}, "boost must be a finite number"),
+        ({"boost": float("nan")}, "boost must be a finite number >= 0"),
+    ],
+)
+def test_refuses_bool_and_non_finite_amounts(kwargs, message):
+    """An infinite budget would leave its ad without seeds, silently,
+    and ``True`` is not a budget of 1."""
+    with pytest.raises(ValueError, match=message):
+        Advertiser(**{"name": "a", "budget": 1.0, "cpe": 1.0, **kwargs})
+
+
 def test_frozen():
     ad = Advertiser(name="a", budget=1.0, cpe=1.0)
     with pytest.raises(AttributeError):

@@ -92,11 +92,10 @@ class TestStateMachine:
         engine, session = _session(problem, _allocator())
         with engine:
             result = session.run()
-            iterations = session.iterations
-            snapshot = session.step()  # no-op
+            before = session.progress()
+            assert session.step() == DONE  # no-op
             assert session.state == DONE
-            assert session.iterations == iterations
-            assert snapshot["state"] == DONE
+            assert session.progress() == before
             assert session.result() is result
 
     def test_session_never_closes_the_engine(self):
@@ -110,21 +109,24 @@ class TestStateMachine:
         problem = _problem()
         engine, session = _session(problem, _allocator())
         with engine:
-            first = session.step()
+            assert session.step() == ESTIMATE_THETA
+            first = session.progress()
             assert first["state"] == ESTIMATE_THETA
             assert first["total_seeds"] == 0
             # Once per-ad state exists the snapshot is checkpoint-shaped.
-            second = session.step()
+            assert session.step() == SELECT
+            second = session.progress()
+            assert second["state"] == SELECT
             for key in ("theta", "seeds", "revenue", "active", "config"):
                 assert key in second, key
             final = session.run()
             stats = final.stats
             assert stats["iterations"] == session.iterations > 0
 
-    def test_run_builds_no_snapshot(self, monkeypatch):
-        """``step()`` returns a checkpoint-shaped snapshot per
-        transition; ``run()`` — the batch facade's loop — has no reader
-        for one and builds none unless a checkpoint path asks."""
+    def test_run_builds_no_snapshot(self, monkeypatch, tmp_path):
+        """Neither ``step()`` nor ``run()`` builds a snapshot: a
+        stepped run to DONE builds none without a checkpoint path, and
+        one per checkpoint written with one."""
         from repro.algorithms import session as session_module
 
         built = []
@@ -138,13 +140,17 @@ class TestStateMachine:
         problem = _problem()
         result = _allocator().allocate(problem)
         assert result.stats["iterations"] > 0 and built == []
-        engine, session = _session(problem, _allocator())
-        steps = 0
-        with engine:
-            while session.state not in TERMINAL_STATES:
-                session.step()
-                steps += 1
-        assert len(built) == steps > session.iterations
+        for path in (None, tmp_path / "ck.json"):
+            built.clear()
+            engine, session = _session(problem, _allocator(checkpoint_path=path))
+            with engine:
+                while session.step() not in TERMINAL_STATES:
+                    pass
+            assert session.state == DONE and session.iterations > 0
+            assert len(built) == session.checkpoints_written
+            assert session.checkpoints_written == (
+                0 if path is None else session.iterations
+            )
 
     def test_a_capped_ad_is_not_re_estimated(self, monkeypatch):
         """θ_i is clamped to ``max_rr_sets_per_ad``: once an ad sits at

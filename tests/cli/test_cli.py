@@ -1,5 +1,7 @@
 """CLI commands (exercised in-process via main(argv))."""
 
+import os
+
 import pytest
 
 from repro.cli.main import build_parser, main
@@ -50,6 +52,49 @@ def test_allocate_myopic_on_flixster(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "Myopic on flixster" in out
+
+
+@pytest.mark.parametrize("algorithm", ["myopic", "myopic+", "greedy", "irie"])
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--engine", "process"), ("--workers", "2"), ("--dsan", None),
+        ("--checkpoint", "run.ckpt.json"), ("--checkpoint-every", "3"),
+        ("--resume", None), ("--cache", "store"), ("--dist-port", "7070"),
+        ("--dist-host", "localhost"), ("--wait-workers", "1"),
+        ("--allow-remote", None),
+    ],
+)
+def test_allocate_refuses_tirm_options_under_another_algorithm(
+    tmp_path, capsys, monkeypatch, algorithm, flag, value
+):
+    """Another algorithm does not read a TIRM option, so naming one is
+    refused with one ``error:`` line naming it — and nothing runs."""
+    monkeypatch.chdir(tmp_path)
+    argv = ["allocate", "figure1", "--algorithm", algorithm, flag]
+    code = main(argv if value is None else argv + [value])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {flag} is a TIRM option; --algorithm {algorithm} does not "
+        "read it\n"
+    )
+    assert os.listdir(tmp_path) == []
+
+
+def test_allocate_tirm_options_at_their_defaults_pass_another_algorithm(
+    tmp_path, capsys
+):
+    """The refusal compares with the parser's defaults: spelling a
+    default out is not a TIRM option in use."""
+    code = main([
+        "allocate", "figure1", "--algorithm", "myopic", "--eval-runs", "20",
+        "--engine", "serial", "--dist-port", "0", "--dist-host", "127.0.0.1",
+        "--wait-workers", "0",
+    ])
+    assert code == 0
+    assert "Myopic on figure1" in capsys.readouterr().out
 
 
 def test_allocate_rejects_unknown_algorithm():

@@ -289,10 +289,10 @@ class TestArtifact:
             session = AllocationSession(problem, allocator, engine=engine)
             while session.state not in TERMINAL_STATES:
                 written = session.checkpoints_written
-                progress = session.step()
+                state = session.step()
                 if session.checkpoints_written > written:
-                    assert progress["state"] == "select"
-                    assert path.read_text() == json.dumps(progress)
+                    assert state == "select"
+                    assert path.read_text() == json.dumps(session.progress())
                     compared += 1
         assert compared == session.iterations >= 3
 

@@ -13,6 +13,7 @@ import asyncio
 import contextlib
 import gc
 import os
+import re
 import sys
 import threading
 import time
@@ -193,6 +194,50 @@ class TestJobManager:
             assert rows[0]["catalog_id"] is None  # no cache configured
             with pytest.raises(ServiceError, match="unknown job"):
                 manager.progress("job-9999")
+
+    def test_running_job_publishes_counters_and_no_snapshot(self, monkeypatch):
+        """While a job runs, ``query-progress`` answers from counters the
+        worker publishes after every step — non-decreasing iterations,
+        no snapshot.  The job keeps one snapshot, the one the session
+        builds when it ends: a cancelled job's reads ``truncated``."""
+        entered, go = threading.Semaphore(0), threading.Semaphore(0)
+
+        class Paced(jobs_module.AllocationSession):
+            def step(self):
+                # Entering step k means step k - 1 has been published.
+                entered.release()
+                assert go.acquire(timeout=60)
+                return super().step()
+
+        monkeypatch.setattr(jobs_module, "AllocationSession", Paced)
+        problem = _problem()
+        with JobManager(cache=None) as manager:
+            job = manager.submit(problem=problem, params=PARAMS)
+            polls = []
+            for _ in range(8):
+                assert entered.acquire(timeout=60)
+                polls.append(manager.progress(job.job_id))
+                go.release()
+            assert entered.acquire(timeout=60)
+            polls.append(manager.progress(job.job_id))
+            manager.cancel(job.job_id)
+            go.release(10_000)
+            manager.wait(job.job_id, timeout=60)
+            final = manager.progress(job.job_id)
+        assert [poll["state"] for poll in polls[:3]] == [
+            "pilot", "estimate-theta", "select",
+        ]
+        assert all("snapshot" not in poll for poll in polls)
+        iterations = [poll["iterations"] for poll in polls]
+        assert iterations == sorted(iterations) and iterations[-1] > 0
+        seeds = [poll["total_seeds"] for poll in polls]
+        assert seeds == iterations  # one seed per iteration
+        assert final["state"] == "cancelled"
+        assert final["snapshot"]["state"] == "cancelled"
+        assert final["snapshot"]["truncated"] is True
+        assert final["iterations"] == final["snapshot"]["iterations"]
+        assert final["iterations"] == job.result.stats["iterations"]
+        assert final["total_seeds"] == job.result.allocation.total_seeds()
 
     def test_failed_job_surfaces_error(self, monkeypatch):
         problem = _problem()
@@ -650,6 +695,86 @@ class TestReallocate:
                 manager.reallocate(job.job_id, remove_ads=[0, 1, 2])
             with pytest.raises(ServiceError, match="unknown job"):
                 manager.reallocate("job-9999", remove_ads=[0])
+
+
+_SPEC = {"name": "a9", "budget": 4.0, "cpe": 1.0, "like": 0}
+
+
+class TestRequestValuesAreNotTruncated:
+    """Ad indices, node ids and counts are integers, and budgets and
+    CPEs finite numbers: a bool, a float or an infinity is refused with
+    a :class:`ServiceError`, never truncated into another value."""
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"remove_ads": [0.5]}, "remove_ads index must be an integer"),
+            ({"remove_ads": [True]}, "remove_ads index must be an integer"),
+            ({"remove_ads": ["1"]}, "remove_ads index must be an integer"),
+            ({"add_ads": [{**_SPEC, "like": True}]}, "add_ads like must be"),
+            ({"add_ads": [{**_SPEC, "like": 1.0}]}, "add_ads like must be"),
+            ({"add_ads": [{**_SPEC, "budget": True}]}, "budget must be a number"),
+            ({"add_ads": [{**_SPEC, "budget": "4"}]}, "budget must be a number"),
+            ({"add_ads": [{**_SPEC, "cpe": float("inf")}]}, "cpe must be a finite number"),
+            ({"update_budgets": {0: True}}, "budget must be a number > 0, got True"),
+            ({"update_budgets": {0: float("inf")}}, "budget must be a finite number"),
+            ({"update_budgets": {0: float("nan")}}, "budget must be a finite number > 0"),
+            ({"update_budgets": {0: -1.0}}, "budget must be a finite number > 0"),
+            ({"update_budgets": {0.5: 3.0}}, "update_budgets index must"),
+            ({"update_budgets": {True: 3.0}}, "update_budgets index must"),
+            ({"update_budgets": {"0.5": 3.0}}, "update_budgets index must"),
+            ({"update_budgets": {"1e0": 3.0}}, "update_budgets index must"),
+        ],
+    )
+    def test_modified_problem_refuses(self, change, message):
+        with pytest.raises(ServiceError, match=message):
+            modified_problem(_problem(), **change)
+
+    def test_integer_indices_and_decimal_string_keys_are_taken(self):
+        problem = _problem()
+        for key in (1, "1", np.int64(1)):
+            changed = modified_problem(problem, update_budgets={key: 9})
+            assert changed.catalog[1].budget == 9.0
+        grown = modified_problem(
+            problem, add_ads=[{**_SPEC, "like": np.int64(2)}],
+            remove_ads=[np.int32(0)],
+        )
+        assert [ad.name for ad in grown.catalog] == ["a1", "a2", "a9"]
+
+    def test_infinite_budget_is_refused_on_the_wire(self):
+        """JSON reads ``1e999`` as inf; such a budget would give its ad
+        no seeds at all, so the re-allocation is refused."""
+        with JobManager(cache=None) as manager:
+            job = manager.submit("figure1", params=PARAMS)
+            manager.wait(job.job_id, timeout=60)
+            server = AllocationServer(manager)
+            with pytest.raises(ServiceError, match="budget must be a finite number"):
+                server.dispatch({
+                    "op": "reallocate", "job_id": job.job_id,
+                    "update_budgets": {"0": float("inf")},
+                })
+            assert len(manager.list_jobs()) == 1
+
+    @pytest.mark.parametrize(
+        "request_, message",
+        [
+            ({"seeds": [2.9]}, "seed id must be an integer, got 2.9"),
+            ({"seeds": [True]}, "seed id must be an integer, got True"),
+            ({"seeds": [0], "ad": True}, "ad must be an integer, got True"),
+            ({"seeds": [0], "ad": 1.0}, "ad must be an integer, got 1.0"),
+            ({"seeds": [0], "num_sets": 16.5}, "num_sets must be an integer"),
+            ({"seeds": [0], "num_sets": True}, "num_sets must be an integer"),
+        ],
+    )
+    def test_estimate_spread_refuses(self, request_, message):
+        with JobManager(cache=None) as manager:
+            server = AllocationServer(manager)
+            with pytest.raises(ServiceError, match=re.escape(message)):
+                server.dispatch({
+                    "op": "estimate-spread", "dataset": "figure1",
+                    "params": PARAMS, **request_,
+                })
+            assert manager.pool.stats()["cold_builds"] == 0
 
 
 @pytest.fixture

@@ -26,6 +26,18 @@ class TestCheckPositive:
         with pytest.raises(ValueError):
             check_positive("x", -1.0, strict=False)
 
+    @pytest.mark.parametrize("strict", [True, False])
+    @pytest.mark.parametrize(
+        "value", [True, False, float("inf"), float("nan"), -float("inf")]
+    )
+    def test_rejects_bools_and_non_finite(self, value, strict):
+        with pytest.raises(ValueError, match="x must be"):
+            check_positive("x", value, strict=strict)
+
+    def test_accepts_numpy_numbers(self):
+        assert check_positive("x", np.float64(2.5)) == 2.5
+        assert check_positive("x", np.int64(0), strict=False) == 0
+
 
 class TestCheckProbability:
     @pytest.mark.parametrize("value", [0.0, 0.5, 1.0])
