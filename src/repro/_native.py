@@ -7,8 +7,8 @@ Three sources make up the library:
   join (:mod:`repro.graph._traversal`);
 * ``rrset/_pool.c`` — the pool's coverage bump, inverted-index build
   and ``remove_covered`` (:mod:`repro.rrset.pool`);
-* ``algorithms/_select.c`` — Algorithm 3's per-ad candidate search
-  (:mod:`repro.algorithms.session`).
+* ``algorithms/_select.c`` — Algorithm 3's candidate search and a
+  ``SELECT`` step's cross-ad choice (:mod:`repro.algorithms.session`).
 
 :func:`library` compiles them on first use (never at import) with the
 compiler Python was built with, ``-O2 -fPIC -shared -ffp-contract=off``,
@@ -58,7 +58,6 @@ SOURCES = (
 _FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 _I64 = ctypes.c_int64
-_F64 = ctypes.c_double
 _PTR = ctypes.c_void_p
 
 #: ``name: (restype, argtypes)`` of every exported function; pointers
@@ -72,7 +71,9 @@ _SIGNATURES = {
     "repro_index_build": (None, [_I64, _I64, _PTR, _PTR, _PTR, _PTR]),
     "repro_philox_vector": (_I64, []),
     "repro_remove_covered": (_I64, [_I64, _I64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR]),
-    "repro_select": (_I64, [_PTR, _F64, _I64, _I64, _I64]),
+    "repro_select": (_I64, [_PTR, _I64]),
+    "repro_select_depends": (_I64, [_PTR, _I64]),
+    "repro_select_step": (_I64, [_PTR]),
 }
 
 

@@ -31,16 +31,19 @@ Two differences from the pseudocode:
   ``δ(v, i) · coverage`` — the true marginal-revenue order Algorithm 1
   maximises; ``"coverage"`` gives the literal Algorithm-3 ranking.
 
-Algorithm 3's lazy selector is compiled (``_select.c``, one call per ad
-per ``SELECT`` step): each ad's heap is two numpy arrays — keys
-``-score`` and node ids, a binary min-heap on ``(-score, node)`` — that
-the C code updates in place, reading coverage, CTPs, the allocation's
-per-ad membership mask and assignment counts, and the attention bounds
-through pointers bound once per heap rebuild.  It walks a few heap
-entries (:func:`_walk_limit`) and answers deeper scans with one pass
-over the coverage vector; the doubles it compares are the ones the
-Python walk kept in ``tests/algorithms/_reference_selector.py``
-computes, so the allocation is the same to the bit.
+Algorithm 3's lazy selector is compiled (``_select.c``): each ad's heap
+is two numpy arrays — keys ``-score`` and node ids, a binary min-heap on
+``(-score, node)`` — that the C code updates in place, reading coverage,
+CTPs, the allocation's per-ad membership mask and assignment counts, and
+the attention bounds through pointers bound once per heap rebuild.  It
+walks a few heap entries (:func:`_walk_limit`) and answers deeper scans
+with one pass over the coverage vector; the doubles it compares are the
+ones the Python walk kept in ``tests/algorithms/_reference_selector.py``
+computes, so the allocation is the same to the bit.  Each ad keeps its
+last answer, CELF-style: a ``SELECT`` step is one compiled call that
+asks only the active ads whose answer is stale — the ad's own pick or a
+``GROW`` happened since, or another ad picked a node the answer depends
+on — and makes the cross-ad choice over the kept answers.
 
 The loop runs as discrete, externally steppable states:
 
@@ -123,14 +126,16 @@ TERMINAL_STATES = frozenset({DONE, CANCELLED, FAILED})
 #: 2-core dev box (``FLIX``-shaped states, allocator seed 1): one walked
 #: entry, stale refreshes and its re-push included, ≈ 0.17 µs at n =
 #: 3 000 and 9 000; one pass ≈ 3 µs + 8 ns·n when few nodes overshoot
-#: and 47 / 150 µs at n = 3 000 / 9 000 on the deep scans that actually
-#: reach it.  Scans are bimodal — settled within a few entries or
-#: hundreds deep — and every pass on both instances was a deep scan:
-#: limits of 4 to 32 entries take the same 156 / 998 passes, and the
-#: selector's total moves only within noise (12.2–13.9 ms at n = 3 000,
-#: 164–184 ms at n = 9 000; never switching, 68 / 293 ms; always
-#: passing, 34 / 387 ms).  So the walk stays short: it costs at most
-#: ≈ 1/9 of the pass it may precede, and still settles the shallow scans.
+#: and 47 / 150 µs at n = 3 000 / 9 000 on a deep scan.  Scans are
+#: bimodal — settled within a few entries or hundreds deep — and with
+#: kept answers (:meth:`AllocationSession._choose`) a deep scan is rare:
+#: an ad in the end-game is asked again only when a pick touches what
+#: its answer depends on.  Of the 385 / 1 321 asks at n = 3 000 / 9 000,
+#: limits of 4 to 53 entries take 6–7 passes, and the selector takes
+#: 1.5–2.4 / 6.5–8.7 ms per allocation (median of 5 each); never
+#: switching takes 4.2 / 15.5 ms (13 860 / 24 831 pops), always passing
+#: 7.3 / 47.6 ms.  So the walk stays short: it costs at most ≈ 1/9 of
+#: the pass it may precede, and still settles the shallow scans.
 _WALK_BASE = 8
 _WALK_NODES_PER_ENTRY = 200
 
@@ -150,7 +155,8 @@ _ANSWER, _RETIRE = 1, 2
 
 class _SelectView(ctypes.Structure):
     """``repro_select_t`` of ``_select.c``, field for field: one ad's
-    heap, the run state the selector reads, and its last answer."""
+    heap, the run state the selector reads, and its kept answer with
+    what that answer depends on."""
 
     _fields_ = [
         ("keys", ctypes.c_void_p), ("nodes", ctypes.c_void_p),
@@ -161,9 +167,26 @@ class _SelectView(ctypes.Structure):
         ("n", ctypes.c_int64), ("weighted", ctypes.c_int64),
         ("cpe", ctypes.c_double), ("budget", ctypes.c_double),
         ("penalty", ctypes.c_double),
+        ("revenue", ctypes.c_double),
+        ("num_seeds", ctypes.c_int64), ("theta", ctypes.c_int64),
+        ("active", ctypes.c_int64), ("stale", ctypes.c_int64),
         ("node", ctypes.c_int64), ("cov", ctypes.c_int64),
         ("marginal", ctypes.c_double), ("drop", ctypes.c_double),
-        ("pops", ctypes.c_int64), ("passes", ctypes.c_int64),
+        ("top", ctypes.c_int64), ("fit", ctypes.c_int64),
+        ("fragile", ctypes.c_int64),
+        ("calls", ctypes.c_int64), ("pops", ctypes.c_int64),
+        ("passes", ctypes.c_int64),
+    ]
+
+
+class _StepTable(ctypes.Structure):
+    """``repro_step_t`` of ``_select.c``: the ads' views one ``SELECT``
+    step reads, and what it chose."""
+
+    _fields_ = [
+        ("ads", ctypes.c_void_p), ("count", ctypes.c_int64),
+        ("limit", ctypes.c_int64), ("chosen", ctypes.c_int64),
+        ("retired", ctypes.c_int64),
     ]
 
 
@@ -198,28 +221,6 @@ class _LazyHeap:
         # The view holds raw addresses: a copy or an unpickled heap is
         # rebuilt over its own arrays, and bound afresh on first use.
         return _LazyHeap, (self.keys, self.nodes, self.view.size)
-
-
-def _select_candidate(candidates):
-    """Cross-ad argmax with an order-independent tie-break.
-
-    ``candidates`` holds one ``(drop, node, cov, ad)`` tuple per active
-    ad.  The winner must not depend on catalog order — otherwise the
-    same problem under a permuted catalog can yield a different
-    allocation and a different regret.  Pairwise ε-comparisons cannot
-    guarantee that (they are not transitive: drops can chain across the
-    band boundary), so the choice is anchored at the *global* maximum
-    drop, which is itself order-independent: every candidate within
-    1e-12 of it is considered tied, and the tie breaks on the smaller
-    node id, then the exactly larger raw drop.  Only candidates that are
-    bit-identical in both remain catalog-order dependent — the
-    irreducibly symmetric case.
-    """
-    best_drop = max(c[0] for c in candidates)
-    if best_drop <= 1e-12:
-        return None
-    in_band = [c for c in candidates if c[0] >= best_drop - 1e-12]
-    return min(in_band, key=lambda c: (c[1], -c[0]))
 
 
 @dataclass
@@ -329,6 +330,11 @@ class AllocationSession:
         self.truncated = False
         self.error: BaseException | None = None
         self._pending_growth: tuple[int, float] | None = None
+        # The compiled SELECT step's table (built with the first heaps)
+        # and the ads whose own state changed since the last step.
+        self._table: _StepTable | None = None
+        self._table_ads = None
+        self._dirty: range | tuple[int, ...] = ()
         self._result: AllocationResult | None = None
         # request_cancel is called from other threads (the service's
         # cancel op), step() from the session's own — an Event is the
@@ -449,6 +455,7 @@ class AllocationSession:
             # keeps fresh and resumed runs on identical trajectories.
             for ad in range(self.problem.num_ads):
                 self._rebuild_heap(ad, self.states[ad])
+            self._open_table()
             self.start_iterations = self.iterations
             self.state = SELECT
             self._check_cancel()
@@ -471,34 +478,25 @@ class AllocationSession:
         )
         for ad in range(h):
             self._rebuild_heap(ad, self.states[ad])
+        self._open_table()
         self.start_iterations = self.iterations
         self.state = SELECT
         self._check_cancel()
 
     def _step_select(self) -> None:
-        candidates = []
-        for ad in range(self.problem.num_ads):
-            state = self.states[ad]
-            if not state.active:
-                continue
-            candidate = self._best_candidate(ad, state)
-            if candidate is None:
-                continue
-            node, cov, _, drop = candidate
-            candidates.append((drop, node, cov, ad))
-        chosen = _select_candidate(candidates) if candidates else None
+        chosen = self._choose()
         if chosen is None:
             self._finalize(DONE)
             return
-        _, best_node, best_cov, best_ad = chosen
+        best_ad, best_node, best_cov, marginal = chosen
         state = self.states[best_ad]
-        marginal = self._marginal_revenue(best_ad, state, best_node, best_cov)
         self.allocation.assign(best_node, best_ad)
         state.seeds_in_order.append(best_node)
         state.marginal_coverage[best_node] = best_cov
         state.revenue += marginal
         state.collection.remove_covered(best_node)
         self.iterations += 1
+        self._dirty = (best_ad,)
         if len(state.seeds_in_order) == state.seed_size_estimate:
             # Mid-iteration: the pick landed but its growth event has
             # not run, so this is NOT a boundary — the next step is.
@@ -853,6 +851,83 @@ class AllocationSession:
         heap.pinned = arrays
         heap.bound_to = state.collection
 
+    def _limit(self) -> int:
+        """Fresh entries a scan walks before it switches to the pass."""
+        if self.config.select_rule == "coverage":
+            return 1
+        return _walk_limit(self.problem.num_nodes)
+
+    def _load(self, ad: int, state: _AdState) -> _SelectView:
+        """The ad's view, bound and holding its current revenue, seed
+        count and θ, its answer marked stale."""
+        heap = state.heap
+        if heap.bound_to is not state.collection:
+            self._bind(ad, state)
+        view = heap.view
+        view.revenue = state.revenue
+        view.num_seeds = len(state.seeds_in_order)
+        view.theta = state.theta
+        view.active = state.active
+        view.stale = 1
+        return view
+
+    def _open_table(self) -> None:
+        """The compiled step's table over the freshly built heaps."""
+        h = self.problem.num_ads
+        self._table_ads = (ctypes.c_void_p * h)()
+        self._table = _StepTable(
+            ads=ctypes.addressof(self._table_ads), count=h, limit=self._limit(),
+        )
+        self._dirty = range(h)
+
+    def _choose(self):
+        """The ``SELECT`` step's pick: ``(ad, node, cov, marginal)``, or
+        ``None`` when no ad has a candidate.
+
+        One call of ``repro_select_step`` (``_select.c``) asks each
+        active ad whose kept answer is stale — what
+        :meth:`_best_candidate` answers — takes the cross-ad choice over
+        the answers and marks stale what the pick invalidates.  The
+        choice is anchored at the *global* maximum drop, which is
+        order-independent: every answer within 1e-12 of it is tied, and
+        the tie breaks on the smaller node id, then the exactly larger
+        raw drop.  Pairwise ε-comparisons could not guarantee that (they
+        are not transitive: drops can chain across the band boundary),
+        and a winner that depended on catalog order would give a
+        permuted catalog a different allocation.  Only answers that are
+        bit-identical in both remain catalog-order dependent — the
+        irreducibly symmetric case.
+
+        *Why kept answers are exact.*  An ad's answer is a function of
+        its own state, which only its own pick and ``GROW`` change (the
+        ads those steps touched are re-loaded here), and of which nodes
+        are eligible for it, which another ad's pick changes by one
+        node.  The answer records the nodes it depends on — the header
+        of ``_select.c`` says which and why — and only a pick among them
+        makes it stale.  ``tests/algorithms/_reference_selector.py``
+        keeps the loop that asks every ad on every step.
+
+        The revenue is the answer's ``marginal``, which the compiled
+        selector computes as :meth:`_marginal_revenue` does, to the bit.
+        """
+        table, states = self._table, self.states
+        for ad in self._dirty:
+            self._load(ad, states[ad])
+            self._table_ads[ad] = states[ad].heap.address
+        self._dirty = ()
+        retired = table.retired
+        found = library().repro_select_step(ctypes.addressof(table))
+        if found < 0:
+            raise MemoryError("the TIRM selector could not allocate memory")
+        if table.retired != retired:
+            for state in states:
+                state.active = state.active and bool(state.heap.view.active)
+        if found != _ANSWER:
+            return None
+        ad = table.chosen
+        view = states[ad].heap.view
+        return ad, view.node, view.cov, view.marginal
+
     def _best_candidate(self, ad: int, state: _AdState):
         """Argmax-drop candidate for one ad: ``(node, cov, marginal, drop)``.
 
@@ -865,7 +940,8 @@ class AllocationSession:
         the single top-coverage node is considered.
 
         One call of the compiled selector (``_select.c``, whose header
-        states the exactness contract) answers it:
+        states the exactness contract) answers it; :meth:`_choose` asks
+        the same question of each ad whose kept answer is stale:
 
         *What is lazy.*  The heap holds every eligible node of positive
         score under a key that is its score at some earlier coverage —
@@ -895,21 +971,9 @@ class AllocationSession:
         coverage, revenue and θ change only when it takes a seed, it has
         none to take, and other ads' picks only make users ineligible.
         """
-        if self.budgets[ad] - state.revenue <= 0:
-            return None
-        heap = state.heap
-        if heap.bound_to is not state.collection:
-            self._bind(ad, state)
-        limit = (
-            1 if self.config.select_rule == "coverage"
-            else _walk_limit(self.problem.num_nodes)
-        )
-        found = library().repro_select(
-            heap.address, state.revenue, len(state.seeds_in_order),
-            state.theta, limit,
-        )
+        view = self._load(ad, state)
+        found = library().repro_select(state.heap.address, self._limit())
         if found == _ANSWER:
-            view = heap.view
             return view.node, view.cov, view.marginal, view.drop
         if found == _RETIRE:
             state.active = False

@@ -42,12 +42,21 @@ _ALLOCATORS: dict[str, Callable[..., object]] = {
 
 _DATASET_KWARG_NAMES = ("scale", "num_ads", "attention_bound", "penalty")
 
-#: ``allocate`` options only TIRM reads: another ``--algorithm`` refuses
-#: them rather than run without them.
-_TIRM_ONLY = (
-    "engine", "workers", "dsan", "checkpoint", "checkpoint_every", "resume",
-    "cache", "dist_port", "dist_host", "wait_workers", "allow_remote",
-)
+#: ``allocate`` options that only some algorithms read, with the
+#: algorithm that reads each: another ``--algorithm`` refuses a value
+#: other than the default rather than run without it.
+_READ_BY = {
+    **dict.fromkeys((
+        "epsilon", "max_rr_sets", "chunk_size", "dsan", "engine", "workers",
+        "checkpoint", "checkpoint_every", "resume", "cache", "dist_port",
+        "dist_host", "wait_workers", "allow_remote",
+    ), "tirm"),
+    "mc_runs": "greedy",
+    "alpha": "irie",
+}
+
+#: How the refusal names the algorithm that reads an option.
+_ALGORITHM_NAMES = {"tirm": "TIRM", "greedy": "Greedy", "irie": "Greedy-IRIE"}
 
 
 def _resume_path(args) -> str | None:
@@ -347,14 +356,13 @@ def _start_coordinator(args):
 
 
 def _cmd_allocate(args) -> int:
-    if args.algorithm != "tirm":
-        defaults = build_parser().parse_args(["allocate", args.dataset])
-        for name in _TIRM_ONLY:
-            if getattr(args, name) != getattr(defaults, name):
-                raise ConfigurationError(
-                    f"--{name.replace('_', '-')} is a TIRM option; "
-                    f"--algorithm {args.algorithm} does not read it"
-                )
+    defaults = build_parser().parse_args(["allocate", args.dataset])
+    for name, reader in _READ_BY.items():
+        if reader != args.algorithm and getattr(args, name) != getattr(defaults, name):
+            raise ConfigurationError(
+                f"--{name.replace('_', '-')} is a {_ALGORITHM_NAMES[reader]} "
+                f"option; --algorithm {args.algorithm} does not read it"
+            )
     problem = load_dataset(args.dataset, **_dataset_kwargs(args))
     coordinator = None
     if args.engine == "dist":

@@ -109,6 +109,23 @@ CREATE TABLE IF NOT EXISTS checkpoint_shards (
 """
 
 
+def _switch_to_wal(conn: sqlite3.Connection) -> None:
+    """``PRAGMA journal_mode = WAL``, retried while the database is
+    locked, for at most :data:`BUSY_TIMEOUT_MS`.  Switching the journal
+    mode needs the database to itself, and SQLite can refuse that with
+    ``database is locked`` without consulting the busy handler — as it
+    does while another connection switches the same new file."""
+    deadline = time.monotonic() + BUSY_TIMEOUT_MS / 1000
+    while True:
+        try:
+            conn.execute("PRAGMA journal_mode = WAL")
+            return
+        except sqlite3.OperationalError as exc:
+            if "database is locked" not in str(exc) or time.monotonic() > deadline:
+                raise
+        time.sleep(0.005)
+
+
 class ExperimentCatalog:
     """Connection wrapper over one cache directory's catalog database."""
 
@@ -120,7 +137,7 @@ class ExperimentCatalog:
         try:
             self._conn = sqlite3.connect(self.path, check_same_thread=False)
             self._conn.execute(f"PRAGMA busy_timeout = {BUSY_TIMEOUT_MS}")
-            self._conn.execute("PRAGMA journal_mode = WAL")
+            _switch_to_wal(self._conn)
             self._conn.execute("PRAGMA synchronous = NORMAL")
             with self._lock, self._conn:
                 self._conn.executescript(_SCHEMA)
@@ -133,8 +150,9 @@ class ExperimentCatalog:
                     self._conn.execute(
                         "ALTER TABLE allocations ADD COLUMN job_id TEXT"
                     )
-            except sqlite3.OperationalError:
-                pass
+            except sqlite3.OperationalError as exc:
+                if "duplicate column name" not in str(exc):
+                    raise
         except sqlite3.Error as exc:
             raise StoreError(
                 f"cannot open experiment catalog at {self.path}: {exc}"

@@ -1,5 +1,6 @@
 """The Algorithm-3 selector as it stood at commit c3d1ac2 — a plain
-``heapq`` walk in Python — kept verbatim as the in-test reference.
+``heapq`` walk in Python, asked of every active ad on every step — kept
+verbatim as the in-test reference.
 
 The shipped ``AllocationSession._best_candidate`` is one call of the
 compiled selector (``algorithms/_select.c``): an array heap it walks a
@@ -11,6 +12,11 @@ and ``test_selector_equivalence.py`` holds the shipped selector equal
 to it call by call.  The method bodies are untouched but for their
 argument plumbing: the run state they took as arguments is the
 session's own.
+
+The shipped ``SELECT`` step keeps each ad's answer until it can have
+changed and makes the cross-ad choice in the same compiled call;
+:meth:`ReferenceSelector._choose` is the loop it replaced, which asks
+every active ad on every step and chooses with :func:`select_candidate`.
 
 :func:`make_session` is how the tests build sessions — this subclass,
 the shipped class, or a test's own override — over a real engine or,
@@ -44,8 +50,40 @@ def make_session(problem, config, session_class=AllocationSession, engine=None):
     return session_class(problem, config, engine=engine)
 
 
+def select_candidate(candidates):
+    """Cross-ad argmax with an order-independent tie-break.
+
+    ``candidates`` holds one ``(drop, node, cov, ad)`` tuple per active
+    ad.  The choice is anchored at the *global* maximum drop: every
+    candidate within 1e-12 of it is tied, and the tie breaks on the
+    smaller node id, then the exactly larger raw drop.
+    """
+    best_drop = max(c[0] for c in candidates)
+    if best_drop <= 1e-12:
+        return None
+    in_band = [c for c in candidates if c[0] >= best_drop - 1e-12]
+    return min(in_band, key=lambda c: (c[1], -c[0]))
+
+
 class ReferenceSelector(AllocationSession):
-    """TIRM with the heap-walking candidate scan of commit c3d1ac2."""
+    """TIRM with the heap-walking candidate scan of commit c3d1ac2,
+    asked of every active ad on every step."""
+
+    def _choose(self):
+        candidates = []
+        for ad, state in enumerate(self.states):
+            if not state.active:
+                continue
+            candidate = self._best_candidate(ad, state)
+            if candidate is None:
+                continue
+            node, cov, _, drop = candidate
+            candidates.append((drop, node, cov, ad))
+        chosen = select_candidate(candidates) if candidates else None
+        if chosen is None:
+            return None
+        _, node, cov, ad = chosen
+        return ad, node, cov, self._marginal_revenue(ad, self.states[ad], node, cov)
 
     def _score(self, ad: int, node: int, cov: int) -> float:
         if self.config.select_rule == "weighted":

@@ -1,13 +1,16 @@
 """TIRM (Algorithms 2–4)."""
 
+import ctypes
+
 import numpy as np
 import pytest
 
+from repro._native import library
 from repro.advertising.advertiser import Advertiser
 from repro.advertising.attention import AttentionBounds
 from repro.advertising.catalog import AdCatalog
 from repro.advertising.problem import AdAllocationProblem
-from repro.algorithms.session import AllocationSession
+from repro.algorithms.session import AllocationSession, _SelectView, _StepTable
 from repro.algorithms.tirm import TIRMAllocator
 from repro.datasets.toy import figure1_problem
 from repro.errors import ConfigurationError
@@ -16,7 +19,27 @@ from repro.evaluation.evaluator import RegretEvaluator
 from repro.graph.generators import erdos_renyi, star_graph
 from repro.graph.probabilities import constant_probabilities
 
-from tests.algorithms._reference_selector import ReferenceSelector, make_session
+from tests.algorithms._reference_selector import (
+    ReferenceSelector,
+    make_session,
+    select_candidate,
+)
+
+
+def _compiled_choice(answers):
+    """The node ``repro_select_step`` picks among kept answers, one
+    ``(drop, node)`` per ad in ad order."""
+    views = [
+        _SelectView(active=1, stale=0, node=node, drop=drop, top=-1, fit=-1)
+        for drop, node in answers
+    ]
+    ads = (ctypes.c_void_p * len(views))(*map(ctypes.addressof, views))
+    table = _StepTable(ads=ctypes.addressof(ads), count=len(views), limit=1)
+    assert library().repro_select_step(ctypes.addressof(table)) == 1
+    picked = views[table.chosen].node
+    # The pick makes stale exactly the answers that name its node.
+    assert [view.stale for view in views] == [view.node == picked for view in views]
+    return picked
 
 
 def tirm(**kwargs):
@@ -198,22 +221,21 @@ class TestTieBreaking:
 
     def test_selection_is_scan_order_independent(self):
         """Pairwise ε-comparisons are not transitive: drops can chain
-        across the 1e-12 band (a≈b, b≈c, a<c).  The anchored-max rule
-        must pick the same candidate under every scan permutation."""
+        across the 1e-12 band (a≈b, b≈c, a<c).  The compiled step's
+        anchored-max rule must pick the same candidate under every
+        order of the ads — the one the reference rule picks."""
         import itertools
 
-        from repro.algorithms.session import _select_candidate
-
-        chain = [
-            (1.0, 0, 10, 0),
-            (1.0 + 8e-13, 5, 10, 1),
-            (1.0 + 1.6e-12, 9, 10, 2),
-        ]
+        chain = [(1.0, 0), (1.0 + 8e-13, 5), (1.0 + 1.6e-12, 9)]
         picks = {
-            _select_candidate(list(perm))[1]
+            _compiled_choice(list(perm))
             for perm in itertools.permutations(chain)
         }
-        assert len(picks) == 1
+        assert picks == {5}
+        reference = select_candidate(
+            [(drop, node, 10, ad) for ad, (drop, node) in enumerate(chain)]
+        )
+        assert reference[1] == 5
 
     def test_distinct_node_ties_prefer_smaller_node(self):
         """When tied candidates propose different nodes, the smaller node
@@ -276,22 +298,26 @@ class _FullScan(ReferenceSelector):
         return True
 
 
-def _count_scans(monkeypatch):
-    """Per ``_best_candidate`` call of the compiled selector: ``(ad,
-    fresh-entry searches, found one)`` — the searches the Python walk
-    made one ``_pop_fresh`` call each, read off the heap's C view."""
-    calls = []
-    best_candidate = AllocationSession._best_candidate
+def _count_steps(monkeypatch, session):
+    """Per compiled ``SELECT`` step, per ad: ``(active, stale)`` as the
+    step found the ad's view, and the asks and fresh-entry searches the
+    step made of it — read off the views' counters."""
+    steps = []
+    lib = library()
+    step = lib.repro_select_step
 
-    def counting_best(self, ad, state):
-        view = state.heap.view
-        pops = view.pops
-        best = best_candidate(self, ad, state)
-        calls.append((ad, view.pops - pops, best is not None))
-        return best
+    def counting_step(address):
+        views = [state.heap.view for state in session.states]
+        before = [(v.active, v.stale, v.calls, v.pops) for v in views]
+        found = step(address)
+        steps.append([
+            (bool(active), bool(stale), v.calls - calls, v.pops - pops)
+            for (active, stale, calls, pops), v in zip(before, views)
+        ])
+        return found
 
-    monkeypatch.setattr(AllocationSession, "_best_candidate", counting_best)
-    return calls
+    monkeypatch.setattr(lib, "repro_select_step", counting_step)
+    return steps
 
 
 class TestEndGame:
@@ -322,36 +348,33 @@ class TestEndGame:
         assert retiring.estimated_revenues.tolist() == scanning.estimated_revenues.tolist()
 
     def test_a_fruitless_scan_stops_at_the_top_of_the_heap(self, monkeypatch):
-        """Counts, not seconds: no scan walks the heap past the switch
-        count (one more fresh-entry search may find it empty), a retired
-        ad is not asked again, and the run pops a fraction of what the
-        parent's heap walk did."""
+        """Counts, not seconds: each step asks exactly the active ads
+        whose kept answer is stale, no ask walks the heap past the
+        switch count (one more fresh-entry search may find it empty), a
+        retired ad is not asked again, and the run asks and pops a
+        fraction of what asking every ad on every step did."""
         from repro.algorithms import session as session_module
 
         problem = self._problem()
-        calls = _count_scans(monkeypatch)
-        active = []
-        select = AllocationSession._step_select
-
-        def recording_select(session):
-            active.append([state.active for state in session.states])
-            select(session)
-
-        monkeypatch.setattr(AllocationSession, "_step_select", recording_select)
-        TIRMAllocator(**self.KWARGS).allocate(problem)
+        allocator = TIRMAllocator(**self.KWARGS)
+        with allocator._build_engine(problem, None) as engine:
+            session = AllocationSession(problem, allocator, engine=engine)
+            steps = _count_steps(monkeypatch, session)
+            result = session.run()
+        assert len(steps) == result.stats["iterations"] + 1
+        for step in steps:
+            for active, stale, asked, _ in step:
+                assert asked == (active and stale)
+        asks = [(asks, popped) for step in steps for _, _, asks, popped in step]
         limit = session_module._walk_limit(problem.num_nodes)
-        assert max(popped for _, popped, _ in calls) <= limit + 1
-        # The parent (commit c3d1ac2) popped 26 042 entries over the same
-        # 267 scans, 523 in the deepest one.
-        assert len(calls) == 267
-        assert sum(popped for _, popped, _ in calls) < 26_042 // 10
-        # Each SELECT step asks exactly the ads active at its start, and
-        # retirement is for good.
-        asked = iter(calls)
-        for flags in active:
-            for ad in np.flatnonzero(flags):
-                assert next(asked)[0] == ad
-        assert next(asked, None) is None
+        assert max(popped for _, popped in asks) <= limit + 1
+        # Asking every active ad on every step made 267 asks; the
+        # parent of the compiled selector (commit c3d1ac2) popped 26 042
+        # entries over them, 523 in the deepest one.
+        assert sum(asked for asked, _ in asks) == 71
+        assert sum(popped for _, popped in asks) < 26_042 // 10
+        # Retirement is for good, and the instance has some.
+        active = [[flag for flag, _, _, _ in step] for step in steps]
         assert any(not all(flags) for flags in active), (
             "the instance must leave some ad short of its budget"
         )

@@ -5,6 +5,7 @@ import os
 import pytest
 
 from repro.cli.main import build_parser, main
+from repro.rrset.sampler import DEFAULT_CHUNK_SIZE
 
 
 def test_requires_command(capsys):
@@ -62,7 +63,8 @@ def test_allocate_myopic_on_flixster(capsys):
         ("--checkpoint", "run.ckpt.json"), ("--checkpoint-every", "3"),
         ("--resume", None), ("--cache", "store"), ("--dist-port", "7070"),
         ("--dist-host", "localhost"), ("--wait-workers", "1"),
-        ("--allow-remote", None),
+        ("--allow-remote", None), ("--epsilon", "0.5"), ("--max-rr-sets", "10"),
+        ("--chunk-size", "64"),
     ],
 )
 def test_allocate_refuses_tirm_options_under_another_algorithm(
@@ -70,6 +72,30 @@ def test_allocate_refuses_tirm_options_under_another_algorithm(
 ):
     """Another algorithm does not read a TIRM option, so naming one is
     refused with one ``error:`` line naming it — and nothing runs."""
+    _assert_refused(tmp_path, capsys, monkeypatch, algorithm, flag, value, "TIRM")
+
+
+@pytest.mark.parametrize(
+    "flag, value, reader, algorithm",
+    [
+        (flag, value, reader, algorithm)
+        for flag, value, reads, reader in (
+            ("--mc-runs", "3", "greedy", "Greedy"),
+            ("--alpha", "0.1", "irie", "Greedy-IRIE"),
+        )
+        for algorithm in ("tirm", "greedy", "myopic", "myopic+", "irie")
+        if algorithm != reads
+    ],
+)
+def test_allocate_refuses_another_algorithms_option(
+    tmp_path, capsys, monkeypatch, flag, value, reader, algorithm
+):
+    """``--mc-runs`` is read by Greedy alone and ``--alpha`` by
+    Greedy-IRIE alone: every other algorithm refuses them the same way."""
+    _assert_refused(tmp_path, capsys, monkeypatch, algorithm, flag, value, reader)
+
+
+def _assert_refused(tmp_path, capsys, monkeypatch, algorithm, flag, value, reader):
     monkeypatch.chdir(tmp_path)
     argv = ["allocate", "figure1", "--algorithm", algorithm, flag]
     code = main(argv if value is None else argv + [value])
@@ -77,8 +103,8 @@ def test_allocate_refuses_tirm_options_under_another_algorithm(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        f"error: {flag} is a TIRM option; --algorithm {algorithm} does not "
-        "read it\n"
+        f"error: {flag} is a {reader} option; --algorithm {algorithm} does "
+        "not read it\n"
     )
     assert os.listdir(tmp_path) == []
 
@@ -87,11 +113,13 @@ def test_allocate_tirm_options_at_their_defaults_pass_another_algorithm(
     tmp_path, capsys
 ):
     """The refusal compares with the parser's defaults: spelling a
-    default out is not a TIRM option in use."""
+    default out is not a TIRM option in use, nor another algorithm's."""
     code = main([
         "allocate", "figure1", "--algorithm", "myopic", "--eval-runs", "20",
         "--engine", "serial", "--dist-port", "0", "--dist-host", "127.0.0.1",
-        "--wait-workers", "0",
+        "--wait-workers", "0", "--epsilon", "0.1", "--max-rr-sets", "20000",
+        "--chunk-size", str(DEFAULT_CHUNK_SIZE), "--mc-runs", "200",
+        "--alpha", "0.8",
     ])
     assert code == 0
     assert "Myopic on figure1" in capsys.readouterr().out

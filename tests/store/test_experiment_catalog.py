@@ -6,10 +6,13 @@ from __future__ import annotations
 
 import json
 import sqlite3
+import threading
 
 import pytest
 
 from repro.cli.main import main
+from repro.errors import StoreError
+from repro.store import catalog as catalog_module
 from repro.store.catalog import CATALOG_FILENAME, ExperimentCatalog
 
 
@@ -121,6 +124,83 @@ def test_concurrent_connections_share_one_database(tmp_path):
         assert len(reader.list_shards()) == 1
         reader.record_shards([_shard_row("k2", 0)])
         assert len(writer.list_shards()) == 2
+
+
+def test_threads_opening_one_fresh_directory_at_once_all_succeed(tmp_path):
+    """Eight connections switch the same new file to WAL at once: a
+    ``database is locked`` on the switch is waited out, never raised."""
+    for trial in range(8):
+        directory = tmp_path / str(trial)
+        directory.mkdir()
+        start = threading.Barrier(8)
+        errors = []
+
+        def open_one():
+            start.wait()
+            try:
+                ExperimentCatalog(str(directory)).close()
+            except StoreError as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=open_one) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == []
+
+
+def _connect_failing(monkeypatch, statement: str, message: str, times: int):
+    """Make the catalog's connections raise ``OperationalError(message)``
+    on the first ``times`` executions of ``statement``."""
+    failures = {"left": times}
+
+    class Failing(sqlite3.Connection):
+        def execute(self, sql, *args):
+            if sql.startswith(statement) and failures["left"] > 0:
+                failures["left"] -= 1
+                raise sqlite3.OperationalError(message)
+            return super().execute(sql, *args)
+
+    connect = sqlite3.connect
+    monkeypatch.setattr(
+        catalog_module.sqlite3, "connect",
+        lambda *args, **kwargs: connect(*args, factory=Failing, **kwargs),
+    )
+    return failures
+
+
+def test_a_locked_wal_switch_is_retried(tmp_path, monkeypatch):
+    failures = _connect_failing(
+        monkeypatch, "PRAGMA journal_mode", "database is locked", 3
+    )
+    with ExperimentCatalog(str(tmp_path)) as cat:
+        cat.record_shards([_shard_row("k1", 0)])
+        assert len(cat.list_shards()) == 1
+    assert failures["left"] == 0
+
+
+def test_other_wal_switch_errors_are_not_retried(tmp_path, monkeypatch):
+    failures = _connect_failing(
+        monkeypatch, "PRAGMA journal_mode", "disk I/O error", 3
+    )
+    with pytest.raises(StoreError, match="disk I/O error"):
+        ExperimentCatalog(str(tmp_path))
+    assert failures["left"] == 2
+
+
+def test_a_locked_migration_is_not_swallowed(tmp_path, monkeypatch):
+    """Only ``duplicate column name`` means the schema is current; a
+    lock on the ALTER surfaces instead of leaving the column missing."""
+    _connect_failing(monkeypatch, "ALTER TABLE", "database is locked", 1)
+    with pytest.raises(StoreError, match="database is locked"):
+        ExperimentCatalog(str(tmp_path))
+
+
+def test_reopening_a_current_catalog_swallows_the_duplicate_column(tmp_path):
+    ExperimentCatalog(str(tmp_path)).close()
+    with ExperimentCatalog(str(tmp_path)) as cat:
+        assert cat.get_allocation(1) is None
 
 
 #: The catalog schema as it stood while the catalog also kept bench
