@@ -11,9 +11,12 @@ An :class:`AdAllocationProblem` bundles everything an allocator needs:
 * attention bounds ``κ_u`` and the seed penalty ``λ``.
 
 The instance is immutable in fact, not only by convention: its graph's
-arrays and both ``(h, ·)`` matrices are read-only, so the content digests
-an engine pool keys on (:meth:`AdAllocationProblem.content_digests`) are
-hashed once and can never go stale.
+arrays and both ``(h, ·)`` matrices are backed by immutable ``bytes``
+(:func:`~repro.utils.hashing.immutable`), so no write reaches them and
+no flag makes them writable again.  The content digests an engine pool
+keys on, and a TIRM engine builds its shard keys from
+(:meth:`AdAllocationProblem.content_digests`), are hashed once and can
+never go stale.
 """
 
 from __future__ import annotations
@@ -29,17 +32,6 @@ from repro.graph.digraph import DirectedGraph
 from repro.topics.model import TopicModel
 from repro.utils import hashing
 from repro.utils.validation import check_probability_array
-
-
-def _frozen(array: np.ndarray, given) -> np.ndarray:
-    """``array`` made read-only, copied first unless the problem owns
-    it: a caller's writable array, or a view of anything, is copied; a
-    fresh conversion, and a read-only array such as another problem's
-    matrix, are kept as they are."""
-    if array.base is not None or (array is given and array.flags.writeable):
-        array = array.copy()
-    array.flags.writeable = False
-    return array
 
 
 class AdAllocationProblem:
@@ -63,9 +55,10 @@ class AdAllocationProblem:
     penalty:
         The seed penalty ``λ ≥ 0`` of Eq. (3).
 
-    Both matrices are stored read-only — a caller's writable array is
-    copied first — and the graph's arrays are read-only too, so an
-    in-place write raises ``ValueError``.  The content digests are
+    Both matrices are stored immutable — any array not already backed
+    by immutable ``bytes`` is copied once — and so are the graph's, so
+    an in-place write raises ``ValueError``, and so does setting
+    ``flags.writeable`` back to ``True``.  The content digests are
     hashed once (:meth:`content_digests`) and shared by every problem
     derived over the same arrays (:meth:`with_catalog`,
     :meth:`with_penalty`, :meth:`with_attention`).
@@ -87,21 +80,18 @@ class AdAllocationProblem:
     ) -> None:
         h, n, m = len(catalog), graph.num_nodes, graph.num_edges
 
-        given = edge_probabilities
+        # Broadcasts stay views: the one copy is the immutable one below.
         edge_probabilities = check_probability_array("edge_probabilities", edge_probabilities)
         if edge_probabilities.ndim == 1:
-            edge_probabilities = np.broadcast_to(edge_probabilities, (h, m)).copy()
+            edge_probabilities = np.broadcast_to(edge_probabilities, (h, m))
         if edge_probabilities.shape != (h, m):
             raise ConfigurationError(
                 f"edge_probabilities must be ({h}, {m}), got {edge_probabilities.shape}"
             )
 
-        given_ctps = ctps
         ctps = np.asarray(ctps, dtype=np.float64)
-        if ctps.ndim == 0:
-            ctps = np.full((h, n), float(ctps))
-        elif ctps.ndim == 1:
-            ctps = np.broadcast_to(ctps, (h, n)).copy()
+        if ctps.ndim < 2:
+            ctps = np.broadcast_to(ctps, (h, n))
         ctps = check_probability_array("ctps", ctps)
         if ctps.shape != (h, n):
             raise ConfigurationError(f"ctps must be ({h}, {n}), got {ctps.shape}")
@@ -115,8 +105,8 @@ class AdAllocationProblem:
 
         self.graph = graph
         self.catalog = catalog
-        self.edge_probabilities = _frozen(edge_probabilities, given)
-        self.ctps = _frozen(ctps, given_ctps)
+        self.edge_probabilities = hashing.immutable(edge_probabilities)
+        self.ctps = hashing.immutable(ctps)
         self.attention = attention
         self.penalty = float(penalty)
         # Filled by content_digests(); shared with every problem derived
@@ -150,10 +140,8 @@ class AdAllocationProblem:
         edge_probs = np.stack(
             [model.ad_edge_probabilities(ad.topics) for ad in catalog], axis=0
         )
-        edge_probs.flags.writeable = False  # the problem's own: not copied
         if ctps is None:
             ctps = np.stack([model.ad_ctps(ad.topics) for ad in catalog], axis=0)
-            ctps.flags.writeable = False
         return cls(model.graph, catalog, edge_probs, ctps, attention, penalty)
 
     # ------------------------------------------------------------------
@@ -190,8 +178,11 @@ class AdAllocationProblem:
         """``(graph digest, per-ad probability-row digests)`` — the
         content an RR-set sample depends on, which the service's engine
         pool keys on.  Hashed on the first call (the graph's digest is
-        cached on the graph itself) and kept: the arrays are read-only,
-        so the digests cannot go stale."""
+        cached on the graph itself) and kept: the arrays are immutable,
+        so the digests cannot go stale.  TIRM hands them to its engine
+        (:meth:`~repro.algorithms.tirm.TIRMAllocator._build_engine`),
+        which derives its shard-cache keys from them instead of hashing
+        the rows again."""
         cached = self._digests.get("content")
         if cached is None:
             cached = self._digests["content"] = (
@@ -239,8 +230,8 @@ class AdAllocationProblem:
         # An unpickled or deep-copied problem holds fresh, writable arrays.
         for name, value in state[1].items():
             setattr(self, name, value)
-        self.edge_probabilities.flags.writeable = False
-        self.ctps.flags.writeable = False
+        self.edge_probabilities = hashing.immutable(self.edge_probabilities)
+        self.ctps = hashing.immutable(self.ctps)
 
     def __repr__(self) -> str:
         return (

@@ -319,7 +319,10 @@ class TIRMAllocator(Allocator):
         # The streams take the master seed directly (per-ad separation
         # happens in the spawn key).  On resume the checkpoint's entropy
         # roots are authoritative: they rebuild the exact streams the
-        # snapshot was sampled from.
+        # snapshot was sampled from.  An engine that keys shards (a cache,
+        # a dialled fleet) takes the instance's digests, hashed once per
+        # problem, instead of hashing every row again.
+        keyed = cache is not None or self.engine == "dist"
         return ShardedSamplingEngine(
             problem.graph,
             [problem.ad_edge_probabilities(ad) for ad in range(problem.num_ads)],
@@ -330,6 +333,7 @@ class TIRMAllocator(Allocator):
             chunk_size=self.chunk_size,
             dsan=self.dsan,
             cache=cache,
+            content_digests=problem.content_digests() if keyed else None,
         )
 
     @property

@@ -20,6 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.errors import GraphError
+from repro.utils.hashing import immutable
 
 
 class DirectedGraph:
@@ -37,11 +38,25 @@ class DirectedGraph:
     Notes
     -----
     The constructor sorts the edge list once; all queries afterwards are
-    O(1) slicing into flat numpy arrays.  The arrays are read-only (an
-    in-place write raises ``ValueError``), so the content digest
+    O(1) slicing into flat numpy arrays.  The arrays are immutable
+    (:func:`~repro.utils.hashing.immutable`: an in-place write raises
+    ``ValueError``, and so does setting ``flags.writeable`` back to
+    ``True``), so the content digest
     :func:`~repro.utils.hashing.graph_digest` caches on the graph stays
     true.
     """
+
+    #: The CSR and edge-list arrays, all immutable.
+    _ARRAYS = (
+        "edge_sources",
+        "edge_targets",
+        "out_indptr",
+        "out_targets",
+        "out_edge_ids",
+        "in_indptr",
+        "in_sources",
+        "in_edge_ids",
+    )
 
     __slots__ = (
         "num_nodes",
@@ -95,7 +110,7 @@ class DirectedGraph:
         # Out-CSR follows the canonical order directly.
         out_degree = np.bincount(src, minlength=num_nodes)
         self.out_indptr = np.concatenate(([0], np.cumsum(out_degree))).astype(np.int64)
-        self.out_targets = dst.copy()
+        self.out_targets = dst
         self.out_edge_ids = np.arange(self.num_edges, dtype=np.int64)
 
         # In-CSR: sort canonical ids by (target, source).
@@ -104,8 +119,9 @@ class DirectedGraph:
         self.in_indptr = np.concatenate(([0], np.cumsum(in_degree))).astype(np.int64)
         self.in_sources = src[in_order]
         self.in_edge_ids = in_order
-        for array in self._arrays():
-            array.flags.writeable = False
+        # Each array is freed as its immutable copy replaces it.
+        del src, dst, order, in_order
+        self._freeze()
         self._digest: str | None = None  # graph_digest() fills it
 
     # ------------------------------------------------------------------
@@ -196,16 +212,11 @@ class DirectedGraph:
         return DirectedGraph(self.num_nodes, self.edge_targets, self.edge_sources)
 
     def _arrays(self) -> Sequence[np.ndarray]:
-        return (
-            self.edge_sources,
-            self.edge_targets,
-            self.out_indptr,
-            self.out_targets,
-            self.out_edge_ids,
-            self.in_indptr,
-            self.in_sources,
-            self.in_edge_ids,
-        )
+        return tuple(getattr(self, name) for name in self._ARRAYS)
+
+    def _freeze(self) -> None:
+        for name in self._ARRAYS:
+            setattr(self, name, immutable(getattr(self, name)))
 
     def memory_bytes(self) -> int:
         """Bytes held by the CSR arrays (used in the Table-4 accounting)."""
@@ -218,8 +229,7 @@ class DirectedGraph:
         # An unpickled or deep-copied graph holds fresh, writable arrays.
         for name, value in state[1].items():
             setattr(self, name, value)
-        for array in self._arrays():
-            array.flags.writeable = False
+        self._freeze()
 
     def __repr__(self) -> str:
         return f"DirectedGraph(num_nodes={self.num_nodes}, num_edges={self.num_edges})"

@@ -35,6 +35,8 @@ replayable like everyone else's.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.graph.digraph import DirectedGraph
@@ -134,8 +136,10 @@ class StreamPlan:
 class RRSetSampler:
     """The chunk kernel of one (graph, per-ad probabilities) pair.
 
-    Immutable after construction: the graph and the in-slot probability
-    gather.  Its
+    Immutable after construction: the graph and its probability row,
+    checked here (a bad row fails when the engine is built).  The
+    in-slot gather of that row is taken at the first chunk, so an
+    engine served wholly from its cache never pays it.  Its
     sampling method, :meth:`sample_chunk_block` (or :meth:`chunk_task`
     run by the driver), is a pure function of
     the stream address ``(StreamPlan, chunk_index)``, so any worker can
@@ -177,7 +181,11 @@ class RRSetSampler:
                 f"edge_probabilities must have shape ({graph.num_edges},), "
                 f"got {self.edge_probabilities.shape}"
             )
-        self._in_probs_array = self.edge_probabilities[graph.in_edge_ids]
+
+    @functools.cached_property
+    def _in_probs_array(self) -> np.ndarray:
+        """The row gathered into in-CSR slot order, at the first chunk."""
+        return self.edge_probabilities[self.graph.in_edge_ids]
 
     def sample_chunk_block(
         self, plan: StreamPlan, chunk_index: int

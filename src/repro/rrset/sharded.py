@@ -31,14 +31,15 @@ the shard cache) is offered to the engine's :class:`ChunkSubstrate` —
 and then *gathers* in ascending ``(ad, chunk)`` order, whatever the
 completion order: each block is collected from its future, opened from
 the cache, or taken from the request's one table of inline chunks
-(:meth:`ChunkSource.blocks`), and handed to
-:meth:`ShardedSamplingEngine._splice`,
-the single place a block enters a shard (dsan digest of the full block,
-cache write-through of a freshly computed one, exactly one copy of the
-*whole* chunk into the pool, release of the block).  The sets past the
-request stay in the pool as its *hidden tail*
-(:meth:`~repro.rrset.pool.RRSetPool.add_flat` with ``visible=``), so
-a shard's resident mark always falls on a chunk boundary.  Resident
+(:meth:`ChunkSource.blocks`).  Every block gets its dsan digest and, if
+freshly computed, its cache write-through as it arrives; an ad's run of
+blocks in the request then goes to
+:meth:`ShardedSamplingEngine._splice`, the single place blocks enter a
+shard: **one** :meth:`~repro.rrset.pool.RRSetPool.add_flat` per ad per
+request over the run's *whole* chunks, then release of every block.
+The sets past the request stay in the pool as its *hidden tail*
+(``add_flat`` with ``visible=``), so a shard's resident mark always
+falls on a chunk boundary.  Resident
 sets — a hidden tail, or everything a rewound shard still holds
 (:meth:`ShardedSamplingEngine.reset_for_reuse`) — are never tasks of
 that path: every request is split at the shard's resident mark, and
@@ -78,10 +79,12 @@ With a cache directory configured the chunk path is *read-through* over
 the content-addressed shard store (:mod:`repro.store`): a cached chunk
 is never submitted, its verified entry — a
 :class:`~repro.rrset.block.Block` of views over the file mapping,
-parsed by the same codec as a RESULT frame — takes the same single-copy
-splice, and freshly computed blocks are stored for the next run.  Keys
+parsed by the same codec as a RESULT frame — takes the same splice,
+and freshly computed blocks are stored for the next run.  Keys
 address what determines the bytes and exclude the
-substrate — so a warm run performs **zero** sampling-backend
+substrate; an engine given ``content_digests`` (TIRM passes its
+problem's) derives them without hashing the rows again.  So a warm
+run performs **zero** sampling-backend
 invocations (``backend_invocations`` counts them) yet stays
 byte-identical to a cold one.  A poisoned entry is quarantined with a
 warning and the block recomputed, never spliced.
@@ -96,6 +99,8 @@ import threading
 import weakref
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.graph.digraph import DirectedGraph
@@ -145,7 +150,8 @@ class ChunkSource:
     """Everything needed to re-derive any chunk of any ad — graph,
     per-ad probability rows and stream entropies, chunk size — plus
     lazily built per-ad samplers, so the O(m) in-CSR
-    probability gather is paid at most once per (process, ad).  Forked
+    probability gather is paid at most once per (process, ad), at the
+    ad's first computed chunk.  Forked
     workers inherit the parent's; workers that dial in rebuild theirs
     over the flat payload the parent packed.
     """
@@ -292,6 +298,14 @@ def _release_engine_resources(resources: dict) -> None:
             pass
 
 
+def _release(blocks: list[Block]) -> None:
+    """Release every block in ``blocks`` (file mappings, frames) and
+    empty the list."""
+    for block in blocks:
+        block.release()
+    blocks.clear()
+
+
 class ShardedSamplingEngine:
     """One RR-set pool shard per advertiser, with chunk-parallel sampling.
 
@@ -350,6 +364,13 @@ class ShardedSamplingEngine:
         determinism contract — hits are verified against their stored
         digests, so cached and uncached runs are byte-identical (see
         the module notes above).
+    content_digests:
+        ``(graph digest, per-ad probability-row digests)`` of exactly
+        ``graph`` and ``probs_per_ad``, as
+        :meth:`~repro.advertising.problem.AdAllocationProblem.content_digests`
+        returns them for an instance whose arrays cannot change; the
+        shard keys are derived from them instead of hashing the rows
+        again.  ``None`` (default): hashed here when keys are needed.
 
     Examples
     --------
@@ -381,6 +402,7 @@ class ShardedSamplingEngine:
         dsan: bool | None = None,
         dsan_expected: Mapping | None = None,
         cache=None,
+        content_digests: tuple[str, Sequence[str]] | None = None,
     ) -> None:
         check_engine(engine, coordinator)
         if chunk_size < 1:
@@ -406,7 +428,7 @@ class ShardedSamplingEngine:
         # The parent's chunk source: inline computes go through it, forked
         # workers inherit it, a dialled fleet's PAYLOAD is packed from it.
         # Samplers are built eagerly so a bad probability row fails here,
-        # not at the first request.
+        # not at the first request; each gathers its row at its first chunk.
         self._source = ChunkSource(
             graph, probs_per_ad, entropies, self.chunk_size
         )
@@ -441,7 +463,7 @@ class ShardedSamplingEngine:
             # A dialled fleet's workers address their local caches by
             # the shard keys too.
             graph_hash = (
-                self._init_shard_keys()
+                self._init_shard_keys(content_digests)
                 if self._cache is not None or engine == "dist" else None
             )
             if engine != "serial":
@@ -477,20 +499,33 @@ class ShardedSamplingEngine:
             self, _release_engine_resources, self._resources
         )
 
-    def _init_shard_keys(self) -> str:
+    def _init_shard_keys(self, digests) -> str:
         """Content addresses for every ad's stream (key schema:
         :mod:`repro.store.keys`); returns the graph digest they were
         derived from.  Keys pin what determines the bytes — graph
         content, edge probabilities, stream entropy, chunk size — and
-        exclude the byte-identical substrate (engine / workers)."""
+        exclude the byte-identical substrate (engine / workers).
+        ``digests`` are the ``content_digests`` the engine was given;
+        without them the graph and every row are hashed here."""
         from repro.store.keys import philox_shard_key
         from repro.utils.hashing import array_digest, graph_digest
 
-        graph_hash = graph_digest(self.graph)
+        if digests is None:
+            graph_hash = graph_digest(self.graph)
+            probs_hashes = [
+                array_digest(sampler.edge_probabilities, label="probs")
+                for sampler in self._samplers
+            ]
+        else:
+            graph_hash, probs_hashes = digests
+            if len(probs_hashes) != len(self._samplers):
+                raise ConfigurationError(
+                    f"got {len(probs_hashes)} probability digests for "
+                    f"{len(self._samplers)} advertisers"
+                )
         keys: list[str] = []
         meta: list[dict] = []
-        for ad, sampler in enumerate(self._samplers):
-            probs_hash = array_digest(sampler.edge_probabilities, label="probs")
+        for ad, probs_hash in enumerate(probs_hashes):
             keys.append(philox_shard_key(
                 graph_hash=graph_hash, probs_hash=probs_hash,
                 entropy=self._entropies[ad], ad=ad, chunk_size=self.chunk_size,
@@ -806,26 +841,29 @@ class ShardedSamplingEngine:
     def _run_tasks(self, tasks: list[tuple[int, int, int, bool]]) -> None:
         """The one dispatch loop over ``(ad, chunk, count, resident)``
         tasks: reveal the resident ones, scatter the others over the
-        substrate, then gather and splice them in task order."""
+        substrate, then gather them in task order and splice each ad's
+        run of blocks with one append."""
         # A one-block request with nothing in flight is computed in the
         # parent — a round trip buys nothing — and a closed engine has
         # no substrate left (close also drained the prefetch ledger).
         substrate = self._substrate
-        blocks = [
-            (ad, chunk_index)
-            for ad, chunk_index, _, resident in tasks if not resident
-        ]
+        resident = [task[:3] for task in tasks if task[3]]
+        spliced = [task[:3] for task in tasks if not task[3]]
         alive = self._finalizer.alive
-        fan_out = alive and (len(blocks) > 1 or bool(self._inflight))
+        fan_out = alive and (len(spliced) > 1 or bool(self._inflight))
         # (ad, chunk) -> future, or None for "compute inline", for every
         # chunk that has to be computed; held chunks are absent.
         pending: dict[tuple[int, int], Future | None] = {}
         inline = None
+        # The current ad's blocks, gathered but not yet in its shard, and
+        # how many of their sets the request makes visible.  Released
+        # after the ad's splice, or in the finally below on failure.
+        held: list[Block] = []
+        visible = 0
         try:
-            resident = [task[:3] for task in tasks if task[3]]
             if resident:
                 self._reveal(resident)
-            for ad, chunk_index in blocks:
+            for ad, chunk_index, _ in spliced:
                 future = self._inflight.pop((ad, chunk_index), None)
                 if future is None:  # else: harvest prefetched work
                     if self._held(ad, chunk_index):
@@ -845,10 +883,9 @@ class ShardedSamplingEngine:
             # Deterministic splice order (ascending ad, then chunk — the
             # order the task list was built in), independent of which
             # worker finished first.  Each result is consumed as soon as
-            # *its* future resolves — no barrier on the whole batch.
-            for ad, chunk_index, count, is_resident in tasks:
-                if is_resident:
-                    continue
+            # *its* future resolves — no barrier on the whole batch — and
+            # an ad's run of blocks enters its shard in one append.
+            for at, (ad, chunk_index, count) in enumerate(spliced):
                 if (ad, chunk_index) not in pending:
                     block, fresh = self._open_held(ad, chunk_index)
                 else:
@@ -858,7 +895,13 @@ class ShardedSamplingEngine:
                     else:
                         block = substrate.collect(ad, chunk_index, future)
                     fresh = True
-                self._splice(ad, chunk_index, count, block, fresh)
+                held.append(block)
+                visible += count
+                self._record(ad, chunk_index, block, fresh)
+                if at + 1 == len(spliced) or spliced[at + 1][0] != ad:
+                    self._splice(ad, held, visible)
+                    _release(held)
+                    visible = 0
         except BaseException:
             # A failed batch (submit error, splice error, a chunk that
             # fails inline too) leaves the request partially applied;
@@ -869,6 +912,7 @@ class ShardedSamplingEngine:
             self.close()
             raise
         finally:
+            _release(held)
             if inline is not None:
                 inline.close()  # settles the helpers, frees what is left
 
@@ -901,38 +945,45 @@ class ShardedSamplingEngine:
         for ad, count in counts.items():
             self._shards[ad].reveal(count)
 
-    def _splice(
-        self, ad: int, chunk_index: int, visible: int, block, fresh: bool,
-    ) -> None:
-        """The one place a block enters a shard: append the whole chunk,
-        its first ``visible`` sets visible and the rest as the shard's
-        hidden tail, and release the block — whatever it arrived as."""
-        members, lengths, digest = block.members, block.lengths, block.digest
-        try:
-            if self._dsan is not None:
-                # Digest the *full* chunk block (chunks are always
-                # computed whole), so inline, frame and cache
-                # arrivals of the same chunk hash the same bytes by
-                # construction — once per arrival: a frame or cache
-                # entry brings the digest it was verified against.  A
-                # divergence raises here and the finally below still
-                # releases the block.
-                digest = self._dsan.record(
-                    ad, chunk_index, members, lengths, digest=digest
-                )
-            if fresh and self._cache is not None:
-                # Write-through, for freshly computed blocks only (write
-                # failures warn once inside the cache, never fail the
-                # run); write_block serializes without keeping references.
-                self._cache.store(
-                    self._shard_keys[ad], chunk_index, members, lengths,
-                    meta=self._cache_meta[ad], digest=digest,
-                )
-            # Exactly one copy into the pool, whatever the block arrived
-            # as: a cache entry's arrays are views over its mapping.
-            self._shards[ad].add_flat(members, lengths, visible=visible)
-        finally:
-            block.release()
+    def _record(self, ad: int, chunk_index: int, block: Block, fresh: bool) -> None:
+        """What every block arrival gets before its splice: the dsan
+        digest of the *full* chunk and, for a freshly computed block,
+        the cache write-through."""
+        digest = block.digest
+        if self._dsan is not None:
+            # Digest the *full* chunk block (chunks are always computed
+            # whole), so inline, frame and cache arrivals of the same
+            # chunk hash the same bytes by construction — once per
+            # arrival: a frame or cache entry brings the digest it was
+            # verified against.  A divergence raises here, and the
+            # caller still releases the block.
+            digest = self._dsan.record(
+                ad, chunk_index, block.members, block.lengths, digest=digest
+            )
+        if fresh and self._cache is not None:
+            # Write-through (write failures warn once inside the cache,
+            # never fail the run); write_block serializes without
+            # keeping references.
+            self._cache.store(
+                self._shard_keys[ad], chunk_index, block.members,
+                block.lengths, meta=self._cache_meta[ad], digest=digest,
+            )
+
+    def _splice(self, ad: int, blocks: list[Block], visible: int) -> None:
+        """The one place blocks enter a shard: an ad's run of whole
+        chunks in one request, ascending, appended by one
+        :meth:`~repro.rrset.pool.RRSetPool.add_flat` — their first
+        ``visible`` sets visible, the rest the shard's hidden tail (only
+        the run's last chunk can be partial).  Several blocks are
+        staged into one concatenation first; a single block is appended
+        as it is (a cache entry's arrays are views over its mapping).
+        The caller releases the blocks, whether or not this raises."""
+        if len(blocks) == 1:
+            members, lengths = blocks[0].members, blocks[0].lengths
+        else:
+            members = np.concatenate([block.members for block in blocks])
+            lengths = np.concatenate([block.lengths for block in blocks])
+        self._shards[ad].add_flat(members, lengths, visible=visible)
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -197,15 +197,11 @@ def modified_problem(
 
     if not (add_ads or remove_ads):
         return problem.with_catalog(AdCatalog(advertisers))
-    stacked = []
-    for rows in (probs, ctps):
-        matrix = np.stack(rows, axis=0)
-        matrix.flags.writeable = False  # the new problem's own: not copied
-        stacked.append(matrix)
     return AdAllocationProblem(
         problem.graph,
         AdCatalog(advertisers),
-        *stacked,
+        np.stack(probs, axis=0),
+        np.stack(ctps, axis=0),
         problem.attention,
         problem.penalty,
     )

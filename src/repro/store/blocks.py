@@ -7,14 +7,18 @@ same codec a RESULT frame carries; this module adds only the file I/O.
 Writes are atomic (unique tmp file in the same directory, then
 ``os.replace``), so concurrent writers race benignly: both write the
 same bytes for the same address and the last rename wins.  Loads map
-the file read-only (``np.memmap``) and parse the mapping, so the stored
-digest is recomputed over the mapped payload *before* any view escapes
-and a corrupt entry is detected here and never spliced.
+the file read-only (:class:`mmap.mmap`, closing the file at once) and
+parse the mapping through ``np.frombuffer`` views, so the stored digest
+is recomputed over the mapped payload *before* any view escapes and a
+corrupt entry is detected here and never spliced.  The mapping lives as
+long as the block holds it: :meth:`~repro.rrset.block.Block.release`
+drops the last reference and unmaps it.
 """
 
 from __future__ import annotations
 
 import itertools
+import mmap
 import os
 
 import numpy as np
@@ -51,7 +55,7 @@ def write_block(path: str, members, lengths,
 
 def load_block(path: str) -> Block:
     """Map and verify one entry file: a :class:`Block` of views over the
-    mapping, which it holds as ``buffer``.
+    mapping, which it holds as ``buffer`` (a ``uint8`` array over it).
 
     Raises
     ------
@@ -61,12 +65,14 @@ def load_block(path: str) -> Block:
     FileNotFoundError
         No entry at ``path`` (a plain miss, not corruption).
     """
-    if not os.path.exists(path):
-        raise FileNotFoundError(path)
     try:
-        mapping = np.memmap(path, dtype=np.uint8, mode="r")
-    except (OSError, ValueError) as exc:
+        with open(path, "rb") as handle:
+            mapping = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+    except FileNotFoundError:
+        raise
+    except (OSError, ValueError) as exc:  # an empty file is unmappable too
         raise CorruptBlockError(f"unmappable cache entry {path}: {exc}") from exc
-    block = parse(mapping)
-    block.buffer = mapping
+    buffer = np.frombuffer(mapping, dtype=np.uint8)
+    block = parse(buffer)
+    block.buffer = buffer
     return block

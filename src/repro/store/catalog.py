@@ -53,6 +53,12 @@ CATALOG_FILENAME = "catalog.sqlite"
 #: How long a writer waits on a locked database before erroring (ms).
 BUSY_TIMEOUT_MS = 30_000
 
+#: The catalog schema's version, kept in ``PRAGMA user_version``.  A
+#: catalog below it (a new file, or one written before the version was
+#: kept) gets :data:`_SCHEMA` and the ``job_id`` migration at open; a
+#: current one opens with no DDL at all.
+SCHEMA_VERSION = 1
+
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS shards (
     shard_key    TEXT NOT NULL,
@@ -139,24 +145,33 @@ class ExperimentCatalog:
             self._conn.execute(f"PRAGMA busy_timeout = {BUSY_TIMEOUT_MS}")
             _switch_to_wal(self._conn)
             self._conn.execute("PRAGMA synchronous = NORMAL")
-            with self._lock, self._conn:
-                self._conn.executescript(_SCHEMA)
-            # Schema migration for catalogs created before the service
-            # tier existed: CREATE TABLE IF NOT EXISTS never *adds*
-            # columns, so older databases need the job_id column bolted
-            # on.  A duplicate-column error means the schema is current.
-            try:
-                with self._lock, self._conn:
-                    self._conn.execute(
-                        "ALTER TABLE allocations ADD COLUMN job_id TEXT"
-                    )
-            except sqlite3.OperationalError as exc:
-                if "duplicate column name" not in str(exc):
-                    raise
+            (version,) = self._conn.execute("PRAGMA user_version").fetchone()
+            if version < SCHEMA_VERSION:
+                self._migrate()
         except sqlite3.Error as exc:
             raise StoreError(
                 f"cannot open experiment catalog at {self.path}: {exc}"
             ) from exc
+
+    def _migrate(self) -> None:
+        """Bring a catalog below :data:`SCHEMA_VERSION` up to it.  Safe to
+        race: two openers of one new file both run it, and every step
+        is idempotent."""
+        with self._lock, self._conn:
+            self._conn.executescript(_SCHEMA)
+        # Catalogs created before the service tier existed lack job_id:
+        # CREATE TABLE IF NOT EXISTS never *adds* columns.  A
+        # duplicate-column error means the column is there already.
+        try:
+            with self._lock, self._conn:
+                self._conn.execute(
+                    "ALTER TABLE allocations ADD COLUMN job_id TEXT"
+                )
+        except sqlite3.OperationalError as exc:
+            if "duplicate column name" not in str(exc):
+                raise
+        with self._lock, self._conn:
+            self._conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -24,6 +24,22 @@ import numpy as np
 DIGEST_SIZE = 16
 
 
+def immutable(array: np.ndarray) -> np.ndarray:
+    """``array`` backed by an immutable ``bytes`` buffer, so a digest
+    cached over it cannot go stale: an in-place write raises
+    ``ValueError``, and so does ``flags.writeable = True`` — on the
+    array, on its views and on its base.  Clearing ``writeable`` alone
+    would not do: the flag can be set again.  An array already backed
+    by ``bytes`` (or a view of one) is returned as it is; any other is
+    copied once."""
+    base = array
+    while isinstance(base, np.ndarray):
+        base = base.base
+    if isinstance(base, bytes):
+        return array
+    return np.frombuffer(array.tobytes(), array.dtype).reshape(array.shape)
+
+
 def array_digest(array, *, label: str = "") -> str:
     """Content digest of one numeric array: dtype, shape, then bytes.
 

@@ -97,10 +97,21 @@ class TestFrozen:
         assert problem.ctps is two_ad_problem.ctps  # read-only: shared
         view = AdAllocationProblem(
             two_ad_problem.graph, two_ad_problem.catalog,
-            two_ad_problem.edge_probabilities[:, :], two_ad_problem.ctps,
-            two_ad_problem.attention,
+            mine[:, :], two_ad_problem.ctps, two_ad_problem.attention,
         )
-        assert view.edge_probabilities.base is None  # a view is copied
+        # A view of a writable array is copied.
+        assert not np.shares_memory(view.edge_probabilities, mine)
+
+    @pytest.mark.parametrize("name", ["edge_probabilities", "ctps"])
+    def test_the_flag_cannot_be_set_back(self, two_ad_problem, name):
+        """Clearing ``writeable`` alone can be undone, after which
+        ``content_digests()`` would name rows that are gone: the matrix,
+        a row, and the base all refuse the flag — also on a copy."""
+        for problem in (two_ad_problem, copy.deepcopy(two_ad_problem)):
+            matrix = getattr(problem, name)
+            for target in (matrix, matrix[1], matrix.base):
+                with pytest.raises(ValueError, match="WRITEABLE"):
+                    target.flags.writeable = True
 
     def test_derived_problems_share_arrays_and_digests(self, two_ad_problem):
         digests = two_ad_problem.content_digests()

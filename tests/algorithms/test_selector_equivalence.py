@@ -56,20 +56,24 @@ class _Pool:
 @st.composite
 def cases(draw):
     n = draw(st.integers(1, 40))
+    # One draw of bytes makes every discrete choice: header bytes for
+    # the menus, the penalty, the pivot, the budget split, the rule, how
+    # many nodes are taken and whether the likely winner is, then a byte
+    # per node for its CTP, its coverage, how stale its heap key is,
+    # whether it is taken and whether a taken node is the ad's own seed.
+    raw = np.frombuffer(draw(st.binary(min_size=14 + 5 * n, max_size=14 + 5 * n)),
+                        dtype=np.uint8)
+    head, picks = raw[:14].astype(int), raw[14:].reshape(5, n)
     # A few values per case, so scores, marginals and drops repeat.
-    ctp_menu = draw(st.lists(st.sampled_from(CTPS), min_size=1, max_size=3))
-    cov_menu = draw(st.lists(st.integers(0, 12), min_size=1, max_size=4))
-    ctps = np.asarray([draw(st.sampled_from(ctp_menu)) for _ in range(n)])
-    coverage = np.asarray(
-        [draw(st.sampled_from(cov_menu)) for _ in range(n)], dtype=np.int64
-    )
+    ctp_menu = np.asarray(CTPS)[head[1:4] % len(CTPS)][: 1 + head[0] % 3]
+    cov_menu = (head[5:9] % 13)[: 1 + head[4] % 4]
+    ctps = ctp_menu[picks[0] % len(ctp_menu)]
+    coverage = cov_menu[picks[1] % len(cov_menu)].astype(np.int64)
     # Keys in the heap are scores at an earlier, larger coverage.
-    stale = coverage + np.asarray(
-        [draw(st.sampled_from((0, 0, 0, 1, 5))) for _ in range(n)]
-    )
-    penalty = draw(st.sampled_from((0.0, 0.05, 0.3)))
+    stale = coverage + np.asarray((0, 0, 0, 1, 5))[picks[2] % 5]
+    penalty = (0.0, 0.05, 0.3)[head[9] % 3]
     marginals = CPE * n * ctps * coverage / (int(CPE) * n)
-    pivot = float(marginals[draw(st.integers(0, n - 1))])
+    pivot = float(marginals[head[10] % n])
     remaining = draw(st.one_of(
         st.sampled_from((0.0, -1.0, 5e-13, 1e-6, BUDGET)),
         st.sampled_from((
@@ -83,15 +87,18 @@ def cases(draw):
     ))
     # Either way ``budget − revenue`` is about ``remaining``; with no
     # revenue it is ``remaining`` to the bit, and the edges are exact.
-    budget, revenue = draw(st.sampled_from(
-        ((remaining, 0.0), (BUDGET, BUDGET - remaining))
-    ))
-    taken = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n // 2 + 1))
-    if draw(st.booleans()) and marginals.any():
+    budget, revenue = (
+        (remaining, 0.0), (BUDGET, BUDGET - remaining)
+    )[head[11] % 2]
+    # None, an eighth, a quarter or half of the nodes are taken, at
+    # most n // 2 + 1.
+    share = (0, 32, 64, 128)[head[13] % 4]
+    taken = [int(node) for node in np.flatnonzero(picks[3] < share)][: n // 2 + 1]
+    if head[12] & 1 and marginals.any():
         # The node the scan would most likely return, made ineligible.
         taken = sorted(set(taken) | {int(np.argmax(marginals))})
-    own = [node for node in taken if draw(st.booleans())]
-    rule = draw(st.sampled_from(("weighted", "weighted", "coverage")))
+    own = [node for node in taken if picks[4, node] & 1]
+    rule = ("weighted", "weighted", "coverage")[(head[12] >> 1) % 3]
     return n, ctps, coverage, stale, penalty, budget, revenue, taken, own, rule
 
 
@@ -219,25 +226,37 @@ def test_each_outcome_of_a_scan(monkeypatch, walk_base, case, walked, node, acti
     assert passes == (0 if walked and walk_base else 2)
 
 
-@given(
-    n=st.integers(1, 64),
-    cpe=st.floats(0.01, 100.0),
-    ctp=st.floats(1e-6, 1.0),
-    cov=st.integers(1, 10**6),
-    theta=st.integers(1, 10**7),
-    revenue=st.floats(0.0, 1e4),
-    remaining=st.floats(1e-9, 1e4),
-    penalty=st.floats(0.0, 10.0),
-    num_seeds=st.integers(0, 1_000),
-    walk=st.booleans(),
-)
+@st.composite
+def positive_drops(draw):
+    """One candidate of positive drop, built directly: θ is chosen so
+    the marginal ``m = cpe · n · ctp · cov / θ`` lands at a drawn share
+    of ``(0, 2 · remaining)``, where a drop ``remaining − |remaining −
+    m| − λ`` can be positive, and λ is a drawn fraction of that room
+    (capped at 10).  θ clipped to its range can still miss, hence the
+    test's ``assume``."""
+    n = draw(st.integers(1, 64))
+    cpe = draw(st.floats(0.01, 100.0))
+    ctp = draw(st.floats(1e-6, 1.0))
+    cov = draw(st.integers(1, 10**6))
+    revenue = draw(st.floats(0.0, 1e4))
+    remaining = draw(st.floats(1e-9, 1e4))
+    share = draw(st.floats(1e-3, 2.0 - 1e-3))
+    theta = min(max(round(cpe * n * ctp * cov / (share * remaining)), 1), 10**7)
+    marginal = cpe * n * ctp * cov / theta
+    room = max(remaining - abs(remaining - marginal), 0.0)
+    penalty = min(draw(st.floats(0.0, 1.0, exclude_max=True)) * room, 10.0)
+    num_seeds = draw(st.integers(0, 1_000))
+    walk = draw(st.booleans())
+    return n, cpe, ctp, cov, theta, revenue, remaining, penalty, num_seeds, walk
+
+
+@given(case=positive_drops())
 @settings(max_examples=1_000, deadline=None)
-def test_compiled_arithmetic_is_the_pythons_bit_for_bit(
-    n, cpe, ctp, cov, theta, revenue, remaining, penalty, num_seeds, walk
-):
+def test_compiled_arithmetic_is_the_pythons_bit_for_bit(case):
     """The marginal and drop the compiled selector returns are
     ``_marginal_revenue`` and the ``regret_of`` difference to the bit:
     one candidate of positive drop, taken by the walk or by the pass."""
+    n, cpe, ctp, cov, theta, revenue, remaining, penalty, num_seeds, walk = case
     budget = revenue + remaining
     ctps = np.zeros(n)
     ctps[0] = ctp

@@ -18,6 +18,8 @@ from repro.graph.digraph import DirectedGraph
 from repro.evaluation.evaluator import RegretEvaluator
 from repro.graph.generators import erdos_renyi, star_graph
 from repro.graph.probabilities import constant_probabilities
+from repro.rrset.sampler import RRSetSampler
+from repro.rrset.sharded import ShardedSamplingEngine
 
 from tests.algorithms._reference_selector import (
     ReferenceSelector,
@@ -68,10 +70,10 @@ class TestConfiguration:
             TIRMAllocator(**kwargs)
 
     def test_nan_edge_probability_refused(self):
-        """A NaN probability is refused where the problem is built; a
-        built problem's matrix is read-only, and — slipped in past
-        that — refused where TIRM builds its samplers, before a set is
-        drawn."""
+        """A NaN probability is refused where the problem is built, and
+        a built problem's matrix can be neither written nor made
+        writable again.  The engine TIRM builds refuses a NaN row too,
+        at construction, before a set is drawn."""
         problem = figure1_problem()
         probs = problem.edge_probabilities.copy()
         probs[0, 0] = np.nan
@@ -82,10 +84,12 @@ class TestConfiguration:
             )
         with pytest.raises(ValueError, match="read-only"):
             problem.edge_probabilities[0, 0] = np.nan
-        problem.edge_probabilities.flags.writeable = True  # this test's own
-        problem.edge_probabilities[0, 0] = np.nan
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            problem.edge_probabilities.flags.writeable = True
         with pytest.raises(ValueError, match="edge_probabilities.*NaN"):
-            tirm().allocate(problem)
+            ShardedSamplingEngine(problem.graph, list(probs), seeds=1)
+        with pytest.raises(ValueError, match="edge_probabilities.*NaN"):
+            RRSetSampler(problem.graph, probs[0])
 
 
 class TestToyBehaviour:

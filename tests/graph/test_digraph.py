@@ -1,5 +1,8 @@
 """CSR DirectedGraph: construction, queries, invariants."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -114,6 +117,26 @@ class TestFrozen:
             array[0] = 1
         with pytest.raises(ValueError, match="read-only"):
             array += 1
+
+    @pytest.mark.parametrize("name", _ARRAYS)
+    def test_the_flag_cannot_be_set_back(self, diamond_graph, name):
+        """Clearing ``writeable`` alone can be undone, which would let a
+        write slip past the cached digest: the array, a view of it and
+        its base all refuse the flag."""
+        array = getattr(diamond_graph, name)
+        for target in (array, array[1:], array.base):
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                target.flags.writeable = True
+        assert not array.flags.writeable
+
+    @pytest.mark.parametrize(
+        "clone", [copy.deepcopy, lambda g: pickle.loads(pickle.dumps(g))]
+    )
+    def test_a_copy_cannot_be_unfrozen(self, diamond_graph, clone):
+        twin = clone(diamond_graph)
+        for name in self._ARRAYS:
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                getattr(twin, name).flags.writeable = True
 
     def test_views_are_read_only_too(self, diamond_graph):
         with pytest.raises(ValueError, match="read-only"):

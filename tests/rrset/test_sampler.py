@@ -108,13 +108,22 @@ class TestSamplerObject:
 
     def test_is_immutable(self, small_random_graph):
         """Sampling reads the kernel and writes nothing: no stream
-        position, no counter, no scratch array."""
+        position, no counter, no scratch array.  The first chunk adds
+        one thing, the row gathered into in-slot order, and nothing
+        changes after it."""
         assert "seed" not in inspect.signature(RRSetSampler.__init__).parameters
         probs = constant_probabilities(small_random_graph, 0.1)
         sampler = RRSetSampler(small_random_graph, probs)
+        built = {name: _frozen(value) for name, value in vars(sampler).items()}
+        plan = StreamPlan(9, ad=1, chunk_size=16)
+        sampler.sample_chunk_block(plan, 0)
         before = {name: _frozen(value) for name, value in vars(sampler).items()}
+        assert before == {
+            **built,
+            "_in_probs_array": _frozen(probs[small_random_graph.in_edge_ids]),
+        }
         for chunk in (0, 3, 0):
-            sampler.sample_chunk_block(StreamPlan(9, ad=1, chunk_size=16), chunk)
+            sampler.sample_chunk_block(plan, chunk)
         after = {name: _frozen(value) for name, value in vars(sampler).items()}
         assert after == before
 

@@ -522,10 +522,11 @@ class TestSubstrateSeam:
             with pytest.raises(ValueError, match="fake substrate exploded"):
                 engine.sample({0: 64, 1: 64})  # 4 + 4 chunk tasks
         assert len(fake.submitted) == 8
-        # Tasks 0 and 1 were spliced, task 2 raised; the five futures
-        # behind it were drained, none collected.
+        # Tasks 0 and 1 were collected, task 2 raised; the five futures
+        # behind it were drained, none collected.  Ad 0's run enters its
+        # shard in one append, so none of it did.
         assert fake.drained == [future for _, _, future in fake.submitted[3:]]
-        assert engine.shard(0).num_total == 32
+        assert engine.shard(0).num_total == 0
         assert fake.closed and not engine._finalizer.alive
         engine.close()  # still idempotent after the failure path
 

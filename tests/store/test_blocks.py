@@ -95,6 +95,43 @@ def test_missing_entry_is_a_plain_miss(tmp_path):
         load_block(str(tmp_path / "absent.blk"))
 
 
+def test_an_empty_entry_is_corrupt(tmp_path):
+    path = tmp_path / "0.blk"
+    path.write_bytes(b"")
+    with pytest.raises(CorruptBlockError, match="unmappable"):
+        load_block(str(path))
+
+
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+def _mappings() -> int:
+    with open("/proc/self/maps") as handle:
+        return sum(1 for _ in handle)
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/maps"), reason="needs /proc/self"
+)
+def test_loads_and_releases_leave_no_descriptor_or_mapping(tmp_path):
+    """A verified load closes its file at once, and releasing the block
+    unmaps it: 200 load/release rounds leave the process's descriptors
+    as they were, and its mappings within allocator noise (a leak would
+    leave 200 of either)."""
+    members, lengths = _sample_block()
+    path = str(tmp_path / "0.blk")
+    write_block(path, members, lengths)
+    load_block(path).release()  # warm up whatever a first load allocates
+    fds, mappings = _open_fds(), _mappings()
+    for _ in range(200):
+        entry = load_block(path)
+        assert entry.num_members == members.size
+        entry.release()
+    assert _open_fds() == fds
+    assert _mappings() <= mappings + 4
+
+
 def test_no_tmp_files_left_behind(tmp_path):
     members, lengths = _sample_block()
     write_block(str(tmp_path / "0.blk"), members, lengths)

@@ -203,6 +203,65 @@ def test_reopening_a_current_catalog_swallows_the_duplicate_column(tmp_path):
         assert cat.get_allocation(1) is None
 
 
+def test_opening_a_current_catalog_runs_no_ddl(tmp_path, monkeypatch):
+    """The schema version is kept in ``PRAGMA user_version``: the first
+    open creates the tables and sets it, every later open reads it and
+    runs neither the schema script nor the ``job_id`` migration."""
+    ExperimentCatalog(str(tmp_path)).close()
+    statements = []
+
+    class Recording(sqlite3.Connection):
+        def execute(self, sql, *args):
+            statements.append(sql)
+            return super().execute(sql, *args)
+
+        def executescript(self, script):
+            statements.append(script)
+            return super().executescript(script)
+
+    connect = sqlite3.connect
+    monkeypatch.setattr(
+        catalog_module.sqlite3, "connect",
+        lambda *args, **kwargs: connect(*args, factory=Recording, **kwargs),
+    )
+    with ExperimentCatalog(str(tmp_path)) as cat:
+        assert cat.get_allocation(1) is None
+    assert statements
+    assert not [
+        sql for sql in statements
+        if any(word in sql.upper() for word in ("CREATE", "ALTER"))
+    ]
+    conn = sqlite3.connect(tmp_path / CATALOG_FILENAME)
+    (version,) = conn.execute("PRAGMA user_version").fetchone()
+    conn.close()
+    assert version == catalog_module.SCHEMA_VERSION
+
+
+def test_a_catalog_from_before_the_service_tier_gains_job_id(tmp_path):
+    """A catalog written before ``allocations.job_id`` existed, with no
+    schema version, is migrated at open: the column is added, old rows
+    keep their values, and the version is set."""
+    conn = sqlite3.connect(tmp_path / CATALOG_FILENAME)
+    with conn:
+        conn.executescript(
+            _SCHEMA_WITH_BENCHMARKS.replace("job_id TEXT, ", "")
+        )
+        conn.execute(
+            "INSERT INTO allocations (created_at, algorithm, dsan_root) "
+            "VALUES (1.0, 'tirm', 'r00t')"
+        )
+    conn.close()
+    with ExperimentCatalog(str(tmp_path)) as cat:
+        row = cat.get_allocation(1)
+        assert row["dsan_root"] == "r00t" and row["job_id"] is None
+    conn = sqlite3.connect(tmp_path / CATALOG_FILENAME)
+    columns = [r[1] for r in conn.execute("PRAGMA table_info(allocations)")]
+    (version,) = conn.execute("PRAGMA user_version").fetchone()
+    conn.close()
+    assert "job_id" in columns
+    assert version == catalog_module.SCHEMA_VERSION
+
+
 #: The catalog schema as it stood while the catalog also kept bench
 #: history: the four current tables plus ``benchmarks``.
 _SCHEMA_WITH_BENCHMARKS = """
